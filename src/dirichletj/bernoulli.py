@@ -7,15 +7,20 @@ including the Bernoulli-polynomial oracle (B_k here equals B_k(1) of
 the classical Bernoulli polynomial).
 
 Generalized Bernoulli numbers B_{k,chi} are computed two independent
-ways and cross-asserted on every call:
+ways and cross-asserted on every (chi, k):
 
 * generating function: k! times the t^k coefficient of
-  ``sum_a chi(a) t e^{at} / (e^{Nt} - 1)``, via truncated series division
-  over Q(zeta_ord(chi));
-* Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``.
+  ``sum_a chi(a) t e^{at} / (e^{Nt} - 1)``.  Each primitive character's
+  quotient series is grown once, one coefficient per k, and reused
+  across k (``_SERIES_CACHE``); it is extended only as far as the largest
+  k asked for, in integer arithmetic over the power basis of
+  Q(zeta_ord(chi));
+* Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``, evaluated
+  afresh for each k in ``CycElement`` arithmetic.
 
-Both use the primitive representative of chi (the defining sum runs over
-the conductor).
+Both sum over the classes of residues a with equal chi(a), use the
+primitive representative of chi (the defining sum runs over the
+conductor) and share nothing beyond ``evaluate``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .characters import (
     DirichletCharacter,
@@ -72,54 +78,117 @@ def bernoulli_number(k: int) -> Fraction:
 def _bernoulli_poly_coeffs(k: int) -> tuple[Fraction, ...]:
     # Classical Bernoulli polynomial B_k(x) = sum C(k,j) B_j^- x^(k-j);
     # the only place the minus convention (B_1^- = -1/2) enters.
-    out = []
-    for j in range(k + 1):
-        bj = bernoulli_number(j)
-        if j == 1:
-            bj = -bj
-        out.append(Fraction(math.comb(k, j)) * bj)
-    return tuple(out)
+    bs = _bernoulli_list(k)
+    return tuple(Fraction(math.comb(k, j)) * (-b if j == 1 else b) for j, b in enumerate(bs))
 
 
 def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
+    x = Fraction(x)
+    return _bernoulli_poly_sum(k, [x.numerator], x.denominator)
+
+
+def _bernoulli_poly_sum(k: int, xs: Iterable[int], q: int) -> Fraction:
+    """Sum of B_k(x/q) over the integers x in ``xs``.
+
+    Integer Horner steps on D q^k B_k(x/q) = sum_j D c_j q^j x^(k-j), with D
+    the common denominator of the coefficients c_j; one division at the end.
+    """
     cs = _bernoulli_poly_coeffs(k)
-    acc = Fraction(0)
-    for j, c in enumerate(cs):
-        acc += c * x ** (k - j)
-    return acc
+    den = math.lcm(*(c.denominator for c in cs))
+    scaled = [c.numerator * (den // c.denominator) * q**j for j, c in enumerate(cs)]
+    total = 0
+    for x in xs:
+        h = 0
+        for c in scaled:
+            h = h * x + c
+        total += h
+    return Fraction(total, den * q**k)
+
+
+class _SeriesState:
+    """B_{j,chi} for j <= K of one primitive chi, read off one growing series.
+
+    With n_j = sum_a chi(a) a^j / j! and q_j the quotient coefficients of
+    ``sum_n n_j t^j / ((e^{Nt} - 1)/t)``, B_{j,chi} = j! q_j.  Multiplying
+    ``N q_j = n_j - sum_{i<j} q_i N^(j-i+1)/(j-i+1)!`` through by (j+1)!
+    gives the step
+
+        N (j+1) B_j = (j+1) m_j - sum_{i<j} C(j+1, i) N^(j-i+1) B_i,
+
+    with m_j = j! n_j = sum_e zeta^e (sum of a^j over the residues a with
+    chi(a) = zeta^e), an integer vector over the power basis.  Each B_i is
+    kept as an integer vector over one positive denominator.
+    """
+
+    __slots__ = ("N", "classes", "nums", "dens", "lcm")
+
+    def __init__(self, chi: DirichletCharacter):
+        self.N = chi.modulus
+        by_value: dict[tuple, list[int]] = {}
+        for a in range(1, self.N + 1):
+            val = evaluate(chi, a)
+            if val is not None:
+                by_value.setdefault(val.coeffs, []).append(a)
+        # (zeta^e as an integer vector, residues a with chi(a) = zeta^e, a^j for the next j)
+        self.classes = [
+            (tuple(int(c) for c in vec), residues, [1] * len(residues)) for vec, residues in by_value.items()
+        ]
+        self.nums: list[list[int]] = []
+        self.dens: list[int] = []
+        self.lcm = 1  # of dens
+
+    def extend(self, k: int) -> None:
+        N = self.N
+        while len(self.nums) <= k:
+            j = len(self.nums)
+            m = [0] * len(self.classes[0][0])
+            for vec, residues, pows in self.classes:
+                s = sum(pows)
+                for t, c in enumerate(vec):
+                    if c:
+                        m[t] += c * s
+                for i, a in enumerate(residues):
+                    pows[i] *= a
+            L = self.lcm
+            acc = [(j + 1) * L * x for x in m]
+            for i in range(j):
+                coef = math.comb(j + 1, i) * N ** (j - i + 1) * (L // self.dens[i])
+                for t, x in enumerate(self.nums[i]):
+                    if x:
+                        acc[t] -= coef * x
+            den = N * (j + 1) * L
+            g = math.gcd(den, *acc)
+            self.nums.append([x // g for x in acc])
+            self.dens.append(den // g)
+            self.lcm = L * self.dens[-1] // math.gcd(L, self.dens[-1])
+
+
+# Growing series state per primitive character, keyed (modulus, index).
+_SERIES_CACHE: dict[tuple[int, int], _SeriesState] = {}
 
 
 def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
     """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t) over Q(zeta_ord)."""
-    N = chi.modulus
-    field = get_field(chi.order())
-    order = k + 2
-    fact = [1] * (order + 2)
-    for i in range(1, order + 2):
-        fact[i] = fact[i - 1] * i
-    values = [(a, evaluate(chi, a)) for a in range(1, N + 1)]
-    num_coeffs = []
-    for j in range(order):
-        acc = field.zero()
-        for a, val in values:
-            if val is not None:
-                acc = acc + val * Fraction(a**j, fact[j])
-        num_coeffs.append(acc)
-    den_coeffs = [field.from_rational(Fraction(N ** (j + 1), fact[j + 1])) for j in range(order)]
-    one = field.one()
-    q = series_quotient(PowerSeries(order, num_coeffs, one), PowerSeries(order, den_coeffs, one))
-    return q.coeffs[k] * Fraction(fact[k])
+    key = (chi.modulus, chi.index())
+    state = _SERIES_CACHE.get(key)
+    if state is None:
+        state = _SERIES_CACHE[key] = _SeriesState(chi)
+    state.extend(k)
+    den = state.dens[k]
+    return get_field(chi.order()).element([Fraction(x, den) for x in state.nums[k]])
 
 
 def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
-    """Oracle: N^(k-1) sum_a chi(a) B_k(a/N)."""
+    """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N)."""
     N = chi.modulus
-    field = get_field(chi.order())
-    acc = field.zero()
+    classes: dict[tuple, tuple[CycElement, list[int]]] = {}
     for a in range(1, N + 1):
         val = evaluate(chi, a)
         if val is not None:
-            acc = acc + val * bernoulli_polynomial(k, Fraction(a, N))
+            classes.setdefault(val.coeffs, (val, []))[1].append(a)
+    acc = get_field(chi.order()).zero()
+    for val, residues in classes.values():
+        acc = acc + val * _bernoulli_poly_sum(k, residues, N)
     return acc * Fraction(N) ** (k - 1)
 
 

@@ -483,13 +483,17 @@ def denominator_ideal(a: CycElement) -> IdealLattice:
     amat = IntMatrix([[int(x * c) for x in row] for row in rows])
     # Solve v*A = 0 (mod c) for row vectors v: with D = L*A*R, substitute
     # w = v*L^(-1), i.e. v = w*L; constraint becomes w*D = 0 (mod c).
+    # c*Z[zeta] lies in the colon lattice, so the generators may be reduced
+    # mod c once the rows c*e_j are appended: the lattice, and so its
+    # (unique) HNF, is unchanged, and the entries stay below c.
     dmat, lmat, _ = smith_normal_form(amat)
-    scale = [c // math.gcd(dmat.data[i][i], c) if i < d else c for i in range(d)]
     gen_rows = []
     for i in range(d):
-        gen_rows.append([scale[i] * lmat.data[i][j] for j in range(d)])
+        scale = c // math.gcd(dmat.data[i][i], c)
+        gen_rows.append([(scale * x) % c for x in lmat.data[i]])
+    gen_rows.extend([c if j == i else 0 for j in range(d)] for i in range(d))
     h, _ = hermite_normal_form(IntMatrix(gen_rows))
-    return IdealLattice(field, h)
+    return IdealLattice(field, IntMatrix(h.data[:d]))
 
 
 def quotient_group(ideal: IdealLattice):

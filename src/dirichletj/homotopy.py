@@ -300,6 +300,8 @@ def pi_JN(N: int, i: int) -> AbelianGroupExpr:
 
 def pi_K1(p: int, i: int) -> AbelianGroupExpr:
     """Homotopy of the K(1)-local sphere at p."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     A = AbelianGroupExpr
     if p == 2:
         if i == 0:
@@ -324,6 +326,8 @@ def pi_K1(p: int, i: int) -> AbelianGroupExpr:
 
 def pi_K1_pv(p: int, v: int, i: int) -> AbelianGroupExpr:
     """Homotopy of the level-p^v Galois extension of the K(1)-local sphere."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if v < 1 or (p == 2 and v < 2):
         raise ValueError("unsupported level exponent")
     A = AbelianGroupExpr

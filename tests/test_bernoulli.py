@@ -1,10 +1,12 @@
 """Bernoulli numbers, L-values, denominator ideals, congruence theorems."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
+from dirichletj import bernoulli
 from dirichletj.bernoulli import (
     bernoulli_number,
     carlitz_p_ideal,
@@ -18,6 +20,7 @@ from dirichletj.bernoulli import (
 )
 from dirichletj.characters import (
     char_pow,
+    character_from_index,
     enumerate_characters,
     is_primitive,
     parity,
@@ -99,6 +102,102 @@ class TestGBN:
             assert gbn(lifted[0], k) == gbn(odd4(), k)
 
 
+def _clear_gbn_caches():
+    bernoulli._gbn_primitive.cache_clear()
+    bernoulli._SERIES_CACHE.clear()
+
+
+class TestGrowingSeries:
+    """One series per character is grown across k; the order of requests must not matter."""
+
+    GRID = [(chi, 12) for N in range(1, 17) for chi in enumerate_characters(N) if is_primitive(chi)]
+    GRID.append((character_from_index(23, 1), 6))
+
+    def _values(self, order):
+        _clear_gbn_caches()
+        return {(chi.modulus, chi.index(), k): gbn(chi, k) for chi, kmax in self.GRID for k in order(kmax)}
+
+    def test_order_independent(self):
+        ascending = self._values(lambda kmax: range(kmax + 1))
+        descending = self._values(lambda kmax: range(kmax, -1, -1))
+        one_at_a_time = {}
+        for chi, kmax in self.GRID:
+            for k in range(kmax + 1):
+                _clear_gbn_caches()
+                one_at_a_time[(chi.modulus, chi.index(), k)] = gbn(chi, k)
+        assert len(ascending) == sum(kmax + 1 for _, kmax in self.GRID)
+        assert ascending == descending == one_at_a_time
+
+    def test_series_grows_only_to_requested_k(self):
+        _clear_gbn_caches()
+        chi = character_from_index(7, 1)
+        gbn(chi, 3)
+        assert len(bernoulli._SERIES_CACHE[(7, 1)].nums) == 4
+        gbn(chi, 1)
+        assert len(bernoulli._SERIES_CACHE[(7, 1)].nums) == 4
+
+    def test_perturbed_oracle_raises_on_grown_character(self, monkeypatch):
+        chi = character_from_index(7, 1)
+        for k in range(9):
+            gbn(chi, k)
+        bernoulli._gbn_primitive.cache_clear()  # keep the grown series, force re-checks
+        honest = bernoulli._gbn_polysum
+
+        def perturbed(chi_, k):
+            value = honest(chi_, k)
+            return value + Fraction(1, 7) if k == 5 else value
+
+        monkeypatch.setattr(bernoulli, "_gbn_polysum", perturbed)
+        assert gbn(chi, 4) == honest(chi, 4)
+        with pytest.raises(AssertionError):
+            gbn(chi, 5)
+
+
+def _fundamental_discriminants(bound):
+    def squarefree(m):
+        return all(m % (q * q) for q in range(2, int(abs(m) ** 0.5) + 1))
+
+    out = []
+    for D in range(-bound, bound + 1):
+        if D in (0, 1):
+            continue
+        if D % 4 == 1 and squarefree(D):
+            out.append(D)
+        elif D % 4 == 0 and (D // 4) % 4 in (2, 3) and squarefree(D // 4):
+            out.append(D)
+    return out
+
+
+class TestSympyOracle:
+    """B_{k,chi_D} for the Kronecker characters chi_D, from sympy's Bernoulli polynomials only."""
+
+    def test_quadratic_characters(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.functions.combinatorial.numbers import kronecker_symbol
+
+        x = sympy.Symbol("x")
+        polys = {k: sympy.Poly(sympy.bernoulli(k, x), x) for k in range(21)}
+
+        def expected(D, k):
+            f = abs(D)
+            total = sum(kronecker_symbol(D, a) * polys[k].eval(sympy.Rational(a, f)) for a in range(1, f + 1))
+            value = sympy.Rational(total) * sympy.Rational(f) ** (k - 1)
+            return Fraction(int(value.p), int(value.q))
+
+        discriminants = _fundamental_discriminants(30)
+        assert len(discriminants) == 19
+        for D in discriminants:
+            (chi,) = [
+                c for c in enumerate_characters(abs(D))
+                if c.order() == 2 and is_primitive(c) and parity(c) == (1 if D > 0 else -1)
+            ]
+            for k in range(21):
+                assert gbn(chi, k).rational_value() == expected(D, k), (D, k)
+        chi0 = enumerate_characters(1)[0]
+        for k in range(21):  # B_k(1) = B_k with B_1 = +1/2
+            assert gbn(chi0, k).rational_value() == Fraction(int(polys[k].eval(1).p), int(polys[k].eval(1).q))
+
+
 class TestLValues:
     def test_zeta_minus_one(self):
         chi0 = enumerate_characters(1)[0]
@@ -167,6 +266,40 @@ class TestDenomIdeal:
                     if math.gcd(b, n) != 1:
                         continue
                     assert quotient_group(denom_ideal(char_pow(chi, b), k)) == base
+
+
+# Denominator ideals on a small grid, from the code before the modular HNF:
+# HNF diagonals by modulus and (index, k), and the sha256 of every HNF basis.
+PINNED_DIAGONALS = {
+    3: {(1, 1): (6,), (1, 3): (9,), (1, 5): (3,)},
+    4: {(1, 1): (4,), (1, 3): (4,), (1, 5): (4,)},
+    5: {(1, 1): (1, 10), (1, 3): (1, 5), (1, 5): (1, 25), (2, 2): (5,), (2, 4): (1,), (2, 6): (5,), (3, 1): (1, 10), (3, 3): (1, 5), (3, 5): (1, 25)},
+    7: {(1, 1): (1, 7), (1, 3): (1, 1), (1, 5): (1, 7), (2, 2): (1, 7), (2, 4): (1, 7), (2, 6): (1, 1), (3, 1): (2,), (3, 3): (7,), (3, 5): (1,), (4, 2): (1, 7), (4, 4): (1, 7), (4, 6): (1, 1), (5, 1): (1, 7), (5, 3): (1, 1), (5, 5): (1, 7)},
+    8: {(1, 2): (2,), (1, 4): (2,), (1, 6): (2,), (3, 1): (2,), (3, 3): (2,), (3, 5): (2,)},
+    9: {(1, 1): (1, 3), (1, 3): (1, 3), (1, 5): (1, 3), (2, 2): (1, 3), (2, 4): (1, 3), (2, 6): (1, 3), (4, 2): (1, 3), (4, 4): (1, 3), (4, 6): (1, 3), (5, 1): (1, 3), (5, 3): (1, 3), (5, 5): (1, 3)},
+    11: {(1, 1): (1, 1, 1, 11), (1, 3): (1, 1, 1, 11), (1, 5): (1, 1, 1, 1), (2, 2): (1, 1, 1, 11), (2, 4): (1, 1, 1, 11), (2, 6): (1, 1, 1, 11), (3, 1): (1, 1, 1, 11), (3, 3): (1, 1, 1, 11), (3, 5): (1, 1, 1, 1), (4, 2): (1, 1, 1, 11), (4, 4): (1, 1, 1, 11), (4, 6): (1, 1, 1, 11), (5, 1): (2,), (5, 3): (1,), (5, 5): (11,), (6, 2): (1, 1, 1, 11), (6, 4): (1, 1, 1, 11), (6, 6): (1, 1, 1, 11), (7, 1): (1, 1, 1, 11), (7, 3): (1, 1, 1, 11), (7, 5): (1, 1, 1, 1), (8, 2): (1, 1, 1, 11), (8, 4): (1, 1, 1, 11), (8, 6): (1, 1, 1, 11), (9, 1): (1, 1, 1, 11), (9, 3): (1, 1, 1, 11), (9, 5): (1, 1, 1, 1)},
+    12: {(3, 2): (1,), (3, 4): (1,), (3, 6): (1,)},
+    13: {(1, 1): (1, 1, 1, 13), (1, 3): (1, 1, 1, 1), (1, 5): (1, 1, 1, 13), (2, 2): (1, 13), (2, 4): (1, 1), (2, 6): (1, 1), (3, 1): (1, 2), (3, 3): (1, 13), (3, 5): (1, 1), (4, 2): (1, 1), (4, 4): (1, 13), (4, 6): (1, 1), (5, 1): (1, 1, 1, 13), (5, 3): (1, 1, 1, 1), (5, 5): (1, 1, 1, 13), (6, 2): (1,), (6, 4): (1,), (6, 6): (13,), (7, 1): (1, 1, 1, 13), (7, 3): (1, 1, 1, 1), (7, 5): (1, 1, 1, 13), (8, 2): (1, 1), (8, 4): (1, 13), (8, 6): (1, 1), (9, 1): (1, 2), (9, 3): (1, 13), (9, 5): (1, 1), (10, 2): (1, 13), (10, 4): (1, 1), (10, 6): (1, 1), (11, 1): (1, 1, 1, 13), (11, 3): (1, 1, 1, 1), (11, 5): (1, 1, 1, 13)},
+    15: {(5, 2): (1, 1), (5, 4): (1, 1), (5, 6): (1, 1), (6, 1): (1,), (6, 3): (1,), (6, 5): (1,), (7, 2): (1, 1), (7, 4): (1, 1), (7, 6): (1, 1)},
+    16: {(1, 2): (1, 2), (1, 4): (1, 2), (1, 6): (1, 2), (3, 2): (1, 2), (3, 4): (1, 2), (3, 6): (1, 2), (5, 1): (1, 2), (5, 3): (1, 2), (5, 5): (1, 2), (7, 1): (1, 2), (7, 3): (1, 2), (7, 5): (1, 2)},
+}
+PINNED_BASES_SHA256 = "1d7c6c34eea2e48d80f5a99f5878a3d03c564a20105a8398965715c2cb1a4ea7"
+
+
+def test_denominator_ideals_match_pinned():
+    diagonals, lines = {}, []
+    for N in PINNED_DIAGONALS:
+        for chi in enumerate_characters(N):
+            if not is_primitive(chi):
+                continue
+            for k in range(1, 7):
+                if (-1) ** k != parity(chi):
+                    continue
+                ideal = denom_ideal(chi, k)
+                diagonals.setdefault(N, {})[(chi.index(), k)] = tuple(ideal.basis.diagonal())
+                lines.append(f"{N}:{chi.index()}:{k}:{ideal.basis.data}")
+    assert diagonals == PINNED_DIAGONALS
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_BASES_SHA256
 
 
 class TestVonStaudt:

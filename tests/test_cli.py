@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from dirichletj.bernoulli import gbn
+from dirichletj.characters import character_from_index
 from dirichletj.cli import RunReport, main
+from dirichletj.cyclotomic import denominator_ideal
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +47,19 @@ class TestBern:
         code, _, err = run_cli(capsys, "bern", "--modulus", "5", "--index", "9", "--weight", "2")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("modulus, index, weight", [(41, 1, 9), (61, 1, 37)])
+    def test_large_degree_denominator_ideal(self, capsys, modulus, index, weight):
+        code, out, _ = run_cli(
+            capsys, "bern", "--modulus", str(modulus), "--index", str(index),
+            "--weight", str(weight), "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["cyclotomic_n"] == modulus - 1
+        a = gbn(character_from_index(modulus, index), weight) / (2 * weight)
+        ideal = denominator_ideal(a)
+        assert not ideal.is_full_ring()
+        assert all((x * a).is_integral() for x in ideal.basis_elements())
+
 
 class TestHomotopy:
     def test_j_table(self, capsys):
@@ -64,6 +80,11 @@ class TestHomotopy:
         assert code == 0
         payload = json.loads(out)
         assert payload["table"]["5"] == "Z/4"
+
+    @pytest.mark.parametrize("target, extra", [("k1", []), ("k1pv", ["--level-exp", "1"])])
+    def test_non_prime_exits_1(self, capsys, target, extra):
+        code, out, err = run_cli(capsys, "homotopy", target, "--prime", "4", *extra, "--from", "0", "--to", "5")
+        assert code == 1 and out == "" and "prime" in err
 
     def test_jk(self, capsys):
         code, out, _ = run_cli(

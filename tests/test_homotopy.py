@@ -116,6 +116,13 @@ class TestUntwistedTables:
         with pytest.raises(ValueError):
             pi_K1_pv(2, 1, 3)
 
+    def test_pi_k1_rejects_non_prime(self):
+        for p in (0, 1, 4, 9, 15):
+            with pytest.raises(ValueError):
+                pi_K1(p, 3)
+            with pytest.raises(ValueError):
+                pi_K1_pv(p, 1, 3)
+
     def test_pi_exotic(self):
         assert pi_exotic(0) == A.padic(2)
         assert pi_exotic(5 + 8) == A.cyclic(2) + A.cyclic(2)
