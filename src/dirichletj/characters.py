@@ -9,7 +9,11 @@ decomposition of the unit group:
   orders 2 and 2^(v-2).
 
 Values land in Q(zeta_n) with n the order of the character, the minimal
-field; coercion into larger cyclotomic fields is explicit.  Character
+field; coercion into larger cyclotomic fields is explicit.  Each character
+computes its order and the weights e_i * n / o_i once, so a value is one
+dot product mod n with the discrete-log tuple of the argument.  The
+conductor is read off the exponent tuple, one prime at a time (see
+``conductor``), without evaluating the character.  Character
 ``N:i`` on the CLI refers to index ``i`` in the deterministic
 mixed-radix enumeration below (index 0 is the trivial character).
 """
@@ -18,21 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .cyclotomic import CycElement, euler_phi, factorize, get_field, is_prime
-
-
-def _order_mod(a: int, modulus: int) -> int:
-    if modulus == 1:
-        return 1
-    if math.gcd(a, modulus) != 1:
-        raise ValueError(f"{a} is not a unit mod {modulus}")
-    order, x = 1, a % modulus
-    while x != 1:
-        x = (x * a) % modulus
-        order += 1
-    return order
+from .cyclotomic import CycElement, _multiplicative_order, _vp, euler_phi, factorize, get_field, is_prime
 
 
 def smallest_primitive_root(q: int, phi: int) -> int:
@@ -42,7 +34,8 @@ def smallest_primitive_root(q: int, phi: int) -> int:
         if math.gcd(g, q) != 1:
             continue
         if all(pow(g, phi // r, q) != 1 for r in prime_divs):
-            assert _order_mod(g, q) == phi
+            if _multiplicative_order(g, q) != phi:
+                raise AssertionError(f"{g} is not a primitive root mod {q}")
             return g
     raise ValueError(f"no primitive root mod {q}")
 
@@ -66,7 +59,7 @@ class UnitGroupStructure:
     # One entry per generator: (prime, prime_exponent, lifted generator, order).
     generators: tuple[tuple[int, int, int, int], ...]
 
-    @property
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         return tuple(g[3] for g in self.generators)
 
@@ -95,10 +88,12 @@ def get_structure(N: int) -> UnitGroupStructure:
             phi = euler_phi(q)
             locals_ = [(smallest_primitive_root(q, phi), phi)]
         for g, order in locals_:
-            assert _order_mod(g, q) == order
+            if _multiplicative_order(g, q) != order:
+                raise AssertionError(f"generator {g} mod {q} does not have order {order}")
             gens.append((p, v, _crt_lift(g, q, N), order))
     structure = UnitGroupStructure(modulus=N, generators=tuple(gens))
-    assert structure.phi() == euler_phi(N)
+    if structure.phi() != euler_phi(N):
+        raise AssertionError(f"generator orders of (Z/{N})^x do not multiply to phi({N})")
     return structure
 
 
@@ -138,17 +133,23 @@ class DirichletCharacter:
         for e, o in zip(self.exponents, self.structure.orders):
             if not 0 <= e < o:
                 raise ValueError("exponents must be reduced modulo generator orders")
+        n = math.lcm(*(o // math.gcd(e, o) for e, o in zip(self.exponents, self.structure.orders)))
+        # chi(g_i) = zeta_{o_i}^{e_i} = zeta_n^{e_i * n / o_i}; the value
+        # order o_i / gcd(e_i, o_i) divides n, so every weight is integral.
+        weights = []
+        for e, o in zip(self.exponents, self.structure.orders):
+            if (e * n) % o:
+                raise AssertionError(f"weight e * n / o is not integral for e = {e}, n = {n}, o = {o}")
+            weights.append(e * n // o)
+        object.__setattr__(self, "_order", n)
+        object.__setattr__(self, "_weights", tuple(weights))
 
     @property
     def modulus(self) -> int:
         return self.structure.modulus
 
     def order(self) -> int:
-        n = 1
-        for e, o in zip(self.exponents, self.structure.orders):
-            value_order = o // math.gcd(e, o)
-            n = n * value_order // math.gcd(n, value_order)
-        return n
+        return self._order
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
@@ -200,15 +201,7 @@ def _value_exponent(chi: DirichletCharacter, a: int) -> int | None:
         return 0
     if math.gcd(a, N) != 1:
         return None
-    n = chi.order()
-    dlogs = _dlog_table(N)[a % N]
-    t = 0
-    for e, d, o in zip(chi.exponents, dlogs, chi.structure.orders):
-        # chi(g_i) = zeta_{o_i}^{e_i} = zeta_n^{e_i * n / o_i}; the value
-        # order o_i / gcd(e_i, o_i) divides n, so e_i * n / o_i is integral.
-        assert (e * n) % o == 0
-        t += (e * n // o) * d
-    return t % n
+    return sum(w * d for w, d in zip(chi._weights, _dlog_table(N)[a % N])) % chi._order
 
 
 def evaluate(chi: DirichletCharacter, a: int) -> CycElement | None:
@@ -230,19 +223,23 @@ def parity(chi: DirichletCharacter) -> int:
 
 
 def conductor(chi: DirichletCharacter) -> int:
-    """Smallest M | N with chi trivial on the kernel of (Z/N)^x -> (Z/M)^x."""
-    N = chi.modulus
-    for M in sorted(d for d in range(1, N + 1) if N % d == 0):
-        ok = True
-        for a in range(1, N + 1):
-            if math.gcd(a, N) != 1:
-                continue
-            if a % M == 1 % M and _value_exponent(chi, a) != 0:
-                ok = False
-                break
-        if ok:
-            return M
-    raise AssertionError("unreachable: N itself always works")
+    """Smallest M | N with chi trivial on the kernel of (Z/N)^x -> (Z/M)^x.
+
+    The conductor is the product of the local conductors p^f, read off the
+    exponents e on the generators at p.  For odd p^v the units congruent to
+    1 mod p^f form the subgroup generated by g^(p^(f-1) (p-1)), on which
+    chi is trivial iff p^(v-f) | e: so f = v - v_p(e), and f = 0 when e = 0.
+    At 2^v (v >= 3) the same holds for the generator 5 with f = v - v_2(e);
+    when chi is trivial on 5, f = 2 if chi(-1) = -1 (or chi(3) = -1 at
+    v = 2) and f = 0 otherwise.
+    """
+    local: dict[int, int] = {}
+    for (p, v, g, _), e in zip(chi.structure.generators, chi.exponents):
+        if e:
+            # At 2 the generator -1 (3 at v = 2) is the one that is 3 mod 4.
+            f = 2 if p == 2 and g % 4 == 3 else v - _vp(e, p)
+            local[p] = max(local.get(p, 0), f)
+    return math.prod(p**f for p, f in local.items())
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:
@@ -282,10 +279,12 @@ def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
         t = _value_exponent(chi, b)
         n = chi.order()
         # chi(b) = zeta_n^t must be an order-dividing-`order` root: exponent on g.
-        assert (t * order) % n == 0
+        if (t * order) % n:
+            raise AssertionError(f"chi({b}) = zeta_{n}^{t} is not an {order}-th root of unity")
         exps.append((t * order // n) % order)
     out = DirichletCharacter(st, tuple(exps))
-    assert out.order() == chi.order()
+    if out.order() != chi.order():
+        raise AssertionError(f"primitive character mod {M} has order {out.order()}, not {chi.order()}")
     return out
 
 
@@ -301,7 +300,8 @@ def factor_local(chi: DirichletCharacter) -> dict[int, DirichletCharacter]:
             lift = _crt_lift(g_local, q, N)
             t = _value_exponent(chi, lift)
             n = chi.order()
-            assert (t * order) % n == 0
+            if (t * order) % n:
+                raise AssertionError(f"chi({lift}) = zeta_{n}^{t} is not an {order}-th root of unity")
             exps.append((t * order // n) % order)
         out[p] = DirichletCharacter(st_local, tuple(exps))
     return out
@@ -366,12 +366,13 @@ def tame_order(chi: DirichletCharacter, p: int) -> int:
 
 def display(chi: DirichletCharacter) -> dict:
     """JSON-friendly descriptor used by the CLI."""
+    cond = conductor(chi)
     return {
         "modulus": chi.modulus,
         "index": chi.index(),
-        "conductor": conductor(chi),
+        "conductor": cond,
         "order": chi.order(),
         "parity": parity(chi),
         "exponents": list(chi.exponents),
-        "primitive": is_primitive(chi),
+        "primitive": cond == chi.modulus,
     }

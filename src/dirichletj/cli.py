@@ -24,9 +24,11 @@ from .cyclotomic import (
     factorize,
     is_prime,
     padic_splitting,
+    quotient_from_snf,
     quotient_group,
     render_cyc,
 )
+from .exactalg import smith_normal_form
 from .homotopy import AbelianGroupExpr
 from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle_2
 
@@ -395,10 +397,8 @@ def cmd_bern(args) -> int:
     lv = bernoulli.l_value(chi, 1 - k)
     ideal = bernoulli.denom_ideal(characters.primitivize(chi), k)
     diag = ideal.basis.diagonal()
-    quot = quotient_group(ideal)
-    from .exactalg import smith_normal_form
-
     snf_diag = smith_normal_form(ideal.basis)[0].diagonal()
+    quot = quotient_from_snf(snf_diag)
     payload = {
         "B": render_cyc(b),
         "L(1-k)": render_cyc(lv),

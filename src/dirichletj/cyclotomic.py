@@ -498,11 +498,15 @@ def denominator_ideal(a: CycElement) -> IdealLattice:
 
 def quotient_group(ideal: IdealLattice):
     """Z^phi(n) / lattice as a normalized abelian group expression."""
+    dmat, _, _ = smith_normal_form(ideal.basis)
+    return quotient_from_snf(dmat.diagonal())
+
+
+def quotient_from_snf(diagonal: list[int]):
+    """The finite group with the given Smith diagonal (zeros and ones dropped)."""
     from .homotopy import AbelianGroupExpr
 
-    dmat, _, _ = smith_normal_form(ideal.basis)
-    inv = [x for x in dmat.diagonal() if x not in (0, 1)]
-    return AbelianGroupExpr.from_invariants(inv)
+    return AbelianGroupExpr.from_invariants([x for x in diagonal if x not in (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +542,17 @@ def _multiplicative_order(a: int, modulus: int) -> int:
         x = (x * a) % modulus
         order += 1
     return order
+
+
+def _vp(k: int, p: int) -> int:
+    """The p-adic valuation of a nonzero integer k."""
+    if k == 0:
+        raise ValueError("valuation of zero")
+    v, k = 0, abs(k)
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v
 
 
 def is_prime(p: int) -> bool:

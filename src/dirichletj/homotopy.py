@@ -22,23 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import characters as chmod
 from .bernoulli import d2k
 from .characters import DirichletCharacter, char_inv, conductor, factor_local, is_primitive, parity
-from .cyclotomic import factorize, is_prime, padic_splitting
+from .cyclotomic import _vp, factorize, is_prime, padic_splitting
 from .padic import PAdicCharacterData, PrimeToPPart
-
-
-def _vp(k: int, p: int) -> int:
-    if k == 0:
-        raise ValueError("valuation of zero")
-    v, k = 0, abs(k)
-    while k % p == 0:
-        k //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +497,15 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
     Each summand is the p-adic character data of the twist chi^b over the
     coset representatives b of the p-adic splitting of Q(zeta_ord(chi)).
     For odd p and conductor p^v the tame exponents sweep exactly
-    {a : ker omega^a = ker chi restricted to (Z/p)^x}.
+    {a : ker omega^a = ker chi restricted to (Z/p)^x}.  The summands do not
+    depend on a degree, so they are computed once per (chi, p) and every
+    call returns a fresh list.
     """
+    return list(_decompose_p(chi, p))
+
+
+@lru_cache(maxsize=1024)
+def _decompose_p(chi: DirichletCharacter, p: int) -> tuple[PAdicCharacterData, ...]:
     if not is_primitive(chi):
         raise ValueError("chi must be primitive")
     if not is_prime(p):
@@ -535,10 +533,10 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
         eps = 0
         if v >= 2:
             eps = 1 if parity(factor_local(chi)[2]) == -1 else 0
-        return [
+        return tuple(
             PAdicCharacterData(p=2, v=v, tame=eps, wild_primitive=True, prime_to_p=payload)
             for _ in reps
-        ]
+        )
     if v == 0:
         a0 = 0
     else:
@@ -551,15 +549,16 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
         b = chmod._crt_lift(tame_elt_local, p**v, N)
         t = chmod._value_exponent(chi, b)
         n = chi.order()
-        assert t is not None and (t * d) % n == 0
+        if t is None or (t * d) % n:
+            raise AssertionError(f"chi({b}) = zeta_{n}^{t} is not a {d}-th root of unity")
         c = (t * d // n) % d
         a0 = (c * ((p - 1) // d)) % (p - 1)
-        assert chmod.kernel_order_match(a0, p, d)
-    out = []
-    for b in reps:
-        a_b = (b * a0) % (p - 1) if v >= 1 else 0
-        out.append(PAdicCharacterData(p=p, v=v, tame=a_b, wild_primitive=True, prime_to_p=payload))
-    return out
+        if not chmod.kernel_order_match(a0, p, d):
+            raise AssertionError(f"tame exponent {a0} does not cut out the kernel of chi on (Z/{p})^x")
+    return tuple(
+        PAdicCharacterData(p=p, v=v, tame=(b * a0) % (p - 1), wild_primitive=True, prime_to_p=payload)
+        for b in reps
+    )
 
 
 # ---------------------------------------------------------------------------

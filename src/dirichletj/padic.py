@@ -2,9 +2,11 @@
 
 The oracle computes finite quotients like Z_p[zeta_{p^(v-1)}] / (w(g) zeta - g^t)
 directly as Smith normal forms of multiplication matrices over Z/p^M,
-independently of any closed-form answer.  Precision starts at M = 15 and
-escalates by 5 until two runs (M and M+2) agree; correctness never
-depends on a guessed bound.
+independently of any closed-form answer.  The elimination takes the
+first unit it meets as pivot, without scanning the rest of the block,
+and falls back to the entry of least valuation when there is none.
+Precision starts at M = 15 and escalates by 5 until two runs (M and M+2)
+agree; correctness never depends on a guessed bound.
 
 ``e2_page`` dispatches the closed-form E2 entries of the homotopy
 eigen / fixed-point spectral sequences for pure prime-power conductors.
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclotomic import cyclotomic_poly, euler_phi, is_prime
+from .cyclotomic import _vp, cyclotomic_poly, euler_phi, is_prime
 from .exactalg import RationalPoly
 
 
@@ -102,7 +104,11 @@ def _padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[in
     """Valuations of the invariant factors of a square matrix over Z/p^M.
 
     Minimal-valuation pivoting; exponents are capped at M (a cap signals
-    insufficient precision to the stability loop).
+    insufficient precision to the stability loop).  The row-major pivot
+    scan stops at the first unit, which is the entry a full scan for the
+    strict minimum would pick.  Only rows are reduced: after step t column
+    t is zero below the pivot and every entry of row t is a multiple of
+    it, so clearing row t would change nothing a later step reads.
     """
     pm = p**M
     a = [[x % pm for x in row] for row in rows]
@@ -121,33 +127,33 @@ def _padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[in
     for t in range(r):
         best, bestv = None, M
         for i in range(t, r):
+            row = a[i]
             for j in range(t, r):
-                v = val(a[i][j])
+                if row[j] % p:
+                    best, bestv = (i, j), 0
+                    break
+                v = val(row[j])
                 if v < bestv:
                     best, bestv = (i, j), v
+            if bestv == 0:
+                break
         if best is None:
             exps.extend([M] * (r - t))
             break
         bi, bj = best
         a[t], a[bi] = a[bi], a[t]
-        for row in a:
+        for row in a[t:]:
             row[t], row[bj] = row[bj], row[t]
-        piv = a[t][t]
-        unit = piv // p**bestv
-        inv_unit = pow(unit, -1, pm)
-        a[t] = [(x * inv_unit) % pm for x in a[t]]
+        # Columns left of t are zero in rows t and below, so only the
+        # trailing part of each row is reduced.
         pv = p**bestv
+        inv_unit = pow(a[t][t] // pv, -1, pm)
+        pivot_row = [(x * inv_unit) % pm for x in a[t][t:]]
         for i in range(t + 1, r):
             x = a[i][t]
             if x:
                 q = (x // pv) % (pm // pv)
-                a[i] = [(y - q * z) % pm for y, z in zip(a[i], a[t])]
-        for j in range(t + 1, r):
-            x = a[t][j]
-            if x:
-                q = (x // pv) % (pm // pv)
-                for i in range(r):
-                    a[i][j] = (a[i][j] - q * a[i][t]) % pm
+                a[i][t:] = [(y - q * z) % pm for y, z in zip(a[i][t:], pivot_row)]
         exps.append(bestv)
     return sorted(exps)
 
@@ -290,16 +296,6 @@ class PAdicCharacterData:
         else:
             if not 0 <= self.tame <= self.p - 2:
                 raise ValueError("tame exponent out of range")
-
-
-def _vp(k: int, p: int) -> int:
-    if k == 0:
-        raise ValueError("valuation of zero")
-    v, k = 0, abs(k)
-    while k % p == 0:
-        k //= p
-        v += 1
-    return v
 
 
 def e2_page(chi_data: PAdicCharacterData, s: int, t: int):

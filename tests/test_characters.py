@@ -297,3 +297,63 @@ class TestStructure:
         assert tame_order(chi9, 3) == 1
         chi9b = [c for c in enumerate_characters(9) if is_primitive(c) and c.order() == 6][0]
         assert tame_order(chi9b, 3) == 2
+
+
+# ---------------------------------------------------------------------------
+# conductor against a brute-force scan kept here
+
+
+def _brute_dlogs(st):
+    """Every unit mod N as a product of the generators, with its exponents."""
+    N = st.modulus
+    out = {1 % N: ()}
+    for _, _, g, order in st.generators:
+        out = {(a * pow(g, d, N)) % N: exps + (d,) for a, exps in out.items() for d in range(order)}
+    return out
+
+
+def _brute_conductor(chi, dlogs):
+    """Smallest M | N such that chi(a) = 1 for every unit a = 1 mod M."""
+    N = chi.modulus
+    orders = [g[3] for g in chi.structure.generators]
+    lcm = math.lcm(*orders) if orders else 1
+
+    def trivial_at(a):
+        return sum(e * d * (lcm // o) for e, d, o in zip(chi.exponents, dlogs[a], orders)) % lcm == 0
+
+    for M in range(1, N + 1):
+        if N % M == 0 and all(trivial_at(a) for a in range(1 % M, N, M) if math.gcd(a, N) == 1):
+            return M
+    raise AssertionError("N itself always works")
+
+
+@pytest.mark.parametrize("moduli", [range(1, 151), range(151, 301), (128, 243, 720, 1000)],
+                         ids=["N<=150", "150<N<=300", "large"])
+def test_conductor_matches_brute_force(moduli):
+    for N in moduli:
+        chis = enumerate_characters(N)
+        dlogs = _brute_dlogs(chis[0].structure)
+        for chi in chis:
+            assert conductor(chi) == _brute_conductor(chi, dlogs), chi
+
+
+def _factor(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_primitive_counts_are_multiplicative():
+    # p - 2 primitive characters mod p, p^v (1 - 1/p)^2 mod p^v for v >= 2.
+    for N in range(1, 301):
+        want = 1
+        for p, v in _factor(N).items():
+            want *= p - 2 if v == 1 else p ** (v - 2) * (p - 1) ** 2
+        assert sum(1 for chi in enumerate_characters(N) if is_primitive(chi)) == want, N
+

@@ -1,9 +1,14 @@
 """CLI surface: determinism, exit codes, payload shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from dirichletj import cli, cyclotomic, exactalg
 from dirichletj.bernoulli import gbn
 from dirichletj.characters import character_from_index
 from dirichletj.cli import RunReport, main
@@ -46,6 +51,26 @@ class TestBern:
     def test_bad_index_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "bern", "--modulus", "5", "--index", "9", "--weight", "2")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("weight, calls, expected", [
+        # One SNF inside denominator_ideal and one for the printed diagonal and quotient.
+        ("2", 2, '{"B": "4/5", "L(1-k)": "-2/5", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [5], "denominator_ideal_snf": [5], "quotient": "Z/5", "schema": 1, "weight": 2}'),
+        # Parity mismatch: the ideal is the full ring and only the printed SNF runs.
+        ("3", 1, '{"B": "0", "L(1-k)": "0", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [1], "denominator_ideal_snf": [1], "quotient": "0", "schema": 1, "weight": 3}'),
+    ])
+    def test_one_snf_per_quotient(self, capsys, monkeypatch, weight, calls, expected):
+        original = exactalg.smith_normal_form
+        seen = []
+
+        def counted(m):
+            seen.append(m)
+            return original(m)
+
+        for module in (exactalg, cyclotomic, cli):
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+        code, out, _ = run_cli(capsys, "bern", "--modulus", "5", "--index", "2", "--weight", weight, "--json")
+        assert code == 0 and len(seen) == calls
+        assert out == expected + "\n"
 
     @pytest.mark.parametrize("modulus, index, weight", [(41, 1, 9), (61, 1, 37)])
     def test_large_degree_denominator_ideal(self, capsys, modulus, index, weight):
@@ -166,3 +191,20 @@ class TestDedekindCmd:
         payload = json.loads(out)
         assert payload["zeta(1-k)"] == "1/30"
         assert payload["verify_jk"]["ok"] is True
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    ["chars", "list", "--modulus", "60", "--json"],
+    ["homotopy", "chi", "--modulus", "48", "--index", "3", "--from", "-8", "--to", "24", "--json"],
+])
+def test_output_is_the_same_under_python_O(argv):
+    # -O strips assert statements; no output may depend on them.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = [
+        subprocess.run([sys.executable, *flags, "-m", "dirichletj.cli", *argv], env=env, capture_output=True, check=True)
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout

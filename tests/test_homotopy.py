@@ -212,6 +212,23 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose_p(enumerate_characters(8)[2], 2)  # conductor 4 lift
 
+    def test_returned_list_is_the_callers_own(self):
+        chi = enumerate_characters(5)[1]
+        first = decompose_p(chi, 5)
+        want = list(first)
+        first.append(first[0])
+        first[0] = PAdicCharacterData(p=5, v=0, tame=0)
+        second = decompose_p(chi, 5)
+        assert second == want and second is not first
+        second.clear()
+        assert decompose_p(chi, 5) == want
+
+    def test_memo_is_bounded(self):
+        from dirichletj import homotopy
+
+        maxsize = homotopy._decompose_p.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
 
 class TestPiJNChi:
     def test_conductor4(self):

@@ -1,10 +1,15 @@
 """Teichmuller lifts, topological generators, and the SNF cohomology oracle."""
 
+import random
+
 import pytest
 
+from dirichletj.cyclotomic import cyclotomic_poly
 from dirichletj.homotopy import AbelianGroupExpr
 from dirichletj.padic import (
     PAdicCharacterData,
+    _mult_rows_mod,
+    _padic_invariant_exponents,
     e2_page,
     quotient_oracle,
     quotient_oracle_2,
@@ -160,3 +165,84 @@ class TestE2Page:
         data = PAdicCharacterData(p=5, v=1, tame=1, prime_to_p=PrimeToPPart(3, 0, False))
         with pytest.raises(ValueError):
             e2_page(data, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the p-adic SNF against a naive full-scan elimination kept here
+
+
+def _naive_invariant_exponents(rows, p, M):
+    """Pick the least-valuation entry of the whole block, clear its column,
+    drop its row and column, repeat; the valuations are the exponents."""
+    pm = p**M
+
+    def val(x):
+        return M if x == 0 else next(v for v in range(M) if x % p ** (v + 1))
+
+    a = [[x % pm for x in row] for row in rows]
+    exps = []
+    while a:
+        v, bi, bj = min((val(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row))
+        if v == M:
+            return sorted(exps + [M] * len(a))
+        pivot_row = a[bi]
+        inv = pow(pivot_row[bj] // p**v, -1, pm)
+        rest = []
+        for i, row in enumerate(a):
+            if i != bi:
+                q = (row[bj] // p**v) * inv
+                rest.append([(x - q * y) % pm for j, (x, y) in enumerate(zip(row, pivot_row)) if j != bj])
+        exps.append(v)
+        a = rest
+    return sorted(exps)
+
+
+def _random_matrix(rng, r, p, M, scale=1):
+    return [[scale * rng.randrange(p**M) for _ in range(r)] for _ in range(r)]
+
+
+class TestPadicSNF:
+    @pytest.mark.parametrize("p", [2, 3, 5, 11])
+    def test_random(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            M, r = rng.randint(1, 6), rng.randint(1, 8)
+            rows = _random_matrix(rng, r, p, M)
+            if rng.random() < 0.5:  # sparse, so that low-rank and non-unit pivots occur
+                rows = [[x if rng.random() < 0.3 else 0 for x in row] for row in rows]
+            assert _padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_only_unit_in_last_row(self, p):
+        rng = random.Random(10 + p)
+        for r in range(1, 8):
+            rows = _random_matrix(rng, r, p, 5, scale=p)
+            rows[-1][rng.randrange(r)] = rng.randrange(1, p)
+            assert _padic_invariant_exponents(rows, p, 5) == _naive_invariant_exponents(rows, p, 5)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_every_entry_divisible_by_p(self, p):
+        rng = random.Random(20 + p)
+        for r in range(1, 8):
+            for scale in (p, p * p):
+                rows = _random_matrix(rng, r, p, 6, scale=scale)
+                got = _padic_invariant_exponents(rows, p, 6)
+                assert got == _naive_invariant_exponents(rows, p, 6)
+                assert min(got) >= 1
+
+    def test_zero_matrix(self):
+        for r in (0, 1, 4):
+            zero = [[0] * r for _ in range(r)]
+            assert _padic_invariant_exponents(zero, 3, 4) == _naive_invariant_exponents(zero, 3, 4) == [4] * r
+
+    @pytest.mark.parametrize("a, t", [(0, 0), (2, 5), (3, -7)])
+    def test_oracle_matrix_p11_v3(self, a, t):
+        # Multiplication by omega^a(g) zeta - g^t on Z_11[zeta_121] / 11^15: a 110 x 110 matrix.
+        p, M = 11, 15
+        pm = p**M
+        g = topological_generator(p)
+        w = pow(teichmuller(p, g % p, M).residue, a, pm)
+        phi = cyclotomic_poly(p * p)
+        rows = _mult_rows_mod(phi, [-pow(g, t, pm) % pm, w] + [0] * (phi.degree - 2), pm)
+        assert len(rows) == 110
+        assert _padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
