@@ -34,7 +34,6 @@ from .characters import (
     DirichletCharacter,
     conductor,
     evaluate,
-    factor_local,
     is_primitive,
     parity,
     primitivize,
@@ -50,6 +49,7 @@ from .cyclotomic import (
     ideal_membership,
     ideal_power,
     ideal_sum,
+    is_prime,
 )
 from .exactalg import PowerSeries, series_quotient
 
@@ -270,7 +270,7 @@ def verify_von_staudt(k_max: int) -> list[dict]:
         expected = 1
         p = 2
         while p <= 2 * k + 1:
-            if (2 * k) % (p - 1) == 0 and _is_prime(p):
+            if (2 * k) % (p - 1) == 0 and is_prime(p):
                 expected *= p
             p += 1
         denom_ok = b.denominator == expected
@@ -288,12 +288,6 @@ def verify_von_staudt(k_max: int) -> list[dict]:
             }
         )
     return rows
-
-
-def _is_prime(p: int) -> bool:
-    from .cyclotomic import is_prime
-
-    return is_prime(p)
 
 
 def carlitz_p_ideal(chi: DirichletCharacter, k: int) -> IdealLattice:

@@ -13,7 +13,12 @@ field; coercion into larger cyclotomic fields is explicit.  Each character
 computes its order and the weights e_i * n / o_i once, so a value is one
 dot product mod n with the discrete-log tuple of the argument.  The
 conductor is read off the exponent tuple, one prime at a time (see
-``conductor``), without evaluating the character.  Character
+``conductor``), without evaluating the character.  The generators of
+(Z/N)^x are those of each (Z/p^v)^x CRT-lifted, in prime order, so the
+local factor chi_p is the slice of the exponent tuple at p, the
+prime-to-p part chi' is the rest of it, and the tame order and
+Teichmuller exponent at p are read off the first exponent at p; nothing
+outside this module needs the generator layout.  Character
 ``N:i`` on the CLI refers to index ``i`` in the deterministic
 mixed-radix enumeration below (index 0 is the trivial character).
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .cyclotomic import CycElement, _multiplicative_order, _vp, euler_phi, factorize, get_field, is_prime
 
@@ -218,7 +224,8 @@ def parity(chi: DirichletCharacter) -> int:
     n = chi.order()
     if t == 0:
         return 1
-    assert 2 * t == n, "chi(-1) must be a square root of 1"
+    if 2 * t != n:
+        raise AssertionError(f"chi(-1) = zeta_{n}^{t} is not a square root of 1")
     return -1
 
 
@@ -288,23 +295,23 @@ def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
     return out
 
 
+def _restrict(chi: DirichletCharacter, M: int) -> DirichletCharacter:
+    """The product of the local factors of chi at the primes dividing M, as a
+    character mod M; M is a product of full prime powers p^(v_p(N))."""
+    exps = tuple(e for (p, *_), e in zip(chi.structure.generators, chi.exponents) if M % p == 0)
+    return DirichletCharacter(get_structure(M), exps)
+
+
 def factor_local(chi: DirichletCharacter) -> dict[int, DirichletCharacter]:
-    """chi = prod_p chi_p with chi_p of modulus p^(v_p(N))."""
+    """chi = prod_p chi_p with chi_p of modulus p^(v_p(N)): the slices of
+    the exponent tuple, one per prime."""
+    return {p: _restrict(chi, p**v) for p, v in sorted(factorize(chi.modulus).items())}
+
+
+def prime_to_p_part(chi: DirichletCharacter, p: int) -> DirichletCharacter:
+    """chi' = prod_{q != p} chi_q, a character mod N / p^(v_p(N)); chi itself when p does not divide N."""
     N = chi.modulus
-    out: dict[int, DirichletCharacter] = {}
-    for p, v in sorted(factorize(N).items()):
-        q = p**v
-        st_local = get_structure(q)
-        exps = []
-        for _, _, g_local, order in st_local.generators:
-            lift = _crt_lift(g_local, q, N)
-            t = _value_exponent(chi, lift)
-            n = chi.order()
-            if (t * order) % n:
-                raise AssertionError(f"chi({lift}) = zeta_{n}^{t} is not an {order}-th root of unity")
-            exps.append((t * order // n) % order)
-        out[p] = DirichletCharacter(st_local, tuple(exps))
-    return out
+    return _restrict(chi, N // p ** _vp(N, p))
 
 
 def ell_of_chi(chi: DirichletCharacter) -> int:
@@ -344,24 +351,46 @@ def kernel_order_match(k: int, p: int, chi_tame_order: int) -> bool:
     return math.gcd(k, p - 1) == (p - 1) // chi_tame_order
 
 
-def tame_order(chi: DirichletCharacter, p: int) -> int:
-    """Order of chi restricted to the prime-to-p (tame) part of (Z/p^v)^x.
+def tame_exponent(chi: DirichletCharacter, p: int) -> int:
+    """The a with chi = omega^a on the tame part of (Z/p^v)^x; 0 when (Z/p^v)^x has no generator.
 
-    For odd p this is the order of chi_p^(p^(v-1)); for p = 2 it is 1 or 2
-    according to the parity of the 2-local factor.
+    The first generator at p carries the tame part: for odd p, g^(p^(v-1))
+    is the Teichmuller lift of the primitive root g, on which chi takes
+    zeta_(p-1)^e for the exponent e on g, so a = e mod (p - 1).  At p = 2
+    it is the generator that is 3 mod 4 (-1, or 3 at v = 2), so a is 1
+    exactly when chi is odd on it, the rule ``conductor`` uses.
     """
-    N = chi.modulus
-    v = 0
-    M = N
-    while M % p == 0:
-        M //= p
-        v += 1
-    if v == 0:
-        return 1
-    chi_p = factor_local(chi)[p]
-    if p == 2:
-        return 2 if parity(chi_p) == -1 else 1
-    return char_pow(chi_p, p ** (v - 1)).order()
+    for (q, *_), e in zip(chi.structure.generators, chi.exponents):
+        if q == p:
+            return e % (2 if p == 2 else p - 1)
+    return 0
+
+
+def tame_order(chi: DirichletCharacter, p: int) -> int:
+    """Order of chi restricted to the prime-to-p (tame) part of (Z/p^v)^x:
+    (p - 1) / gcd(a, p - 1) for odd p, and 1 or 2 at p = 2, for the tame
+    exponent a."""
+    tame = 2 if p == 2 else p - 1
+    return tame // math.gcd(tame_exponent(chi, p), tame)
+
+
+def unit_subgroup(N: int, gens: Sequence[int]) -> set[int]:
+    """The subgroup of (Z/N)^x generated by gens, as residues mod N ({0} for N = 1)."""
+    if N == 1:
+        return {0}
+    for g in gens:
+        if math.gcd(g, N) != 1:
+            raise ValueError(f"{g} is not a unit mod {N}")
+    H = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = (x * g) % N
+            if y not in H:
+                H.add(y)
+                frontier.append(y)
+    return H
 
 
 def display(chi: DirichletCharacter) -> dict:

@@ -21,7 +21,6 @@ from .characters import DirichletCharacter, character_from_index, char_inv, enum
 from .cyclotomic import (
     count_irreducible_factors_mod_p,
     cyclotomic_poly,
-    factorize,
     is_prime,
     padic_splitting,
     quotient_from_snf,
@@ -48,6 +47,7 @@ class RunReport:
     first_counterexample: Optional[dict] = None
     wall_time: float = 0.0
     _failures: list = dc_field(default_factory=list)
+    _start: float = dc_field(default_factory=time.perf_counter)
 
     def record(self, case_params: tuple, status: str, payload: Optional[dict] = None) -> None:
         self.run += 1
@@ -60,7 +60,10 @@ class RunReport:
             self._failures.append((case_params, payload or {}))
 
     def finalize(self) -> "RunReport":
-        assert self.passed + self.failed + self.findings == self.run
+        """Stop the clock started at construction and pick the first counterexample."""
+        self.wall_time = time.perf_counter() - self._start
+        if self.passed + self.failed + self.findings != self.run:
+            raise AssertionError(f"{self.suite}: pass, fail and finding counts do not add up to {self.run}")
         if self._failures:
             self._failures.sort(key=lambda item: item[0])
             params, payload = self._failures[0]
@@ -100,20 +103,17 @@ def _primitive_characters(N: int) -> list[DirichletCharacter]:
 
 def suite_von_staudt(max_k: int = 30) -> RunReport:
     report = RunReport("von-staudt", {"max_k": max_k})
-    start = time.perf_counter()
     for row in bernoulli.verify_von_staudt(max_k):
         report.record(
             (row["k"],),
             "pass" if row["ok"] else "fail",
             {"denominator": row["denominator"], "expected": row["expected"]},
         )
-    report.wall_time = time.perf_counter() - start
     return report.finalize()
 
 
 def suite_carlitz(conductors: Iterable[int] = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27), max_k: int = 20) -> RunReport:
     report = RunReport("carlitz", {"conductors": list(conductors), "max_k": max_k})
-    start = time.perf_counter()
     for N in conductors:
         for chi in _primitive_characters(N):
             sign = characters.parity(chi)
@@ -122,7 +122,6 @@ def suite_carlitz(conductors: Iterable[int] = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25,
                     continue
                 row = bernoulli.verify_carlitz(chi, k)
                 report.record((N, chi.index(), k), "pass" if row["ok"] else "fail", {"case_kind": row["case"]})
-    report.wall_time = time.perf_counter() - start
     return report.finalize()
 
 
@@ -142,7 +141,6 @@ def suite_gbn_theorem(
             "moduli_invert2": list(moduli_invert2),
         },
     )
-    start = time.perf_counter()
     for N in range(1, max_modulus + 1):
         for chi in enumerate_characters(N):
             for k in range(0, max_weight + 1):
@@ -171,7 +169,6 @@ def suite_gbn_theorem(
                         "pass" if ok else "fail",
                         {"arithmetic": arithmetic.render(), "homotopy": topological.render()},
                     )
-    report.wall_time = time.perf_counter() - start
     return report.finalize()
 
 
@@ -189,7 +186,6 @@ def suite_e2_oracle(
         {"primes": list(primes), "v_range": list(v_range), "t_min": t_min, "t_max": t_max,
          "max_nprime": max_nprime, "max_split_p": max_split_p},
     )
-    start = time.perf_counter()
     for p in primes:
         for v in v_range:
             for a in range(p - 1):
@@ -220,14 +216,12 @@ def suite_e2_oracle(
                 "pass" if counted == brute else "fail",
                 {"splitting": counted, "factor_count": brute},
             )
-    report.wall_time = time.perf_counter() - start
     return report.finalize()
 
 
 def suite_consistency(max_conductor: int = 27, i_min: int = -8, i_max: int = 24) -> RunReport:
     """Direct tables vs p-completion assembly for every primitive character."""
     report = RunReport("consistency", {"max_conductor": max_conductor, "i_min": i_min, "i_max": i_max})
-    start = time.perf_counter()
     for N in range(3, max_conductor + 1):
         for chi in _primitive_characters(N):
             for i in range(i_min, i_max + 1):
@@ -238,7 +232,6 @@ def suite_consistency(max_conductor: int = 27, i_min: int = -8, i_max: int = 24)
                     "pass" if ok else "fail",
                     {"direct": direct.render(), "assembled": assembled.render()},
                 )
-    report.wall_time = time.perf_counter() - start
     return report.finalize()
 
 
@@ -254,7 +247,6 @@ def suite_duality_dirichlet(
         {"odd_primes": list(odd_primes), "odd_vs": list(odd_vs), "two_vs": list(two_vs),
          "t_min": t_min, "t_max": t_max},
     )
-    start = time.perf_counter()
     for p in odd_primes:
         for v in odd_vs:
             for chi in _primitive_characters(p**v):
@@ -272,7 +264,6 @@ def suite_duality_dirichlet(
                     "pass" if row["ok"] else "fail",
                     {"lhs": row["lhs"], "rhs": row["rhs"]},
                 )
-    report.wall_time = time.perf_counter() - start
     return report.finalize()
 
 
@@ -286,14 +277,12 @@ def suite_duality_jn(
         "duality-jn",
         {"strict_levels": list(strict_levels), "lax_levels": list(lax_levels), "t_min": t_min, "t_max": t_max},
     )
-    start = time.perf_counter()
     for N in list(strict_levels) + list(lax_levels):
         for row in homotopy.check_duality_JN(N, range(t_min, t_max + 1)):
             payload = {"lhs": row["lhs"], "rhs": row["rhs"]}
             if "note" in row:
                 payload["note"] = row["note"]
             report.record((N, row["t"]), "pass" if row["ok"] else "fail", payload)
-    report.wall_time = time.perf_counter() - start
     return report.finalize()
 
 
@@ -308,7 +297,6 @@ def suite_eisenstein(
         {"conductors": list(conductors), "max_k": max_k,
          "max_classical_weight": max_classical_weight, "n_max": n_max},
     )
-    start = time.perf_counter()
     for N in conductors:
         if N == 1:
             chis = [character_from_index(1, 0)]
@@ -328,14 +316,12 @@ def suite_eisenstein(
                     report.record((N, chi.index(), k), "finding", {"full_findings": result["full_findings"]})
                 else:
                     report.record((N, chi.index(), k), "pass")
-    report.wall_time = time.perf_counter() - start
     return report.finalize()
 
 
 def suite_dedekind_jk(ts: Iterable[int] = (1, 2, 3)) -> RunReport:
     cases = [(5, (4,)), (7, (6,)), (8, (7,)), (1, ())]
     report = RunReport("dedekind-jk", {"cases": [[N, list(g)] for N, g in cases], "ts": list(ts)})
-    start = time.perf_counter()
     for N, gens in cases:
         spec = dedekind.AbelianFieldSpec(N, tuple(gens))
         for t in ts:
@@ -345,11 +331,10 @@ def suite_dedekind_jk(ts: Iterable[int] = (1, 2, 3)) -> RunReport:
                 "pass" if row["ok"] else "fail",
                 {"zeta": row["zeta_value"], "arithmetic": row["arithmetic_side"], "homotopy": row["homotopy_side"]},
             )
-    report.wall_time = time.perf_counter() - start
     return report.finalize()
 
 
-SUITES: dict[str, Callable[[], RunReport]] = {
+SUITES: dict[str, Callable[..., RunReport]] = {
     "von-staudt": suite_von_staudt,
     "carlitz": suite_carlitz,
     "gbn-theorem": suite_gbn_theorem,
@@ -359,6 +344,14 @@ SUITES: dict[str, Callable[[], RunReport]] = {
     "consistency": suite_consistency,
     "eisenstein": suite_eisenstein,
     "dedekind-jk": suite_dedekind_jk,
+}
+
+# The verify options each suite reads, as option -> keyword of its suite_*
+# function; a suite not listed reads none.
+SUITE_OPTIONS: dict[str, dict[str, str]] = {
+    "von-staudt": {"--max": "max_k"},
+    "carlitz": {"--max": "max_k"},
+    "gbn-theorem": {"--max-weight": "max_weight", "--primes": "moduli"},
 }
 
 
@@ -565,21 +558,17 @@ def cmd_dedekind(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    given = {option: getattr(args, option[2:].replace("-", "_")) for option in ("--max", "--max-weight", "--primes")}
+    given = {option: value for option, value in given.items() if value is not None}
+    if args.suite != "all":
+        unread = [option for option in given if option not in SUITE_OPTIONS.get(args.suite, {})]
+        if unread:
+            print(f"error: suite {args.suite} does not read {', '.join(unread)}", file=sys.stderr)
+            return 2
     reports = []
-    for name in names:
-        fn = SUITES[name]
-        kwargs = {}
-        if name == "von-staudt" and args.max is not None:
-            kwargs["max_k"] = args.max
-        if name == "carlitz" and args.max is not None:
-            kwargs["max_k"] = args.max
-        if name == "gbn-theorem":
-            if args.max_weight is not None:
-                kwargs["max_weight"] = args.max_weight
-            if args.primes is not None:
-                kwargs["moduli"] = args.primes
-        reports.append(fn(**kwargs))
+    for name in list(SUITES) if args.suite == "all" else [args.suite]:
+        options = SUITE_OPTIONS.get(name, {})
+        reports.append(SUITES[name](**{options[o]: v for o, v in given.items() if o in options}))
     failed = sum(r.failed for r in reports)
     if args.json:
         print(json.dumps({"schema": SCHEMA, "reports": [r.to_json() for r in reports]}, sort_keys=True))

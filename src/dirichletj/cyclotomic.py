@@ -425,10 +425,6 @@ class IdealLattice:
             raise ValueError("ideal field mismatch")
         return self._contains_vector(x.coeffs)
 
-    def contains_lattice(self, other: "IdealLattice") -> bool:
-        self._check(other)
-        return all(self._contains_vector(row) for row in other.basis.data)
-
 
 def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     a._check(b)

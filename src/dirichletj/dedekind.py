@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import l_value
-from .characters import DirichletCharacter, enumerate_characters, _value_exponent
+from .characters import DirichletCharacter, enumerate_characters, _value_exponent, unit_subgroup
 from .cyclotomic import factorize, get_field
 from .homotopy import AbelianGroupExpr, invert_primes, pi_JK
 
@@ -40,19 +40,7 @@ class AbelianFieldSpec:
                 raise ValueError(f"{g} is not a unit mod {self.modulus}")
 
     def subgroup(self) -> set[int]:
-        N = self.modulus
-        if N == 1:
-            return {0}
-        H = {1}
-        frontier = [1]
-        while frontier:
-            x = frontier.pop()
-            for g in self.subgroup_gens:
-                y = (x * g) % N
-                if y not in H:
-                    H.add(y)
-                    frontier.append(y)
-        return H
+        return unit_subgroup(self.modulus, self.subgroup_gens)
 
 
 def field_characters(spec: AbelianFieldSpec) -> list[DirichletCharacter]:

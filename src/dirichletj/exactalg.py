@@ -45,10 +45,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def copy(self) -> "IntMatrix":
         return IntMatrix(self.data)
 
@@ -75,9 +71,6 @@ class IntMatrix:
                     for j in range(other.cols):
                         target[j] += a * orow[j]
         return IntMatrix(out)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def diagonal(self) -> list[int]:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
@@ -370,12 +363,6 @@ class RationalPoly:
         if self.is_zero():
             return self
         return self.scale(1 / self.coeffs[-1])
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:

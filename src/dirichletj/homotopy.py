@@ -20,14 +20,22 @@ Twisted groups are computed two independent ways:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import characters as chmod
 from .bernoulli import d2k
-from .characters import DirichletCharacter, char_inv, conductor, factor_local, is_primitive, parity
+from .characters import (
+    DirichletCharacter,
+    char_inv,
+    conductor,
+    is_primitive,
+    parity,
+    prime_to_p_part,
+    tame_exponent,
+    unit_subgroup,
+)
 from .cyclotomic import _vp, factorize, is_prime, padic_splitting
 from .padic import PAdicCharacterData, PrimeToPPart
 
@@ -116,9 +124,6 @@ class AbelianGroupExpr:
     def primary_part(self, p: int) -> "AbelianGroupExpr":
         kept = [a for a in self.atoms if (a[0] == "C" and a[1] == p) or (a[0] in ("Zp", "QpZp") and a[1] == p)]
         return AbelianGroupExpr(tuple(kept))
-
-    def without_primes(self, primes: Iterable[int]) -> "AbelianGroupExpr":
-        return invert_primes(self, LocalizationSpec(frozenset(primes)))
 
     def render(self) -> str:
         if not self.atoms:
@@ -252,7 +257,8 @@ def d2k_level(k: int, N: int) -> int:
             pi *= p
     num = N * d
     den = 2 * pi if N % 4 == 0 else pi
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"D_{{2k,N}} is not integral for k = {k}, N = {N}")
     return num // den
 
 
@@ -477,20 +483,6 @@ def pi_DK1_primed(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
 # p-adic decomposition of a global character
 
 
-def _omit_prime(chi: DirichletCharacter, p: int) -> DirichletCharacter:
-    """The prime-to-p local product chi', a character mod N/p^(v_p(N))."""
-    N = chi.modulus
-    n_prime = N
-    while n_prime % p == 0:
-        n_prime //= p
-    st = chmod.get_structure(n_prime)
-    local = factor_local(chi)
-    exps: list[int] = []
-    for q in sorted({g[0] for g in st.generators}):
-        exps.extend(local[q].exponents)
-    return DirichletCharacter(st, tuple(exps))
-
-
 def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
     """Summands of the p-completion, one per Galois coset of Z[chi] at p.
 
@@ -511,50 +503,21 @@ def _decompose_p(chi: DirichletCharacter, p: int) -> tuple[PAdicCharacterData, .
     if not is_prime(p):
         raise ValueError("p must be prime")
     N = chi.modulus
-    v = 0
-    n_prime_cond = N
-    while n_prime_cond % p == 0:
-        n_prime_cond //= p
-        v += 1
+    v = _vp(N, p)
     if p == 2 and v == 1:
         raise ValueError("primitive characters never have conductor exponent 1 at 2")
     reps = padic_splitting(chi.order(), p)
     payload: Optional[PrimeToPPart] = None
-    if n_prime_cond > 1:
-        chi_prime = _omit_prime(chi, p)
-        m = chi_prime.order()
-        e = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            e += 1
-        payload = PrimeToPPart(modulus=n_prime_cond, wild_image_exp=e, image_is_p_power=(mm == 1 and e >= 1))
+    if N > p**v:
+        m = prime_to_p_part(chi, p).order()
+        e = _vp(m, p)
+        payload = PrimeToPPart(modulus=N // p**v, wild_image_exp=e, image_is_p_power=(e >= 1 and m == p**e))
+    a0 = tame_exponent(chi, p)
     if p == 2:
-        eps = 0
-        if v >= 2:
-            eps = 1 if parity(factor_local(chi)[2]) == -1 else 0
         return tuple(
-            PAdicCharacterData(p=2, v=v, tame=eps, wild_primitive=True, prime_to_p=payload)
+            PAdicCharacterData(p=2, v=v, tame=a0, wild_primitive=True, prime_to_p=payload)
             for _ in reps
         )
-    if v == 0:
-        a0 = 0
-    else:
-        d = chmod.tame_order(chi, p)
-        # Value of chi on the canonical tame generator of (Z/p^v)^x,
-        # converted to a Teichmuller exponent.
-        st_local = chmod.get_structure(p**v)
-        (_, _, g_lift, order) = st_local.generators[0]
-        tame_elt_local = pow(g_lift % (p**v), p ** (v - 1), p**v)
-        b = chmod._crt_lift(tame_elt_local, p**v, N)
-        t = chmod._value_exponent(chi, b)
-        n = chi.order()
-        if t is None or (t * d) % n:
-            raise AssertionError(f"chi({b}) = zeta_{n}^{t} is not a {d}-th root of unity")
-        c = (t * d // n) % d
-        a0 = (c * ((p - 1) // d)) % (p - 1)
-        if not chmod.kernel_order_match(a0, p, d):
-            raise AssertionError(f"tame exponent {a0} does not cut out the kernel of chi on (Z/{p})^x")
     return tuple(
         PAdicCharacterData(p=p, v=v, tame=(b * a0) % (p - 1), wild_primitive=True, prime_to_p=payload)
         for b in reps
@@ -578,8 +541,7 @@ def _qualifying_prime(chi: DirichletCharacter) -> Optional[tuple[int, int]]:
         candidates.add(next(iter(ord_fac)))
     found = []
     for p in sorted(candidates):
-        chi_prime = _omit_prime(chi, p) if N % p == 0 else chi
-        m = chi_prime.order()
+        m = prime_to_p_part(chi, p).order()
         if m == 1:
             continue
         fac = factorize(m)
@@ -587,7 +549,8 @@ def _qualifying_prime(chi: DirichletCharacter) -> Optional[tuple[int, int]]:
             found.append((p, fac[p]))
     if not found:
         return None
-    assert len(found) == 1, "at most one prime can carry a p-power prime-to-p image"
+    if len(found) != 1:
+        raise AssertionError(f"primes {found} all carry a p-power prime-to-p image; at most one can")
     return found[0]
 
 
@@ -650,17 +613,9 @@ def _direct_case5(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
     if q is None:
         return A.zero()
     p, n = q
-    N = chi.modulus
-    v = 0
-    M = N
-    while M % p == 0:
-        M //= p
-        v += 1
+    v = _vp(chi.modulus, p)
     if p == 2:
-        eps = 0
-        if v >= 2:
-            eps = 1 if parity(factor_local(chi)[2]) == -1 else 0
-        if eps == 0:
+        if tame_exponent(chi, 2) == 0:
             if i == 0:
                 return A.padic(2, 2)
             if i == 1:
@@ -760,29 +715,11 @@ def pi_jn_chi(
             f"direct table and assembly disagree for chi = {chi.modulus}:{chi.index()}, "
             f"i = {i}: {direct.render()} vs {assembled.render()}"
         )
-    return invert_primes(direct, loc if isinstance(loc, LocalizationSpec) else LocalizationSpec(frozenset(loc)))
+    return invert_primes(direct, loc)
 
 
 # ---------------------------------------------------------------------------
 # J-spectra of abelian fields
-
-
-def _subgroup_closure(N: int, gens: Sequence[int]) -> set[int]:
-    H = {1 % N} if N > 1 else {0}
-    if N == 1:
-        return H
-    for g in gens:
-        if math.gcd(g, N) != 1:
-            raise ValueError(f"{g} is not a unit mod {N}")
-    frontier = list(H)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = (x * g) % N
-            if y not in H:
-                H.add(y)
-                frontier.append(y)
-    return H
 
 
 def _contributing_odd_primes(i: int) -> list[int]:
@@ -816,7 +753,7 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
     fac = factorize(N) if N > 1 else {}
     if len(fac) > 1:
         raise ValueError("N must be 1 or a prime power in this release")
-    H = _subgroup_closure(N, subgroup_gens)
+    H = unit_subgroup(N, subgroup_gens)
     hsize = len(H)
     out = AbelianGroupExpr.zero()
     level_p = None
@@ -830,13 +767,11 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
                 out = out + _tame_eigen_2(max(v, 2), eps, i)
         else:
             dlogs = chmod._dlog_table(level_p)
-            st = chmod.get_structure(level_p)
-            order0 = st.generators[0][3]
             for a in range(level_p - 1):
                 ok = True
                 for h in H:
                     e = dlogs[h % level_p][0]
-                    if (a * e) % order0:
+                    if (a * e) % (level_p - 1):
                         ok = False
                         break
                 if ok:

@@ -150,6 +150,49 @@ class TestVerify:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, option", [
+        (["carlitz", "--primes", "3"], "--primes"),
+        (["von-staudt", "--max-weight", "4"], "--max-weight"),
+        (["consistency", "--max", "3"], "--max"),
+    ])
+    def test_option_the_suite_does_not_read_exits_2(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert option in err and argv[0] in err
+
+    def test_all_passes_each_option_to_the_suites_that_read_it(self, capsys, monkeypatch):
+        calls = {}
+
+        def fake(name):
+            def run(**kwargs):
+                calls[name] = kwargs
+                return RunReport(name, {}).finalize()
+            return run
+
+        monkeypatch.setattr(cli, "SUITES", {name: fake(name) for name in cli.SUITES})
+        code, _, _ = run_cli(capsys, "verify", "all", "--max", "7", "--max-weight", "4", "--primes", "3,5")
+        assert code == 0
+        assert calls == {
+            "von-staudt": {"max_k": 7},
+            "carlitz": {"max_k": 7},
+            "gbn-theorem": {"max_weight": 4, "moduli": [3, 5]},
+            "duality-dirichlet": {},
+            "duality-jn": {},
+            "e2-oracle": {},
+            "consistency": {},
+            "eisenstein": {},
+            "dedekind-jk": {},
+        }
+
+    def test_gbn_theorem_primes_output(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "gbn-theorem", "--primes", "3,5", "--json")
+        assert code == 0
+        assert out == (
+            '{"reports": [{"failed": 0, "findings": 0, "first_counterexample": null, "params": '
+            '{"max_modulus": 16, "max_weight": 12, "moduli": [3, 5], "moduli_invert2": [9, 25, 27]}, '
+            '"passed": 1472, "run": 1472, "schema": 1, "suite": "gbn-theorem"}], "schema": 1}\n'
+        )
+
 
 class TestRunReport:
     def test_counts_invariant(self):
@@ -167,6 +210,11 @@ class TestRunReport:
     def test_json_excludes_wall_time(self):
         report = RunReport("demo", {}).finalize()
         assert "wall_time" not in report.to_json()
+
+    def test_finalize_stops_the_clock_started_at_construction(self):
+        report = RunReport("demo", {})
+        sum(range(100_000))
+        assert report.finalize().wall_time > 0
 
 
 class TestEisensteinCmd:
