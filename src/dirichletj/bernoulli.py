@@ -14,7 +14,8 @@ ways and cross-asserted on every (chi, k):
   quotient series is grown once, one coefficient per k, and reused
   across k (``_SERIES_CACHE``); it is extended only as far as the largest
   k asked for, in integer arithmetic over the power basis of
-  Q(zeta_ord(chi));
+  Q(zeta_ord(chi)), and its integer vector and denominator become the
+  ``CycElement`` as they are;
 * Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``, evaluated
   afresh for each k in ``CycElement`` arithmetic.
 
@@ -117,7 +118,8 @@ class _SeriesState:
 
     with m_j = j! n_j = sum_e zeta^e (sum of a^j over the residues a with
     chi(a) = zeta^e), an integer vector over the power basis.  Each B_i is
-    kept as an integer vector over one positive denominator.
+    kept as an integer vector over one positive denominator in lowest
+    terms, the form of ``CycElement``.
     """
 
     __slots__ = ("N", "classes", "nums", "dens", "lcm")
@@ -128,11 +130,9 @@ class _SeriesState:
         for a in range(1, self.N + 1):
             val = evaluate(chi, a)
             if val is not None:
-                by_value.setdefault(val.coeffs, []).append(a)
+                by_value.setdefault(val.nums, []).append(a)
         # (zeta^e as an integer vector, residues a with chi(a) = zeta^e, a^j for the next j)
-        self.classes = [
-            (tuple(int(c) for c in vec), residues, [1] * len(residues)) for vec, residues in by_value.items()
-        ]
+        self.classes = [(vec, residues, [1] * len(residues)) for vec, residues in by_value.items()]
         self.nums: list[list[int]] = []
         self.dens: list[int] = []
         self.lcm = 1  # of dens
@@ -174,8 +174,7 @@ def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
     if state is None:
         state = _SERIES_CACHE[key] = _SeriesState(chi)
     state.extend(k)
-    den = state.dens[k]
-    return get_field(chi.order()).element([Fraction(x, den) for x in state.nums[k]])
+    return CycElement(get_field(chi.order()), state.nums[k], state.dens[k])
 
 
 def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
@@ -185,7 +184,7 @@ def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
     for a in range(1, N + 1):
         val = evaluate(chi, a)
         if val is not None:
-            classes.setdefault(val.coeffs, (val, []))[1].append(a)
+            classes.setdefault(val.nums, (val, []))[1].append(a)
     acc = get_field(chi.order()).zero()
     for val, residues in classes.values():
         acc = acc + val * _bernoulli_poly_sum(k, residues, N)
@@ -308,7 +307,8 @@ def carlitz_p_ideal(chi: DirichletCharacter, k: int) -> IdealLattice:
         raise ValueError("k must be nonnegative")
     g = smallest_primitive_root(p, euler_phi(p))
     chi_g = evaluate(chi, g)
-    assert chi_g is not None
+    if chi_g is None:
+        raise AssertionError(f"chi = {chi.modulus}:{chi.index()} vanishes at the primitive root {g} mod {p}")
     gen = field.one() - chi_g * (g**k)
     return IdealLattice.from_generators(field, [field.from_rational(p), gen])
 
@@ -363,7 +363,8 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
         row["ok"] = x.is_integral() and ideal_membership(x, target)
         return row
     chi_1p = evaluate(chi, 1 + p)
-    assert chi_1p is not None
+    if chi_1p is None:
+        raise AssertionError(f"chi = {chi.modulus}:{chi.index()} vanishes at the unit {1 + p}")
     x = (get_field(chi.order()).one() - chi_1p) * b_over_k - 1
     row["case"] = "p^v-congruence"
     row["ok"] = x.is_integral() and ideal_membership(x, ideal_p)

@@ -1,14 +1,16 @@
 """Exact arithmetic in Q(zeta_n), ideal lattices of Z[zeta_n], and p-adic splitting data.
 
-Elements are stored against the power basis ``1, z, ..., z^(phi(n)-1)``
-modulo the n-th cyclotomic polynomial, so representations are unique and
-equality is syntactic.  Ideals are full-rank sublattices of Z[zeta_n]
-kept in row-style Hermite normal form and verified to be closed under
-multiplication by ``z``.
+Elements are integer vectors over one positive denominator against the
+power basis ``1, z, ..., z^(phi(n)-1)`` modulo the n-th cyclotomic
+polynomial, reduced to lowest terms, so representations are unique and
+equality is syntactic.  Ideals are full-rank sublattices of Z[zeta_n]:
+``IdealLattice`` takes any integer generator rows, puts them in row-style
+Hermite normal form once and verifies closure under multiplication by
+``z``.
 
 The denominator ideal of a field element ``a`` is the colon lattice
 ``{x in Z[zeta_n] : x*a in Z[zeta_n]}``, computed from the kernel of the
-multiplication-by-``a`` matrix read modulo the lcm of its denominators.
+multiplication-by-``a`` matrix read modulo its denominator.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def cyclotomic_poly(n: int) -> RationalPoly:
     for d in range(1, n):
         if n % d == 0:
             q, rem = num.divmod(cyclotomic_poly(d))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise AssertionError(f"Phi_{d} does not divide t^{n} - 1")
             num = q
     return num
 
@@ -79,55 +82,53 @@ def cyclotomic_poly(n: int) -> RationalPoly:
 class CyclotomicField:
     """Q(zeta_n) with the fixed power basis modulo Phi_n.
 
-    Instances are immutable and cached per n; share them freely.
+    Phi_n is monic and integral, so every power of ``z`` reduces to an
+    integer vector; ``_zeta_pow[k]`` holds ``z^k`` for k below
+    max(n, 2*degree - 1), which serves both ``zeta_power`` and the
+    reduction of a product.  Instances are immutable and cached per n;
+    share them freely.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.phi_n = cyclotomic_poly(n)
-        self.degree = self.phi_n.degree
-        assert self.degree == euler_phi(n)
-        # Reduction table for z^k, k in [degree, 2*degree - 2).
-        self._red: list[tuple[Fraction, ...]] = []
-        if self.degree > 0:
-            mod = self.phi_n
-            cur = RationalPoly([0] * self.degree + [1]) % mod
-            for _ in range(max(0, 2 * self.degree - 1 - self.degree)):
-                self._red.append(self._vec(cur))
-                cur = (cur * RationalPoly([0, 1])) % mod
-        self._zeta_pow: list[tuple[Fraction, ...]] | None = None
+        self.degree = d = self.phi_n.degree
+        if d != euler_phi(n):
+            raise AssertionError(f"deg Phi_{n} = {d} differs from phi({n}) = {euler_phi(n)}")
+        self._phi_low = [int(c) for c in self.phi_n.coeffs[:d]]  # z^d = -sum_j _phi_low[j] z^j
+        self._zeta_pow: list[tuple[int, ...]] = [(1,) + (0,) * (d - 1)]
+        while len(self._zeta_pow) < max(n, 2 * d - 1):
+            self._zeta_pow.append(tuple(self.times_zeta(self._zeta_pow[-1])))
 
-    def _vec(self, poly: RationalPoly) -> tuple[Fraction, ...]:
-        cs = list(poly.coeffs) + [Fraction(0)] * (self.degree - len(poly.coeffs))
-        return tuple(cs[: self.degree])
+    def times_zeta(self, vec: Sequence[int]) -> list[int]:
+        """The integer coordinates of z times the element with coordinates ``vec``."""
+        out = [0] + list(vec[:-1])
+        lead = vec[-1]
+        if lead:
+            for j, c in enumerate(self._phi_low):
+                out[j] -= lead * c
+        return out
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "CycElement":
+        """The element with the given rational coordinates over the power basis."""
         cs = [Fraction(c) for c in coeffs]
         if len(cs) != self.degree:
             raise ValueError("coefficient vector has wrong length")
-        return CycElement(self, tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        return CycElement(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def zero(self) -> "CycElement":
-        return CycElement(self, tuple([Fraction(0)] * self.degree))
+        return CycElement(self, [0] * self.degree)
 
     def one(self) -> "CycElement":
         return self.from_rational(1)
 
     def from_rational(self, q: Fraction | int) -> "CycElement":
-        cs = [Fraction(0)] * self.degree
-        cs[0] = Fraction(q)
-        return CycElement(self, tuple(cs))
+        q = Fraction(q)
+        return CycElement(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
 
     def zeta_power(self, j: int) -> "CycElement":
         """The basis-reduced coefficient vector of zeta^j."""
-        if self._zeta_pow is None:
-            table = []
-            mod = self.phi_n
-            cur = RationalPoly([1])
-            for _ in range(self.n):
-                table.append(self._vec(cur))
-                cur = (cur * RationalPoly([0, 1])) % mod
-            self._zeta_pow = table
         return CycElement(self, self._zeta_pow[j % self.n])
 
     def __eq__(self, other) -> bool:
@@ -146,36 +147,48 @@ def get_field(n: int) -> CyclotomicField:
 
 
 class CycElement:
-    """Element of Q(zeta_n) as a rational vector over the power basis."""
+    """Element of Q(zeta_n) as integer coordinates ``nums`` over one denominator ``den``.
 
-    __slots__ = ("field", "coeffs")
+    ``den`` must be positive; the constructor divides out
+    ``gcd(den, *nums)``, so zero is ``(0, ..., 0)/1`` and equality is
+    syntactic.
+    """
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: CyclotomicField, nums: Iterable[int], den: int = 1):
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        nums = tuple(nums)
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
 
     # -- ring structure -----------------------------------------------------
 
-    def _check(self, other: "CycElement") -> None:
+    def _coerce(self, other) -> "CycElement":
+        if isinstance(other, (int, Fraction)):
+            return self.field.from_rational(other)
         if self.field.n != other.field.n:
             raise ValueError("field mismatch: Q(zeta_%d) vs Q(zeta_%d)" % (self.field.n, other.field.n))
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        self._check(other)
-        return CycElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        other = self._coerce(other)
+        a, b = self.den, other.den
+        return CycElement(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElement(self.field, tuple(-a for a in self.coeffs))
+        return CycElement(self.field, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        self._check(other)
-        return CycElement(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -183,83 +196,75 @@ class CycElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CycElement(self.field, tuple(a * q for a in self.coeffs))
-        self._check(other)
+            return CycElement(self.field, [x * q.numerator for x in self.nums], self.den * q.denominator)
+        other = self._coerce(other)
         d = self.field.degree
-        # Scalar fast path: rational operands are common in series work.
-        if all(c == 0 for c in other.coeffs[1:]):
-            q = other.coeffs[0]
-            return CycElement(self.field, tuple(a * q for a in self.coeffs))
-        if all(c == 0 for c in self.coeffs[1:]):
-            q = self.coeffs[0]
-            return CycElement(self.field, tuple(q * b for b in other.coeffs))
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        bs = [(j, b) for j, b in enumerate(other.nums) if b]
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        out = list(prod[:d])
-        red = self.field._red
+                for j, b in bs:
+                    prod[i + j] += a * b
+        out = prod[:d]
+        zeta_pow = self.field._zeta_pow
         for k in range(d, 2 * d - 1):
             c = prod[k]
             if c:
-                rvec = red[k - d]
-                for j in range(d):
-                    out[j] += c * rvec[j]
-        return CycElement(self.field, tuple(out))
+                for j, r in enumerate(zeta_pow[k]):
+                    if r:
+                        out[j] += c * r
+        return CycElement(self.field, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElement":
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero")
-        inv = poly_inverse_mod(RationalPoly(self.coeffs), self.field.phi_n)
-        return CycElement(self.field, self.field._vec(inv))
+        # (nums/den)^(-1) = den * nums^(-1), with nums^(-1) a rational polynomial mod Phi_n.
+        inv = poly_inverse_mod(RationalPoly(self.nums), self.field.phi_n).coeffs
+        return self.field.element(inv + (0,) * (self.field.degree - len(inv))) * self.den
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycElement(self.field, tuple(a / q for a in self.coeffs))
-        self._check(other)
-        return self * other.inverse()
+            if not other:
+                raise ZeroDivisionError("division by zero")
+            return self * (1 / Fraction(other))
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and Fraction(self.nums[0], self.den) == other
         return (
             isinstance(other, CycElement)
             and self.field.n == other.field.n
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.n, self.coeffs))
+        return hash((self.field.n, self.nums, self.den))
 
     # -- structure queries --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def denominator_lcm(self) -> int:
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d
+        return self.den
 
     def galois(self, sigma: int) -> "CycElement":
         return galois_apply(self, sigma)
@@ -269,12 +274,7 @@ class CycElement:
         n, m = self.field.n, target.n
         if m % n:
             raise ValueError("no canonical embedding: %d does not divide %d" % (n, m))
-        step = m // n
-        out = target.zero()
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out = out + target.zeta_power(j * step) * c
-        return out
+        return _substitute(self, target, m // n)
 
     def __repr__(self) -> str:
         return f"CycElement(n={self.field.n}, {render_cyc(self)!r})"
@@ -283,9 +283,10 @@ class CycElement:
 def render_cyc(a: CycElement) -> str:
     """Canonical text form: "c0 + c1*z + ..." with rationals as p/q."""
     terms = []
-    for j, c in enumerate(a.coeffs):
-        if c == 0:
+    for j, x in enumerate(a.nums):
+        if x == 0:
             continue
+        c = Fraction(x, a.den)
         if j == 0:
             terms.append(str(c))
         elif j == 1:
@@ -299,61 +300,58 @@ def render_cyc(a: CycElement) -> str:
 
 def galois_apply(a: CycElement, sigma: int) -> CycElement:
     """The automorphism zeta -> zeta^sigma for sigma coprime to n."""
-    n = a.field.n
-    if math.gcd(sigma, n) != 1:
+    if math.gcd(sigma, a.field.n) != 1:
         raise ValueError("sigma must be coprime to n")
-    out = a.field.zero()
-    for j, c in enumerate(a.coeffs):
-        if c:
-            out = out + a.field.zeta_power(j * sigma) * c
-    return out
+    return _substitute(a, a.field, sigma)
+
+
+def _substitute(a: CycElement, target: CyclotomicField, step: int) -> CycElement:
+    """a with z replaced by z^step of ``target``, summed over a's integer coordinates."""
+    out = [0] * target.degree
+    for j, x in enumerate(a.nums):
+        if x:
+            for t, y in enumerate(target._zeta_pow[j * step % target.n]):
+                out[t] += x * y
+    return CycElement(target, out, a.den)
 
 
 # ---------------------------------------------------------------------------
 # Ideal lattices
 
 
-def _mult_matrix_rows(a: CycElement) -> list[list[Fraction]]:
-    """Row j is the coefficient vector of z^j * a."""
-    d = a.field.degree
-    rows = []
-    cur = a
-    for _ in range(d):
-        rows.append(list(cur.coeffs))
-        cur = cur * a.field.zeta_power(1)
+def _zeta_rows(field: CyclotomicField, vec: Sequence[int]) -> list[list[int]]:
+    """Rows z^j * vec for j < degree: the multiplication matrix of an integer vector."""
+    rows = [list(vec)]
+    for _ in range(field.degree - 1):
+        rows.append(field.times_zeta(rows[-1]))
     return rows
 
 
 class IdealLattice:
-    """Full-rank sublattice of Z[zeta_n] in row HNF, closed under z-multiplication."""
+    """Full-rank sublattice of Z[zeta_n] in row HNF, closed under z-multiplication.
+
+    The constructor takes any integer generator rows and is the one place
+    that computes an HNF; it rejects rows of less than full rank and
+    lattices that are not closed under multiplication by ``z``.
+    """
 
     __slots__ = ("field", "basis")
 
-    def __init__(self, field: CyclotomicField, basis: IntMatrix, *, _trusted: bool = False):
-        if basis.rows != field.degree or basis.cols != field.degree:
-            raise ValueError("basis must be a square matrix of size phi(n)")
-        h, _ = hermite_normal_form(basis)
-        if any(h.data[i][i] == 0 for i in range(field.degree)):
-            raise ValueError("basis is singular; not a full-rank lattice")
+    def __init__(self, field: CyclotomicField, rows: Sequence[Sequence[int]]):
+        d = field.degree
+        if not rows or any(len(row) != d for row in rows):
+            raise ValueError("generator rows must be nonempty and of length phi(n)")
+        h, _ = hermite_normal_form(IntMatrix(rows))
+        if h.rows < d or any(h.data[i][i] == 0 for i in range(d)):
+            raise ValueError("rows are singular; not a full-rank lattice")
         self.field = field
-        self.basis = h
-        if not _trusted:
-            self._verify_ideal()
+        self.basis = IntMatrix(h.data[:d])
+        if not all(self._contains_vector(field.times_zeta(row)) for row in self.basis.data):
+            raise ValueError("lattice is not closed under multiplication by zeta")
 
-    def _verify_ideal(self) -> None:
-        z = self.field.zeta_power(1)
-        for row in self.basis.data:
-            elt = self.field.element([Fraction(x) for x in row]) * z
-            if not self._contains_vector([c for c in elt.coeffs]):
-                raise ValueError("lattice is not closed under multiplication by zeta")
-
-    def _contains_vector(self, vec: Sequence[Fraction | int]) -> bool:
-        v = [Fraction(x) for x in vec]
-        if any(c.denominator != 1 for c in v):
-            return False
-        v = [int(c) for c in v]
+    def _contains_vector(self, vec: Sequence[int]) -> bool:
         h = self.basis.data
-        x = v[:]
+        x = list(vec)
         for i in range(self.field.degree):
             p = h[i][i]
             if x[i] % p:
@@ -366,7 +364,7 @@ class IdealLattice:
 
     @classmethod
     def full_ring(cls, field: CyclotomicField) -> "IdealLattice":
-        return cls(field, IntMatrix.identity(field.degree), _trusted=True)
+        return cls(field, IntMatrix.identity(field.degree).data)
 
     @classmethod
     def from_generators(cls, field: CyclotomicField, gens: Iterable[CycElement]) -> "IdealLattice":
@@ -377,14 +375,10 @@ class IdealLattice:
                 g = field.from_rational(g)
             if not g.is_integral():
                 raise ValueError("ideal generators must be integral")
-            for row in _mult_matrix_rows(g):
-                rows.append([int(c) for c in row])
+            rows.extend(_zeta_rows(field, g.nums))
         if not rows:
             raise ValueError("no generators")
-        stacked = IntMatrix(rows)
-        h, _ = hermite_normal_form(stacked)
-        basis = IntMatrix(h.data[: field.degree])
-        return cls(field, basis)
+        return cls(field, rows)
 
     @classmethod
     def principal(cls, field: CyclotomicField, g) -> "IdealLattice":
@@ -418,12 +412,12 @@ class IdealLattice:
         return self.index() == 1
 
     def basis_elements(self) -> list[CycElement]:
-        return [self.field.element([Fraction(x) for x in row]) for row in self.basis.data]
+        return [CycElement(self.field, row) for row in self.basis.data]
 
     def contains(self, x: CycElement) -> bool:
         if x.field.n != self.field.n:
             raise ValueError("ideal field mismatch")
-        return self._contains_vector(x.coeffs)
+        return x.den == 1 and self._contains_vector(x.nums)
 
 
 def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
@@ -434,9 +428,7 @@ def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
 
 def ideal_sum(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     a._check(b)
-    stacked = IntMatrix(a.basis.data + b.basis.data)
-    h, _ = hermite_normal_form(stacked)
-    return IdealLattice(a.field, IntMatrix(h.data[: a.field.degree]))
+    return IdealLattice(a.field, a.basis.data + b.basis.data)
 
 
 def ideal_power(a: IdealLattice, e: int) -> IdealLattice:
@@ -460,23 +452,20 @@ def ideal_eq(a: IdealLattice, b: IdealLattice) -> bool:
 def denominator_ideal(a: CycElement) -> IdealLattice:
     """Colon lattice {x in Z[zeta_n] : x*a in Z[zeta_n]}.
 
-    With M the multiplication-by-``a`` matrix and c the lcm of its
-    denominators, this is the lattice of integer vectors v with
-    v*(c*M) = 0 modulo c, lifted back via Smith normal form.  It equals
-    the full ring iff ``a`` is integral.
+    With c = ``a.den``, c times the multiplication-by-``a`` matrix is the
+    integer matrix A whose row j is z^j times ``a.nums``, and the colon
+    lattice is the lattice of integer vectors v with v*A = 0 modulo c,
+    lifted back via Smith normal form.  It equals the full ring iff ``a``
+    is integral.
     """
     if a.is_zero():
         raise ZeroDivisionError("denominator ideal of zero")
     field = a.field
     d = field.degree
-    rows = _mult_matrix_rows(a)
-    c = 1
-    for row in rows:
-        for x in row:
-            c = c * x.denominator // math.gcd(c, x.denominator)
+    c = a.den
     if c == 1:
         return IdealLattice.full_ring(field)
-    amat = IntMatrix([[int(x * c) for x in row] for row in rows])
+    amat = IntMatrix(_zeta_rows(field, a.nums))
     # Solve v*A = 0 (mod c) for row vectors v: with D = L*A*R, substitute
     # w = v*L^(-1), i.e. v = w*L; constraint becomes w*D = 0 (mod c).
     # c*Z[zeta] lies in the colon lattice, so the generators may be reduced
@@ -488,8 +477,7 @@ def denominator_ideal(a: CycElement) -> IdealLattice:
         scale = c // math.gcd(dmat.data[i][i], c)
         gen_rows.append([(scale * x) % c for x in lmat.data[i]])
     gen_rows.extend([c if j == i else 0 for j in range(d)] for i in range(d))
-    h, _ = hermite_normal_form(IntMatrix(gen_rows))
-    return IdealLattice(field, IntMatrix(h.data[:d]))
+    return IdealLattice(field, gen_rows)
 
 
 def quotient_group(ideal: IdealLattice):
@@ -673,7 +661,8 @@ def count_irreducible_factors_mod_p(poly: RationalPoly, p: int) -> int:
             for j in range(len(b)):
                 rem[k + j] = (rem[k + j] - c * b[j]) % p
             rem.pop()
-        assert not any(rem)
+        if any(rem):
+            raise AssertionError(f"inexact division mod {p}: remainder {rem}")
         return q
 
     count = 0

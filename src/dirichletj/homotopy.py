@@ -694,11 +694,8 @@ def pi_jn_chi_paths(chi: DirichletCharacter, i: int) -> tuple[AbelianGroupExpr, 
         raise ValueError("chi must be primitive and nontrivial")
     direct = _pi_jnchi_direct(chi, i)
     relevant = set(factorize(chi.modulus)) | set(factorize(chi.order()))
-    assembled = AbelianGroupExpr.zero()
-    for p in sorted(relevant):
-        for summand in decompose_p(chi, p):
-            assembled = assembled + pi_DK1(summand, i)
-    return direct, assembled
+    atoms = [a for p in sorted(relevant) for summand in decompose_p(chi, p) for a in pi_DK1(summand, i).atoms]
+    return direct, AbelianGroupExpr(_norm(atoms))
 
 
 def pi_jn_chi(

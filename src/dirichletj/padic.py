@@ -1,4 +1,4 @@
-"""Truncated p-adic arithmetic and the Smith-normal-form cohomology oracle.
+"""Teichmuller residues mod p^M and the Smith-normal-form cohomology oracle.
 
 The oracle computes finite quotients like Z_p[zeta_{p^(v-1)}] / (w(g) zeta - g^t)
 directly as Smith normal forms of multiplication matrices over Z/p^M,
@@ -21,41 +21,8 @@ from .cyclotomic import _vp, cyclotomic_poly, euler_phi, is_prime
 from .exactalg import RationalPoly
 
 
-@dataclass(frozen=True)
-class PAdicInt:
-    """Integer mod p^precision, canonical residue."""
-
-    p: int
-    precision: int
-    residue: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "residue", self.residue % self.p**self.precision)
-
-    def _check(self, other: "PAdicInt") -> None:
-        if self.p != other.p or self.precision != other.precision:
-            raise ValueError("p-adic precision mismatch")
-
-    def __add__(self, other: "PAdicInt") -> "PAdicInt":
-        self._check(other)
-        return PAdicInt(self.p, self.precision, self.residue + other.residue)
-
-    def __mul__(self, other: "PAdicInt") -> "PAdicInt":
-        self._check(other)
-        return PAdicInt(self.p, self.precision, self.residue * other.residue)
-
-    def __pow__(self, e: int) -> "PAdicInt":
-        modulus = self.p**self.precision
-        if e < 0:
-            return PAdicInt(self.p, self.precision, pow(pow(self.residue, -1, modulus), -e, modulus))
-        return PAdicInt(self.p, self.precision, pow(self.residue, e, modulus))
-
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-
-def teichmuller(p: int, a: int, M: int) -> PAdicInt:
-    """The unique (p-1)-st root of unity congruent to a mod p.
+def teichmuller(p: int, a: int, M: int) -> int:
+    """The unique (p-1)-st root of unity congruent to a mod p, as a residue mod p^M.
 
     Computed by iterating the p-th power map to its fixed point mod p^M.
     """
@@ -70,8 +37,9 @@ def teichmuller(p: int, a: int, M: int) -> PAdicInt:
         if y == x:
             break
         x = y
-    assert pow(x, p - 1, modulus) == 1
-    return PAdicInt(p, M, x)
+    if pow(x, p - 1, modulus) != 1:
+        raise AssertionError(f"Teichmuller iteration for {a} mod {p}^{M} did not reach a (p-1)-st root of unity")
+    return x
 
 
 _TOPGEN_CACHE: dict[int, int] = {}
@@ -219,7 +187,7 @@ def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15):
 
     def rows_builder(precision: int) -> list[list[int]]:
         pm = p**precision
-        w = pow(teichmuller(p, g % p, precision).residue, a, pm)
+        w = pow(teichmuller(p, g % p, precision), a, pm)
         gt = pow(g, t, pm) if t >= 0 else pow(pow(g, -1, pm), -t, pm)
         # u = w*x - g^t in the power basis; deg Phi_{p^(v-1)} >= 2 for odd p.
         u = [(-gt) % pm, w % pm] + [0] * (phi.degree - 2)

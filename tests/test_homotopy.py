@@ -262,6 +262,20 @@ class TestPiJNChi:
                     direct, assembled = pi_jn_chi_paths(chi, i)
                     assert direct == assembled
 
+    def test_assembly_equals_summand_by_summand_sum(self):
+        # The assembly normalizes all atoms once; adding the p-completed
+        # summands one at a time must give the same expression.
+        for N in range(3, 49):
+            for chi in primitive_chars(N):
+                primes = sorted(set(factorize(N)) | set(factorize(chi.order())))
+                summands = [s for p in primes for s in decompose_p(chi, p)]
+                for i in range(-8, 25):
+                    folded = A.zero()
+                    for s in summands:
+                        folded = folded + pi_DK1(s, i)
+                    assembled = pi_jn_chi_paths(chi, i)[1]
+                    assert assembled == folded and assembled.atoms == folded.atoms
+
     def test_contractible_double_squared_conductor(self):
         # v_l(N) >= 2 for two primes: identically zero.
         for chi in primitive_chars(36):

@@ -1,0 +1,292 @@
+"""Q(zeta_n) numbers as integer vectors over one denominator, and the one-HNF ideal constructor.
+
+The arithmetic is compared with a reference written here: elements as
+tuples of ``Fraction``, schoolbook products reduced by this file's own
+Phi_n, inverses by Gauss-Jordan elimination over Q.
+"""
+
+import hashlib
+import math
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+import dirichletj.cyclotomic as cyc
+from dirichletj.bernoulli import gbn, l_value
+from dirichletj.characters import character_from_index, enumerate_characters
+from dirichletj.cyclotomic import (
+    CycElement,
+    IdealLattice,
+    denominator_ideal,
+    galois_apply,
+    get_field,
+    ideal_sum,
+    render_cyc,
+)
+from dirichletj.eisenstein import eisenstein_coeffs
+
+
+FIELDS = (1, 2, 3, 4, 5, 8, 12, 15, 16)
+
+
+# -- the reference ------------------------------------------------------------
+
+
+def _divmod_monic(a: list, m: list) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic m, coefficients ascending."""
+    rem = list(a)
+    q = [0] * max(len(a) - len(m) + 1, 0)
+    while len(rem) >= len(m):
+        c = rem[-1]
+        k = len(rem) - len(m)
+        q[k] = c
+        for j, y in enumerate(m):
+            rem[k + j] -= c * y
+        rem.pop()
+    return q, rem
+
+
+@lru_cache(maxsize=None)
+def _phi(n: int) -> tuple[int, ...]:
+    """Phi_n as x^n - 1 divided by Phi_d over the proper divisors d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _divmod_monic(poly, _phi(d))
+            assert not any(rem)
+    return tuple(poly)
+
+
+def _reduce(poly: list, n: int) -> tuple:
+    phi = _phi(n)
+    _, rem = _divmod_monic(poly, phi)
+    rem = rem + [0] * (len(phi) - 1 - len(rem))
+    return tuple(Fraction(c) for c in rem)
+
+
+def _ref_mul(a: tuple, b: tuple, n: int) -> tuple:
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _reduce(prod, n)
+
+
+def _ref_inverse(a: tuple, n: int) -> tuple:
+    """Solve x * a = 1: column j of the system is z^j * a."""
+    d = len(a)
+    cols = [_ref_mul(a, tuple(Fraction(int(i == j)) for i in range(d)), n) for j in range(d)]
+    aug = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+    for c in range(d):
+        piv = next(r for r in range(c, d) if aug[r][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(d):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return tuple(row[d] for row in aug)
+
+
+def _ref_substitute(a: tuple, step: int, m: int) -> tuple:
+    """a(z^step) in Q(zeta_m), reducing z^(j*step) through z^m = 1 first."""
+    poly = [Fraction(0)] * m
+    for j, c in enumerate(a):
+        poly[j * step % m] += c
+    return _reduce(poly, m)
+
+
+def _value(x) -> tuple:
+    return tuple(Fraction(v, x.den) for v in x.nums)
+
+
+def _random_coeffs(rng: random.Random, d: int) -> tuple:
+    sparse = rng.random() < 0.3
+    return tuple(
+        Fraction(0) if sparse and rng.random() < 0.7 else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        for _ in range(d)
+    )
+
+
+def _assert_normalized(x) -> None:
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    assert all(isinstance(v, int) for v in x.nums) and isinstance(x.den, int)
+    assert len(x.nums) == x.field.degree
+
+
+# -- differential test --------------------------------------------------
+
+
+class TestAgainstFractionReference:
+    def test_reference_phi_has_degree_phi(self):
+        for n in FIELDS:
+            assert len(_phi(n)) - 1 == get_field(n).degree
+
+    @pytest.mark.parametrize("n", FIELDS)
+    def test_ring_operations(self, n):
+        f = get_field(n)
+        rng = random.Random(n)
+        for _ in range(25):
+            ca, cb = _random_coeffs(rng, f.degree), _random_coeffs(rng, f.degree)
+            a, b = f.element(ca), f.element(cb)
+            assert _value(a) == ca and _value(b) == cb
+            results = {
+                "+": (a + b, tuple(x + y for x, y in zip(ca, cb))),
+                "-": (a - b, tuple(x - y for x, y in zip(ca, cb))),
+                "*": (a * b, _ref_mul(ca, cb, n)),
+            }
+            q = Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 7))
+            results["*q"] = (a * q, tuple(x * q for x in ca))
+            results["/q"] = (a / q, tuple(x / q for x in ca))
+            results["+q"] = (a + q, (ca[0] + q,) + ca[1:])
+            if any(cb):
+                inv = _ref_inverse(cb, n)
+                results["inverse"] = (b.inverse(), inv)
+                results["/"] = (a / b, _ref_mul(ca, inv, n))
+            for op, (got, want) in results.items():
+                _assert_normalized(got)
+                assert _value(got) == want, (n, op, ca, cb)
+
+    @pytest.mark.parametrize("n", FIELDS)
+    def test_galois_and_embed(self, n):
+        f = get_field(n)
+        rng = random.Random(100 + n)
+        for _ in range(10):
+            ca = _random_coeffs(rng, f.degree)
+            a = f.element(ca)
+            for sigma in range(1, 2 * n + 1):
+                if math.gcd(sigma, n) == 1:
+                    got = galois_apply(a, sigma)
+                    _assert_normalized(got)
+                    assert _value(got) == _ref_substitute(ca, sigma, n)
+            for m in (n, 2 * n, 3 * n):
+                got = a.embed(get_field(m))
+                _assert_normalized(got)
+                assert _value(got) == _ref_substitute(ca, m // n, m)
+
+    @pytest.mark.parametrize("n", FIELDS)
+    def test_invariants(self, n):
+        f = get_field(n)
+        rng = random.Random(200 + n)
+        zero = f.zero()
+        assert zero.nums == (0,) * f.degree and zero.den == 1
+        for _ in range(20):
+            ca = _random_coeffs(rng, f.degree)
+            a = f.element(ca)
+            b = f.element(_random_coeffs(rng, f.degree))
+            diff = a - a
+            assert diff.nums == (0,) * f.degree and diff.den == 1
+            again = (a + b) - b
+            _assert_normalized(again)
+            assert again == a and hash(again) == hash(a)
+            scaled = f.element([3 * c for c in ca]) / 3
+            assert scaled == a and hash(scaled) == hash(a)
+            assert a.is_integral() == all(c.denominator == 1 for c in ca)
+        for den in (0, -2):
+            with pytest.raises(ValueError, match="positive"):
+                CycElement(f, [1] * f.degree, den)
+        half = f.from_rational(Fraction(-4, 8))
+        assert half.den == 2 and half.nums[0] == -1
+        assert half.rational_value() == Fraction(-1, 2) and half == Fraction(-1, 2)
+
+
+# -- one HNF per lattice --------------------------------------------------
+
+
+@pytest.fixture
+def hnf_calls(monkeypatch):
+    calls = []
+    real = cyc.hermite_normal_form
+
+    def counting(m):
+        calls.append(m.rows)
+        return real(m)
+
+    monkeypatch.setattr(cyc, "hermite_normal_form", counting)
+    return calls
+
+
+class TestOneHnfPerLattice:
+    def test_each_constructor_runs_one_hnf(self, hnf_calls):
+        f = get_field(12)
+        z = f.zeta_power(1)
+        builds = {
+            "full_ring": lambda: IdealLattice.full_ring(f),
+            "from_generators": lambda: IdealLattice.from_generators(f, [f.from_rational(6), f.one() - z]),
+            "principal": lambda: IdealLattice.principal(f, f.one() + z * 2),
+            "denominator_ideal": lambda: denominator_ideal((f.one() + z) * Fraction(5, 12)),
+            "denominator_ideal(integral)": lambda: denominator_ideal(f.one() + z),
+        }
+        lattices = {}
+        for name, build in builds.items():
+            hnf_calls.clear()
+            lattices[name] = build()
+            assert len(hnf_calls) == 1, name
+        a, b = lattices["from_generators"], lattices["principal"]
+        hnf_calls.clear()
+        ideal_sum(a, b)
+        assert len(hnf_calls) == 1
+
+    def test_bernoulli_denominator_ideals(self, hnf_calls):
+        from dirichletj.bernoulli import denom_ideal
+
+        for N, idx, k in ((5, 2, 2), (13, 1, 3), (16, 3, 5), (7, 1, 3)):
+            hnf_calls.clear()
+            denom_ideal(character_from_index(N, idx), k)
+            assert len(hnf_calls) == 1, (N, idx, k)
+
+
+# -- the constructor's checks --------------------------------------------
+
+
+class TestIdealConstructorChecks:
+    def test_not_zeta_closed_rejected(self):
+        # 2Z + Z*i is not an ideal of Z[i]: i * 2 = 2i lies in it, i * i = -1 does not.
+        with pytest.raises(ValueError, match="not closed"):
+            IdealLattice(get_field(4), [[2, 0], [0, 1]])
+
+    def test_not_zeta_closed_in_q_zeta_3(self):
+        with pytest.raises(ValueError, match="not closed"):
+            IdealLattice(get_field(3), [[3, 0], [0, 1]])
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [2, 0]], [[0, 0], [0, 0]], [[1, 1]], [[1, 2], [2, 4], [3, 6]]])
+    def test_singular_rejected(self, rows):
+        with pytest.raises(ValueError, match="singular"):
+            IdealLattice(get_field(4), rows)
+
+    @pytest.mark.parametrize("rows", [[], [[1, 0, 0], [0, 1, 0]], [[1]]])
+    def test_wrong_shape_rejected(self, rows):
+        with pytest.raises(ValueError):
+            IdealLattice(get_field(4), rows)
+
+    def test_generator_rows_need_not_be_in_hnf(self):
+        f = get_field(4)
+        # (1 + i) from any integer generators: rows of (1 + i) and i(1 + i) = -1 + i, shuffled.
+        ideal = IdealLattice(f, [[-1, 1], [3, 1], [1, 1]])
+        assert ideal.basis.data == [[1, 1], [0, 2]]
+        assert ideal == IdealLattice.principal(f, f.one() + f.zeta_power(1))
+
+    def test_degree_one_fields(self):
+        for n in (1, 2):
+            ideal = IdealLattice(get_field(n), [[6], [-4]])
+            assert ideal.basis.data == [[2]]
+
+
+# -- rendered values pinned at the Fraction-tuple implementation --------
+
+
+def test_rendered_values_pinned():
+    lines = []
+    for N in range(1, 25):
+        for chi in enumerate_characters(N):
+            for k in range(0, 11):
+                lines.append(f"{N}:{chi.index()} B{k} {render_cyc(gbn(chi, k))}")
+            for k in range(1, 11):
+                lines.append(f"{N}:{chi.index()} L{1 - k} {render_cyc(l_value(chi, 1 - k))}")
+    lines += [render_cyc(c) for c in eisenstein_coeffs(character_from_index(7, 1), 3, 60)]
+    assert len(lines) == 3841
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0da384fb92a8dd895313bff6689124465a63a28d64214f98dc94e678e272e3fc"
