@@ -359,6 +359,11 @@ SUITE_OPTIONS: dict[str, dict[str, str]] = {
 # Subcommands
 
 
+def _bad_arguments(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
@@ -390,7 +395,7 @@ def cmd_bern(args) -> int:
     lv = bernoulli.l_value(chi, 1 - k)
     ideal = bernoulli.denom_ideal(characters.primitivize(chi), k)
     diag = ideal.basis.diagonal()
-    snf_diag = smith_normal_form(ideal.basis)[0].diagonal()
+    snf_diag = smith_normal_form(ideal.basis)
     quot = quotient_from_snf(snf_diag)
     payload = {
         "B": render_cyc(b),
@@ -419,6 +424,8 @@ def _degree_table(fn, lo: int, hi: int) -> list[tuple[int, str]]:
 
 def cmd_homotopy(args) -> int:
     lo, hi = args.degree_from, args.degree_to
+    if lo > hi:
+        return _bad_arguments(f"empty degree range: --from {lo} is above --to {hi}")
     if args.target == "j":
         rows = _degree_table(homotopy.pi_J, lo, hi)
         title = "pi_i(J)"
@@ -464,6 +471,10 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_e2(args) -> int:
+    if args.tmin > args.tmax:
+        return _bad_arguments(f"empty t range: --tmin {args.tmin} is above --tmax {args.tmax}")
+    if args.smax < 0:
+        return _bad_arguments(f"empty s range: --smax {args.smax} is negative")
     data = PAdicCharacterData(p=args.prime, v=args.level_exp, tame=args.tame)
     entries = []
     for s in range(0, args.smax + 1):
@@ -502,6 +513,8 @@ def cmd_e2(args) -> int:
 
 
 def cmd_eisenstein(args) -> int:
+    if args.nmax < 1:
+        return _bad_arguments(f"empty coefficient range: --nmax {args.nmax} is below 1")
     chi = character_from_index(args.modulus, args.index)
     result = eisenstein.congruence_check(chi, args.weight, args.nmax)
     coeffs = eisenstein.eisenstein_coeffs(chi, args.weight, min(args.nmax, args.show_coeffs))
@@ -563,8 +576,7 @@ def cmd_verify(args) -> int:
     if args.suite != "all":
         unread = [option for option in given if option not in SUITE_OPTIONS.get(args.suite, {})]
         if unread:
-            print(f"error: suite {args.suite} does not read {', '.join(unread)}", file=sys.stderr)
-            return 2
+            return _bad_arguments(f"suite {args.suite} does not read {', '.join(unread)}")
     reports = []
     for name in list(SUITES) if args.suite == "all" else [args.suite]:
         options = SUITE_OPTIONS.get(name, {})

@@ -5,12 +5,13 @@ power basis ``1, z, ..., z^(phi(n)-1)`` modulo the n-th cyclotomic
 polynomial, reduced to lowest terms, so representations are unique and
 equality is syntactic.  Ideals are full-rank sublattices of Z[zeta_n]:
 ``IdealLattice`` takes any integer generator rows, puts them in row-style
-Hermite normal form once and verifies closure under multiplication by
-``z``.
+Hermite normal form once, modulo a known multiple of the index when the
+caller has one, and verifies closure under multiplication by ``z``.
 
-The denominator ideal of a field element ``a`` is the colon lattice
-``{x in Z[zeta_n] : x*a in Z[zeta_n]}``, computed from the kernel of the
-multiplication-by-``a`` matrix read modulo its denominator.
+The denominator ideal of a field element ``a`` = nums/c is the colon
+lattice ``{x in Z[zeta_n] : x*a in Z[zeta_n]}``: the kernel of
+v -> v*A mod c, with A the multiplication-by-nums matrix, read off one
+HNF modulo c.
 """
 
 from __future__ import annotations
@@ -333,19 +334,27 @@ class IdealLattice:
     The constructor takes any integer generator rows and is the one place
     that computes an HNF; it rejects rows of less than full rank and
     lattices that are not closed under multiplication by ``z``.
+
+    ``modulus``, when given, is a positive D with D*Z[zeta_n] inside the
+    lattice; the HNF then runs modulo D.  With a modulus the rows may be
+    w > phi(n) wide: the lattice is then the set of v with (0, ..., 0, v)
+    in span(rows) + D*Z^w, the trailing block of that HNF (a kernel, as
+    ``denominator_ideal`` uses it).
     """
 
     __slots__ = ("field", "basis")
 
-    def __init__(self, field: CyclotomicField, rows: Sequence[Sequence[int]]):
+    def __init__(self, field: CyclotomicField, rows: Sequence[Sequence[int]], modulus: int | None = None):
         d = field.degree
-        if not rows or any(len(row) != d for row in rows):
+        lead = len(rows[0]) - d if rows else -1
+        if lead < 0 or (lead and modulus is None) or any(len(row) != d + lead for row in rows):
             raise ValueError("generator rows must be nonempty and of length phi(n)")
-        h, _ = hermite_normal_form(IntMatrix(rows))
-        if h.rows < d or any(h.data[i][i] == 0 for i in range(d)):
+        h = hermite_normal_form(IntMatrix(rows), modulus)
+        basis = [row[lead:] for row in h.data[lead:lead + d]]
+        if len(basis) < d or any(basis[i][i] == 0 for i in range(d)):
             raise ValueError("rows are singular; not a full-rank lattice")
         self.field = field
-        self.basis = IntMatrix(h.data[:d])
+        self.basis = IntMatrix(basis)
         if not all(self._contains_vector(field.times_zeta(row)) for row in self.basis.data):
             raise ValueError("lattice is not closed under multiplication by zeta")
 
@@ -364,21 +373,28 @@ class IdealLattice:
 
     @classmethod
     def full_ring(cls, field: CyclotomicField) -> "IdealLattice":
-        return cls(field, IntMatrix.identity(field.degree).data)
+        return cls(field, IntMatrix.identity(field.degree).data, 1)
 
     @classmethod
     def from_generators(cls, field: CyclotomicField, gens: Iterable[CycElement]) -> "IdealLattice":
-        """Z-lattice spanned by g * z^j over all generators g."""
+        """Z-lattice spanned by g * z^j over all generators g.
+
+        A rational integer generator m puts m*Z[zeta_n] inside the lattice,
+        so the gcd of those is the HNF modulus.
+        """
         rows: list[list[int]] = []
+        modulus = 0
         for g in gens:
             if isinstance(g, (int, Fraction)):
                 g = field.from_rational(g)
             if not g.is_integral():
                 raise ValueError("ideal generators must be integral")
+            if g.is_rational():
+                modulus = math.gcd(modulus, g.nums[0])
             rows.extend(_zeta_rows(field, g.nums))
         if not rows:
             raise ValueError("no generators")
-        return cls(field, rows)
+        return cls(field, rows, modulus or None)
 
     @classmethod
     def principal(cls, field: CyclotomicField, g) -> "IdealLattice":
@@ -421,21 +437,27 @@ class IdealLattice:
 
 
 def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
+    """The d^2 products of basis elements span ab, since a and b are z-closed.
+
+    index(a)*index(b) kills Z[zeta]/a and Z[zeta]/b, so it lies in ab.
+    """
     a._check(b)
-    gens = [x * y for x in a.basis_elements() for y in b.basis_elements()]
-    return IdealLattice.from_generators(a.field, gens)
+    rows = [(x * y).nums for x in a.basis_elements() for y in b.basis_elements()]
+    return IdealLattice(a.field, rows, a.index() * b.index())
 
 
 def ideal_sum(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     a._check(b)
-    return IdealLattice(a.field, a.basis.data + b.basis.data)
+    return IdealLattice(a.field, a.basis.data + b.basis.data, math.gcd(a.index(), b.index()))
 
 
 def ideal_power(a: IdealLattice, e: int) -> IdealLattice:
     if e < 0:
         raise ValueError("negative ideal power")
-    out = IdealLattice.full_ring(a.field)
-    for _ in range(e):
+    if e == 0:
+        return IdealLattice.full_ring(a.field)
+    out = a
+    for _ in range(e - 1):
         out = ideal_product(out, a)
     return out
 
@@ -444,19 +466,15 @@ def ideal_membership(x: CycElement, ideal: IdealLattice) -> bool:
     return ideal.contains(x)
 
 
-def ideal_eq(a: IdealLattice, b: IdealLattice) -> bool:
-    a._check(b)
-    return a.basis == b.basis
-
-
 def denominator_ideal(a: CycElement) -> IdealLattice:
     """Colon lattice {x in Z[zeta_n] : x*a in Z[zeta_n]}.
 
     With c = ``a.den``, c times the multiplication-by-``a`` matrix is the
     integer matrix A whose row j is z^j times ``a.nums``, and the colon
-    lattice is the lattice of integer vectors v with v*A = 0 modulo c,
-    lifted back via Smith normal form.  It equals the full ring iff ``a``
-    is integral.
+    lattice is the kernel of v -> v*A mod c.  The rows [A | I] span, with
+    c*Z^(2d), the pairs (v*A + c*y, v + c*z), so the vectors (0, v) among
+    them, the trailing block of their HNF modulo c, are that kernel.  It
+    equals the full ring iff ``a`` is integral.
     """
     if a.is_zero():
         raise ZeroDivisionError("denominator ideal of zero")
@@ -465,25 +483,13 @@ def denominator_ideal(a: CycElement) -> IdealLattice:
     c = a.den
     if c == 1:
         return IdealLattice.full_ring(field)
-    amat = IntMatrix(_zeta_rows(field, a.nums))
-    # Solve v*A = 0 (mod c) for row vectors v: with D = L*A*R, substitute
-    # w = v*L^(-1), i.e. v = w*L; constraint becomes w*D = 0 (mod c).
-    # c*Z[zeta] lies in the colon lattice, so the generators may be reduced
-    # mod c once the rows c*e_j are appended: the lattice, and so its
-    # (unique) HNF, is unchanged, and the entries stay below c.
-    dmat, lmat, _ = smith_normal_form(amat)
-    gen_rows = []
-    for i in range(d):
-        scale = c // math.gcd(dmat.data[i][i], c)
-        gen_rows.append([(scale * x) % c for x in lmat.data[i]])
-    gen_rows.extend([c if j == i else 0 for j in range(d)] for i in range(d))
-    return IdealLattice(field, gen_rows)
+    rows = [arow + [int(i == j) for j in range(d)] for i, arow in enumerate(_zeta_rows(field, a.nums))]
+    return IdealLattice(field, rows, c)
 
 
 def quotient_group(ideal: IdealLattice):
     """Z^phi(n) / lattice as a normalized abelian group expression."""
-    dmat, _, _ = smith_normal_form(ideal.basis)
-    return quotient_from_snf(dmat.diagonal())
+    return quotient_from_snf(smith_normal_form(ideal.basis))
 
 
 def quotient_from_snf(diagonal: list[int]):

@@ -1,7 +1,8 @@
 """Exact integer/rational linear algebra and truncated power series.
 
 This is the computational kernel for everything else in the package:
-Hermite and Smith normal forms over Z (with unimodular transforms),
+Hermite and Smith normal forms over Z (the forms alone, no transforms;
+the HNF optionally modulo a known multiple D of the lattice's exponent),
 rational polynomial arithmetic with extended gcd, and truncated power
 series division.  No floating point anywhere.
 
@@ -9,11 +10,12 @@ Conventions fixed here and used throughout:
 
 * ``BigRational`` is ``fractions.Fraction`` (always reduced, positive
   denominator).
-* HNF is row-style: ``h = u * m`` with ``u`` unimodular, ``h`` in
+* HNF is row-style: ``h`` spans the row lattice of ``m`` and is in
   upper-triangular echelon form, pivots positive, and every entry above
-  a pivot reduced into ``[0, pivot)``.  Lattices are row spans.
-* SNF is ``d = l * m * r`` with nonnegative diagonal and the
-  divisibility chain ``d[0] | d[1] | ...``.
+  a pivot reduced into ``[0, pivot)``.  Lattices are row spans; with a
+  modulus D the lattice is span(rows) + D*Z^n.
+* SNF is the diagonal of ``l * m * r`` for unimodular ``l``, ``r``: it is
+  nonnegative, with the divisibility chain ``d[0] | d[1] | ...``.
 """
 
 from __future__ import annotations
@@ -133,70 +135,86 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
+def hermite_normal_form(m: IntMatrix, modulus: int | None = None) -> IntMatrix:
+    """Row-style Hermite normal form of the row lattice of ``m``.
 
-    Returns ``(h, u)`` with ``h = u * m``, ``u`` unimodular, ``h`` in
-    upper-triangular echelon form with positive pivots, and every entry
-    above a pivot reduced into ``[0, pivot)``.  Zero rows sink to the
-    bottom.
+    The result is in upper-triangular echelon form with positive pivots
+    and every entry above a pivot reduced into ``[0, pivot)``.  Without a
+    modulus it has the shape of ``m``, zero rows at the bottom.
+
+    With ``modulus`` D > 0 the lattice is span(rows) + D*Z^n, which has
+    full rank, and the result is its n x n HNF.  The rows D*e_j are never
+    written down and every entry is kept reduced mod D (Cohen, GTM 138,
+    Alg. 2.4.8; Domich-Kannan-Trotter 1987), so nothing grows past D.
+    Once the pivot row w of column j takes g = gcd(w_j, D) from D*e_j,
+    what w and D*e_j span beyond the new HNF row is (D/g)*w, which goes
+    back into the working rows.
     """
-    h = m.copy()
-    u = IntMatrix.identity(m.rows)
-    pivot_row = 0
-    pivots: list[tuple[int, int]] = []
+    if modulus is not None and modulus <= 0:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    D = modulus
+    work = [[x % D for x in row] if D else row[:] for row in m.data]
+    basis: list[list[int]] = []
     for col in range(m.cols):
-        if pivot_row >= m.rows:
-            break
-        # Clear the column below pivot_row with gcd row transforms; when the
-        # pivot already divides the entry a plain quotient step keeps the
-        # pivot row untouched.
-        for i in range(pivot_row + 1, m.rows):
-            a, b = h.data[pivot_row][col], h.data[i][col]
-            if b == 0:
+        # Gather column col into one pivot row with gcd row steps; a plain
+        # quotient step keeps the pivot row untouched.
+        piv = None
+        rest = []
+        for row in work:
+            b = row[col]
+            if b and piv is None:
+                piv = row
                 continue
-            if a == 0:
-                h.data[pivot_row], h.data[i] = h.data[i], h.data[pivot_row]
-                u.data[pivot_row], u.data[i] = u.data[i], u.data[pivot_row]
-                continue
-            if b % a == 0:
-                q = b // a
-                _rowop(h, pivot_row, i, 1, 0, -q, 1)
-                _rowop(u, pivot_row, i, 1, 0, -q, 1)
-                continue
-            g, s, t = _xgcd(a, b)
-            _rowop(h, pivot_row, i, s, t, -(b // g), a // g)
-            _rowop(u, pivot_row, i, s, t, -(b // g), a // g)
-        p = h.data[pivot_row][col]
-        if p == 0:
+            if b:
+                a = piv[col]
+                if b % a == 0:
+                    q = b // a
+                    row = [y - q * x for x, y in zip(piv, row)]
+                else:
+                    g, s, t = _xgcd(a, b)
+                    a, b = a // g, b // g
+                    piv, row = [s * x + t * y for x, y in zip(piv, row)], [a * y - b * x for x, y in zip(piv, row)]
+                    if D:
+                        piv = [x % D for x in piv]
+                if D:
+                    row = [x % D for x in row]
+            if any(row):
+                rest.append(row)
+        if D:
+            if piv is None:
+                piv = [0] * m.cols
+                piv[col] = D
+            else:
+                g, s, _ = _xgcd(piv[col], D)
+                carried = [D // g * x % D for x in piv]
+                if any(carried):
+                    rest.append(carried)
+                piv = [s * x % D for x in piv]
+        elif piv is None:
             continue
-        if p < 0:
-            for k in range(m.cols):
-                h.data[pivot_row][k] = -h.data[pivot_row][k]
-            for k in range(m.rows):
-                u.data[pivot_row][k] = -u.data[pivot_row][k]
-            p = -p
-        # Reduce entries above the pivot into [0, p).
-        for i in range(pivot_row):
-            q = h.data[i][col] // p
+        elif piv[col] < 0:
+            piv = [-x for x in piv]
+        # Reduce the entries above the new pivot into [0, pivot).
+        p = piv[col]
+        for i, row in enumerate(basis):
+            q = row[col] // p
             if q:
-                for k in range(m.cols):
-                    h.data[i][k] -= q * h.data[pivot_row][k]
-                for k in range(m.rows):
-                    u.data[i][k] -= q * u.data[pivot_row][k]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-    return h, u
+                row = [x - q * y for x, y in zip(row, piv)]
+                basis[i] = [x % D for x in row] if D else row
+        basis.append(piv)
+        work = rest
+    if not D:
+        basis.extend([0] * m.cols for _ in range(m.rows - len(basis)))
+    return IntMatrix(basis)
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form ``d = l * m * r`` with ``d[i] | d[i+1]``.
+def smith_normal_form(m: IntMatrix) -> list[int]:
+    """The Smith diagonal of ``m``: nonnegative, with ``d[i] | d[i+1]``.
 
-    Uses gcd-pivot elimination; entries stay exact integers throughout.
+    Uses gcd-pivot elimination on a copy of ``m``; entries stay exact
+    integers throughout, and the transforms are not kept.
     """
     d = m.copy()
-    l = IntMatrix.identity(m.rows)
-    r = IntMatrix.identity(m.cols)
     n = min(m.rows, m.cols)
     t = 0
     while t < n:
@@ -212,10 +230,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         bi, bj = best
         if bi != t:
             d.data[t], d.data[bi] = d.data[bi], d.data[t]
-            l.data[t], l.data[bi] = l.data[bi], l.data[t]
         if bj != t:
             _colop(d, t, bj, 0, 1, 1, 0)
-            _colop(r, t, bj, 0, 1, 1, 0)
         while True:
             # Clear column t below the pivot.  Quotient steps (pivot divides
             # the entry) leave the pivot row alone; genuine gcd steps strictly
@@ -226,13 +242,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     continue
                 a = d.data[t][t]
                 if b % a == 0:
-                    q = b // a
-                    _rowop(d, t, i, 1, 0, -q, 1)
-                    _rowop(l, t, i, 1, 0, -q, 1)
+                    _rowop(d, t, i, 1, 0, -(b // a), 1)
                     continue
                 g, s, tt = _xgcd(a, b)
                 _rowop(d, t, i, s, tt, -(b // g), a // g)
-                _rowop(l, t, i, s, tt, -(b // g), a // g)
             # Clear row t right of the pivot.
             dirty = False
             for j in range(t + 1, m.cols):
@@ -241,13 +254,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     continue
                 a = d.data[t][t]
                 if b % a == 0:
-                    q = b // a
-                    _colop(d, t, j, 1, 0, -q, 1)
-                    _colop(r, t, j, 1, 0, -q, 1)
+                    _colop(d, t, j, 1, 0, -(b // a), 1)
                     continue
                 g, s, tt = _xgcd(a, b)
                 _colop(d, t, j, s, tt, -(b // g), a // g)
-                _colop(r, t, j, s, tt, -(b // g), a // g)
                 dirty = True
             if not dirty and all(d.data[i][t] == 0 for i in range(t + 1, m.rows)):
                 break
@@ -263,16 +273,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 break
         if offender is not None:
             _rowop(d, t, offender, 1, 1, 0, 1)
-            _rowop(l, t, offender, 1, 1, 0, 1)
             continue
         t += 1
-    for i in range(n):
-        if d.data[i][i] < 0:
-            for k in range(m.cols):
-                d.data[i][k] = -d.data[i][k]
-            for k in range(m.rows):
-                l.data[i][k] = -l.data[i][k]
-    return d, l, r
+    return [abs(d.data[i][i]) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from dirichletj import cli, cyclotomic, exactalg
 from dirichletj.bernoulli import gbn
 from dirichletj.characters import character_from_index
 from dirichletj.cli import RunReport, main
-from dirichletj.cyclotomic import denominator_ideal
+from dirichletj.cyclotomic import CycElement, denominator_ideal
 
 
 def run_cli(capsys, *argv):
@@ -53,8 +54,8 @@ class TestBern:
         assert code == 1 and "error" in err
 
     @pytest.mark.parametrize("weight, calls, expected", [
-        # One SNF inside denominator_ideal and one for the printed diagonal and quotient.
-        ("2", 2, '{"B": "4/5", "L(1-k)": "-2/5", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [5], "denominator_ideal_snf": [5], "quotient": "Z/5", "schema": 1, "weight": 2}'),
+        # denominator_ideal runs no SNF; one SNF gives the printed diagonal and the quotient.
+        ("2", 1, '{"B": "4/5", "L(1-k)": "-2/5", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [5], "denominator_ideal_snf": [5], "quotient": "Z/5", "schema": 1, "weight": 2}'),
         # Parity mismatch: the ideal is the full ring and only the printed SNF runs.
         ("3", 1, '{"B": "0", "L(1-k)": "0", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [1], "denominator_ideal_snf": [1], "quotient": "0", "schema": 1, "weight": 3}'),
     ])
@@ -72,18 +73,70 @@ class TestBern:
         assert code == 0 and len(seen) == calls
         assert out == expected + "\n"
 
-    @pytest.mark.parametrize("modulus, index, weight", [(41, 1, 9), (61, 1, 37)])
+    @pytest.mark.parametrize("modulus, index, weight", [(41, 1, 9), (61, 1, 37), (83, 1, 3), (101, 1, 3)])
     def test_large_degree_denominator_ideal(self, capsys, modulus, index, weight):
+        start = time.process_time()
         code, out, _ = run_cli(
             capsys, "bern", "--modulus", str(modulus), "--index", str(index),
             "--weight", str(weight), "--json",
         )
+        assert time.process_time() - start < 1.0
         assert code == 0
         assert json.loads(out)["cyclotomic_n"] == modulus - 1
         a = gbn(character_from_index(modulus, index), weight) / (2 * weight)
         ideal = denominator_ideal(a)
         assert not ideal.is_full_ring()
         assert all((x * a).is_integral() for x in ideal.basis_elements())
+        # a = n/c: D(a) = cO / (cO + nO) as ideals, so [O : D(a)] [O : cO + nO] = c^d.
+        field, c = a.field, a.den
+        n = CycElement(field, a.nums)
+        rows = [list((n * field.zeta_power(j)).nums) for j in range(field.degree)]
+        assert ideal.index() * index_mod(rows, c) == c ** field.degree
+
+
+def _factor(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def index_mod(rows, c):
+    """[Z^d : span(rows) + c Z^d] from an echelon form over Z/p^e for each p^e exactly dividing c.
+
+    Over Z/p^e the entry of least p-valuation in a column divides the rest
+    of it, so it is the pivot; p^(e-v) times the pivot row is what p^e e_col
+    leaves behind, and it goes back into the rows.
+    """
+    def val(x, p):
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    index = 1
+    for p, e in _factor(c).items():
+        q = p**e
+        work = [[x % q for x in row] for row in rows]
+        for col in range(len(rows[0])):
+            live = [r for r in work if r[col]]
+            if not live:
+                index *= q
+                continue
+            piv = min(live, key=lambda r: val(r[col], p))
+            v = val(piv[col], p)
+            inv = pow(piv[col] // p**v, -1, q)
+            work = [
+                [(x - r[col] // p**v * inv * y) % q for x, y in zip(r, piv)] for r in work if r is not piv
+            ] + [[p ** (e - v) * y % q for y in piv]]
+            index *= p**v
+    return index
 
 
 class TestHomotopy:
@@ -130,6 +183,31 @@ class TestE2:
         assert code == 0
         payload = json.loads(out)
         assert {"s": 1, "t": 4, "group": "Z/5"} in payload["entries"]
+
+
+class TestRanges:
+    @pytest.mark.parametrize("argv, option", [
+        (["eisenstein", "--modulus", "5", "--index", "2", "--weight", "2", "--nmax", "-5"], "--nmax"),
+        (["eisenstein", "--modulus", "5", "--index", "2", "--weight", "2", "--nmax", "0"], "--nmax"),
+        (["homotopy", "chi", "--modulus", "5", "--index", "2", "--from", "9", "--to", "-3"], "--from"),
+        (["homotopy", "j", "--from", "3", "--to", "2"], "--from"),
+        (["homotopy", "jk", "--modulus", "5", "--subgroup", "4", "--from", "4", "--to", "3"], "--from"),
+        (["e2", "--prime", "5", "--tmin", "4", "--tmax", "-4"], "--tmin"),
+        (["e2", "--prime", "5", "--smax", "-1"], "--smax"),
+    ])
+    def test_empty_range_exits_2(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and option in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eisenstein", "--modulus", "5", "--index", "2", "--weight", "2", "--nmax", "1"],
+        ["homotopy", "chi", "--modulus", "5", "--index", "2", "--from", "3", "--to", "3"],
+        ["e2", "--prime", "5", "--tmin", "4", "--tmax", "4", "--smax", "0"],
+    ])
+    def test_one_point_range_exits_0(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["schema"] == 1
 
 
 class TestVerify:

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirichletj.cyclotomic import (
+    CycElement,
     IdealLattice,
     count_irreducible_factors_mod_p,
     cyclotomic_poly,
@@ -15,7 +17,6 @@ from dirichletj.cyclotomic import (
     frobenius_data,
     galois_apply,
     get_field,
-    ideal_eq,
     ideal_membership,
     ideal_power,
     ideal_product,
@@ -204,14 +205,14 @@ class TestIdealArithmetic:
     def test_product_with_full_ring(self):
         f = get_field(5)
         ideal = IdealLattice.principal(f, f.from_rational(3))
-        assert ideal_eq(ideal_product(ideal, IdealLattice.full_ring(f)), ideal)
+        assert ideal_product(ideal, IdealLattice.full_ring(f)) == ideal
 
     def test_principal_product(self):
         f = get_field(4)
         two = IdealLattice.principal(f, f.from_rational(2))
         three = IdealLattice.principal(f, f.from_rational(3))
         six = IdealLattice.principal(f, f.from_rational(6))
-        assert ideal_eq(ideal_product(two, three), six)
+        assert ideal_product(two, three) == six
 
     def test_carlitz_style_generators(self):
         # (5, 1 - chi(2) * 2^2) with chi(2) = -1 is (5, 5) = (5) in Z.
@@ -227,11 +228,41 @@ class TestIdealArithmetic:
         assert quotient_group(lam) == AbelianGroupExpr.cyclic(3)
         sq = ideal_power(lam, 2)
         assert quotient_group(sq).order() == 9
-        assert ideal_eq(ideal_sum(lam, sq), lam)
+        assert ideal_sum(lam, sq) == lam
 
     def test_quotient_of_full_ring_trivial(self):
         f = get_field(5)
         assert quotient_group(IdealLattice.full_ring(f)).is_zero()
+
+    def test_power_one_is_the_ideal(self):
+        f = get_field(5)
+        lam = IdealLattice.principal(f, f.one() - f.zeta_power(1))
+        assert ideal_power(lam, 1) is lam
+        assert ideal_power(lam, 0) == IdealLattice.full_ring(f)
+        assert ideal_power(lam, 3) == ideal_product(lam, ideal_product(lam, lam))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([3, 4, 5, 8, 12]), st.data())
+    def test_product_and_sum_laws(self, n, data):
+        f = get_field(n)
+        coords = st.lists(st.integers(-4, 4), min_size=f.degree, max_size=f.degree).filter(any)
+
+        def draw_ideal():
+            gens = [CycElement(f, data.draw(coords))]
+            m = data.draw(st.integers(0, 12))
+            return IdealLattice.from_generators(f, gens + [f.from_rational(m)] if m else gens)
+
+        a, b = draw_ideal(), draw_ideal()
+        ab = ideal_product(a, b)
+        assert ab.index() == a.index() * b.index()
+        assert all(a.contains(x) and b.contains(x) for x in ab.basis_elements())
+        # The same ideal from the z^j multiples of every product of basis elements.
+        assert ab == IdealLattice.from_generators(
+            f, [x * y for x in a.basis_elements() for y in b.basis_elements()]
+        )
+        total = ideal_sum(a, b)
+        assert all(total.contains(x) for x in a.basis_elements() + b.basis_elements())
+        assert math.gcd(a.index(), b.index()) % total.index() == 0
 
 
 class TestSplitting:

@@ -2,14 +2,17 @@
 
 Derived expectations are produced by independent oracles inside this
 module (recurrence for Bernoulli numbers, extended-gcd verification by
-multiplication, brute postcondition checks for the normal forms).
+multiplication, and for the normal forms a Bareiss determinant, the
+determinantal divisors and lattice membership built on them).
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirichletj.exactalg import (
     IntMatrix,
@@ -32,6 +35,58 @@ def bernoulli_by_recurrence(k_max):
     return bs
 
 
+def bareiss_det(rows):
+    """Exact determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def matmul(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
+
+
+def determinantal_divisors(rows):
+    """[D_1, D_2, ...]: D_k is the gcd of all k x k minors (0 when they all vanish)."""
+    if not rows:
+        return []
+    n_rows, n_cols = len(rows), len(rows[0])
+    out = []
+    for k in range(1, min(n_rows, n_cols) + 1):
+        g = 0
+        for ri in itertools.combinations(range(n_rows), k):
+            for ci in itertools.combinations(range(n_cols), k):
+                g = math.gcd(g, bareiss_det([[rows[i][j] for j in ci] for i in ri]))
+        out.append(g)
+    return out
+
+
+def in_lattice(rows, v):
+    """v lies in the row span of ``rows`` iff adding it keeps the rank and the top divisor."""
+    before = [x for x in determinantal_divisors(rows) if x]
+    after = [x for x in determinantal_divisors(rows + [list(v)]) if x]
+    if len(after) != len(before):
+        return False
+    return not before or after[-1] == before[-1]
+
+
+def same_lattice(a, b):
+    return all(in_lattice(a, row) for row in b) and all(in_lattice(b, row) for row in a)
+
+
 def hnf_shape_ok(h):
     prev = -1
     for i in range(h.rows):
@@ -50,76 +105,109 @@ def hnf_shape_ok(h):
     return True
 
 
+matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-30, 30), min_size=cols, max_size=cols), min_size=1, max_size=6)
+)
+
+elementary_steps = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3)), max_size=12)
+
+
 class TestHermite:
     def test_identity(self):
         m = IntMatrix.identity(2)
-        h, u = hermite_normal_form(m)
-        assert h == m and u == m
+        assert hermite_normal_form(m) == m
 
     def test_upper_triangular_example(self):
-        h, u = hermite_normal_form(IntMatrix([[2, 1], [0, 3]]))
+        h = hermite_normal_form(IntMatrix([[2, 1], [0, 3]]))
         assert h.diagonal() == [2, 3]
         assert h.data[0][1] == 1  # reduced off-diagonal entry
-        assert u * IntMatrix([[2, 1], [0, 3]]) == h
+        assert same_lattice(h.data, [[2, 1], [0, 3]])
 
     def test_zero_matrix(self):
-        h, _ = hermite_normal_form(IntMatrix([[0, 0], [0, 0]]))
+        h = hermite_normal_form(IntMatrix([[0, 0], [0, 0]]))
         assert h == IntMatrix([[0, 0], [0, 0]])
 
     def test_random_postconditions(self):
         rng = random.Random(5)
         for _ in range(300):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            m = IntMatrix([[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)])
-            h, u = hermite_normal_form(m)
-            assert u * m == h
-            assert abs(u.det()) == 1
+            m = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+            h = hermite_normal_form(IntMatrix(m))
+            assert (h.rows, h.cols) == (rows, cols)
             assert hnf_shape_ok(h)
+            assert same_lattice(h.data, m)
+
+    def test_membership_oracle(self):
+        # The oracle itself: 2Z + 3Z = Z, (1, 1) is not in 2Z^2, and a rank drop is seen.
+        assert in_lattice([[2], [3]], [1])
+        assert not in_lattice([[2, 0], [0, 2]], [1, 1])
+        assert in_lattice([[2, 0], [0, 2]], [4, -2])
+        assert not in_lattice([[1, 0]], [0, 1])
+
+    def test_modulus_example(self):
+        # span{(2, 1)} + 4Z^2 = span{(2, 1), (0, 2)}.
+        assert hermite_normal_form(IntMatrix([[2, 1]]), 4).data == [[2, 1], [0, 2]]
+        assert hermite_normal_form(IntMatrix([[0, 0]]), 6).data == [[6, 0], [0, 6]]
+        with pytest.raises(ValueError):
+            hermite_normal_form(IntMatrix([[1]]), 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(matrices, st.integers(1, 400))
+    def test_modulus_equals_appended_rows(self, rows, modulus):
+        cols = len(rows[0])
+        appended = rows + [[modulus * (i == j) for j in range(cols)] for i in range(cols)]
+        expected = hermite_normal_form(IntMatrix(appended))
+        got = hermite_normal_form(IntMatrix(rows), modulus)
+        assert got.data == expected.data[:cols]
+        assert all(row == [0] * cols for row in expected.data[cols:])
+        assert hnf_shape_ok(got)
 
 
 class TestSmith:
     def test_diag_2_3(self):
-        d, l, r = smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
-        assert d.diagonal() == [1, 6]
-        assert l * IntMatrix([[2, 0], [0, 3]]) * r == d
+        assert smith_normal_form(IntMatrix([[2, 0], [0, 3]])) == [1, 6]
 
     def test_identity(self):
-        d, _, _ = smith_normal_form(IntMatrix.identity(3))
-        assert d == IntMatrix.identity(3)
+        assert smith_normal_form(IntMatrix.identity(3)) == [1, 1, 1]
 
     def test_diag_4_6(self):
-        d, _, _ = smith_normal_form(IntMatrix([[4, 0], [0, 6]]))
-        assert d.diagonal() == [2, 12]
+        assert smith_normal_form(IntMatrix([[4, 0], [0, 6]])) == [2, 12]
 
     def test_random_postconditions(self):
+        # d_k = D_k / D_(k-1), the quotient of consecutive determinantal divisors.
         rng = random.Random(11)
         for _ in range(300):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            m = IntMatrix([[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)])
-            d, l, r = smith_normal_form(m)
-            assert l * m * r == d
-            assert abs(l.det()) == 1 and abs(r.det()) == 1
-            diag = [x for x in d.diagonal() if x]
-            assert all(x > 0 for x in diag)
-            for a, b in zip(diag, diag[1:]):
-                assert b % a == 0
-            for i in range(rows):
-                for j in range(cols):
-                    if i != j:
-                        assert d.data[i][j] == 0
+            m = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+            divisors = determinantal_divisors(m)
+            expected = [b // a if b else 0 for a, b in zip([1] + divisors, divisors)]
+            assert smith_normal_form(IntMatrix(m)) == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(matrices, elementary_steps, elementary_steps)
+    def test_unimodular_invariance(self, m, row_steps, col_steps):
+        # U m V for unimodular U, V built from elementary steps has the same diagonal.
+        def unimodular(n, steps):
+            u = [[int(i == j) for j in range(n)] for i in range(n)]
+            for i, j, c in steps:
+                i, j = i % n, j % n
+                if i != j:
+                    u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            return u
+
+        u, v = unimodular(len(m), row_steps), unimodular(len(m[0]), col_steps)
+        assert abs(bareiss_det(u)) == 1 and abs(bareiss_det(v)) == 1
+        assert smith_normal_form(IntMatrix(matmul(matmul(u, m), v))) == smith_normal_form(IntMatrix(m))
 
     def test_det_preserved(self):
         rng = random.Random(13)
         for _ in range(60):
             n = rng.randint(1, 4)
-            m = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-            if m.det() == 0:
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            det = bareiss_det(m)
+            if det == 0:
                 continue
-            d, _, _ = smith_normal_form(m)
-            prod = 1
-            for x in d.diagonal():
-                prod *= x
-            assert prod == abs(m.det())
+            assert math.prod(smith_normal_form(IntMatrix(m))) == abs(det)
 
 
 class TestSeries:
