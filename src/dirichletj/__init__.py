@@ -1,13 +1,10 @@
 """Exact arithmetic for Dirichlet L-values and Dirichlet J-spectrum homotopy tables."""
 
-from .exactalg import BigRational, IntMatrix, PowerSeries, RationalPoly
+from .exactalg import IntMatrix
 from .homotopy import AbelianGroupExpr, LocalizationSpec
 
 __all__ = [
-    "BigRational",
     "IntMatrix",
-    "PowerSeries",
-    "RationalPoly",
     "AbelianGroupExpr",
     "LocalizationSpec",
 ]

@@ -4,7 +4,10 @@ Sign convention: ordinary Bernoulli numbers come from
 ``F(t) = t e^t / (e^t - 1)``, so B_1 = +1/2.  This differs from the
 common B_1 = -1/2 convention and is used consistently everywhere,
 including the Bernoulli-polynomial oracle (B_k here equals B_k(1) of
-the classical Bernoulli polynomial).
+the classical Bernoulli polynomial).  The table of ordinary B_k comes
+from the integer tangent-number recurrence, with one ``Fraction`` per
+entry built at the end; it shares no code with the generalized series
+below.
 
 Generalized Bernoulli numbers B_{k,chi} are computed two independent
 ways and cross-asserted on every (chi, k):
@@ -33,6 +36,7 @@ from typing import Iterable
 
 from .characters import (
     DirichletCharacter,
+    InputError,
     conductor,
     evaluate,
     is_primitive,
@@ -52,20 +56,23 @@ from .cyclotomic import (
     ideal_sum,
     is_prime,
 )
-from .exactalg import PowerSeries, series_quotient
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_list(k_max: int) -> tuple[Fraction, ...]:
-    # F(t) = e^t / ((e^t - 1)/t); both series have invertible constant term.
-    order = k_max + 2
-    fact = [1] * (order + 1)
-    for i in range(1, order + 1):
-        fact[i] = fact[i - 1] * i
-    num = PowerSeries(order, [Fraction(1, fact[j]) for j in range(order)], Fraction(1))
-    den = PowerSeries(order, [Fraction(1, fact[j + 1]) for j in range(order)], Fraction(1))
-    q = series_quotient(num, den)
-    return tuple(q.coeffs[j] * fact[j] for j in range(k_max + 1))
+    # Tangent numbers T_1..T_H by the integer recurrence of Knuth and
+    # Buckholtz (1967); then B_2h = (-1)^(h-1) 2h T_h / (4^h (4^h - 1)).
+    h_max = k_max // 2
+    tangent = [0, 1] + [0] * (h_max - 1)
+    for k in range(2, h_max + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, h_max + 1):
+        for j in range(k, h_max + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    out = [Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (k_max - 1)
+    for h in range(1, h_max + 1):
+        out[2 * h] = Fraction((-1) ** (h - 1) * 2 * h * tangent[h], 4**h * (4**h - 1))
+    return tuple(out[: k_max + 1])
 
 
 def bernoulli_number(k: int) -> Fraction:
@@ -213,7 +220,7 @@ def gbn(chi: DirichletCharacter, k: int) -> CycElement:
     first; the two computation pipelines are asserted equal on every call.
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InputError("k must be nonnegative")
     prim = primitivize(chi)
     return _gbn_primitive(prim.modulus, prim.index(), k)
 
@@ -222,7 +229,7 @@ def l_value(chi: DirichletCharacter, s: int) -> CycElement:
     """L(s; chi) = -B_{k,chi}/k at s = 1 - k, k >= 1."""
     k = 1 - s
     if k < 1:
-        raise ValueError("special values only at s = 1 - k with k >= 1")
+        raise InputError("special values only at s = 1 - k with k >= 1")
     return gbn(chi, k) * Fraction(-1, k)
 
 

@@ -33,6 +33,13 @@ from typing import Sequence
 from .cyclotomic import CycElement, _multiplicative_order, _vp, euler_phi, factorize, get_field, is_prime
 
 
+class InputError(ValueError):
+    """An argument outside the domain of a public function: a modulus, index or weight.
+
+    The command line exits 2 on it, and 1 on any other error.
+    """
+
+
 def smallest_primitive_root(q: int, phi: int) -> int:
     """Smallest positive primitive root mod q = p^v, p odd; verified."""
     prime_divs = list(factorize(phi))
@@ -79,7 +86,7 @@ class UnitGroupStructure:
 @lru_cache(maxsize=None)
 def get_structure(N: int) -> UnitGroupStructure:
     if N < 1:
-        raise ValueError("modulus must be positive")
+        raise InputError("modulus must be positive")
     gens: list[tuple[int, int, int, int]] = []
     for p, v in sorted(factorize(N).items()):
         q = p**v
@@ -191,7 +198,7 @@ def character_from_index(N: int, index: int) -> DirichletCharacter:
     st = get_structure(N)
     total = st.phi()
     if not 0 <= index < total:
-        raise ValueError(f"character index out of range: {index} (phi({N}) = {total})")
+        raise InputError(f"character index out of range: {index} (phi({N}) = {total})")
     exps = []
     rem = index
     for o in reversed(st.orders):

@@ -4,7 +4,9 @@ Every subcommand is deterministic: identical arguments produce
 byte-identical JSON (wall time is reported only in text output).  The
 ``verify`` subcommand runs the acceptance sweeps; its exit code is 0
 exactly when no case failed (findings do not fail a suite: they mark
-reported-only checks, like the full-ideal Eisenstein congruence).
+reported-only checks, like the full-ideal Eisenstein congruence).  Any
+subcommand exits 2 on a bad argument (rejected by argparse, or by a
+library check that raises ``InputError``) and 1 on any other error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Optional
 
 from . import bernoulli, characters, dedekind, eisenstein, homotopy
-from .characters import DirichletCharacter, character_from_index, char_inv, enumerate_characters
+from .characters import DirichletCharacter, InputError, character_from_index, char_inv, enumerate_characters
 from .cyclotomic import (
     count_irreducible_factors_mod_p,
     cyclotomic_poly,
@@ -359,11 +361,6 @@ SUITE_OPTIONS: dict[str, dict[str, str]] = {
 # Subcommands
 
 
-def _bad_arguments(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
@@ -425,7 +422,7 @@ def _degree_table(fn, lo: int, hi: int) -> list[tuple[int, str]]:
 def cmd_homotopy(args) -> int:
     lo, hi = args.degree_from, args.degree_to
     if lo > hi:
-        return _bad_arguments(f"empty degree range: --from {lo} is above --to {hi}")
+        raise InputError(f"empty degree range: --from {lo} is above --to {hi}")
     if args.target == "j":
         rows = _degree_table(homotopy.pi_J, lo, hi)
         title = "pi_i(J)"
@@ -472,9 +469,9 @@ def cmd_homotopy(args) -> int:
 
 def cmd_e2(args) -> int:
     if args.tmin > args.tmax:
-        return _bad_arguments(f"empty t range: --tmin {args.tmin} is above --tmax {args.tmax}")
+        raise InputError(f"empty t range: --tmin {args.tmin} is above --tmax {args.tmax}")
     if args.smax < 0:
-        return _bad_arguments(f"empty s range: --smax {args.smax} is negative")
+        raise InputError(f"empty s range: --smax {args.smax} is negative")
     data = PAdicCharacterData(p=args.prime, v=args.level_exp, tame=args.tame)
     entries = []
     for s in range(0, args.smax + 1):
@@ -514,7 +511,7 @@ def cmd_e2(args) -> int:
 
 def cmd_eisenstein(args) -> int:
     if args.nmax < 1:
-        return _bad_arguments(f"empty coefficient range: --nmax {args.nmax} is below 1")
+        raise InputError(f"empty coefficient range: --nmax {args.nmax} is below 1")
     chi = character_from_index(args.modulus, args.index)
     result = eisenstein.congruence_check(chi, args.weight, args.nmax)
     coeffs = eisenstein.eisenstein_coeffs(chi, args.weight, min(args.nmax, args.show_coeffs))
@@ -576,7 +573,7 @@ def cmd_verify(args) -> int:
     if args.suite != "all":
         unread = [option for option in given if option not in SUITE_OPTIONS.get(args.suite, {})]
         if unread:
-            return _bad_arguments(f"suite {args.suite} does not read {', '.join(unread)}")
+            raise InputError(f"suite {args.suite} does not read {', '.join(unread)}")
     reports = []
     for name in list(SUITES) if args.suite == "all" else [args.suite]:
         options = SUITE_OPTIONS.get(name, {})
@@ -679,7 +676,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except (ValueError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

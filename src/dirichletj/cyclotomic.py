@@ -2,11 +2,15 @@
 
 Elements are integer vectors over one positive denominator against the
 power basis ``1, z, ..., z^(phi(n)-1)`` modulo the n-th cyclotomic
-polynomial, reduced to lowest terms, so representations are unique and
-equality is syntactic.  Ideals are full-rank sublattices of Z[zeta_n]:
-``IdealLattice`` takes any integer generator rows, puts them in row-style
-Hermite normal form once, modulo a known multiple of the index when the
-caller has one, and verifies closure under multiplication by ``z``.
+polynomial Phi_n, reduced to lowest terms, so representations are unique
+and equality is syntactic.  Phi_n is a tuple of integer coefficients, and
+an inverse is the product of the nontrivial Galois conjugates divided by
+the norm, so no rational polynomial arithmetic is needed.
+
+Ideals are full-rank sublattices of Z[zeta_n]: ``IdealLattice`` takes any
+integer generator rows, puts them in row-style Hermite normal form once,
+modulo a known multiple of the index when the caller has one, and
+verifies closure under multiplication by ``z``.
 
 The denominator ideal of a field element ``a`` = nums/c is the colon
 lattice ``{x in Z[zeta_n] : x*a in Z[zeta_n]}``: the kernel of
@@ -22,13 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactalg import (
-    IntMatrix,
-    RationalPoly,
-    hermite_normal_form,
-    poly_inverse_mod,
-    smith_normal_form,
-)
+from .exactalg import IntMatrix, hermite_normal_form, smith_normal_form
 
 
 def euler_phi(n: int) -> int:
@@ -62,27 +60,35 @@ def factorize(n: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> RationalPoly:
-    """The n-th cyclotomic polynomial Phi_n, monic and integral of degree phi(n).
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial Phi_n: integer coefficients, ascending, monic.
 
-    Computed by exact division of t^n - 1 by Phi_d over the proper
-    divisors d of n.
+    Computed by exact division of t^n - 1 by the monic Phi_d over the
+    proper divisors d of n, so every step stays in the integers.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    num = RationalPoly([-1] + [0] * (n - 1) + [1])  # t^n - 1
+    num = [-1] + [0] * (n - 1) + [1]  # t^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q, rem = num.divmod(cyclotomic_poly(d))
-            if not rem.is_zero():
+            phi_d = cyclotomic_poly(d)
+            m = len(phi_d) - 1
+            quot = [0] * (len(num) - m)
+            for k in range(len(quot) - 1, -1, -1):
+                c = quot[k] = num[k + m]
+                if c:
+                    for j, y in enumerate(phi_d):
+                        num[k + j] -= c * y
+            if any(num[:m]):
                 raise AssertionError(f"Phi_{d} does not divide t^{n} - 1")
-            num = q
-    return num
+            num = quot
+    return tuple(num)
 
 
 class CyclotomicField:
     """Q(zeta_n) with the fixed power basis modulo Phi_n.
 
+    ``phi_n`` is the integer coefficient tuple of ``cyclotomic_poly(n)``.
     Phi_n is monic and integral, so every power of ``z`` reduces to an
     integer vector; ``_zeta_pow[k]`` holds ``z^k`` for k below
     max(n, 2*degree - 1), which serves both ``zeta_power`` and the
@@ -93,10 +99,10 @@ class CyclotomicField:
     def __init__(self, n: int):
         self.n = n
         self.phi_n = cyclotomic_poly(n)
-        self.degree = d = self.phi_n.degree
+        self.degree = d = len(self.phi_n) - 1
         if d != euler_phi(n):
             raise AssertionError(f"deg Phi_{n} = {d} differs from phi({n}) = {euler_phi(n)}")
-        self._phi_low = [int(c) for c in self.phi_n.coeffs[:d]]  # z^d = -sum_j _phi_low[j] z^j
+        self._phi_low = self.phi_n[:d]  # z^d = -sum_j _phi_low[j] z^j
         self._zeta_pow: list[tuple[int, ...]] = [(1,) + (0,) * (d - 1)]
         while len(self._zeta_pow) < max(n, 2 * d - 1):
             self._zeta_pow.append(tuple(self.times_zeta(self._zeta_pow[-1])))
@@ -219,11 +225,25 @@ class CycElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElement":
+        """1/a as the product of the conjugates sigma_s(a), s != 1, over the norm.
+
+        For the integral numerator A = ``nums``, N(A) = A * prod_{s != 1}
+        sigma_s(A) is a nonzero rational integer, so 1/a = den * prod_{s != 1}
+        sigma_s(A) / N(A).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero")
-        # (nums/den)^(-1) = den * nums^(-1), with nums^(-1) a rational polynomial mod Phi_n.
-        inv = poly_inverse_mod(RationalPoly(self.nums), self.field.phi_n).coeffs
-        return self.field.element(inv + (0,) * (self.field.degree - len(inv))) * self.den
+        field = self.field
+        a = CycElement(field, self.nums)
+        conjugates = field.one()
+        for s in range(2, field.n):
+            if math.gcd(s, field.n) == 1:
+                conjugates = conjugates * galois_apply(a, s)
+        norm = a * conjugates
+        if not norm.is_rational():
+            raise AssertionError(f"the norm of {render_cyc(a)} in Q(zeta_{field.n}) is not rational")
+        sign = 1 if norm.nums[0] > 0 else -1
+        return CycElement(field, [sign * self.den * x for x in conjugates.nums], abs(norm.nums[0]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -600,14 +620,14 @@ def padic_splitting(n: int, p: int) -> tuple[int, ...]:
     return frobenius_data(n, p).coset_reps
 
 
-def count_irreducible_factors_mod_p(poly: RationalPoly, p: int) -> int:
+def count_irreducible_factors_mod_p(poly: Sequence[int], p: int) -> int:
     """Number of irreducible factors of a squarefree integral poly mod p.
 
     Distinct-degree factorization count: each pass splits off the product
     of the degree-d irreducible factors as gcd(f, x^(p^d) - x).  Used as
     the brute-force check against ``padic_splitting``.
     """
-    f = [int(c) % p for c in poly.coeffs]
+    f = [c % p for c in poly]
     while f and f[-1] == 0:
         f.pop()
     if len(f) <= 1:

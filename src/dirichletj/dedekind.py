@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import l_value
-from .characters import DirichletCharacter, enumerate_characters, _value_exponent, unit_subgroup
+from .characters import DirichletCharacter, InputError, enumerate_characters, _value_exponent, unit_subgroup
 from .cyclotomic import factorize, get_field
 from .homotopy import AbelianGroupExpr, invert_primes, pi_JK
 
@@ -69,7 +69,7 @@ def zeta_special_value(spec: AbelianFieldSpec, s: int) -> Fraction:
     """
     k = 1 - s
     if k < 1:
-        raise ValueError("special values only at s = 1 - k with k >= 1")
+        raise InputError("special values only at s = 1 - k with k >= 1")
     chis = field_characters(spec)
     big = 1
     for chi in chis:

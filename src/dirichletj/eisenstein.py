@@ -25,19 +25,28 @@ from .cyclotomic import CycElement, IdealLattice, factorize, get_field, ideal_me
 
 
 def sigma_chi(chi: DirichletCharacter, m: int, n: int) -> CycElement:
-    """Twisted divisor sum in Q(zeta_ord(chi))."""
+    """Twisted divisor sum in Q(zeta_ord(chi)).
+
+    Divisors are taken in pairs (d, n/d) with d <= isqrt(n); each chi(d) is
+    an integral root of unity, so the terms chi(d) d^m add up in one
+    integer vector.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if m < 0:
         raise ValueError("m must be nonnegative")
     field = get_field(chi.order())
-    acc = field.zero()
-    for d in range(1, n + 1):
+    acc = [0] * field.degree
+    for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
-            val = evaluate(chi, d)
-            if val is not None:
-                acc = acc + val * (d**m)
-    return acc
+            for e in {d, n // d}:
+                val = evaluate(chi, e)
+                if val is not None:
+                    w = e**m
+                    for t, x in enumerate(val.nums):
+                        if x:
+                            acc[t] += x * w
+    return CycElement(field, acc)
 
 
 def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycElement]:

@@ -1,15 +1,13 @@
-"""Exact integer/rational linear algebra and truncated power series.
+"""Exact integer linear algebra: integer matrices and their normal forms.
 
-This is the computational kernel for everything else in the package:
+This is the computational kernel for the ideal lattices of the package:
 Hermite and Smith normal forms over Z (the forms alone, no transforms;
-the HNF optionally modulo a known multiple D of the lattice's exponent),
-rational polynomial arithmetic with extended gcd, and truncated power
-series division.  No floating point anywhere.
+the HNF optionally modulo a known multiple D of the lattice's exponent).
+Everything is an arbitrary-precision integer; no floating point and no
+rationals anywhere.
 
 Conventions fixed here and used throughout:
 
-* ``BigRational`` is ``fractions.Fraction`` (always reduced, positive
-  denominator).
 * HNF is row-style: ``h`` spans the row lattice of ``m`` and is in
   upper-triangular echelon form, pivots positive, and every entry above
   a pivot reduced into ``[0, pivot)``.  Lattices are row spans; with a
@@ -20,10 +18,7 @@ Conventions fixed here and used throughout:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
-
-BigRational = Fraction
+from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -61,47 +56,8 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({self.data!r})"
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            for k, a in enumerate(row):
-                if a:
-                    orow = other.data[k]
-                    target = out[i]
-                    for j in range(other.cols):
-                        target[j] += a * orow[j]
-        return IntMatrix(out)
-
     def diagonal(self) -> list[int]:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [row[:] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
 
 def _rowop(mat: IntMatrix, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
@@ -276,189 +232,3 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
             continue
         t += 1
     return [abs(d.data[i][i]) for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# Rational polynomials
-
-
-class RationalPoly:
-    """Univariate polynomial over Q, coefficients ascending by degree.
-
-    The zero polynomial has an empty coefficient tuple; otherwise the
-    leading coefficient is nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"RationalPoly({list(self.coeffs)!r})"
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + RationalPoly([-c for c in other.coeffs])
-
-    def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        if self.is_zero() or other.is_zero():
-            return RationalPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPoly(out)
-
-    def scale(self, c: Fraction | int) -> "RationalPoly":
-        return RationalPoly([Fraction(c) * x for x in self.coeffs])
-
-    def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.coeffs[-1]
-        dd = len(other.coeffs) - 1
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            c = rem[-1] / dlead
-            k = len(rem) - 1 - dd
-            q[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-            rem.pop()
-        return RationalPoly(q), RationalPoly(rem)
-
-    def __mod__(self, other: "RationalPoly") -> "RationalPoly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "RationalPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
-
-def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd over Q."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
-def poly_xgcd(a: RationalPoly, m: RationalPoly) -> tuple[RationalPoly, RationalPoly, RationalPoly]:
-    """Extended gcd: returns (g, s, t) with s*a + t*m = g, g monic."""
-    r0, r1 = a, m
-    s0, s1 = RationalPoly([1]), RationalPoly([])
-    t0, t1 = RationalPoly([]), RationalPoly([1])
-    while not r1.is_zero():
-        q, rem = r0.divmod(r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead = r0.coeffs[-1]
-    inv = 1 / lead
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
-
-def poly_inverse_mod(a: RationalPoly, m: RationalPoly) -> RationalPoly:
-    """Inverse of ``a`` modulo ``m`` over Q; requires gcd(a, m) = 1."""
-    g, s, _ = poly_xgcd(a, m)
-    if g.degree != 0:
-        raise ValueError("inputs are not coprime; no inverse exists")
-    return s % m
-
-
-# ---------------------------------------------------------------------------
-# Truncated power series
-
-
-class PowerSeries:
-    """Truncated power series over a commutative coefficient ring.
-
-    ``coeffs`` always has length exactly ``order``.  The ring is carried
-    implicitly through its elements; ``one`` must be the multiplicative
-    identity so the zero element and inverses can be produced generically
-    (coefficients are Fractions or cyclotomic field elements).
-    """
-
-    __slots__ = ("order", "coeffs", "one")
-
-    def __init__(self, order: int, coeffs: Sequence, one):
-        cs = list(coeffs)
-        zero = one - one
-        if len(cs) < order:
-            cs.extend([zero] * (order - len(cs)))
-        self.order = order
-        self.coeffs = cs[:order]
-        self.one = one
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PowerSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"PowerSeries(order={self.order}, coeffs={self.coeffs!r})"
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        zero = self.one - self.one
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            for j in range(n - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return PowerSeries(n, out, self.one)
-
-
-def series_quotient(num: PowerSeries, den: PowerSeries) -> PowerSeries:
-    """Division of truncated power series.
-
-    Requires the constant term of ``den`` to be invertible; the result
-    ``q`` satisfies ``q * den == num`` up to the truncation order.
-    """
-    n = min(num.order, den.order)
-    c0 = den.coeffs[0]
-    if c0 == den.one - den.one:
-        raise ZeroDivisionError("denominator has non-invertible constant term")
-    inv0 = den.one / c0
-    out = []
-    for k in range(n):
-        acc = num.coeffs[k]
-        for j in range(k):
-            acc = acc - out[j] * den.coeffs[k - j]
-        out.append(acc * inv0)
-    return PowerSeries(n, out, num.one)

@@ -28,6 +28,7 @@ from . import characters as chmod
 from .bernoulli import d2k
 from .characters import (
     DirichletCharacter,
+    InputError,
     char_inv,
     conductor,
     is_primitive,
@@ -691,7 +692,7 @@ def _pi_jnchi_direct(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
 def pi_jn_chi_paths(chi: DirichletCharacter, i: int) -> tuple[AbelianGroupExpr, AbelianGroupExpr]:
     """(direct-table value, p-completion assembly value) before localization."""
     if not is_primitive(chi) or chi.is_trivial():
-        raise ValueError("chi must be primitive and nontrivial")
+        raise InputError("chi must be primitive and nontrivial")
     direct = _pi_jnchi_direct(chi, i)
     relevant = set(factorize(chi.modulus)) | set(factorize(chi.order()))
     atoms = [a for p in sorted(relevant) for summand in decompose_p(chi, p) for a in pi_DK1(summand, i).atoms]

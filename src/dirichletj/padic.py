@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cyclotomic import _vp, cyclotomic_poly, euler_phi, is_prime
-from .exactalg import RationalPoly
 
 
 def teichmuller(p: int, a: int, M: int) -> int:
@@ -146,10 +145,9 @@ def _stable_quotient(rows_builder, p: int, M: int):
     raise PrecisionError(f"quotient did not stabilize up to precision {precision}; retry with larger M")
 
 
-def _mult_rows_mod(poly_mod: RationalPoly, u_coeffs: list[int], pm: int) -> list[list[int]]:
-    """Rows of multiplication-by-u on Z[x]/(poly_mod), entries mod pm."""
-    deg = poly_mod.degree
-    mod = [int(c) for c in poly_mod.coeffs]
+def _mult_rows_mod(mod: tuple[int, ...], u_coeffs: list[int], pm: int) -> list[list[int]]:
+    """Rows of multiplication-by-u on Z[x]/(mod), entries mod pm; ``mod`` is monic, ascending."""
+    deg = len(mod) - 1
     rows = []
     cur = [c % pm for c in u_coeffs]
 
@@ -189,8 +187,8 @@ def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15):
         pm = p**precision
         w = pow(teichmuller(p, g % p, precision), a, pm)
         gt = pow(g, t, pm) if t >= 0 else pow(pow(g, -1, pm), -t, pm)
-        # u = w*x - g^t in the power basis; deg Phi_{p^(v-1)} >= 2 for odd p.
-        u = [(-gt) % pm, w % pm] + [0] * (phi.degree - 2)
+        # u = w*x - g^t in the power basis; _mult_rows_mod pads it to deg Phi_{p^(v-1)} >= 2 (p odd).
+        u = [(-gt) % pm, w % pm]
         return _mult_rows_mod(phi, u, pm)
 
     return _stable_quotient(rows_builder, p, M)
@@ -213,11 +211,11 @@ def quotient_oracle_2(v: int, t: int, M: int = 15, parity: Optional[str] = None)
     def rows_builder(precision: int) -> list[list[int]]:
         pm = 2**precision
         gt = pow(5, t, pm) if t >= 0 else pow(pow(5, -1, pm), -t, pm)
-        if phi.degree == 1:
+        if len(phi) == 2:
             # Phi_2 = x + 1, so zeta reduces to -1 in the power basis.
             u = [(-1 - gt) % pm]
         else:
-            u = [(-gt) % pm, 1] + [0] * (phi.degree - 2)
+            u = [(-gt) % pm, 1]
         return _mult_rows_mod(phi, u, pm)
 
     return _stable_quotient(rows_builder, 2, M)

@@ -37,6 +37,15 @@ def odd4():
     return enumerate_characters(4)[1]
 
 
+def bernoulli_by_recurrence(k_max):
+    """Oracle: sum_{j<=k} C(k+1, j) B_j = k + 1 (B_1 = +1/2 convention)."""
+    bs = [Fraction(1)]
+    for k in range(1, k_max + 1):
+        acc = sum(Fraction(math.comb(k + 1, j)) * bs[j] for j in range(k))
+        bs.append((Fraction(k + 1) - acc) / (k + 1))
+    return bs
+
+
 class TestOrdinary:
     def test_small_values(self):
         assert bernoulli_number(0) == 1
@@ -52,6 +61,15 @@ class TestOrdinary:
         for k in range(1, 31):
             acc = sum(Fraction(math.comb(k + 1, j)) * bernoulli_number(j) for j in range(k + 1))
             assert acc == k + 1
+
+    def test_tangent_table_matches_recurrence(self):
+        # The table comes from tangent numbers; the oracle solves the defining recurrence.
+        expected = bernoulli_by_recurrence(60)
+        for k in range(61):
+            assert bernoulli_number(k) == expected[k], k
+        assert bernoulli_number(60) == Fraction(
+            -1215233140483755572040304994079820246041491, 56786730
+        )
 
 
 class TestGBN:

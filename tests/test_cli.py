@@ -49,10 +49,6 @@ class TestBern:
         assert payload["denominator_ideal_snf"] == [5]
         assert payload["quotient"] == "Z/5"
 
-    def test_bad_index_exits_1(self, capsys):
-        code, _, err = run_cli(capsys, "bern", "--modulus", "5", "--index", "9", "--weight", "2")
-        assert code == 1 and "error" in err
-
     @pytest.mark.parametrize("weight, calls, expected", [
         # denominator_ideal runs no SNF; one SNF gives the printed diagonal and the quotient.
         ("2", 1, '{"B": "4/5", "L(1-k)": "-2/5", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [5], "denominator_ideal_snf": [5], "quotient": "Z/5", "schema": 1, "weight": 2}'),
@@ -183,6 +179,19 @@ class TestE2:
         assert code == 0
         payload = json.loads(out)
         assert {"s": 1, "t": 4, "group": "Z/5"} in payload["entries"]
+
+
+class TestBadArguments:
+    # A check inside the library rejects the argument; the CLI keeps its message and exits 2.
+    @pytest.mark.parametrize("argv, message", [
+        (["chars", "list", "--modulus", "0"], "modulus must be positive"),
+        (["bern", "--modulus", "5", "--index", "99", "--weight", "2"], "character index out of range: 99 (phi(5) = 4)"),
+        (["bern", "--modulus", "5", "--index", "2", "--weight", "0"], "special values only at s = 1 - k with k >= 1"),
+        (["homotopy", "chi", "--modulus", "12", "--index", "2"], "chi must be primitive and nontrivial"),
+    ], ids=["chars-modulus-0", "bern-index-99", "bern-weight-0", "homotopy-chi-imprimitive"])
+    def test_library_check_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestRanges:

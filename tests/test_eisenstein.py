@@ -43,6 +43,20 @@ class TestSigma:
                     assert sigma_chi(chi, 2, a * b) == sigma_chi(chi, 2, a) * sigma_chi(chi, 2, b)
 
 
+    def test_matches_divisor_sum_written_here(self):
+        # Every d <= n is tested, and each term is added as a field element.
+        for N in range(1, 25):
+            for chi in enumerate_characters(N):
+                field = get_field(chi.order())
+                m = chi.index() % 4
+                for n in range(1, 121):
+                    expected = field.zero()
+                    for d in range(1, n + 1):
+                        if n % d == 0 and evaluate(chi, d) is not None:
+                            expected = expected + evaluate(chi, d) * d**m
+                    assert sigma_chi(chi, m, n) == expected, (N, chi.index(), m, n)
+
+
 class TestCoefficients:
     def test_classical_weight4(self):
         coeffs = eisenstein_coeffs(trivial(), 4, 3)

@@ -1,38 +1,18 @@
-"""Kernel tests: normal forms, polynomial gcd, series division.
+"""Kernel tests: Hermite and Smith normal forms of integer matrices.
 
 Derived expectations are produced by independent oracles inside this
-module (recurrence for Bernoulli numbers, extended-gcd verification by
-multiplication, and for the normal forms a Bareiss determinant, the
-determinantal divisors and lattice membership built on them).
+module: a Bareiss determinant, the determinantal divisors and lattice
+membership built on them.
 """
 
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletj.exactalg import (
-    IntMatrix,
-    PowerSeries,
-    RationalPoly,
-    hermite_normal_form,
-    poly_gcd,
-    poly_inverse_mod,
-    series_quotient,
-    smith_normal_form,
-)
-
-
-def bernoulli_by_recurrence(k_max):
-    """Oracle: sum_{j<=k} C(k+1, j) B_j = k + 1 (B_1 = +1/2 convention)."""
-    bs = [Fraction(1)]
-    for k in range(1, k_max + 1):
-        acc = sum(Fraction(math.comb(k + 1, j)) * bs[j] for j in range(k))
-        bs.append((Fraction(k + 1) - acc) / (k + 1))
-    return bs
+from dirichletj.exactalg import IntMatrix, hermite_normal_form, smith_normal_form
 
 
 def bareiss_det(rows):
@@ -208,74 +188,3 @@ class TestSmith:
             if det == 0:
                 continue
             assert math.prod(smith_normal_form(IntMatrix(m))) == abs(det)
-
-
-class TestSeries:
-    def test_one_over_one(self):
-        one = Fraction(1)
-        s = PowerSeries(5, [one], one)
-        q = series_quotient(s, s)
-        assert q.coeffs == [one, 0, 0, 0, 0]
-
-    def test_bernoulli_generating_function(self):
-        # (t e^t)/(e^t - 1) with the t-shift pre-applied: e^t / ((e^t-1)/t).
-        order = 34
-        fact = [1]
-        for i in range(1, order + 2):
-            fact.append(fact[-1] * i)
-        num = PowerSeries(order, [Fraction(1, fact[j]) for j in range(order)], Fraction(1))
-        den = PowerSeries(order, [Fraction(1, fact[j + 1]) for j in range(order)], Fraction(1))
-        q = series_quotient(num, den)
-        expected = bernoulli_by_recurrence(30)
-        for k in range(31):
-            assert q.coeffs[k] * fact[k] == expected[k]
-        assert q.coeffs[1] * 1 == Fraction(1, 2)  # the +1/2 convention
-
-    def test_self_quotient(self):
-        one = Fraction(1)
-        s = PowerSeries(6, [Fraction(3), Fraction(1, 2), Fraction(-2), 0, Fraction(5)], one)
-        q = series_quotient(s, s)
-        assert q.coeffs[0] == 1 and all(c == 0 for c in q.coeffs[1:])
-
-    def test_product_roundtrip(self):
-        rng = random.Random(3)
-        one = Fraction(1)
-        for _ in range(50):
-            n = rng.randint(2, 8)
-            a = PowerSeries(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)], one)
-            b_coeffs = [Fraction(rng.choice([1, -1, 2, 3]))] + [
-                Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n - 1)
-            ]
-            b = PowerSeries(n, b_coeffs, one)
-            assert series_quotient(a * b, b).coeffs == a.coeffs
-
-    def test_zero_constant_term_rejected(self):
-        one = Fraction(1)
-        with pytest.raises(ZeroDivisionError):
-            series_quotient(PowerSeries(3, [one], one), PowerSeries(3, [Fraction(0), one], one))
-
-
-class TestPolyInverse:
-    def test_inverse_of_one(self):
-        m = RationalPoly([1, 1, 1])
-        assert poly_inverse_mod(RationalPoly([1]), m) == RationalPoly([1])
-
-    def test_t_mod_t2_plus_1(self):
-        # Extended-gcd oracle: t * (-t) = -t^2 = 1 mod t^2 + 1.
-        a, m = RationalPoly([0, 1]), RationalPoly([1, 0, 1])
-        inv = poly_inverse_mod(a, m)
-        assert inv == RationalPoly([0, -1])
-        assert (a * inv) % m == RationalPoly([1])
-
-    def test_t_plus_1_mod_cyclotomic3(self):
-        a, m = RationalPoly([1, 1]), RationalPoly([1, 1, 1])
-        inv = poly_inverse_mod(a, m)
-        assert (a * inv) % m == RationalPoly([1])
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            poly_inverse_mod(RationalPoly([1, 1]), RationalPoly([1, 2, 1]))
-
-    def test_gcd_monic(self):
-        g = poly_gcd(RationalPoly([1, 2, 1]), RationalPoly([1, 1]))
-        assert g == RationalPoly([1, 1])

@@ -150,6 +150,26 @@ class TestAgainstFractionReference:
                 _assert_normalized(got)
                 assert _value(got) == want, (n, op, ca, cb)
 
+    @pytest.mark.parametrize("n, count", [(17, 3), (41, 1)])
+    def test_inverse_at_degrees_16_and_40(self, n, count):
+        f = get_field(n)
+        rng = random.Random(300 + n)
+        for _ in range(count):
+            cb = _random_coeffs(rng, f.degree)
+            if any(cb):
+                got = f.element(cb).inverse()
+                _assert_normalized(got)
+                assert _value(got) == _ref_inverse(cb, n)
+
+    def test_inverse_of_bernoulli_values(self):
+        chi = character_from_index(41, 1)
+        values = [b for b in (gbn(chi, k) for k in range(7)) if not b.is_zero()]
+        assert len(values) == 3
+        for b in values:
+            got = b.inverse()
+            _assert_normalized(got)
+            assert _value(got) == _ref_inverse(_value(b), b.field.n)
+
     @pytest.mark.parametrize("n", FIELDS)
     def test_galois_and_embed(self, n):
         f = get_field(n)

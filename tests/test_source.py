@@ -16,3 +16,15 @@ def test_no_bare_assert_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"bare assert statements: {found}"
+
+
+def test_exactalg_does_not_import_fractions():
+    # exactalg is integer-only; rational arithmetic must not grow back into it.
+    tree = ast.parse((SRC / "exactalg.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert "fractions" not in imported
