@@ -48,6 +48,7 @@ from .characters import (
 from .cyclotomic import (
     CycElement,
     IdealLattice,
+    _vp,
     denominator_ideal,
     factorize,
     get_field,
@@ -249,7 +250,7 @@ def denom_ideal(chi: DirichletCharacter, k: int) -> IdealLattice:
     if not is_primitive(chi):
         raise ValueError("chi must be primitive")
     if k < 1:
-        raise ValueError("k must be positive")
+        raise InputError("k must be positive")
     field = get_field(chi.order())
     if (-1) ** k != parity(chi):
         return IdealLattice.full_ring(field)
@@ -358,11 +359,7 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
         row["ok"] = b_over_k.is_integral()
         return row
     if v == 1:
-        vp_k = 0
-        kk = k
-        while kk % p == 0:
-            kk //= p
-            vp_k += 1
+        vp_k = _vp(k, p)
         target = ideal_power(ideal_p, vp_k + 1)
         x = gbn(chi, k) * p - (p - 1)
         row["case"] = "p-congruence"
@@ -381,9 +378,7 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
 def p_primary_part(ideal: IdealLattice, p: int) -> IdealLattice:
     """The p-primary component I + (m) with m the prime-to-p part of the index."""
     idx = ideal.index()
-    m = idx
-    while m % p == 0:
-        m //= p
+    m = idx // p ** _vp(idx, p)
     if m == 1:
         return ideal
     return ideal_sum(ideal, IdealLattice.principal(ideal.field, ideal.field.from_rational(m)))

@@ -178,20 +178,19 @@ class DirichletCharacter:
         return f"DirichletCharacter({self.modulus}:{self.index()})"
 
 
+def _decode(st: UnitGroupStructure, index: int) -> DirichletCharacter:
+    """The character at ``index`` in mixed-radix order; the inverse of ``index()``."""
+    exps = []
+    for o in reversed(st.orders):
+        index, e = divmod(index, o)
+        exps.append(e)
+    return DirichletCharacter(st, tuple(reversed(exps)))
+
+
 def enumerate_characters(N: int) -> list[DirichletCharacter]:
     """All phi(N) characters mod N in deterministic mixed-radix order."""
     st = get_structure(N)
-    out = []
-    total = st.phi()
-    orders = st.orders
-    for idx in range(total):
-        exps = []
-        rem = idx
-        for o in reversed(orders):
-            exps.append(rem % o)
-            rem //= o
-        out.append(DirichletCharacter(st, tuple(reversed(exps))))
-    return out
+    return [_decode(st, idx) for idx in range(st.phi())]
 
 
 def character_from_index(N: int, index: int) -> DirichletCharacter:
@@ -199,12 +198,7 @@ def character_from_index(N: int, index: int) -> DirichletCharacter:
     total = st.phi()
     if not 0 <= index < total:
         raise InputError(f"character index out of range: {index} (phi({N}) = {total})")
-    exps = []
-    rem = index
-    for o in reversed(st.orders):
-        exps.append(rem % o)
-        rem //= o
-    return DirichletCharacter(st, tuple(reversed(exps)))
+    return _decode(st, index)
 
 
 def _value_exponent(chi: DirichletCharacter, a: int) -> int | None:

@@ -391,7 +391,7 @@ def cmd_bern(args) -> int:
     b = bernoulli.gbn(chi, k)
     lv = bernoulli.l_value(chi, 1 - k)
     ideal = bernoulli.denom_ideal(characters.primitivize(chi), k)
-    diag = ideal.basis.diagonal()
+    diag = ideal.diagonal()
     snf_diag = smith_normal_form(ideal.basis)
     quot = quotient_from_snf(snf_diag)
     payload = {

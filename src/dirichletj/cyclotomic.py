@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactalg import IntMatrix, hermite_normal_form, smith_normal_form
+from .exactalg import hermite_normal_form, smith_normal_form
 
 
 def euler_phi(n: int) -> int:
@@ -351,9 +351,10 @@ def _zeta_rows(field: CyclotomicField, vec: Sequence[int]) -> list[list[int]]:
 class IdealLattice:
     """Full-rank sublattice of Z[zeta_n] in row HNF, closed under z-multiplication.
 
-    The constructor takes any integer generator rows and is the one place
-    that computes an HNF; it rejects rows of less than full rank and
-    lattices that are not closed under multiplication by ``z``.
+    ``basis`` is the HNF as phi(n) integer rows and ``diagonal()`` its
+    pivots.  The constructor takes any integer generator rows and is the
+    one place that computes an HNF; it rejects rows of less than full rank
+    and lattices that are not closed under multiplication by ``z``.
 
     ``modulus``, when given, is a positive D with D*Z[zeta_n] inside the
     lattice; the HNF then runs modulo D.  With a modulus the rows may be
@@ -369,17 +370,16 @@ class IdealLattice:
         lead = len(rows[0]) - d if rows else -1
         if lead < 0 or (lead and modulus is None) or any(len(row) != d + lead for row in rows):
             raise ValueError("generator rows must be nonempty and of length phi(n)")
-        h = hermite_normal_form(IntMatrix(rows), modulus)
-        basis = [row[lead:] for row in h.data[lead:lead + d]]
-        if len(basis) < d or any(basis[i][i] == 0 for i in range(d)):
+        h = hermite_normal_form(rows, modulus)
+        self.basis = [row[lead:] for row in h[lead:lead + d]]
+        if len(self.basis) < d or not all(self.diagonal()):
             raise ValueError("rows are singular; not a full-rank lattice")
         self.field = field
-        self.basis = IntMatrix(basis)
-        if not all(self._contains_vector(field.times_zeta(row)) for row in self.basis.data):
+        if not all(self._contains_vector(field.times_zeta(row)) for row in self.basis):
             raise ValueError("lattice is not closed under multiplication by zeta")
 
     def _contains_vector(self, vec: Sequence[int]) -> bool:
-        h = self.basis.data
+        h = self.basis
         x = list(vec)
         for i in range(self.field.degree):
             p = h[i][i]
@@ -393,7 +393,7 @@ class IdealLattice:
 
     @classmethod
     def full_ring(cls, field: CyclotomicField) -> "IdealLattice":
-        return cls(field, IntMatrix.identity(field.degree).data, 1)
+        return cls(field, [[int(i == j) for j in range(field.degree)] for i in range(field.degree)], 1)
 
     @classmethod
     def from_generators(cls, field: CyclotomicField, gens: Iterable[CycElement]) -> "IdealLattice":
@@ -432,23 +432,24 @@ class IdealLattice:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.n, tuple(tuple(r) for r in self.basis.data)))
+        return hash((self.field.n, tuple(tuple(r) for r in self.basis)))
 
     def __repr__(self) -> str:
-        return f"IdealLattice(n={self.field.n}, diag={self.basis.diagonal()})"
+        return f"IdealLattice(n={self.field.n}, diag={self.diagonal()})"
+
+    def diagonal(self) -> list[int]:
+        """The HNF pivots, one per coordinate."""
+        return [row[i] for i, row in enumerate(self.basis)]
 
     def index(self) -> int:
         """Index [Z[zeta] : I] = product of HNF pivots."""
-        out = 1
-        for d in self.basis.diagonal():
-            out *= d
-        return out
+        return math.prod(self.diagonal())
 
     def is_full_ring(self) -> bool:
         return self.index() == 1
 
     def basis_elements(self) -> list[CycElement]:
-        return [CycElement(self.field, row) for row in self.basis.data]
+        return [CycElement(self.field, row) for row in self.basis]
 
     def contains(self, x: CycElement) -> bool:
         if x.field.n != self.field.n:
@@ -468,7 +469,7 @@ def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
 
 def ideal_sum(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     a._check(b)
-    return IdealLattice(a.field, a.basis.data + b.basis.data, math.gcd(a.index(), b.index()))
+    return IdealLattice(a.field, a.basis + b.basis, math.gcd(a.index(), b.index()))
 
 
 def ideal_power(a: IdealLattice, e: int) -> IdealLattice:
@@ -583,28 +584,19 @@ def is_prime(p: int) -> bool:
 def frobenius_data(n: int, p: int) -> FrobeniusData:
     if not is_prime(p):
         raise ValueError("p must be prime")
-    v = 0
-    n_prime = n
-    while n_prime % p == 0:
-        n_prime //= p
-        v += 1
-    m = _multiplicative_order(p % n_prime if n_prime > 1 else 1, n_prime)
+    v = _vp(n, p)
+    n_prime = n // p**v
+    m = _multiplicative_order(p, n_prime)
     seen: set[int] = set()
     reps: list[int] = []
     for b in range(1, n_prime + 1):
-        if n_prime == 1 and b > 1:
-            break
-        if math.gcd(b, n_prime) != 1:
-            continue
-        if b in seen:
+        if math.gcd(b, n_prime) != 1 or b in seen:
             continue
         reps.append(b)
         x = b
         for _ in range(m):
             seen.add(x)
-            x = (x * p) % n_prime if n_prime > 1 else 1
-    if n_prime == 1:
-        reps = [1]
+            x = x * p % n_prime
     return FrobeniusData(
         n=n, p=p, v=v, n_prime=n_prime, m=m,
         ramification=euler_phi(p**v), coset_reps=tuple(reps),

@@ -37,7 +37,7 @@ class AbelianFieldSpec:
     def __post_init__(self):
         for g in self.subgroup_gens:
             if self.modulus > 1 and math.gcd(g, self.modulus) != 1:
-                raise ValueError(f"{g} is not a unit mod {self.modulus}")
+                raise InputError(f"{g} is not a unit mod {self.modulus}")
 
     def subgroup(self) -> set[int]:
         return unit_subgroup(self.modulus, self.subgroup_gens)
@@ -93,11 +93,11 @@ def verify_jk(spec: AbelianFieldSpec, t: int) -> dict:
     """
     N = spec.modulus
     if N > 1 and len(factorize(N)) != 1:
-        raise ValueError("N must be 1 or a prime power")
+        raise InputError("N must be 1 or a prime power")
     if not is_totally_real(spec):
-        raise ValueError("K must be totally real (-1 in H)")
+        raise InputError("K must be totally real (-1 in H)")
     if t < 1:
-        raise ValueError("t must be positive")
+        raise InputError("t must be positive")
     H = spec.subgroup()
     hsize = len(H)
     zeta = zeta_special_value(spec, 1 - 2 * t)

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .bernoulli import denom_ideal, gbn, p_primary_part
-from .characters import DirichletCharacter, conductor, evaluate, is_primitive, parity
+from .characters import DirichletCharacter, InputError, conductor, evaluate, is_primitive, parity
 from .cyclotomic import CycElement, IdealLattice, factorize, get_field, ideal_membership
 
 
@@ -56,9 +56,9 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     is undefined.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise InputError("k must be positive")
     if (-1) ** k != parity(chi):
-        raise ValueError("parity mismatch: B_{k,chi} = 0, series not normalizable")
+        raise InputError("parity mismatch: B_{k,chi} = 0, series not normalizable")
     field = get_field(chi.order())
     b = gbn(chi, k)
     factor = field.from_rational(Fraction(-2 * k)) * b.inverse()

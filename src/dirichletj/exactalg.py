@@ -1,8 +1,8 @@
-"""Exact integer linear algebra: integer matrices and their normal forms.
+"""Exact integer linear algebra: Hermite and Smith normal forms over Z.
 
-This is the computational kernel for the ideal lattices of the package:
-Hermite and Smith normal forms over Z (the forms alone, no transforms;
-the HNF optionally modulo a known multiple D of the lattice's exponent).
+This is the computational kernel for the ideal lattices of the package.
+A matrix is a list of integer rows; the forms come without transforms,
+the HNF optionally modulo a known multiple D of the lattice's exponent.
 Everything is an arbitrary-precision integer; no floating point and no
 rationals anywhere.
 
@@ -13,67 +13,22 @@ Conventions fixed here and used throughout:
   a pivot reduced into ``[0, pivot)``.  Lattices are row spans; with a
   modulus D the lattice is span(rows) + D*Z^n.
 * SNF is the diagonal of ``l * m * r`` for unimodular ``l``, ``r``: it is
-  nonnegative, with the divisibility chain ``d[0] | d[1] | ...``.
+  nonnegative, with the divisibility chain ``d[0] | d[1] | ...``.  It is
+  computed by the HNF alone: HNFs of transposes until the matrix is
+  diagonal, then a gcd/lcm pass over the diagonal.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 
-# ---------------------------------------------------------------------------
-# Integer matrices
-
-
-class IntMatrix:
-    """Dense matrix with arbitrary-precision integer entries, row-major."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data: Sequence[Sequence[int]]):
-        self.data = [list(row) for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("inconsistent row lengths")
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.data)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.data!r})"
-
-    def diagonal(self) -> list[int]:
-        return [self.data[i][i] for i in range(min(self.rows, self.cols))]
-
-
-def _rowop(mat: IntMatrix, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-    # rows (i, j) <- (a*row_i + b*row_j, c*row_i + d*row_j); caller ensures ad-bc = +-1
-    ri, rj = mat.data[i], mat.data[j]
-    for k in range(mat.cols):
-        x, y = ri[k], rj[k]
-        ri[k] = a * x + b * y
-        rj[k] = c * x + d * y
-
-
-def _colop(mat: IntMatrix, i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-    for row in mat.data:
-        x, y = row[i], row[j]
-        row[i] = a * x + b * y
-        row[j] = c * x + d * y
+def _width(m: Sequence[Sequence[int]]) -> int:
+    cols = len(m[0]) if m else 0
+    if any(len(row) != cols for row in m):
+        raise ValueError("inconsistent row lengths")
+    return cols
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -91,7 +46,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_normal_form(m: IntMatrix, modulus: int | None = None) -> IntMatrix:
+def hermite_normal_form(m: Sequence[Sequence[int]], modulus: int | None = None) -> list[list[int]]:
     """Row-style Hermite normal form of the row lattice of ``m``.
 
     The result is in upper-triangular echelon form with positive pivots
@@ -108,10 +63,11 @@ def hermite_normal_form(m: IntMatrix, modulus: int | None = None) -> IntMatrix:
     """
     if modulus is not None and modulus <= 0:
         raise ValueError(f"modulus must be positive, got {modulus}")
+    cols = _width(m)
     D = modulus
-    work = [[x % D for x in row] if D else row[:] for row in m.data]
+    work = [[x % D for x in row] if D else list(row) for row in m]
     basis: list[list[int]] = []
-    for col in range(m.cols):
+    for col in range(cols):
         # Gather column col into one pivot row with gcd row steps; a plain
         # quotient step keeps the pivot row untouched.
         piv = None
@@ -138,7 +94,7 @@ def hermite_normal_form(m: IntMatrix, modulus: int | None = None) -> IntMatrix:
                 rest.append(row)
         if D:
             if piv is None:
-                piv = [0] * m.cols
+                piv = [0] * cols
                 piv[col] = D
             else:
                 g, s, _ = _xgcd(piv[col], D)
@@ -160,75 +116,31 @@ def hermite_normal_form(m: IntMatrix, modulus: int | None = None) -> IntMatrix:
         basis.append(piv)
         work = rest
     if not D:
-        basis.extend([0] * m.cols for _ in range(m.rows - len(basis)))
-    return IntMatrix(basis)
+        basis.extend([0] * cols for _ in range(len(m) - len(basis)))
+    return basis
 
 
-def smith_normal_form(m: IntMatrix) -> list[int]:
+def smith_normal_form(m: Sequence[Sequence[int]]) -> list[int]:
     """The Smith diagonal of ``m``: nonnegative, with ``d[i] | d[i+1]``.
 
-    Uses gcd-pivot elimination on a copy of ``m``; entries stay exact
-    integers throughout, and the transforms are not kept.
+    The HNF of the transpose, repeated on transposes, reaches a diagonal
+    matrix (Kannan-Bachem, SIAM J. Comput. 1979): each pass is a unimodular
+    row operation on the transpose, so the Smith form is kept, and each
+    leading pivot only shrinks in divisibility until its row and column
+    are clear.  An ideal basis, already upper triangular, usually needs
+    one pass.  Pairs of diagonal entries then become (gcd, lcm), which
+    keeps Z^n / diag and gives the divisibility chain.
     """
-    d = m.copy()
-    n = min(m.rows, m.cols)
-    t = 0
-    while t < n:
-        # Find a nonzero entry of minimal absolute value in the trailing block.
-        best = None
-        for i in range(t, m.rows):
-            for j in range(t, m.cols):
-                v = d.data[i][j]
-                if v and (best is None or abs(v) < abs(d.data[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    n = min(len(m), _width(m))
+    h = m
+    while True:
+        h = hermite_normal_form(list(zip(*h)))
+        if all(not x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
             break
-        bi, bj = best
-        if bi != t:
-            d.data[t], d.data[bi] = d.data[bi], d.data[t]
-        if bj != t:
-            _colop(d, t, bj, 0, 1, 1, 0)
-        while True:
-            # Clear column t below the pivot.  Quotient steps (pivot divides
-            # the entry) leave the pivot row alone; genuine gcd steps strictly
-            # shrink the pivot, so the row/column alternation terminates.
-            for i in range(t + 1, m.rows):
-                b = d.data[i][t]
-                if b == 0:
-                    continue
-                a = d.data[t][t]
-                if b % a == 0:
-                    _rowop(d, t, i, 1, 0, -(b // a), 1)
-                    continue
-                g, s, tt = _xgcd(a, b)
-                _rowop(d, t, i, s, tt, -(b // g), a // g)
-            # Clear row t right of the pivot.
-            dirty = False
-            for j in range(t + 1, m.cols):
-                b = d.data[t][j]
-                if b == 0:
-                    continue
-                a = d.data[t][t]
-                if b % a == 0:
-                    _colop(d, t, j, 1, 0, -(b // a), 1)
-                    continue
-                g, s, tt = _xgcd(a, b)
-                _colop(d, t, j, s, tt, -(b // g), a // g)
-                dirty = True
-            if not dirty and all(d.data[i][t] == 0 for i in range(t + 1, m.rows)):
-                break
-        # Pivot must divide every remaining entry; absorb offenders and retry.
-        p = d.data[t][t]
-        offender = None
-        for i in range(t + 1, m.rows):
-            for j in range(t + 1, m.cols):
-                if d.data[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _rowop(d, t, offender, 1, 1, 0, 1)
-            continue
-        t += 1
-    return [abs(d.data[i][i]) for i in range(n)]
+    d = [h[i][i] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return d
+
+

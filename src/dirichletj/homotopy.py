@@ -194,7 +194,7 @@ class LocalizationSpec:
     def __post_init__(self):
         for p in self.inverted:
             if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise InputError(f"{p} is not prime")
 
 
 def invert_primes(g: AbelianGroupExpr, loc: LocalizationSpec | Iterable[int]) -> AbelianGroupExpr:
@@ -266,7 +266,7 @@ def d2k_level(k: int, N: int) -> int:
 def pi_JN(N: int, i: int) -> AbelianGroupExpr:
     """Homotopy of the level-N J-spectrum; J(N) = J(2N) reduces even N = 2 mod 4."""
     if N < 1:
-        raise ValueError("N must be positive")
+        raise InputError("N must be positive")
     if N % 4 == 2:
         N //= 2
     A = AbelianGroupExpr
@@ -299,7 +299,7 @@ def pi_JN(N: int, i: int) -> AbelianGroupExpr:
 def pi_K1(p: int, i: int) -> AbelianGroupExpr:
     """Homotopy of the K(1)-local sphere at p."""
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise InputError(f"p must be prime, got {p}")
     A = AbelianGroupExpr
     if p == 2:
         if i == 0:
@@ -325,9 +325,9 @@ def pi_K1(p: int, i: int) -> AbelianGroupExpr:
 def pi_K1_pv(p: int, v: int, i: int) -> AbelianGroupExpr:
     """Homotopy of the level-p^v Galois extension of the K(1)-local sphere."""
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise InputError(f"p must be prime, got {p}")
     if v < 1 or (p == 2 and v < 2):
-        raise ValueError("unsupported level exponent")
+        raise InputError("unsupported level exponent")
     A = AbelianGroupExpr
     if i in (0, -1):
         return A.padic(p)
@@ -744,13 +744,15 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
     parts across the fracture square and are not represented; the
     comparison degrees of the Dedekind theorem are 4t - 1.
     """
+    if N < 1:
+        raise InputError("N must be positive")
     if i in (0, -1):
-        raise ValueError("degrees 0 and -1 are not represented by the local assembly")
+        raise InputError("degrees 0 and -1 are not represented by the local assembly")
     if N == 2:
         N = 1
     fac = factorize(N) if N > 1 else {}
     if len(fac) > 1:
-        raise ValueError("N must be 1 or a prime power in this release")
+        raise InputError("N must be 1 or a prime power in this release")
     H = unit_subgroup(N, subgroup_gens)
     hsize = len(H)
     out = AbelianGroupExpr.zero()

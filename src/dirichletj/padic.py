@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .characters import InputError
 from .cyclotomic import _vp, cyclotomic_poly, euler_phi, is_prime
 
 
@@ -251,17 +252,17 @@ class PAdicCharacterData:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError("p must be prime")
+            raise InputError("p must be prime")
         if self.v < 0:
-            raise ValueError("v must be nonnegative")
+            raise InputError("v must be nonnegative")
         if self.p == 2:
             if self.v == 1:
-                raise ValueError("conductor exponent 1 at p = 2 cannot occur for primitive characters")
+                raise InputError("conductor exponent 1 at p = 2 cannot occur for primitive characters")
             if self.tame not in (0, 1):
-                raise ValueError("2-adic tame datum is a parity bit")
+                raise InputError("2-adic tame datum is a parity bit")
         else:
             if not 0 <= self.tame <= self.p - 2:
-                raise ValueError("tame exponent out of range")
+                raise InputError("tame exponent out of range")
 
 
 def e2_page(chi_data: PAdicCharacterData, s: int, t: int):

@@ -314,8 +314,8 @@ def test_denominator_ideals_match_pinned():
                 if (-1) ** k != parity(chi):
                     continue
                 ideal = denom_ideal(chi, k)
-                diagonals.setdefault(N, {})[(chi.index(), k)] = tuple(ideal.basis.diagonal())
-                lines.append(f"{N}:{chi.index()}:{k}:{ideal.basis.data}")
+                diagonals.setdefault(N, {})[(chi.index(), k)] = tuple(ideal.diagonal())
+                lines.append(f"{N}:{chi.index()}:{k}:{ideal.basis}")
     assert diagonals == PINNED_DIAGONALS
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_BASES_SHA256
 
@@ -351,7 +351,7 @@ class TestCarlitz:
     def test_carlitz_ideal_quad5(self):
         # (5, 1 - chi(2) * 4) = (5, 5) = (5), proper.
         ideal = carlitz_p_ideal(quad5(), 2)
-        assert ideal.basis.diagonal() == [5]
+        assert ideal.diagonal() == [5]
 
     def test_kernel_match_agrees_with_ideal_properness(self):
         for N in (5, 7, 11, 13, 9):

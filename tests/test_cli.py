@@ -156,9 +156,9 @@ class TestHomotopy:
         assert payload["table"]["5"] == "Z/4"
 
     @pytest.mark.parametrize("target, extra", [("k1", []), ("k1pv", ["--level-exp", "1"])])
-    def test_non_prime_exits_1(self, capsys, target, extra):
+    def test_non_prime_exits_2(self, capsys, target, extra):
         code, out, err = run_cli(capsys, "homotopy", target, "--prime", "4", *extra, "--from", "0", "--to", "5")
-        assert code == 1 and out == "" and "prime" in err
+        assert code == 2 and out == "" and "prime" in err
 
     def test_jk(self, capsys):
         code, out, _ = run_cli(
@@ -191,6 +191,27 @@ class TestBadArguments:
     ], ids=["chars-modulus-0", "bern-index-99", "bern-weight-0", "homotopy-chi-imprimitive"])
     def test_library_check_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    # The other domain checks inside the library: tables, p-adic data, localizations, fields, Eisenstein series.
+    @pytest.mark.parametrize("argv, message", [
+        ("homotopy k1 --prime 4", "p must be prime, got 4"),
+        ("homotopy k1pv --prime 4", "p must be prime, got 4"),
+        ("homotopy k1pv --prime 3 --level-exp 0", "unsupported level exponent"),
+        ("homotopy jn --level 0", "N must be positive"),
+        ("homotopy jk --modulus 12", "N must be 1 or a prime power in this release"),
+        ("homotopy jk --modulus 0 --from 1 --to 3", "N must be positive"),
+        ("homotopy chi --modulus 5 --index 2 --invert 4", "4 is not prime"),
+        ("e2 --prime 4", "p must be prime"),
+        ("e2 --prime 5 --tame 9", "tame exponent out of range"),
+        ("e2 --prime 5 --level-exp -1", "v must be nonnegative"),
+        ("dedekind --modulus 7 --subgroup 7", "7 is not a unit mod 7"),
+        ("dedekind --modulus 7 --subgroup 6 --verify-t 0", "t must be positive"),
+        ("eisenstein --modulus 5 --index 1 --weight 2", "parity mismatch: B_{k,chi} = 0, series not normalizable"),
+        ("eisenstein --modulus 5 --index 2 --weight 0", "k must be positive"),
+    ])
+    def test_domain_check_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv.split())
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -175,14 +175,14 @@ class TestDenominatorIdeal:
     def test_quarter_in_q_zeta4(self):
         f = get_field(4)
         ideal = denominator_ideal(f.from_rational(Fraction(1, 4)))
-        assert ideal.basis.diagonal() == [4, 4]
+        assert ideal.diagonal() == [4, 4]
         assert quotient_group(ideal) == AbelianGroupExpr.cyclic(4) + AbelianGroupExpr.cyclic(4)
 
     def test_rational_bernoulli_case(self):
         # B_{2,chi_5}/4 = 1/5 lives in Q = Q(zeta_2); denominator ideal (5).
         f = get_field(2)
         ideal = denominator_ideal(f.from_rational(Fraction(1, 5)))
-        assert ideal.basis.diagonal() == [5]
+        assert ideal.diagonal() == [5]
 
     def test_products_land_integrally_and_maximally(self):
         rng = random.Random(9)
@@ -195,12 +195,12 @@ class TestDenominatorIdeal:
                 if a.is_zero():
                     continue
                 ideal = denominator_ideal(a)
-                for row in ideal.basis.data:
+                for row in ideal.basis:
                     x = f.element([Fraction(v) for v in row])
                     assert (x * a).is_integral()
                 # Maximality probe: dividing a pivot row by a prime divisor
                 # of its pivot must leave the lattice.
-                for i, row in enumerate(ideal.basis.data):
+                for i, row in enumerate(ideal.basis):
                     piv = row[i]
                     for q in set(_prime_divisors(piv)):
                         scaled = [Fraction(v, q) for v in row]
@@ -250,7 +250,7 @@ class TestIdealArithmetic:
         # (5, 1 - chi(2) * 2^2) with chi(2) = -1 is (5, 5) = (5) in Z.
         f = get_field(2)
         ideal = IdealLattice.from_generators(f, [f.from_rational(5), f.from_rational(1 + 4)])
-        assert ideal.basis.diagonal() == [5]
+        assert ideal.diagonal() == [5]
         assert ideal_membership(f.from_rational(10), ideal)
         assert not ideal_membership(f.from_rational(3), ideal)
 
