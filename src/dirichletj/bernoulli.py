@@ -19,8 +19,11 @@ ways and cross-asserted on every (chi, k):
   k asked for, in integer arithmetic over the power basis of
   Q(zeta_ord(chi)), and its integer vector and denominator become the
   ``CycElement`` as they are;
-* Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``, evaluated
-  afresh for each k in ``CycElement`` arithmetic.
+* Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``.  Each
+  primitive character keeps, per class of equal chi(a), the integer power
+  sums of its residues (``_POLYSUM_CACHE``), grown only as far as the
+  largest k asked for; B_{k,chi} is read off them and the coefficients of
+  B_k(x) as one integer vector over one denominator.
 
 Both sum over the classes of residues a with equal chi(a), use the
 primitive representative of chi (the defining sum runs over the
@@ -30,9 +33,9 @@ conductor) and share nothing beyond ``evaluate``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .characters import (
     DirichletCharacter,
@@ -92,26 +95,12 @@ def _bernoulli_poly_coeffs(k: int) -> tuple[Fraction, ...]:
 
 
 def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
+    """Classical B_k(x), by Horner steps over its coefficients."""
     x = Fraction(x)
-    return _bernoulli_poly_sum(k, [x.numerator], x.denominator)
-
-
-def _bernoulli_poly_sum(k: int, xs: Iterable[int], q: int) -> Fraction:
-    """Sum of B_k(x/q) over the integers x in ``xs``.
-
-    Integer Horner steps on D q^k B_k(x/q) = sum_j D c_j q^j x^(k-j), with D
-    the common denominator of the coefficients c_j; one division at the end.
-    """
-    cs = _bernoulli_poly_coeffs(k)
-    den = math.lcm(*(c.denominator for c in cs))
-    scaled = [c.numerator * (den // c.denominator) * q**j for j, c in enumerate(cs)]
-    total = 0
-    for x in xs:
-        h = 0
-        for c in scaled:
-            h = h * x + c
-        total += h
-    return Fraction(total, den * q**k)
+    acc = Fraction(0)
+    for c in _bernoulli_poly_coeffs(k):
+        acc = acc * x + c
+    return acc
 
 
 class _SeriesState:
@@ -185,18 +174,65 @@ def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
     return CycElement(get_field(chi.order()), state.nums[k], state.dens[k])
 
 
+class _PolysumState:
+    """Per-class power sums of one primitive chi, for the Bernoulli-polynomial oracle.
+
+    Expanding B_k(x) = sum_j c_j x^(k-j) in ``N^(k-1) sum_a chi(a) B_k(a/N)``
+    gives
+
+        N B_{k,chi} = sum_e zeta^e sum_j c_j N^j P_{k-j}(e),
+
+    with P_i(e) the sum of a^i over the residues a with chi(a) = zeta^e.
+    ``sums[e]`` holds P_0, P_1, ... of class e; it is grown only as far as
+    the largest k asked for.
+    """
+
+    __slots__ = ("N", "degree", "terms", "residues", "pows", "sums")
+
+    def __init__(self, chi: DirichletCharacter):
+        self.N = chi.modulus
+        classes: dict[tuple, list[int]] = {}
+        for a in range(1, self.N + 1):
+            val = evaluate(chi, a)
+            if val is not None:
+                classes.setdefault(val.nums, []).append(a)
+        self.degree = len(next(iter(classes)))
+        # zeta^e of each class as its nonzero (coordinate, coefficient) pairs
+        self.terms = [[(t, x) for t, x in enumerate(vec) if x] for vec in classes]
+        self.residues = list(classes.values())
+        self.pows = [[1] * len(r) for r in self.residues]  # a^i for the next i
+        self.sums: list[list[int]] = [[] for _ in self.terms]
+
+    def value(self, k: int) -> tuple[list[int], int]:
+        """Integer vector and denominator of B_{k,chi}."""
+        while len(self.sums[0]) <= k:
+            for P, pows in zip(self.sums, self.pows):
+                P.append(sum(pows))
+            self.pows = [list(map(operator.mul, p, r)) for p, r in zip(self.pows, self.residues)]
+        N = self.N
+        cs = _bernoulli_poly_coeffs(k)
+        den = math.lcm(*(c.denominator for c in cs))
+        scaled = [c.numerator * (den // c.denominator) * N**j for j, c in enumerate(cs)]
+        nums = [0] * self.degree
+        for terms, P in zip(self.terms, self.sums):
+            s = sum(map(operator.mul, scaled, P[k::-1]))  # sum_j c_j N^j P_{k-j}
+            for t, x in terms:
+                nums[t] += x * s
+        return nums, N * den
+
+
+# Power-sum state of the oracle per primitive character, keyed (modulus, index).
+_POLYSUM_CACHE: dict[tuple[int, int], _PolysumState] = {}
+
+
 def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
     """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N)."""
-    N = chi.modulus
-    classes: dict[tuple, tuple[CycElement, list[int]]] = {}
-    for a in range(1, N + 1):
-        val = evaluate(chi, a)
-        if val is not None:
-            classes.setdefault(val.nums, (val, []))[1].append(a)
-    acc = get_field(chi.order()).zero()
-    for val, residues in classes.values():
-        acc = acc + val * _bernoulli_poly_sum(k, residues, N)
-    return acc * Fraction(N) ** (k - 1)
+    key = (chi.modulus, chi.index())
+    state = _POLYSUM_CACHE.get(key)
+    if state is None:
+        state = _POLYSUM_CACHE[key] = _PolysumState(chi)
+    nums, den = state.value(k)
+    return CycElement(get_field(chi.order()), nums, den)
 
 
 @lru_cache(maxsize=None)

@@ -512,6 +512,8 @@ def cmd_e2(args) -> int:
 def cmd_eisenstein(args) -> int:
     if args.nmax < 1:
         raise InputError(f"empty coefficient range: --nmax {args.nmax} is below 1")
+    if args.show_coeffs < 0:
+        raise InputError(f"empty coefficient range: --show-coeffs {args.show_coeffs} is negative")
     chi = character_from_index(args.modulus, args.index)
     result = eisenstein.congruence_check(chi, args.weight, args.nmax)
     coeffs = eisenstein.eisenstein_coeffs(chi, args.weight, min(args.nmax, args.show_coeffs))
@@ -574,6 +576,10 @@ def cmd_verify(args) -> int:
         unread = [option for option in given if option not in SUITE_OPTIONS.get(args.suite, {})]
         if unread:
             raise InputError(f"suite {args.suite} does not read {', '.join(unread)}")
+    if given.get("--max", 1) < 1:
+        raise InputError(f"empty range: --max {given['--max']} is below 1")
+    if given.get("--max-weight", 0) < 0:
+        raise InputError(f"empty weight range: --max-weight {given['--max-weight']} is negative")
     reports = []
     for name in list(SUITES) if args.suite == "all" else [args.suite]:
         options = SUITE_OPTIONS.get(name, {})

@@ -9,6 +9,7 @@ import pytest
 from dirichletj import bernoulli
 from dirichletj.bernoulli import (
     bernoulli_number,
+    bernoulli_polynomial,
     carlitz_p_ideal,
     d2k,
     denom_ideal,
@@ -22,6 +23,7 @@ from dirichletj.characters import (
     char_pow,
     character_from_index,
     enumerate_characters,
+    evaluate,
     is_primitive,
     parity,
 )
@@ -70,6 +72,25 @@ class TestOrdinary:
         assert bernoulli_number(60) == Fraction(
             -1215233140483755572040304994079820246041491, 56786730
         )
+
+
+class TestBernoulliPolynomial:
+    XS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-2, 7), Fraction(5, 4)]
+
+    def test_low_degrees(self):
+        for x in self.XS:
+            assert bernoulli_polynomial(1, x) == x - Fraction(1, 2)
+            assert bernoulli_polynomial(2, x) == x**2 - x + Fraction(1, 6)
+            assert bernoulli_polynomial(3, x) == x**3 - Fraction(3, 2) * x**2 + x / 2
+
+    def test_value_at_one_is_bernoulli_number(self):
+        for k in range(31):
+            assert bernoulli_polynomial(k, 1) == bernoulli_number(k), k
+
+    def test_reflection(self):
+        for k in range(13):
+            for x in self.XS:
+                assert bernoulli_polynomial(k, 1 - x) == (-1) ** k * bernoulli_polynomial(k, x), (k, x)
 
 
 class TestGBN:
@@ -123,6 +144,7 @@ class TestGBN:
 def _clear_gbn_caches():
     bernoulli._gbn_primitive.cache_clear()
     bernoulli._SERIES_CACHE.clear()
+    bernoulli._POLYSUM_CACHE.clear()
 
 
 class TestGrowingSeries:
@@ -154,6 +176,38 @@ class TestGrowingSeries:
         gbn(chi, 1)
         assert len(bernoulli._SERIES_CACHE[(7, 1)].nums) == 4
 
+    def test_oracle_grows_only_to_requested_k(self):
+        _clear_gbn_caches()
+        chi = character_from_index(7, 1)
+        gbn(chi, 3)
+        assert {len(P) for P in bernoulli._POLYSUM_CACHE[(7, 1)].sums} == {4}
+        gbn(chi, 1)
+        assert {len(P) for P in bernoulli._POLYSUM_CACHE[(7, 1)].sums} == {4}
+
+    def test_each_pipeline_evaluates_chi_once_per_residue(self, monkeypatch):
+        from dirichletj import characters
+
+        chi = character_from_index(13, 1)
+        honest = characters.evaluate
+        calls = []
+
+        def counting(chi_, a):
+            calls.append(a)
+            return honest(chi_, a)
+
+        monkeypatch.setattr(characters, "evaluate", counting)
+        monkeypatch.setattr(bernoulli, "evaluate", counting)
+        _clear_gbn_caches()
+        for k in range(13):
+            gbn(chi, k)
+        assert len(calls) == 2 * 13
+        for pipeline in (bernoulli._gbn_series, bernoulli._gbn_polysum):
+            _clear_gbn_caches()
+            calls.clear()
+            for k in range(13):
+                pipeline(chi, k)
+            assert sorted(calls) == list(range(1, 14))
+
     def test_perturbed_oracle_raises_on_grown_character(self, monkeypatch):
         chi = character_from_index(7, 1)
         for k in range(9):
@@ -169,6 +223,43 @@ class TestGrowingSeries:
         assert gbn(chi, 4) == honest(chi, 4)
         with pytest.raises(AssertionError):
             gbn(chi, 5)
+
+
+def _bernoulli_polynomials(k_max):
+    """Ascending coefficients of B_0(x), ..., B_k_max(x) from B_0 = 1,
+    B_k' = k B_(k-1) and, for k >= 1, zero integral over [0, 1]."""
+    polys = [[Fraction(1)]]
+    for k in range(1, k_max + 1):
+        p = [Fraction(0)] + [k * c / (i + 1) for i, c in enumerate(polys[-1])]
+        p[0] = -sum(c / (i + 1) for i, c in enumerate(p))
+        polys.append(p)
+    return polys
+
+
+class TestIndependentReference:
+    """B_{k,chi} = N^(k-1) sum_a chi(a) B_k(a/N) for characters of every order, summed here."""
+
+    def test_conductor_up_to_16(self):
+        polys = _bernoulli_polynomials(10)
+
+        def poly_at(k, x):
+            return sum(c * x**i for i, c in enumerate(polys[k]))
+
+        orders = set()
+        for N in range(1, 17):
+            for chi in enumerate_characters(N):
+                if not is_primitive(chi):
+                    continue
+                orders.add(chi.order())
+                field = get_field(chi.order())
+                for k in range(11):
+                    total = field.zero()
+                    for a in range(1, N + 1):
+                        value = evaluate(chi, a)
+                        if value is not None:
+                            total = total + value * poly_at(k, Fraction(a, N))
+                    assert gbn(chi, k) == total * Fraction(N) ** (k - 1), (N, chi.index(), k)
+        assert orders == {1, 2, 3, 4, 5, 6, 10, 12}
 
 
 def _fundamental_discriminants(bound):

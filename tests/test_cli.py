@@ -224,6 +224,11 @@ class TestRanges:
         (["homotopy", "jk", "--modulus", "5", "--subgroup", "4", "--from", "4", "--to", "3"], "--from"),
         (["e2", "--prime", "5", "--tmin", "4", "--tmax", "-4"], "--tmin"),
         (["e2", "--prime", "5", "--smax", "-1"], "--smax"),
+        (["eisenstein", "--modulus", "4", "--index", "1", "--weight", "1", "--show-coeffs", "-2"], "--show-coeffs"),
+        (["verify", "carlitz", "--max", "-3"], "--max"),
+        (["verify", "von-staudt", "--max", "0"], "--max"),
+        (["verify", "all", "--max", "0"], "--max"),
+        (["verify", "gbn-theorem", "--max-weight", "-1"], "--max-weight"),
     ])
     def test_empty_range_exits_2(self, capsys, argv, option):
         code, out, err = run_cli(capsys, *argv, "--json")
@@ -234,6 +239,9 @@ class TestRanges:
         ["eisenstein", "--modulus", "5", "--index", "2", "--weight", "2", "--nmax", "1"],
         ["homotopy", "chi", "--modulus", "5", "--index", "2", "--from", "3", "--to", "3"],
         ["e2", "--prime", "5", "--tmin", "4", "--tmax", "4", "--smax", "0"],
+        ["eisenstein", "--modulus", "4", "--index", "1", "--weight", "1", "--show-coeffs", "0"],
+        ["verify", "von-staudt", "--max", "1"],
+        ["verify", "gbn-theorem", "--max-weight", "0"],
     ])
     def test_one_point_range_exits_0(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv, "--json")

@@ -28,3 +28,17 @@ def test_exactalg_does_not_import_fractions():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
     assert "fractions" not in imported
+
+
+
+def test_bernoulli_pipelines_share_no_code():
+    # The polynomial-sum oracle checks the series; neither may name the other's code.
+    tree = ast.parse((SRC / "bernoulli.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    series = {"_gbn_series", "_SeriesState", "_SERIES_CACHE"}
+    polysum = {"_gbn_polysum", "_PolysumState", "_POLYSUM_CACHE"}
+    checks = [("_gbn_series", polysum), ("_SeriesState", polysum), ("_gbn_polysum", series), ("_PolysumState", series)]
+    for name, other in checks:
+        named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(defs[name])
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not named & other, f"{name} names {sorted(named & other)}"
