@@ -160,16 +160,15 @@ class _SeriesState:
             self.lcm = L * self.dens[-1] // math.gcd(L, self.dens[-1])
 
 
-# Growing series state per primitive character, keyed (modulus, index).
-_SERIES_CACHE: dict[tuple[int, int], _SeriesState] = {}
+# Growing series state per primitive character.
+_SERIES_CACHE: dict[DirichletCharacter, _SeriesState] = {}
 
 
 def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
     """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t) over Q(zeta_ord)."""
-    key = (chi.modulus, chi.index())
-    state = _SERIES_CACHE.get(key)
+    state = _SERIES_CACHE.get(chi)
     if state is None:
-        state = _SERIES_CACHE[key] = _SeriesState(chi)
+        state = _SERIES_CACHE[chi] = _SeriesState(chi)
     state.extend(k)
     return CycElement(get_field(chi.order()), state.nums[k], state.dens[k])
 
@@ -221,31 +220,27 @@ class _PolysumState:
         return nums, N * den
 
 
-# Power-sum state of the oracle per primitive character, keyed (modulus, index).
-_POLYSUM_CACHE: dict[tuple[int, int], _PolysumState] = {}
+# Power-sum state of the oracle per primitive character.
+_POLYSUM_CACHE: dict[DirichletCharacter, _PolysumState] = {}
 
 
 def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
     """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N)."""
-    key = (chi.modulus, chi.index())
-    state = _POLYSUM_CACHE.get(key)
+    state = _POLYSUM_CACHE.get(chi)
     if state is None:
-        state = _POLYSUM_CACHE[key] = _PolysumState(chi)
+        state = _POLYSUM_CACHE[chi] = _PolysumState(chi)
     nums, den = state.value(k)
     return CycElement(get_field(chi.order()), nums, den)
 
 
 @lru_cache(maxsize=None)
-def _gbn_primitive(structure_modulus: int, index: int, k: int) -> CycElement:
-    from .characters import character_from_index
-
-    chi = character_from_index(structure_modulus, index)
+def _gbn_primitive(chi: DirichletCharacter, k: int) -> CycElement:
     by_series = _gbn_series(chi, k)
     by_polysum = _gbn_polysum(chi, k)
     if by_series != by_polysum:
         raise AssertionError(
             f"generating-function and polynomial-sum pipelines disagree for "
-            f"chi = {structure_modulus}:{index}, k = {k}"
+            f"chi = {chi.modulus}:{chi.index()}, k = {k}"
         )
     return by_series
 
@@ -258,8 +253,7 @@ def gbn(chi: DirichletCharacter, k: int) -> CycElement:
     """
     if k < 0:
         raise InputError("k must be nonnegative")
-    prim = primitivize(chi)
-    return _gbn_primitive(prim.modulus, prim.index(), k)
+    return _gbn_primitive(primitivize(chi), k)
 
 
 def l_value(chi: DirichletCharacter, s: int) -> CycElement:
@@ -284,7 +278,7 @@ def denom_ideal(chi: DirichletCharacter, k: int) -> IdealLattice:
     convention for the vanishing case.
     """
     if not is_primitive(chi):
-        raise ValueError("chi must be primitive")
+        raise InputError("chi must be primitive")
     if k < 1:
         raise InputError("k must be positive")
     field = get_field(chi.order())
@@ -366,7 +360,7 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     N = 4 -> B/k - k/2 integral; N = 2^v > 4 -> integrality.
     """
     if not is_primitive(chi):
-        raise ValueError("chi must be primitive")
+        raise InputError("chi must be primitive")
     if k < 1:
         raise ValueError("k must be positive")
     if (-1) ** k != parity(chi):

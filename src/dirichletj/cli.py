@@ -1,5 +1,9 @@
-"""Command-line surface: tables, JSON emitters, and verification suites.
+"""Command-line surface: subcommands, their JSON and text views, and verification suites.
 
+Each ``cmd_*`` subcommand returns ``(payload, text, code)``: the JSON
+payload without its schema, a zero-argument renderer of the text view
+(called only without ``--json``) and the exit code.  ``main`` alone writes
+stdout: one ``json.dumps`` line with the schema added, or the text view.
 Every subcommand is deterministic: identical arguments produce
 byte-identical JSON (wall time is reported only in text output).  The
 ``verify`` subcommand runs the acceptance sweeps; its exit code is 0
@@ -35,6 +39,9 @@ from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle
 
 SCHEMA = 1
 
+# (payload, text view, exit code), as returned by every cmd_* subcommand.
+Output = tuple[dict, Callable[[], str], int]
+
 
 @dataclass
 class RunReport:
@@ -60,6 +67,9 @@ class RunReport:
         else:
             self.failed += 1
             self._failures.append((case_params, payload or {}))
+
+    def check(self, case_params: tuple, ok: bool, payload: Optional[dict] = None) -> None:
+        self.record(case_params, "pass" if ok else "fail", payload)
 
     def finalize(self) -> "RunReport":
         """Stop the clock started at construction and pick the first counterexample."""
@@ -106,11 +116,7 @@ def _primitive_characters(N: int) -> list[DirichletCharacter]:
 def suite_von_staudt(max_k: int = 30) -> RunReport:
     report = RunReport("von-staudt", {"max_k": max_k})
     for row in bernoulli.verify_von_staudt(max_k):
-        report.record(
-            (row["k"],),
-            "pass" if row["ok"] else "fail",
-            {"denominator": row["denominator"], "expected": row["expected"]},
-        )
+        report.check((row["k"],), row["ok"], {"denominator": row["denominator"], "expected": row["expected"]})
     return report.finalize()
 
 
@@ -123,7 +129,7 @@ def suite_carlitz(conductors: Iterable[int] = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25,
                 if (-1) ** k != sign:
                     continue
                 row = bernoulli.verify_carlitz(chi, k)
-                report.record((N, chi.index(), k), "pass" if row["ok"] else "fail", {"case_kind": row["case"]})
+                report.check((N, chi.index(), k), row["ok"], {"case_kind": row["case"]})
     return report.finalize()
 
 
@@ -165,10 +171,9 @@ def suite_gbn_theorem(
                     ideal = bernoulli.denom_ideal(char_inv(chi), abs(k))
                     arithmetic = homotopy.invert_primes(quotient_group(ideal), inverted)
                     topological = homotopy.pi_jn_chi(chi, 2 * k - 1, inverted)
-                    ok = arithmetic == topological
-                    report.record(
+                    report.check(
                         (1, N, chi.index(), k),
-                        "pass" if ok else "fail",
+                        arithmetic == topological,
                         {"arithmetic": arithmetic.render(), "homotopy": topological.render()},
                     )
     return report.finalize()
@@ -196,28 +201,22 @@ def suite_e2_oracle(
                     got = quotient_oracle(p, v, a, t)
                     expected = AbelianGroupExpr.cyclic(p) if (t - a) % (p - 1) == 0 else AbelianGroupExpr.zero()
                     page = e2_page(data, 1, 2 * t)
-                    ok = got == expected and page == got
-                    report.record(
+                    report.check(
                         (0, p, v, a, t),
-                        "pass" if ok else "fail",
+                        got == expected and page == got,
                         {"oracle": got.render(), "closed_form": expected.render(), "e2": page.render()},
                     )
     for v in (3, 4):
         for t in range(-5, 6):
             got = quotient_oracle_2(v, t)
-            ok = got == AbelianGroupExpr.cyclic(2)
-            report.record((1, 2, v, 0, t), "pass" if ok else "fail", {"oracle": got.render()})
+            report.check((1, 2, v, 0, t), got == AbelianGroupExpr.cyclic(2), {"oracle": got.render()})
     for n_prime in range(1, max_nprime + 1):
         for p in range(2, max_split_p + 1):
             if not is_prime(p) or n_prime % p == 0:
                 continue
             counted = len(padic_splitting(n_prime, p))
             brute = count_irreducible_factors_mod_p(cyclotomic_poly(n_prime), p) if n_prime > 1 else 1
-            report.record(
-                (2, p, 0, 0, n_prime),
-                "pass" if counted == brute else "fail",
-                {"splitting": counted, "factor_count": brute},
-            )
+            report.check((2, p, 0, 0, n_prime), counted == brute, {"splitting": counted, "factor_count": brute})
     return report.finalize()
 
 
@@ -228,10 +227,9 @@ def suite_consistency(max_conductor: int = 27, i_min: int = -8, i_max: int = 24)
         for chi in _primitive_characters(N):
             for i in range(i_min, i_max + 1):
                 direct, assembled = homotopy.pi_jn_chi_paths(chi, i)
-                ok = direct == assembled
-                report.record(
+                report.check(
                     (N, chi.index(), i),
-                    "pass" if ok else "fail",
+                    direct == assembled,
                     {"direct": direct.render(), "assembled": assembled.render()},
                 )
     return report.finalize()
@@ -249,23 +247,11 @@ def suite_duality_dirichlet(
         {"odd_primes": list(odd_primes), "odd_vs": list(odd_vs), "two_vs": list(two_vs),
          "t_min": t_min, "t_max": t_max},
     )
-    for p in odd_primes:
-        for v in odd_vs:
-            for chi in _primitive_characters(p**v):
-                for row in homotopy.check_duality_dirichlet(chi, v, range(t_min, t_max + 1)):
-                    report.record(
-                        (p, v, chi.index(), row["t"]),
-                        "pass" if row["ok"] else "fail",
-                        {"lhs": row["lhs"], "rhs": row["rhs"]},
-                    )
-    for v in two_vs:
-        for chi in _primitive_characters(2**v):
+    pairs = [(p, v) for p in odd_primes for v in odd_vs] + [(2, v) for v in two_vs]
+    for p, v in pairs:
+        for chi in _primitive_characters(p**v):
             for row in homotopy.check_duality_dirichlet(chi, v, range(t_min, t_max + 1)):
-                report.record(
-                    (2, v, chi.index(), row["t"]),
-                    "pass" if row["ok"] else "fail",
-                    {"lhs": row["lhs"], "rhs": row["rhs"]},
-                )
+                report.check((p, v, chi.index(), row["t"]), row["ok"], {"lhs": row["lhs"], "rhs": row["rhs"]})
     return report.finalize()
 
 
@@ -284,7 +270,7 @@ def suite_duality_jn(
             payload = {"lhs": row["lhs"], "rhs": row["rhs"]}
             if "note" in row:
                 payload["note"] = row["note"]
-            report.record((N, row["t"]), "pass" if row["ok"] else "fail", payload)
+            report.check((N, row["t"]), row["ok"], payload)
     return report.finalize()
 
 
@@ -328,9 +314,9 @@ def suite_dedekind_jk(ts: Iterable[int] = (1, 2, 3)) -> RunReport:
         spec = dedekind.AbelianFieldSpec(N, tuple(gens))
         for t in ts:
             row = dedekind.verify_jk(spec, t)
-            report.record(
+            report.check(
                 (N, t),
-                "pass" if row["ok"] else "fail",
+                row["ok"],
                 {"zeta": row["zeta_value"], "arithmetic": row["arithmetic_side"], "homotopy": row["homotopy_side"]},
             )
     return report.finalize()
@@ -361,31 +347,26 @@ SUITE_OPTIONS: dict[str, dict[str, str]] = {
 # Subcommands
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
-    else:
-        print(text)
+def cmd_chars(args) -> Output:
+    rows = [characters.display(chi) for chi in enumerate_characters(args.modulus)]
+
+    def text() -> str:
+        lines = [
+            f"characters mod {args.modulus} ({len(rows)} total)",
+            f"{'name':>8} {'conductor':>9} {'order':>5} {'parity':>6} {'primitive':>9}  exponents",
+        ]
+        for row in rows:
+            name = f"{row['modulus']}:{row['index']}"
+            lines.append(
+                f"{name:>8} {row['conductor']:>9} {row['order']:>5} {row['parity']:>+6d} "
+                f"{str(row['primitive']):>9}  {row['exponents']}"
+            )
+        return "\n".join(lines)
+
+    return {"modulus": args.modulus, "characters": rows}, text, 0
 
 
-def cmd_chars(args) -> int:
-    chis = enumerate_characters(args.modulus)
-    rows = [characters.display(chi) for chi in chis]
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "modulus": args.modulus, "characters": rows}, sort_keys=True))
-        return 0
-    print(f"characters mod {args.modulus} ({len(rows)} total)")
-    print(f"{'name':>8} {'conductor':>9} {'order':>5} {'parity':>6} {'primitive':>9}  exponents")
-    for row in rows:
-        name = f"{row['modulus']}:{row['index']}"
-        print(
-            f"{name:>8} {row['conductor']:>9} {row['order']:>5} {row['parity']:>+6d} "
-            f"{str(row['primitive']):>9}  {row['exponents']}"
-        )
-    return 0
-
-
-def cmd_bern(args) -> int:
+def cmd_bern(args) -> Output:
     chi = character_from_index(args.modulus, args.index)
     k = args.weight
     b = bernoulli.gbn(chi, k)
@@ -404,112 +385,70 @@ def cmd_bern(args) -> int:
         "denominator_ideal_snf": list(snf_diag),
         "quotient": quot.render(),
     }
-    text = (
+    return payload, lambda: (
         f"chi = {args.modulus}:{args.index}, k = {k}\n"
         f"  B_(k,chi)        = {payload['B']}\n"
         f"  L(1-k; chi)      = {payload['L(1-k)']}\n"
         f"  denominator SNF  = {snf_diag}\n"
         f"  quotient group   = {payload['quotient']}"
-    )
-    _emit(args, payload, text)
-    return 0
+    ), 0
 
 
-def _degree_table(fn, lo: int, hi: int) -> list[tuple[int, str]]:
-    return [(i, fn(i).render()) for i in range(lo, hi + 1)]
-
-
-def cmd_homotopy(args) -> int:
+def cmd_homotopy(args) -> Output:
     lo, hi = args.degree_from, args.degree_to
     if lo > hi:
         raise InputError(f"empty degree range: --from {lo} is above --to {hi}")
     if args.target == "j":
-        rows = _degree_table(homotopy.pi_J, lo, hi)
-        title = "pi_i(J)"
+        fn, title = homotopy.pi_J, "pi_i(J)"
     elif args.target == "jn":
-        rows = _degree_table(lambda i: homotopy.pi_JN(args.level, i), lo, hi)
-        title = f"pi_i(J({args.level}))"
+        fn, title = lambda i: homotopy.pi_JN(args.level, i), f"pi_i(J({args.level}))"
     elif args.target == "k1":
-        rows = _degree_table(lambda i: homotopy.pi_K1(args.prime, i), lo, hi)
-        title = f"pi_i(S_K(1), p={args.prime})"
+        fn, title = lambda i: homotopy.pi_K1(args.prime, i), f"pi_i(S_K(1), p={args.prime})"
     elif args.target == "k1pv":
-        rows = _degree_table(lambda i: homotopy.pi_K1_pv(args.prime, args.level_exp, i), lo, hi)
+        fn = lambda i: homotopy.pi_K1_pv(args.prime, args.level_exp, i)
         title = f"pi_i(S_K(1)({args.prime}^{args.level_exp}))"
     elif args.target == "exotic":
-        rows = _degree_table(homotopy.pi_exotic, lo, hi)
-        title = "pi_i(exotic K(1)-local sphere, p=2)"
+        fn, title = homotopy.pi_exotic, "pi_i(exotic K(1)-local sphere, p=2)"
     elif args.target == "chi":
         chi = character_from_index(args.modulus, args.index)
         loc = set(args.invert or [])
-        rows = _degree_table(lambda i: homotopy.pi_jn_chi(chi, i, loc), lo, hi)
-        title = f"pi_i(J({args.modulus})^(chi {args.modulus}:{args.index}))" + (
-            f"[1/{sorted(loc)}]" if loc else ""
-        )
+        fn = lambda i: homotopy.pi_jn_chi(chi, i, loc)
+        title = f"pi_i(J({args.modulus})^(chi {args.modulus}:{args.index}))" + (f"[1/{sorted(loc)}]" if loc else "")
     elif args.target == "jk":
         gens = tuple(args.subgroup or [])
-        rows = _degree_table(
-            lambda i: homotopy.pi_JK(args.modulus, gens, i, invert_G=args.invert_order), lo, hi
-        )
+        fn = lambda i: homotopy.pi_JK(args.modulus, gens, i, invert_G=args.invert_order)
         title = f"pi_i(J(K)), N={args.modulus}, H=<{','.join(map(str, gens))}>"
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError
-    if args.json:
-        print(
-            json.dumps(
-                {"schema": SCHEMA, "table": {str(i): s for i, s in rows}, "title": title},
-                sort_keys=True,
-            )
-        )
-        return 0
-    print(title)
-    for i, s in rows:
-        print(f"  {i:>4}  {s}")
-    return 0
+    table = {str(i): fn(i).render() for i in range(lo, hi + 1)}
+    return {"table": table, "title": title}, lambda: "\n".join(
+        [title] + [f"  {i:>4}  {s}" for i, s in table.items()]
+    ), 0
 
 
-def cmd_e2(args) -> int:
+def cmd_e2(args) -> Output:
     if args.tmin > args.tmax:
         raise InputError(f"empty t range: --tmin {args.tmin} is above --tmax {args.tmax}")
     if args.smax < 0:
         raise InputError(f"empty s range: --smax {args.smax} is negative")
     data = PAdicCharacterData(p=args.prime, v=args.level_exp, tame=args.tame)
-    entries = []
-    for s in range(0, args.smax + 1):
-        for t in range(args.tmin, args.tmax + 1):
-            if args.prime != 2 and t % 2:
-                continue
-            g = e2_page(data, s, t)
-            if not g.is_zero():
-                entries.append((s, t, g.render()))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "prime": args.prime,
-                    "v": args.level_exp,
-                    "tame": args.tame,
-                    "entries": [{"s": s, "t": t, "group": g} for s, t, g in entries],
-                },
-                sort_keys=True,
-            )
-        )
-        return 0
-    print(f"E2 page, p={args.prime}, v={args.level_exp}, tame={args.tame}")
-    for s in range(args.smax, -1, -1):
-        cells = []
-        for t in range(args.tmin, args.tmax + 1):
-            if args.prime != 2 and t % 2:
-                continue
-            hit = next((g for ss, tt, g in entries if ss == s and tt == t), ".")
-            cells.append(f"{hit:>10}")
-        print(f"s={s:>2} " + " ".join(cells))
-    t_labels = [t for t in range(args.tmin, args.tmax + 1) if args.prime == 2 or t % 2 == 0]
-    print("  t: " + " ".join(f"{t:>10}" for t in t_labels))
-    return 0
+    ts = [t for t in range(args.tmin, args.tmax + 1) if args.prime == 2 or t % 2 == 0]
+    pages = {(s, t): e2_page(data, s, t) for s in range(args.smax + 1) for t in ts}
+    groups = {key: g.render() for key, g in pages.items() if not g.is_zero()}
+    payload = {
+        "prime": args.prime,
+        "v": args.level_exp,
+        "tame": args.tame,
+        "entries": [{"s": s, "t": t, "group": g} for (s, t), g in groups.items()],
+    }
+    return payload, lambda: "\n".join(
+        [f"E2 page, p={args.prime}, v={args.level_exp}, tame={args.tame}"]
+        + [f"s={s:>2} " + " ".join(f"{groups.get((s, t), '.'):>10}" for t in ts) for s in range(args.smax, -1, -1)]
+        + ["  t: " + " ".join(f"{t:>10}" for t in ts)]
+    ), 0
 
 
-def cmd_eisenstein(args) -> int:
+def cmd_eisenstein(args) -> Output:
     if args.nmax < 1:
         raise InputError(f"empty coefficient range: --nmax {args.nmax} is below 1")
     if args.show_coeffs < 0:
@@ -527,18 +466,16 @@ def cmd_eisenstein(args) -> int:
         "ok": result["ok"],
         "coefficients": [render_cyc(c) for c in coeffs],
     }
-    lines = [
-        f"E_(k,chi), chi = {args.modulus}:{args.index}, k = {args.weight}, n <= {args.nmax}",
-        f"  denominator-ideal index: {result['ideal_index']}",
-        f"  mandatory (conductor-primary) failures: {result['mandatory_failures']}",
-        f"  full-ideal findings: {result['full_findings']}",
-        "  leading coefficients: " + ", ".join(payload["coefficients"]),
-    ]
-    _emit(args, payload, "\n".join(lines))
-    return 0 if result["ok"] else 1
+    return payload, lambda: (
+        f"E_(k,chi), chi = {args.modulus}:{args.index}, k = {args.weight}, n <= {args.nmax}\n"
+        f"  denominator-ideal index: {result['ideal_index']}\n"
+        f"  mandatory (conductor-primary) failures: {result['mandatory_failures']}\n"
+        f"  full-ideal findings: {result['full_findings']}\n"
+        "  leading coefficients: " + ", ".join(payload["coefficients"])
+    ), 0 if result["ok"] else 1
 
 
-def cmd_dedekind(args) -> int:
+def cmd_dedekind(args) -> Output:
     spec = dedekind.AbelianFieldSpec(args.modulus, tuple(args.subgroup or []))
     value = dedekind.zeta_special_value(spec, 1 - args.weight)
     payload = {
@@ -549,27 +486,27 @@ def cmd_dedekind(args) -> int:
         "zeta(1-k)": str(value),
         "characters": len(dedekind.field_characters(spec)),
     }
+    row = None
     if args.verify_t is not None:
-        row = dedekind.verify_jk(spec, args.verify_t)
-        payload["verify_jk"] = row
-    text = (
-        f"K inside Q(zeta_{args.modulus}), H = {payload['subgroup']}\n"
-        f"  totally real: {payload['totally_real']}\n"
-        f"  zeta_K(1-{args.weight}) = {value}"
-    )
-    if args.verify_t is not None:
-        row = payload["verify_jk"]
-        text += (
-            f"\n  verify t={args.verify_t}: arithmetic {row['arithmetic_side']}"
-            f" vs homotopy {row['homotopy_side']} -> {'ok' if row['ok'] else 'MISMATCH'}"
+        row = payload["verify_jk"] = dedekind.verify_jk(spec, args.verify_t)
+
+    def text() -> str:
+        out = (
+            f"K inside Q(zeta_{args.modulus}), H = {payload['subgroup']}\n"
+            f"  totally real: {payload['totally_real']}\n"
+            f"  zeta_K(1-{args.weight}) = {value}"
         )
-    _emit(args, payload, text)
-    if args.verify_t is not None and not payload["verify_jk"]["ok"]:
-        return 1
-    return 0
+        if row is not None:
+            out += (
+                f"\n  verify t={args.verify_t}: arithmetic {row['arithmetic_side']}"
+                f" vs homotopy {row['homotopy_side']} -> {'ok' if row['ok'] else 'MISMATCH'}"
+            )
+        return out
+
+    return payload, text, 1 if row is not None and not row["ok"] else 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     given = {option: getattr(args, option[2:].replace("-", "_")) for option in ("--max", "--max-weight", "--primes")}
     given = {option: value for option, value in given.items() if value is not None}
     if args.suite != "all":
@@ -585,15 +522,10 @@ def cmd_verify(args) -> int:
         options = SUITE_OPTIONS.get(name, {})
         reports.append(SUITES[name](**{options[o]: v for o, v in given.items() if o in options}))
     failed = sum(r.failed for r in reports)
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "reports": [r.to_json() for r in reports]}, sort_keys=True))
-    else:
-        for r in reports:
-            print(r.text())
-        total_run = sum(r.run for r in reports)
-        total_findings = sum(r.findings for r in reports)
-        print(f"total: {total_run} cases, {failed} failed, {total_findings} findings")
-    return 0 if failed == 0 else 1
+    return {"reports": [r.to_json() for r in reports]}, lambda: "\n".join(
+        [r.text() for r in reports]
+        + [f"total: {sum(r.run for r in reports)} cases, {failed} failed, {sum(r.findings for r in reports)} findings"]
+    ), 0 if failed == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -676,13 +608,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload, text, code = args.fn(args)
     except (ValueError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
+    print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True) if args.json else text())
+    return code
 
 
 if __name__ == "__main__":

@@ -287,9 +287,6 @@ class CycElement:
     def denominator_lcm(self) -> int:
         return self.den
 
-    def galois(self, sigma: int) -> "CycElement":
-        return galois_apply(self, sigma)
-
     def embed(self, target: CyclotomicField) -> "CycElement":
         """Coerce into Q(zeta_m) for n | m via zeta_n -> zeta_m^(m/n)."""
         n, m = self.field.n, target.n

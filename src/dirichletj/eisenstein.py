@@ -94,7 +94,7 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
     only (failures are findings).
     """
     if not is_primitive(chi):
-        raise ValueError("chi must be primitive")
+        raise InputError("chi must be primitive")
     N = conductor(chi)
     ideal = denom_ideal(chi, k)
     idx = ideal.index()

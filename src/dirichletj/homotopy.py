@@ -122,10 +122,6 @@ class AbelianGroupExpr:
             out *= p**e
         return out
 
-    def primary_part(self, p: int) -> "AbelianGroupExpr":
-        kept = [a for a in self.atoms if (a[0] == "C" and a[1] == p) or (a[0] in ("Zp", "QpZp") and a[1] == p)]
-        return AbelianGroupExpr(tuple(kept))
-
     def render(self) -> str:
         if not self.atoms:
             return "0"
@@ -425,8 +421,6 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
             if a != 1:
                 raise ValueError("the conductor-4 character is odd")
             return _tame_eigen_2(2, 1, i)
-        if not data.wild_primitive:
-            raise ValueError("conductor 2^v with v >= 3 requires a primitive wild part")
         if a == 0:
             if i % 8 in (0, 2, 3, 7):
                 return A.cyclic(2)
@@ -442,8 +436,6 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
         if a == 0:
             raise ValueError("conductor-p characters have nontrivial tame part")
         return _tame_eigen_odd(p, 1, a, i)
-    if not data.wild_primitive:
-        raise ValueError("conductor p^v with v >= 2 requires a primitive wild part")
     if i % 2 != 0:
         k = (i + 1) // 2
         if (k - a) % (p - 1) == 0:
@@ -515,14 +507,8 @@ def _decompose_p(chi: DirichletCharacter, p: int) -> tuple[PAdicCharacterData, .
         payload = PrimeToPPart(modulus=N // p**v, wild_image_exp=e, image_is_p_power=(e >= 1 and m == p**e))
     a0 = tame_exponent(chi, p)
     if p == 2:
-        return tuple(
-            PAdicCharacterData(p=2, v=v, tame=a0, wild_primitive=True, prime_to_p=payload)
-            for _ in reps
-        )
-    return tuple(
-        PAdicCharacterData(p=p, v=v, tame=(b * a0) % (p - 1), wild_primitive=True, prime_to_p=payload)
-        for b in reps
-    )
+        return tuple(PAdicCharacterData(p=2, v=v, tame=a0, prime_to_p=payload) for _ in reps)
+    return tuple(PAdicCharacterData(p=p, v=v, tame=(b * a0) % (p - 1), prime_to_p=payload) for b in reps)
 
 
 # ---------------------------------------------------------------------------

@@ -195,18 +195,10 @@ def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15):
     return _stable_quotient(rows_builder, p, M)
 
 
-def quotient_oracle_2(v: int, t: int, M: int = 15, parity: Optional[str] = None):
-    """Z_2[zeta_{2^(v-2)}] / (zeta - 5^t) by Smith normal form, v >= 3.
-
-    ``parity`` is a consistency tag: the even-character rows feed even
-    exponents t, the odd-character rows odd t.
-    """
+def quotient_oracle_2(v: int, t: int, M: int = 15):
+    """Z_2[zeta_{2^(v-2)}] / (zeta - 5^t) by Smith normal form, v >= 3."""
     if v < 3:
         raise ValueError("v must be at least 3")
-    if parity is not None:
-        want = 0 if parity == "even" else 1
-        if t % 2 != want:
-            raise ValueError(f"exponent parity {t % 2} does not match declared {parity!r}")
     phi = cyclotomic_poly(2 ** (v - 2))
 
     def rows_builder(precision: int) -> list[list[int]]:
@@ -247,7 +239,6 @@ class PAdicCharacterData:
     p: int
     v: int
     tame: int
-    wild_primitive: bool = True
     prime_to_p: Optional[PrimeToPPart] = None
 
     def __post_init__(self):

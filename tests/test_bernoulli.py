@@ -172,17 +172,17 @@ class TestGrowingSeries:
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
         gbn(chi, 3)
-        assert len(bernoulli._SERIES_CACHE[(7, 1)].nums) == 4
+        assert len(bernoulli._SERIES_CACHE[chi].nums) == 4
         gbn(chi, 1)
-        assert len(bernoulli._SERIES_CACHE[(7, 1)].nums) == 4
+        assert len(bernoulli._SERIES_CACHE[chi].nums) == 4
 
     def test_oracle_grows_only_to_requested_k(self):
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
         gbn(chi, 3)
-        assert {len(P) for P in bernoulli._POLYSUM_CACHE[(7, 1)].sums} == {4}
+        assert {len(P) for P in bernoulli._POLYSUM_CACHE[chi].sums} == {4}
         gbn(chi, 1)
-        assert {len(P) for P in bernoulli._POLYSUM_CACHE[(7, 1)].sums} == {4}
+        assert {len(P) for P in bernoulli._POLYSUM_CACHE[chi].sums} == {4}
 
     def test_each_pipeline_evaluates_chi_once_per_residue(self, monkeypatch):
         from dirichletj import characters

@@ -1,5 +1,6 @@
 """CLI surface: determinism, exit codes, payload shapes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -209,6 +210,7 @@ class TestBadArguments:
         ("dedekind --modulus 7 --subgroup 6 --verify-t 0", "t must be positive"),
         ("eisenstein --modulus 5 --index 1 --weight 2", "parity mismatch: B_{k,chi} = 0, series not normalizable"),
         ("eisenstein --modulus 5 --index 2 --weight 0", "k must be positive"),
+        ("eisenstein --modulus 12 --index 1 --weight 1", "chi must be primitive"),
     ])
     def test_domain_check_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
@@ -355,6 +357,38 @@ class TestDedekindCmd:
         payload = json.loads(out)
         assert payload["zeta(1-k)"] == "1/30"
         assert payload["verify_jk"]["ok"] is True
+
+
+# sha256 of the text stdout, one call per subcommand (and per homotopy target
+# and e2 prime kind that renders differently); the --json stdout of the same
+# call is one line carrying the schema.
+TEXT_VIEWS = [
+    ("chars list --modulus 12", "9c4fd8aeae855a4a3fc64dbb73f2b00809be1c2077c91be558e576fbec6a841f"),
+    ("bern --modulus 5 --index 2 --weight 2", "488640b27392593b338e4992a537511e4cc05b2c189c666db046e0d0ba2f7168"),
+    ("homotopy j --from -4 --to 9", "e260885e9d9e9e36b3a5c1b83214a6234a86135c910f71ac28e03eb5c36f0b77"),
+    ("homotopy chi --modulus 48 --index 3 --from -8 --to 24",
+     "658b17870426d9fc9c5f9715d26198b7f5a807cd10bf369d0df3bd5bd54a4088"),
+    ("homotopy jk --modulus 5 --subgroup 4 --from 1 --to 8 --invert-order",
+     "ac45f3af7e5144efcf9a0cb8627b77a4a75a05ff38f9cf2f2e43dcea937c254e"),
+    ("e2 --prime 5 --level-exp 1 --tame 2 --tmin 0 --tmax 8",
+     "6b01e862d6eb6f88489b205f6a63a9b715e70264219fda41ea30cac5e3b7f064"),
+    ("e2 --prime 2 --level-exp 3", "1a7a73324f1cc164e3cc1469b27c842df0ef72f53aca55eb3716efa95308d421"),
+    ("eisenstein --modulus 4 --index 1 --weight 1 --nmax 30",
+     "e3d28c83cda9029d5034425dadcca0d513b0c93c4605f5a049037ec8bd295291"),
+    ("dedekind --modulus 5 --subgroup 4 --weight 2 --verify-t 1",
+     "f950df822b6664027d09638f6e10e8fcaac7d6e9466aab698aeafd13df091b96"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", TEXT_VIEWS, ids=[argv for argv, _ in TEXT_VIEWS])
+def test_text_view_and_json_line(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out, err = run_cli(capsys, *argv.split(), "--json")
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["schema"] == 1
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

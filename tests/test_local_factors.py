@@ -130,9 +130,7 @@ def expected_decomposition(chi: DirichletCharacter, p: int) -> list[PAdicCharact
         assert t * (p - 1) % n == 0
         a0 = t * (p - 1) // n % (p - 1)
     return [
-        PAdicCharacterData(
-            p=p, v=v, tame=a0 if p == 2 else b * a0 % (p - 1), wild_primitive=True, prime_to_p=payload
-        )
+        PAdicCharacterData(p=p, v=v, tame=a0 if p == 2 else b * a0 % (p - 1), prime_to_p=payload)
         for b in padic_splitting(n, p)
     ]
 

@@ -101,11 +101,6 @@ class TestQuotientOracle2:
             for t in range(-5, 6):
                 assert quotient_oracle_2(v, t) == AbelianGroupExpr.cyclic(2)
 
-    def test_parity_tag(self):
-        assert quotient_oracle_2(3, 4, parity="even") == AbelianGroupExpr.cyclic(2)
-        with pytest.raises(ValueError):
-            quotient_oracle_2(3, 4, parity="odd")
-
 
 class TestE2Page:
     def test_trivial_tame_zp(self):

@@ -42,3 +42,18 @@ def test_bernoulli_pipelines_share_no_code():
         named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(defs[name])
                  if isinstance(node, (ast.Name, ast.Attribute))}
         assert not named & other, f"{name} names {sorted(named & other)}"
+
+
+def test_only_cli_main_writes_stdout():
+    # Subcommands return (payload, text, code); main is the one place that prints.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "stdout":
+            found.append(f"sys.stdout at line {node.lineno}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            if id(node) not in in_main:
+                found.append(f"print at line {node.lineno}")
+    assert not found, f"stdout written outside cli.main: {found}"
