@@ -271,6 +271,7 @@ def char_pow(a: DirichletCharacter, k: int) -> DirichletCharacter:
     return DirichletCharacter(a.structure, exps)
 
 
+@lru_cache(maxsize=1024)
 def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) inducing chi."""
     M = conductor(chi)

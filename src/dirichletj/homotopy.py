@@ -511,6 +511,16 @@ def _decompose_p(chi: DirichletCharacter, p: int) -> tuple[PAdicCharacterData, .
     return tuple(PAdicCharacterData(p=p, v=v, tame=(b * a0) % (p - 1), prime_to_p=payload) for b in reps)
 
 
+@lru_cache(maxsize=1024)
+def _assembly_summands(chi: DirichletCharacter) -> tuple[PAdicCharacterData, ...]:
+    """Every p-completed summand of a primitive nontrivial chi, over the
+    primes dividing its conductor or its order, in increasing p."""
+    if not is_primitive(chi) or chi.is_trivial():
+        raise InputError("chi must be primitive and nontrivial")
+    relevant = set(factorize(chi.modulus)) | set(factorize(chi.order()))
+    return tuple(s for p in sorted(relevant) for s in _decompose_p(chi, p))
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet J-spectra: direct tables and assembly
 
@@ -677,11 +687,9 @@ def _pi_jnchi_direct(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
 
 def pi_jn_chi_paths(chi: DirichletCharacter, i: int) -> tuple[AbelianGroupExpr, AbelianGroupExpr]:
     """(direct-table value, p-completion assembly value) before localization."""
-    if not is_primitive(chi) or chi.is_trivial():
-        raise InputError("chi must be primitive and nontrivial")
+    summands = _assembly_summands(chi)
     direct = _pi_jnchi_direct(chi, i)
-    relevant = set(factorize(chi.modulus)) | set(factorize(chi.order()))
-    atoms = [a for p in sorted(relevant) for summand in decompose_p(chi, p) for a in pi_DK1(summand, i).atoms]
+    atoms = [a for summand in summands for a in pi_DK1(summand, i).atoms]
     return direct, AbelianGroupExpr(_norm(atoms))
 
 

@@ -5,8 +5,12 @@ directly as Smith normal forms of multiplication matrices over Z/p^M,
 independently of any closed-form answer.  The elimination takes the
 first unit it meets as pivot, without scanning the rest of the block,
 and falls back to the entry of least valuation when there is none.
-Precision starts at M = 15 and escalates by 5 until two runs (M and M+2)
-agree; correctness never depends on a guessed bound.
+A matrix over Z_p with elementary divisors p^(e_i) has Smith form
+diag(p^min(e_i, M)) mod p^M, so one elimination at precision M is exact
+once every exponent is below M.  Each elimination is checked against
+v_p(Res(Phi, u)), the valuation of the determinant, computed from Phi and
+u alone.  Precision starts at M = 15 and escalates by 5 while the
+resultant vanishes mod p^M; correctness never depends on a guessed bound.
 
 ``e2_page`` dispatches the closed-form E2 entries of the homotopy
 eigen / fixed-point spectral sequences for pure prime-power conductors.
@@ -71,10 +75,11 @@ def topological_generator(p: int) -> int:
 def _padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[int]:
     """Valuations of the invariant factors of a square matrix over Z/p^M.
 
-    Minimal-valuation pivoting; exponents are capped at M (a cap signals
-    insufficient precision to the stability loop).  The row-major pivot
-    scan stops at the first unit, which is the entry a full scan for the
-    strict minimum would pick.  Only rows are reduced: after step t column
+    Minimal-valuation pivoting.  The result is min(e_i, M) for the
+    elementary divisors p^(e_i) over Z_p, so exponents below M are exact
+    and an exponent capped at M means the precision is too low.  The
+    row-major pivot scan stops at the first unit, which is the entry a
+    full scan for the strict minimum would pick.  Only rows are reduced: after step t column
     t is zero below the pivot and every entry of row t is a multiple of
     it, so clearing row t would change nothing a later step reads.
     """
@@ -127,21 +132,46 @@ def _padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[in
 
 
 class PrecisionError(ArithmeticError):
-    """SNF invariants failed to stabilize; retry with a larger precision."""
+    """Res(Phi, u) vanished mod p^M at every precision tried; retry with a larger M."""
 
 
-def _stable_quotient(rows_builder, p: int, M: int):
-    """Run the SNF oracle at M and M+2, escalating by 5 until stable."""
+def _resultant_mod(phi: tuple[int, ...], u: list[int], pm: int) -> int:
+    """Res(Phi, u) mod pm, up to sign, for monic ``phi`` and u = u0 + u1 x (ascending).
+
+    With c = -u0 and w = u1 this is sum_j phi_j c^j w^(d-j), evaluated by
+    Horner; a constant u (w = 0) gives c^d.  It equals the determinant of
+    multiplication by u on Z[x]/(Phi) up to sign, from Phi and u alone.
+    """
+    c = -u[0]
+    w = u[1] if len(u) > 1 else 0
+    acc, wpow = 0, 1
+    for coeff in reversed(phi):
+        acc = (acc * c + coeff * wpow) % pm
+        wpow = wpow * w % pm
+    return acc
+
+
+def _stable_quotient(phi: tuple[int, ...], u_at, p: int, M: int):
+    """Z_p[x]/(Phi, u) from one Smith elimination per precision, checked by the resultant.
+
+    ``u_at(precision)`` gives u mod p^precision.  Where Res(Phi, u) is
+    nonzero mod p^M the exponents sum to v_p(Res) < M, so each is below M
+    and the Smith form is exact; a disagreement raises AssertionError.
+    Where it vanishes (an exponent reached M, or the check cannot tell),
+    the precision escalates by 5.
+    """
     from .homotopy import AbelianGroupExpr
 
     precision = M
     for _ in range(8):
-        e1 = _padic_invariant_exponents(rows_builder(precision), p, precision)
-        e2 = _padic_invariant_exponents(rows_builder(precision + 2), p, precision + 2)
-        f1 = [e for e in e1 if 0 < e < precision]
-        f2 = [e for e in e2 if 0 < e < precision + 2]
-        if f1 == f2 and all(e < precision for e in e1):
-            return AbelianGroupExpr.from_invariants([p**e for e in f1])
+        pm = p**precision
+        u = u_at(precision)
+        exps = _padic_invariant_exponents(_mult_rows_mod(phi, u, pm), p, precision)
+        res = _resultant_mod(phi, u, pm)
+        if res:
+            if sum(exps) != _vp(res, p):
+                raise AssertionError(f"Smith exponents {exps} do not sum to v_{p}(Res) = {_vp(res, p)}")
+            return AbelianGroupExpr.from_invariants([p**e for e in exps if e])
         precision += 5
     raise PrecisionError(f"quotient did not stabilize up to precision {precision}; retry with larger M")
 
@@ -150,18 +180,15 @@ def _mult_rows_mod(mod: tuple[int, ...], u_coeffs: list[int], pm: int) -> list[l
     """Rows of multiplication-by-u on Z[x]/(mod), entries mod pm; ``mod`` is monic, ascending."""
     deg = len(mod) - 1
     rows = []
-    cur = [c % pm for c in u_coeffs]
 
     def times_x(vec: list[int]) -> list[int]:
-        out = [0] + vec[:deg]
-        lead = out[deg] if len(out) > deg else 0
-        out = out[:deg]
+        lead = vec[-1]
+        out = [0] + vec[:-1]
         if lead:
-            for j in range(deg):
-                out[j] = (out[j] - lead * mod[j]) % pm
-        return [c % pm for c in out]
+            out = [(x - lead * m) % pm for x, m in zip(out, mod)]
+        return out
 
-    cur = (cur + [0] * deg)[:deg]
+    cur = ([c % pm for c in u_coeffs] + [0] * deg)[:deg]
     for _ in range(deg):
         rows.append(cur)
         cur = times_x(cur)
@@ -172,8 +199,9 @@ def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15):
     """Z_p[zeta_{p^(v-1)}] / (omega^a(g) zeta - g^t) by Smith normal form.
 
     p odd, v >= 2, 0 <= a <= p-2.  g is the fixed topological generator;
-    g^t for negative t goes through the modular inverse.  The result is
-    required to be precision-stable (identical at M and M+2).
+    g^t for negative t goes through the modular inverse.  One Smith
+    elimination at precision M is exact once v_p(Res(Phi, u)) < M, and its
+    exponents must sum to that valuation; otherwise M escalates.
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
@@ -184,15 +212,14 @@ def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15):
     phi = cyclotomic_poly(p ** (v - 1))
     g = topological_generator(p)
 
-    def rows_builder(precision: int) -> list[list[int]]:
+    def u_at(precision: int) -> list[int]:
         pm = p**precision
         w = pow(teichmuller(p, g % p, precision), a, pm)
         gt = pow(g, t, pm) if t >= 0 else pow(pow(g, -1, pm), -t, pm)
         # u = w*x - g^t in the power basis; _mult_rows_mod pads it to deg Phi_{p^(v-1)} >= 2 (p odd).
-        u = [(-gt) % pm, w % pm]
-        return _mult_rows_mod(phi, u, pm)
+        return [(-gt) % pm, w]
 
-    return _stable_quotient(rows_builder, p, M)
+    return _stable_quotient(phi, u_at, p, M)
 
 
 def quotient_oracle_2(v: int, t: int, M: int = 15):
@@ -201,17 +228,15 @@ def quotient_oracle_2(v: int, t: int, M: int = 15):
         raise ValueError("v must be at least 3")
     phi = cyclotomic_poly(2 ** (v - 2))
 
-    def rows_builder(precision: int) -> list[list[int]]:
+    def u_at(precision: int) -> list[int]:
         pm = 2**precision
         gt = pow(5, t, pm) if t >= 0 else pow(pow(5, -1, pm), -t, pm)
         if len(phi) == 2:
             # Phi_2 = x + 1, so zeta reduces to -1 in the power basis.
-            u = [(-1 - gt) % pm]
-        else:
-            u = [(-gt) % pm, 1]
-        return _mult_rows_mod(phi, u, pm)
+            return [(-1 - gt) % pm]
+        return [(-gt) % pm, 1]
 
-    return _stable_quotient(rows_builder, 2, M)
+    return _stable_quotient(phi, u_at, 2, M)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from dirichletj.characters import char_inv, enumerate_characters, is_primitive, parity
+from dirichletj import homotopy
+from dirichletj.characters import InputError, char_inv, enumerate_characters, is_primitive, parity
 from dirichletj.cyclotomic import factorize
 from dirichletj.homotopy import (
     AbelianGroupExpr,
@@ -224,8 +225,6 @@ class TestDecompose:
         assert decompose_p(chi, 5) == want
 
     def test_memo_is_bounded(self):
-        from dirichletj import homotopy
-
         maxsize = homotopy._decompose_p.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
@@ -269,6 +268,7 @@ class TestPiJNChi:
             for chi in primitive_chars(N):
                 primes = sorted(set(factorize(N)) | set(factorize(chi.order())))
                 summands = [s for p in primes for s in decompose_p(chi, p)]
+                assert homotopy._assembly_summands(chi) == tuple(summands)
                 for i in range(-8, 25):
                     folded = A.zero()
                     for s in summands:
@@ -285,6 +285,13 @@ class TestPiJNChi:
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
             pi_jn_chi(enumerate_characters(5)[0], 3)
+
+    def test_rejection_is_not_cached(self):
+        # An error is raised on every call, not only the first one.
+        for chi in (enumerate_characters(8)[2], enumerate_characters(5)[0]):  # conductor 4 lift; trivial
+            for _ in range(2):
+                with pytest.raises(InputError):
+                    pi_jn_chi_paths(chi, 3)
 
 
 class TestPiJK:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dirichletj import padic
 from dirichletj.cyclotomic import cyclotomic_poly
 from dirichletj.homotopy import AbelianGroupExpr
 from dirichletj.padic import (
@@ -65,6 +66,20 @@ class TestTopologicalGenerator:
         assert topological_generator(2) == 5
 
 
+@pytest.fixture
+def snf_precisions(monkeypatch):
+    """The precision of every Smith elimination the oracle runs, in order."""
+    seen = []
+    snf = padic._padic_invariant_exponents
+
+    def counted(rows, p, M):
+        seen.append(M)
+        return snf(rows, p, M)
+
+    monkeypatch.setattr(padic, "_padic_invariant_exponents", counted)
+    return seen
+
+
 class TestQuotientOracle:
     @pytest.mark.parametrize("p", [3, 5])
     @pytest.mark.parametrize("v", [2, 3])
@@ -82,6 +97,33 @@ class TestQuotientOracle:
 
     def test_precision_independence(self):
         assert quotient_oracle(5, 2, 2, 2, M=15) == quotient_oracle(5, 2, 2, 2, M=25)
+
+    def test_one_elimination_per_exact_quotient(self, snf_precisions):
+        for p, v in ((3, 2), (5, 3)):
+            for t in range(-3, 4):
+                snf_precisions.clear()
+                quotient_oracle(p, v, 1, t)
+                assert snf_precisions == [15]
+        snf_precisions.clear()
+        assert quotient_oracle_2(3, 1) == AbelianGroupExpr.cyclic(2)
+        assert snf_precisions == [15]
+
+    def test_low_precision_escalates(self, snf_precisions):
+        # Z/3 has exponent 1 = M at M = 1, so the resultant vanishes mod 3.
+        assert quotient_oracle(3, 2, 1, 3, M=1) == AbelianGroupExpr.cyclic(3)
+        assert snf_precisions == [1, 6]
+
+    def test_exponents_below_M_summing_to_M_escalate(self, snf_precisions):
+        # u = 3 on Z[x]/(Phi_3): both exponents are 1 < M = 2, but Res = 9 vanishes mod 3^2.
+        got = padic._stable_quotient(cyclotomic_poly(3), lambda precision: [3], 3, 2)
+        assert got == AbelianGroupExpr.cyclic(3) + AbelianGroupExpr.cyclic(3)
+        assert snf_precisions == [2, 7]
+
+    def test_resultant_catches_a_lost_exponent(self, monkeypatch):
+        snf = padic._padic_invariant_exponents
+        monkeypatch.setattr(padic, "_padic_invariant_exponents", lambda rows, p, M: snf(rows, p, M)[:-1])
+        with pytest.raises(AssertionError, match="Res"):
+            quotient_oracle(3, 2, 1, 3)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,15 @@ def test_bernoulli_pipelines_share_no_code():
         assert not named & other, f"{name} names {sorted(named & other)}"
 
 
+def test_padic_resultant_check_shares_no_code_with_the_elimination():
+    # The resultant checks the Smith elimination; it may not name the elimination or its row builder.
+    tree = ast.parse((SRC / "padic.py").read_text())
+    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_resultant_mod")
+    named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(check)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not named & {"_padic_invariant_exponents", "_mult_rows_mod"}, sorted(named)
+
+
 def test_only_cli_main_writes_stdout():
     # Subcommands return (payload, text, code); main is the one place that prints.
     tree = ast.parse((SRC / "cli.py").read_text())
