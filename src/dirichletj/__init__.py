@@ -1,6 +1,7 @@
 """Exact arithmetic for Dirichlet L-values and Dirichlet J-spectrum homotopy tables."""
 
-from .homotopy import AbelianGroupExpr, LocalizationSpec
+from .exactalg import AbelianGroupExpr
+from .homotopy import LocalizationSpec
 
 __all__ = [
     "AbelianGroupExpr",

@@ -43,23 +43,21 @@ from .characters import (
     conductor,
     evaluate,
     is_primitive,
+    kernel_order_match,
     parity,
     primitivize,
-    smallest_primitive_root,
     tame_order,
 )
 from .cyclotomic import (
     CycElement,
     IdealLattice,
-    _vp,
     denominator_ideal,
-    factorize,
     get_field,
     ideal_membership,
     ideal_power,
     ideal_sum,
-    is_prime,
 )
+from .exactalg import _vp, euler_phi, factorize, is_prime, smallest_primitive_root
 
 
 @lru_cache(maxsize=None)
@@ -339,8 +337,6 @@ def carlitz_p_ideal(chi: DirichletCharacter, k: int) -> IdealLattice:
     if p == 2:
         raise ValueError("odd conductor prime required")
     field = get_field(chi.order())
-    from .cyclotomic import euler_phi
-
     if k < 0:
         raise ValueError("k must be nonnegative")
     g = smallest_primitive_root(p, euler_phi(p))
@@ -421,8 +417,6 @@ def kernel_match_expected_nontrivial(chi: DirichletCharacter, k: int) -> bool:
     kernel-order match; used as a cross-check between the arithmetic and
     homotopy sides.
     """
-    from .characters import kernel_order_match
-
     N = conductor(chi)
     (p, _v), = factorize(N).items()
     return kernel_order_match(k, p, tame_order(chi, p))

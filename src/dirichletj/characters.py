@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .cyclotomic import CycElement, _multiplicative_order, _vp, euler_phi, factorize, get_field, is_prime
+from .cyclotomic import CycElement, get_field
+from .exactalg import _crt_lift, _multiplicative_order, _vp, euler_phi, factorize, is_prime, smallest_primitive_root
 
 
 class InputError(ValueError):
@@ -38,30 +39,6 @@ class InputError(ValueError):
 
     The command line exits 2 on it, and 1 on any other error.
     """
-
-
-def smallest_primitive_root(q: int, phi: int) -> int:
-    """Smallest positive primitive root mod q = p^v, p odd; verified."""
-    prime_divs = list(factorize(phi))
-    for g in range(2, q):
-        if math.gcd(g, q) != 1:
-            continue
-        if all(pow(g, phi // r, q) != 1 for r in prime_divs):
-            if _multiplicative_order(g, q) != phi:
-                raise AssertionError(f"{g} is not a primitive root mod {q}")
-            return g
-    raise ValueError(f"no primitive root mod {q}")
-
-
-def _crt_lift(residue: int, modulus: int, full_modulus: int) -> int:
-    """x with x = residue mod modulus, x = 1 mod full_modulus/modulus."""
-    other = full_modulus // modulus
-    if other == 1:
-        return residue % full_modulus
-    inv = pow(modulus, -1, other)
-    # x = residue + modulus * t, t chosen so x = 1 mod other.
-    t = ((1 - residue) * inv) % other
-    return (residue + modulus * t) % full_modulus
 
 
 @dataclass(frozen=True)
@@ -382,7 +359,7 @@ def unit_subgroup(N: int, gens: Sequence[int]) -> set[int]:
         return {0}
     for g in gens:
         if math.gcd(g, N) != 1:
-            raise ValueError(f"{g} is not a unit mod {N}")
+            raise InputError(f"{g} is not a unit mod {N}")
     H = {1}
     frontier = [1]
     while frontier:

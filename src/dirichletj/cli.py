@@ -24,17 +24,8 @@ from typing import Callable, Iterable, Optional
 
 from . import bernoulli, characters, dedekind, eisenstein, homotopy
 from .characters import DirichletCharacter, InputError, character_from_index, char_inv, enumerate_characters
-from .cyclotomic import (
-    count_irreducible_factors_mod_p,
-    cyclotomic_poly,
-    is_prime,
-    padic_splitting,
-    quotient_from_snf,
-    quotient_group,
-    render_cyc,
-)
-from .exactalg import smith_normal_form
-from .homotopy import AbelianGroupExpr
+from .cyclotomic import count_irreducible_factors_mod_p, cyclotomic_poly, padic_splitting, quotient_group, render_cyc
+from .exactalg import AbelianGroupExpr, factorize, is_prime, smith_normal_form
 from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle_2
 
 SCHEMA = 1
@@ -374,7 +365,7 @@ def cmd_bern(args) -> Output:
     ideal = bernoulli.denom_ideal(characters.primitivize(chi), k)
     diag = ideal.diagonal()
     snf_diag = smith_normal_form(ideal.basis)
-    quot = quotient_from_snf(snf_diag)
+    quot = AbelianGroupExpr.from_invariants(snf_diag)
     payload = {
         "B": render_cyc(b),
         "L(1-k)": render_cyc(lv),
@@ -517,6 +508,9 @@ def cmd_verify(args) -> Output:
         raise InputError(f"empty range: --max {given['--max']} is below 1")
     if given.get("--max-weight", 0) < 0:
         raise InputError(f"empty weight range: --max-weight {given['--max-weight']} is negative")
+    primes = given.get("--primes")
+    if primes is not None and (not primes or any(N <= 2 or len(factorize(N)) != 1 for N in primes)):
+        raise InputError(f"--primes takes prime powers above 2, got {primes}")
     reports = []
     for name in list(SUITES) if args.suite == "all" else [args.suite]:
         options = SUITE_OPTIONS.get(name, {})

@@ -26,37 +26,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactalg import hermite_normal_form, smith_normal_form
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk scale)."""
-    out: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+from .exactalg import (
+    AbelianGroupExpr,
+    _multiplicative_order,
+    _vp,
+    euler_phi,
+    hermite_normal_form,
+    is_prime,
+    smith_normal_form,
+    times_x_rows,
+)
 
 
 @lru_cache(maxsize=None)
@@ -91,8 +70,8 @@ class CyclotomicField:
     ``phi_n`` is the integer coefficient tuple of ``cyclotomic_poly(n)``.
     Phi_n is monic and integral, so every power of ``z`` reduces to an
     integer vector; ``_zeta_pow[k]`` holds ``z^k`` for k below
-    max(n, 2*degree - 1), which serves both ``zeta_power`` and the
-    reduction of a product.  Instances are immutable and cached per n;
+    max(n, 2*degree - 1), read off ``times_x_rows``, which serves both
+    ``zeta_power`` and the reduction of a product.  Instances are immutable and cached per n;
     share them freely.
     """
 
@@ -102,19 +81,7 @@ class CyclotomicField:
         self.degree = d = len(self.phi_n) - 1
         if d != euler_phi(n):
             raise AssertionError(f"deg Phi_{n} = {d} differs from phi({n}) = {euler_phi(n)}")
-        self._phi_low = self.phi_n[:d]  # z^d = -sum_j _phi_low[j] z^j
-        self._zeta_pow: list[tuple[int, ...]] = [(1,) + (0,) * (d - 1)]
-        while len(self._zeta_pow) < max(n, 2 * d - 1):
-            self._zeta_pow.append(tuple(self.times_zeta(self._zeta_pow[-1])))
-
-    def times_zeta(self, vec: Sequence[int]) -> list[int]:
-        """The integer coordinates of z times the element with coordinates ``vec``."""
-        out = [0] + list(vec[:-1])
-        lead = vec[-1]
-        if lead:
-            for j, c in enumerate(self._phi_low):
-                out[j] -= lead * c
-        return out
+        self._zeta_pow = [tuple(row) for row in times_x_rows(self.phi_n, [1], max(n, 2 * d - 1))]
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "CycElement":
         """The element with the given rational coordinates over the power basis."""
@@ -337,14 +304,6 @@ def _substitute(a: CycElement, target: CyclotomicField, step: int) -> CycElement
 # Ideal lattices
 
 
-def _zeta_rows(field: CyclotomicField, vec: Sequence[int]) -> list[list[int]]:
-    """Rows z^j * vec for j < degree: the multiplication matrix of an integer vector."""
-    rows = [list(vec)]
-    for _ in range(field.degree - 1):
-        rows.append(field.times_zeta(rows[-1]))
-    return rows
-
-
 class IdealLattice:
     """Full-rank sublattice of Z[zeta_n] in row HNF, closed under z-multiplication.
 
@@ -372,7 +331,7 @@ class IdealLattice:
         if len(self.basis) < d or not all(self.diagonal()):
             raise ValueError("rows are singular; not a full-rank lattice")
         self.field = field
-        if not all(self._contains_vector(field.times_zeta(row)) for row in self.basis):
+        if not all(self._contains_vector(times_x_rows(field.phi_n, row, 2)[1]) for row in self.basis):
             raise ValueError("lattice is not closed under multiplication by zeta")
 
     def _contains_vector(self, vec: Sequence[int]) -> bool:
@@ -408,7 +367,7 @@ class IdealLattice:
                 raise ValueError("ideal generators must be integral")
             if g.is_rational():
                 modulus = math.gcd(modulus, g.nums[0])
-            rows.extend(_zeta_rows(field, g.nums))
+            rows.extend(times_x_rows(field.phi_n, g.nums))
         if not rows:
             raise ValueError("no generators")
         return cls(field, rows, modulus or None)
@@ -501,20 +460,13 @@ def denominator_ideal(a: CycElement) -> IdealLattice:
     c = a.den
     if c == 1:
         return IdealLattice.full_ring(field)
-    rows = [arow + [int(i == j) for j in range(d)] for i, arow in enumerate(_zeta_rows(field, a.nums))]
+    rows = [arow + [int(i == j) for j in range(d)] for i, arow in enumerate(times_x_rows(field.phi_n, a.nums))]
     return IdealLattice(field, rows, c)
 
 
-def quotient_group(ideal: IdealLattice):
-    """Z^phi(n) / lattice as a normalized abelian group expression."""
-    return quotient_from_snf(smith_normal_form(ideal.basis))
-
-
-def quotient_from_snf(diagonal: list[int]):
-    """The finite group with the given Smith diagonal (zeros and ones dropped)."""
-    from .homotopy import AbelianGroupExpr
-
-    return AbelianGroupExpr.from_invariants([x for x in diagonal if x not in (0, 1)])
+def quotient_group(ideal: IdealLattice) -> AbelianGroupExpr:
+    """Z^phi(n) / lattice, a finite group since the lattice has full rank."""
+    return AbelianGroupExpr.from_invariants(smith_normal_form(ideal.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -537,45 +489,6 @@ class FrobeniusData:
     m: int
     ramification: int
     coset_reps: tuple[int, ...]
-
-
-def _multiplicative_order(a: int, modulus: int) -> int:
-    if modulus == 1:
-        return 1
-    if math.gcd(a, modulus) != 1:
-        raise ValueError("element not a unit")
-    order = 1
-    x = a % modulus
-    while x != 1:
-        x = (x * a) % modulus
-        order += 1
-    return order
-
-
-def _vp(k: int, p: int) -> int:
-    """The p-adic valuation of a nonzero integer k."""
-    if k == 0:
-        raise ValueError("valuation of zero")
-    v, k = 0, abs(k)
-    while k % p == 0:
-        k //= p
-        v += 1
-    return v
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def frobenius_data(n: int, p: int) -> FrobeniusData:

@@ -23,8 +23,9 @@ from fractions import Fraction
 
 from .bernoulli import l_value
 from .characters import DirichletCharacter, InputError, enumerate_characters, _value_exponent, unit_subgroup
-from .cyclotomic import factorize, get_field
-from .homotopy import AbelianGroupExpr, invert_primes, pi_JK
+from .cyclotomic import get_field
+from .exactalg import AbelianGroupExpr, factorize
+from .homotopy import invert_primes, pi_JK
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,6 @@ class AbelianFieldSpec:
 
     modulus: int
     subgroup_gens: tuple[int, ...]
-
-    def __post_init__(self):
-        for g in self.subgroup_gens:
-            if self.modulus > 1 and math.gcd(g, self.modulus) != 1:
-                raise InputError(f"{g} is not a unit mod {self.modulus}")
 
     def subgroup(self) -> set[int]:
         return unit_subgroup(self.modulus, self.subgroup_gens)

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .bernoulli import denom_ideal, gbn, p_primary_part
 from .characters import DirichletCharacter, InputError, conductor, evaluate, is_primitive, parity
-from .cyclotomic import CycElement, IdealLattice, factorize, get_field, ideal_membership
+from .cyclotomic import CycElement, IdealLattice, get_field, ideal_membership
+from .exactalg import factorize
 
 
 def sigma_chi(chi: DirichletCharacter, m: int, n: int) -> CycElement:

@@ -1,6 +1,12 @@
-"""Exact integer linear algebra: Hermite and Smith normal forms over Z.
+"""The bottom layer: integer helpers, exact linear algebra over Z, and abelian groups.
 
-This is the computational kernel for the ideal lattices of the package.
+Every other module of the package imports this one and it imports none of
+them.  It holds the integer helpers (trial-division factorization, p-adic
+valuations, multiplicative orders, primitive roots), the Hermite and Smith
+normal forms that ideal lattices and quotients are read off, the
+multiplication by x modulo a monic polynomial, and ``AbelianGroupExpr``,
+the value type of every quotient group and every homotopy table.
+
 A matrix is a list of integer rows; the forms come without transforms,
 the HNF optionally modulo a known multiple D of the lattice's exponent.
 Everything is an arbitrary-precision integer; no floating point and no
@@ -16,12 +22,106 @@ Conventions fixed here and used throughout:
   nonnegative, with the divisibility chain ``d[0] | d[1] | ...``.  It is
   computed by the HNF alone: HNFs of transposes until the matrix is
   diagonal, then a gcd/lcm pass over the diagonal.
+* ``times_x_rows`` is the one multiplication by x modulo a monic
+  polynomial: the power basis of Q(zeta_n) and the p-adic quotients both
+  read their multiplication matrices off it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+
+# ---------------------------------------------------------------------------
+# Integer helpers
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization by trial division (desk scale)."""
+    out: dict[int, int] = {}
+    m = n
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def euler_phi(n: int) -> int:
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n).items())
+
+
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def _vp(k: int, p: int) -> int:
+    """The p-adic valuation of a nonzero integer k."""
+    if k == 0:
+        raise ValueError("valuation of zero")
+    v, k = 0, abs(k)
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v
+
+
+def _multiplicative_order(a: int, modulus: int) -> int:
+    if modulus == 1:
+        return 1
+    if math.gcd(a, modulus) != 1:
+        raise ValueError("element not a unit")
+    order = 1
+    x = a % modulus
+    while x != 1:
+        x = (x * a) % modulus
+        order += 1
+    return order
+
+
+def smallest_primitive_root(q: int, phi: int) -> int:
+    """Smallest positive primitive root mod q = p^v, p odd; verified."""
+    prime_divs = list(factorize(phi))
+    for g in range(2, q):
+        if math.gcd(g, q) != 1:
+            continue
+        if all(pow(g, phi // r, q) != 1 for r in prime_divs):
+            if _multiplicative_order(g, q) != phi:
+                raise AssertionError(f"{g} is not a primitive root mod {q}")
+            return g
+    raise ValueError(f"no primitive root mod {q}")
+
+
+def _crt_lift(residue: int, modulus: int, full_modulus: int) -> int:
+    """x with x = residue mod modulus, x = 1 mod full_modulus/modulus."""
+    other = full_modulus // modulus
+    if other == 1:
+        return residue % full_modulus
+    inv = pow(modulus, -1, other)
+    # x = residue + modulus * t, t chosen so x = 1 mod other.
+    t = ((1 - residue) * inv) % other
+    return (residue + modulus * t) % full_modulus
+
+
+# ---------------------------------------------------------------------------
+# Hermite and Smith normal forms
 
 
 def _width(m: Sequence[Sequence[int]]) -> int:
@@ -144,3 +244,163 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> list[int]:
     return d
 
 
+# ---------------------------------------------------------------------------
+# Multiplication by x modulo a monic polynomial
+
+
+def times_x_rows(phi: Sequence[int], vec: Sequence[int], count: int | None = None) -> list[list[int]]:
+    """Rows x^j * vec modulo the monic ``phi`` for j < ``count`` (default deg phi).
+
+    ``phi`` is ascending and ``vec`` holds at most deg phi coordinates,
+    padded with zeros; the first deg phi rows are the matrix of
+    multiplication by vec on Z[x]/(phi).
+    """
+    d = len(phi) - 1
+    row = list(vec) + [0] * (d - len(vec))
+    rows = [row]
+    for _ in range((d if count is None else count) - 1):
+        lead = row[-1]
+        row = [0] + row[:-1]
+        if lead:
+            # x^d = -sum_j phi_j x^j; zip stops before the leading 1.
+            row = [x - lead * c for x, c in zip(row, phi)]
+        rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Abelian group expressions
+
+_KIND_RANK = {"Z": 0, "Zp": 1, "QZ": 2, "C": 3}
+
+
+@dataclass(frozen=True)
+class AbelianGroupExpr:
+    """Normalized multiset of group atoms; the value type of every quotient and pi table.
+
+    The atoms are Z, Z_p, Q/Z (with the primes inverted away from it) and
+    the cyclic prime powers Z/p^e.  Cyclic parts are CRT-split into prime
+    powers and sorted, so equality is syntactic multiset equality.
+    """
+
+    atoms: tuple[tuple, ...] = ()
+
+    # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def zero() -> "AbelianGroupExpr":
+        return AbelianGroupExpr(())
+
+    @staticmethod
+    def free(rank: int = 1) -> "AbelianGroupExpr":
+        return AbelianGroupExpr(_norm([("Z",)] * rank))
+
+    @staticmethod
+    def padic(p: int, rank: int = 1) -> "AbelianGroupExpr":
+        return AbelianGroupExpr(_norm([("Zp", p)] * rank))
+
+    @staticmethod
+    def q_mod_z(count: int = 1) -> "AbelianGroupExpr":
+        return AbelianGroupExpr(_norm([("QZ", ())] * count))
+
+    @staticmethod
+    def cyclic(m: int) -> "AbelianGroupExpr":
+        if m < 1:
+            raise ValueError("cyclic order must be positive")
+        atoms = [("C", p, e) for p, e in sorted(factorize(m).items())]
+        return AbelianGroupExpr(_norm(atoms))
+
+    @staticmethod
+    def from_invariants(invariants: Iterable[int]) -> "AbelianGroupExpr":
+        """The group Z^r + sum Z/m over invariant factors m (0 for Z, 1 dropped), as from a Smith diagonal."""
+        atoms: list[tuple] = []
+        for m in invariants:
+            if m == 0:
+                atoms.append(("Z",))
+            elif m > 1:
+                atoms.extend(("C", p, e) for p, e in factorize(m).items())
+        return AbelianGroupExpr(_norm(atoms))
+
+    @staticmethod
+    def direct_sum(groups: Iterable["AbelianGroupExpr"]) -> "AbelianGroupExpr":
+        return AbelianGroupExpr(_norm([a for g in groups for a in g.atoms]))
+
+    # -- algebra ---------------------------------------------------------------
+
+    def __add__(self, other: "AbelianGroupExpr") -> "AbelianGroupExpr":
+        return AbelianGroupExpr(_norm(list(self.atoms) + list(other.atoms)))
+
+    def away_from(self, primes: Iterable[int]) -> "AbelianGroupExpr":
+        """Localization away from ``primes``.
+
+        Z/q^e and Z_q at an inverted q disappear, Q/Z records q among the
+        primes inverted away from it, and Z is unchanged.
+        """
+        inv = set(primes)
+        if not inv:
+            return self
+        out: list[tuple] = []
+        for a in self.atoms:
+            if a[0] in ("C", "Zp") and a[1] in inv:
+                continue
+            out.append(("QZ", tuple(sorted(set(a[1]) | inv))) if a[0] == "QZ" else a)
+        return AbelianGroupExpr(_norm(out))
+
+    def times(self, copies: int) -> "AbelianGroupExpr":
+        return AbelianGroupExpr(_norm(list(self.atoms) * copies))
+
+    def is_zero(self) -> bool:
+        return not self.atoms
+
+    def is_finite(self) -> bool:
+        return all(a[0] == "C" for a in self.atoms)
+
+    def order(self) -> int:
+        if not self.is_finite():
+            raise ValueError("group is not finite")
+        out = 1
+        for _, p, e in self.atoms:
+            out *= p**e
+        return out
+
+    def render(self) -> str:
+        if not self.atoms:
+            return "0"
+        parts: list[str] = []
+        i = 0
+        atoms = self.atoms
+        while i < len(atoms):
+            a = atoms[i]
+            j = i
+            while j < len(atoms) and atoms[j] == a:
+                j += 1
+            count = j - i
+            parts.extend(_render_atom(a, count))
+            i = j
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"AbelianGroupExpr({self.render()!r})"
+
+
+def _norm(atoms: list[tuple]) -> tuple[tuple, ...]:
+    def key(a: tuple):
+        rank = _KIND_RANK[a[0]]
+        return (rank,) + tuple(x if isinstance(x, int) else tuple(x) for x in a[1:])
+
+    return tuple(sorted(atoms, key=key))
+
+
+def _render_atom(a: tuple, count: int) -> list[str]:
+    kind = a[0]
+    if kind == "Z":
+        return ["Z" if count == 1 else f"Z^{count}"]
+    if kind == "Zp":
+        base = f"Z_{a[1]}"
+        return [base if count == 1 else f"{base}^{count}"]
+    if kind == "QZ":
+        away = f"[1/{math.prod(a[1])}]" if a[1] else ""
+        return [f"Q/Z{away}"] * count
+    if kind == "C":
+        return [f"Z/{a[1] ** a[2]}"] * count
+    raise AssertionError(f"unknown atom {a!r}")

@@ -1,11 +1,9 @@
-"""Formal abelian-group expressions and the closed-form homotopy-group tables.
+"""The closed-form homotopy-group tables and their localizations.
 
 Homotopy groups of the J-spectrum, its level variants, the K(1)-local
 spheres, and their Dirichlet-twisted versions are all finite direct sums
-drawn from a short list of atoms (Z, Z_p, Q, Q/Z, Q_p/Z_p, Zhat, Z/p^e).
-``AbelianGroupExpr`` models such sums as normalized multisets: cyclic
-parts are CRT-split into prime powers and sorted, so equality is
-syntactic multiset equality.
+drawn from a short list of atoms (Z, Z_p, Q/Z, Z/p^e), held as
+``exactalg.AbelianGroupExpr``.
 
 Twisted groups are computed two independent ways:
 
@@ -37,148 +35,13 @@ from .characters import (
     tame_exponent,
     unit_subgroup,
 )
-from .cyclotomic import _vp, factorize, is_prime, padic_splitting
+from .cyclotomic import padic_splitting
+from .exactalg import AbelianGroupExpr, _vp, factorize, is_prime
 from .padic import PAdicCharacterData, PrimeToPPart
 
 
 # ---------------------------------------------------------------------------
-# Abelian group expressions
-
-_KIND_RANK = {"Q": 0, "Z": 1, "Zp": 2, "Zhat": 3, "QZ": 4, "QpZp": 5, "C": 6}
-
-
-@dataclass(frozen=True)
-class AbelianGroupExpr:
-    """Normalized multiset of group atoms; the value type of every pi table."""
-
-    atoms: tuple[tuple, ...] = ()
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "AbelianGroupExpr":
-        return AbelianGroupExpr(())
-
-    @staticmethod
-    def free(rank: int = 1) -> "AbelianGroupExpr":
-        return AbelianGroupExpr(_norm([("Z",)] * rank))
-
-    @staticmethod
-    def padic(p: int, rank: int = 1) -> "AbelianGroupExpr":
-        return AbelianGroupExpr(_norm([("Zp", p)] * rank))
-
-    @staticmethod
-    def rational(rank: int = 1) -> "AbelianGroupExpr":
-        return AbelianGroupExpr(_norm([("Q",)] * rank))
-
-    @staticmethod
-    def q_mod_z(count: int = 1) -> "AbelianGroupExpr":
-        return AbelianGroupExpr(_norm([("QZ", ())] * count))
-
-    @staticmethod
-    def qp_mod_zp(p: int, count: int = 1) -> "AbelianGroupExpr":
-        return AbelianGroupExpr(_norm([("QpZp", p)] * count))
-
-    @staticmethod
-    def profinite(count: int = 1) -> "AbelianGroupExpr":
-        return AbelianGroupExpr(_norm([("Zhat", ())] * count))
-
-    @staticmethod
-    def cyclic(m: int) -> "AbelianGroupExpr":
-        if m < 1:
-            raise ValueError("cyclic order must be positive")
-        atoms = [("C", p, e) for p, e in sorted(factorize(m).items())]
-        return AbelianGroupExpr(_norm(atoms))
-
-    @staticmethod
-    def from_invariants(invariants: Iterable[int]) -> "AbelianGroupExpr":
-        atoms: list[tuple] = []
-        for m in invariants:
-            if m == 0:
-                atoms.append(("Z",))
-            elif m > 1:
-                atoms.extend(("C", p, e) for p, e in factorize(m).items())
-        return AbelianGroupExpr(_norm(atoms))
-
-    # -- algebra ---------------------------------------------------------------
-
-    def __add__(self, other: "AbelianGroupExpr") -> "AbelianGroupExpr":
-        return AbelianGroupExpr(_norm(list(self.atoms) + list(other.atoms)))
-
-    def times(self, copies: int) -> "AbelianGroupExpr":
-        return AbelianGroupExpr(_norm(list(self.atoms) * copies))
-
-    def is_zero(self) -> bool:
-        return not self.atoms
-
-    def is_finite(self) -> bool:
-        return all(a[0] == "C" for a in self.atoms)
-
-    def order(self) -> int:
-        if not self.is_finite():
-            raise ValueError("group is not finite")
-        out = 1
-        for _, p, e in self.atoms:
-            out *= p**e
-        return out
-
-    def render(self) -> str:
-        if not self.atoms:
-            return "0"
-        parts: list[str] = []
-        i = 0
-        atoms = self.atoms
-        while i < len(atoms):
-            a = atoms[i]
-            j = i
-            while j < len(atoms) and atoms[j] == a:
-                j += 1
-            count = j - i
-            parts.extend(_render_atom(a, count))
-            i = j
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"AbelianGroupExpr({self.render()!r})"
-
-
-def _norm(atoms: list[tuple]) -> tuple[tuple, ...]:
-    def key(a: tuple):
-        rank = _KIND_RANK[a[0]]
-        return (rank,) + tuple(x if isinstance(x, int) else tuple(x) for x in a[1:])
-
-    return tuple(sorted(atoms, key=key))
-
-
-def _render_atom(a: tuple, count: int) -> list[str]:
-    kind = a[0]
-    if kind == "Z":
-        return ["Z" if count == 1 else f"Z^{count}"]
-    if kind == "Q":
-        return ["Q" if count == 1 else f"Q^{count}"]
-    if kind == "Zp":
-        base = f"Z_{a[1]}"
-        return [base if count == 1 else f"{base}^{count}"]
-    if kind == "Zhat":
-        base = "Zhat" + (_away_suffix(a[1]))
-        return [base] * count
-    if kind == "QZ":
-        base = "Q/Z" + (_away_suffix(a[1]))
-        return [base] * count
-    if kind == "QpZp":
-        return [f"Q_{a[1]}/Z_{a[1]}"] * count
-    if kind == "C":
-        return [f"Z/{a[1] ** a[2]}"] * count
-    raise AssertionError(f"unknown atom {a!r}")
-
-
-def _away_suffix(away: tuple) -> str:
-    if not away:
-        return ""
-    m = 1
-    for p in away:
-        m *= p
-    return f"[1/{m}]"
+# Localization
 
 
 @dataclass(frozen=True)
@@ -194,30 +57,10 @@ class LocalizationSpec:
 
 
 def invert_primes(g: AbelianGroupExpr, loc: LocalizationSpec | Iterable[int]) -> AbelianGroupExpr:
-    """Localize away from the given primes.
-
-    Cyclic, Z_q and Q_q/Z_q atoms at inverted primes q disappear; Q/Z and
-    Zhat lose their q-components (tracked as an annotation); Z and Q are
-    unchanged.
-    """
+    """Localize away from the given primes, each checked to be prime."""
     if not isinstance(loc, LocalizationSpec):
         loc = LocalizationSpec(frozenset(loc))
-    inv = loc.inverted
-    if not inv:
-        return g
-    out: list[tuple] = []
-    for a in g.atoms:
-        kind = a[0]
-        if kind == "C" and a[1] in inv:
-            continue
-        if kind in ("Zp", "QpZp") and a[1] in inv:
-            continue
-        if kind in ("QZ", "Zhat"):
-            away = tuple(sorted(set(a[1]) | inv))
-            out.append((kind, away))
-            continue
-        out.append(a)
-    return AbelianGroupExpr(_norm(out))
+    return g.away_from(loc.inverted)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +256,9 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
         return _tame_eigen_odd(p, w, a, i - 1).times(p)
     # Pure p-power conductor.
     if v == 0:
-        if a != 0:
-            raise ValueError("trivial p-part must have trivial tame datum")
         return pi_K1(p, i)
     if p == 2:
         if v == 2:
-            if a != 1:
-                raise ValueError("the conductor-4 character is odd")
             return _tame_eigen_2(2, 1, i)
         if a == 0:
             if i % 8 in (0, 2, 3, 7):
@@ -689,8 +528,7 @@ def pi_jn_chi_paths(chi: DirichletCharacter, i: int) -> tuple[AbelianGroupExpr, 
     """(direct-table value, p-completion assembly value) before localization."""
     summands = _assembly_summands(chi)
     direct = _pi_jnchi_direct(chi, i)
-    atoms = [a for summand in summands for a in pi_DK1(summand, i).atoms]
-    return direct, AbelianGroupExpr(_norm(atoms))
+    return direct, AbelianGroupExpr.direct_sum(pi_DK1(summand, i) for summand in summands)
 
 
 def pi_jn_chi(

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .characters import InputError
-from .cyclotomic import _vp, cyclotomic_poly, euler_phi, is_prime
+from .cyclotomic import cyclotomic_poly
+from .exactalg import AbelianGroupExpr, _vp, euler_phi, is_prime, smallest_primitive_root, times_x_rows
 
 
 def teichmuller(p: int, a: int, M: int) -> int:
@@ -61,8 +62,6 @@ def topological_generator(p: int) -> int:
         return _TOPGEN_CACHE[p]
     if not is_prime(p):
         raise ValueError("p must be prime")
-    from .characters import smallest_primitive_root
-
     g = smallest_primitive_root(p * p, euler_phi(p * p))
     _TOPGEN_CACHE[p] = g
     return g
@@ -86,28 +85,20 @@ def _padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[in
     pm = p**M
     a = [[x % pm for x in row] for row in rows]
     r = len(a)
-
-    def val(x: int) -> int:
-        if x == 0:
-            return M
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
     exps = []
     for t in range(r):
         best, bestv = None, M
         for i in range(t, r):
             row = a[i]
             for j in range(t, r):
-                if row[j] % p:
+                x = row[j]
+                if x % p:
                     best, bestv = (i, j), 0
                     break
-                v = val(row[j])
-                if v < bestv:
-                    best, bestv = (i, j), v
+                if x:
+                    v = _vp(x, p)
+                    if v < bestv:
+                        best, bestv = (i, j), v
             if bestv == 0:
                 break
         if best is None:
@@ -151,7 +142,7 @@ def _resultant_mod(phi: tuple[int, ...], u: list[int], pm: int) -> int:
     return acc
 
 
-def _stable_quotient(phi: tuple[int, ...], u_at, p: int, M: int):
+def _stable_quotient(phi: tuple[int, ...], u_at, p: int, M: int) -> AbelianGroupExpr:
     """Z_p[x]/(Phi, u) from one Smith elimination per precision, checked by the resultant.
 
     ``u_at(precision)`` gives u mod p^precision.  Where Res(Phi, u) is
@@ -160,42 +151,21 @@ def _stable_quotient(phi: tuple[int, ...], u_at, p: int, M: int):
     Where it vanishes (an exponent reached M, or the check cannot tell),
     the precision escalates by 5.
     """
-    from .homotopy import AbelianGroupExpr
-
     precision = M
     for _ in range(8):
         pm = p**precision
         u = u_at(precision)
-        exps = _padic_invariant_exponents(_mult_rows_mod(phi, u, pm), p, precision)
+        exps = _padic_invariant_exponents(times_x_rows(phi, u), p, precision)
         res = _resultant_mod(phi, u, pm)
         if res:
             if sum(exps) != _vp(res, p):
                 raise AssertionError(f"Smith exponents {exps} do not sum to v_{p}(Res) = {_vp(res, p)}")
-            return AbelianGroupExpr.from_invariants([p**e for e in exps if e])
+            return AbelianGroupExpr.from_invariants([p**e for e in exps])
         precision += 5
     raise PrecisionError(f"quotient did not stabilize up to precision {precision}; retry with larger M")
 
 
-def _mult_rows_mod(mod: tuple[int, ...], u_coeffs: list[int], pm: int) -> list[list[int]]:
-    """Rows of multiplication-by-u on Z[x]/(mod), entries mod pm; ``mod`` is monic, ascending."""
-    deg = len(mod) - 1
-    rows = []
-
-    def times_x(vec: list[int]) -> list[int]:
-        lead = vec[-1]
-        out = [0] + vec[:-1]
-        if lead:
-            out = [(x - lead * m) % pm for x, m in zip(out, mod)]
-        return out
-
-    cur = ([c % pm for c in u_coeffs] + [0] * deg)[:deg]
-    for _ in range(deg):
-        rows.append(cur)
-        cur = times_x(cur)
-    return rows
-
-
-def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15):
+def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15) -> AbelianGroupExpr:
     """Z_p[zeta_{p^(v-1)}] / (omega^a(g) zeta - g^t) by Smith normal form.
 
     p odd, v >= 2, 0 <= a <= p-2.  g is the fixed topological generator;
@@ -216,13 +186,13 @@ def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15):
         pm = p**precision
         w = pow(teichmuller(p, g % p, precision), a, pm)
         gt = pow(g, t, pm) if t >= 0 else pow(pow(g, -1, pm), -t, pm)
-        # u = w*x - g^t in the power basis; _mult_rows_mod pads it to deg Phi_{p^(v-1)} >= 2 (p odd).
+        # u = w*x - g^t in the power basis; times_x_rows pads it to deg Phi_{p^(v-1)} >= 2 (p odd).
         return [(-gt) % pm, w]
 
     return _stable_quotient(phi, u_at, p, M)
 
 
-def quotient_oracle_2(v: int, t: int, M: int = 15):
+def quotient_oracle_2(v: int, t: int, M: int = 15) -> AbelianGroupExpr:
     """Z_2[zeta_{2^(v-2)}] / (zeta - 5^t) by Smith normal form, v >= 3."""
     if v < 3:
         raise ValueError("v must be at least 3")
@@ -258,7 +228,9 @@ class PAdicCharacterData:
 
     ``tame`` is the Teichmuller exponent a in [0, p-2] for odd p, and the
     parity bit (1 = odd) for p = 2.  ``prime_to_p`` is present exactly
-    when the conductor has a part N' > 1 prime to p.
+    when the conductor has a part N' > 1 prime to p.  Data no primitive
+    character has is rejected: a nonzero tame datum at v = 0, and tame 0
+    at p = 2, v = 2, where the one character of conductor 4 is odd.
     """
 
     p: int
@@ -276,12 +248,16 @@ class PAdicCharacterData:
                 raise InputError("conductor exponent 1 at p = 2 cannot occur for primitive characters")
             if self.tame not in (0, 1):
                 raise InputError("2-adic tame datum is a parity bit")
+            if self.v == 2 and self.tame == 0:
+                raise InputError("the conductor-4 character is odd: its tame datum must be 1")
         else:
             if not 0 <= self.tame <= self.p - 2:
                 raise InputError("tame exponent out of range")
+        if self.v == 0 and self.tame:
+            raise InputError("a trivial p-part (v = 0) must have tame datum 0")
 
 
-def e2_page(chi_data: PAdicCharacterData, s: int, t: int):
+def e2_page(chi_data: PAdicCharacterData, s: int, t: int) -> AbelianGroupExpr:
     """Closed-form E2 entry of the relevant spectral sequence at (s, t).
 
     Only pure prime-power conductors are supported.  For odd p the pages
@@ -289,8 +265,6 @@ def e2_page(chi_data: PAdicCharacterData, s: int, t: int):
     2-adic KO-based pages do carry odd-degree entries and are returned
     as tabulated.
     """
-    from .homotopy import AbelianGroupExpr
-
     if chi_data.prime_to_p is not None:
         raise ValueError("e2_page requires a pure p-power conductor")
     p, v, a = chi_data.p, chi_data.v, chi_data.tame

@@ -27,8 +27,8 @@ from dirichletj.characters import (
     is_primitive,
     parity,
 )
-from dirichletj.cyclotomic import galois_apply, get_field, is_prime, quotient_group
-from dirichletj.homotopy import AbelianGroupExpr
+from dirichletj.cyclotomic import galois_apply, get_field, quotient_group
+from dirichletj.exactalg import AbelianGroupExpr
 
 
 def quad5():

@@ -21,7 +21,8 @@ from dirichletj.characters import (
     primitivize,
     tame_order,
 )
-from dirichletj.cyclotomic import euler_phi, get_field
+from dirichletj.cyclotomic import get_field
+from dirichletj.exactalg import euler_phi
 
 
 def quad5():

@@ -194,7 +194,7 @@ class TestBadArguments:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    # The other domain checks inside the library: tables, p-adic data, localizations, fields, Eisenstein series.
+    # The other domain checks: tables, p-adic data, localizations, fields, Eisenstein series, verify conductors.
     @pytest.mark.parametrize("argv, message", [
         ("homotopy k1 --prime 4", "p must be prime, got 4"),
         ("homotopy k1pv --prime 4", "p must be prime, got 4"),
@@ -202,15 +202,22 @@ class TestBadArguments:
         ("homotopy jn --level 0", "N must be positive"),
         ("homotopy jk --modulus 12", "N must be 1 or a prime power in this release"),
         ("homotopy jk --modulus 0 --from 1 --to 3", "N must be positive"),
+        ("homotopy jk --modulus 9 --subgroup 3", "3 is not a unit mod 9"),
+        ("homotopy jk --modulus 9 --subgroup 0", "0 is not a unit mod 9"),
         ("homotopy chi --modulus 5 --index 2 --invert 4", "4 is not prime"),
         ("e2 --prime 4", "p must be prime"),
         ("e2 --prime 5 --tame 9", "tame exponent out of range"),
         ("e2 --prime 5 --level-exp -1", "v must be nonnegative"),
+        ("e2 --prime 3 --level-exp 0 --tame 1", "a trivial p-part (v = 0) must have tame datum 0"),
+        ("e2 --prime 2 --level-exp 2 --tame 0", "the conductor-4 character is odd: its tame datum must be 1"),
         ("dedekind --modulus 7 --subgroup 7", "7 is not a unit mod 7"),
         ("dedekind --modulus 7 --subgroup 6 --verify-t 0", "t must be positive"),
         ("eisenstein --modulus 5 --index 1 --weight 2", "parity mismatch: B_{k,chi} = 0, series not normalizable"),
         ("eisenstein --modulus 5 --index 2 --weight 0", "k must be positive"),
         ("eisenstein --modulus 12 --index 1 --weight 1", "chi must be primitive"),
+        ("verify gbn-theorem --primes 15", "--primes takes prime powers above 2, got [15]"),
+        ("verify gbn-theorem --primes 6", "--primes takes prime powers above 2, got [6]"),
+        ("verify gbn-theorem --primes ,", "--primes takes prime powers above 2, got []"),
     ])
     def test_domain_check_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())

@@ -13,7 +13,6 @@ from dirichletj.cyclotomic import (
     count_irreducible_factors_mod_p,
     cyclotomic_poly,
     denominator_ideal,
-    euler_phi,
     frobenius_data,
     galois_apply,
     get_field,
@@ -21,12 +20,11 @@ from dirichletj.cyclotomic import (
     ideal_power,
     ideal_product,
     ideal_sum,
-    is_prime,
     padic_splitting,
     quotient_group,
     render_cyc,
 )
-from dirichletj.homotopy import AbelianGroupExpr
+from dirichletj.exactalg import AbelianGroupExpr, euler_phi, is_prime
 
 
 PRIMES_50 = [p for p in range(2, 51) if is_prime(p)]

@@ -1,4 +1,4 @@
-"""Kernel tests: Hermite and Smith normal forms of integer matrices.
+"""Kernel tests: Hermite and Smith normal forms of integer matrices, and multiplication by x.
 
 Derived expectations are produced by independent oracles inside this
 module: a Bareiss determinant, the determinantal divisors and lattice
@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletj.exactalg import hermite_normal_form, smith_normal_form
+from dirichletj.exactalg import hermite_normal_form, smith_normal_form, times_x_rows
 
 
 def bareiss_det(rows):
@@ -193,3 +193,29 @@ class TestSmith:
             if det == 0:
                 continue
             assert math.prod(smith_normal_form(m)) == abs(det)
+
+
+def reduce_mod_monic(poly, phi):
+    """Remainder of an ascending integer polynomial by the monic ``phi``, by long division."""
+    d = len(phi) - 1
+    rem = list(poly) + [0] * max(0, d - len(poly))
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        for j, y in enumerate(phi):
+            rem[k - d + j] -= c * y
+    return rem[:d]
+
+
+class TestTimesXRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6), st.data())
+    def test_rows_are_x_powers_reduced(self, low, data):
+        phi = low + [1]
+        vec = data.draw(st.lists(st.integers(-20, 20), max_size=len(low)))
+        count = data.draw(st.integers(1, 12))
+        rows = times_x_rows(phi, vec, count)
+        assert rows == [reduce_mod_monic([0] * j + vec, phi) for j in range(count)]
+
+    def test_default_count_is_the_degree(self):
+        # Phi_4 = x^2 + 1: multiplication by 1 + 2x.
+        assert times_x_rows((1, 0, 1), [1, 2]) == [[1, 2], [-2, 1]]

@@ -23,7 +23,8 @@ from dirichletj.characters import (
     tame_order,
     unit_subgroup,
 )
-from dirichletj.cyclotomic import factorize, padic_splitting
+from dirichletj.cyclotomic import padic_splitting
+from dirichletj.exactalg import factorize
 from dirichletj.homotopy import decompose_p
 from dirichletj.padic import PAdicCharacterData, PrimeToPPart
 

@@ -6,10 +6,9 @@ import pytest
 
 from dirichletj import padic
 from dirichletj.cyclotomic import cyclotomic_poly
-from dirichletj.homotopy import AbelianGroupExpr
+from dirichletj.exactalg import AbelianGroupExpr, times_x_rows
 from dirichletj.padic import (
     PAdicCharacterData,
-    _mult_rows_mod,
     _padic_invariant_exponents,
     e2_page,
     quotient_oracle,
@@ -280,6 +279,6 @@ class TestPadicSNF:
         g = topological_generator(p)
         w = pow(teichmuller(p, g % p, M), a, pm)
         phi = cyclotomic_poly(p * p)
-        rows = _mult_rows_mod(phi, [-pow(g, t, pm) % pm, w], pm)
+        rows = times_x_rows(phi, [-pow(g, t, pm) % pm, w])
         assert len(rows) == len(phi) - 1 == 110
         assert _padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)

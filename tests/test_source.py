@@ -7,6 +7,25 @@ import dirichletj
 
 SRC = Path(dirichletj.__file__).parent
 
+# Modules import strictly upward through these layers; modules of one layer do not import each other.
+LAYERS = [("exactalg",), ("cyclotomic",), ("characters",), ("bernoulli",), ("padic",), ("homotopy",),
+          ("eisenstein", "dedekind"), ("cli",)]
+
+
+def _package_imports(node: ast.AST) -> list[str]:
+    """The package modules an import statement names; empty for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name.partition(".")[2] or alias.name for alias in node.names
+                if alias.name.split(".")[0] == "dirichletj"]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module or ""
+    if node.level == 0:
+        if module.split(".")[0] != "dirichletj":
+            return []
+        module = module.partition(".")[2]
+    return [module] if module else [alias.name for alias in node.names]
+
 
 def test_no_bare_assert_in_package():
     # `python -O` strips assert statements; every internal check must be a raise.
@@ -50,7 +69,29 @@ def test_padic_resultant_check_shares_no_code_with_the_elimination():
     check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_resultant_mod")
     named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(check)
              if isinstance(node, (ast.Name, ast.Attribute))}
-    assert not named & {"_padic_invariant_exponents", "_mult_rows_mod"}, sorted(named)
+    assert not named & {"_padic_invariant_exponents", "times_x_rows"}, sorted(named)
+
+
+def test_no_function_imports_a_package_module():
+    # An import inside a function hides a dependency, typically one that closes a cycle.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn) if _package_imports(node)]
+    assert not found, f"package imports inside functions: {found}"
+
+
+def test_modules_import_strictly_upward():
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert modules == set(rank), "every package module has a place in LAYERS"
+    wrong = []
+    for name in sorted(modules):
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+            wrong += [f"{name} imports {target}" for target in _package_imports(node)
+                      if rank.get(target, len(LAYERS)) >= rank[name]]
+    assert not wrong, f"imports against the layer order: {wrong}"
 
 
 def test_only_cli_main_writes_stdout():

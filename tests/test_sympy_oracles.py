@@ -10,8 +10,7 @@ import pytest
 
 from dirichletj.bernoulli import denom_ideal
 from dirichletj.characters import enumerate_characters, is_primitive, parity
-from dirichletj.cyclotomic import euler_phi, factorize
-from dirichletj.exactalg import smith_normal_form
+from dirichletj.exactalg import euler_phi, factorize, smith_normal_form
 
 sympy = pytest.importorskip("sympy")
 invariant_factors = pytest.importorskip("sympy.matrices.normalforms").invariant_factors
