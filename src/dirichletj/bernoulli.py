@@ -43,17 +43,14 @@ from .characters import (
     conductor,
     evaluate,
     is_primitive,
-    kernel_order_match,
     parity,
     primitivize,
-    tame_order,
 )
 from .cyclotomic import (
     CycElement,
     IdealLattice,
     denominator_ideal,
     get_field,
-    ideal_membership,
     ideal_power,
     ideal_sum,
 )
@@ -390,14 +387,14 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
         x = gbn(chi, k) * p - (p - 1)
         row["case"] = "p-congruence"
         row["modulus_power"] = vp_k + 1
-        row["ok"] = x.is_integral() and ideal_membership(x, target)
+        row["ok"] = x.is_integral() and target.contains(x)
         return row
     chi_1p = evaluate(chi, 1 + p)
     if chi_1p is None:
         raise AssertionError(f"chi = {chi.modulus}:{chi.index()} vanishes at the unit {1 + p}")
     x = (get_field(chi.order()).one() - chi_1p) * b_over_k - 1
     row["case"] = "p^v-congruence"
-    row["ok"] = x.is_integral() and ideal_membership(x, ideal_p)
+    row["ok"] = x.is_integral() and ideal_p.contains(x)
     return row
 
 
@@ -408,18 +405,6 @@ def p_primary_part(ideal: IdealLattice, p: int) -> IdealLattice:
     if m == 1:
         return ideal
     return ideal_sum(ideal, IdealLattice.principal(ideal.field, ideal.field.from_rational(m)))
-
-
-def kernel_match_expected_nontrivial(chi: DirichletCharacter, k: int) -> bool:
-    """Whether the Carlitz ideal (p, 1 - chi(g) g^k) should be proper.
-
-    Equivalent to ker omega^(-k) = ker chi on the tame quotient, i.e. a
-    kernel-order match; used as a cross-check between the arithmetic and
-    homotopy sides.
-    """
-    N = conductor(chi)
-    (p, _v), = factorize(N).items()
-    return kernel_order_match(k, p, tame_order(chi, p))
 
 
 __all__ = [
@@ -433,5 +418,4 @@ __all__ = [
     "verify_carlitz",
     "carlitz_p_ideal",
     "p_primary_part",
-    "kernel_match_expected_nontrivial",
 ]

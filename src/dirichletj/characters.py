@@ -231,20 +231,8 @@ def is_primitive(chi: DirichletCharacter) -> bool:
     return conductor(chi) == chi.modulus
 
 
-def char_mul(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
-    if a.modulus != b.modulus:
-        raise ValueError("modulus mismatch")
-    exps = tuple((x + y) % o for x, y, o in zip(a.exponents, b.exponents, a.structure.orders))
-    return DirichletCharacter(a.structure, exps)
-
-
 def char_inv(a: DirichletCharacter) -> DirichletCharacter:
     exps = tuple((-x) % o for x, o in zip(a.exponents, a.structure.orders))
-    return DirichletCharacter(a.structure, exps)
-
-
-def char_pow(a: DirichletCharacter, k: int) -> DirichletCharacter:
-    exps = tuple((x * k) % o for x, o in zip(a.exponents, a.structure.orders))
     return DirichletCharacter(a.structure, exps)
 
 
@@ -274,23 +262,13 @@ def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
     return out
 
 
-def _restrict(chi: DirichletCharacter, M: int) -> DirichletCharacter:
-    """The product of the local factors of chi at the primes dividing M, as a
-    character mod M; M is a product of full prime powers p^(v_p(N))."""
-    exps = tuple(e for (p, *_), e in zip(chi.structure.generators, chi.exponents) if M % p == 0)
-    return DirichletCharacter(get_structure(M), exps)
-
-
-def factor_local(chi: DirichletCharacter) -> dict[int, DirichletCharacter]:
-    """chi = prod_p chi_p with chi_p of modulus p^(v_p(N)): the slices of
-    the exponent tuple, one per prime."""
-    return {p: _restrict(chi, p**v) for p, v in sorted(factorize(chi.modulus).items())}
-
-
 def prime_to_p_part(chi: DirichletCharacter, p: int) -> DirichletCharacter:
-    """chi' = prod_{q != p} chi_q, a character mod N / p^(v_p(N)); chi itself when p does not divide N."""
-    N = chi.modulus
-    return _restrict(chi, N // p ** _vp(N, p))
+    """chi' = prod_{q != p} chi_q, a character mod N / p^(v_p(N)); chi itself when p does not divide N.
+
+    Its exponents are those of chi on the generators at the primes q != p.
+    """
+    exps = tuple(e for (q, *_), e in zip(chi.structure.generators, chi.exponents) if q != p)
+    return DirichletCharacter(get_structure(chi.modulus // p ** _vp(chi.modulus, p)), exps)
 
 
 def ell_of_chi(chi: DirichletCharacter) -> int:

@@ -16,6 +16,8 @@ library check that raises ``InputError``) and 1 on any other error.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import sys
 import time
@@ -104,15 +106,51 @@ def _primitive_characters(N: int) -> list[DirichletCharacter]:
     return [chi for chi in enumerate_characters(N) if characters.is_primitive(chi) and not chi.is_trivial()]
 
 
-def suite_von_staudt(max_k: int = 30) -> RunReport:
-    report = RunReport("von-staudt", {"max_k": max_k})
+# The suites in ``verify all`` order, and the verify options each reads, as
+# option -> keyword of its suite_* function; a suite not listed reads none.
+SUITES: dict[str, Callable[..., RunReport]] = {}
+SUITE_OPTIONS: dict[str, dict[str, str]] = {}
+
+
+def suite(name: str, options: Optional[dict[str, str]] = None) -> Callable:
+    """Register ``sweep(report, **params)`` as the verify suite ``name``.
+
+    The registered suite takes the sweep's keywords, binds their defaults,
+    runs the sweep into ``RunReport(name, params)`` with every keyword as a
+    param and returns the finalized report.  ``options`` maps the verify
+    options the suite reads to its keywords.
+    """
+
+    def register(sweep: Callable[..., None]) -> Callable[..., RunReport]:
+        signature = inspect.signature(sweep)
+
+        @functools.wraps(sweep)
+        def run(**kwargs) -> RunReport:
+            bound = signature.bind(None, **kwargs)
+            bound.apply_defaults()
+            _, *params = bound.arguments.items()
+            report = RunReport(name, dict(params))
+            sweep(report, **report.params)
+            return report.finalize()
+
+        SUITES[name] = run
+        if options:
+            SUITE_OPTIONS[name] = options
+        return run
+
+    return register
+
+
+@suite("von-staudt", {"--max": "max_k"})
+def suite_von_staudt(report: RunReport, max_k: int = 30) -> None:
     for row in bernoulli.verify_von_staudt(max_k):
         report.check((row["k"],), row["ok"], {"denominator": row["denominator"], "expected": row["expected"]})
-    return report.finalize()
 
 
-def suite_carlitz(conductors: Iterable[int] = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27), max_k: int = 20) -> RunReport:
-    report = RunReport("carlitz", {"conductors": list(conductors), "max_k": max_k})
+@suite("carlitz", {"--max": "max_k"})
+def suite_carlitz(
+    report: RunReport, conductors: Iterable[int] = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27), max_k: int = 20
+) -> None:
     for N in conductors:
         for chi in _primitive_characters(N):
             sign = characters.parity(chi)
@@ -121,25 +159,17 @@ def suite_carlitz(conductors: Iterable[int] = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25,
                     continue
                 row = bernoulli.verify_carlitz(chi, k)
                 report.check((N, chi.index(), k), row["ok"], {"case_kind": row["case"]})
-    return report.finalize()
 
 
+@suite("gbn-theorem", {"--max-weight": "max_weight", "--primes": "moduli"})
 def suite_gbn_theorem(
+    report: RunReport,
     max_modulus: int = 16,
     max_weight: int = 12,
     moduli: Iterable[int] = (3, 4, 5, 7, 11, 13),
     moduli_invert2: Iterable[int] = (9, 25, 27),
-) -> RunReport:
+) -> None:
     """Dual-pipeline B_{k,chi} equality plus the denominator/homotopy comparison."""
-    report = RunReport(
-        "gbn-theorem",
-        {
-            "max_modulus": max_modulus,
-            "max_weight": max_weight,
-            "moduli": list(moduli),
-            "moduli_invert2": list(moduli_invert2),
-        },
-    )
     for N in range(1, max_modulus + 1):
         for chi in enumerate_characters(N):
             for k in range(0, max_weight + 1):
@@ -167,23 +197,51 @@ def suite_gbn_theorem(
                         arithmetic == topological,
                         {"arithmetic": arithmetic.render(), "homotopy": topological.render()},
                     )
-    return report.finalize()
 
 
+@suite("duality-dirichlet")
+def suite_duality_dirichlet(
+    report: RunReport,
+    odd_primes: Iterable[int] = (3, 5, 7),
+    odd_vs: Iterable[int] = (1, 2),
+    two_vs: Iterable[int] = (2, 3, 4),
+    t_min: int = -20,
+    t_max: int = 20,
+) -> None:
+    pairs = [(p, v) for p in odd_primes for v in odd_vs] + [(2, v) for v in two_vs]
+    for p, v in pairs:
+        for chi in _primitive_characters(p**v):
+            for row in homotopy.check_duality_dirichlet(chi, v, range(t_min, t_max + 1)):
+                report.check((p, v, chi.index(), row["t"]), row["ok"], {"lhs": row["lhs"], "rhs": row["rhs"]})
+
+
+@suite("duality-jn")
+def suite_duality_jn(
+    report: RunReport,
+    strict_levels: Iterable[int] = (4, 8, 12),
+    lax_levels: Iterable[int] = (1, 3, 5),
+    t_min: int = -10,
+    t_max: int = 10,
+) -> None:
+    for N in list(strict_levels) + list(lax_levels):
+        for row in homotopy.check_duality_JN(N, range(t_min, t_max + 1)):
+            payload = {"lhs": row["lhs"], "rhs": row["rhs"]}
+            if "note" in row:
+                payload["note"] = row["note"]
+            report.check((N, row["t"]), row["ok"], payload)
+
+
+@suite("e2-oracle")
 def suite_e2_oracle(
+    report: RunReport,
     primes: Iterable[int] = (3, 5, 7),
     v_range: Iterable[int] = (2, 3),
     t_min: int = -10,
     t_max: int = 10,
     max_nprime: int = 30,
     max_split_p: int = 13,
-) -> RunReport:
+) -> None:
     """SNF oracle vs closed forms, plus the cyclotomic splitting counts."""
-    report = RunReport(
-        "e2-oracle",
-        {"primes": list(primes), "v_range": list(v_range), "t_min": t_min, "t_max": t_max,
-         "max_nprime": max_nprime, "max_split_p": max_split_p},
-    )
     for p in primes:
         for v in v_range:
             for a in range(p - 1):
@@ -208,12 +266,11 @@ def suite_e2_oracle(
             counted = len(padic_splitting(n_prime, p))
             brute = count_irreducible_factors_mod_p(cyclotomic_poly(n_prime), p) if n_prime > 1 else 1
             report.check((2, p, 0, 0, n_prime), counted == brute, {"splitting": counted, "factor_count": brute})
-    return report.finalize()
 
 
-def suite_consistency(max_conductor: int = 27, i_min: int = -8, i_max: int = 24) -> RunReport:
+@suite("consistency")
+def suite_consistency(report: RunReport, max_conductor: int = 27, i_min: int = -8, i_max: int = 24) -> None:
     """Direct tables vs p-completion assembly for every primitive character."""
-    report = RunReport("consistency", {"max_conductor": max_conductor, "i_min": i_min, "i_max": i_max})
     for N in range(3, max_conductor + 1):
         for chi in _primitive_characters(N):
             for i in range(i_min, i_max + 1):
@@ -223,59 +280,16 @@ def suite_consistency(max_conductor: int = 27, i_min: int = -8, i_max: int = 24)
                     direct == assembled,
                     {"direct": direct.render(), "assembled": assembled.render()},
                 )
-    return report.finalize()
 
 
-def suite_duality_dirichlet(
-    odd_primes: Iterable[int] = (3, 5, 7),
-    odd_vs: Iterable[int] = (1, 2),
-    two_vs: Iterable[int] = (2, 3, 4),
-    t_min: int = -20,
-    t_max: int = 20,
-) -> RunReport:
-    report = RunReport(
-        "duality-dirichlet",
-        {"odd_primes": list(odd_primes), "odd_vs": list(odd_vs), "two_vs": list(two_vs),
-         "t_min": t_min, "t_max": t_max},
-    )
-    pairs = [(p, v) for p in odd_primes for v in odd_vs] + [(2, v) for v in two_vs]
-    for p, v in pairs:
-        for chi in _primitive_characters(p**v):
-            for row in homotopy.check_duality_dirichlet(chi, v, range(t_min, t_max + 1)):
-                report.check((p, v, chi.index(), row["t"]), row["ok"], {"lhs": row["lhs"], "rhs": row["rhs"]})
-    return report.finalize()
-
-
-def suite_duality_jn(
-    strict_levels: Iterable[int] = (4, 8, 12),
-    lax_levels: Iterable[int] = (1, 3, 5),
-    t_min: int = -10,
-    t_max: int = 10,
-) -> RunReport:
-    report = RunReport(
-        "duality-jn",
-        {"strict_levels": list(strict_levels), "lax_levels": list(lax_levels), "t_min": t_min, "t_max": t_max},
-    )
-    for N in list(strict_levels) + list(lax_levels):
-        for row in homotopy.check_duality_JN(N, range(t_min, t_max + 1)):
-            payload = {"lhs": row["lhs"], "rhs": row["rhs"]}
-            if "note" in row:
-                payload["note"] = row["note"]
-            report.check((N, row["t"]), row["ok"], payload)
-    return report.finalize()
-
-
+@suite("eisenstein")
 def suite_eisenstein(
+    report: RunReport,
     conductors: Iterable[int] = (1, 3, 4, 5, 7),
     max_k: int = 9,
     max_classical_weight: int = 20,
     n_max: int = 200,
-) -> RunReport:
-    report = RunReport(
-        "eisenstein",
-        {"conductors": list(conductors), "max_k": max_k,
-         "max_classical_weight": max_classical_weight, "n_max": n_max},
-    )
+) -> None:
     for N in conductors:
         if N == 1:
             chis = [character_from_index(1, 0)]
@@ -295,12 +309,14 @@ def suite_eisenstein(
                     report.record((N, chi.index(), k), "finding", {"full_findings": result["full_findings"]})
                 else:
                     report.record((N, chi.index(), k), "pass")
-    return report.finalize()
 
 
-def suite_dedekind_jk(ts: Iterable[int] = (1, 2, 3)) -> RunReport:
-    cases = [(5, (4,)), (7, (6,)), (8, (7,)), (1, ())]
-    report = RunReport("dedekind-jk", {"cases": [[N, list(g)] for N, g in cases], "ts": list(ts)})
+@suite("dedekind-jk")
+def suite_dedekind_jk(
+    report: RunReport,
+    cases: Iterable[tuple[int, tuple[int, ...]]] = ((5, (4,)), (7, (6,)), (8, (7,)), (1, ())),
+    ts: Iterable[int] = (1, 2, 3),
+) -> None:
     for N, gens in cases:
         spec = dedekind.AbelianFieldSpec(N, tuple(gens))
         for t in ts:
@@ -310,28 +326,6 @@ def suite_dedekind_jk(ts: Iterable[int] = (1, 2, 3)) -> RunReport:
                 row["ok"],
                 {"zeta": row["zeta_value"], "arithmetic": row["arithmetic_side"], "homotopy": row["homotopy_side"]},
             )
-    return report.finalize()
-
-
-SUITES: dict[str, Callable[..., RunReport]] = {
-    "von-staudt": suite_von_staudt,
-    "carlitz": suite_carlitz,
-    "gbn-theorem": suite_gbn_theorem,
-    "duality-dirichlet": suite_duality_dirichlet,
-    "duality-jn": suite_duality_jn,
-    "e2-oracle": suite_e2_oracle,
-    "consistency": suite_consistency,
-    "eisenstein": suite_eisenstein,
-    "dedekind-jk": suite_dedekind_jk,
-}
-
-# The verify options each suite reads, as option -> keyword of its suite_*
-# function; a suite not listed reads none.
-SUITE_OPTIONS: dict[str, dict[str, str]] = {
-    "von-staudt": {"--max": "max_k"},
-    "carlitz": {"--max": "max_k"},
-    "gbn-theorem": {"--max-weight": "max_weight", "--primes": "moduli"},
-}
 
 
 # ---------------------------------------------------------------------------

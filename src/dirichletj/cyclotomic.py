@@ -21,7 +21,6 @@ HNF modulo c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -251,9 +250,6 @@ class CycElement:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def denominator_lcm(self) -> int:
-        return self.den
-
     def embed(self, target: CyclotomicField) -> "CycElement":
         """Coerce into Q(zeta_m) for n | m via zeta_n -> zeta_m^(m/n)."""
         n, m = self.field.n, target.n
@@ -439,10 +435,6 @@ def ideal_power(a: IdealLattice, e: int) -> IdealLattice:
     return out
 
 
-def ideal_membership(x: CycElement, ideal: IdealLattice) -> bool:
-    return ideal.contains(x)
-
-
 def denominator_ideal(a: CycElement) -> IdealLattice:
     """Colon lattice {x in Z[zeta_n] : x*a in Z[zeta_n]}.
 
@@ -473,29 +465,16 @@ def quotient_group(ideal: IdealLattice) -> AbelianGroupExpr:
 # p-adic splitting data (unramified part of Q_p(zeta_n)/Q_p)
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
-    """Shape of Q_p(zeta_n)/Q_p: n = p^v * n_prime with p coprime to n_prime.
+def padic_splitting(n: int, p: int) -> tuple[int, ...]:
+    """Galois-twist exponents for the p-adic decomposition of Z[zeta_n].
 
-    ``m`` is the residue degree (multiplicative order of p mod n_prime),
-    ``ramification`` is phi(p^v), and ``coset_reps`` enumerates
-    (Z/n_prime)^x modulo the cyclic subgroup generated by p.
+    With n = p^v * n' and p prime to n', one representative per coset of
+    (Z/n')^x modulo the cyclic subgroup generated by p: one per simple
+    factor of Z[zeta_n] (x) Z_p, so there are phi(n')/ord_{n'}(p) of them.
     """
-
-    n: int
-    p: int
-    v: int
-    n_prime: int
-    m: int
-    ramification: int
-    coset_reps: tuple[int, ...]
-
-
-def frobenius_data(n: int, p: int) -> FrobeniusData:
     if not is_prime(p):
         raise ValueError("p must be prime")
-    v = _vp(n, p)
-    n_prime = n // p**v
+    n_prime = n // p ** _vp(n, p)
     m = _multiplicative_order(p, n_prime)
     seen: set[int] = set()
     reps: list[int] = []
@@ -507,19 +486,7 @@ def frobenius_data(n: int, p: int) -> FrobeniusData:
         for _ in range(m):
             seen.add(x)
             x = x * p % n_prime
-    return FrobeniusData(
-        n=n, p=p, v=v, n_prime=n_prime, m=m,
-        ramification=euler_phi(p**v), coset_reps=tuple(reps),
-    )
-
-
-def padic_splitting(n: int, p: int) -> tuple[int, ...]:
-    """Galois-twist exponents for the p-adic decomposition of Z[zeta_n].
-
-    One coset representative per simple factor of Z[zeta_n] (x) Z_p; the
-    factor count is phi(n_prime)/m.
-    """
-    return frobenius_data(n, p).coset_reps
+    return tuple(reps)
 
 
 def count_irreducible_factors_mod_p(poly: Sequence[int], p: int) -> int:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .bernoulli import denom_ideal, gbn, p_primary_part
 from .characters import DirichletCharacter, InputError, conductor, evaluate, is_primitive, parity
-from .cyclotomic import CycElement, IdealLattice, get_field, ideal_membership
+from .cyclotomic import CycElement, IdealLattice, get_field
 from .exactalg import factorize
 
 
@@ -69,13 +69,13 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     return out
 
 
-def _membership_up_to_coprime_denominator(x: CycElement, ideal: IdealLattice, allowed_coprime_to: int) -> bool:
-    """x in ideal, allowing denominators of x coprime to ``allowed_coprime_to``.
+def _membership_up_to_coprime_denominator(x: CycElement, ideal: IdealLattice) -> bool:
+    """x in ideal, allowing denominators of x coprime to the ideal's index.
 
-    Writes x = y/d with d minimal; if gcd(d, index-primes) != 1 the test
-    fails, otherwise d is inverted modulo the ideal index.
+    Writes x = y/d with d minimal; if d shares a prime with the index the
+    test fails, otherwise d is inverted modulo the index.
     """
-    d = x.denominator_lcm()
+    d = x.den
     idx = ideal.index()
     if idx == 1:
         return True
@@ -83,7 +83,7 @@ def _membership_up_to_coprime_denominator(x: CycElement, ideal: IdealLattice, al
         return False
     y = x * d
     u = pow(d, -1, idx)
-    return ideal_membership(y * u, ideal)
+    return ideal.contains(y * u)
 
 
 def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
@@ -110,8 +110,8 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
     findings = 0
     for n in range(1, n_max + 1):
         c = coeffs[n]
-        mandatory_ok = _membership_up_to_coprime_denominator(c, mandatory_ideal, mandatory_ideal.index())
-        full_ok = c.is_integral() and ideal_membership(c, ideal)
+        mandatory_ok = _membership_up_to_coprime_denominator(c, mandatory_ideal)
+        full_ok = c.is_integral() and ideal.contains(c)
         if not mandatory_ok:
             mandatory_failures += 1
         if not full_ok:

@@ -349,6 +349,19 @@ class AbelianGroupExpr:
     def times(self, copies: int) -> "AbelianGroupExpr":
         return AbelianGroupExpr(_norm(list(self.atoms) * copies))
 
+    def without(self, part: "AbelianGroupExpr") -> "AbelianGroupExpr":
+        """The sum of the atoms that are not atoms of ``part``: every copy of each is dropped."""
+        return AbelianGroupExpr(tuple(a for a in self.atoms if a not in part.atoms))
+
+    def finite_part(self) -> "AbelianGroupExpr":
+        return AbelianGroupExpr(tuple(a for a in self.atoms if a[0] == "C"))
+
+    def free_rank(self) -> int:
+        return self.atoms.count(("Z",))
+
+    def q_mod_z_count(self) -> int:
+        return sum(a[0] == "QZ" for a in self.atoms)
+
     def is_zero(self) -> bool:
         return not self.atoms
 

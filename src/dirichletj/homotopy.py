@@ -18,7 +18,6 @@ Twisted groups are computed two independent ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -44,23 +43,13 @@ from .padic import PAdicCharacterData, PrimeToPPart
 # Localization
 
 
-@dataclass(frozen=True)
-class LocalizationSpec:
-    """A finite set of primes to invert."""
-
-    inverted: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        for p in self.inverted:
-            if not is_prime(p):
-                raise InputError(f"{p} is not prime")
-
-
-def invert_primes(g: AbelianGroupExpr, loc: LocalizationSpec | Iterable[int]) -> AbelianGroupExpr:
+def invert_primes(g: AbelianGroupExpr, primes: Iterable[int]) -> AbelianGroupExpr:
     """Localize away from the given primes, each checked to be prime."""
-    if not isinstance(loc, LocalizationSpec):
-        loc = LocalizationSpec(frozenset(loc))
-    return g.away_from(loc.inverted)
+    primes = set(primes)
+    for p in primes:
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
+    return g.away_from(primes)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +520,7 @@ def pi_jn_chi_paths(chi: DirichletCharacter, i: int) -> tuple[AbelianGroupExpr, 
     return direct, AbelianGroupExpr.direct_sum(pi_DK1(summand, i) for summand in summands)
 
 
-def pi_jn_chi(
-    chi: DirichletCharacter, i: int, loc: LocalizationSpec | Iterable[int] = ()
-) -> AbelianGroupExpr:
+def pi_jn_chi(chi: DirichletCharacter, i: int, loc: Iterable[int] = ()) -> AbelianGroupExpr:
     """pi_i of the Dirichlet J-spectrum of chi, optionally localized.
 
     Computed through the direct case tables and through the p-completion
@@ -623,11 +610,8 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
 
 def _diff_is_z2_only(a: AbelianGroupExpr, b: AbelianGroupExpr) -> bool:
     """Whether a and b agree up to Z/2 summands (both directions)."""
-    from collections import Counter
-
-    ca, cb = Counter(a.atoms), Counter(b.atoms)
-    extra = (ca - cb) + (cb - ca)
-    return all(atom == ("C", 2, 1) for atom in extra)
+    z2 = AbelianGroupExpr.cyclic(2)
+    return a.without(z2) == b.without(z2)
 
 
 def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[int]) -> list[dict]:
@@ -678,18 +662,12 @@ def check_duality_JN(N: int, t_range: Iterable[int]) -> list[dict]:
         lhs = pi_JN(N, t)
         rhs = pi_JN(N, -2 - t)
         if t in (0, -2):
-            finite_l = [a for a in lhs.atoms if a[0] == "C"]
-            finite_r = [a for a in rhs.atoms if a[0] == "C"]
-            free_side = lhs if t == 0 else rhs
-            div_side = rhs if t == 0 else lhs
-            pairing_ok = (
-                sum(1 for a in free_side.atoms if a[0] == "Z") == 1
-                and sum(1 for a in div_side.atoms if a[0] == "QZ") == 1
-            )
-            if strict:
-                ok = pairing_ok and not finite_l and not finite_r
-            else:
-                ok = pairing_ok and all(a == ("C", 2, 1) for a in finite_l + finite_r)
+            finite = lhs.finite_part() + rhs.finite_part()
+            free_side, div_side = (lhs, rhs) if t == 0 else (rhs, lhs)
+            pairing_ok = free_side.free_rank() == 1 and div_side.q_mod_z_count() == 1
+            if not strict:
+                finite = finite.without(AbelianGroupExpr.cyclic(2))
+            ok = pairing_ok and finite.is_zero()
             rows.append(
                 {"t": t, "lhs": lhs.render(), "rhs": rhs.render(), "ok": ok, "note": "degenerate-convention"}
             )

@@ -14,21 +14,23 @@ from dirichletj.bernoulli import (
     d2k,
     denom_ideal,
     gbn,
-    kernel_match_expected_nontrivial,
     l_value,
     verify_carlitz,
     verify_von_staudt,
 )
 from dirichletj.characters import (
-    char_pow,
     character_from_index,
     enumerate_characters,
     evaluate,
     is_primitive,
+    kernel_order_match,
     parity,
+    tame_order,
 )
 from dirichletj.cyclotomic import galois_apply, get_field, quotient_group
-from dirichletj.exactalg import AbelianGroupExpr
+from dirichletj.exactalg import AbelianGroupExpr, factorize
+
+from exponent_tuples import char_pow
 
 
 def quad5():
@@ -446,12 +448,13 @@ class TestCarlitz:
 
     def test_kernel_match_agrees_with_ideal_properness(self):
         for N in (5, 7, 11, 13, 9):
+            (p,) = factorize(N)
             for chi in enumerate_characters(N):
                 if not is_primitive(chi) or chi.is_trivial():
                     continue
                 for k in range(1, 9):
                     proper = not carlitz_p_ideal(chi, k).is_full_ring()
-                    assert proper == kernel_match_expected_nontrivial(chi, k)
+                    assert proper == kernel_order_match(k, p, tame_order(chi, p))
 
     def test_parity_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -6,14 +6,11 @@ import pytest
 
 from dirichletj.characters import (
     char_inv,
-    char_mul,
-    char_pow,
     character_from_index,
     conductor,
     ell_of_chi,
     enumerate_characters,
     evaluate,
-    factor_local,
     get_structure,
     is_primitive,
     kernel_order_match,
@@ -23,6 +20,8 @@ from dirichletj.characters import (
 )
 from dirichletj.cyclotomic import get_field
 from dirichletj.exactalg import euler_phi
+
+from exponent_tuples import char_mul, char_pow, factor_local
 
 
 def quad5():

@@ -398,6 +398,71 @@ def test_text_view_and_json_line(capsys, argv, digest):
     assert json.loads(out)["schema"] == 1
 
 
+# sha256 of the --help stdout of the root parser and of each subcommand at a
+# width of 80 columns (Python 3.11 argparse layout); the verify choices come
+# from the suite registry.
+HELP_VIEWS = [
+    ("", "9f28e3d014eecb039dbf9839656235a71b400aef399d6102d1fdc583a20aa197"),
+    ("chars", "4c1da5f3c7118a55fb049a2dd7aa2b39b98ed8afc4e1ba3d2dff5a23d9425e70"),
+    ("chars list", "bc1d2543da8c70d2e71b5d68421bb1f4e619a4d7f7baa012af05b237ca7b861b"),
+    ("bern", "64ddf41576eab0f615d973aef715d503199f6d933b1014dbd2fe1110a859001f"),
+    ("homotopy", "9a4e0a5f4c48b0b82f04a5f67a8ccd8ce48f516b374410cc31f40abdeae4dffe"),
+    ("e2", "093b4ec9dbfcb931d20d8f0813be7480c0574ab74617b0faae685ff12f3afa38"),
+    ("eisenstein", "6f38074deaba685381aef72872738bd0857c6e4efdfeb936748c6647dc31801b"),
+    ("dedekind", "69192dbfaa0ccce9929eea2af2649b386c12214312e070c818f93fc0824f250a"),
+    ("verify", "964153427ba22dcc420c2ac6e580fbd0bb3fac1c00ba25caed405b551f6f8980"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse help layout differs across Python versions")
+@pytest.mark.parametrize("argv, digest", HELP_VIEWS, ids=[argv or "root" for argv, _ in HELP_VIEWS])
+def test_help_view(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--help"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+class TestSuiteRegistry:
+    def test_suites_in_verify_all_order(self):
+        assert list(cli.SUITES) == [
+            "von-staudt", "carlitz", "gbn-theorem", "duality-dirichlet", "duality-jn",
+            "e2-oracle", "consistency", "eisenstein", "dedekind-jk",
+        ]
+        assert cli.SUITES["carlitz"] is cli.suite_carlitz
+
+    def test_registered_suite_reports_its_params(self, monkeypatch):
+        monkeypatch.setattr(cli, "SUITES", {})
+        monkeypatch.setattr(cli, "SUITE_OPTIONS", {})
+        seen = []
+
+        @cli.suite("demo")
+        def suite_demo(report, levels=(1, 2), t_max: int = 3):
+            seen.append((levels, t_max))
+            for level in levels:
+                report.check((level,), level <= t_max)
+
+        report = suite_demo(t_max=1)
+        assert seen == [((1, 2), 1)]
+        assert (report.suite, report.params) == ("demo", {"levels": (1, 2), "t_max": 1})
+        assert (report.run, report.passed, report.failed) == (2, 1, 1)
+        assert report.first_counterexample == {"case": [2]} and report.wall_time > 0
+        assert json.loads(json.dumps(report.to_json()))["params"] == {"levels": [1, 2], "t_max": 1}
+        assert suite_demo().params == {"levels": (1, 2), "t_max": 3}
+        assert suite_demo.__name__ == "suite_demo"
+        assert cli.SUITES == {"demo": suite_demo} and cli.SUITE_OPTIONS == {}
+        with pytest.raises(TypeError):
+            suite_demo(t_min=0)
+
+    def test_options_are_registered_with_the_suite(self, monkeypatch):
+        monkeypatch.setattr(cli, "SUITES", {})
+        monkeypatch.setattr(cli, "SUITE_OPTIONS", {})
+        cli.suite("demo", {"--max": "t_max"})(lambda report, t_max=3: None)
+        assert cli.SUITE_OPTIONS == {"demo": {"--max": "t_max"}}
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

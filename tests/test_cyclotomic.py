@@ -13,10 +13,8 @@ from dirichletj.cyclotomic import (
     count_irreducible_factors_mod_p,
     cyclotomic_poly,
     denominator_ideal,
-    frobenius_data,
     galois_apply,
     get_field,
-    ideal_membership,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -249,8 +247,8 @@ class TestIdealArithmetic:
         f = get_field(2)
         ideal = IdealLattice.from_generators(f, [f.from_rational(5), f.from_rational(1 + 4)])
         assert ideal.diagonal() == [5]
-        assert ideal_membership(f.from_rational(10), ideal)
-        assert not ideal_membership(f.from_rational(3), ideal)
+        assert ideal.contains(f.from_rational(10))
+        assert not ideal.contains(f.from_rational(3))
 
     def test_power_and_sum(self):
         f = get_field(3)
@@ -295,19 +293,26 @@ class TestIdealArithmetic:
         assert math.gcd(a.index(), b.index()) % total.index() == 0
 
 
+def order_mod(p, n):
+    """The multiplicative order of p modulo n (1 for n = 1), by repeated multiplication."""
+    m, x = 1, p % n
+    while x != 1 % n:
+        m, x = m + 1, x * p % n
+    return m
+
+
 class TestSplitting:
     def test_prime_power_level(self):
-        fd = frobenius_data(9, 3)
-        assert fd.n_prime == 1 and fd.m == 1 and fd.coset_reps == (1,)
+        assert padic_splitting(9, 3) == (1,)
+        assert order_mod(3, 1) == 1
 
     def test_n12_p5(self):
-        fd = frobenius_data(12, 5)
-        assert fd.m == 2
-        assert len(fd.coset_reps) == euler_phi(12) // 2 == 2
+        assert order_mod(5, 12) == 2
+        assert len(padic_splitting(12, 5)) * order_mod(5, 12) == euler_phi(12)
+        assert len(padic_splitting(12, 5)) == 2
 
     def test_n5_p2(self):
-        fd = frobenius_data(5, 2)
-        assert fd.m == 4 and len(fd.coset_reps) == 1
+        assert order_mod(2, 5) == 4 and len(padic_splitting(5, 2)) == 1
 
     def test_splitting_order8_p3(self):
         assert len(padic_splitting(8, 3)) == 2
@@ -321,7 +326,11 @@ class TestSplitting:
             for p in (2, 3, 5, 7, 11, 13):
                 if n_prime % p == 0:
                     continue
-                fd = frobenius_data(n_prime, p)
-                assert len(fd.coset_reps) * fd.m == euler_phi(n_prime)
+                reps = padic_splitting(n_prime, p)
+                m = order_mod(p, n_prime)
+                assert len(reps) * m == euler_phi(n_prime)
+                # The cosets b<p> of the representatives cover the units mod n'.
+                cosets = {b * p**j % n_prime for b in reps for j in range(m)}
+                assert cosets == {b for b in range(n_prime) if math.gcd(b, n_prime) == 1}
                 brute = count_irreducible_factors_mod_p(cyclotomic_poly(n_prime), p)
-                assert len(padic_splitting(n_prime, p)) == brute
+                assert len(reps) == brute

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dirichletj.bernoulli import bernoulli_number
+from dirichletj.characters import char_inv
 from dirichletj.dedekind import (
     AbelianFieldSpec,
     field_characters,
@@ -12,6 +13,8 @@ from dirichletj.dedekind import (
     verify_jk,
     zeta_special_value,
 )
+
+from exponent_tuples import char_mul
 
 
 class TestFieldCharacters:
@@ -31,8 +34,6 @@ class TestFieldCharacters:
         assert len(field_characters(spec)) == 4
 
     def test_closed_under_inverse_and_product(self):
-        from dirichletj.characters import char_inv, char_mul
-
         spec = AbelianFieldSpec(7, (6,))
         chis = set(field_characters(spec))
         for a in chis:

@@ -83,9 +83,9 @@ class TestCoefficients:
         for chi, k in ((trivial(), 12), (quad5(), 8), (odd4(), 5)):
             b = gbn(chi, k)
             factor = get_field(chi.order()).from_rational(Fraction(-2 * k)) * b.inverse()
-            allowed = factor.denominator_lcm()
+            allowed = factor.den
             for c in eisenstein_coeffs(chi, k, 40)[1:]:
-                d = c.denominator_lcm()
+                d = c.den
                 # every prime of d divides the normalizing factor's denominator
                 while d > 1:
                     g = math.gcd(d, allowed)

@@ -8,7 +8,6 @@ from dirichletj import homotopy
 from dirichletj.characters import InputError, char_inv, enumerate_characters, is_primitive, parity
 from dirichletj.exactalg import AbelianGroupExpr, factorize
 from dirichletj.homotopy import (
-    LocalizationSpec,
     check_duality_JN,
     check_duality_dirichlet,
     decompose_p,
@@ -67,13 +66,24 @@ class TestGroupExpr:
         assert invert_primes(A.cyclic(24), {2}) == A.cyclic(3)
         assert invert_primes(A.cyclic(5), {2}) == A.cyclic(5)
         assert invert_primes(A.free(1) + A.padic(2), {2}) == A.free(1)
-        assert invert_primes(A.cyclic(12), LocalizationSpec(frozenset())) == A.cyclic(12)
+        assert invert_primes(A.cyclic(12), set()) == A.cyclic(12)
         localized = invert_primes(A.q_mod_z(), {2})
         assert localized.atoms[0][0] == "QZ" and localized.atoms[0][1] == (2,)
 
-    def test_localization_spec_validates(self):
-        with pytest.raises(ValueError):
-            LocalizationSpec(frozenset({4}))
+    def test_invert_primes_rejects_a_non_prime(self):
+        with pytest.raises(InputError, match="4 is not prime"):
+            invert_primes(A.cyclic(12), {4})
+
+    def test_parts(self):
+        infinite = A.free(2) + A.padic(3) + A.q_mod_z() + invert_primes(A.q_mod_z(), {2})
+        g = infinite + A.cyclic(12) + A.cyclic(2)
+        assert g.finite_part() == A.cyclic(12) + A.cyclic(2)
+        assert g.free_rank() == 2 and g.q_mod_z_count() == 2
+        assert A.cyclic(6).free_rank() == 0 and A.free(1).q_mod_z_count() == 0
+        # without() drops every copy of each atom of its argument.
+        assert g.without(A.cyclic(2)) == infinite + A.cyclic(12)
+        assert g.without(A.cyclic(6) + A.free(1)) == infinite.without(A.free(1)) + A.cyclic(4)
+        assert g.without(A.zero()) == g and A.zero().without(g) == A.zero()
 
 
 class TestUntwistedTables:

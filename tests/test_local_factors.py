@@ -2,8 +2,9 @@
 checked against the evaluation algorithm: chi is evaluated on CRT lifts of
 local generators and each local character is rebuilt from those values.
 
-Nothing here reads the layout of the exponent tuple; the reference only
-evaluates chi, so it shares no code with the slicing it checks.
+The reference reads nothing of the layout of the exponent tuple; it only
+evaluates chi, so it shares no code with the slicing it checks, that of
+``prime_to_p_part`` and of the test helper ``factor_local``.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from dirichletj.characters import (
     DirichletCharacter,
     _value_exponent,
     enumerate_characters,
-    factor_local,
     get_structure,
     is_primitive,
     prime_to_p_part,
@@ -27,6 +27,8 @@ from dirichletj.cyclotomic import padic_splitting
 from dirichletj.exactalg import factorize
 from dirichletj.homotopy import decompose_p
 from dirichletj.padic import PAdicCharacterData, PrimeToPPart
+
+from exponent_tuples import factor_local
 
 MODULI = list(range(1, 301)) + [720, 1000, 2 * 3 * 5 * 7 * 11]
 

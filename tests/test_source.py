@@ -37,6 +37,16 @@ def test_no_bare_assert_in_package():
     assert not found, f"bare assert statements: {found}"
 
 
+def test_only_exactalg_reads_group_atoms():
+    # The atom tuples of AbelianGroupExpr are private to exactalg; other modules ask the group.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "exactalg":
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr == "atoms"]
+    assert not found, f"AbelianGroupExpr.atoms read outside exactalg: {found}"
+
+
 def test_exactalg_does_not_import_fractions():
     # exactalg is integer-only; rational arithmetic must not grow back into it.
     tree = ast.parse((SRC / "exactalg.py").read_text())
