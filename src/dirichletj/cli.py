@@ -31,6 +31,8 @@ from .exactalg import AbelianGroupExpr, factorize, is_prime, smith_normal_form
 from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle_2
 
 SCHEMA = 1
+# The divisor sieve of an Eisenstein series holds every sum up to --nmax at once.
+MAX_NMAX = 100_000
 
 # (payload, text view, exit code), as returned by every cmd_* subcommand.
 Output = tuple[dict, Callable[[], str], int]
@@ -436,11 +438,13 @@ def cmd_e2(args) -> Output:
 def cmd_eisenstein(args) -> Output:
     if args.nmax < 1:
         raise InputError(f"empty coefficient range: --nmax {args.nmax} is below 1")
+    if args.nmax > MAX_NMAX:
+        raise InputError(f"coefficient range too large: --nmax {args.nmax} is above {MAX_NMAX}")
     if args.show_coeffs < 0:
         raise InputError(f"empty coefficient range: --show-coeffs {args.show_coeffs} is negative")
     chi = character_from_index(args.modulus, args.index)
     result = eisenstein.congruence_check(chi, args.weight, args.nmax)
-    coeffs = eisenstein.eisenstein_coeffs(chi, args.weight, min(args.nmax, args.show_coeffs))
+    coeffs = result["coefficients"][: min(args.nmax, args.show_coeffs) + 1]
     payload = {
         "character": characters.display(chi),
         "weight": args.weight,
@@ -524,79 +528,74 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_MODULUS = _arg("--modulus", type=int, required=True)
+_CHARACTER_WEIGHT = [_MODULUS, _arg("--index", type=int, required=True), _arg("--weight", type=int, required=True)]
+
+# Every subcommand, once: name -> (help, handler or nested commands, argument specs).
+# A handler's subparser also takes --json; nested commands parse into the dest "<name>_command".
+COMMANDS: dict[str, tuple] = {
+    "chars": ("enumerate Dirichlet characters", {"list": (None, cmd_chars, [_MODULUS])}, []),
+    "bern": ("generalized Bernoulli numbers and L-values", cmd_bern, _CHARACTER_WEIGHT),
+    "homotopy": ("homotopy-group tables", cmd_homotopy, [
+        _arg("target", choices=["j", "jn", "k1", "k1pv", "exotic", "chi", "jk"]),
+        _arg("--from", dest="degree_from", type=int, default=-4), _arg("--to", dest="degree_to", type=int, default=12),
+        _arg("--level", type=int, default=1), _arg("--prime", type=int, default=3),
+        _arg("--level-exp", type=int, default=1), _arg("--modulus", type=int, default=4),
+        _arg("--index", type=int, default=1),
+        _arg("--invert", type=_int_list, default=None, help="comma-separated primes to invert"),
+        _arg("--subgroup", type=_int_list, default=None, help="comma-separated unit generators"),
+        _arg("--invert-order", action="store_true"),
+    ]),
+    "e2": ("E2 pages of the eigen spectral sequences", cmd_e2, [
+        _arg("--prime", type=int, required=True), _arg("--level-exp", type=int, default=1),
+        _arg("--tame", type=int, default=0), _arg("--smax", type=int, default=2),
+        _arg("--tmin", type=int, default=-8), _arg("--tmax", type=int, default=8),
+    ]),
+    "eisenstein": ("q-expansion coefficients and congruences", cmd_eisenstein,
+        _CHARACTER_WEIGHT + [_arg("--nmax", type=int, default=50), _arg("--show-coeffs", type=int, default=8)]),
+    "dedekind": ("Dedekind zeta special values", cmd_dedekind, [
+        _MODULUS, _arg("--subgroup", type=_int_list, default=None),
+        _arg("--weight", type=int, default=2), _arg("--verify-t", type=int, default=None),
+    ]),
+    "verify": ("run verification suites", cmd_verify, [
+        _arg("suite", choices=list(SUITES) + ["all"]), _arg("--max", type=int, default=None),
+        _arg("--max-weight", type=int, default=None), _arg("--primes", type=_int_list, default=None),
+    ]),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict, only: Optional[str]) -> None:
+    # argparse reports an option left over after a subcommand from the root
+    # parser, whose usage line shows the choices: keep all of them there.
+    metavar = None if only is None else "{" + ",".join(commands) + "}"
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name, (help_text, run, specs) in commands.items():
+        if only not in (None, name):
+            continue
+        command = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        for flags, kwargs in specs:
+            command.add_argument(*flags, **kwargs)
+        if isinstance(run, dict):
+            _add_commands(command, f"{name}_command", run, None)
+        else:
+            command.add_argument("--json", action="store_true")
+            command.set_defaults(fn=run)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with only ``command``'s subparser."""
     parser = argparse.ArgumentParser(prog="dirichletj", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_chars = sub.add_parser("chars", help="enumerate Dirichlet characters")
-    chars_sub = p_chars.add_subparsers(dest="chars_command", required=True)
-    p_list = chars_sub.add_parser("list")
-    p_list.add_argument("--modulus", type=int, required=True)
-    p_list.add_argument("--json", action="store_true")
-    p_list.set_defaults(fn=cmd_chars)
-
-    p_bern = sub.add_parser("bern", help="generalized Bernoulli numbers and L-values")
-    p_bern.add_argument("--modulus", type=int, required=True)
-    p_bern.add_argument("--index", type=int, required=True)
-    p_bern.add_argument("--weight", type=int, required=True)
-    p_bern.add_argument("--json", action="store_true")
-    p_bern.set_defaults(fn=cmd_bern)
-
-    p_h = sub.add_parser("homotopy", help="homotopy-group tables")
-    p_h.add_argument("target", choices=["j", "jn", "k1", "k1pv", "exotic", "chi", "jk"])
-    p_h.add_argument("--from", dest="degree_from", type=int, default=-4)
-    p_h.add_argument("--to", dest="degree_to", type=int, default=12)
-    p_h.add_argument("--level", type=int, default=1)
-    p_h.add_argument("--prime", type=int, default=3)
-    p_h.add_argument("--level-exp", type=int, default=1)
-    p_h.add_argument("--modulus", type=int, default=4)
-    p_h.add_argument("--index", type=int, default=1)
-    p_h.add_argument("--invert", type=_int_list, default=None, help="comma-separated primes to invert")
-    p_h.add_argument("--subgroup", type=_int_list, default=None, help="comma-separated unit generators")
-    p_h.add_argument("--invert-order", action="store_true")
-    p_h.add_argument("--json", action="store_true")
-    p_h.set_defaults(fn=cmd_homotopy)
-
-    p_e2 = sub.add_parser("e2", help="E2 pages of the eigen spectral sequences")
-    p_e2.add_argument("--prime", type=int, required=True)
-    p_e2.add_argument("--level-exp", type=int, default=1)
-    p_e2.add_argument("--tame", type=int, default=0)
-    p_e2.add_argument("--smax", type=int, default=2)
-    p_e2.add_argument("--tmin", type=int, default=-8)
-    p_e2.add_argument("--tmax", type=int, default=8)
-    p_e2.add_argument("--json", action="store_true")
-    p_e2.set_defaults(fn=cmd_e2)
-
-    p_eis = sub.add_parser("eisenstein", help="q-expansion coefficients and congruences")
-    p_eis.add_argument("--modulus", type=int, required=True)
-    p_eis.add_argument("--index", type=int, required=True)
-    p_eis.add_argument("--weight", type=int, required=True)
-    p_eis.add_argument("--nmax", type=int, default=50)
-    p_eis.add_argument("--show-coeffs", type=int, default=8)
-    p_eis.add_argument("--json", action="store_true")
-    p_eis.set_defaults(fn=cmd_eisenstein)
-
-    p_ded = sub.add_parser("dedekind", help="Dedekind zeta special values")
-    p_ded.add_argument("--modulus", type=int, required=True)
-    p_ded.add_argument("--subgroup", type=_int_list, default=None)
-    p_ded.add_argument("--weight", type=int, default=2)
-    p_ded.add_argument("--verify-t", type=int, default=None)
-    p_ded.add_argument("--json", action="store_true")
-    p_ded.set_defaults(fn=cmd_dedekind)
-
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("suite", choices=list(SUITES) + ["all"])
-    p_verify.add_argument("--max", type=int, default=None)
-    p_verify.add_argument("--max-weight", type=int, default=None)
-    p_verify.add_argument("--primes", type=_int_list, default=None)
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(fn=cmd_verify)
-
+    _add_commands(parser, "command", COMMANDS, command)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         payload, text, code = args.fn(args)
     except (ValueError, ArithmeticError, AssertionError) as exc:

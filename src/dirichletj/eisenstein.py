@@ -25,29 +25,32 @@ from .cyclotomic import CycElement, IdealLattice, get_field
 from .exactalg import factorize
 
 
-def sigma_chi(chi: DirichletCharacter, m: int, n: int) -> CycElement:
-    """Twisted divisor sum in Q(zeta_ord(chi)).
+def sigma_chi(chi: DirichletCharacter, m: int, n_max: int) -> list[CycElement]:
+    """Twisted divisor sums sigma_{m,chi}(n) in Q(zeta_ord(chi)) for 0 <= n <= n_max.
 
-    Divisors are taken in pairs (d, n/d) with d <= isqrt(n); each chi(d) is
-    an integral root of unity, so the terms chi(d) d^m add up in one
-    integer vector.
+    One divisor sieve: each d <= n_max adds chi(d) d^m to the integer
+    vector of every multiple of d, with chi(d) read from one table of
+    ``evaluate(chi, a)`` for a < min(modulus, n_max + 1).  Entry 0 is 0
+    (the sieve adds nothing to it).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if m < 0:
         raise ValueError("m must be nonnegative")
     field = get_field(chi.order())
-    acc = [0] * field.degree
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            for e in {d, n // d}:
-                val = evaluate(chi, e)
-                if val is not None:
-                    w = e**m
-                    for t, x in enumerate(val.nums):
-                        if x:
-                            acc[t] += x * w
-    return CycElement(field, acc)
+    values = [evaluate(chi, a) for a in range(min(chi.modulus, n_max + 1))]
+    acc = [[0] * field.degree for _ in range(n_max + 1)]
+    for d in range(1, n_max + 1):
+        val = values[d % chi.modulus]
+        if val is None:
+            continue
+        w = d**m
+        terms = [(t, x * w) for t, x in enumerate(val.nums) if x]
+        for n in range(d, n_max + 1, d):
+            row = acc[n]
+            for t, y in terms:
+                row[t] += y
+    return [CycElement(field, row) for row in acc]
 
 
 def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycElement]:
@@ -63,10 +66,7 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     field = get_field(chi.order())
     b = gbn(chi, k)
     factor = field.from_rational(Fraction(-2 * k)) * b.inverse()
-    out = [field.one()]
-    for n in range(1, n_max + 1):
-        out.append(factor * sigma_chi(chi, k - 1, n))
-    return out
+    return [field.one()] + [factor * sigma for sigma in sigma_chi(chi, k - 1, n_max)[1:]]
 
 
 def _membership_up_to_coprime_denominator(x: CycElement, ideal: IdealLattice) -> bool:
@@ -89,10 +89,10 @@ def _membership_up_to_coprime_denominator(x: CycElement, ideal: IdealLattice) ->
 def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
     """Check c_n against the denominator ideal for 1 <= n <= n_max.
 
-    Returns a report with per-n rows.  ``mandatory_ok`` is membership in
-    the conductor-primary part of the ideal (all primes of the index for
-    conductor 1); ``full_ok`` is membership in the whole ideal, reported
-    only (failures are findings).
+    Returns a report with per-n rows and the ``coefficients`` c_0..c_n_max.
+    ``mandatory_ok`` is membership in the conductor-primary part of the
+    ideal (all primes of the index for conductor 1); ``full_ok`` is
+    membership in the whole ideal, reported only (failures are findings).
     """
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
@@ -123,6 +123,7 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
         "k": k,
         "ideal_index": idx,
         "rows": rows,
+        "coefficients": coeffs,
         "mandatory_failures": mandatory_failures,
         "full_findings": findings,
         "ok": mandatory_failures == 0,

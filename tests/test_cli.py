@@ -1,5 +1,6 @@
 """CLI surface: determinism, exit codes, payload shapes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dirichletj import cli, cyclotomic, exactalg
+from dirichletj import cli, cyclotomic, eisenstein, exactalg
 from dirichletj.bernoulli import gbn
 from dirichletj.characters import character_from_index
 from dirichletj.cli import RunReport, main
@@ -215,6 +216,7 @@ class TestBadArguments:
         ("eisenstein --modulus 5 --index 1 --weight 2", "parity mismatch: B_{k,chi} = 0, series not normalizable"),
         ("eisenstein --modulus 5 --index 2 --weight 0", "k must be positive"),
         ("eisenstein --modulus 12 --index 1 --weight 1", "chi must be primitive"),
+        ("eisenstein --modulus 5 --index 2 --weight 2 --nmax 100001", "coefficient range too large: --nmax 100001 is above 100000"),
         ("verify gbn-theorem --primes 15", "--primes takes prime powers above 2, got [15]"),
         ("verify gbn-theorem --primes 6", "--primes takes prime powers above 2, got [6]"),
         ("verify gbn-theorem --primes ,", "--primes takes prime powers above 2, got []"),
@@ -353,6 +355,19 @@ class TestEisensteinCmd:
         assert payload["ok"] is True
         assert payload["coefficients"][1] == "4"
 
+    @pytest.mark.parametrize("nmax, show, shown", [("30", "8", 9), ("3", "8", 4), ("30", "0", 1)])
+    def test_one_series_per_call(self, capsys, monkeypatch, nmax, show, shown):
+        calls = []
+        original = eisenstein.sigma_chi
+        monkeypatch.setattr(eisenstein, "sigma_chi", lambda *args: calls.append(args) or original(*args))
+        code, out, _ = run_cli(
+            capsys, "eisenstein", "--modulus", "4", "--index", "1", "--weight", "1",
+            "--nmax", nmax, "--show-coeffs", show, "--json",
+        )
+        coefficients = json.loads(out)["coefficients"]
+        assert code == 0 and len(calls) == 1
+        assert len(coefficients) == shown and coefficients[:2] == ["1", "4"][:shown]
+
 
 class TestDedekindCmd:
     def test_sqrt5(self, capsys):
@@ -423,6 +438,53 @@ def test_help_view(capsys, monkeypatch, argv, digest):
     captured = capsys.readouterr()
     assert (exc.value.code, captured.err) == (0, "")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# sha256 of the stderr of each call that argparse rejects (exit 2, empty
+# stdout) at a width of 80 columns.  An option left over after a valid
+# subcommand is reported by the root parser, with the root usage line.
+ERROR_VIEWS = [
+    ("", "3f4577fc58acf759e3c2085db72c276b5ef73184347beb023297795065bdc020"),
+    ("nosuch", "b79be0fb311dddcf249b80b9616024572afeefa84c09e7d6f02dc535cedebd4e"),
+    ("--json bern", "d597e26eb55909df557c45bfe14e41a5af6ab1ed40ddf88e69febfcdddef4f66"),
+    ("bern --modulus 5", "8cf634d7c350e131163bfae0f96d6e5efcee8276598bbcb7110a6c79948bb115"),
+    ("chars", "5911587273fb88efb661033f4df86c84080ea3183442258b0222744261536a90"),
+    ("chars nosuch", "f9f5f34530c5d4152da181bbc3d9fd89585de2f147c812d8d3e83bb06465ded6"),
+    ("verify nosuch", "365244200767f808ea9a164d4384be4b84eaa1bbd8d33c5be30c30de85eb0b9d"),
+    ("bern --modulus 5 --index 1 --weight 2 --bogus", "8280b816b1eab7441c447c33211ec388ba8738dddeeb6aa26335747409aad3f1"),
+    ("e2 --prime x", "ad7ca3289a366c3816e12ae733114f2e50cd27886d25f159246a15405781f6a1"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse messages differ across Python versions")
+@pytest.mark.parametrize("argv, digest", ERROR_VIEWS, ids=[argv or "no-arguments" for argv, _ in ERROR_VIEWS])
+def test_argparse_error_view(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["bern", "--modulus", "5", "--index", "2", "--weight", "2", "--json"], ["bern"]),
+    (["chars", "list", "--modulus", "4", "--json"], ["chars", "list"]),
+])
+def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch, argv, added):
+    names = []
+    original = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert names == added
+    names.clear()
+    cli.build_parser()
+    assert names == ["chars", "list", "bern", "homotopy", "e2", "eisenstein", "dedekind", "verify"]
 
 
 class TestSuiteRegistry:

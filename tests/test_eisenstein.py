@@ -1,6 +1,7 @@
 """Twisted divisor sums, Eisenstein coefficients, congruence checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,38 +24,53 @@ def quad5():
     return enumerate_characters(5)[2]
 
 
+def divisor_sum_written_here(chi, m, n):
+    # Every d <= n is tested, and each term is added as a field element.
+    field = get_field(chi.order())
+    expected = field.zero()
+    for d in range(1, n + 1):
+        if n % d == 0 and evaluate(chi, d) is not None:
+            expected = expected + evaluate(chi, d) * d**m
+    return expected
+
+
 class TestSigma:
     def test_classical(self):
-        assert sigma_chi(trivial(), 1, 6) == get_field(1).from_rational(12)
+        assert sigma_chi(trivial(), 1, 6)[6] == get_field(1).from_rational(12)
 
     def test_twisted_mod4(self):
-        assert sigma_chi(odd4(), 0, 5) == get_field(2).from_rational(2)
+        assert sigma_chi(odd4(), 0, 5)[5] == get_field(2).from_rational(2)
 
     def test_n1(self):
         for chi in enumerate_characters(8):
-            assert sigma_chi(chi, 3, 1) == get_field(chi.order()).one()
+            assert sigma_chi(chi, 3, 1)[1] == get_field(chi.order()).one()
 
     def test_multiplicative_on_coprime(self):
         for chi in (trivial(), odd4(), quad5()):
+            table = sigma_chi(chi, 2, 200)
             for a in range(1, 15):
                 for b in range(1, 15):
                     if math.gcd(a, b) != 1 or a * b > 200:
                         continue
-                    assert sigma_chi(chi, 2, a * b) == sigma_chi(chi, 2, a) * sigma_chi(chi, 2, b)
-
+                    assert table[a * b] == table[a] * table[b]
 
     def test_matches_divisor_sum_written_here(self):
-        # Every d <= n is tested, and each term is added as a field element.
         for N in range(1, 25):
             for chi in enumerate_characters(N):
-                field = get_field(chi.order())
                 m = chi.index() % 4
+                table = sigma_chi(chi, m, 120)
                 for n in range(1, 121):
-                    expected = field.zero()
-                    for d in range(1, n + 1):
-                        if n % d == 0 and evaluate(chi, d) is not None:
-                            expected = expected + evaluate(chi, d) * d**m
-                    assert sigma_chi(chi, m, n) == expected, (N, chi.index(), m, n)
+                    assert table[n] == divisor_sum_written_here(chi, m, n), (N, chi.index(), m, n)
+
+    # The largest series a cold `eisenstein` call builds: n_max = 2000, a
+    # character of order 4 (field degree 2) and one of field degree 4.
+    @pytest.mark.parametrize("modulus, order", [(5, 4), (11, 10)])
+    def test_matches_divisor_sum_at_n_max_2000(self, modulus, order):
+        chi = next(c for c in enumerate_characters(modulus) if c.order() == order)
+        table = sigma_chi(chi, 10, 2000)
+        assert len(table) == 2001 and table[0] == get_field(order).zero()
+        for n in random.Random(14).sample(range(1, 2001), 50):
+            assert table[n] == divisor_sum_written_here(chi, 10, n), n
 
 
 class TestCoefficients:
@@ -76,8 +92,9 @@ class TestCoefficients:
     def test_quad5_weight2_factor(self):
         # -4 / B_{2,chi} = -4/(4/5) = -5, so c_n = -5 sigma_{1,chi}(n).
         coeffs = eisenstein_coeffs(quad5(), 2, 4)
+        sigmas = sigma_chi(quad5(), 1, 4)
         for n in range(1, 5):
-            assert coeffs[n] == sigma_chi(quad5(), 1, n) * Fraction(-5)
+            assert coeffs[n] == sigmas[n] * Fraction(-5)
 
     def test_denominators_only_at_normalizing_factor(self):
         for chi, k in ((trivial(), 12), (quad5(), 8), (odd4(), 5)):
