@@ -9,8 +9,8 @@ the norm, so no rational polynomial arithmetic is needed.
 
 Ideals are full-rank sublattices of Z[zeta_n]: ``IdealLattice`` takes any
 integer generator rows, puts them in row-style Hermite normal form once,
-modulo a known multiple of the index when the caller has one, and
-verifies closure under multiplication by ``z``.
+modulo a known multiple of the index, and verifies closure under
+multiplication by ``z``.
 
 The denominator ideal of a field element ``a`` = nums/c is the colon
 lattice ``{x in Z[zeta_n] : x*a in Z[zeta_n]}``: the kernel of
@@ -193,23 +193,14 @@ class CycElement:
     def inverse(self) -> "CycElement":
         """1/a as the product of the conjugates sigma_s(a), s != 1, over the norm.
 
-        For the integral numerator A = ``nums``, N(A) = A * prod_{s != 1}
-        sigma_s(A) is a nonzero rational integer, so 1/a = den * prod_{s != 1}
+        For the integral numerator A = ``nums``, 1/a = den * prod_{s != 1}
         sigma_s(A) / N(A).
         """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero")
-        field = self.field
-        a = CycElement(field, self.nums)
-        conjugates = field.one()
-        for s in range(2, field.n):
-            if math.gcd(s, field.n) == 1:
-                conjugates = conjugates * galois_apply(a, s)
-        norm = a * conjugates
-        if not norm.is_rational():
-            raise AssertionError(f"the norm of {render_cyc(a)} in Q(zeta_{field.n}) is not rational")
-        sign = 1 if norm.nums[0] > 0 else -1
-        return CycElement(field, [sign * self.den * x for x in conjugates.nums], abs(norm.nums[0]))
+        norm, conjugates = _norm_and_conjugates(self)
+        sign = 1 if norm > 0 else -1
+        return CycElement(self.field, [sign * self.den * x for x in conjugates.nums], abs(norm))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -279,6 +270,23 @@ def render_cyc(a: CycElement) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
+def _norm_and_conjugates(a: CycElement) -> tuple[int, CycElement]:
+    """N(A) and prod_{s != 1} sigma_s(A) for the integral numerator A of ``a``.
+
+    A times the product is N(A), a rational integer, nonzero for A != 0.
+    """
+    field = a.field
+    a = CycElement(field, a.nums)
+    conjugates = field.one()
+    for s in range(2, field.n):
+        if math.gcd(s, field.n) == 1:
+            conjugates = conjugates * galois_apply(a, s)
+    norm = a * conjugates
+    if not norm.is_rational():
+        raise AssertionError(f"the norm of {render_cyc(a)} in Q(zeta_{field.n}) is not rational")
+    return norm.nums[0], conjugates
+
+
 def galois_apply(a: CycElement, sigma: int) -> CycElement:
     """The automorphism zeta -> zeta^sigma for sigma coprime to n."""
     if math.gcd(sigma, a.field.n) != 1:
@@ -304,28 +312,23 @@ class IdealLattice:
     """Full-rank sublattice of Z[zeta_n] in row HNF, closed under z-multiplication.
 
     ``basis`` is the HNF as phi(n) integer rows and ``diagonal()`` its
-    pivots.  The constructor takes any integer generator rows and is the
-    one place that computes an HNF; it rejects rows of less than full rank
-    and lattices that are not closed under multiplication by ``z``.
-
-    ``modulus``, when given, is a positive D with D*Z[zeta_n] inside the
-    lattice; the HNF then runs modulo D.  With a modulus the rows may be
-    w > phi(n) wide: the lattice is then the set of v with (0, ..., 0, v)
-    in span(rows) + D*Z^w, the trailing block of that HNF (a kernel, as
+    pivots.  The constructor takes any integer generator rows and a
+    positive ``modulus`` D with D*Z[zeta_n] inside the lattice, and is the
+    one place that computes an HNF, modulo D; it rejects lattices that are
+    not closed under multiplication by ``z``.  The rows may be w > phi(n)
+    wide: the lattice is then the set of v with (0, ..., 0, v) in
+    span(rows) + D*Z^w, the trailing block of that HNF (a kernel, as
     ``denominator_ideal`` uses it).
     """
 
     __slots__ = ("field", "basis")
 
-    def __init__(self, field: CyclotomicField, rows: Sequence[Sequence[int]], modulus: int | None = None):
+    def __init__(self, field: CyclotomicField, rows: Sequence[Sequence[int]], modulus: int):
         d = field.degree
         lead = len(rows[0]) - d if rows else -1
-        if lead < 0 or (lead and modulus is None) or any(len(row) != d + lead for row in rows):
-            raise ValueError("generator rows must be nonempty and of length phi(n)")
-        h = hermite_normal_form(rows, modulus)
-        self.basis = [row[lead:] for row in h[lead:lead + d]]
-        if len(self.basis) < d or not all(self.diagonal()):
-            raise ValueError("rows are singular; not a full-rank lattice")
+        if lead < 0 or any(len(row) != d + lead for row in rows):
+            raise ValueError("generator rows must be nonempty and at least phi(n) wide")
+        self.basis = [row[lead:] for row in hermite_normal_form(rows, modulus)[lead:]]
         self.field = field
         if not all(self._contains_vector(times_x_rows(field.phi_n, row, 2)[1]) for row in self.basis):
             raise ValueError("lattice is not closed under multiplication by zeta")
@@ -352,21 +355,17 @@ class IdealLattice:
         """Z-lattice spanned by g * z^j over all generators g.
 
         A rational integer generator m puts m*Z[zeta_n] inside the lattice,
-        so the gcd of those is the HNF modulus.
+        so the gcd of those is the HNF modulus; with none, the gcd of the
+        norms |N(g)| is.
         """
-        rows: list[list[int]] = []
-        modulus = 0
-        for g in gens:
-            if isinstance(g, (int, Fraction)):
-                g = field.from_rational(g)
-            if not g.is_integral():
-                raise ValueError("ideal generators must be integral")
-            if g.is_rational():
-                modulus = math.gcd(modulus, g.nums[0])
-            rows.extend(times_x_rows(field.phi_n, g.nums))
-        if not rows:
-            raise ValueError("no generators")
-        return cls(field, rows, modulus or None)
+        gens = [field.from_rational(g) if isinstance(g, (int, Fraction)) else g for g in gens]
+        if not all(g.is_integral() for g in gens):
+            raise ValueError("ideal generators must be integral")
+        rows = [row for g in gens for row in times_x_rows(field.phi_n, g.nums)]
+        modulus = math.gcd(*(g.nums[0] for g in gens if g.is_rational()))
+        if not modulus:
+            modulus = math.gcd(*(_norm_and_conjugates(g)[0] for g in gens))
+        return cls(field, rows, modulus)
 
     @classmethod
     def principal(cls, field: CyclotomicField, g) -> "IdealLattice":

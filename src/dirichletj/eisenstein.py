@@ -72,8 +72,9 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
 def _membership_up_to_coprime_denominator(x: CycElement, ideal: IdealLattice) -> bool:
     """x in ideal, allowing denominators of x coprime to the ideal's index.
 
-    Writes x = y/d with d minimal; if d shares a prime with the index the
-    test fails, otherwise d is inverted modulo the index.
+    Writes x = y/d with d minimal, so y is the integer vector ``x.nums``; if
+    d shares a prime with the index the test fails, otherwise d is inverted
+    modulo the index.
     """
     d = x.den
     idx = ideal.index()
@@ -81,9 +82,8 @@ def _membership_up_to_coprime_denominator(x: CycElement, ideal: IdealLattice) ->
         return True
     if math.gcd(d, idx) != 1:
         return False
-    y = x * d
     u = pow(d, -1, idx)
-    return ideal.contains(y * u)
+    return ideal._contains_vector([n * u for n in x.nums])
 
 
 def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:

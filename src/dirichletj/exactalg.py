@@ -7,21 +7,21 @@ normal forms that ideal lattices and quotients are read off, the
 multiplication by x modulo a monic polynomial, and ``AbelianGroupExpr``,
 the value type of every quotient group and every homotopy table.
 
-A matrix is a list of integer rows; the forms come without transforms,
-the HNF optionally modulo a known multiple D of the lattice's exponent.
-Everything is an arbitrary-precision integer; no floating point and no
-rationals anywhere.
+A matrix is a list of integer rows and the forms come without
+transforms.  Everything is an arbitrary-precision integer; no floating
+point and no rationals anywhere.
 
 Conventions fixed here and used throughout:
 
-* HNF is row-style: ``h`` spans the row lattice of ``m`` and is in
-  upper-triangular echelon form, pivots positive, and every entry above
-  a pivot reduced into ``[0, pivot)``.  Lattices are row spans; with a
-  modulus D the lattice is span(rows) + D*Z^n.
-* SNF is the diagonal of ``l * m * r`` for unimodular ``l``, ``r``: it is
-  nonnegative, with the divisibility chain ``d[0] | d[1] | ...``.  It is
-  computed by the HNF alone: HNFs of transposes until the matrix is
-  diagonal, then a gcd/lcm pass over the diagonal.
+* HNF is row-style and always modulo a known multiple D of the lattice's
+  exponent: ``h`` is the basis of span(rows of ``m``) + D*Z^n, in
+  upper-triangular echelon form, pivots positive, and every entry above a
+  pivot reduced into ``[0, pivot)``.  Lattices are row spans.
+* SNF is the diagonal of ``l * h * r`` for unimodular ``l``, ``r`` and a
+  nonsingular upper-triangular ``h``: positive, with the divisibility
+  chain ``d[0] | d[1] | ...``.  It is read off the local elementary
+  divisors, one elimination over Z/p^M per prime p of det h; the p-adic
+  quotients of ``padic`` run the same elimination.
 * ``times_x_rows`` is the one multiplication by x modulo a monic
   polynomial: the power basis of Q(zeta_n) and the p-adic quotients both
   read their multiplication matrices off it.
@@ -146,26 +146,23 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_normal_form(m: Sequence[Sequence[int]], modulus: int | None = None) -> list[list[int]]:
-    """Row-style Hermite normal form of the row lattice of ``m``.
+def hermite_normal_form(m: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
+    """Row-style n x n Hermite normal form of span(rows of ``m``) + D*Z^n, D = ``modulus`` > 0.
 
-    The result is in upper-triangular echelon form with positive pivots
-    and every entry above a pivot reduced into ``[0, pivot)``.  Without a
-    modulus it has the shape of ``m``, zero rows at the bottom.
-
-    With ``modulus`` D > 0 the lattice is span(rows) + D*Z^n, which has
-    full rank, and the result is its n x n HNF.  The rows D*e_j are never
-    written down and every entry is kept reduced mod D (Cohen, GTM 138,
-    Alg. 2.4.8; Domich-Kannan-Trotter 1987), so nothing grows past D.
-    Once the pivot row w of column j takes g = gcd(w_j, D) from D*e_j,
-    what w and D*e_j span beyond the new HNF row is (D/g)*w, which goes
-    back into the working rows.
+    The lattice has full rank, and the result is in upper-triangular
+    echelon form with positive pivots and every entry above a pivot
+    reduced into ``[0, pivot)``.  The rows D*e_j are never written down and
+    every entry is kept reduced mod D (Cohen, GTM 138, Alg. 2.4.8;
+    Domich-Kannan-Trotter 1987), so nothing grows past D.  Once the pivot
+    row w of column j takes g = gcd(w_j, D) from D*e_j, what w and D*e_j
+    span beyond the new HNF row is (D/g)*w, which goes back into the
+    working rows.
     """
-    if modulus is not None and modulus <= 0:
+    if modulus <= 0:
         raise ValueError(f"modulus must be positive, got {modulus}")
     cols = _width(m)
     D = modulus
-    work = [[x % D for x in row] if D else list(row) for row in m]
+    work = [[x % D for x in row] for row in m]
     basis: list[list[int]] = []
     for col in range(cols):
         # Gather column col into one pivot row with gcd row steps; a plain
@@ -181,66 +178,109 @@ def hermite_normal_form(m: Sequence[Sequence[int]], modulus: int | None = None) 
                 a = piv[col]
                 if b % a == 0:
                     q = b // a
-                    row = [y - q * x for x, y in zip(piv, row)]
+                    row = [(y - q * x) % D for x, y in zip(piv, row)]
                 else:
                     g, s, t = _xgcd(a, b)
                     a, b = a // g, b // g
-                    piv, row = [s * x + t * y for x, y in zip(piv, row)], [a * y - b * x for x, y in zip(piv, row)]
-                    if D:
-                        piv = [x % D for x in piv]
-                if D:
-                    row = [x % D for x in row]
+                    piv, row = ([(s * x + t * y) % D for x, y in zip(piv, row)],
+                                [(a * y - b * x) % D for x, y in zip(piv, row)])
             if any(row):
                 rest.append(row)
-        if D:
-            if piv is None:
-                piv = [0] * cols
-                piv[col] = D
-            else:
-                g, s, _ = _xgcd(piv[col], D)
-                carried = [D // g * x % D for x in piv]
-                if any(carried):
-                    rest.append(carried)
-                piv = [s * x % D for x in piv]
-        elif piv is None:
-            continue
-        elif piv[col] < 0:
-            piv = [-x for x in piv]
+        if piv is None:
+            piv = [0] * cols
+            piv[col] = D
+        else:
+            g, s, _ = _xgcd(piv[col], D)
+            carried = [D // g * x % D for x in piv]
+            if any(carried):
+                rest.append(carried)
+            piv = [s * x % D for x in piv]
         # Reduce the entries above the new pivot into [0, pivot).
         p = piv[col]
         for i, row in enumerate(basis):
             q = row[col] // p
             if q:
-                row = [x - q * y for x, y in zip(row, piv)]
-                basis[i] = [x % D for x in row] if D else row
+                basis[i] = [(x - q * y) % D for x, y in zip(row, piv)]
         basis.append(piv)
         work = rest
-    if not D:
-        basis.extend([0] * cols for _ in range(len(m) - len(basis)))
     return basis
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> list[int]:
-    """The Smith diagonal of ``m``: nonnegative, with ``d[i] | d[i+1]``.
+def padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[int]:
+    """Valuations of the invariant factors of a square matrix over Z/p^M, ascending.
 
-    The HNF of the transpose, repeated on transposes, reaches a diagonal
-    matrix (Kannan-Bachem, SIAM J. Comput. 1979): each pass is a unimodular
-    row operation on the transpose, so the Smith form is kept, and each
-    leading pivot only shrinks in divisibility until its row and column
-    are clear.  An ideal basis, already upper triangular, usually needs
-    one pass.  Pairs of diagonal entries then become (gcd, lcm), which
-    keeps Z^n / diag and gives the divisibility chain.
+    Minimal-valuation pivoting.  The result is min(e_i, M) for the
+    elementary divisors p^(e_i) over Z_p, so exponents below M are exact
+    and an exponent capped at M means the precision is too low.  The
+    row-major pivot scan stops at the first unit, which is the entry a
+    full scan for the strict minimum would pick.  Only rows are reduced:
+    after step t column t is zero below the pivot and every entry of row t
+    is a multiple of it, so clearing row t would change nothing a later
+    step reads.
     """
-    n = min(len(m), _width(m))
-    h = m
-    while True:
-        h = hermite_normal_form(list(zip(*h)))
-        if all(not x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+    pm = p**M
+    a = [[x % pm for x in row] for row in rows]
+    r = len(a)
+    exps = []
+    for t in range(r):
+        best, bestv = None, M
+        for i in range(t, r):
+            row = a[i]
+            for j in range(t, r):
+                x = row[j]
+                if x % p:
+                    best, bestv = (i, j), 0
+                    break
+                if x:
+                    v = _vp(x, p)
+                    if v < bestv:
+                        best, bestv = (i, j), v
+            if bestv == 0:
+                break
+        if best is None:
+            exps.extend([M] * (r - t))
             break
-    d = [h[i][i] for i in range(n)]
+        bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        for row in a[t:]:
+            row[t], row[bj] = row[bj], row[t]
+        # Columns left of t are zero in rows t and below, so only the
+        # trailing part of each row is reduced.
+        pv = p**bestv
+        inv_unit = pow(a[t][t] // pv, -1, pm)
+        pivot_row = [(x * inv_unit) % pm for x in a[t][t:]]
+        for i in range(t + 1, r):
+            x = a[i][t]
+            if x:
+                q = (x // pv) % (pm // pv)
+                a[i][t:] = [(y - q * z) % pm for y, z in zip(a[i][t:], pivot_row)]
+        exps.append(bestv)
+    return sorted(exps)
+
+
+def smith_normal_form(h: Sequence[Sequence[int]]) -> list[int]:
+    """The Smith diagonal of a nonsingular upper-triangular ``h``, such as an HNF basis.
+
+    The result is positive, with ``d[i] | d[i+1]``, read off the local
+    elementary divisors: |det h| is the product of the pivots, and at each
+    prime p of it one elimination over Z/p^M with M = v_p(det) + 1 gives
+    exponents that sum to v_p(det) < M, so none is capped and all are
+    exact.  That sum, known from the pivots alone, checks each elimination.
+    d[i] is the product over p of p to the i-th smallest exponent.
+    """
+    n = _width(h)
+    if len(h) != n or any(h[i][j] for i in range(n) for j in range(i)) or not all(h[i][i] for i in range(n)):
+        raise ValueError("smith_normal_form needs a nonsingular upper-triangular square matrix")
+    det_exps: dict[int, int] = {}
     for i in range(n):
-        for j in range(i + 1, n):
-            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+        for p, e in factorize(abs(h[i][i])).items():
+            det_exps[p] = det_exps.get(p, 0) + e
+    d = [1] * n
+    for p, v in det_exps.items():
+        exps = padic_invariant_exponents(h, p, v + 1)
+        if sum(exps) != v:
+            raise AssertionError(f"Smith exponents {exps} at {p} do not sum to v_{p}(det) = {v}")
+        d = [x * p**e for x, e in zip(d, exps)]
     return d
 
 

@@ -128,26 +128,8 @@ def pi_K1(p: int, i: int) -> AbelianGroupExpr:
     """Homotopy of the K(1)-local sphere at p."""
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p}")
-    A = AbelianGroupExpr
-    if p == 2:
-        if i == 0:
-            return A.padic(2) + A.cyclic(2)
-        if i == -1:
-            return A.padic(2)
-        if i % 4 == 3:  # i = 4k - 1 != -1
-            return A.cyclic(2 ** (_vp((i + 1) // 4, 2) + 3))
-        if i % 8 == 1:
-            return A.cyclic(2) + A.cyclic(2)
-        if i % 8 in (0, 2) and i != 0:
-            return A.cyclic(2)
-        return A.zero()
-    if i in (0, -1):
-        return A.padic(p)
-    if i % 2 == 1:
-        half = (i + 1) // 2
-        if half != 0 and half % (p - 1) == 0:
-            return A.cyclic(p ** (_vp(half // (p - 1), p) + 1))
-    return A.zero()
+    # The untwisted eigen-piece of level p (level 4 at p = 2).
+    return _tame_eigen_2(2, 0, i) if p == 2 else _tame_eigen_odd(p, 1, 0, i)
 
 
 def pi_K1_pv(p: int, v: int, i: int) -> AbelianGroupExpr:

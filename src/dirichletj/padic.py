@@ -1,16 +1,15 @@
 """Teichmuller residues mod p^M and the Smith-normal-form cohomology oracle.
 
 The oracle computes finite quotients like Z_p[zeta_{p^(v-1)}] / (w(g) zeta - g^t)
-directly as Smith normal forms of multiplication matrices over Z/p^M,
-independently of any closed-form answer.  The elimination takes the
-first unit it meets as pivot, without scanning the rest of the block,
-and falls back to the entry of least valuation when there is none.
-A matrix over Z_p with elementary divisors p^(e_i) has Smith form
-diag(p^min(e_i, M)) mod p^M, so one elimination at precision M is exact
-once every exponent is below M.  Each elimination is checked against
-v_p(Res(Phi, u)), the valuation of the determinant, computed from Phi and
-u alone.  Precision starts at M = 15 and escalates by 5 while the
-resultant vanishes mod p^M; correctness never depends on a guessed bound.
+directly as Smith normal forms of multiplication matrices over Z/p^M
+(``exactalg.padic_invariant_exponents``), independently of any
+closed-form answer.  A matrix over Z_p with elementary divisors p^(e_i)
+has Smith form diag(p^min(e_i, M)) mod p^M, so one elimination at
+precision M is exact once every exponent is below M.  Each elimination is
+checked against v_p(Res(Phi, u)), the valuation of the determinant,
+computed from Phi and u alone.  Precision starts at M = 15 and escalates
+by 5 while the resultant vanishes mod p^M; correctness never depends on a
+guessed bound.
 
 ``e2_page`` dispatches the closed-form E2 entries of the homotopy
 eigen / fixed-point spectral sequences for pure prime-power conductors.
@@ -23,7 +22,15 @@ from typing import Optional
 
 from .characters import InputError
 from .cyclotomic import cyclotomic_poly
-from .exactalg import AbelianGroupExpr, _vp, euler_phi, is_prime, smallest_primitive_root, times_x_rows
+from .exactalg import (
+    AbelianGroupExpr,
+    _vp,
+    euler_phi,
+    is_prime,
+    padic_invariant_exponents,
+    smallest_primitive_root,
+    times_x_rows,
+)
 
 
 def teichmuller(p: int, a: int, M: int) -> int:
@@ -67,61 +74,6 @@ def topological_generator(p: int) -> int:
     return g
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form over Z/p^M
-
-
-def _padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[int]:
-    """Valuations of the invariant factors of a square matrix over Z/p^M.
-
-    Minimal-valuation pivoting.  The result is min(e_i, M) for the
-    elementary divisors p^(e_i) over Z_p, so exponents below M are exact
-    and an exponent capped at M means the precision is too low.  The
-    row-major pivot scan stops at the first unit, which is the entry a
-    full scan for the strict minimum would pick.  Only rows are reduced: after step t column
-    t is zero below the pivot and every entry of row t is a multiple of
-    it, so clearing row t would change nothing a later step reads.
-    """
-    pm = p**M
-    a = [[x % pm for x in row] for row in rows]
-    r = len(a)
-    exps = []
-    for t in range(r):
-        best, bestv = None, M
-        for i in range(t, r):
-            row = a[i]
-            for j in range(t, r):
-                x = row[j]
-                if x % p:
-                    best, bestv = (i, j), 0
-                    break
-                if x:
-                    v = _vp(x, p)
-                    if v < bestv:
-                        best, bestv = (i, j), v
-            if bestv == 0:
-                break
-        if best is None:
-            exps.extend([M] * (r - t))
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a[t:]:
-            row[t], row[bj] = row[bj], row[t]
-        # Columns left of t are zero in rows t and below, so only the
-        # trailing part of each row is reduced.
-        pv = p**bestv
-        inv_unit = pow(a[t][t] // pv, -1, pm)
-        pivot_row = [(x * inv_unit) % pm for x in a[t][t:]]
-        for i in range(t + 1, r):
-            x = a[i][t]
-            if x:
-                q = (x // pv) % (pm // pv)
-                a[i][t:] = [(y - q * z) % pm for y, z in zip(a[i][t:], pivot_row)]
-        exps.append(bestv)
-    return sorted(exps)
-
-
 class PrecisionError(ArithmeticError):
     """Res(Phi, u) vanished mod p^M at every precision tried; retry with a larger M."""
 
@@ -155,7 +107,7 @@ def _stable_quotient(phi: tuple[int, ...], u_at, p: int, M: int) -> AbelianGroup
     for _ in range(8):
         pm = p**precision
         u = u_at(precision)
-        exps = _padic_invariant_exponents(times_x_rows(phi, u), p, precision)
+        exps = padic_invariant_exponents(times_x_rows(phi, u), p, precision)
         res = _resultant_mod(phi, u, pm)
         if res:
             if sum(exps) != _vp(res, p):
@@ -276,14 +228,10 @@ def e2_page(chi_data: PAdicCharacterData, s: int, t: int) -> AbelianGroupExpr:
             raise ValueError("pages are concentrated in even internal degree for odd p")
         k = t // 2
         if v <= 1:
-            if a == 0:
-                # Trivial tame part: the untwisted K(1)-local page.
-                if t == 0 and s in (0, 1):
-                    return AbelianGroupExpr.padic(p)
-                if s == 1 and k != 0 and k % (p - 1) == 0:
-                    return AbelianGroupExpr.cyclic(p ** (_vp(k, p) + 1))
-                return zero
-            if s == 1 and (k - a) % (p - 1) == 0:
+            # Tame part omega^a; a = 0 is the untwisted K(1)-local page.
+            if a == 0 and t == 0 and s in (0, 1):
+                return AbelianGroupExpr.padic(p)
+            if s == 1 and k != 0 and (k - a) % (p - 1) == 0:
                 return AbelianGroupExpr.cyclic(p ** (_vp(k, p) + 1))
             return zero
         # v >= 2: one-line page, Z/p exactly on the matching tame stripe.

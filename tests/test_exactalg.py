@@ -10,8 +10,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from dirichletj import exactalg
 from dirichletj.exactalg import hermite_normal_form, smith_normal_form, times_x_rows
 
 
@@ -67,6 +68,22 @@ def same_lattice(a, b):
     return all(in_lattice(a, row) for row in b) and all(in_lattice(b, row) for row in a)
 
 
+def top_divisor(rows):
+    """The gcd of the maximal minors: the index of the row span when it has full rank."""
+    n = len(rows[0])
+    return math.gcd(*(bareiss_det([rows[i] for i in ri]) for ri in itertools.combinations(range(len(rows)), n)))
+
+
+def spans_full_rank(h, rows):
+    """The square ``h`` spans the full-rank row span of ``rows``.
+
+    Every row lies in span(h) and both have the same index, so the spans
+    are equal; this avoids one membership test per row of ``h``, each a
+    pass over all minors of ``rows``.
+    """
+    return all(in_lattice(h, row) for row in rows) and abs(bareiss_det(h)) == top_divisor(rows)
+
+
 def hnf_shape_ok(h):
     prev = -1
     for i in range(len(h)):
@@ -89,33 +106,57 @@ matrices = st.integers(1, 5).flatmap(
     lambda cols: st.lists(st.lists(st.integers(-30, 30), min_size=cols, max_size=cols), min_size=1, max_size=6)
 )
 
+squares = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
 elementary_steps = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3)), max_size=12)
+
+
+def modular_rows(rows, modulus):
+    """The rows of ``rows`` followed by modulus * e_j: they span span(rows) + modulus*Z^n."""
+    cols = len(rows[0])
+    return rows + [[modulus * (i == j) for j in range(cols)] for i in range(cols)]
+
+
+def random_nonsingular(rng, n, bound):
+    while True:
+        m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        det = bareiss_det(m)
+        if det:
+            return m, abs(det)
+
+
+def snf_of(m):
+    """The Smith diagonal of a nonsingular square ``m``, through its HNF modulo |det m|."""
+    return smith_normal_form(hermite_normal_form(m, abs(bareiss_det(m))))
 
 
 class TestHermite:
     def test_identity(self):
         m = [[1, 0], [0, 1]]
-        assert hermite_normal_form(m) == m
+        assert hermite_normal_form(m, 1) == m
 
     def test_upper_triangular_example(self):
-        h = hermite_normal_form([[2, 1], [0, 3]])
+        h = hermite_normal_form([[2, 1], [0, 3]], 6)
         assert [h[0][0], h[1][1]] == [2, 3]
         assert h[0][1] == 1  # reduced off-diagonal entry
         assert same_lattice(h, [[2, 1], [0, 3]])
 
     def test_zero_matrix(self):
-        h = hermite_normal_form([[0, 0], [0, 0]])
-        assert h == [[0, 0], [0, 0]]
+        assert hermite_normal_form([[0, 0], [0, 0]], 5) == [[5, 0], [0, 5]]
 
     def test_random_postconditions(self):
         rng = random.Random(5)
         for _ in range(300):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             m = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
-            h = hermite_normal_form(m)
-            assert (len(h), len(h[0])) == (rows, cols)
+            modulus = rng.randint(1, 60)
+            h = hermite_normal_form(m, modulus)
+            assert (len(h), len(h[0])) == (cols, cols)
             assert hnf_shape_ok(h)
-            assert same_lattice(h, m)
+            assert all(h[i][i] for i in range(cols))
+            assert spans_full_rank(h, modular_rows(m, modulus))
 
     def test_membership_oracle(self):
         # The oracle itself: 2Z + 3Z = Z, (1, 1) is not in 2Z^2, and a rank drop is seen.
@@ -132,20 +173,18 @@ class TestHermite:
             hermite_normal_form([[1]], 0)
 
     def test_inconsistent_row_lengths(self):
-        for normal_form in (hermite_normal_form, smith_normal_form):
+        for normal_form in (lambda m: hermite_normal_form(m, 5), smith_normal_form):
             with pytest.raises(ValueError, match="inconsistent row lengths"):
                 normal_form([[1, 2], [3]])
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(matrices, st.integers(1, 400))
     def test_modulus_equals_appended_rows(self, rows, modulus):
+        # span(rows) + D*Z^n is the span of the rows with D*e_j appended.
         cols = len(rows[0])
-        appended = rows + [[modulus * (i == j) for j in range(cols)] for i in range(cols)]
-        expected = hermite_normal_form(appended)
         got = hermite_normal_form(rows, modulus)
-        assert got == expected[:cols]
-        assert all(row == [0] * cols for row in expected[cols:])
-        assert hnf_shape_ok(got)
+        assert len(got) == cols and hnf_shape_ok(got)
+        assert spans_full_rank(got, modular_rows(rows, modulus))
 
 
 class TestSmith:
@@ -162,16 +201,17 @@ class TestSmith:
         # d_k = D_k / D_(k-1), the quotient of consecutive determinantal divisors.
         rng = random.Random(11)
         for _ in range(300):
-            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            m = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+            m, det = random_nonsingular(rng, rng.randint(1, 5), 12)
             divisors = determinantal_divisors(m)
-            expected = [b // a if b else 0 for a, b in zip([1] + divisors, divisors)]
-            assert smith_normal_form(m) == expected
+            expected = [b // a for a, b in zip([1] + divisors, divisors)]
+            assert smith_normal_form(hermite_normal_form(m, det)) == expected
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(matrices, elementary_steps, elementary_steps)
+    @given(squares, elementary_steps, elementary_steps)
     def test_unimodular_invariance(self, m, row_steps, col_steps):
         # U m V for unimodular U, V built from elementary steps has the same diagonal.
+        assume(bareiss_det(m))
+
         def unimodular(n, steps):
             u = [[int(i == j) for j in range(n)] for i in range(n)]
             for i, j, c in steps:
@@ -182,17 +222,25 @@ class TestSmith:
 
         u, v = unimodular(len(m), row_steps), unimodular(len(m[0]), col_steps)
         assert abs(bareiss_det(u)) == 1 and abs(bareiss_det(v)) == 1
-        assert smith_normal_form(matmul(matmul(u, m), v)) == smith_normal_form(m)
+        assert snf_of(matmul(matmul(u, m), v)) == snf_of(m)
 
     def test_det_preserved(self):
         rng = random.Random(13)
         for _ in range(60):
-            n = rng.randint(1, 4)
-            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            det = bareiss_det(m)
-            if det == 0:
-                continue
-            assert math.prod(smith_normal_form(m)) == abs(det)
+            m, det = random_nonsingular(rng, rng.randint(1, 4), 9)
+            assert math.prod(smith_normal_form(hermite_normal_form(m, det))) == det
+
+    @pytest.mark.parametrize("h", [[[1, 0], [1, 1]], [[1, 0], [0, 0]], [[2, 1]], [[0, 1], [0, 1]]])
+    def test_rejects_all_but_nonsingular_upper_triangular(self, h):
+        with pytest.raises(ValueError, match="upper-triangular"):
+            smith_normal_form(h)
+
+    def test_exponent_sum_checks_the_elimination(self, monkeypatch):
+        # An elimination that loses an exponent no longer sums to v_p(det).
+        elimination = exactalg.padic_invariant_exponents
+        monkeypatch.setattr(exactalg, "padic_invariant_exponents", lambda rows, p, M: elimination(rows, p, M)[:-1])
+        with pytest.raises(AssertionError, match="det"):
+            smith_normal_form([[2, 1], [0, 6]])
 
 
 def reduce_mod_monic(poly, phi):

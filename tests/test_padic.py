@@ -6,10 +6,9 @@ import pytest
 
 from dirichletj import padic
 from dirichletj.cyclotomic import cyclotomic_poly
-from dirichletj.exactalg import AbelianGroupExpr, times_x_rows
+from dirichletj.exactalg import AbelianGroupExpr, padic_invariant_exponents, times_x_rows
 from dirichletj.padic import (
     PAdicCharacterData,
-    _padic_invariant_exponents,
     e2_page,
     quotient_oracle,
     quotient_oracle_2,
@@ -69,13 +68,13 @@ class TestTopologicalGenerator:
 def snf_precisions(monkeypatch):
     """The precision of every Smith elimination the oracle runs, in order."""
     seen = []
-    snf = padic._padic_invariant_exponents
+    snf = padic.padic_invariant_exponents
 
     def counted(rows, p, M):
         seen.append(M)
         return snf(rows, p, M)
 
-    monkeypatch.setattr(padic, "_padic_invariant_exponents", counted)
+    monkeypatch.setattr(padic, "padic_invariant_exponents", counted)
     return seen
 
 
@@ -119,8 +118,8 @@ class TestQuotientOracle:
         assert snf_precisions == [2, 7]
 
     def test_resultant_catches_a_lost_exponent(self, monkeypatch):
-        snf = padic._padic_invariant_exponents
-        monkeypatch.setattr(padic, "_padic_invariant_exponents", lambda rows, p, M: snf(rows, p, M)[:-1])
+        snf = padic.padic_invariant_exponents
+        monkeypatch.setattr(padic, "padic_invariant_exponents", lambda rows, p, M: snf(rows, p, M)[:-1])
         with pytest.raises(AssertionError, match="Res"):
             quotient_oracle(3, 2, 1, 3)
 
@@ -246,7 +245,7 @@ class TestPadicSNF:
             rows = _random_matrix(rng, r, p, M)
             if rng.random() < 0.5:  # sparse, so that low-rank and non-unit pivots occur
                 rows = [[x if rng.random() < 0.3 else 0 for x in row] for row in rows]
-            assert _padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
+            assert padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_only_unit_in_last_row(self, p):
@@ -254,7 +253,7 @@ class TestPadicSNF:
         for r in range(1, 8):
             rows = _random_matrix(rng, r, p, 5, scale=p)
             rows[-1][rng.randrange(r)] = rng.randrange(1, p)
-            assert _padic_invariant_exponents(rows, p, 5) == _naive_invariant_exponents(rows, p, 5)
+            assert padic_invariant_exponents(rows, p, 5) == _naive_invariant_exponents(rows, p, 5)
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_every_entry_divisible_by_p(self, p):
@@ -262,14 +261,14 @@ class TestPadicSNF:
         for r in range(1, 8):
             for scale in (p, p * p):
                 rows = _random_matrix(rng, r, p, 6, scale=scale)
-                got = _padic_invariant_exponents(rows, p, 6)
+                got = padic_invariant_exponents(rows, p, 6)
                 assert got == _naive_invariant_exponents(rows, p, 6)
                 assert min(got) >= 1
 
     def test_zero_matrix(self):
         for r in (0, 1, 4):
             zero = [[0] * r for _ in range(r)]
-            assert _padic_invariant_exponents(zero, 3, 4) == _naive_invariant_exponents(zero, 3, 4) == [4] * r
+            assert padic_invariant_exponents(zero, 3, 4) == _naive_invariant_exponents(zero, 3, 4) == [4] * r
 
     @pytest.mark.parametrize("a, t", [(0, 0), (2, 5), (3, -7)])
     def test_oracle_matrix_p11_v3(self, a, t):
@@ -281,4 +280,4 @@ class TestPadicSNF:
         phi = cyclotomic_poly(p * p)
         rows = times_x_rows(phi, [-pow(g, t, pm) % pm, w])
         assert len(rows) == len(phi) - 1 == 110
-        assert _padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
+        assert padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
