@@ -532,11 +532,12 @@ def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return flags, kwargs
 
 
+_JSON = _arg("--json", action="store_true")
 _MODULUS = _arg("--modulus", type=int, required=True)
 _CHARACTER_WEIGHT = [_MODULUS, _arg("--index", type=int, required=True), _arg("--weight", type=int, required=True)]
 
 # Every subcommand, once: name -> (help, handler or nested commands, argument specs).
-# A handler's subparser also takes --json; nested commands parse into the dest "<name>_command".
+# A handler's subparser also takes _JSON; nested commands parse into the dest "<name>_command".
 COMMANDS: dict[str, tuple] = {
     "chars": ("enumerate Dirichlet characters", {"list": (None, cmd_chars, [_MODULUS])}, []),
     "bern": ("generalized Bernoulli numbers and L-values", cmd_bern, _CHARACTER_WEIGHT),
@@ -582,7 +583,7 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict, on
         if isinstance(run, dict):
             _add_commands(command, f"{name}_command", run, None)
         else:
-            command.add_argument("--json", action="store_true")
+            command.add_argument(*_JSON[0], **_JSON[1])
             command.set_defaults(fn=run)
 
 
@@ -593,9 +594,81 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+# The spec keywords ``_plain_namespace`` reads; a spec with any other goes to argparse.
+_PLAIN_KEYWORDS = frozenset({"type", "required", "default", "dest", "choices", "help", "action"})
+
+
+def _plain_namespace(argv: list[str]) -> Optional[argparse.Namespace]:
+    """What ``build_parser().parse_args(argv)`` returns, read straight off ``COMMANDS``; None when unsure.
+
+    A plain call names its command (and nested command), spells each option
+    in full as a token of its own (``--modulus 5``; a repeated option keeps
+    its last value) and gives the positionals in order.  Anything else is
+    left to argparse, which alone prints help and errors: ``-h``, ``--``,
+    an abbreviation, ``--opt=value``, a token starting with ``-`` that is
+    neither an option of the subcommand nor ``-<ASCII digits>``, a missing
+    or extra token, a value its type or choices reject, and a spec with a
+    keyword outside ``_PLAIN_KEYWORDS``, a str default or an action other
+    than store_true.
+    """
+    values, dest, commands, i = {}, "command", COMMANDS, 0
+    while isinstance(commands, dict):
+        if i == len(argv) or argv[i] not in commands:
+            return None
+        name = values[dest] = argv[i]
+        _, commands, specs = commands[name]
+        if isinstance(commands, dict) and specs:
+            return None
+        dest, i = f"{name}_command", i + 1
+    values["fn"] = commands
+    options, positionals, required = {}, [], set()
+    for flags, kwargs in specs + [_JSON]:
+        # argparse would pass a str default through the spec's type, as it does a token.
+        if (len(flags) != 1 or not kwargs.keys() <= _PLAIN_KEYWORDS or isinstance(kwargs.get("default"), str)
+                or kwargs.get("action", "store_true") != "store_true"):
+            return None
+        flag = flags[0]
+        if flag.startswith("-"):
+            dest = kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+            options[flag] = dest, kwargs
+            values[dest] = kwargs.get("default", False if "action" in kwargs else None)
+            if kwargs.get("required"):
+                required.add(flag)
+        else:
+            positionals.append((flag, kwargs))
+
+    def value(kwargs: dict, token: str):
+        if token.startswith("-") and not (token[1:].isascii() and token[1:].isdigit()):
+            raise ValueError(token)
+        converted = kwargs.get("type", str)(token)
+        if "choices" in kwargs and converted not in kwargs["choices"]:
+            raise ValueError(token)
+        return converted
+
+    try:
+        while i < len(argv):
+            if argv[i] in options:
+                dest, kwargs = options[argv[i]]
+                required.discard(argv[i])
+                if "action" in kwargs:
+                    values[dest] = True
+                else:
+                    i += 1
+                    values[dest] = value(kwargs, argv[i])
+            else:
+                flag, kwargs = positionals.pop(0)
+                values[flag] = value(kwargs, argv[i])
+            i += 1
+    except (IndexError, ValueError, TypeError, argparse.ArgumentTypeError):
+        return None
+    return None if positionals or required else argparse.Namespace(**values)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _plain_namespace(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         payload, text, code = args.fn(args)
     except (ValueError, ArithmeticError, AssertionError) as exc:

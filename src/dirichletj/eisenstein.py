@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .bernoulli import denom_ideal, gbn, p_primary_part
 from .characters import DirichletCharacter, InputError, conductor, evaluate, is_primitive, parity
@@ -69,21 +70,27 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     return [field.one()] + [factor * sigma for sigma in sigma_chi(chi, k - 1, n_max)[1:]]
 
 
-def _membership_up_to_coprime_denominator(x: CycElement, ideal: IdealLattice) -> bool:
-    """x in ideal, allowing denominators of x coprime to the ideal's index.
+def _coprime_denominator_membership(ideal: IdealLattice) -> Callable[[CycElement], bool]:
+    """The test x in ideal, allowing denominators of x coprime to the ideal's index.
 
     Writes x = y/d with d minimal, so y is the integer vector ``x.nums``; if
     d shares a prime with the index the test fails, otherwise d is inverted
-    modulo the index.
+    modulo the index.  The index is taken once, and each distinct d is
+    inverted once.
     """
-    d = x.den
     idx = ideal.index()
-    if idx == 1:
-        return True
-    if math.gcd(d, idx) != 1:
-        return False
-    u = pow(d, -1, idx)
-    return ideal._contains_vector([n * u for n in x.nums])
+    inverses: dict[int, Optional[int]] = {}
+
+    def member(x: CycElement) -> bool:
+        if idx == 1:
+            return True
+        d = x.den
+        if d not in inverses:
+            inverses[d] = pow(d, -1, idx) if math.gcd(d, idx) == 1 else None
+        u = inverses[d]
+        return u is not None and ideal._contains_vector([n * u for n in x.nums])
+
+    return member
 
 
 def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
@@ -102,15 +109,19 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
     if N == 1:
         mandatory_ideal = ideal
     else:
-        (p, _v), = factorize(N).items()
+        primes = factorize(N)
+        if len(primes) != 1:
+            raise InputError(f"the conductor must be 1 or a prime power, got {N}")
+        p, = primes
         mandatory_ideal = p_primary_part(ideal, p)
+    in_mandatory = _coprime_denominator_membership(mandatory_ideal)
     coeffs = eisenstein_coeffs(chi, k, n_max)
     rows = []
     mandatory_failures = 0
     findings = 0
     for n in range(1, n_max + 1):
         c = coeffs[n]
-        mandatory_ok = _membership_up_to_coprime_denominator(c, mandatory_ideal)
+        mandatory_ok = in_mandatory(c)
         full_ok = c.is_integral() and ideal.contains(c)
         if not mandatory_ok:
             mandatory_failures += 1

@@ -1,7 +1,9 @@
 """CLI surface: determinism, exit codes, payload shapes."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirichletj import cli, cyclotomic, eisenstein, exactalg
 from dirichletj.bernoulli import gbn
@@ -216,6 +219,7 @@ class TestBadArguments:
         ("eisenstein --modulus 5 --index 1 --weight 2", "parity mismatch: B_{k,chi} = 0, series not normalizable"),
         ("eisenstein --modulus 5 --index 2 --weight 0", "k must be positive"),
         ("eisenstein --modulus 12 --index 1 --weight 1", "chi must be primitive"),
+        ("eisenstein --modulus 12 --index 3 --weight 2", "the conductor must be 1 or a prime power, got 12"),
         ("eisenstein --modulus 5 --index 2 --weight 2 --nmax 100001", "coefficient range too large: --nmax 100001 is above 100000"),
         ("verify gbn-theorem --primes 15", "--primes takes prime powers above 2, got [15]"),
         ("verify gbn-theorem --primes 6", "--primes takes prime powers above 2, got [6]"),
@@ -468,8 +472,12 @@ def test_argparse_error_view(capsys, monkeypatch, argv, digest):
 
 
 @pytest.mark.parametrize("argv, added", [
-    (["bern", "--modulus", "5", "--index", "2", "--weight", "2", "--json"], ["bern"]),
-    (["chars", "list", "--modulus", "4", "--json"], ["chars", "list"]),
+    # A fully spelled call is read straight off COMMANDS: no parser at all.
+    (["bern", "--modulus", "5", "--index", "2", "--weight", "2", "--json"], []),
+    (["chars", "list", "--modulus", "4", "--json"], []),
+    # Any other spelling goes to argparse, which builds only the subparser it runs.
+    (["bern", "--mod", "5", "--index", "2", "--weight", "2"], ["bern"]),
+    (["chars", "list", "--modulus=4"], ["chars", "list"]),
 ])
 def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch, argv, added):
     names = []
@@ -485,6 +493,139 @@ def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch, argv, added
     names.clear()
     cli.build_parser()
     assert names == ["chars", "list", "bern", "homotopy", "e2", "eisenstein", "dedekind", "verify"]
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("dirichletj ")]
+
+
+PLAIN_CALLS = list({" ".join(argv): argv for argv in [
+    *(argv.split() + json for argv, _ in TEXT_VIEWS for json in ([], ["--json"])), *_readme_examples()
+]}.values())
+
+
+@pytest.mark.parametrize("argv", PLAIN_CALLS, ids=" ".join)
+def test_plain_call_builds_no_parser(capsys, monkeypatch, argv):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    # `verify all` is in the README; what it parses to matters here, not its run.
+    fakes = {name: lambda name=name, **_: RunReport(name, {}).finalize() for name in cli.SUITES}
+    monkeypatch.setattr(cli, "SUITES", fakes)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err, built) == (0, "", [])
+
+
+def test_every_spec_uses_only_keywords_the_plain_parse_reads():
+    # A spec beyond these (nargs=, action="append", a short flag, a str default) would make
+    # every call that names it fall back to argparse, or, unguarded, disagree with it.
+    keywords = {"type", "required", "default", "dest", "choices", "help", "action"}
+
+    def specs(commands):
+        for _, run, entries in commands.values():
+            yield from entries
+            if isinstance(run, dict):
+                assert entries == [], "a command with nested commands takes no options of its own"
+                yield from specs(run)
+
+    for flags, kwargs in [*specs(cli.COMMANDS), cli._JSON]:
+        assert len(flags) == 1 and (flags[0].startswith("--") or not flags[0].startswith("-")), flags
+        assert kwargs.keys() <= keywords and kwargs.get("action", "store_true") == "store_true", flags
+        assert not isinstance(kwargs.get("default"), str), flags
+
+
+@pytest.mark.parametrize("argv", [
+    "bern --modulus 5 --index 2 --weight 2 -h", "chars list -- --modulus 4", "--json bern --modulus 5",
+    "chars --json list --modulus 4", "bern --mod 5 --index 2 --weight 2", "chars list --modulus=4",
+    "homotopy --from 1", "bern --modulus 5 --index 2", "e2 --prime", "homotopy j k1", "homotopy jj",
+    "e2 --prime x", "e2 --prime -x", "e2 --prime -\u0663", "e2 --prime -1.5", "homotopy jk --subgroup -1,2",
+])
+def test_plain_parse_leaves_other_spellings_to_argparse(argv):
+    assert cli._plain_namespace(argv.split(" ")) is None
+
+
+def _value(kwargs):
+    """Text of one value a spec takes: a choice, an int or a comma-separated int list."""
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    if kwargs.get("type") is cli._int_list:
+        return st.lists(st.integers(-30, 30), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+    return st.integers(-30, 30).map(str)
+
+
+@st.composite
+def _spelled_calls(draw):
+    """(argv, spelled): command path, each required option, some optional ones, some repeated.
+
+    ``spelled`` is false when a value starts with "-" but is no negative
+    integer ("-1,2"): argparse reads that token as an option.
+    """
+    argv, run = [], cli.COMMANDS
+    while isinstance(run, dict):
+        argv.append(draw(st.sampled_from(sorted(run))))
+        _, run, specs = run[argv[-1]]
+    options, positionals, values = [], [], []
+    for (flag,), kwargs in [*specs, cli._JSON]:
+        if not flag.startswith("-"):
+            positionals.append([draw(_value(kwargs))])
+            values += positionals[-1]
+        elif kwargs.get("required") or draw(st.booleans()):
+            for _ in range(draw(st.integers(1, 2))):
+                options.append([flag] if "action" in kwargs else [flag, draw(_value(kwargs))])
+                values += options[-1][1:]
+    groups = draw(st.permutations(options))
+    at = 0
+    for group in positionals:  # in order, anywhere among the options
+        at = draw(st.integers(at, len(groups)))
+        groups.insert(at, group)
+        at += 1
+    spelled = all(not value.startswith("-") or value[1:].isdigit() for value in values)
+    return argv + [token for group in groups for token in group], spelled
+
+
+SWAPS = ["-h", "--", "--mod", "--index=3", "-1.5", "-x", "-\u0663", " 7", ","]
+
+
+@st.composite
+def _calls(draw):
+    """(argv, spelled): a drawn call, or one with a token dropped, doubled or swapped, or --json put first."""
+    argv, spelled = draw(_spelled_calls())
+    kind = draw(st.sampled_from(["none", "drop", "double", "swap", "json-first"]))
+    if kind == "none":
+        return argv, spelled
+    if kind == "json-first":
+        return ["--json", *argv], False
+    i = draw(st.integers(0, len(argv) - 1))
+    if kind == "drop":
+        del argv[i]
+    elif kind == "double":
+        argv.insert(i, argv[i])
+    else:
+        argv[i] = draw(st.sampled_from(SWAPS))
+    return argv, False
+
+
+@settings(max_examples=500, deadline=None)
+@given(_calls())
+def test_plain_parse_agrees_with_argparse(call):
+    argv, spelled = call
+    plain = cli._plain_namespace(argv)
+    assert plain is not None or not spelled, "a fully spelled call takes the plain path"
+    if plain is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            expected = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv} that the plain path took: {err.getvalue()}")
+    assert vars(plain) == vars(expected)
 
 
 class TestSuiteRegistry:

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from dirichletj.bernoulli import gbn
-from dirichletj.characters import character_from_index, enumerate_characters, evaluate
-from dirichletj.cyclotomic import get_field
+from dirichletj.characters import InputError, character_from_index, enumerate_characters, evaluate
+from dirichletj.cyclotomic import IdealLattice, get_field
 from dirichletj.eisenstein import congruence_check, eisenstein_coeffs, sigma_chi
 
 
@@ -146,3 +146,21 @@ class TestCongruences:
             pytest.skip("enumeration order changed")
         with pytest.raises(ValueError):
             congruence_check(lifted, 1, 5)
+
+    def test_composite_conductor_rejected(self):
+        # The mandatory check takes the primary part at the one prime of the conductor.
+        chi = character_from_index(12, 3)
+        with pytest.raises(InputError, match="the conductor must be 1 or a prime power, got 12"):
+            congruence_check(chi, 2, 5)
+
+    @pytest.mark.parametrize("chi, k", [(trivial(), 12), (quad5(), 2), (odd4(), 1)], ids=["1:0", "5:2", "4:1"])
+    def test_ideal_index_taken_a_bounded_number_of_times(self, monkeypatch, chi, k):
+        calls = []
+        original = IdealLattice.index
+        monkeypatch.setattr(IdealLattice, "index", lambda self: calls.append(self) or original(self))
+        counts = []
+        for n_max in (10, 400):
+            calls.clear()
+            congruence_check(chi, k, n_max)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3
