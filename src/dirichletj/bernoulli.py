@@ -52,7 +52,6 @@ from .cyclotomic import (
     denominator_ideal,
     get_field,
     ideal_power,
-    ideal_sum,
 )
 from .exactalg import _vp, euler_phi, factorize, is_prime, smallest_primitive_root
 
@@ -398,15 +397,6 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     return row
 
 
-def p_primary_part(ideal: IdealLattice, p: int) -> IdealLattice:
-    """The p-primary component I + (m) with m the prime-to-p part of the index."""
-    idx = ideal.index()
-    m = idx // p ** _vp(idx, p)
-    if m == 1:
-        return ideal
-    return ideal_sum(ideal, IdealLattice.principal(ideal.field, ideal.field.from_rational(m)))
-
-
 __all__ = [
     "bernoulli_number",
     "bernoulli_polynomial",
@@ -417,5 +407,4 @@ __all__ = [
     "verify_von_staudt",
     "verify_carlitz",
     "carlitz_p_ideal",
-    "p_primary_part",
 ]

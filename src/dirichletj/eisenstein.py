@@ -5,25 +5,40 @@ constant term 1 and higher coefficients ``c_n = -(2k / B_{k,chi})
 sigma_{k-1,chi}(n)`` with the twisted divisor sum ``sigma_{m,chi}(n) =
 sum_{0 < d | n} chi(d) d^m``.
 
-The congruence ``E_{k,chi} = 1 mod D_{k,chi}`` is checked two ways:
-membership of ``c_n`` in the conductor-primary part of the denominator
-ideal is mandatory (it follows from the implemented congruence
-theorems); membership in the full ideal is only reported, with a failing
-``n`` surfaced as a finding rather than an error.  Non-integrality away
-from the conductor is expected whenever B_{k,chi} picks up extra
-numerator primes (the 691 of weight 12 is the classical example).
+The congruence ``E_{k,chi} = 1 mod D_{k,chi}``, with ``D_{k,chi}`` the
+denominator ideal of ``B_{k,chi}/2k``, is checked as two denominator
+tests.  ``c_n B_{k,chi}/2k = -sigma_{k-1,chi}(n)`` is integral, so
+``c_n`` lies in ``D_{k,chi}`` exactly when ``c_n`` is integral, and in
+its conductor-primary part (all of it for conductor 1), up to
+denominators prime to that part's index, exactly when the denominator of
+``c_n`` is prime to that index.
+
+The conductor-primary test is mandatory, under the hypothesis that the
+conductor's prime ``p`` is regular (``p`` divides none of B_2, B_4, ...,
+B_{p-3}).  At conductor 1 it always holds: the denominator of ``c_n``
+divides the numerator of ``B_k/2k``, which is prime to the index.  It
+passes on every prime-power conductor up to 41 with k <= 10 except 37.
+At an irregular prime it can fail, with a prime above ``p`` in both the
+numerator and the denominator of ``B_{k,chi}/2k``: at conductor 37 it
+fails on 126 of the 700 (chi, k) with k <= 40, and at conductor 59 on
+224 of the 228 with k <= 8, so ``eisenstein --modulus 37 --index 1
+--weight 1`` exits 1.
+
+The full test is only reported, with a failing ``n`` surfaced as a
+finding rather than an error.  Non-integrality away from the conductor
+is expected whenever B_{k,chi} picks up extra numerator primes (the 691
+of weight 12 is the classical example).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional
 
-from .bernoulli import denom_ideal, gbn, p_primary_part
+from .bernoulli import denom_ideal, gbn
 from .characters import DirichletCharacter, InputError, conductor, evaluate, is_primitive, parity
-from .cyclotomic import CycElement, IdealLattice, get_field
-from .exactalg import factorize
+from .cyclotomic import CycElement, get_field
+from .exactalg import _vp, factorize, times_x_rows
 
 
 def sigma_chi(chi: DirichletCharacter, m: int, n_max: int) -> list[CycElement]:
@@ -58,7 +73,9 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     """Coefficients c_0 = 1, c_n = -(2k/B_{k,chi}) sigma_{k-1,chi}(n).
 
     Requires (-1)^k = chi(-1); otherwise B_{k,chi} = 0 and normalization
-    is undefined.
+    is undefined.  Each c_n is the sieve's integer vector times the one
+    matrix of multiplication by the normalizing factor's numerator, over
+    its denominator.
     """
     if k < 1:
         raise InputError("k must be positive")
@@ -67,30 +84,11 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     field = get_field(chi.order())
     b = gbn(chi, k)
     factor = field.from_rational(Fraction(-2 * k)) * b.inverse()
-    return [field.one()] + [factor * sigma for sigma in sigma_chi(chi, k - 1, n_max)[1:]]
-
-
-def _coprime_denominator_membership(ideal: IdealLattice) -> Callable[[CycElement], bool]:
-    """The test x in ideal, allowing denominators of x coprime to the ideal's index.
-
-    Writes x = y/d with d minimal, so y is the integer vector ``x.nums``; if
-    d shares a prime with the index the test fails, otherwise d is inverted
-    modulo the index.  The index is taken once, and each distinct d is
-    inverted once.
-    """
-    idx = ideal.index()
-    inverses: dict[int, Optional[int]] = {}
-
-    def member(x: CycElement) -> bool:
-        if idx == 1:
-            return True
-        d = x.den
-        if d not in inverses:
-            inverses[d] = pow(d, -1, idx) if math.gcd(d, idx) == 1 else None
-        u = inverses[d]
-        return u is not None and ideal._contains_vector([n * u for n in x.nums])
-
-    return member
+    columns = list(zip(*times_x_rows(field.phi_n, factor.nums)))
+    return [field.one()] + [
+        CycElement(field, [sum(map(int.__mul__, sigma.nums, col)) for col in columns], factor.den)
+        for sigma in sigma_chi(chi, k - 1, n_max)[1:]
+    ]
 
 
 def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
@@ -98,36 +96,29 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
 
     Returns a report with per-n rows and the ``coefficients`` c_0..c_n_max.
     ``mandatory_ok`` is membership in the conductor-primary part of the
-    ideal (all primes of the index for conductor 1); ``full_ok`` is
-    membership in the whole ideal, reported only (failures are findings).
+    ideal (all primes of the index for conductor 1): the denominator of
+    c_n is prime to that part of the index.  ``full_ok`` is membership in
+    the whole ideal, which is integrality of c_n; it is reported only
+    (failures are findings).
     """
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
     N = conductor(chi)
-    ideal = denom_ideal(chi, k)
-    idx = ideal.index()
+    idx = denom_ideal(chi, k).index()
     if N == 1:
-        mandatory_ideal = ideal
+        primary = idx
     else:
         primes = factorize(N)
         if len(primes) != 1:
             raise InputError(f"the conductor must be 1 or a prime power, got {N}")
         p, = primes
-        mandatory_ideal = p_primary_part(ideal, p)
-    in_mandatory = _coprime_denominator_membership(mandatory_ideal)
+        primary = p ** _vp(idx, p)
     coeffs = eisenstein_coeffs(chi, k, n_max)
-    rows = []
-    mandatory_failures = 0
-    findings = 0
-    for n in range(1, n_max + 1):
-        c = coeffs[n]
-        mandatory_ok = in_mandatory(c)
-        full_ok = c.is_integral() and ideal.contains(c)
-        if not mandatory_ok:
-            mandatory_failures += 1
-        if not full_ok:
-            findings += 1
-        rows.append({"n": n, "mandatory_ok": mandatory_ok, "full_ok": full_ok})
+    rows = [
+        {"n": n, "mandatory_ok": math.gcd(c.den, primary) == 1, "full_ok": c.den == 1}
+        for n, c in enumerate(coeffs[1:], 1)
+    ]
+    mandatory_failures = sum(not row["mandatory_ok"] for row in rows)
     return {
         "modulus": chi.modulus,
         "index": chi.index(),
@@ -136,6 +127,6 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
         "rows": rows,
         "coefficients": coeffs,
         "mandatory_failures": mandatory_failures,
-        "full_findings": findings,
+        "full_findings": sum(not row["full_ok"] for row in rows),
         "ok": mandatory_failures == 0,
     }

@@ -551,17 +551,17 @@ def test_plain_parse_leaves_other_spellings_to_argparse(argv):
     assert cli._plain_namespace(argv.split(" ")) is None
 
 
-def _value(kwargs):
-    """Text of one value a spec takes: a choice, an int or a comma-separated int list."""
+def _value(kwargs, low=-30, high=30):
+    """Text of one value a spec takes: a choice, an int in [low, high] or a comma-separated list of them."""
     if "choices" in kwargs:
         return st.sampled_from(kwargs["choices"])
     if kwargs.get("type") is cli._int_list:
-        return st.lists(st.integers(-30, 30), max_size=3).map(lambda xs: ",".join(map(str, xs)))
-    return st.integers(-30, 30).map(str)
+        return st.lists(st.integers(low, high), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+    return st.integers(low, high).map(str)
 
 
 @st.composite
-def _spelled_calls(draw):
+def _spelled_calls(draw, low=-30, high=30):
     """(argv, spelled): command path, each required option, some optional ones, some repeated.
 
     ``spelled`` is false when a value starts with "-" but is no negative
@@ -574,11 +574,11 @@ def _spelled_calls(draw):
     options, positionals, values = [], [], []
     for (flag,), kwargs in [*specs, cli._JSON]:
         if not flag.startswith("-"):
-            positionals.append([draw(_value(kwargs))])
+            positionals.append([draw(_value(kwargs, low, high))])
             values += positionals[-1]
         elif kwargs.get("required") or draw(st.booleans()):
             for _ in range(draw(st.integers(1, 2))):
-                options.append([flag] if "action" in kwargs else [flag, draw(_value(kwargs))])
+                options.append([flag] if "action" in kwargs else [flag, draw(_value(kwargs, low, high))])
                 values += options[-1][1:]
     groups = draw(st.permutations(options))
     at = 0
@@ -626,6 +626,24 @@ def test_plain_parse_agrees_with_argparse(call):
         except SystemExit:
             pytest.fail(f"argparse rejects {argv} that the plain path took: {err.getvalue()}")
     assert vars(plain) == vars(expected)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_spelled_calls(-2, 12))
+def test_drawn_calls_exit_cleanly(call):
+    # Values in [-2, 12] reach negative moduli, the composite conductor 12 and
+    # prime-power ones; the exit codes are those the module docstring promises.
+    argv, _ = call
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and "--json" in argv:
+        line, = out.getvalue().splitlines()
+        json.loads(line)
 
 
 class TestSuiteRegistry:

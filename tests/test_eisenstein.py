@@ -6,9 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from dirichletj.bernoulli import gbn
-from dirichletj.characters import InputError, character_from_index, enumerate_characters, evaluate
-from dirichletj.cyclotomic import IdealLattice, get_field
+from dirichletj import eisenstein
+from dirichletj.bernoulli import denom_ideal, gbn
+from dirichletj.characters import (
+    InputError,
+    character_from_index,
+    enumerate_characters,
+    evaluate,
+    is_primitive,
+    parity,
+)
+from dirichletj.cyclotomic import CycElement, IdealLattice, get_field, ideal_product, ideal_sum
 from dirichletj.eisenstein import congruence_check, eisenstein_coeffs, sigma_chi
 
 
@@ -163,4 +171,78 @@ class TestCongruences:
             calls.clear()
             congruence_check(chi, k, n_max)
             counts.append(len(calls))
-        assert counts[0] == counts[1] <= 3
+        assert counts == [1, 1]
+
+
+def rows_by_ideal_membership(ideal, N, coeffs):
+    """(mandatory_ok, full_ok) for c_1, c_2, ... by membership in ``ideal`` D, for conductor N.
+
+    The mandatory ideal is the conductor-primary component D + (q) of D,
+    with q the part of D's index at the conductor's prime (the whole
+    index for conductor 1), so its quotient is the q-part of Z[chi]/D.
+    A coefficient y/d is in it when d is prime to its index and
+    y * (1/d mod index) lies in it.
+    """
+    field = ideal.field
+    q = idx = ideal.index()
+    if N > 1:
+        p = next(p for p in range(2, N + 1) if N % p == 0)
+        prime_to_p = idx
+        while prime_to_p % p == 0:
+            prime_to_p //= p
+        q = idx // prime_to_p
+    primary = ideal_sum(ideal, IdealLattice.principal(field, field.from_rational(q)))
+    modulus = primary.index()
+    assert modulus == q
+    rows = []
+    for c in coeffs[1:]:
+        if math.gcd(c.den, modulus) != 1:
+            mandatory = False
+        else:
+            u = pow(c.den, -1, modulus)
+            mandatory = primary.contains(CycElement(field, [y * u for y in c.nums]))
+        rows.append((mandatory, ideal.contains(c)))
+    return rows
+
+
+def _congruence_grid():
+    """(chi, k, n_max): small prime-power conductors, conductor 1 to weight 20, and 37 to k = 40."""
+    for N, k_max, n_max in [(1, 20, 30), (3, 8, 20), (4, 8, 20), (5, 8, 20), (7, 6, 20), (8, 6, 10),
+                            (9, 6, 10), (11, 4, 10), (13, 4, 10), (16, 4, 10), (25, 3, 5), (37, 40, 1)]:
+        for chi in enumerate_characters(N):
+            if is_primitive(chi):
+                for k in range(1, k_max + 1):
+                    if (-1) ** k == parity(chi):
+                        yield chi, k, n_max
+
+
+def test_denominator_tests_agree_with_ideal_membership():
+    checked_at_37, failing_at_37 = 0, 0
+    for chi, k, n_max in _congruence_grid():
+        result = congruence_check(chi, k, n_max)
+        got = [(row["mandatory_ok"], row["full_ok"]) for row in result["rows"]]
+        expected = rows_by_ideal_membership(denom_ideal(chi, k), chi.modulus, result["coefficients"])
+        assert got == expected, (chi.modulus, chi.index(), k)
+        if chi.modulus == 37:
+            checked_at_37 += 1
+            failing_at_37 += not result["ok"]
+        if chi.modulus == 1 and k == 12:
+            # The 691 in the numerator of B_12 fails the full test only.
+            assert result["ok"] and result["full_findings"] == 30
+    # At the irregular prime 37 the mandatory test fails on some (chi, k).
+    assert (checked_at_37, failing_at_37) == (700, 126)
+
+
+def test_mandatory_test_reads_only_the_conductor_part_of_the_index(monkeypatch):
+    # No coefficient found (prime-power conductors < 130, k <= 40) has a
+    # denominator prime that divides the index away from the conductor, so
+    # the ideal is scaled by such a prime: c_n for (odd4, 5) has
+    # denominator 5, and D * (5) has the same 2-primary component as D.
+    result = congruence_check(odd4(), 5, 20)
+    scaled = ideal_product(denom_ideal(odd4(), 5), IdealLattice.principal(get_field(2), 5))
+    monkeypatch.setattr(eisenstein, "denom_ideal", lambda chi, k: scaled)
+    scaled_result = congruence_check(odd4(), 5, 20)
+    assert scaled_result["ideal_index"] == 5 * result["ideal_index"] == 20
+    mandatory = [row["mandatory_ok"] for row in scaled_result["rows"]]
+    assert mandatory == [row["mandatory_ok"] for row in result["rows"]] == [True] * 20
+    assert mandatory == [ok for ok, _ in rows_by_ideal_membership(scaled, 4, scaled_result["coefficients"])]

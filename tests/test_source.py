@@ -82,6 +82,14 @@ def test_padic_resultant_check_shares_no_code_with_the_elimination():
     assert not named & {"padic_invariant_exponents", "times_x_rows"}, sorted(named)
 
 
+def test_eisenstein_shares_no_code_with_the_membership_route():
+    # tests/test_eisenstein.py checks the denominator tests by IdealLattice membership.
+    tree = ast.parse((SRC / "eisenstein.py").read_text())
+    named = {node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert not named & {"IdealLattice", "contains", "_contains_vector", "ideal_sum"}, sorted(named)
+
+
 def test_no_function_imports_a_package_module():
     # An import inside a function hides a dependency, typically one that closes a cycle.
     found = []
