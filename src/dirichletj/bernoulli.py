@@ -259,10 +259,25 @@ def l_value(chi: DirichletCharacter, s: int) -> CycElement:
 
 
 def d2k(k: int) -> int:
-    """Denominator of B_{2k}/(4k) in lowest terms (the image-of-J order)."""
+    """Denominator of B_{2k}/(4k) in lowest terms (the image-of-J order), in closed form.
+
+    It is 2^(2 + v_2(2k)) times p^(1 + v_p(2k)) over the odd primes p with
+    (p - 1) | 2k, and no other prime divides it: von Staudt-Clausen, and
+    B_{2k}/2k is p-integral when (p - 1) does not divide 2k (Adams, "On the
+    groups J(X) IV", 1966).  No Bernoulli number is computed.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    return (bernoulli_number(2 * k) / (4 * k)).denominator
+    fac = factorize(2 * k)
+    out = 2 ** (2 + fac[2])
+    divisors = [1]
+    for q, e in fac.items():
+        divisors = [d * q**j for d in divisors for j in range(e + 1)]
+    for d in divisors:
+        p = d + 1
+        if p > 2 and is_prime(p):
+            out *= p ** (1 + fac.get(p, 0))
+    return out
 
 
 def denom_ideal(chi: DirichletCharacter, k: int) -> IdealLattice:

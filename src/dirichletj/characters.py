@@ -118,16 +118,21 @@ class DirichletCharacter:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.exponents) != len(self.structure.generators):
+        orders = self.structure.orders
+        if len(self.exponents) != len(orders):
             raise ValueError("exponent tuple has wrong length")
-        for e, o in zip(self.exponents, self.structure.orders):
+        # chi(g_i) = zeta_{o_i}^{e_i} = zeta_n^{e_i * n / o_i}, with n the lcm of
+        # the value orders o_i / gcd(e_i, o_i) seen so far; when n grows by a
+        # factor f, the weights before it grow by f.
+        n, weights = 1, []
+        for e, o in zip(self.exponents, orders):
             if not 0 <= e < o:
                 raise ValueError("exponents must be reduced modulo generator orders")
-        n = math.lcm(*(o // math.gcd(e, o) for e, o in zip(self.exponents, self.structure.orders)))
-        # chi(g_i) = zeta_{o_i}^{e_i} = zeta_n^{e_i * n / o_i}; the value
-        # order o_i / gcd(e_i, o_i) divides n, so every weight is integral.
-        weights = []
-        for e, o in zip(self.exponents, self.structure.orders):
+            m = o // math.gcd(e, o)
+            if n % m:
+                f = m // math.gcd(n, m)
+                n *= f
+                weights = [w * f for w in weights]
             if (e * n) % o:
                 raise AssertionError(f"weight e * n / o is not integral for e = {e}, n = {n}, o = {o}")
             weights.append(e * n // o)

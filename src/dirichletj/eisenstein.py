@@ -41,21 +41,20 @@ from .cyclotomic import CycElement, get_field
 from .exactalg import _vp, factorize, times_x_rows
 
 
-def sigma_chi(chi: DirichletCharacter, m: int, n_max: int) -> list[CycElement]:
-    """Twisted divisor sums sigma_{m,chi}(n) in Q(zeta_ord(chi)) for 0 <= n <= n_max.
+def _sigma_rows(chi: DirichletCharacter, m: int, n_max: int) -> list[list[int]]:
+    """The integer vectors of sigma_{m,chi}(n) over the power basis, for 0 <= n <= n_max.
 
-    One divisor sieve: each d <= n_max adds chi(d) d^m to the integer
-    vector of every multiple of d, with chi(d) read from one table of
-    ``evaluate(chi, a)`` for a < min(modulus, n_max + 1).  Entry 0 is 0
+    One divisor sieve: each d <= n_max adds chi(d) d^m to the vector of
+    every multiple of d, with chi(d) read from one table of
+    ``evaluate(chi, a)`` for a < min(modulus, n_max + 1).  Row 0 is zero
     (the sieve adds nothing to it).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    field = get_field(chi.order())
     values = [evaluate(chi, a) for a in range(min(chi.modulus, n_max + 1))]
-    acc = [[0] * field.degree for _ in range(n_max + 1)]
+    acc = [[0] * get_field(chi.order()).degree for _ in range(n_max + 1)]
     for d in range(1, n_max + 1):
         val = values[d % chi.modulus]
         if val is None:
@@ -66,7 +65,16 @@ def sigma_chi(chi: DirichletCharacter, m: int, n_max: int) -> list[CycElement]:
             row = acc[n]
             for t, y in terms:
                 row[t] += y
-    return [CycElement(field, row) for row in acc]
+    return acc
+
+
+def sigma_chi(chi: DirichletCharacter, m: int, n_max: int) -> list[CycElement]:
+    """Twisted divisor sums sigma_{m,chi}(n) in Q(zeta_ord(chi)) for 0 <= n <= n_max.
+
+    Entry 0 is 0.  The rows come from one divisor sieve (``_sigma_rows``).
+    """
+    field = get_field(chi.order())
+    return [CycElement(field, row) for row in _sigma_rows(chi, m, n_max)]
 
 
 def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycElement]:
@@ -75,7 +83,7 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     Requires (-1)^k = chi(-1); otherwise B_{k,chi} = 0 and normalization
     is undefined.  Each c_n is the sieve's integer vector times the one
     matrix of multiplication by the normalizing factor's numerator, over
-    its denominator.
+    its denominator; the vectors are read straight off the sieve.
     """
     if k < 1:
         raise InputError("k must be positive")
@@ -86,8 +94,8 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     factor = field.from_rational(Fraction(-2 * k)) * b.inverse()
     columns = list(zip(*times_x_rows(field.phi_n, factor.nums)))
     return [field.one()] + [
-        CycElement(field, [sum(map(int.__mul__, sigma.nums, col)) for col in columns], factor.den)
-        for sigma in sigma_chi(chi, k - 1, n_max)[1:]
+        CycElement(field, [sum(map(int.__mul__, row, col)) for col in columns], factor.den)
+        for row in _sigma_rows(chi, k - 1, n_max)[1:]
     ]
 
 

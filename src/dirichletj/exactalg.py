@@ -242,8 +242,9 @@ def padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[int
             break
         bi, bj = best
         a[t], a[bi] = a[bi], a[t]
-        for row in a[t:]:
-            row[t], row[bj] = row[bj], row[t]
+        if bj != t:
+            for row in a[t:]:
+                row[t], row[bj] = row[bj], row[t]
         # Columns left of t are zero in rows t and below, so only the
         # trailing part of each row is reduced.
         pv = p**bestv
@@ -329,7 +330,7 @@ class AbelianGroupExpr:
 
     @staticmethod
     def zero() -> "AbelianGroupExpr":
-        return AbelianGroupExpr(())
+        return _ZERO
 
     @staticmethod
     def free(rank: int = 1) -> "AbelianGroupExpr":
@@ -363,11 +364,16 @@ class AbelianGroupExpr:
 
     @staticmethod
     def direct_sum(groups: Iterable["AbelianGroupExpr"]) -> "AbelianGroupExpr":
-        return AbelianGroupExpr(_norm([a for g in groups for a in g.atoms]))
+        atoms = [a for g in groups for a in g.atoms]
+        return AbelianGroupExpr(_norm(atoms)) if atoms else _ZERO
 
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other: "AbelianGroupExpr") -> "AbelianGroupExpr":
+        if not other.atoms:
+            return self
+        if not self.atoms:
+            return other
         return AbelianGroupExpr(_norm(list(self.atoms) + list(other.atoms)))
 
     def away_from(self, primes: Iterable[int]) -> "AbelianGroupExpr":
@@ -387,6 +393,8 @@ class AbelianGroupExpr:
         return AbelianGroupExpr(_norm(out))
 
     def times(self, copies: int) -> "AbelianGroupExpr":
+        if copies == 1 or not self.atoms:
+            return self
         return AbelianGroupExpr(_norm(list(self.atoms) * copies))
 
     def without(self, part: "AbelianGroupExpr") -> "AbelianGroupExpr":
@@ -434,6 +442,11 @@ class AbelianGroupExpr:
 
     def __repr__(self) -> str:
         return f"AbelianGroupExpr({self.render()!r})"
+
+
+# Groups are immutable, so every empty one can be this one, and a sum or a
+# multiple with nothing to sort returns an operand as it is.
+_ZERO = AbelianGroupExpr(())
 
 
 def _norm(atoms: list[tuple]) -> tuple[tuple, ...]:

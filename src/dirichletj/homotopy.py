@@ -361,10 +361,32 @@ def _qualifying_prime(chi: DirichletCharacter) -> Optional[tuple[int, int]]:
     return found[0]
 
 
-def _direct_case1(chi: DirichletCharacter, p: int, i: int) -> AbelianGroupExpr:
-    """Conductor p > 2: the three printed tables, by image type."""
+@lru_cache(maxsize=1024)
+def _direct_data(chi: DirichletCharacter) -> tuple[bool, Optional[int], int, int, int, Optional[int], int, int]:
+    """What the direct tables read off a primitive nontrivial chi; none of it depends on the degree.
+
+    The tuple is (mixed, p, v, n, order, ell, parity, tame order).  For a
+    conductor with several primes ``mixed`` is true and p is the one prime
+    carrying a p-power prime-to-p image p^n (None when no prime does);
+    otherwise p is the conductor's prime and n is 0.  v = v_p(conductor),
+    ell is the prime whose power the order is (None when there is none),
+    and the tame order is that of chi on the tame part of (Z/p^v)^x.
+    """
+    fac = factorize(chi.modulus)
+    order_fac = factorize(chi.order())
+    mixed = len(fac) > 1
+    if mixed:
+        p, n = _qualifying_prime(chi) or (None, 0)
+    else:
+        (p,), n = fac, 0
+    ell = next(iter(order_fac)) if len(order_fac) == 1 else None
+    tame_order = 1 if p is None else chmod.tame_order(chi, p)
+    return mixed, p, fac.get(p, 0), n, chi.order(), ell, parity(chi), tame_order
+
+
+def _direct_case1(p: int, n: int, ell: Optional[int], i: int) -> AbelianGroupExpr:
+    """Conductor p > 2, chi of order n (a power of ell, or None): the three printed tables, by image type."""
     A = AbelianGroupExpr
-    n = chi.order()
 
     def p_part(i: int) -> AbelianGroupExpr:
         if i % 2 != 0:
@@ -373,10 +395,8 @@ def _direct_case1(chi: DirichletCharacter, p: int, i: int) -> AbelianGroupExpr:
                 return A.cyclic(p ** (_vp(k, p) + 1))
         return A.zero()
 
-    nfac = factorize(n)
-    if len(nfac) != 1:
+    if ell is None:
         return p_part(i)
-    ell = next(iter(nfac))
     injective = n == p - 1
     if ell != 2:
         out = A.zero()
@@ -412,17 +432,14 @@ def _direct_case1(chi: DirichletCharacter, p: int, i: int) -> AbelianGroupExpr:
     return out
 
 
-def _direct_case5(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
+def _direct_case5(p: Optional[int], v: int, n: int, tame_order: int, i: int) -> AbelianGroupExpr:
     """Conductor with several prime factors: contractible unless one prime
     carries a p-power prime-to-p image; then the printed suspended tables."""
     A = AbelianGroupExpr
-    q = _qualifying_prime(chi)
-    if q is None:
+    if p is None:
         return A.zero()
-    p, n = q
-    v = _vp(chi.modulus, p)
     if p == 2:
-        if tame_exponent(chi, 2) == 0:
+        if tame_order == 1:  # chi is even on the tame part at 2
             if i == 0:
                 return A.padic(2, 2)
             if i == 1:
@@ -444,13 +461,12 @@ def _direct_case5(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
             exp = 2 if n >= v - 2 else v - n
             return A.cyclic(2**exp).times(2)
         return A.zero()
-    d = chmod.tame_order(chi, p)
-    if d == 1:
+    if tame_order == 1:
         if i in (0, 1):
             return A.padic(p, p)
     if i % 2 == 0 and i != 0:
         k = i // 2
-        if chmod.kernel_order_match(k, p, d):
+        if chmod.kernel_order_match(k, p, tame_order):
             exp = _vp(k, p) + (1 if n >= v - 1 else v - n)
             return A.cyclic(p**exp).times(p)
     return A.zero()
@@ -458,11 +474,9 @@ def _direct_case5(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
 
 def _pi_jnchi_direct(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
     A = AbelianGroupExpr
-    N = chi.modulus
-    fac = factorize(N)
-    if len(fac) > 1:
-        return _direct_case5(chi, i)
-    (p, v), = fac.items()
+    mixed, p, v, n, order, ell, chi_parity, tame_order = _direct_data(chi)
+    if mixed:
+        return _direct_case5(p, v, n, tame_order, i)
     if p == 2:
         if v == 2:
             if i % 4 == 1:
@@ -473,7 +487,7 @@ def _pi_jnchi_direct(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
                 return A.cyclic(2) + A.cyclic(2)
             return A.zero()
         # N = 2^v > 4.
-        if parity(chi) == 1:
+        if chi_parity == 1:
             if i % 8 in (0, 2, 3, 7):
                 return A.cyclic(2)
             if i % 8 == 1:
@@ -485,12 +499,11 @@ def _pi_jnchi_direct(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
             return A.cyclic(2) + A.cyclic(2)
         return A.zero()
     if v == 1:
-        return _direct_case1(chi, p, i)
+        return _direct_case1(p, order, ell, i)
     # N = p^v, v > 1, p > 2.
-    d = chmod.tame_order(chi, p)
     if i % 2 != 0:
         k = (i + 1) // 2
-        if chmod.kernel_order_match(k, p, d):
+        if chmod.kernel_order_match(k, p, tame_order):
             return A.cyclic(p)
     return A.zero()
 
@@ -596,6 +609,20 @@ def _diff_is_z2_only(a: AbelianGroupExpr, b: AbelianGroupExpr) -> bool:
     return a.without(z2) == b.without(z2)
 
 
+@lru_cache(maxsize=1024)
+def _duality_setup(chi: DirichletCharacter) -> tuple[int, int, DirichletCharacter, tuple[int, ...]]:
+    """(p, v, chi^{-1}, loc) for chi of conductor p^v: what each of its duality rows reads.
+
+    ``loc`` holds ell(chi) for odd p when ell(chi) > 1, and is empty otherwise.
+    """
+    fac = factorize(conductor(chi))
+    if len(fac) != 1:
+        raise ValueError("conductor must be a prime power")
+    (p, v), = fac.items()
+    ell = 1 if p == 2 else chmod.ell_of_chi(chi)
+    return p, v, char_inv(chi), () if ell == 1 else (ell,)
+
+
 def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[int]) -> list[dict]:
     """Brown-Comenetz symmetry pi_t(chi side) = pi_(-2-t)(chi^{-1} side).
 
@@ -604,18 +631,11 @@ def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[i
     tables of chi^{-1} and even characters with the primed (exotic
     Moore-model) tables.
     """
-    N = conductor(chi)
-    fac = factorize(N)
-    if len(fac) != 1:
-        raise ValueError("conductor must be a prime power")
-    (p, v_actual), = fac.items()
+    p, v_actual, chi_inv, loc = _duality_setup(chi)
     if v_actual != v:
         raise ValueError(f"conductor is {p}^{v_actual}, not {p}^{v}")
     rows = []
-    chi_inv = char_inv(chi)
     if p != 2:
-        ell = chmod.ell_of_chi(chi)
-        loc = () if ell == 1 else (ell,)
         for t in t_range:
             lhs = pi_jn_chi(chi, t, loc)
             rhs = pi_jn_chi(chi_inv, -2 - t, loc)

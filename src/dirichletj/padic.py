@@ -5,11 +5,12 @@ directly as Smith normal forms of multiplication matrices over Z/p^M
 (``exactalg.padic_invariant_exponents``), independently of any
 closed-form answer.  A matrix over Z_p with elementary divisors p^(e_i)
 has Smith form diag(p^min(e_i, M)) mod p^M, so one elimination at
-precision M is exact once every exponent is below M.  Each elimination is
-checked against v_p(Res(Phi, u)), the valuation of the determinant,
-computed from Phi and u alone.  Precision starts at M = 15 and escalates
-by 5 while the resultant vanishes mod p^M; correctness never depends on a
-guessed bound.
+precision M is exact once every exponent is below M.  The resultant
+Res(Phi, u), the determinant up to sign, is computed from Phi and u alone
+mod p^M, with M starting at 15 and escalating by 5 while it vanishes.
+Its valuation r = v_p(Res) is the sum of the exponents, so one
+elimination mod p^(r+1) is exact, and its exponents must sum to r;
+correctness never depends on a guessed bound.
 
 ``e2_page`` dispatches the closed-form E2 entries of the homotopy
 eigen / fixed-point spectral sequences for pure prime-power conductors.
@@ -95,23 +96,23 @@ def _resultant_mod(phi: tuple[int, ...], u: list[int], pm: int) -> int:
 
 
 def _stable_quotient(phi: tuple[int, ...], u_at, p: int, M: int) -> AbelianGroupExpr:
-    """Z_p[x]/(Phi, u) from one Smith elimination per precision, checked by the resultant.
+    """Z_p[x]/(Phi, u) from one Smith elimination at the precision the resultant fixes.
 
     ``u_at(precision)`` gives u mod p^precision.  Where Res(Phi, u) is
-    nonzero mod p^M the exponents sum to v_p(Res) < M, so each is below M
-    and the Smith form is exact; a disagreement raises AssertionError.
-    Where it vanishes (an exponent reached M, or the check cannot tell),
-    the precision escalates by 5.
+    nonzero mod p^M, its valuation r is v_p(Res), the exponents sum to r,
+    so one elimination mod p^(r+1) caps none of them and is exact; a sum
+    other than r raises AssertionError.  Where it vanishes, the precision
+    escalates by 5 with no elimination run.
     """
     precision = M
     for _ in range(8):
-        pm = p**precision
         u = u_at(precision)
-        exps = padic_invariant_exponents(times_x_rows(phi, u), p, precision)
-        res = _resultant_mod(phi, u, pm)
+        res = _resultant_mod(phi, u, p**precision)
         if res:
-            if sum(exps) != _vp(res, p):
-                raise AssertionError(f"Smith exponents {exps} do not sum to v_{p}(Res) = {_vp(res, p)}")
+            r = _vp(res, p)
+            exps = padic_invariant_exponents(times_x_rows(phi, u), p, r + 1)
+            if sum(exps) != r:
+                raise AssertionError(f"Smith exponents {exps} do not sum to v_{p}(Res) = {r}")
             return AbelianGroupExpr.from_invariants([p**e for e in exps])
         precision += 5
     raise PrecisionError(f"quotient did not stabilize up to precision {precision}; retry with larger M")
@@ -121,9 +122,9 @@ def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15) -> AbelianGroup
     """Z_p[zeta_{p^(v-1)}] / (omega^a(g) zeta - g^t) by Smith normal form.
 
     p odd, v >= 2, 0 <= a <= p-2.  g is the fixed topological generator;
-    g^t for negative t goes through the modular inverse.  One Smith
-    elimination at precision M is exact once v_p(Res(Phi, u)) < M, and its
-    exponents must sum to that valuation; otherwise M escalates.
+    g^t for negative t goes through the modular inverse.  M is the
+    precision of the resultant, which escalates while Res(Phi, u) vanishes
+    mod p^M; the one Smith elimination runs mod p^(v_p(Res)+1).
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")

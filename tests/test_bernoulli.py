@@ -336,6 +336,12 @@ class TestD2k:
             for p in _prime_divs(d2k(k)):
                 assert p == 2 or (2 * k) % (p - 1) == 0
 
+    def test_closed_form_matches_the_bernoulli_route(self):
+        # The Bernoulli route: the denominator of B_2k/4k in lowest terms, from one table to B_600.
+        table = bernoulli._bernoulli_list(600)
+        for k in range(1, 301):
+            assert d2k(k) == (table[2 * k] / (4 * k)).denominator, k
+
 
 def _prime_divs(n):
     out = set()

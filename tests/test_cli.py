@@ -362,8 +362,8 @@ class TestEisensteinCmd:
     @pytest.mark.parametrize("nmax, show, shown", [("30", "8", 9), ("3", "8", 4), ("30", "0", 1)])
     def test_one_series_per_call(self, capsys, monkeypatch, nmax, show, shown):
         calls = []
-        original = eisenstein.sigma_chi
-        monkeypatch.setattr(eisenstein, "sigma_chi", lambda *args: calls.append(args) or original(*args))
+        original = eisenstein._sigma_rows
+        monkeypatch.setattr(eisenstein, "_sigma_rows", lambda *args: calls.append(args) or original(*args))
         code, out, _ = run_cli(
             capsys, "eisenstein", "--modulus", "4", "--index", "1", "--weight", "1",
             "--nmax", nmax, "--show-coeffs", show, "--json",

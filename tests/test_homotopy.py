@@ -1,5 +1,6 @@
 """Group expressions and the homotopy tables of the twisted J-spectra."""
 
+import hashlib
 import random
 
 import pytest
@@ -235,6 +236,32 @@ class TestDecompose:
     def test_memo_is_bounded(self):
         maxsize = homotopy._decompose_p.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
+
+
+def _digest(lines):
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Every rendered value on two fixed grids, hashed: work saved across degrees
+    or characters must leave each of these bytes as it was."""
+
+    def test_paths_up_to_conductor_64(self):
+        lines = []
+        for N in range(3, 65):
+            for chi in primitive_chars(N):
+                for i in range(-16, 41):
+                    direct, assembled = pi_jn_chi_paths(chi, i)
+                    lines.append(f"{N}:{chi.index()}:{i}:{direct.render()}|{assembled.render()}")
+        assert _digest(lines) == (43092, "a6fd278f5e465deb91c8dabfe612977b9072c0a66d2358488c3ffa7e6e74c6fd")
+
+    def test_duality_rows_on_the_verify_grid(self):
+        # The grid of `verify duality-dirichlet`: p in {3, 5, 7} with v <= 2, 2^v with v = 2..4, t in [-20, 20].
+        pairs = [(p, v) for p in (3, 5, 7) for v in (1, 2)] + [(2, v) for v in (2, 3, 4)]
+        lines = [f"{p}:{v}:{chi.index()}:{row['t']}:{row['lhs']}|{row['rhs']}|{row['ok']}"
+                 for p, v in pairs for chi in primitive_chars(p**v)
+                 for row in check_duality_dirichlet(chi, v, range(-20, 21))]
+        assert _digest(lines) == (2952, "71af56413a9647c3f79d2a4641516de8918b0e574e2486cbd93cca2a2ab2057e")
 
 
 class TestPiJNChi:

@@ -1,5 +1,6 @@
 """Teichmuller lifts, topological generators, and the SNF cohomology oracle."""
 
+import hashlib
 import random
 
 import pytest
@@ -97,25 +98,46 @@ class TestQuotientOracle:
         assert quotient_oracle(5, 2, 2, 2, M=15) == quotient_oracle(5, 2, 2, 2, M=25)
 
     def test_one_elimination_per_exact_quotient(self, snf_precisions):
+        # One elimination, mod p^(v_p(Res) + 1): v_p(Res) is 1 on the Z/p stripe and 0 off it.
         for p, v in ((3, 2), (5, 3)):
             for t in range(-3, 4):
                 snf_precisions.clear()
                 quotient_oracle(p, v, 1, t)
-                assert snf_precisions == [15]
+                assert snf_precisions == [2 if (t - 1) % (p - 1) == 0 else 1]
         snf_precisions.clear()
         assert quotient_oracle_2(3, 1) == AbelianGroupExpr.cyclic(2)
-        assert snf_precisions == [15]
+        assert snf_precisions == [2]
 
     def test_low_precision_escalates(self, snf_precisions):
-        # Z/3 has exponent 1 = M at M = 1, so the resultant vanishes mod 3.
+        # Z/3: the resultant vanishes mod 3 at M = 1, so no elimination runs there;
+        # at M = 6 it has valuation 1, and the one elimination runs mod 3^2.
         assert quotient_oracle(3, 2, 1, 3, M=1) == AbelianGroupExpr.cyclic(3)
-        assert snf_precisions == [1, 6]
+        assert snf_precisions == [2]
 
     def test_exponents_below_M_summing_to_M_escalate(self, snf_precisions):
-        # u = 3 on Z[x]/(Phi_3): both exponents are 1 < M = 2, but Res = 9 vanishes mod 3^2.
+        # u = 3 on Z[x]/(Phi_3): both exponents are 1 < M = 2, but Res = 9 vanishes mod 3^2;
+        # at M = 7 its valuation is 2, and the one elimination runs mod 3^3.
         got = padic._stable_quotient(cyclotomic_poly(3), lambda precision: [3], 3, 2)
         assert got == AbelianGroupExpr.cyclic(3) + AbelianGroupExpr.cyclic(3)
-        assert snf_precisions == [2, 7]
+        assert snf_precisions == [3]
+
+    def test_capped_exponent_fails_the_sum_check(self, monkeypatch):
+        # u = 9 on Z[x]/(Phi_3) is Z/9 + Z/9 with v_3(Res) = 4; an elimination
+        # run mod 3 instead caps both exponents at 1, and they sum to 2.
+        quotient = padic._stable_quotient(cyclotomic_poly(3), lambda precision: [9], 3, 15)
+        assert quotient == AbelianGroupExpr.cyclic(9).times(2)
+        snf = padic.padic_invariant_exponents
+        monkeypatch.setattr(padic, "padic_invariant_exponents", lambda rows, p, M: snf(rows, p, 1))
+        with pytest.raises(AssertionError, match="Res"):
+            padic._stable_quotient(cyclotomic_poly(3), lambda precision: [9], 3, 15)
+
+    def test_pinned_oracle_digest(self):
+        # Every quotient on a fixed grid, rendered and hashed: the precision
+        # an elimination runs at must leave each of these bytes as it was.
+        lines = [f"{p}:{v}:{a}:{t}:{quotient_oracle(p, v, a, t).render()}"
+                 for p in (3, 5, 7) for v in (2, 3) for a in range(p - 1) for t in range(-12, 13)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (600, "2ed715186dcb6def77fe6f3988a89d9effebb4217f8cbd1ec8881b836ccbcac2")
 
     def test_resultant_catches_a_lost_exponent(self, monkeypatch):
         snf = padic.padic_invariant_exponents

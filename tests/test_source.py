@@ -1,6 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import dirichletj
@@ -125,3 +130,32 @@ def test_only_cli_main_writes_stdout():
             if id(node) not in in_main:
                 found.append(f"print at line {node.lineno}")
     assert not found, f"stdout written outside cli.main: {found}"
+
+
+# Run in a fresh interpreter: imports every package module, and only then lists each
+# module-level lru_cache (anything with ``cache_info``, under the module that
+# defines it) and each module-level ``*CACHE*`` dict, set or list, with its size.
+_CACHE_SIZES = textwrap.dedent("""
+    import importlib, json, pkgutil
+    import dirichletj
+    names = sorted(info.name for info in pkgutil.iter_modules(dirichletj.__path__))
+    modules = {name: importlib.import_module("dirichletj." + name) for name in names}
+    sizes = {}
+    for short, module in modules.items():
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
+                sizes[short + "." + name] = obj.cache_info().currsize
+            elif "CACHE" in name.upper() and isinstance(obj, (dict, set, list)):
+                sizes[short + "." + name] = len(obj)
+    print(json.dumps(sizes))
+""")
+
+
+def test_caches_are_empty_after_a_cold_import():
+    # Every call of the CLI starts cold; a cache filled at import would hide that cost.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _CACHE_SIZES], capture_output=True, text=True, env=env, check=True)
+    sizes = json.loads(proc.stdout)
+    assert {"characters.get_structure", "homotopy._decompose_p", "homotopy._direct_data",
+            "bernoulli._SERIES_CACHE", "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
+    assert not {name: n for name, n in sizes.items() if n}, sizes
