@@ -53,7 +53,7 @@ from .cyclotomic import (
     get_field,
     ideal_power,
 )
-from .exactalg import _vp, euler_phi, factorize, is_prime, smallest_primitive_root
+from .exactalg import _vp, euler_phi, factorize, smallest_primitive_root, staudt_odd_primes
 
 
 @lru_cache(maxsize=None)
@@ -268,15 +268,9 @@ def d2k(k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    fac = factorize(2 * k)
-    out = 2 ** (2 + fac[2])
-    divisors = [1]
-    for q, e in fac.items():
-        divisors = [d * q**j for d in divisors for j in range(e + 1)]
-    for d in divisors:
-        p = d + 1
-        if p > 2 and is_prime(p):
-            out *= p ** (1 + fac.get(p, 0))
+    out = 2 ** (2 + _vp(2 * k, 2))
+    for p in staudt_odd_primes(2 * k):
+        out *= p ** (1 + _vp(2 * k, p))
     return out
 
 
@@ -313,12 +307,7 @@ def verify_von_staudt(k_max: int) -> list[dict]:
     rows = []
     for k in range(1, k_max + 1):
         b = bernoulli_number(2 * k)
-        expected = 1
-        p = 2
-        while p <= 2 * k + 1:
-            if (2 * k) % (p - 1) == 0 and is_prime(p):
-                expected *= p
-            p += 1
+        expected = 2 * math.prod(staudt_odd_primes(2 * k))
         denom_ok = b.denominator == expected
         primes_b = set(factorize(b.denominator))
         primes_b4k = set(factorize((b / (4 * k)).denominator))

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional
 
 from . import bernoulli, characters, dedekind, eisenstein, homotopy
 from .characters import DirichletCharacter, InputError, character_from_index, char_inv, enumerate_characters
-from .cyclotomic import count_irreducible_factors_mod_p, cyclotomic_poly, padic_splitting, quotient_group, render_cyc
+from .cyclotomic import cyclotomic_factor_count, padic_splitting, quotient_group, render_cyc
 from .exactalg import AbelianGroupExpr, factorize, is_prime, smith_normal_form
 from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle_2
 
@@ -266,8 +266,8 @@ def suite_e2_oracle(
             if not is_prime(p) or n_prime % p == 0:
                 continue
             counted = len(padic_splitting(n_prime, p))
-            brute = count_irreducible_factors_mod_p(cyclotomic_poly(n_prime), p) if n_prime > 1 else 1
-            report.check((2, p, 0, 0, n_prime), counted == brute, {"splitting": counted, "factor_count": brute})
+            factors = cyclotomic_factor_count(n_prime, p)
+            report.check((2, p, 0, 0, n_prime), counted == factors, {"splitting": counted, "factor_count": factors})
 
 
 @suite("consistency")
@@ -569,28 +569,23 @@ COMMANDS: dict[str, tuple] = {
 }
 
 
-def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict, only: Optional[str]) -> None:
-    # argparse reports an option left over after a subcommand from the root
-    # parser, whose usage line shows the choices: keep all of them there.
-    metavar = None if only is None else "{" + ",".join(commands) + "}"
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, run, specs) in commands.items():
-        if only not in (None, name):
-            continue
         command = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
         for flags, kwargs in specs:
             command.add_argument(*flags, **kwargs)
         if isinstance(run, dict):
-            _add_commands(command, f"{name}_command", run, None)
+            _add_commands(command, f"{name}_command", run)
         else:
             command.add_argument(*_JSON[0], **_JSON[1])
             command.set_defaults(fn=run)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with only ``command``'s subparser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand."""
     parser = argparse.ArgumentParser(prog="dirichletj", description=__doc__)
-    _add_commands(parser, "command", COMMANDS, command)
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 
@@ -668,7 +663,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_namespace(argv)
     if args is None:
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         payload, text, code = args.fn(args)
     except (ValueError, ArithmeticError, AssertionError) as exc:

@@ -16,6 +16,11 @@ The denominator ideal of a field element ``a`` = nums/c is the colon
 lattice ``{x in Z[zeta_n] : x*a in Z[zeta_n]}``: the kernel of
 v -> v*A mod c, with A the multiplication-by-nums matrix, read off one
 HNF modulo c.
+
+``padic_splitting`` counts the simple factors of Z[zeta_n] (x) Z_p as the
+cosets of <p> in (Z/n')^x.  ``cyclotomic_factor_count`` checks that count
+with no coset in sight: Berlekamp's kernel of Frobenius - 1 on
+F_p[z]/(Phi_n), read off the one elimination mod p of ``exactalg``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .exactalg import (
     euler_phi,
     hermite_normal_form,
     is_prime,
+    padic_invariant_exponents,
     smith_normal_form,
     times_x_rows,
 )
@@ -488,95 +494,18 @@ def padic_splitting(n: int, p: int) -> tuple[int, ...]:
     return tuple(reps)
 
 
-def count_irreducible_factors_mod_p(poly: Sequence[int], p: int) -> int:
-    """Number of irreducible factors of a squarefree integral poly mod p.
+def cyclotomic_factor_count(n: int, p: int) -> int:
+    """Number of irreducible factors of Phi_n mod p, for p prime not dividing n.
 
-    Distinct-degree factorization count: each pass splits off the product
-    of the degree-d irreducible factors as gcd(f, x^(p^d) - x).  Used as
-    the brute-force check against ``padic_splitting``.
+    Berlekamp (1967): for f squarefree mod p, the number of irreducible
+    factors of f is the dimension of the kernel of Frobenius - 1 on
+    F_p[z]/(f).  Phi_n is squarefree mod p when p does not divide n, and
+    row j of Frobenius - 1 over the power basis is z^(pj) - z^j, so the
+    count is the number of zero pivots of one elimination mod p.  The check
+    of ``padic_splitting``, with which it shares no code.
     """
-    f = [c % p for c in poly]
-    while f and f[-1] == 0:
-        f.pop()
-    if len(f) <= 1:
-        raise ValueError("polynomial is constant mod p")
-    inv_lead = pow(f[-1], -1, p)
-    f = [(c * inv_lead) % p for c in f]
-
-    def pmod(a: list[int], m: list[int]) -> list[int]:
-        a = a[:]
-        inv = pow(m[-1], -1, p)
-        while len(a) >= len(m):
-            c = (a[-1] * inv) % p
-            if c:
-                k = len(a) - len(m)
-                for j in range(len(m)):
-                    a[k + j] = (a[k + j] - c * m[j]) % p
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def pmul(a: list[int], b: list[int], m: list[int]) -> list[int]:
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        return pmod(out, m)
-
-    def ppow(base: list[int], e: int, m: list[int]) -> list[int]:
-        result = [1]
-        while e:
-            if e & 1:
-                result = pmul(result, base, m)
-            base = pmul(base, base, m)
-            e >>= 1
-        return result
-
-    def pgcd(a: list[int], b: list[int]) -> list[int]:
-        while b:
-            a, b = b, pmod(a, b)
-        if a:
-            inv = pow(a[-1], -1, p)
-            a = [(c * inv) % p for c in a]
-        return a
-
-    def pdiv(a: list[int], b: list[int]) -> list[int]:
-        q = [0] * (len(a) - len(b) + 1)
-        rem = a[:]
-        inv = pow(b[-1], -1, p)
-        while len(rem) >= len(b):
-            c = (rem[-1] * inv) % p
-            k = len(rem) - len(b)
-            q[k] = c
-            for j in range(len(b)):
-                rem[k + j] = (rem[k + j] - c * b[j]) % p
-            rem.pop()
-        if any(rem):
-            raise AssertionError(f"inexact division mod {p}: remainder {rem}")
-        return q
-
-    count = 0
-    remaining = f
-    h = pmod([0, 1], remaining)  # x mod remaining
-    d = 0
-    while len(remaining) - 1 > 0:
-        d += 1
-        if 2 * d > len(remaining) - 1:
-            count += 1
-            break
-        h = ppow(h, p, remaining)
-        diff = h[:] + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        g = pgcd(remaining, diff)
-        if len(g) > 1:
-            count += (len(g) - 1) // d
-            remaining = pdiv(remaining, g)
-            if len(remaining) - 1 > 0:
-                h = pmod(h, remaining)
-    return count
+    if not is_prime(p) or n % p == 0:
+        raise ValueError(f"need a prime p not dividing n, got n = {n}, p = {p}")
+    field = get_field(n)
+    rows = [[x - (i == j) for i, x in enumerate(field.zeta_power(p * j).nums)] for j in range(field.degree)]
+    return padic_invariant_exponents(rows, p, 1).count(1)

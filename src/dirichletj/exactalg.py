@@ -1,8 +1,9 @@
 """The bottom layer: integer helpers, exact linear algebra over Z, and abelian groups.
 
 Every other module of the package imports this one and it imports none of
-them.  It holds the integer helpers (trial-division factorization, p-adic
-valuations, multiplicative orders, primitive roots), the Hermite and Smith
+them.  It holds the integer helpers (trial-division factorization, the
+odd primes p with (p - 1) | m, p-adic valuations, multiplicative orders,
+primitive roots), the Hermite and Smith
 normal forms that ideal lattices and quotients are read off, the
 multiplication by x modulo a monic polynomial, and ``AbelianGroupExpr``,
 the value type of every quotient group and every homotopy table.
@@ -70,6 +71,21 @@ def is_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+def staudt_odd_primes(m: int) -> list[int]:
+    """The odd primes p with (p - 1) | m, ascending, for m >= 1.
+
+    For even m these are the odd primes of von Staudt-Clausen's denominator
+    of B_m; for m = |t| they are the odd primes ell at which the K(1)-local
+    sphere has nonzero homotopy in degree 2t - 1.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    divisors = [1]
+    for q, e in factorize(m).items():
+        divisors = [d * q**j for d in divisors for j in range(e + 1)]
+    return sorted(d + 1 for d in divisors if d > 1 and is_prime(d + 1))
 
 
 def _vp(k: int, p: int) -> int:
@@ -360,7 +376,7 @@ class AbelianGroupExpr:
                 atoms.append(("Z",))
             elif m > 1:
                 atoms.extend(("C", p, e) for p, e in factorize(m).items())
-        return AbelianGroupExpr(_norm(atoms))
+        return AbelianGroupExpr(_norm(atoms)) if atoms else _ZERO
 
     @staticmethod
     def direct_sum(groups: Iterable["AbelianGroupExpr"]) -> "AbelianGroupExpr":

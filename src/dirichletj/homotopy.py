@@ -35,7 +35,7 @@ from .characters import (
     unit_subgroup,
 )
 from .cyclotomic import padic_splitting
-from .exactalg import AbelianGroupExpr, _vp, factorize, is_prime
+from .exactalg import AbelianGroupExpr, _vp, factorize, is_prime, staudt_odd_primes
 from .padic import PAdicCharacterData, PrimeToPPart
 
 
@@ -534,20 +534,6 @@ def pi_jn_chi(chi: DirichletCharacter, i: int, loc: Iterable[int] = ()) -> Abeli
 # J-spectra of abelian fields
 
 
-def _contributing_odd_primes(i: int) -> list[int]:
-    """Odd primes ell with pi_K1(ell, i) != 0 for i not in {0, -1}."""
-    if i % 2 == 0:
-        return []
-    half = abs(i + 1) // 2
-    if half == 0:
-        return []
-    out = []
-    for d in range(1, half + 1):
-        if half % d == 0 and is_prime(d + 1) and d + 1 > 2:
-            out.append(d + 1)
-    return sorted(out)
-
-
 def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) -> AbelianGroupExpr:
     """pi_i of J(K) for K the fixed field of H = <subgroup_gens> inside Q(zeta_N).
 
@@ -590,7 +576,7 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
                         break
                 if ok:
                     out = out + _tame_eigen_odd(level_p, v, a, i)
-    for ell in [2] + _contributing_odd_primes(i):
+    for ell in [2] + (staudt_odd_primes(abs(i + 1) // 2) if i % 2 else []):
         if ell == level_p or hsize % ell == 0:
             continue
         out = out + pi_K1(ell, i)

@@ -183,7 +183,11 @@ class PAdicCharacterData:
     parity bit (1 = odd) for p = 2.  ``prime_to_p`` is present exactly
     when the conductor has a part N' > 1 prime to p.  Data no primitive
     character has is rejected: a nonzero tame datum at v = 0, and tame 0
-    at p = 2, v = 2, where the one character of conductor 4 is odd.
+    at p = 2, v = 2, where the one character of conductor 4 is odd.  Odd p
+    with v = 1 and tame 0 is accepted although no primitive character has
+    it: ``e2_page`` reads it as the untwisted page, which ``dirichletj e2
+    --prime 5 --level-exp 1 --tame 0`` prints with exit 0, while
+    ``homotopy.pi_DK1`` raises ``ValueError`` for it.
     """
 
     p: int

@@ -475,9 +475,6 @@ def test_argparse_error_view(capsys, monkeypatch, argv, digest):
     # A fully spelled call is read straight off COMMANDS: no parser at all.
     (["bern", "--modulus", "5", "--index", "2", "--weight", "2", "--json"], []),
     (["chars", "list", "--modulus", "4", "--json"], []),
-    # Any other spelling goes to argparse, which builds only the subparser it runs.
-    (["bern", "--mod", "5", "--index", "2", "--weight", "2"], ["bern"]),
-    (["chars", "list", "--modulus=4"], ["chars", "list"]),
 ])
 def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch, argv, added):
     names = []

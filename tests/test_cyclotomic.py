@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dirichletj.cyclotomic import (
     CycElement,
     IdealLattice,
-    count_irreducible_factors_mod_p,
+    cyclotomic_factor_count,
     cyclotomic_poly,
     denominator_ideal,
     galois_apply,
@@ -322,7 +322,7 @@ class TestSplitting:
             assert len(padic_splitting(2, p)) == 1
 
     def test_counts_match_factorization(self):
-        for n_prime in range(2, 31):
+        for n_prime in range(1, 31):
             for p in (2, 3, 5, 7, 11, 13):
                 if n_prime % p == 0:
                     continue
@@ -332,5 +332,10 @@ class TestSplitting:
                 # The cosets b<p> of the representatives cover the units mod n'.
                 cosets = {b * p**j % n_prime for b in reps for j in range(m)}
                 assert cosets == {b for b in range(n_prime) if math.gcd(b, n_prime) == 1}
-                brute = count_irreducible_factors_mod_p(cyclotomic_poly(n_prime), p)
-                assert len(reps) == brute
+                assert len(reps) == cyclotomic_factor_count(n_prime, p)
+
+    def test_factor_count_needs_a_prime_not_dividing_n(self):
+        with pytest.raises(ValueError):
+            cyclotomic_factor_count(12, 3)
+        with pytest.raises(ValueError):
+            cyclotomic_factor_count(7, 4)

@@ -87,6 +87,20 @@ def test_padic_resultant_check_shares_no_code_with_the_elimination():
     assert not named & {"padic_invariant_exponents", "times_x_rows"}, sorted(named)
 
 
+def test_cyclotomic_factor_count_shares_no_code_with_the_splitting():
+    # Berlekamp's count checks padic_splitting's cosets of <p>; neither may name the other's mechanism.
+    tree = ast.parse((SRC / "cyclotomic.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def named(name):
+        return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(functions[name])
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    assert not named("cyclotomic_factor_count") & {"padic_splitting", "_multiplicative_order", "_vp", "gcd"}
+    assert not named("padic_splitting") & {
+        "cyclotomic_factor_count", "padic_invariant_exponents", "zeta_power", "get_field"}
+
+
 def test_eisenstein_shares_no_code_with_the_membership_route():
     # tests/test_eisenstein.py checks the denominator tests by IdealLattice membership.
     tree = ast.parse((SRC / "eisenstein.py").read_text())

@@ -1,4 +1,4 @@
-"""sympy as an outside oracle for the Smith diagonal and for factorization.
+"""sympy as an outside oracle for the Smith diagonal, for factorization and for factoring Phi_n mod p.
 
 For a nonsingular square matrix sympy's ``invariant_factors`` returns the
 positive diagonal with d[i] | d[i+1], the convention of
@@ -12,6 +12,7 @@ import pytest
 
 from dirichletj.bernoulli import denom_ideal
 from dirichletj.characters import enumerate_characters, is_primitive, parity
+from dirichletj.cyclotomic import cyclotomic_factor_count
 from dirichletj.exactalg import euler_phi, factorize, hermite_normal_form, is_prime, smith_normal_form
 
 sympy = pytest.importorskip("sympy")
@@ -77,3 +78,12 @@ def test_smith_denominator_ideals():
 def test_factorize():
     for n in range(1, 5001):
         assert factorize(n) == sympy.factorint(n), n
+
+
+def test_cyclotomic_factor_count():
+    x = sympy.Symbol("x")
+    pairs = [(n, p) for n in range(1, 41) for p in range(2, 24) if is_prime(p) and n % p]
+    assert len(pairs) == 303
+    for n, p in pairs:
+        _, factors = sympy.Poly(sympy.cyclotomic_poly(n, x), x, modulus=p).factor_list()
+        assert cyclotomic_factor_count(n, p) == sum(e for _, e in factors), (n, p)
