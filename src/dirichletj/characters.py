@@ -26,12 +26,11 @@ mixed-radix enumeration below (index 0 is the trivial character).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 from .cyclotomic import CycElement, get_field
-from .exactalg import _crt_lift, _multiplicative_order, _vp, euler_phi, factorize, is_prime, smallest_primitive_root
+from .exactalg import Record, _crt_lift, _multiplicative_order, _vp, euler_phi, factorize, is_prime, smallest_primitive_root
 
 
 class InputError(ValueError):
@@ -41,17 +40,18 @@ class InputError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class UnitGroupStructure:
+class UnitGroupStructure(Record):
     """Canonical cyclic decomposition of (Z/N)^x with CRT-lifted generators."""
 
-    modulus: int
-    # One entry per generator: (prime, prime_exponent, lifted generator, order).
-    generators: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("modulus", "generators", "orders", "_hash")
+    _fields = ("modulus", "generators")
 
-    @cached_property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(g[3] for g in self.generators)
+    def __init__(self, modulus: int, generators: tuple[tuple[int, int, int, int], ...]):
+        # One entry per generator: (prime, prime_exponent, lifted generator, order).
+        self._set(modulus, generators, tuple(g[3] for g in generators), hash((modulus, generators)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def phi(self) -> int:
         out = 1
@@ -110,22 +110,21 @@ def _dlog_table(N: int) -> dict[int, tuple[int, ...]]:
     return table
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(Record):
     """Exponent tuple over the canonical generators of (Z/N)^x."""
 
-    structure: UnitGroupStructure
-    exponents: tuple[int, ...]
+    __slots__ = ("structure", "exponents", "_order", "_weights", "_hash")
+    _fields = ("structure", "exponents")
 
-    def __post_init__(self):
-        orders = self.structure.orders
-        if len(self.exponents) != len(orders):
+    def __init__(self, structure: UnitGroupStructure, exponents: tuple[int, ...]):
+        orders = structure.orders
+        if len(exponents) != len(orders):
             raise ValueError("exponent tuple has wrong length")
         # chi(g_i) = zeta_{o_i}^{e_i} = zeta_n^{e_i * n / o_i}, with n the lcm of
         # the value orders o_i / gcd(e_i, o_i) seen so far; when n grows by a
         # factor f, the weights before it grow by f.
         n, weights = 1, []
-        for e, o in zip(self.exponents, orders):
+        for e, o in zip(exponents, orders):
             if not 0 <= e < o:
                 raise ValueError("exponents must be reduced modulo generator orders")
             m = o // math.gcd(e, o)
@@ -136,8 +135,16 @@ class DirichletCharacter:
             if (e * n) % o:
                 raise AssertionError(f"weight e * n / o is not integral for e = {e}, n = {n}, o = {o}")
             weights.append(e * n // o)
-        object.__setattr__(self, "_order", n)
-        object.__setattr__(self, "_weights", tuple(weights))
+        # Slot by slot, without ``_set``'s loop: characters are built by the thousand.
+        setattr_ = object.__setattr__
+        setattr_(self, "structure", structure)
+        setattr_(self, "exponents", exponents)
+        setattr_(self, "_order", n)
+        setattr_(self, "_weights", tuple(weights))
+        setattr_(self, "_hash", hash((structure, exponents)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def modulus(self) -> int:

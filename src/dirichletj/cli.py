@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Optional
 
 from . import bernoulli, characters, dedekind, eisenstein, homotopy
 from .characters import DirichletCharacter, InputError, character_from_index, char_inv, enumerate_characters
 from .cyclotomic import cyclotomic_factor_count, padic_splitting, quotient_group, render_cyc
-from .exactalg import AbelianGroupExpr, factorize, is_prime, smith_normal_form
+from .exactalg import AbelianGroupExpr, Record, factorize, is_prime, smith_normal_form
 from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle_2
 
 SCHEMA = 1
@@ -38,20 +36,18 @@ MAX_NMAX = 100_000
 Output = tuple[dict, Callable[[], str], int]
 
 
-@dataclass
-class RunReport:
-    """Aggregated result of one verification sweep."""
+class RunReport(Record):
+    """Aggregated result of one verification sweep; unlike the other records, filled in as it runs."""
 
-    suite: str
-    params: dict
-    run: int = 0
-    passed: int = 0
-    failed: int = 0
-    findings: int = 0
-    first_counterexample: Optional[dict] = None
-    wall_time: float = 0.0
-    _failures: list = dc_field(default_factory=list)
-    _start: float = dc_field(default_factory=time.perf_counter)
+    __slots__ = _fields = ("suite", "params", "run", "passed", "failed", "findings", "first_counterexample",
+                           "wall_time", "_failures", "_start")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, suite: str, params: dict, run: int = 0, passed: int = 0, failed: int = 0, findings: int = 0,
+                 first_counterexample: Optional[dict] = None, wall_time: float = 0.0,
+                 _failures: Optional[list] = None, _start: Optional[float] = None):
+        self._set(suite, params, run, passed, failed, findings, first_counterexample, wall_time,
+                  [] if _failures is None else _failures, time.perf_counter() if _start is None else _start)
 
     def record(self, case_params: tuple, status: str, payload: Optional[dict] = None) -> None:
         self.run += 1
@@ -124,15 +120,16 @@ def suite(name: str, options: Optional[dict[str, str]] = None) -> Callable:
     """
 
     def register(sweep: Callable[..., None]) -> Callable[..., RunReport]:
-        signature = inspect.signature(sweep)
+        # The keywords after ``report`` in declaration order, and their defaults.
+        code = sweep.__code__
+        keywords = code.co_varnames[1 : code.co_argcount]
+        defaults = dict(zip(reversed(keywords), reversed(sweep.__defaults__ or ())))
 
         @functools.wraps(sweep)
         def run(**kwargs) -> RunReport:
-            bound = signature.bind(None, **kwargs)
-            bound.apply_defaults()
-            _, *params = bound.arguments.items()
-            report = RunReport(name, dict(params))
-            sweep(report, **report.params)
+            kwargs = {**defaults, **kwargs}
+            report = RunReport(name, {key: kwargs[key] for key in keywords if key in kwargs})
+            sweep(report, **kwargs)  # an unknown or missing keyword raises TypeError here
             return report.finalize()
 
         SUITES[name] = run

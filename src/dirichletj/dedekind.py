@@ -18,22 +18,22 @@ any N > 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import l_value
 from .characters import DirichletCharacter, InputError, enumerate_characters, _value_exponent, unit_subgroup
 from .cyclotomic import get_field
-from .exactalg import AbelianGroupExpr, factorize
+from .exactalg import AbelianGroupExpr, Record, factorize
 from .homotopy import invert_primes, pi_JK
 
 
-@dataclass(frozen=True)
-class AbelianFieldSpec:
+class AbelianFieldSpec(Record):
     """Cyclotomic level N and unit generators of H = Gal(Q(zeta_N)/K)."""
 
-    modulus: int
-    subgroup_gens: tuple[int, ...]
+    __slots__ = _fields = ("modulus", "subgroup_gens")
+
+    def __init__(self, modulus: int, subgroup_gens: tuple[int, ...]):
+        self._set(modulus, subgroup_gens)
 
     def subgroup(self) -> set[int]:
         return unit_subgroup(self.modulus, self.subgroup_gens)

@@ -5,8 +5,9 @@ them.  It holds the integer helpers (trial-division factorization, the
 odd primes p with (p - 1) | m, p-adic valuations, multiplicative orders,
 primitive roots), the Hermite and Smith
 normal forms that ideal lattices and quotients are read off, the
-multiplication by x modulo a monic polynomial, and ``AbelianGroupExpr``,
-the value type of every quotient group and every homotopy table.
+multiplication by x modulo a monic polynomial, ``Record``, the base of
+the package's value types, and ``AbelianGroupExpr``, the value type of
+every quotient group and every homotopy table.
 
 A matrix is a list of integer rows and the forms come without
 transforms.  Everything is an arbitrary-precision integer; no floating
@@ -31,7 +32,8 @@ Conventions fixed here and used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -326,13 +328,57 @@ def times_x_rows(phi: Sequence[int], vec: Sequence[int], count: int | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Abelian group expressions
+# Value types and abelian group expressions
+
+
+class Record:
+    """A slotted value that compares, hashes, prints and pickles as the tuple of its ``_fields``.
+
+    It keeps a frozen dataclass's contract without importing ``dataclasses``:
+    equality within one class, its repr, and assignment raising ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # What equality compares, read in one C call: the field tuple, or the bare value of a single field.
+        cls._key = property(attrgetter(*cls._fields))
+
+    def _set(self, *values) -> None:
+        """Fill the slots in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
 
 _KIND_RANK = {"Z": 0, "Zp": 1, "QZ": 2, "C": 3}
 
 
-@dataclass(frozen=True)
-class AbelianGroupExpr:
+class AbelianGroupExpr(Record):
     """Normalized multiset of group atoms; the value type of every quotient and pi table.
 
     The atoms are Z, Z_p, Q/Z (with the primes inverted away from it) and
@@ -340,7 +386,10 @@ class AbelianGroupExpr:
     powers and sorted, so equality is syntactic multiset equality.
     """
 
-    atoms: tuple[tuple, ...] = ()
+    __slots__ = _fields = ("atoms",)
+
+    def __init__(self, atoms: tuple[tuple, ...] = ()):
+        object.__setattr__(self, "atoms", atoms)
 
     # -- constructors --------------------------------------------------------
 
@@ -362,10 +411,7 @@ class AbelianGroupExpr:
 
     @staticmethod
     def cyclic(m: int) -> "AbelianGroupExpr":
-        if m < 1:
-            raise ValueError("cyclic order must be positive")
-        atoms = [("C", p, e) for p, e in sorted(factorize(m).items())]
-        return AbelianGroupExpr(_norm(atoms))
+        return _cyclic(m)
 
     @staticmethod
     def from_invariants(invariants: Iterable[int]) -> "AbelianGroupExpr":
@@ -463,6 +509,14 @@ class AbelianGroupExpr:
 # Groups are immutable, so every empty one can be this one, and a sum or a
 # multiple with nothing to sort returns an operand as it is.
 _ZERO = AbelianGroupExpr(())
+
+
+@lru_cache(maxsize=1024)
+def _cyclic(m: int) -> AbelianGroupExpr:
+    """Z/m, shared: the tables ask for a handful of small orders over and over."""
+    if m < 1:
+        raise ValueError("cyclic order must be positive")
+    return AbelianGroupExpr(_norm([("C", p, e) for p, e in sorted(factorize(m).items())]))
 
 
 def _norm(atoms: list[tuple]) -> tuple[tuple, ...]:

@@ -18,13 +18,13 @@ eigen / fixed-point spectral sequences for pure prime-power conductors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .characters import InputError
 from .cyclotomic import cyclotomic_poly
 from .exactalg import (
     AbelianGroupExpr,
+    Record,
     _vp,
     euler_phi,
     is_prime,
@@ -166,17 +166,17 @@ def quotient_oracle_2(v: int, t: int, M: int = 15) -> AbelianGroupExpr:
 # p-adic character data and closed-form E2 pages
 
 
-@dataclass(frozen=True)
-class PrimeToPPart:
+class PrimeToPPart(Record):
     """Invariants of the prime-to-p factor chi' of a p-adic character."""
 
-    modulus: int              # N' > 1
-    wild_image_exp: int       # v_p(|image chi'|)
-    image_is_p_power: bool
+    # modulus is N' > 1, and wild_image_exp is v_p(|image chi'|).
+    __slots__ = _fields = ("modulus", "wild_image_exp", "image_is_p_power")
+
+    def __init__(self, modulus: int, wild_image_exp: int, image_is_p_power: bool):
+        self._set(modulus, wild_image_exp, image_is_p_power)
 
 
-@dataclass(frozen=True)
-class PAdicCharacterData:
+class PAdicCharacterData(Record):
     """Everything the closed-form homotopy tables consume at one prime.
 
     ``tame`` is the Teichmuller exponent a in [0, p-2] for odd p, and the
@@ -190,28 +190,26 @@ class PAdicCharacterData:
     ``homotopy.pi_DK1`` raises ``ValueError`` for it.
     """
 
-    p: int
-    v: int
-    tame: int
-    prime_to_p: Optional[PrimeToPPart] = None
+    __slots__ = _fields = ("p", "v", "tame", "prime_to_p")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
+    def __init__(self, p: int, v: int, tame: int, prime_to_p: Optional[PrimeToPPart] = None):
+        if not is_prime(p):
             raise InputError("p must be prime")
-        if self.v < 0:
+        if v < 0:
             raise InputError("v must be nonnegative")
-        if self.p == 2:
-            if self.v == 1:
+        if p == 2:
+            if v == 1:
                 raise InputError("conductor exponent 1 at p = 2 cannot occur for primitive characters")
-            if self.tame not in (0, 1):
+            if tame not in (0, 1):
                 raise InputError("2-adic tame datum is a parity bit")
-            if self.v == 2 and self.tame == 0:
+            if v == 2 and tame == 0:
                 raise InputError("the conductor-4 character is odd: its tame datum must be 1")
         else:
-            if not 0 <= self.tame <= self.p - 2:
+            if not 0 <= tame <= p - 2:
                 raise InputError("tame exponent out of range")
-        if self.v == 0 and self.tame:
+        if v == 0 and tame:
             raise InputError("a trivial p-part (v = 0) must have tame datum 0")
+        self._set(p, v, tame, prime_to_p)
 
 
 def e2_page(chi_data: PAdicCharacterData, s: int, t: int) -> AbelianGroupExpr:

@@ -674,6 +674,36 @@ class TestSuiteRegistry:
         with pytest.raises(TypeError):
             suite_demo(t_min=0)
 
+    def test_binding_follows_the_sweep_signature(self, monkeypatch):
+        # The keywords are read off the sweep's code object and defaults.
+        monkeypatch.setattr(cli, "SUITES", {})
+        monkeypatch.setattr(cli, "SUITE_OPTIONS", {})
+        ran = []
+
+        @cli.suite("demo")
+        def suite_demo(report, moduli, t_max=3, levels=(1,)):
+            case = [moduli]  # a local variable, not a keyword of the suite
+            ran.append(case)
+
+        with pytest.raises(TypeError, match="moduli"):
+            suite_demo(t_max=1)
+        with pytest.raises(TypeError, match="t_min"):
+            suite_demo(moduli=(5,), t_min=0)
+        with pytest.raises(TypeError, match="case"):
+            suite_demo(moduli=(5,), case=[])
+        with pytest.raises(TypeError):
+            suite_demo(moduli=(5,), report=None)
+        assert ran == []
+        report = suite_demo(levels=(2,), moduli=(5,))
+        assert list(report.params.items()) == [("moduli", (5,)), ("t_max", 3), ("levels", (2,))]
+        assert ran == [[(5,)]]
+
+    def test_registered_suite_reports_params_in_declaration_order(self):
+        # The verify all --json digest pins this order.
+        report = cli.SUITES["gbn-theorem"](moduli_invert2=(), moduli=(), max_weight=1, max_modulus=2)
+        assert list(report.params) == ["max_modulus", "max_weight", "moduli", "moduli_invert2"]
+        assert report.run == 4 and report.failed == 0
+
     def test_options_are_registered_with_the_suite(self, monkeypatch):
         monkeypatch.setattr(cli, "SUITES", {})
         monkeypatch.setattr(cli, "SUITE_OPTIONS", {})

@@ -48,6 +48,13 @@ class TestGroupExpr:
                 fac = factorize(m)
                 assert fac[p] == e
 
+    def test_cyclic_is_shared_and_matches_the_smith_diagonal_route(self):
+        # cyclic(m) is memoized; a repeat call returns the same group, and every group
+        # equals the one from_invariants builds for the diagonal (m).
+        for m in range(1, 3000):
+            g = A.cyclic(m)
+            assert A.cyclic(m) is g and g == A.from_invariants([m]) and g.atoms == A.from_invariants([m]).atoms
+
     def test_equality_is_multiset(self):
         assert A.cyclic(6) == A.cyclic(2) + A.cyclic(3)
         assert A.cyclic(24) == A.cyclic(8) + A.cyclic(3)

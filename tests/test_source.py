@@ -173,3 +173,16 @@ def test_caches_are_empty_after_a_cold_import():
     assert {"characters.get_structure", "homotopy._decompose_p", "homotopy._direct_data",
             "bernoulli._SERIES_CACHE", "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
     assert not {name: n for name, n in sizes.items() if n}, sizes
+
+
+def test_cli_import_loads_every_module_but_not_dataclasses_or_inspect():
+    # A CLI call is one cold process, and these two modules took longer to import than a
+    # typical call's work.  Every package module still loads at import: none is deferred
+    # into the call.  -S keeps site hooks from importing either module on their own.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    code = "import json, sys, dirichletj.cli; print(json.dumps(sorted(sys.modules)))"
+    loaded = set(json.loads(subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                                           env=env, check=True).stdout))
+    package = {f"dirichletj.{path.stem}" for path in SRC.glob("*.py")} - {"dirichletj.__init__"}
+    assert len(package) == 9 and package <= loaded, sorted(package - loaded)
+    assert not {"dataclasses", "inspect"} & loaded
