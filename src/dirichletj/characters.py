@@ -60,7 +60,7 @@ class UnitGroupStructure(Record):
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def get_structure(N: int) -> UnitGroupStructure:
     if N < 1:
         raise InputError("modulus must be positive")
@@ -87,7 +87,7 @@ def get_structure(N: int) -> UnitGroupStructure:
     return structure
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _dlog_table(N: int) -> dict[int, tuple[int, ...]]:
     """Exponent tuples of every unit mod N over the canonical generators."""
     st = get_structure(N)
@@ -182,7 +182,14 @@ def enumerate_characters(N: int) -> list[DirichletCharacter]:
     return [_decode(st, idx) for idx in range(st.phi())]
 
 
+@lru_cache(maxsize=1024)
 def character_from_index(N: int, index: int) -> DirichletCharacter:
+    """The character at ``index`` mod N, shared: equal calls return the identical object.
+
+    The per-character caches downstream then hit on identity, without
+    comparing equal characters field by field.  An out-of-range index
+    raises ``InputError`` on every call; no error is cached.
+    """
     st = get_structure(N)
     total = st.phi()
     if not 0 <= index < total:

@@ -235,6 +235,15 @@ def padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[int
     after step t column t is zero below the pivot and every entry of row t
     is a multiple of it, so clearing row t would change nothing a later
     step reads.
+
+    The update touches nonzero entries only.  Each step lists the pivot
+    row's nonzero entries (column, value over the pivot's unit part) once,
+    and subtracts their multiples, in place, from just the rows below with
+    a nonzero in the pivot column; an entry that is zero in the pivot row
+    or a row that is zero in the pivot column is left as it is.  The
+    oracle's matrices, multiplication by w*x - g^t modulo a sparse
+    cyclotomic polynomial, have about two nonzeros per row, so a step
+    costs the pivot row's nonzeros times the rows they reach, not (r - t)^2.
     """
     pm = p**M
     a = [[x % pm for x in row] for row in rows]
@@ -264,15 +273,16 @@ def padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[int
             for row in a[t:]:
                 row[t], row[bj] = row[bj], row[t]
         # Columns left of t are zero in rows t and below, so only the
-        # trailing part of each row is reduced.
+        # trailing part of each row can hold a nonzero.
         pv = p**bestv
-        inv_unit = pow(a[t][t] // pv, -1, pm)
-        pivot_row = [(x * inv_unit) % pm for x in a[t][t:]]
-        for i in range(t + 1, r):
-            x = a[i][t]
-            if x:
-                q = (x // pv) % (pm // pv)
-                a[i][t:] = [(y - q * z) % pm for y, z in zip(a[i][t:], pivot_row)]
+        pivot = a[t]
+        inv_unit = pow(pivot[t] // pv, -1, pm)
+        nonzero = [(j, pivot[j] * inv_unit % pm) for j in range(t, r) if pivot[j]]
+        reduced = pm // pv
+        for row in [row for row in a[t + 1:] if row[t]]:
+            q = row[t] // pv % reduced
+            for j, z in nonzero:
+                row[j] = (row[j] - q * z) % pm
         exps.append(bestv)
     return sorted(exps)
 
@@ -519,12 +529,13 @@ def _cyclic(m: int) -> AbelianGroupExpr:
     return AbelianGroupExpr(_norm([("C", p, e) for p, e in sorted(factorize(m).items())]))
 
 
-def _norm(atoms: list[tuple]) -> tuple[tuple, ...]:
-    def key(a: tuple):
-        rank = _KIND_RANK[a[0]]
-        return (rank,) + tuple(x if isinstance(x, int) else tuple(x) for x in a[1:])
+def _atom_key(a: tuple) -> tuple:
+    # Kind first, then the fields: a prime, (prime, exponent), or Q/Z's tuple of inverted primes.
+    return _KIND_RANK[a[0]], a[1:]
 
-    return tuple(sorted(atoms, key=key))
+
+def _norm(atoms: list[tuple]) -> tuple[tuple, ...]:
+    return tuple(sorted(atoms, key=_atom_key))
 
 
 def _render_atom(a: tuple, count: int) -> list[str]:

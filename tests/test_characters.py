@@ -1,10 +1,13 @@
 """Dirichlet character enumeration, evaluation, and structure."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
 from dirichletj.characters import (
+    InputError,
     char_inv,
     character_from_index,
     conductor,
@@ -56,6 +59,38 @@ class TestEnumeration:
         for N in (5, 8, 12, 16):
             for chi in enumerate_characters(N):
                 assert character_from_index(N, chi.index()) == chi
+
+
+class TestInterning:
+    def test_equal_lookups_return_the_identical_character(self):
+        for N, i in ((1, 0), (5, 2), (40, 7), (40, 15), (97, 50)):
+            chi = character_from_index(N, i)
+            assert character_from_index(N, i) is chi and chi.index() == i and chi.modulus == N
+
+    def test_interned_characters_equal_the_enumeration(self):
+        for N in range(1, 61):
+            chis = enumerate_characters(N)
+            shared = [character_from_index(N, i) for i in range(len(chis))]
+            assert shared == chis and [hash(c) for c in shared] == [hash(c) for c in chis]
+            assert all(character_from_index(N, i) is c for i, c in enumerate(shared))
+
+    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips_give_an_equal_character_with_the_same_hash(self, roundtrip):
+        for N, i in ((1, 0), (12, 3), (40, 7)):
+            chi = character_from_index(N, i)
+            back = roundtrip(chi)
+            assert back == chi and hash(back) == hash(chi) and back.index() == i
+            assert character_from_index(N, i) is chi
+
+    def test_an_out_of_range_index_raises_on_every_call(self):
+        for N, i in ((5, 4), (5, -1), (1, 1), (12, 4)):
+            for _ in range(3):
+                with pytest.raises(InputError, match="character index out of range"):
+                    character_from_index(N, i)
+        with pytest.raises(InputError, match="modulus must be positive"):
+            character_from_index(0, 0)
+        assert character_from_index(5, 3).index() == 3
 
 
 class TestEvaluation:

@@ -70,6 +70,19 @@ class TestGroupExpr:
         assert invert_primes(A.q_mod_z(), {2, 3}).render() == "Q/Z[1/6]"
         assert (A.free(1) + A.cyclic(2)).render() == "Z + Z/2"
 
+    def test_normal_order_of_a_mixed_multiset_is_pinned(self):
+        # Kind first (Z, Z_p, Q/Z, Z/p^e), then the fields: the prime, the inverted primes, (p, e).
+        atoms = [("C", 5, 2), ("QZ", (2, 3)), ("Z",), ("C", 2, 3), ("Zp", 5), ("C", 2, 1), ("QZ", ()), ("Zp", 2),
+                 ("C", 3, 1), ("Z",), ("QZ", (2,)), ("C", 2, 1), ("Zp", 5), ("C", 3, 2), ("QZ", ())]
+        expected = (("Z",), ("Z",), ("Zp", 2), ("Zp", 5), ("Zp", 5), ("QZ", ()), ("QZ", ()), ("QZ", (2,)),
+                    ("QZ", (2, 3)), ("C", 2, 1), ("C", 2, 1), ("C", 2, 3), ("C", 3, 1), ("C", 3, 2), ("C", 5, 2))
+        rendered = "Z^2 + Z_2 + Z_5^2 + Q/Z + Q/Z + Q/Z[1/2] + Q/Z[1/6] + Z/2 + Z/2 + Z/8 + Z/3 + Z/9 + Z/25"
+        rng = random.Random(7)
+        for _ in range(20):
+            g = A.direct_sum(A((a,)) for a in rng.sample(atoms, len(atoms)))
+            assert g.atoms == expected and g.render() == rendered
+        assert (A((atoms[0],)) + A(tuple(atoms[1:]))).atoms == expected
+
     def test_invert_primes(self):
         assert invert_primes(A.cyclic(24), {2}) == A.cyclic(3)
         assert invert_primes(A.cyclic(5), {2}) == A.cyclic(5)

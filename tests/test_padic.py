@@ -303,3 +303,57 @@ class TestPadicSNF:
         rows = times_x_rows(phi, [-pow(g, t, pm) % pm, w])
         assert len(rows) == len(phi) - 1 == 110
         assert padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
+
+
+def _oracle_matrix(p, v, a, t):
+    """The matrix the oracle eliminates for (p, v, a, t) at its default precision 15, with r = v_p(Res)."""
+    pm = p**15
+    g = topological_generator(p)
+    phi = cyclotomic_poly(p ** (v - 1))
+    u = [-pow(g, t, pm) % pm, pow(teichmuller(p, g % p, 15), a, pm)]
+    res = padic._resultant_mod(phi, u, pm)
+    assert res, (p, v, a, t)
+    r = next(e for e in range(15) if res % p ** (e + 1))
+    return times_x_rows(phi, u), r
+
+
+@pytest.mark.parametrize("p, v", [(p, v) for p in (3, 5, 7) for v in (2, 3)])
+def test_elimination_matches_naive_on_the_homotopy_sweep_oracle_grid(p, v):
+    # Every matrix of the benchmark's p-adic grid (every tame a, t in [-10, 10]), at the
+    # precision r + 1 the oracle runs and at the default precision 15.
+    for a in range(p - 1):
+        for t in range(-10, 11):
+            rows, r = _oracle_matrix(p, v, a, t)
+            for M in (r + 1, 15):
+                got = padic_invariant_exponents(rows, p, M)
+                assert got == _naive_invariant_exponents(rows, p, M), (a, t, M)
+                assert sum(got) == r, (a, t, M)
+
+
+def _banded_matrix(rng, r, p, M, width):
+    """Entries within ``width`` of the diagonal, a third of them multiples of p, and a dense last row."""
+    pm = p**M
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(max(0, i - width), min(r, i + width + 1)):
+            x = rng.randrange(pm)
+            rows[i][j] = x * p % pm if rng.random() < 0.35 else x
+    rows[-1] = [rng.randrange(pm) for _ in range(r)]
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_elimination_matches_naive_on_banded_and_dense_matrices(p):
+    # Column swaps at non-unit pivots move band entries into rows that held zeros there,
+    # so the update must reach positions outside the band of the middle rows.
+    rng = random.Random(100 + p)
+    for _ in range(40):
+        M, r = rng.randint(2, 6), rng.randint(2, 14)
+        rows = _banded_matrix(rng, r, p, M, rng.randint(1, 2))
+        if rng.random() < 0.5:  # the transpose: a dense last column instead
+            rows = [list(col) for col in zip(*rows)]
+        assert padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
+    for _ in range(8):
+        M, r = rng.randint(2, 6), rng.randint(2, 10)
+        rows = _random_matrix(rng, r, p, M, scale=rng.choice((1, p)))
+        assert padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)

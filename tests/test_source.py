@@ -170,8 +170,8 @@ def test_caches_are_empty_after_a_cold_import():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _CACHE_SIZES], capture_output=True, text=True, env=env, check=True)
     sizes = json.loads(proc.stdout)
-    assert {"characters.get_structure", "homotopy._decompose_p", "homotopy._direct_data",
-            "bernoulli._SERIES_CACHE", "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
+    assert {"characters.get_structure", "characters.character_from_index", "homotopy._decompose_p",
+            "homotopy._direct_data", "bernoulli._SERIES_CACHE", "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
     assert not {name: n for name, n in sizes.items() if n}, sizes
 
 
