@@ -258,6 +258,18 @@ def _random_matrix(rng, r, p, M, scale=1):
     return [[scale * rng.randrange(p**M) for _ in range(r)] for _ in range(r)]
 
 
+def _oracle_matrix(p, v, a, t):
+    """The matrix the oracle eliminates for (p, v, a, t) at its default precision 15, with r = v_p(Res)."""
+    pm = p**15
+    g = topological_generator(p)
+    phi = cyclotomic_poly(p ** (v - 1))
+    u = [-pow(g, t, pm) % pm, pow(teichmuller(p, g % p, 15), a, pm)]
+    res = padic._resultant_mod(phi, u, pm)
+    assert res, (p, v, a, t)
+    r = next(e for e in range(15) if res % p ** (e + 1))
+    return times_x_rows(phi, u), r
+
+
 class TestPadicSNF:
     @pytest.mark.parametrize("p", [2, 3, 5, 11])
     def test_random(self, p):
@@ -295,26 +307,9 @@ class TestPadicSNF:
     @pytest.mark.parametrize("a, t", [(0, 0), (2, 5), (3, -7)])
     def test_oracle_matrix_p11_v3(self, a, t):
         # Multiplication by omega^a(g) zeta - g^t on Z_11[zeta_121] / 11^15: a 110 x 110 matrix.
-        p, M = 11, 15
-        pm = p**M
-        g = topological_generator(p)
-        w = pow(teichmuller(p, g % p, M), a, pm)
-        phi = cyclotomic_poly(p * p)
-        rows = times_x_rows(phi, [-pow(g, t, pm) % pm, w])
-        assert len(rows) == len(phi) - 1 == 110
-        assert padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
-
-
-def _oracle_matrix(p, v, a, t):
-    """The matrix the oracle eliminates for (p, v, a, t) at its default precision 15, with r = v_p(Res)."""
-    pm = p**15
-    g = topological_generator(p)
-    phi = cyclotomic_poly(p ** (v - 1))
-    u = [-pow(g, t, pm) % pm, pow(teichmuller(p, g % p, 15), a, pm)]
-    res = padic._resultant_mod(phi, u, pm)
-    assert res, (p, v, a, t)
-    r = next(e for e in range(15) if res % p ** (e + 1))
-    return times_x_rows(phi, u), r
+        rows, _ = _oracle_matrix(11, 3, a, t)
+        assert len(rows) == 110
+        assert padic_invariant_exponents(rows, 11, 15) == _naive_invariant_exponents(rows, 11, 15)
 
 
 @pytest.mark.parametrize("p, v", [(p, v) for p in (3, 5, 7) for v in (2, 3)])
