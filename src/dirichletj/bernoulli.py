@@ -80,7 +80,7 @@ def bernoulli_number(k: int) -> Fraction:
     return _bernoulli_list(k)[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _bernoulli_poly_coeffs(k: int) -> tuple[Fraction, ...]:
     # Classical Bernoulli polynomial B_k(x) = sum C(k,j) B_j^- x^(k-j);
     # the only place the minus convention (B_1^- = -1/2) enters.
@@ -227,7 +227,7 @@ def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
     return CycElement(get_field(chi.order()), nums, den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _gbn_primitive(chi: DirichletCharacter, k: int) -> CycElement:
     by_series = _gbn_series(chi, k)
     by_polysum = _gbn_polysum(chi, k)

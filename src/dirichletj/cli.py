@@ -31,6 +31,11 @@ from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle
 SCHEMA = 1
 # The divisor sieve of an Eisenstein series holds every sum up to --nmax at once.
 MAX_NMAX = 100_000
+# Caps at about the cost of --nmax 100000 (2 s of CPU, 75 MB): `chars list` of the
+# prime 49999 takes 2.2 s and 73 MB, and a 50000-degree `homotopy` table from
+# degree 1 up to 1.9 s and 33 MB.
+MAX_CHARS_MODULUS = 50_000
+MAX_DEGREES = 50_000
 
 # (payload, text view, exit code), as returned by every cmd_* subcommand.
 Output = tuple[dict, Callable[[], str], int]
@@ -332,6 +337,8 @@ def suite_dedekind_jk(
 
 
 def cmd_chars(args) -> Output:
+    if args.modulus > MAX_CHARS_MODULUS:
+        raise InputError(f"character table too large: --modulus {args.modulus} is above {MAX_CHARS_MODULUS}")
     rows = [characters.display(chi) for chi in enumerate_characters(args.modulus)]
 
     def text() -> str:
@@ -382,6 +389,9 @@ def cmd_homotopy(args) -> Output:
     lo, hi = args.degree_from, args.degree_to
     if lo > hi:
         raise InputError(f"empty degree range: --from {lo} is above --to {hi}")
+    if hi - lo + 1 > MAX_DEGREES:
+        raise InputError(f"degree range too large: --from {lo} --to {hi} spans {hi - lo + 1} degrees, "
+                         f"above {MAX_DEGREES}")
     if args.target == "j":
         fn, title = homotopy.pi_J, "pi_i(J)"
     elif args.target == "jn":

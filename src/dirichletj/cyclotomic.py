@@ -43,7 +43,7 @@ from .exactalg import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """The n-th cyclotomic polynomial Phi_n: integer coefficients, ascending, monic.
 
@@ -120,7 +120,7 @@ class CyclotomicField:
         return f"CyclotomicField({self.n})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def get_field(n: int) -> CyclotomicField:
     return CyclotomicField(n)
 

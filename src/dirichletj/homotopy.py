@@ -11,7 +11,7 @@ Twisted groups are computed two independent ways:
   cases, including the suspended wedge shapes);
 * assembly from the p-adic decomposition: one summand per Galois coset
   of the splitting of Z[chi] at p, each evaluated through the per-prime
-  tables.
+  tables in the degrees where it can be nonzero.
 
 ``pi_jn_chi`` runs both and raises if they ever disagree.
 """
@@ -321,14 +321,43 @@ def _decompose_p(chi: DirichletCharacter, p: int) -> tuple[PAdicCharacterData, .
     return tuple(PAdicCharacterData(p=p, v=v, tame=(b * a0) % (p - 1), prime_to_p=payload) for b in reps)
 
 
+_Summands = tuple[PAdicCharacterData, ...]
+
+
 @lru_cache(maxsize=1024)
-def _assembly_summands(chi: DirichletCharacter) -> tuple[PAdicCharacterData, ...]:
-    """Every p-completed summand of a primitive nontrivial chi, over the
-    primes dividing its conductor or its order, in increasing p."""
+def _assembly_summands(chi: DirichletCharacter) -> tuple[_Summands, tuple[tuple[int, dict[int, _Summands]], ...]]:
+    """The p-completed summands of a primitive nontrivial chi that can be
+    nonzero, over the primes dividing its conductor or its order, as
+    (every-degree summands, eigen-piece index).
+
+    Each summand of ``_decompose_p`` falls in one of three kinds:
+
+    * contractible: the prime-to-p image is not a p-power, so ``pi_DK1``
+      is zero in every degree; dropped;
+    * a pure odd-p eigen-piece: conductor p^v, tame exponent a, with
+      a != 0 or v >= 2.  It is the omega^a eigen-piece (``_tame_eigen_odd``
+      at v = 1, the Z/p stripe at v >= 2), nonzero only in degrees 2k - 1
+      with k = a (mod p - 1).  The index holds one (p, {a: summands})
+      pair per such prime; v is fixed by chi and p;
+    * every other summand (p = 2, a p-power prime-to-p image, tame 0 at
+      v = 1, where ``pi_DK1`` raises): read in every degree.
+    """
     if not is_primitive(chi) or chi.is_trivial():
         raise InputError("chi must be primitive and nontrivial")
-    relevant = set(factorize(chi.modulus)) | set(factorize(chi.order()))
-    return tuple(s for p in sorted(relevant) for s in _decompose_p(chi, p))
+    every_degree, index = [], []
+    for p in sorted(set(factorize(chi.modulus)) | set(factorize(chi.order()))):
+        eigen: dict[int, list[PAdicCharacterData]] = {}
+        for s in _decompose_p(chi, p):
+            part = s.prime_to_p
+            if part is not None and not part.image_is_p_power:
+                continue
+            if p != 2 and part is None and (s.tame or s.v >= 2):
+                eigen.setdefault(s.tame, []).append(s)
+            else:
+                every_degree.append(s)
+        if eigen:
+            index.append((p, {a: tuple(group) for a, group in eigen.items()}))
+    return tuple(every_degree), tuple(index)
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +537,29 @@ def _pi_jnchi_direct(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
     return A.zero()
 
 
+def _pi_jnchi_assembly(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
+    """The p-completion assembly value in degree i; see ``pi_jn_chi_paths``."""
+    every_degree, index = _assembly_summands(chi)
+    summands = list(every_degree)
+    if i % 2:
+        k = (i + 1) // 2
+        for p, eigen in index:
+            summands += eigen.get(k % (p - 1), ())
+    return AbelianGroupExpr.direct_sum(pi_DK1(summand, i) for summand in summands)
+
+
 def pi_jn_chi_paths(chi: DirichletCharacter, i: int) -> tuple[AbelianGroupExpr, AbelianGroupExpr]:
-    """(direct-table value, p-completion assembly value) before localization."""
-    summands = _assembly_summands(chi)
-    direct = _pi_jnchi_direct(chi, i)
-    return direct, AbelianGroupExpr.direct_sum(pi_DK1(summand, i) for summand in summands)
+    """(direct-table value, p-completion assembly value) before localization.
+
+    The assembly sums ``pi_DK1`` over the summands of ``_assembly_summands``
+    that can be nonzero in degree i: the every-degree summands, and at odd
+    i = 2k - 1 the pure odd-p eigen-pieces indexed under k mod (p - 1).  A
+    pure odd-p summand is an omega^a eigen-piece, zero outside the degrees
+    2k - 1 with k = a (mod p - 1), and a contractible summand is zero in
+    every degree, so the sum equals the one over all summands.
+    """
+    assembled = _pi_jnchi_assembly(chi, i)  # first: its plan rejects an imprimitive or trivial chi
+    return _pi_jnchi_direct(chi, i), assembled
 
 
 def pi_jn_chi(chi: DirichletCharacter, i: int, loc: Iterable[int] = ()) -> AbelianGroupExpr:

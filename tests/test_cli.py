@@ -221,6 +221,8 @@ class TestBadArguments:
         ("eisenstein --modulus 12 --index 1 --weight 1", "chi must be primitive"),
         ("eisenstein --modulus 12 --index 3 --weight 2", "the conductor must be 1 or a prime power, got 12"),
         ("eisenstein --modulus 5 --index 2 --weight 2 --nmax 100001", "coefficient range too large: --nmax 100001 is above 100000"),
+        ("chars list --modulus 50001", "character table too large: --modulus 50001 is above 50000"),
+        ("homotopy j --from -25000 --to 25000", "degree range too large: --from -25000 --to 25000 spans 50001 degrees, above 50000"),
         ("verify gbn-theorem --primes 15", "--primes takes prime powers above 2, got [15]"),
         ("verify gbn-theorem --primes 6", "--primes takes prime powers above 2, got [6]"),
         ("verify gbn-theorem --primes ,", "--primes takes prime powers above 2, got []"),
@@ -261,6 +263,15 @@ class TestRanges:
     def test_one_point_range_exits_0(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == 0 and json.loads(out)["schema"] == 1
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["chars", "list", "--modulus", "50000"], 20000),
+        (["homotopy", "exotic", "--from", "-24999", "--to", "25000"], 50000),
+    ])
+    def test_a_cap_admits_its_own_value(self, capsys, argv, rows):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert code == 0 and len(payload.get("characters", payload.get("table"))) == rows
 
 
 class TestVerify:

@@ -101,6 +101,19 @@ def test_cyclotomic_factor_count_shares_no_code_with_the_splitting():
         "cyclotomic_factor_count", "padic_invariant_exponents", "zeta_power", "get_field"}
 
 
+def test_homotopy_assembly_shares_no_code_with_the_direct_tables():
+    # pi_jn_chi compares the p-completion assembly with the direct case tables; the assembly
+    # and its per-character plan may not name the direct route.
+    tree = ast.parse((SRC / "homotopy.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    direct = {"_pi_jnchi_direct", "_direct_data", "_direct_case1", "_direct_case5", "_qualifying_prime",
+              "kernel_order_match", "tame_order"}
+    for name in ("_pi_jnchi_assembly", "_assembly_summands"):
+        named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(functions[name])
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not named & direct, f"{name} names {sorted(named & direct)}"
+
+
 def test_eisenstein_shares_no_code_with_the_membership_route():
     # tests/test_eisenstein.py checks the denominator tests by IdealLattice membership.
     tree = ast.parse((SRC / "eisenstein.py").read_text())
@@ -148,7 +161,8 @@ def test_only_cli_main_writes_stdout():
 
 # Run in a fresh interpreter: imports every package module, and only then lists each
 # module-level lru_cache (anything with ``cache_info``, under the module that
-# defines it) and each module-level ``*CACHE*`` dict, set or list, with its size.
+# defines it) with its size and maxsize, and each module-level ``*CACHE*`` dict,
+# set or list with its size.
 _CACHE_SIZES = textwrap.dedent("""
     import importlib, json, pkgutil
     import dirichletj
@@ -158,21 +172,35 @@ _CACHE_SIZES = textwrap.dedent("""
     for short, module in modules.items():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
-                sizes[short + "." + name] = obj.cache_info().currsize
+                info = obj.cache_info()
+                sizes[short + "." + name] = {"size": info.currsize, "maxsize": info.maxsize}
             elif "CACHE" in name.upper() and isinstance(obj, (dict, set, list)):
-                sizes[short + "." + name] = len(obj)
+                sizes[short + "." + name] = {"size": len(obj)}
     print(json.dumps(sizes))
 """)
 
 
-def test_caches_are_empty_after_a_cold_import():
-    # Every call of the CLI starts cold; a cache filled at import would hide that cost.
+def _cold_caches() -> dict[str, dict]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _CACHE_SIZES], capture_output=True, text=True, env=env, check=True)
-    sizes = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_caches_are_empty_after_a_cold_import():
+    # Every call of the CLI starts cold; a cache filled at import would hide that cost.
+    sizes = {name: cache["size"] for name, cache in _cold_caches().items()}
     assert {"characters.get_structure", "characters.character_from_index", "homotopy._decompose_p",
             "homotopy._direct_data", "bernoulli._SERIES_CACHE", "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
     assert not {name: n for name, n in sizes.items() if n}, sizes
+
+
+def test_every_lru_cache_is_bounded_but_the_bernoulli_table():
+    # An unbounded cache grows for the life of the process.  _bernoulli_list, keyed by the
+    # largest index asked for, is the one exception until a single growing table replaces it.
+    lru = {name: cache["maxsize"] for name, cache in _cold_caches().items() if "maxsize" in cache}
+    assert {"bernoulli._gbn_primitive", "cyclotomic.get_field", "homotopy._assembly_summands"} <= set(lru), sorted(lru)
+    unbounded = sorted(name for name, maxsize in lru.items() if maxsize is None)
+    assert unbounded == ["bernoulli._bernoulli_list"], unbounded
 
 
 def test_cli_import_loads_every_module_but_not_dataclasses_or_inspect():
