@@ -40,20 +40,22 @@ from functools import lru_cache
 from .characters import (
     DirichletCharacter,
     InputError,
-    conductor,
+    _value_exponent,
     evaluate,
     is_primitive,
+    kernel_order_match,
     parity,
     primitivize,
 )
-from .cyclotomic import (
-    CycElement,
-    IdealLattice,
-    denominator_ideal,
-    get_field,
-    ideal_power,
+from .cyclotomic import CycElement, IdealLattice, denominator_ideal, get_field
+from .exactalg import (
+    _vp,
+    factorize,
+    padic_invariant_exponents,
+    smallest_primitive_root,
+    staudt_odd_primes,
+    times_x_rows,
 )
-from .exactalg import _vp, euler_phi, factorize, smallest_primitive_root, staudt_odd_primes
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +156,10 @@ class _SeriesState:
             self.lcm = L * self.dens[-1] // math.gcd(L, self.dens[-1])
 
 
-# Growing series state per primitive character.
+# Growing series state per primitive character.  Both pipelines keep at most
+# _STATES characters and drop the oldest first: a perfbench pass over every
+# arith-sweep candidate holds 105, `verify all` 73.
+_STATES = 512
 _SERIES_CACHE: dict[DirichletCharacter, _SeriesState] = {}
 
 
@@ -162,6 +167,8 @@ def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
     """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t) over Q(zeta_ord)."""
     state = _SERIES_CACHE.get(chi)
     if state is None:
+        if len(_SERIES_CACHE) >= _STATES:
+            del _SERIES_CACHE[next(iter(_SERIES_CACHE))]
         state = _SERIES_CACHE[chi] = _SeriesState(chi)
     state.extend(k)
     return CycElement(get_field(chi.order()), state.nums[k], state.dens[k])
@@ -222,6 +229,8 @@ def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
     """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N)."""
     state = _POLYSUM_CACHE.get(chi)
     if state is None:
+        if len(_POLYSUM_CACHE) >= _STATES:
+            del _POLYSUM_CACHE[next(iter(_POLYSUM_CACHE))]
         state = _POLYSUM_CACHE[chi] = _PolysumState(chi)
     nums, den = state.value(k)
     return CycElement(get_field(chi.order()), nums, den)
@@ -325,35 +334,29 @@ def verify_von_staudt(k_max: int) -> list[dict]:
     return rows
 
 
-def carlitz_p_ideal(chi: DirichletCharacter, k: int) -> IdealLattice:
-    """The ideal (p, 1 - chi(g) g^k) of Z[chi] for conductor p^v, p odd.
-
-    g is the smallest positive primitive root mod p; for v > 1 the value
-    chi(g) uses g as an integer mod p^v (the radical is lift-independent).
-    """
-    N = conductor(chi)
-    fac = factorize(N)
-    (p, _v), = fac.items()
-    if p == 2:
-        raise ValueError("odd conductor prime required")
-    field = get_field(chi.order())
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    g = smallest_primitive_root(p, euler_phi(p))
-    chi_g = evaluate(chi, g)
-    if chi_g is None:
-        raise AssertionError(f"chi = {chi.modulus}:{chi.index()} vanishes at the primitive root {g} mod {p}")
-    gen = field.one() - chi_g * (g**k)
-    return IdealLattice.from_generators(field, [field.from_rational(p), gen])
-
-
 def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     """Carlitz's integrality and congruence theorems for B_{k,chi}/k.
 
     Dispatch: conductor with two or more prime factors -> integrality;
     N = p^v odd -> the mod-p^(v_p(k)+1) congruence (v = 1) or the
-    uniformizer congruence (v > 1), by exact ideal membership;
+    uniformizer congruence (v > 1) for the ideal (p, 1 - chi(g) g^k) of
+    Z[zeta_n], n = ord chi, g the smallest primitive root mod p;
     N = 4 -> B/k - k/2 integral; N = 2^v > 4 -> integrality.
+
+    The ideal contains p, so three residue tests decide it, none of which
+    builds a lattice (Washington, Introduction to Cyclotomic Fields, ch. 2):
+
+    * unit: modulo a prime P above p the p-power roots of unity are 1, and
+      the tame part of chi(g) has order m = n / p^(v_p(n)); the m-th roots
+      of unity mod p are all conjugate, so some P contains 1 - chi(g) g^k
+      exactly when g^(-k) mod p has order m (``kernel_order_match``);
+    * v = 1: n | p - 1, so p splits completely and the proper ideal is one
+      degree-1 prime P with Z[zeta]/P^e = Z/p^e.  With chi(g) = zeta^c it
+      sends zeta to R, the Teichmuller lift of g^(-k/c) mod p^e, so x lies
+      in P^e exactly when x is integral and x(R) = 0 mod p^e;
+    * v > 1: (p, y) is pZ[zeta] + yZ[zeta], whose image mod p is the row
+      space of multiplication by y, so x lies in it exactly when x is
+      integral and its row mod p leaves the rank of those rows unchanged.
     """
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
@@ -379,25 +382,35 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
             row["case"] = "2-power"
             row["ok"] = b_over_k.is_integral()
         return row
-    ideal_p = carlitz_p_ideal(chi, k)
-    if ideal_p.is_full_ring():
+    n = chi.order()
+    if not kernel_order_match(k, p, n // p ** _vp(n, p)):
         row["case"] = f"p^{v}-unit"
         row["ok"] = b_over_k.is_integral()
         return row
+    g = smallest_primitive_root(p, p - 1)
+    c = _value_exponent(chi, g)
     if v == 1:
-        vp_k = _vp(k, p)
-        target = ideal_power(ideal_p, vp_k + 1)
+        e = _vp(k, p) + 1
+        pe = p**e
+        root = pow(pow(g, p ** (e - 1), pe), -k * pow(c, -1, n) % (p - 1), pe)
         x = gbn(chi, k) * p - (p - 1)
         row["case"] = "p-congruence"
-        row["modulus_power"] = vp_k + 1
-        row["ok"] = x.is_integral() and target.contains(x)
+        row["modulus_power"] = e
+        row["ok"] = x.is_integral() and sum(xj * pow(root, j, pe) for j, xj in enumerate(x.nums)) % pe == 0
         return row
+    field = get_field(n)
     chi_1p = evaluate(chi, 1 + p)
     if chi_1p is None:
         raise AssertionError(f"chi = {chi.modulus}:{chi.index()} vanishes at the unit {1 + p}")
-    x = (get_field(chi.order()).one() - chi_1p) * b_over_k - 1
+    x = (field.one() - chi_1p) * b_over_k - 1
     row["case"] = "p^v-congruence"
-    row["ok"] = x.is_integral() and ideal_p.contains(x)
+    row["ok"] = x.is_integral()
+    if row["ok"]:
+        gk = pow(g, k, p)
+        mult = times_x_rows(field.phi_n, [int(j == 0) - gk * z for j, z in enumerate(field.zeta_power(c).nums)])
+        rank = padic_invariant_exponents(mult, p, 1).count(0)
+        grown = [r + [0] for r in mult] + [list(x.nums) + [0]]
+        row["ok"] = padic_invariant_exponents(grown, p, 1).count(0) == rank
     return row
 
 
@@ -410,5 +423,4 @@ __all__ = [
     "denom_ideal",
     "verify_von_staudt",
     "verify_carlitz",
-    "carlitz_p_ideal",
 ]

@@ -36,6 +36,10 @@ MAX_NMAX = 100_000
 # degree 1 up to 1.9 s and 33 MB.
 MAX_CHARS_MODULUS = 50_000
 MAX_DEGREES = 50_000
+# One degree i costs one trial-division primality test per divisor d of (i + 1)/2
+# with d + 1 prime (von Staudt's primes).  Cold calls on a 2-core VM: below the cap
+# at most 0.8 s of CPU, for degree 49795199; 99459359 takes 4.1 s, 735134399 24 s.
+MAX_ABS_DEGREE = 50_000_000
 
 # (payload, text view, exit code), as returned by every cmd_* subcommand.
 Output = tuple[dict, Callable[[], str], int]
@@ -392,6 +396,8 @@ def cmd_homotopy(args) -> Output:
     if hi - lo + 1 > MAX_DEGREES:
         raise InputError(f"degree range too large: --from {lo} --to {hi} spans {hi - lo + 1} degrees, "
                          f"above {MAX_DEGREES}")
+    if max(-lo, hi) > MAX_ABS_DEGREE:
+        raise InputError(f"degree too large: --from {lo} --to {hi} leaves -{MAX_ABS_DEGREE}..{MAX_ABS_DEGREE}")
     if args.target == "j":
         fn, title = homotopy.pi_J, "pi_i(J)"
     elif args.target == "jn":

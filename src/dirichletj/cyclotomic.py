@@ -356,31 +356,6 @@ class IdealLattice:
     def full_ring(cls, field: CyclotomicField) -> "IdealLattice":
         return cls(field, [[int(i == j) for j in range(field.degree)] for i in range(field.degree)], 1)
 
-    @classmethod
-    def from_generators(cls, field: CyclotomicField, gens: Iterable[CycElement]) -> "IdealLattice":
-        """Z-lattice spanned by g * z^j over all generators g.
-
-        A rational integer generator m puts m*Z[zeta_n] inside the lattice,
-        so the gcd of those is the HNF modulus; with none, the gcd of the
-        norms |N(g)| is.
-        """
-        gens = [field.from_rational(g) if isinstance(g, (int, Fraction)) else g for g in gens]
-        if not all(g.is_integral() for g in gens):
-            raise ValueError("ideal generators must be integral")
-        rows = [row for g in gens for row in times_x_rows(field.phi_n, g.nums)]
-        modulus = math.gcd(*(g.nums[0] for g in gens if g.is_rational()))
-        if not modulus:
-            modulus = math.gcd(*(_norm_and_conjugates(g)[0] for g in gens))
-        return cls(field, rows, modulus)
-
-    @classmethod
-    def principal(cls, field: CyclotomicField, g) -> "IdealLattice":
-        return cls.from_generators(field, [g])
-
-    def _check(self, other: "IdealLattice") -> None:
-        if self.field.n != other.field.n:
-            raise ValueError("ideal field mismatch")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IdealLattice)
@@ -405,39 +380,10 @@ class IdealLattice:
     def is_full_ring(self) -> bool:
         return self.index() == 1
 
-    def basis_elements(self) -> list[CycElement]:
-        return [CycElement(self.field, row) for row in self.basis]
-
     def contains(self, x: CycElement) -> bool:
         if x.field.n != self.field.n:
             raise ValueError("ideal field mismatch")
         return x.den == 1 and self._contains_vector(x.nums)
-
-
-def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
-    """The d^2 products of basis elements span ab, since a and b are z-closed.
-
-    index(a)*index(b) kills Z[zeta]/a and Z[zeta]/b, so it lies in ab.
-    """
-    a._check(b)
-    rows = [(x * y).nums for x in a.basis_elements() for y in b.basis_elements()]
-    return IdealLattice(a.field, rows, a.index() * b.index())
-
-
-def ideal_sum(a: IdealLattice, b: IdealLattice) -> IdealLattice:
-    a._check(b)
-    return IdealLattice(a.field, a.basis + b.basis, math.gcd(a.index(), b.index()))
-
-
-def ideal_power(a: IdealLattice, e: int) -> IdealLattice:
-    if e < 0:
-        raise ValueError("negative ideal power")
-    if e == 0:
-        return IdealLattice.full_ring(a.field)
-    out = a
-    for _ in range(e - 1):
-        out = ideal_product(out, a)
-    return out
 
 
 def denominator_ideal(a: CycElement) -> IdealLattice:

@@ -55,6 +55,9 @@ def teichmuller(p: int, a: int, M: int) -> int:
     return x
 
 
+# At most _TOPGENS primes, the oldest dropped first; a homotopy-sweep pass and
+# `verify all` ask for at most 4.
+_TOPGENS = 128
 _TOPGEN_CACHE: dict[int, int] = {}
 
 
@@ -71,6 +74,8 @@ def topological_generator(p: int) -> int:
     if not is_prime(p):
         raise ValueError("p must be prime")
     g = smallest_primitive_root(p * p, euler_phi(p * p))
+    if len(_TOPGEN_CACHE) >= _TOPGENS:
+        del _TOPGEN_CACHE[next(iter(_TOPGEN_CACHE))]
     _TOPGEN_CACHE[p] = g
     return g
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ from dirichletj import bernoulli
 from dirichletj.bernoulli import (
     bernoulli_number,
     bernoulli_polynomial,
-    carlitz_p_ideal,
     d2k,
     denom_ideal,
     gbn,
@@ -28,9 +29,10 @@ from dirichletj.characters import (
     tame_order,
 )
 from dirichletj.cyclotomic import galois_apply, get_field, quotient_group
-from dirichletj.exactalg import AbelianGroupExpr, factorize
+from dirichletj.exactalg import AbelianGroupExpr, _vp, factorize, smallest_primitive_root
 
 from exponent_tuples import char_pow
+from ideal_oracle import carlitz_by_ideals, carlitz_p_ideal
 
 
 def quad5():
@@ -185,6 +187,18 @@ class TestGrowingSeries:
         assert {len(P) for P in bernoulli._POLYSUM_CACHE[chi].sums} == {4}
         gbn(chi, 1)
         assert {len(P) for P in bernoulli._POLYSUM_CACHE[chi].sums} == {4}
+
+    def test_state_caches_keep_the_newest_characters(self, monkeypatch):
+        monkeypatch.setattr(bernoulli, "_STATES", 3)
+        _clear_gbn_caches()
+        chars = [chi for chi, _ in self.GRID[:5]]
+        expected = [gbn(chi, 4) for chi in chars]
+        assert list(bernoulli._SERIES_CACHE) == list(bernoulli._POLYSUM_CACHE) == chars[2:]
+        bernoulli._gbn_primitive.cache_clear()
+        # The evicted first character is grown again from k = 0, and the two pipelines still agree.
+        assert [gbn(chi, 4) for chi in chars] == expected
+        assert len(bernoulli._SERIES_CACHE) == len(bernoulli._POLYSUM_CACHE) == 3
+        _clear_gbn_caches()
 
     def test_each_pipeline_evaluates_chi_once_per_residue(self, monkeypatch):
         from dirichletj import characters
@@ -432,6 +446,18 @@ class TestVonStaudt:
         assert all(r["ok"] for r in verify_von_staudt(30))
 
 
+def _carlitz_oracle_grid(large_k_max=4):
+    """Primitive (chi, k) of the odd conductors of the ``carlitz`` suite to k = 20, 49 and 81 to
+    k = 12, and 121 and 125 to ``large_k_max``."""
+    for N, k_max in ((3, 20), (5, 20), (7, 20), (9, 20), (11, 20), (13, 20), (25, 20), (27, 20),
+                     (49, 12), (81, 12), (121, large_k_max), (125, large_k_max)):
+        for chi in enumerate_characters(N):
+            if is_primitive(chi):
+                for k in range(1, k_max + 1):
+                    if (-1) ** k == parity(chi):
+                        yield chi, k
+
+
 class TestCarlitz:
     def test_mod4_k3(self):
         row = verify_carlitz(odd4(), 3)
@@ -453,7 +479,7 @@ class TestCarlitz:
         assert ideal.diagonal() == [5]
 
     def test_kernel_match_agrees_with_ideal_properness(self):
-        for N in (5, 7, 11, 13, 9):
+        for N in (5, 7, 11, 13, 9, 25, 27, 49, 81):
             (p,) = factorize(N)
             for chi in enumerate_characters(N):
                 if not is_primitive(chi) or chi.is_trivial():
@@ -461,6 +487,43 @@ class TestCarlitz:
                 for k in range(1, 9):
                     proper = not carlitz_p_ideal(chi, k).is_full_ring()
                     assert proper == kernel_order_match(k, p, tame_order(chi, p))
+
+    def test_residue_tests_agree_with_the_ideal_route(self):
+        cases = Counter()
+        for chi, k in _carlitz_oracle_grid():
+            row = verify_carlitz(chi, k)
+            assert (row["case"], row["ok"]) == carlitz_by_ideals(chi, k, gbn(chi, k)), (chi.modulus, chi.index(), k)
+            cases[row["case"]] += 1
+        assert set(cases) == {"p^1-unit", "p^2-unit", "p^3-unit", "p-congruence", "p^v-congruence"}, cases
+
+    def test_residue_tests_agree_with_the_ideal_route_off_the_theorem(self, monkeypatch):
+        # B_{k,chi} is shifted so that the element tested moves by one drawn delta: by zeta^j (a unit, never
+        # in the proper ideal), by p^e or y^e times a drawn element (always in it, y = 1 - chi(g) g^k),
+        # by a drawn element (sometimes in it) and by zeta/p (not integral).
+        rng = random.Random(24)
+        real_gbn = bernoulli.gbn
+        verdicts = Counter()
+        for chi, k in _carlitz_oracle_grid(large_k_max=2):
+            (p, v), = factorize(chi.modulus).items()
+            if not kernel_order_match(k, p, tame_order(chi, p)):
+                continue
+            field = get_field(chi.order())
+            e = _vp(k, p) + 1 if v == 1 else 1
+            g = smallest_primitive_root(p, p - 1)
+            y_e = math.prod([field.one() - evaluate(chi, g) * g**k] * e, start=field.one())
+            scale = Fraction(1, p) if v == 1 else k / (field.one() - evaluate(chi, 1 + p))
+
+            def drawn():
+                return field.element([rng.randint(-p, p) for _ in range(field.degree)])
+
+            delta = rng.choice([lambda: field.zeta_power(rng.randrange(field.degree)), lambda: drawn() * p**e,
+                                lambda: drawn() * y_e, drawn, lambda: field.zeta_power(1) / p])()
+            b = real_gbn(chi, k) + scale * delta
+            monkeypatch.setattr(bernoulli, "gbn", lambda chi, k, b=b: b)
+            row = verify_carlitz(chi, k)
+            assert (row["case"], row["ok"]) == carlitz_by_ideals(chi, k, b), (chi.modulus, chi.index(), k, delta)
+            verdicts[v > 1, row["ok"]] += 1
+        assert min(verdicts.values()) > 50, verdicts
 
     def test_parity_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -87,7 +87,7 @@ class TestBern:
         a = gbn(character_from_index(modulus, index), weight) / (2 * weight)
         ideal = denominator_ideal(a)
         assert not ideal.is_full_ring()
-        assert all((x * a).is_integral() for x in ideal.basis_elements())
+        assert all((CycElement(a.field, row) * a).is_integral() for row in ideal.basis)
         # a = n/c: D(a) = cO / (cO + nO) as ideals, so [O : D(a)] [O : cO + nO] = c^d.
         field, c = a.field, a.den
         n = CycElement(field, a.nums)
@@ -223,6 +223,8 @@ class TestBadArguments:
         ("eisenstein --modulus 5 --index 2 --weight 2 --nmax 100001", "coefficient range too large: --nmax 100001 is above 100000"),
         ("chars list --modulus 50001", "character table too large: --modulus 50001 is above 50000"),
         ("homotopy j --from -25000 --to 25000", "degree range too large: --from -25000 --to 25000 spans 50001 degrees, above 50000"),
+        ("homotopy j --from 99999999999 --to 99999999999", "degree too large: --from 99999999999 --to 99999999999 leaves -50000000..50000000"),
+        ("homotopy chi --modulus 5 --index 2 --from -50000001 --to -50000000", "degree too large: --from -50000001 --to -50000000 leaves -50000000..50000000"),
         ("verify gbn-theorem --primes 15", "--primes takes prime powers above 2, got [15]"),
         ("verify gbn-theorem --primes 6", "--primes takes prime powers above 2, got [6]"),
         ("verify gbn-theorem --primes ,", "--primes takes prime powers above 2, got []"),
@@ -267,6 +269,8 @@ class TestRanges:
     @pytest.mark.parametrize("argv, rows", [
         (["chars", "list", "--modulus", "50000"], 20000),
         (["homotopy", "exotic", "--from", "-24999", "--to", "25000"], 50000),
+        (["homotopy", "j", "--from", "49999999", "--to", "50000000"], 2),
+        (["homotopy", "j", "--from", "-50000000", "--to", "-49999999"], 2),
     ])
     def test_a_cap_admits_its_own_value(self, capsys, argv, rows):
         code, out, _ = run_cli(capsys, *argv, "--json")
@@ -286,6 +290,16 @@ class TestVerify:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["reports"][0]["failed"] == 0
+
+    def test_carlitz_suite_builds_no_lattice(self, monkeypatch):
+        # Carlitz's ideals are decided by residues mod p, so the suite runs no HNF.
+        built = []
+        original = cyclotomic.IdealLattice.__init__
+        monkeypatch.setattr(cyclotomic.IdealLattice, "__init__",
+                            lambda self, *args: built.append(args) or original(self, *args))
+        report = cli.suite_carlitz()
+        assert report.failed == 0 and report.passed > 500
+        assert built == []
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,8 +16,10 @@ from dirichletj.characters import (
     is_primitive,
     parity,
 )
-from dirichletj.cyclotomic import CycElement, IdealLattice, get_field, ideal_product, ideal_sum
+from dirichletj.cyclotomic import CycElement, IdealLattice, get_field
 from dirichletj.eisenstein import congruence_check, eisenstein_coeffs, sigma_chi
+
+from ideal_oracle import ideal_product, ideal_sum, principal
 
 
 def trivial():
@@ -191,7 +193,7 @@ def rows_by_ideal_membership(ideal, N, coeffs):
         while prime_to_p % p == 0:
             prime_to_p //= p
         q = idx // prime_to_p
-    primary = ideal_sum(ideal, IdealLattice.principal(field, field.from_rational(q)))
+    primary = ideal_sum(ideal, principal(field, field.from_rational(q)))
     modulus = primary.index()
     assert modulus == q
     rows = []
@@ -239,7 +241,7 @@ def test_mandatory_test_reads_only_the_conductor_part_of_the_index(monkeypatch):
     # the ideal is scaled by such a prime: c_n for (odd4, 5) has
     # denominator 5, and D * (5) has the same 2-primary component as D.
     result = congruence_check(odd4(), 5, 20)
-    scaled = ideal_product(denom_ideal(odd4(), 5), IdealLattice.principal(get_field(2), 5))
+    scaled = ideal_product(denom_ideal(odd4(), 5), principal(get_field(2), 5))
     monkeypatch.setattr(eisenstein, "denom_ideal", lambda chi, k: scaled)
     scaled_result = congruence_check(odd4(), 5, 20)
     assert scaled_result["ideal_index"] == 5 * result["ideal_index"] == 20

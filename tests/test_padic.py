@@ -64,6 +64,12 @@ class TestTopologicalGenerator:
     def test_p2(self):
         assert topological_generator(2) == 5
 
+    def test_cache_keeps_the_newest_primes(self, monkeypatch):
+        monkeypatch.setattr(padic, "_TOPGENS", 2)
+        monkeypatch.setattr(padic, "_TOPGEN_CACHE", {})
+        assert [topological_generator(p) for p in (3, 5, 7, 3)] == [2, 2, 3, 2]
+        assert padic._TOPGEN_CACHE == {7: 3, 3: 2}
+
 
 @pytest.fixture
 def snf_precisions(monkeypatch):

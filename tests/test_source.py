@@ -122,6 +122,16 @@ def test_eisenstein_shares_no_code_with_the_membership_route():
     assert not named & {"IdealLattice", "contains", "_contains_vector", "ideal_sum"}, sorted(named)
 
 
+def test_carlitz_check_builds_no_ideal_lattice():
+    # tests/test_bernoulli.py checks the residue tests against the ideal route.
+    tree = ast.parse((SRC / "bernoulli.py").read_text())
+    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_carlitz")
+    named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(check)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not named & {"IdealLattice", "full_ring", "denominator_ideal", "denom_ideal", "contains",
+                        "is_full_ring", "hermite_normal_form"}, sorted(named)
+
+
 def test_no_function_imports_a_package_module():
     # An import inside a function hides a dependency, typically one that closes a cycle.
     found = []
