@@ -1,4 +1,4 @@
-"""Ordinary and generalized Bernoulli numbers, L-values, denominator ideals.
+"""Ordinary and generalized Bernoulli numbers, L-values, and B_{k,chi}/2k for denominator ideals.
 
 Sign convention: ordinary Bernoulli numbers come from
 ``F(t) = t e^t / (e^t - 1)``, so B_1 = +1/2.  This differs from the
@@ -47,7 +47,7 @@ from .characters import (
     parity,
     primitivize,
 )
-from .cyclotomic import CycElement, IdealLattice, denominator_ideal, get_field
+from .cyclotomic import CycElement, get_field
 from .exactalg import (
     _vp,
     factorize,
@@ -283,23 +283,24 @@ def d2k(k: int) -> int:
     return out
 
 
-def denom_ideal(chi: DirichletCharacter, k: int) -> IdealLattice:
-    """The ideal of Z[chi] generated by the denominator of B_{k,chi}/(2k).
+def denom_ideal(chi: DirichletCharacter, k: int) -> CycElement:
+    """B_{k,chi}/(2k), the element that stands for its denominator ideal D of Z[chi].
 
-    Returns the full ring when (-1)^k != chi(-1), mirroring the paper's
-    convention for the vanishing case.
+    D = {y : y B_{k,chi}/2k integral}; ``cyclotomic.denominator_invariants``
+    gives Z[chi]/D.  Returns the field's zero, so that D is the full ring, when
+    (-1)^k != chi(-1): the paper's convention for the vanishing case.  That
+    includes B_{1,chi_0} = 1/2, which is not divided by 2k.
     """
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
     if k < 1:
         raise InputError("k must be positive")
-    field = get_field(chi.order())
     if (-1) ** k != parity(chi):
-        return IdealLattice.full_ring(field)
+        return get_field(chi.order()).zero()
     b = gbn(chi, k) / (2 * k)
     if b.is_zero():
         raise ArithmeticError("B_{k,chi} vanished despite matching parity")
-    return denominator_ideal(b)
+    return b
 
 
 # ---------------------------------------------------------------------------

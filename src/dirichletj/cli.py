@@ -18,14 +18,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from typing import Callable, Iterable, Optional
 
 from . import bernoulli, characters, dedekind, eisenstein, homotopy
 from .characters import DirichletCharacter, InputError, character_from_index, char_inv, enumerate_characters
-from .cyclotomic import cyclotomic_factor_count, padic_splitting, quotient_group, render_cyc
-from .exactalg import AbelianGroupExpr, Record, factorize, is_prime, smith_normal_form
+from .cyclotomic import (cyclotomic_factor_count, denominator_ideal, denominator_invariants, padic_splitting,
+                         quotient_group, render_cyc)
+from .exactalg import AbelianGroupExpr, Record, factorize, is_prime
 from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle_2
 
 SCHEMA = 1
@@ -366,9 +368,13 @@ def cmd_bern(args) -> Output:
     k = args.weight
     b = bernoulli.gbn(chi, k)
     lv = bernoulli.l_value(chi, 1 - k)
-    ideal = bernoulli.denom_ideal(characters.primitivize(chi), k)
-    diag = ideal.diagonal()
-    snf_diag = smith_normal_form(ideal.basis)
+    x = bernoulli.denom_ideal(characters.primitivize(chi), k)
+    diag = [row[i] for i, row in enumerate(denominator_ideal(x))]
+    snf_diag = denominator_invariants(x)
+    # Two routes to the index that share no elimination: the HNF pivots and the local invariants.
+    if math.prod(diag) != math.prod(snf_diag):
+        raise AssertionError(f"denominator ideal index: the HNF pivots {diag} and the local invariants "
+                             f"{snf_diag} give different products")
     quot = AbelianGroupExpr.from_invariants(snf_diag)
     payload = {
         "B": render_cyc(b),

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q(zeta_n), ideal lattices of Z[zeta_n], and p-adic splitting data.
+"""Exact arithmetic in Q(zeta_n), denominator ideals of Z[zeta_n], and p-adic splitting data.
 
 Elements are integer vectors over one positive denominator against the
 power basis ``1, z, ..., z^(phi(n)-1)`` modulo the n-th cyclotomic
@@ -7,15 +7,13 @@ and equality is syntactic.  Phi_n is a tuple of integer coefficients, and
 an inverse is the product of the nontrivial Galois conjugates divided by
 the norm, so no rational polynomial arithmetic is needed.
 
-Ideals are full-rank sublattices of Z[zeta_n]: ``IdealLattice`` takes any
-integer generator rows, puts them in row-style Hermite normal form once,
-modulo a known multiple of the index, and verifies closure under
-multiplication by ``z``.
-
-The denominator ideal of a field element ``a`` = nums/c is the colon
-lattice ``{x in Z[zeta_n] : x*a in Z[zeta_n]}``: the kernel of
-v -> v*A mod c, with A the multiplication-by-nums matrix, read off one
-HNF modulo c.
+The denominator ideal D(a) = {x in Z[zeta_n] : x*a in Z[zeta_n]} of a
+field element ``a`` = A/c is kept as ``a`` itself.  Its quotient is read
+off the local elementary divisors of multiplication by A, one elimination
+mod p^v per p^v exactly dividing c (``denominator_invariants``).  Only
+``denominator_ideal``, for the basis diagonal that ``bern`` prints,
+computes the lattice: the kernel of v -> v*A mod c, read off one HNF
+modulo c and checked closed under multiplication by ``z``.
 
 ``padic_splitting`` counts the simple factors of Z[zeta_n] (x) Z_p as the
 cosets of <p> in (Z/n')^x.  ``cyclotomic_factor_count`` checks that count
@@ -35,10 +33,10 @@ from .exactalg import (
     _multiplicative_order,
     _vp,
     euler_phi,
+    factorize,
     hermite_normal_form,
     is_prime,
     padic_invariant_exponents,
-    smith_normal_form,
     times_x_rows,
 )
 
@@ -311,105 +309,62 @@ def _substitute(a: CycElement, target: CyclotomicField, step: int) -> CycElement
 
 
 # ---------------------------------------------------------------------------
-# Ideal lattices
+# Denominator ideals
 
 
-class IdealLattice:
-    """Full-rank sublattice of Z[zeta_n] in row HNF, closed under z-multiplication.
+def denominator_invariants(a: CycElement) -> list[int]:
+    """The Smith diagonal of Z[zeta_n]/D(a), ascending and padded with ones to phi(n).
 
-    ``basis`` is the HNF as phi(n) integer rows and ``diagonal()`` its
-    pivots.  The constructor takes any integer generator rows and a
-    positive ``modulus`` D with D*Z[zeta_n] inside the lattice, and is the
-    one place that computes an HNF, modulo D; it rejects lattices that are
-    not closed under multiplication by ``z``.  The rows may be w > phi(n)
-    wide: the lattice is then the set of v with (0, ..., 0, v) in
-    span(rows) + D*Z^w, the trailing block of that HNF (a kernel, as
-    ``denominator_ideal`` uses it).
+    D(a) = {y in Z[zeta_n] : y*a integral} is kept as ``a`` itself.  For
+    a = A/c in lowest terms it is the kernel of y -> y*A mod c, so at each
+    p^v exactly dividing c its quotient has the exponents v - min(e_i, v),
+    where p^(e_i) are the elementary divisors over Z_p of the matrix of
+    multiplication by A.  One elimination mod p^v returns exactly
+    min(e_i, v), so it is never run at a higher precision.  An integral
+    ``a``, zero included, has the full ring as D(a).
     """
-
-    __slots__ = ("field", "basis")
-
-    def __init__(self, field: CyclotomicField, rows: Sequence[Sequence[int]], modulus: int):
-        d = field.degree
-        lead = len(rows[0]) - d if rows else -1
-        if lead < 0 or any(len(row) != d + lead for row in rows):
-            raise ValueError("generator rows must be nonempty and at least phi(n) wide")
-        self.basis = [row[lead:] for row in hermite_normal_form(rows, modulus)[lead:]]
-        self.field = field
-        if not all(self._contains_vector(times_x_rows(field.phi_n, row, 2)[1]) for row in self.basis):
-            raise ValueError("lattice is not closed under multiplication by zeta")
-
-    def _contains_vector(self, vec: Sequence[int]) -> bool:
-        h = self.basis
-        x = list(vec)
-        for i in range(self.field.degree):
-            p = h[i][i]
-            if x[i] % p:
-                return False
-            q = x[i] // p
-            if q:
-                for k in range(i, self.field.degree):
-                    x[k] -= q * h[i][k]
-        return all(c == 0 for c in x)
-
-    @classmethod
-    def full_ring(cls, field: CyclotomicField) -> "IdealLattice":
-        return cls(field, [[int(i == j) for j in range(field.degree)] for i in range(field.degree)], 1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IdealLattice)
-            and self.field.n == other.field.n
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.n, tuple(tuple(r) for r in self.basis)))
-
-    def __repr__(self) -> str:
-        return f"IdealLattice(n={self.field.n}, diag={self.diagonal()})"
-
-    def diagonal(self) -> list[int]:
-        """The HNF pivots, one per coordinate."""
-        return [row[i] for i, row in enumerate(self.basis)]
-
-    def index(self) -> int:
-        """Index [Z[zeta] : I] = product of HNF pivots."""
-        return math.prod(self.diagonal())
-
-    def is_full_ring(self) -> bool:
-        return self.index() == 1
-
-    def contains(self, x: CycElement) -> bool:
-        if x.field.n != self.field.n:
-            raise ValueError("ideal field mismatch")
-        return x.den == 1 and self._contains_vector(x.nums)
+    d = [1] * a.field.degree
+    if a.den == 1:
+        return d
+    rows = times_x_rows(a.field.phi_n, a.nums)
+    for p, v in factorize(a.den).items():
+        exps = padic_invariant_exponents(rows, p, v)
+        d = [x * p ** (v - e) for x, e in zip(d, reversed(exps))]
+    return d
 
 
-def denominator_ideal(a: CycElement) -> IdealLattice:
-    """Colon lattice {x in Z[zeta_n] : x*a in Z[zeta_n]}.
+def quotient_group(a: CycElement) -> AbelianGroupExpr:
+    """Z[zeta_n]/D(a), the finite group of ``denominator_invariants``."""
+    return AbelianGroupExpr.from_invariants(denominator_invariants(a))
+
+
+def denominator_ideal(a: CycElement) -> list[list[int]]:
+    """The row HNF basis of D(a) = {x in Z[zeta_n] : x*a integral}, checked closed under z.
 
     With c = ``a.den``, c times the multiplication-by-``a`` matrix is the
-    integer matrix A whose row j is z^j times ``a.nums``, and the colon
-    lattice is the kernel of v -> v*A mod c.  The rows [A | I] span, with
-    c*Z^(2d), the pairs (v*A + c*y, v + c*z), so the vectors (0, v) among
-    them, the trailing block of their HNF modulo c, are that kernel.  It
-    equals the full ring iff ``a`` is integral.
+    integer matrix A whose row j is z^j times ``a.nums``, and D(a) is the
+    kernel of v -> v*A mod c.  The rows [A | I] span, with c*Z^(2d), the
+    pairs (v*A + c*y, v + c*z), so the vectors (0, v) among them, the
+    trailing block of their HNF modulo c, are that kernel.  An integral
+    ``a``, zero included, gives the identity.  Each basis row times z must
+    reduce to zero against the basis, or ``ValueError`` is raised.
     """
-    if a.is_zero():
-        raise ZeroDivisionError("denominator ideal of zero")
     field = a.field
     d = field.degree
-    c = a.den
-    if c == 1:
-        return IdealLattice.full_ring(field)
-    rows = [arow + [int(i == j) for j in range(d)] for i, arow in enumerate(times_x_rows(field.phi_n, a.nums))]
-    return IdealLattice(field, rows, c)
-
-
-def quotient_group(ideal: IdealLattice) -> AbelianGroupExpr:
-    """Z^phi(n) / lattice, a finite group since the lattice has full rank."""
-    return AbelianGroupExpr.from_invariants(smith_normal_form(ideal.basis))
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    if a.den == 1:
+        return identity
+    rows = [arow + irow for arow, irow in zip(times_x_rows(field.phi_n, a.nums), identity)]
+    basis = [row[d:] for row in hermite_normal_form(rows, a.den)[d:]]
+    for row in basis:
+        x = times_x_rows(field.phi_n, row, 2)[1]
+        for i, h in enumerate(basis):
+            q, r = divmod(x[i], h[i])
+            if r:
+                raise ValueError("lattice is not closed under multiplication by zeta")
+            if q:
+                x = [s - q * t for s, t in zip(x, h)]
+    return basis
 
 
 # ---------------------------------------------------------------------------

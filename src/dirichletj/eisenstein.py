@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .bernoulli import denom_ideal, gbn
 from .characters import DirichletCharacter, InputError, conductor, evaluate, is_primitive, parity
-from .cyclotomic import CycElement, get_field
+from .cyclotomic import CycElement, denominator_invariants, get_field
 from .exactalg import _vp, factorize, times_x_rows
 
 
@@ -112,7 +112,7 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
     N = conductor(chi)
-    idx = denom_ideal(chi, k).index()
+    idx = math.prod(denominator_invariants(denom_ideal(chi, k)))
     if N == 1:
         primary = idx
     else:

@@ -3,14 +3,14 @@
 Every other module of the package imports this one and it imports none of
 them.  It holds the integer helpers (trial-division factorization, the
 odd primes p with (p - 1) | m, p-adic valuations, multiplicative orders,
-primitive roots), the Hermite and Smith
-normal forms that ideal lattices and quotients are read off, the
+primitive roots), the Hermite normal form of a lattice, the one
+elimination over Z/p^M that every quotient is read off, the
 multiplication by x modulo a monic polynomial, ``Record``, the base of
 the package's value types, and ``AbelianGroupExpr``, the value type of
 every quotient group and every homotopy table.
 
-A matrix is a list of integer rows and the forms come without
-transforms.  Everything is an arbitrary-precision integer; no floating
+A matrix is a list of integer rows, and the HNF and the elimination come
+without transforms.  Everything is an arbitrary-precision integer; no floating
 point and no rationals anywhere.
 
 Conventions fixed here and used throughout:
@@ -19,11 +19,10 @@ Conventions fixed here and used throughout:
   exponent: ``h`` is the basis of span(rows of ``m``) + D*Z^n, in
   upper-triangular echelon form, pivots positive, and every entry above a
   pivot reduced into ``[0, pivot)``.  Lattices are row spans.
-* SNF is the diagonal of ``l * h * r`` for unimodular ``l``, ``r`` and a
-  nonsingular upper-triangular ``h``: positive, with the divisibility
-  chain ``d[0] | d[1] | ...``.  It is read off the local elementary
-  divisors, one elimination over Z/p^M per prime p of det h; the p-adic
-  quotients of ``padic`` run the same elimination.
+* ``padic_invariant_exponents`` is the one elimination over Z/p^M: the
+  local elementary divisors of a square matrix, which the denominator
+  quotients of ``cyclotomic`` and the p-adic quotients of ``padic`` are
+  read off.
 * ``times_x_rows`` is the one multiplication by x modulo a monic
   polynomial: the power basis of Q(zeta_n) and the p-adic quotients both
   read their multiplication matrices off it.
@@ -139,7 +138,7 @@ def _crt_lift(residue: int, modulus: int, full_modulus: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms
+# The Hermite normal form and the elimination over Z/p^M
 
 
 def _width(m: Sequence[Sequence[int]]) -> int:
@@ -285,32 +284,6 @@ def padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[int
                 row[j] = (row[j] - q * z) % pm
         exps.append(bestv)
     return sorted(exps)
-
-
-def smith_normal_form(h: Sequence[Sequence[int]]) -> list[int]:
-    """The Smith diagonal of a nonsingular upper-triangular ``h``, such as an HNF basis.
-
-    The result is positive, with ``d[i] | d[i+1]``, read off the local
-    elementary divisors: |det h| is the product of the pivots, and at each
-    prime p of it one elimination over Z/p^M with M = v_p(det) + 1 gives
-    exponents that sum to v_p(det) < M, so none is capped and all are
-    exact.  That sum, known from the pivots alone, checks each elimination.
-    d[i] is the product over p of p to the i-th smallest exponent.
-    """
-    n = _width(h)
-    if len(h) != n or any(h[i][j] for i in range(n) for j in range(i)) or not all(h[i][i] for i in range(n)):
-        raise ValueError("smith_normal_form needs a nonsingular upper-triangular square matrix")
-    det_exps: dict[int, int] = {}
-    for i in range(n):
-        for p, e in factorize(abs(h[i][i])).items():
-            det_exps[p] = det_exps.get(p, 0) + e
-    d = [1] * n
-    for p, v in det_exps.items():
-        exps = padic_invariant_exponents(h, p, v + 1)
-        if sum(exps) != v:
-            raise AssertionError(f"Smith exponents {exps} at {p} do not sum to v_{p}(det) = {v}")
-        d = [x * p**e for x, e in zip(d, exps)]
-    return d
 
 
 # ---------------------------------------------------------------------------

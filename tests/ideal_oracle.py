@@ -1,17 +1,151 @@
-"""Ideals of Z[zeta_n] from generators, their products, sums and powers, and Carlitz's test by them.
+"""Ideals of Z[zeta_n] as lattices in row HNF: the oracle of the library's element-only ideal code.
 
-The library builds a lattice only for a denominator ideal and the full
-ring; the Carlitz check decides its ideal by residues mod p.  These are
-the lattice constructions the tests keep as oracles: each runs the one
-HNF of ``IdealLattice``'s constructor on the z^j multiples of generators.
+The library keeps a denominator ideal as its element and reads every
+quotient off local elementary divisors; it computes a lattice only for
+the basis diagonal ``bern`` prints, and decides Carlitz's ideal by residues
+mod p.  ``IdealLattice`` is the lattice class it used to build every
+ideal with: one HNF of generator rows modulo a known multiple of the
+index, checked closed under multiplication by z.  Here it builds ideals
+from generators, their products, sums and powers, the denominator ideal
+the way the library once did (``denominator_lattice``) and Carlitz's test
+by those lattices.  ``smith_diagonal`` is a textbook Smith form by row and
+column steps over Z, so ``quotient`` shares no elimination with the
+library.
 """
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from dirichletj.characters import evaluate
-from dirichletj.cyclotomic import CycElement, IdealLattice, _norm_and_conjugates, get_field
-from dirichletj.exactalg import _vp, factorize, smallest_primitive_root, times_x_rows
+from dirichletj.cyclotomic import CycElement, _norm_and_conjugates, get_field
+from dirichletj.exactalg import (
+    AbelianGroupExpr,
+    _vp,
+    factorize,
+    hermite_normal_form,
+    smallest_primitive_root,
+    times_x_rows,
+)
+
+
+class IdealLattice:
+    """Full-rank sublattice of Z[zeta_n] in row HNF, closed under z-multiplication.
+
+    ``basis`` is the HNF as phi(n) integer rows and ``diagonal()`` its
+    pivots.  The constructor takes any integer generator rows and a
+    positive ``modulus`` D with D*Z[zeta_n] inside the lattice, computes
+    the HNF modulo D, and rejects lattices that are not closed under
+    multiplication by ``z``.  The rows may be w > phi(n) wide: the lattice
+    is then the set of v with (0, ..., 0, v) in span(rows) + D*Z^w, the
+    trailing block of that HNF (a kernel, as ``denominator_lattice`` uses it).
+    """
+
+    __slots__ = ("field", "basis")
+
+    def __init__(self, field, rows: Sequence[Sequence[int]], modulus: int):
+        d = field.degree
+        lead = len(rows[0]) - d if rows else -1
+        if lead < 0 or any(len(row) != d + lead for row in rows):
+            raise ValueError("generator rows must be nonempty and at least phi(n) wide")
+        self.basis = [row[lead:] for row in hermite_normal_form(rows, modulus)[lead:]]
+        self.field = field
+        if not all(self._contains_vector(times_x_rows(field.phi_n, row, 2)[1]) for row in self.basis):
+            raise ValueError("lattice is not closed under multiplication by zeta")
+
+    def _contains_vector(self, vec: Sequence[int]) -> bool:
+        h = self.basis
+        x = list(vec)
+        for i in range(self.field.degree):
+            p = h[i][i]
+            if x[i] % p:
+                return False
+            q = x[i] // p
+            if q:
+                for k in range(i, self.field.degree):
+                    x[k] -= q * h[i][k]
+        return all(c == 0 for c in x)
+
+    @classmethod
+    def full_ring(cls, field) -> "IdealLattice":
+        return cls(field, [[int(i == j) for j in range(field.degree)] for i in range(field.degree)], 1)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IdealLattice) and self.field.n == other.field.n and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.field.n, tuple(tuple(r) for r in self.basis)))
+
+    def __repr__(self) -> str:
+        return f"IdealLattice(n={self.field.n}, diag={self.diagonal()})"
+
+    def diagonal(self) -> list[int]:
+        """The HNF pivots, one per coordinate."""
+        return [row[i] for i, row in enumerate(self.basis)]
+
+    def index(self) -> int:
+        """Index [Z[zeta] : I] = product of HNF pivots."""
+        return math.prod(self.diagonal())
+
+    def is_full_ring(self) -> bool:
+        return self.index() == 1
+
+    def contains(self, x: CycElement) -> bool:
+        if x.field.n != self.field.n:
+            raise ValueError("ideal field mismatch")
+        return x.den == 1 and self._contains_vector(x.nums)
+
+
+def smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The Smith diagonal of a nonsingular square integer matrix, positive with d[i] | d[i+1].
+
+    Textbook row and column steps over Z: move an entry of least absolute
+    value in the trailing block to the pivot, reduce its row and column by
+    it, and repeat until both are clear; then fold in any row whose entries
+    the pivot does not divide.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    for t in range(n):
+        while True:
+            i, j = min(((i, j) for i in range(t, n) for j in range(t, n) if a[i][j]),
+                       key=lambda ij: abs(a[ij[0]][ij[1]]))
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, n):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1:]):
+                continue
+            bad = next((i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+    return [abs(a[i][i]) for i in range(n)]
+
+
+def quotient(ideal: IdealLattice) -> AbelianGroupExpr:
+    """Z[zeta_n]/ideal from the textbook Smith form of its HNF basis."""
+    return AbelianGroupExpr.from_invariants(smith_diagonal(ideal.basis))
+
+
+def denominator_lattice(a: CycElement) -> IdealLattice:
+    """D(a) = {x : x*a integral} as the library once built it: the kernel of v -> v*A mod c, A/c = a.
+
+    The trailing block of the HNF modulo c of the rows [A | I], with A
+    the multiplication-by-``a.nums`` matrix; the full ring for integral ``a``.
+    """
+    field, d = a.field, a.field.degree
+    if a.den == 1:
+        return IdealLattice.full_ring(field)
+    rows = [arow + [int(i == j) for j in range(d)] for i, arow in enumerate(times_x_rows(field.phi_n, a.nums))]
+    return IdealLattice(field, rows, a.den)
 
 
 def from_generators(field, gens) -> IdealLattice:

@@ -28,7 +28,7 @@ from dirichletj.characters import (
     parity,
     tame_order,
 )
-from dirichletj.cyclotomic import galois_apply, get_field, quotient_group
+from dirichletj.cyclotomic import denominator_ideal, galois_apply, get_field, quotient_group
 from dirichletj.exactalg import AbelianGroupExpr, _vp, factorize, smallest_primitive_root
 
 from exponent_tuples import char_pow
@@ -374,7 +374,18 @@ def _prime_divs(n):
 
 class TestDenomIdeal:
     def test_parity_mismatch_full_ring(self):
-        assert denom_ideal(quad5(), 1).is_full_ring()
+        x = denom_ideal(quad5(), 1)
+        assert x.is_zero() and quotient_group(x).is_zero()
+
+    def test_value_over_2k(self):
+        for chi, k in ((quad5(), 2), (odd4(), 3)):
+            assert denom_ideal(chi, k) == gbn(chi, k) / (2 * k)
+
+    def test_trivial_character_at_weight_one_is_the_vanishing_case(self):
+        # B_{1,chi_0} = 1/2 is nonzero, but (-1)^1 != chi_0(-1): the convention gives the full ring, not Z/4.
+        chi0 = character_from_index(1, 0)
+        assert gbn(chi0, 1) == Fraction(1, 2)
+        assert denom_ideal(chi0, 1).is_zero()
 
     def test_odd4_k1(self):
         ideal = denom_ideal(odd4(), 1)
@@ -426,9 +437,9 @@ def test_denominator_ideals_match_pinned():
             for k in range(1, 7):
                 if (-1) ** k != parity(chi):
                     continue
-                ideal = denom_ideal(chi, k)
-                diagonals.setdefault(N, {})[(chi.index(), k)] = tuple(ideal.diagonal())
-                lines.append(f"{N}:{chi.index()}:{k}:{ideal.basis}")
+                basis = denominator_ideal(denom_ideal(chi, k))
+                diagonals.setdefault(N, {})[(chi.index(), k)] = tuple(row[i] for i, row in enumerate(basis))
+                lines.append(f"{N}:{chi.index()}:{k}:{basis}")
     assert diagonals == PINNED_DIAGONALS
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_BASES_SHA256
 

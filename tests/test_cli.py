@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,22 @@ from dirichletj import cli, cyclotomic, eisenstein, exactalg
 from dirichletj.bernoulli import gbn
 from dirichletj.characters import character_from_index
 from dirichletj.cli import RunReport, main
-from dirichletj.cyclotomic import CycElement, denominator_ideal
+from dirichletj.cyclotomic import CycElement, denominator_ideal, denominator_invariants
+
+
+@pytest.fixture
+def hnf_spy(monkeypatch):
+    """The row counts of every Hermite normal form computed while the test runs."""
+    calls = []
+    real = exactalg.hermite_normal_form
+
+    def counted(m, modulus):
+        calls.append(len(m))
+        return real(m, modulus)
+
+    for module in (exactalg, cyclotomic):
+        monkeypatch.setattr(module, "hermite_normal_form", counted)
+    return calls
 
 
 def run_cli(capsys, *argv):
@@ -54,25 +70,33 @@ class TestBern:
         assert payload["denominator_ideal_snf"] == [5]
         assert payload["quotient"] == "Z/5"
 
-    @pytest.mark.parametrize("weight, calls, expected", [
-        # denominator_ideal runs no SNF; one SNF gives the printed diagonal and the quotient.
-        ("2", 1, '{"B": "4/5", "L(1-k)": "-2/5", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [5], "denominator_ideal_snf": [5], "quotient": "Z/5", "schema": 1, "weight": 2}'),
-        # Parity mismatch: the ideal is the full ring and only the printed SNF runs.
-        ("3", 1, '{"B": "0", "L(1-k)": "0", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [1], "denominator_ideal_snf": [1], "quotient": "0", "schema": 1, "weight": 3}'),
+    @pytest.mark.parametrize("modulus, index, weight, hnfs, expected", [
+        # One HNF gives the printed diagonal; the SNF and the quotient come from local invariants.
+        ("5", "2", "2", 1, '{"B": "4/5", "L(1-k)": "-2/5", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [5], "denominator_ideal_snf": [5], "quotient": "Z/5", "schema": 1, "weight": 2}'),
+        # Parity mismatch: the ideal is the full ring and no HNF runs.
+        ("5", "2", "3", 0, '{"B": "0", "L(1-k)": "0", "character": {"conductor": 5, "exponents": [2], "index": 2, "modulus": 5, "order": 2, "parity": 1, "primitive": true}, "cyclotomic_n": 2, "denominator_ideal_diagonal": [1], "denominator_ideal_snf": [1], "quotient": "0", "schema": 1, "weight": 3}'),
+        # B_{1,chi_0} = 1/2 is the vanishing case of the convention: the full ring, not Z/4.
+        ("1", "0", "1", 0, '{"B": "1/2", "L(1-k)": "-1/2", "character": {"conductor": 1, "exponents": [], "index": 0, "modulus": 1, "order": 1, "parity": 1, "primitive": true}, "cyclotomic_n": 1, "denominator_ideal_diagonal": [1], "denominator_ideal_snf": [1], "quotient": "0", "schema": 1, "weight": 1}'),
     ])
-    def test_one_snf_per_quotient(self, capsys, monkeypatch, weight, calls, expected):
-        original = exactalg.smith_normal_form
-        seen = []
-
-        def counted(m):
-            seen.append(m)
-            return original(m)
-
-        for module in (exactalg, cyclotomic, cli):
-            monkeypatch.setattr(module, "smith_normal_form", counted)
-        code, out, _ = run_cli(capsys, "bern", "--modulus", "5", "--index", "2", "--weight", weight, "--json")
-        assert code == 0 and len(seen) == calls
+    def test_one_hnf_per_printed_basis(self, capsys, hnf_spy, modulus, index, weight, hnfs, expected):
+        code, out, _ = run_cli(capsys, "bern", "--modulus", modulus, "--index", index, "--weight", weight, "--json")
+        assert code == 0 and len(hnf_spy) == hnfs
         assert out == expected + "\n"
+
+    def test_index_routes_that_disagree_exit_1(self, capsys, monkeypatch):
+        # An HNF whose kernel block is twice the true one is still a z-closed lattice, with pivots off by 2^d.
+        real = exactalg.hermite_normal_form
+
+        def doubled(m, modulus):
+            h = real(m, modulus)
+            d = len(h) // 2
+            return h[:d] + [[2 * x for x in row] for row in h[d:]]
+
+        monkeypatch.setattr(cyclotomic, "hermite_normal_form", doubled)
+        code, out, err = run_cli(capsys, "bern", "--modulus", "5", "--index", "2", "--weight", "2", "--json")
+        assert (code, out) == (1, "")
+        assert err == "error: denominator ideal index: the HNF pivots [10] and the local invariants [5] " \
+                      "give different products\n"
 
     @pytest.mark.parametrize("modulus, index, weight", [(41, 1, 9), (61, 1, 37), (83, 1, 3), (101, 1, 3)])
     def test_large_degree_denominator_ideal(self, capsys, modulus, index, weight):
@@ -85,14 +109,15 @@ class TestBern:
         assert code == 0
         assert json.loads(out)["cyclotomic_n"] == modulus - 1
         a = gbn(character_from_index(modulus, index), weight) / (2 * weight)
-        ideal = denominator_ideal(a)
-        assert not ideal.is_full_ring()
-        assert all((CycElement(a.field, row) * a).is_integral() for row in ideal.basis)
+        basis = denominator_ideal(a)
+        index = math.prod(row[i] for i, row in enumerate(basis))
+        assert index > 1 and index == math.prod(denominator_invariants(a))
+        assert all((CycElement(a.field, row) * a).is_integral() for row in basis)
         # a = n/c: D(a) = cO / (cO + nO) as ideals, so [O : D(a)] [O : cO + nO] = c^d.
         field, c = a.field, a.den
         n = CycElement(field, a.nums)
         rows = [list((n * field.zeta_power(j)).nums) for j in range(field.degree)]
-        assert ideal.index() * index_mod(rows, c) == c ** field.degree
+        assert index * index_mod(rows, c) == c ** field.degree
 
 
 def _factor(n):
@@ -291,15 +316,29 @@ class TestVerify:
         payload = json.loads(out1)
         assert payload["reports"][0]["failed"] == 0
 
-    def test_carlitz_suite_builds_no_lattice(self, monkeypatch):
+    def test_carlitz_suite_builds_no_lattice(self, hnf_spy):
         # Carlitz's ideals are decided by residues mod p, so the suite runs no HNF.
-        built = []
-        original = cyclotomic.IdealLattice.__init__
-        monkeypatch.setattr(cyclotomic.IdealLattice, "__init__",
-                            lambda self, *args: built.append(args) or original(self, *args))
         report = cli.suite_carlitz()
         assert report.failed == 0 and report.passed > 500
-        assert built == []
+        assert hnf_spy == []
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "gbn-theorem"],
+        ["verify", "eisenstein"],
+        ["eisenstein", "--modulus", "5", "--index", "2", "--weight", "2"],
+        ["eisenstein", "--modulus", "1", "--index", "0", "--weight", "12"],
+    ])
+    def test_quotients_and_indices_run_no_hnf(self, capsys, hnf_spy, argv):
+        # Every quotient and index comes from local invariants; only bern's printed basis runs an HNF.
+        code, _, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0 and hnf_spy == []
+
+    def test_verify_all_digest(self, capsys):
+        # The nine reports of `verify all --json`, byte for byte.
+        code, out, _ = run_cli(capsys, "verify", "all", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "5950c82b3fe5ee15f8f2145cc8e4da32bc249f2e394320e6f5939baf68d986d4"
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

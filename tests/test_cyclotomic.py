@@ -1,4 +1,4 @@
-"""Cyclotomic field arithmetic, ideal lattices, and p-adic splitting."""
+"""Cyclotomic field arithmetic, denominator ideals, and p-adic splitting."""
 
 import math
 import random
@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from dirichletj.cyclotomic import (
     CycElement,
-    IdealLattice,
     cyclotomic_factor_count,
     cyclotomic_poly,
     denominator_ideal,
+    denominator_invariants,
     galois_apply,
     get_field,
     padic_splitting,
@@ -21,7 +21,17 @@ from dirichletj.cyclotomic import (
 )
 from dirichletj.exactalg import AbelianGroupExpr, euler_phi, is_prime
 
-from ideal_oracle import basis_elements, from_generators, ideal_power, ideal_product, ideal_sum, principal
+from ideal_oracle import (
+    IdealLattice,
+    basis_elements,
+    denominator_lattice,
+    from_generators,
+    ideal_power,
+    ideal_product,
+    ideal_sum,
+    principal,
+    quotient,
+)
 
 
 PRIMES_50 = [p for p in range(2, 51) if is_prime(p)]
@@ -165,19 +175,20 @@ class TestGalois:
 class TestDenominatorIdeal:
     def test_integral_gives_full_ring(self):
         f = get_field(5)
-        assert denominator_ideal(f.one()).is_full_ring()
+        assert denominator_ideal(f.one()) == [[int(i == j) for j in range(4)] for i in range(4)]
+        assert denominator_invariants(f.one()) == [1, 1, 1, 1]
 
     def test_quarter_in_q_zeta4(self):
         f = get_field(4)
-        ideal = denominator_ideal(f.from_rational(Fraction(1, 4)))
-        assert ideal.diagonal() == [4, 4]
-        assert quotient_group(ideal) == AbelianGroupExpr.cyclic(4) + AbelianGroupExpr.cyclic(4)
+        a = f.from_rational(Fraction(1, 4))
+        assert [row[i] for i, row in enumerate(denominator_ideal(a))] == [4, 4]
+        assert denominator_invariants(a) == [4, 4]
+        assert quotient_group(a) == AbelianGroupExpr.cyclic(4) + AbelianGroupExpr.cyclic(4)
 
     def test_rational_bernoulli_case(self):
         # B_{2,chi_5}/4 = 1/5 lives in Q = Q(zeta_2); denominator ideal (5).
         f = get_field(2)
-        ideal = denominator_ideal(f.from_rational(Fraction(1, 5)))
-        assert ideal.diagonal() == [5]
+        assert denominator_ideal(f.from_rational(Fraction(1, 5))) == [[5]]
 
     def test_products_land_integrally_and_maximally(self):
         rng = random.Random(9)
@@ -189,28 +200,73 @@ class TestDenominatorIdeal:
                 )
                 if a.is_zero():
                     continue
-                ideal = denominator_ideal(a)
-                for row in ideal.basis:
+                basis = denominator_ideal(a)
+                for row in basis:
                     x = f.element([Fraction(v) for v in row])
                     assert (x * a).is_integral()
                 # Maximality probe: dividing a pivot row by a prime divisor
                 # of its pivot must leave the lattice.
-                for i, row in enumerate(ideal.basis):
+                for i, row in enumerate(basis):
                     piv = row[i]
                     for q in set(_prime_divisors(piv)):
                         scaled = [Fraction(v, q) for v in row]
                         elt = f.element(scaled)
                         assert not (elt * a).is_integral()
+                # The local invariants give the index the HNF pivots give.
+                assert math.prod(denominator_invariants(a)) == math.prod(row[i] for i, row in enumerate(basis))
 
     def test_quotient_order_power(self):
         for n, m in ((4, 3), (5, 2), (3, 4)):
             f = get_field(n)
-            ideal = denominator_ideal(f.from_rational(Fraction(1, m)))
-            assert quotient_group(ideal).order() == m ** f.degree
+            assert quotient_group(f.from_rational(Fraction(1, m))).order() == m ** f.degree
 
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            denominator_ideal(get_field(4).zero())
+    def test_zero_gives_full_ring(self):
+        # D(0) = {y : 0*y integral} is the whole ring.
+        f = get_field(4)
+        assert denominator_ideal(f.zero()) == [[1, 0], [0, 1]]
+        assert denominator_invariants(f.zero()) == [1, 1]
+        assert quotient_group(f.zero()).is_zero()
+
+    def test_invariants_ascend_by_divisibility(self):
+        # 1/12 in Q(zeta_3): the Smith diagonal of (12), padded order and divisibility chain.
+        f = get_field(3)
+        assert denominator_invariants(f.from_rational(Fraction(1, 12))) == [12, 12]
+        # (1 - z)/9: 1 - z has norm 3, so it kills one factor 3 of the 9 in one invariant.
+        assert denominator_invariants((f.one() - f.zeta_power(1)) / 9) == [3, 9]
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12])
+    def test_rational_elements(self, n):
+        # D(m/c) = cZ[zeta] for gcd(m, c) = 1, so Z[zeta]/D is (Z/c)^phi(n).
+        f = get_field(n)
+        for c in range(1, 31):
+            for m in (1, -7, 11):
+                if math.gcd(m, c) == 1:
+                    assert denominator_invariants(f.from_rational(Fraction(m, c))) == [c] * f.degree
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([3, 4, 5, 7, 8, 9, 12]), st.data())
+    def test_invariants_are_a_chain_fixed_by_units_and_conjugates(self, n, data):
+        f = get_field(n)
+        nums = data.draw(st.lists(st.integers(-9, 9), min_size=f.degree, max_size=f.degree).filter(any))
+        a = CycElement(f, nums, data.draw(st.integers(1, 400)))
+        d = denominator_invariants(a)
+        assert len(d) == f.degree and all(y % x == 0 for x, y in zip(d, d[1:])) and a.den % d[-1] == 0
+        assert math.prod(d) == denominator_lattice(a).index()
+        # D(u*a) = D(a) for a unit u, and sigma(D(a)) = D(sigma(a)) has the same quotient.
+        j = data.draw(st.integers(0, n - 1))
+        s = data.draw(st.sampled_from([s for s in range(1, n + 1) if math.gcd(s, n) == 1]))
+        assert denominator_invariants(a * f.zeta_power(j)) == d
+        assert denominator_invariants(galois_apply(a, s)) == d
+
+    def test_invariants_match_the_oracle_lattice(self):
+        rng = random.Random(25)
+        for n in (1, 3, 4, 5, 7, 8, 9, 12):
+            f = get_field(n)
+            for _ in range(12):
+                a = f.element([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4, 6, 9, 12, 25, 49]))
+                               for _ in range(f.degree)])
+                assert quotient_group(a) == quotient(denominator_lattice(a)), a
+                assert denominator_ideal(a) == denominator_lattice(a).basis, a
 
 
 def _prime_divisors(n):
@@ -242,14 +298,14 @@ class TestIdealArithmetic:
     def test_power_and_sum(self):
         f = get_field(3)
         lam = principal(f, f.one() - f.zeta_power(1))
-        assert quotient_group(lam) == AbelianGroupExpr.cyclic(3)
+        assert quotient(lam) == AbelianGroupExpr.cyclic(3)
         sq = ideal_power(lam, 2)
-        assert quotient_group(sq).order() == 9
+        assert quotient(sq).order() == 9
         assert ideal_sum(lam, sq) == lam
 
     def test_quotient_of_full_ring_trivial(self):
         f = get_field(5)
-        assert quotient_group(IdealLattice.full_ring(f)).is_zero()
+        assert quotient(IdealLattice.full_ring(f)).is_zero()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([3, 4, 5, 8, 12]), st.data())

@@ -16,10 +16,10 @@ from dirichletj.characters import (
     is_primitive,
     parity,
 )
-from dirichletj.cyclotomic import CycElement, IdealLattice, get_field
+from dirichletj.cyclotomic import CycElement, get_field
 from dirichletj.eisenstein import congruence_check, eisenstein_coeffs, sigma_chi
 
-from ideal_oracle import ideal_product, ideal_sum, principal
+from ideal_oracle import denominator_lattice, ideal_product, ideal_sum, principal
 
 
 def trivial():
@@ -166,8 +166,8 @@ class TestCongruences:
     @pytest.mark.parametrize("chi, k", [(trivial(), 12), (quad5(), 2), (odd4(), 1)], ids=["1:0", "5:2", "4:1"])
     def test_ideal_index_taken_a_bounded_number_of_times(self, monkeypatch, chi, k):
         calls = []
-        original = IdealLattice.index
-        monkeypatch.setattr(IdealLattice, "index", lambda self: calls.append(self) or original(self))
+        original = eisenstein.denominator_invariants
+        monkeypatch.setattr(eisenstein, "denominator_invariants", lambda x: calls.append(x) or original(x))
         counts = []
         for n_max in (10, 400):
             calls.clear()
@@ -223,7 +223,8 @@ def test_denominator_tests_agree_with_ideal_membership():
     for chi, k, n_max in _congruence_grid():
         result = congruence_check(chi, k, n_max)
         got = [(row["mandatory_ok"], row["full_ok"]) for row in result["rows"]]
-        expected = rows_by_ideal_membership(denom_ideal(chi, k), chi.modulus, result["coefficients"])
+        expected = rows_by_ideal_membership(denominator_lattice(denom_ideal(chi, k)), chi.modulus,
+                                            result["coefficients"])
         assert got == expected, (chi.modulus, chi.index(), k)
         if chi.modulus == 37:
             checked_at_37 += 1
@@ -239,12 +240,29 @@ def test_mandatory_test_reads_only_the_conductor_part_of_the_index(monkeypatch):
     # No coefficient found (prime-power conductors < 130, k <= 40) has a
     # denominator prime that divides the index away from the conductor, so
     # the ideal is scaled by such a prime: c_n for (odd4, 5) has
-    # denominator 5, and D * (5) has the same 2-primary component as D.
+    # denominator 5, and D * (5) has the same 2-primary component as D = D(x).  x = -5/4 has a 5 in its
+    # numerator, so D * (5) is D(x/25).
     result = congruence_check(odd4(), 5, 20)
-    scaled = ideal_product(denom_ideal(odd4(), 5), principal(get_field(2), 5))
-    monkeypatch.setattr(eisenstein, "denom_ideal", lambda chi, k: scaled)
+    x = denom_ideal(odd4(), 5)
+    scaled = ideal_product(denominator_lattice(x), principal(get_field(2), 5))
+    assert scaled == denominator_lattice(x / 25)
+    monkeypatch.setattr(eisenstein, "denom_ideal", lambda chi, k: x / 25)
     scaled_result = congruence_check(odd4(), 5, 20)
     assert scaled_result["ideal_index"] == 5 * result["ideal_index"] == 20
     mandatory = [row["mandatory_ok"] for row in scaled_result["rows"]]
     assert mandatory == [row["mandatory_ok"] for row in result["rows"]] == [True] * 20
     assert mandatory == [ok for ok, _ in rows_by_ideal_membership(scaled, 4, scaled_result["coefficients"])]
+
+
+def test_ideal_index_is_the_product_of_all_invariants(monkeypatch):
+    # Every quotient of a prime-power conductor checked so far is cyclic, so the ideal is scaled by 3, inert in
+    # Z[i]: D(x) * (3) = D(x/3) has quotient Z/3 + Z/30, whose index is not its largest invariant.
+    chi = character_from_index(5, 1)
+    result = congruence_check(chi, 1, 20)
+    x = denom_ideal(chi, 1)
+    scaled = ideal_product(denominator_lattice(x), principal(get_field(4), 3))
+    assert scaled == denominator_lattice(x / 3)
+    monkeypatch.setattr(eisenstein, "denom_ideal", lambda chi, k: x / 3)
+    scaled_result = congruence_check(chi, 1, 20)
+    assert scaled_result["ideal_index"] == scaled.index() == 9 * result["ideal_index"] == 90
+    assert [row["mandatory_ok"] for row in scaled_result["rows"]] == [row["mandatory_ok"] for row in result["rows"]]

@@ -1,4 +1,4 @@
-"""Kernel tests: Hermite and Smith normal forms of integer matrices, and multiplication by x.
+"""Kernel tests: the Hermite normal form of integer matrices, and multiplication by x.
 
 Derived expectations are produced by independent oracles inside this
 module: a Bareiss determinant, the determinantal divisors and lattice
@@ -10,10 +10,9 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dirichletj import exactalg
-from dirichletj.exactalg import hermite_normal_form, smith_normal_form, times_x_rows
+from dirichletj.exactalg import hermite_normal_form, times_x_rows
 
 
 def bareiss_det(rows):
@@ -34,10 +33,6 @@ def bareiss_det(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1] if n else 1
-
-
-def matmul(a, b):
-    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
 
 
 def determinantal_divisors(rows):
@@ -106,30 +101,10 @@ matrices = st.integers(1, 5).flatmap(
     lambda cols: st.lists(st.lists(st.integers(-30, 30), min_size=cols, max_size=cols), min_size=1, max_size=6)
 )
 
-squares = st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=n, max_size=n)
-)
-
-elementary_steps = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3)), max_size=12)
-
-
 def modular_rows(rows, modulus):
     """The rows of ``rows`` followed by modulus * e_j: they span span(rows) + modulus*Z^n."""
     cols = len(rows[0])
     return rows + [[modulus * (i == j) for j in range(cols)] for i in range(cols)]
-
-
-def random_nonsingular(rng, n, bound):
-    while True:
-        m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        det = bareiss_det(m)
-        if det:
-            return m, abs(det)
-
-
-def snf_of(m):
-    """The Smith diagonal of a nonsingular square ``m``, through its HNF modulo |det m|."""
-    return smith_normal_form(hermite_normal_form(m, abs(bareiss_det(m))))
 
 
 class TestHermite:
@@ -173,9 +148,8 @@ class TestHermite:
             hermite_normal_form([[1]], 0)
 
     def test_inconsistent_row_lengths(self):
-        for normal_form in (lambda m: hermite_normal_form(m, 5), smith_normal_form):
-            with pytest.raises(ValueError, match="inconsistent row lengths"):
-                normal_form([[1, 2], [3]])
+        with pytest.raises(ValueError, match="inconsistent row lengths"):
+            hermite_normal_form([[1, 2], [3]], 5)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(matrices, st.integers(1, 400))
@@ -185,62 +159,6 @@ class TestHermite:
         got = hermite_normal_form(rows, modulus)
         assert len(got) == cols and hnf_shape_ok(got)
         assert spans_full_rank(got, modular_rows(rows, modulus))
-
-
-class TestSmith:
-    def test_diag_2_3(self):
-        assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-
-    def test_identity(self):
-        assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
-
-    def test_diag_4_6(self):
-        assert smith_normal_form([[4, 0], [0, 6]]) == [2, 12]
-
-    def test_random_postconditions(self):
-        # d_k = D_k / D_(k-1), the quotient of consecutive determinantal divisors.
-        rng = random.Random(11)
-        for _ in range(300):
-            m, det = random_nonsingular(rng, rng.randint(1, 5), 12)
-            divisors = determinantal_divisors(m)
-            expected = [b // a for a, b in zip([1] + divisors, divisors)]
-            assert smith_normal_form(hermite_normal_form(m, det)) == expected
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(squares, elementary_steps, elementary_steps)
-    def test_unimodular_invariance(self, m, row_steps, col_steps):
-        # U m V for unimodular U, V built from elementary steps has the same diagonal.
-        assume(bareiss_det(m))
-
-        def unimodular(n, steps):
-            u = [[int(i == j) for j in range(n)] for i in range(n)]
-            for i, j, c in steps:
-                i, j = i % n, j % n
-                if i != j:
-                    u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-            return u
-
-        u, v = unimodular(len(m), row_steps), unimodular(len(m[0]), col_steps)
-        assert abs(bareiss_det(u)) == 1 and abs(bareiss_det(v)) == 1
-        assert snf_of(matmul(matmul(u, m), v)) == snf_of(m)
-
-    def test_det_preserved(self):
-        rng = random.Random(13)
-        for _ in range(60):
-            m, det = random_nonsingular(rng, rng.randint(1, 4), 9)
-            assert math.prod(smith_normal_form(hermite_normal_form(m, det))) == det
-
-    @pytest.mark.parametrize("h", [[[1, 0], [1, 1]], [[1, 0], [0, 0]], [[2, 1]], [[0, 1], [0, 1]]])
-    def test_rejects_all_but_nonsingular_upper_triangular(self, h):
-        with pytest.raises(ValueError, match="upper-triangular"):
-            smith_normal_form(h)
-
-    def test_exponent_sum_checks_the_elimination(self, monkeypatch):
-        # An elimination that loses an exponent no longer sums to v_p(det).
-        elimination = exactalg.padic_invariant_exponents
-        monkeypatch.setattr(exactalg, "padic_invariant_exponents", lambda rows, p, M: elimination(rows, p, M)[:-1])
-        with pytest.raises(AssertionError, match="det"):
-            smith_normal_form([[2, 1], [0, 6]])
 
 
 def reduce_mod_monic(poly, phi):

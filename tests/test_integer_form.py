@@ -1,4 +1,4 @@
-"""Q(zeta_n) numbers as integer vectors over one denominator, and the one-HNF ideal constructor.
+"""Q(zeta_n) numbers as integer vectors over one denominator, and the one HNF of a printed ideal basis.
 
 The arithmetic is compared with a reference written here: elements as
 tuples of ``Fraction``, schoolbook products reduced by this file's own
@@ -14,19 +14,20 @@ from functools import lru_cache
 import pytest
 
 import dirichletj.cyclotomic as cyc
-from dirichletj.bernoulli import gbn, l_value
+from dirichletj.bernoulli import denom_ideal, gbn, l_value
 from dirichletj.characters import character_from_index, enumerate_characters
 from dirichletj.cyclotomic import (
     CycElement,
-    IdealLattice,
     denominator_ideal,
+    denominator_invariants,
     galois_apply,
     get_field,
+    quotient_group,
     render_cyc,
 )
 from dirichletj.eisenstein import eisenstein_coeffs
 
-from ideal_oracle import principal
+from ideal_oracle import IdealLattice, principal
 
 
 FIELDS = (1, 2, 3, 4, 5, 8, 12, 15, 16)
@@ -214,7 +215,7 @@ class TestAgainstFractionReference:
         assert half.rational_value() == Fraction(-1, 2) and half == Fraction(-1, 2)
 
 
-# -- one HNF per lattice --------------------------------------------------
+# -- one HNF per printed basis ----------------------------------------------
 
 
 @pytest.fixture
@@ -230,47 +231,48 @@ def hnf_calls(monkeypatch):
     return calls
 
 
-class TestOneHnfPerLattice:
-    def test_each_constructor_runs_one_hnf(self, hnf_calls):
+class TestOneHnfPerBasis:
+    def test_only_a_non_integral_basis_runs_an_hnf(self, hnf_calls):
         f = get_field(12)
         z = f.zeta_power(1)
+        a = (f.one() + z) * Fraction(5, 12)
         builds = {
-            "full_ring": lambda: IdealLattice.full_ring(f),
-            "denominator_ideal": lambda: denominator_ideal((f.one() + z) * Fraction(5, 12)),
-            "denominator_ideal(integral)": lambda: denominator_ideal(f.one() + z),
+            "denominator_ideal": (lambda: denominator_ideal(a), 1),
+            "denominator_ideal(integral)": (lambda: denominator_ideal(f.one() + z), 0),
+            "denominator_ideal(zero)": (lambda: denominator_ideal(f.zero()), 0),
+            "denominator_invariants": (lambda: denominator_invariants(a), 0),
+            "quotient_group": (lambda: quotient_group(a), 0),
         }
-        for name, build in builds.items():
+        for name, (build, runs) in builds.items():
             hnf_calls.clear()
             build()
-            assert len(hnf_calls) == 1, name
+            assert len(hnf_calls) == runs, name
 
-    def test_bernoulli_denominator_ideals(self, hnf_calls):
-        from dirichletj.bernoulli import denom_ideal
-
+    def test_bernoulli_denominator_ideals_run_none(self, hnf_calls):
         for N, idx, k in ((5, 2, 2), (13, 1, 3), (16, 3, 5), (7, 1, 3)):
-            hnf_calls.clear()
-            denom_ideal(character_from_index(N, idx), k)
-            assert len(hnf_calls) == 1, (N, idx, k)
+            quotient_group(denom_ideal(character_from_index(N, idx), k))
+        assert hnf_calls == []
 
 
-# -- the constructor's checks --------------------------------------------
+# -- the closure check of denominator_ideal, and the oracle lattice's constructor
 
 
-class TestIdealConstructorChecks:
-    def test_not_zeta_closed_rejected(self):
+class TestClosureCheck:
+    @pytest.mark.parametrize("n, den, block", [
         # 2Z + Z*i is not an ideal of Z[i]: i * 2 = 2i lies in it, i * i = -1 does not.
+        (4, 2, [[2, 0], [0, 1]]),
+        (3, 3, [[3, 0], [0, 1]]),
+    ])
+    def test_a_basis_not_closed_under_zeta_is_rejected(self, monkeypatch, n, den, block):
+        # The HNF is patched to return a kernel block that is a lattice but no ideal.
+        real = cyc.hermite_normal_form
+        monkeypatch.setattr(cyc, "hermite_normal_form",
+                            lambda m, modulus: real(m, modulus)[:2] + [[0, 0] + row for row in block])
         with pytest.raises(ValueError, match="not closed"):
-            IdealLattice(get_field(4), [[2, 0], [0, 1]], 2)
+            denominator_ideal(get_field(n).from_rational(Fraction(1, den)))
 
-    def test_not_zeta_closed_in_q_zeta_3(self):
-        with pytest.raises(ValueError, match="not closed"):
-            IdealLattice(get_field(3), [[3, 0], [0, 1]], 3)
 
-    @pytest.mark.parametrize("rows", [[], [[1, 0, 0], [0, 1]], [[1]]])
-    def test_wrong_shape_rejected(self, rows):
-        with pytest.raises(ValueError):
-            IdealLattice(get_field(4), rows, 6)
-
+class TestOracleLattice:
     def test_generator_rows_need_not_be_in_hnf(self):
         f = get_field(4)
         # (1 + i) from any integer generators: rows of (1 + i) and i(1 + i) = -1 + i, shuffled.

@@ -115,7 +115,7 @@ def test_homotopy_assembly_shares_no_code_with_the_direct_tables():
 
 
 def test_eisenstein_shares_no_code_with_the_membership_route():
-    # tests/test_eisenstein.py checks the denominator tests by IdealLattice membership.
+    # tests/test_eisenstein.py checks the denominator tests by membership in the oracle's IdealLattice.
     tree = ast.parse((SRC / "eisenstein.py").read_text())
     named = {node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
              for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
@@ -130,6 +130,32 @@ def test_carlitz_check_builds_no_ideal_lattice():
              if isinstance(node, (ast.Name, ast.Attribute))}
     assert not named & {"IdealLattice", "full_ring", "denominator_ideal", "denom_ideal", "contains",
                         "is_full_ring", "hermite_normal_form"}, sorted(named)
+
+
+def _names_by_function(path: Path) -> dict[str, set[str]]:
+    """The names and attributes each top-level function of a module mentions."""
+    return {node.name: {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                        if isinstance(n, (ast.Name, ast.Attribute))}
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_quotients_and_indices_compute_no_lattice():
+    # Every quotient and index is read off local elementary divisors; tests/test_sympy_oracles.py
+    # compares them with the Smith form of the HNF basis.
+    lattice = {"hermite_normal_form", "denominator_ideal"}
+    for module, name in (("cyclotomic", "quotient_group"), ("cyclotomic", "denominator_invariants"),
+                         ("eisenstein", "congruence_check"), ("cli", "suite_gbn_theorem")):
+        named = _names_by_function(SRC / f"{module}.py")[name]
+        assert not named & lattice, f"{name} names {sorted(named & lattice)}"
+
+
+def test_only_bern_reaches_the_hnf():
+    # hermite_normal_form is called by denominator_ideal alone, and denominator_ideal by cmd_bern alone.
+    callers = {name: {f"{path.stem}.{fn}" for path in sorted(SRC.glob("*.py"))
+                      for fn, named in _names_by_function(path).items() if name in named}
+               for name in ("hermite_normal_form", "denominator_ideal")}
+    assert callers == {"hermite_normal_form": {"cyclotomic.denominator_ideal"},
+                       "denominator_ideal": {"cli.cmd_bern"}}, callers
 
 
 def test_no_function_imports_a_package_module():
