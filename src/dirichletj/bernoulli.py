@@ -90,15 +90,6 @@ def _bernoulli_poly_coeffs(k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(math.comb(k, j)) * (-b if j == 1 else b) for j, b in enumerate(bs))
 
 
-def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
-    """Classical B_k(x), by Horner steps over its coefficients."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in _bernoulli_poly_coeffs(k):
-        acc = acc * x + c
-    return acc
-
-
 class _SeriesState:
     """B_{j,chi} for j <= K of one primitive chi, read off one growing series.
 
@@ -408,16 +399,15 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     row["ok"] = x.is_integral()
     if row["ok"]:
         gk = pow(g, k, p)
-        mult = times_x_rows(field.phi_n, [int(j == 0) - gk * z for j, z in enumerate(field.zeta_power(c).nums)])
+        u = [int(j == 0) - gk * z for j, z in enumerate(field.zeta_power(c).nums)]
+        mult = [dict(enumerate(r)) for r in times_x_rows(field.phi_n, u)]
         rank = padic_invariant_exponents(mult, p, 1).count(0)
-        grown = [r + [0] for r in mult] + [list(x.nums) + [0]]
-        row["ok"] = padic_invariant_exponents(grown, p, 1).count(0) == rank
+        row["ok"] = padic_invariant_exponents(mult + [dict(enumerate(x.nums))], p, 1).count(0) == rank
     return row
 
 
 __all__ = [
     "bernoulli_number",
-    "bernoulli_polynomial",
     "gbn",
     "l_value",
     "d2k",

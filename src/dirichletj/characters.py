@@ -95,8 +95,9 @@ def _dlog_table(N: int) -> dict[int, tuple[int, ...]]:
     if N == 1:
         return {0: ()}
     frontier = {1 % N: tuple([0] * len(st.generators))}
-    # BFS over the generator action covers the whole group.
-    while len(table) < euler_phi(N):
+    # BFS over the generator action covers the whole group, of order phi(N).
+    phi = st.phi()
+    while len(table) < phi:
         new: dict[int, tuple[int, ...]] = {}
         for a, exps in frontier.items():
             for i, (_, _, g, order) in enumerate(st.generators):

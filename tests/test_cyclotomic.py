@@ -19,7 +19,7 @@ from dirichletj.cyclotomic import (
     quotient_group,
     render_cyc,
 )
-from dirichletj.exactalg import AbelianGroupExpr, euler_phi, is_prime
+from dirichletj.exactalg import AbelianGroupExpr, euler_phi, is_prime, padic_invariant_exponents, times_x_rows
 
 from ideal_oracle import (
     IdealLattice,
@@ -257,6 +257,19 @@ class TestDenominatorIdeal:
         s = data.draw(st.sampled_from([s for s in range(1, n + 1) if math.gcd(s, n) == 1]))
         assert denominator_invariants(a * f.zeta_power(j)) == d
         assert denominator_invariants(galois_apply(a, s)) == d
+
+    def test_each_prime_of_the_denominator_sees_the_rows_unchanged(self):
+        # c = 2^3 * 3^2: denominator_invariants eliminates one set of rows mod 2^3 and then mod 3^2,
+        # so each prime's part must equal an elimination of freshly built rows.
+        f = get_field(12)
+        a = CycElement(f, [-25, 23, 17, 20], 72)
+        expected = [1] * f.degree
+        for p, v in ((2, 3), (3, 2)):
+            fresh = [dict(enumerate(row)) for row in times_x_rows(f.phi_n, a.nums)]
+            exps = padic_invariant_exponents(fresh, p, v)
+            expected = [x * p ** (v - e) for x, e in zip(expected, reversed(exps))]
+        assert denominator_invariants(a) == expected == [12, 12, 72, 72]
+        assert quotient_group(a) == quotient(denominator_lattice(a))
 
     def test_invariants_match_the_oracle_lattice(self):
         rng = random.Random(25)

@@ -17,7 +17,7 @@ from dirichletj.characters import (
     parity,
 )
 from dirichletj.cyclotomic import CycElement, get_field
-from dirichletj.eisenstein import congruence_check, eisenstein_coeffs, sigma_chi
+from dirichletj.eisenstein import congruence_check, eisenstein_coeffs
 
 from ideal_oracle import denominator_lattice, ideal_product, ideal_sum, principal
 
@@ -44,20 +44,29 @@ def divisor_sum_written_here(chi, m, n):
     return expected
 
 
+def sieve_sums(chi, m, n_max):
+    """sigma_{m,chi}(n) for 0 <= n <= n_max as ``eisenstein_coeffs`` reads them off its divisor sieve."""
+    field = get_field(chi.order())
+    return [CycElement(field, row) for row in eisenstein._sigma_rows(chi, m, n_max)]
+
+
 class TestSigma:
     def test_classical(self):
-        assert sigma_chi(trivial(), 1, 6)[6] == get_field(1).from_rational(12)
+        assert divisor_sum_written_here(trivial(), 1, 6) == get_field(1).from_rational(12)
+        assert sieve_sums(trivial(), 1, 6)[6] == get_field(1).from_rational(12)
 
     def test_twisted_mod4(self):
-        assert sigma_chi(odd4(), 0, 5)[5] == get_field(2).from_rational(2)
+        assert divisor_sum_written_here(odd4(), 0, 5) == get_field(2).from_rational(2)
+        assert sieve_sums(odd4(), 0, 5)[5] == get_field(2).from_rational(2)
 
     def test_n1(self):
         for chi in enumerate_characters(8):
-            assert sigma_chi(chi, 3, 1)[1] == get_field(chi.order()).one()
+            assert divisor_sum_written_here(chi, 3, 1) == get_field(chi.order()).one()
+            assert sieve_sums(chi, 3, 1)[1] == get_field(chi.order()).one()
 
     def test_multiplicative_on_coprime(self):
         for chi in (trivial(), odd4(), quad5()):
-            table = sigma_chi(chi, 2, 200)
+            table = sieve_sums(chi, 2, 200)
             for a in range(1, 15):
                 for b in range(1, 15):
                     if math.gcd(a, b) != 1 or a * b > 200:
@@ -68,7 +77,7 @@ class TestSigma:
         for N in range(1, 25):
             for chi in enumerate_characters(N):
                 m = chi.index() % 4
-                table = sigma_chi(chi, m, 120)
+                table = sieve_sums(chi, m, 120)
                 for n in range(1, 121):
                     assert table[n] == divisor_sum_written_here(chi, m, n), (N, chi.index(), m, n)
 
@@ -77,7 +86,7 @@ class TestSigma:
     @pytest.mark.parametrize("modulus, order", [(5, 4), (11, 10)])
     def test_matches_divisor_sum_at_n_max_2000(self, modulus, order):
         chi = next(c for c in enumerate_characters(modulus) if c.order() == order)
-        table = sigma_chi(chi, 10, 2000)
+        table = sieve_sums(chi, 10, 2000)
         assert len(table) == 2001 and table[0] == get_field(order).zero()
         for n in random.Random(14).sample(range(1, 2001), 50):
             assert table[n] == divisor_sum_written_here(chi, 10, n), n
@@ -102,9 +111,8 @@ class TestCoefficients:
     def test_quad5_weight2_factor(self):
         # -4 / B_{2,chi} = -4/(4/5) = -5, so c_n = -5 sigma_{1,chi}(n).
         coeffs = eisenstein_coeffs(quad5(), 2, 4)
-        sigmas = sigma_chi(quad5(), 1, 4)
         for n in range(1, 5):
-            assert coeffs[n] == sigmas[n] * Fraction(-5)
+            assert coeffs[n] == divisor_sum_written_here(quad5(), 1, n) * Fraction(-5)
 
     def test_denominators_only_at_normalizing_factor(self):
         for chi, k in ((trivial(), 12), (quad5(), 8), (odd4(), 5)):

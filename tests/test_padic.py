@@ -1,5 +1,6 @@
 """Teichmuller lifts, topological generators, and the SNF cohomology oracle."""
 
+import copy
 import hashlib
 import random
 
@@ -82,6 +83,20 @@ def snf_precisions(monkeypatch):
         return snf(rows, p, M)
 
     monkeypatch.setattr(padic, "padic_invariant_exponents", counted)
+    return seen
+
+
+@pytest.fixture
+def snf_rows(monkeypatch):
+    """The rows of every Smith elimination the oracle runs, in order."""
+    seen = []
+    snf = padic.padic_invariant_exponents
+
+    def spy(rows, p, M):
+        seen.append(rows)
+        return snf(rows, p, M)
+
+    monkeypatch.setattr(padic, "padic_invariant_exponents", spy)
     return seen
 
 
@@ -260,6 +275,21 @@ def _naive_invariant_exponents(rows, p, M):
     return sorted(exps)
 
 
+def _assert_matches_naive(rows, p, M):
+    """The elimination of the dense ``rows``, fed both as every entry by column and as its
+    nonzero entries only, equals the naive one and leaves its input as it was."""
+    expected = _naive_invariant_exponents(rows, p, M)
+    for form in ([dict(enumerate(row)) for row in rows], [{j: x for j, x in enumerate(row) if x} for row in rows]):
+        before = copy.deepcopy(form)
+        assert padic_invariant_exponents(form, p, M) == expected
+        assert form == before
+    return expected
+
+
+def _dense(rows):
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
+
+
 def _random_matrix(rng, r, p, M, scale=1):
     return [[scale * rng.randrange(p**M) for _ in range(r)] for _ in range(r)]
 
@@ -285,7 +315,7 @@ class TestPadicSNF:
             rows = _random_matrix(rng, r, p, M)
             if rng.random() < 0.5:  # sparse, so that low-rank and non-unit pivots occur
                 rows = [[x if rng.random() < 0.3 else 0 for x in row] for row in rows]
-            assert padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
+            _assert_matches_naive(rows, p, M)
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_only_unit_in_last_row(self, p):
@@ -293,7 +323,7 @@ class TestPadicSNF:
         for r in range(1, 8):
             rows = _random_matrix(rng, r, p, 5, scale=p)
             rows[-1][rng.randrange(r)] = rng.randrange(1, p)
-            assert padic_invariant_exponents(rows, p, 5) == _naive_invariant_exponents(rows, p, 5)
+            _assert_matches_naive(rows, p, 5)
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_every_entry_divisible_by_p(self, p):
@@ -301,21 +331,19 @@ class TestPadicSNF:
         for r in range(1, 8):
             for scale in (p, p * p):
                 rows = _random_matrix(rng, r, p, 6, scale=scale)
-                got = padic_invariant_exponents(rows, p, 6)
-                assert got == _naive_invariant_exponents(rows, p, 6)
-                assert min(got) >= 1
+                assert min(_assert_matches_naive(rows, p, 6)) >= 1
 
     def test_zero_matrix(self):
         for r in (0, 1, 4):
             zero = [[0] * r for _ in range(r)]
-            assert padic_invariant_exponents(zero, 3, 4) == _naive_invariant_exponents(zero, 3, 4) == [4] * r
+            assert _assert_matches_naive(zero, 3, 4) == [4] * r
 
     @pytest.mark.parametrize("a, t", [(0, 0), (2, 5), (3, -7)])
     def test_oracle_matrix_p11_v3(self, a, t):
         # Multiplication by omega^a(g) zeta - g^t on Z_11[zeta_121] / 11^15: a 110 x 110 matrix.
         rows, _ = _oracle_matrix(11, 3, a, t)
         assert len(rows) == 110
-        assert padic_invariant_exponents(rows, 11, 15) == _naive_invariant_exponents(rows, 11, 15)
+        _assert_matches_naive(rows, 11, 15)
 
 
 @pytest.mark.parametrize("p, v", [(p, v) for p in (3, 5, 7) for v in (2, 3)])
@@ -326,9 +354,7 @@ def test_elimination_matches_naive_on_the_homotopy_sweep_oracle_grid(p, v):
         for t in range(-10, 11):
             rows, r = _oracle_matrix(p, v, a, t)
             for M in (r + 1, 15):
-                got = padic_invariant_exponents(rows, p, M)
-                assert got == _naive_invariant_exponents(rows, p, M), (a, t, M)
-                assert sum(got) == r, (a, t, M)
+                assert sum(_assert_matches_naive(rows, p, M)) == r, (a, t, M)
 
 
 def _banded_matrix(rng, r, p, M, width):
@@ -353,8 +379,47 @@ def test_elimination_matches_naive_on_banded_and_dense_matrices(p):
         rows = _banded_matrix(rng, r, p, M, rng.randint(1, 2))
         if rng.random() < 0.5:  # the transpose: a dense last column instead
             rows = [list(col) for col in zip(*rows)]
-        assert padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
+        _assert_matches_naive(rows, p, M)
     for _ in range(8):
         M, r = rng.randint(2, 6), rng.randint(2, 10)
         rows = _random_matrix(rng, r, p, M, scale=rng.choice((1, p)))
-        assert padic_invariant_exponents(rows, p, M) == _naive_invariant_exponents(rows, p, M)
+        _assert_matches_naive(rows, p, M)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_elimination_reduces_negative_and_large_entries_and_skips_empty_rows(p):
+    # Entries below zero, at or above p^M, multiples of p^M, and rows with no entries at all.
+    rng = random.Random(200 + p)
+    for _ in range(40):
+        M, r = rng.randint(1, 5), rng.randint(1, 9)
+        pm = p**M
+        rows = [[rng.choice((rng.randrange(-3 * pm, 3 * pm), pm * rng.randint(-2, 2), 0)) for _ in range(r)]
+                for _ in range(r)]
+        for i in rng.sample(range(r), rng.randrange(r)):
+            rows[i] = [0] * r
+        _assert_matches_naive(rows, p, M)
+
+
+@pytest.mark.parametrize("p, v", [(p, v) for p in (3, 5, 7) for v in (2, 3)] + [(11, 3)])
+def test_oracle_rows_are_the_multiplication_matrix(p, v, snf_rows):
+    # The oracle's sparse rows of w*x - g^t, densified, are times_x_rows of it, on the
+    # benchmark's p-adic grid (every tame a, t in [-10, 10]) and at (11, 3).
+    for a in range(p - 1):
+        for t in range(-10, 11):
+            snf_rows.clear()
+            quotient_oracle(p, v, a, t)
+            expected, _ = _oracle_matrix(p, v, a, t)
+            assert [_dense(rows) for rows in snf_rows] == [expected], (a, t)
+
+
+@pytest.mark.parametrize("v", [3, 4, 5])
+def test_oracle_2_rows_are_the_multiplication_matrix(v, snf_rows):
+    # zeta - 5^t on Z_2[zeta_(2^(v-2))] at precision 15; over Phi_2 = x + 1, zeta is -1.
+    pm = 2**15
+    phi = cyclotomic_poly(2 ** (v - 2))
+    for t in range(-10, 11):
+        snf_rows.clear()
+        quotient_oracle_2(v, t)
+        gt = pow(5, t, pm)
+        u = [(-1 - gt) % pm] if len(phi) == 2 else [-gt % pm, 1]
+        assert [_dense(rows) for rows in snf_rows] == [times_x_rows(phi, u)], t

@@ -79,12 +79,20 @@ def test_bernoulli_pipelines_share_no_code():
 
 
 def test_padic_resultant_check_shares_no_code_with_the_elimination():
-    # The resultant checks the Smith elimination; it may not name the elimination or its row builder.
+    # The resultant checks the Smith elimination; it may not name the elimination or a row builder.
     tree = ast.parse((SRC / "padic.py").read_text())
     check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_resultant_mod")
     named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(check)
              if isinstance(node, (ast.Name, ast.Attribute))}
-    assert not named & {"padic_invariant_exponents", "times_x_rows"}, sorted(named)
+    assert not named & {"padic_invariant_exponents", "times_x_rows", "_times_u_rows"}, sorted(named)
+
+
+def test_padic_builds_no_dense_multiplication_matrix():
+    # The oracle's matrices are built as sparse rows; the d^2 dense builder stays out of padic.
+    tree = ast.parse((SRC / "padic.py").read_text())
+    named = {node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert "times_x_rows" not in named
 
 
 def test_cyclotomic_factor_count_shares_no_code_with_the_splitting():
