@@ -7,7 +7,8 @@ including the Bernoulli-polynomial oracle (B_k here equals B_k(1) of
 the classical Bernoulli polynomial).  The table of ordinary B_k comes
 from the integer tangent-number recurrence, with one ``Fraction`` per
 entry built at the end; it shares no code with the generalized series
-below.
+below.  Tables are built at sizes rounded up to a power of two (at least
+32) and sliced, so one table serves every k of a pass.
 
 Generalized Bernoulli numbers B_{k,chi} are computed two independent
 ways and cross-asserted on every (chi, k):
@@ -18,12 +19,14 @@ ways and cross-asserted on every (chi, k):
   across k (``_SERIES_CACHE``); it is extended only as far as the largest
   k asked for, in integer arithmetic over the power basis of
   Q(zeta_ord(chi)), and its integer vector and denominator become the
-  ``CycElement`` as they are;
+  ``CycElement`` as they are.  Each step takes its binomials from a
+  Pascal row grown from the previous step's, its powers of N from a kept
+  list, and sums only over the earlier B_i that are nonzero;
 * Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``.  Each
   primitive character keeps, per class of equal chi(a), the integer power
   sums of its residues (``_POLYSUM_CACHE``), grown only as far as the
-  largest k asked for; B_{k,chi} is read off them and the coefficients of
-  B_k(x) as one integer vector over one denominator.
+  largest k asked for; B_{k,chi} is read off them and the nonzero
+  coefficients of B_k(x), kept as integer numerators over one denominator.
 
 Both sum over the classes of residues a with equal chi(a), use the
 primitive representative of chi (the defining sum runs over the
@@ -58,7 +61,7 @@ from .exactalg import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _bernoulli_list(k_max: int) -> tuple[Fraction, ...]:
     # Tangent numbers T_1..T_H by the integer recurrence of Knuth and
     # Buckholtz (1967); then B_2h = (-1)^(h-1) 2h T_h / (4^h (4^h - 1)).
@@ -75,19 +78,36 @@ def _bernoulli_list(k_max: int) -> tuple[Fraction, ...]:
     return tuple(out[: k_max + 1])
 
 
+def _bernoulli_table(k: int) -> tuple[Fraction, ...]:
+    """B_0, ..., B_k, sliced from the table of the next power of two (at least 32).
+
+    Rounding the size up lets one table serve every k of a pass, where a
+    table per k would rebuild the tangent numbers each time.
+    """
+    return _bernoulli_list(max(32, 1 << k.bit_length()))[: k + 1]
+
+
 def bernoulli_number(k: int) -> Fraction:
     """B_k with B_1 = +1/2; zero for odd k >= 3."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _bernoulli_list(k)[k]
+    return _bernoulli_table(k)[k]
 
 
 @lru_cache(maxsize=64)
-def _bernoulli_poly_coeffs(k: int) -> tuple[Fraction, ...]:
-    # Classical Bernoulli polynomial B_k(x) = sum C(k,j) B_j^- x^(k-j);
-    # the only place the minus convention (B_1^- = -1/2) enters.
-    bs = _bernoulli_list(k)
-    return tuple(Fraction(math.comb(k, j)) * (-b if j == 1 else b) for j, b in enumerate(bs))
+def _bernoulli_poly_coeffs(k: int) -> tuple[tuple[int, ...], int]:
+    """B_k(x) = sum_j c_j x^(k-j) as the integer numerators of c_0..c_k over one denominator.
+
+    The classical polynomial, c_j = C(k, j) B_j^-: the only place the minus
+    convention (B_1^- = -1/2) enters.
+    """
+    bs = _bernoulli_table(k)
+    den = math.lcm(*(b.denominator for b in bs))
+    nums, binom = [], 1
+    for j, b in enumerate(bs):
+        nums.append(binom * (-1 if j == 1 else 1) * b.numerator * (den // b.denominator))
+        binom = binom * (k - j) // (j + 1)
+    return tuple(nums), den
 
 
 class _SeriesState:
@@ -103,10 +123,16 @@ class _SeriesState:
     with m_j = j! n_j = sum_e zeta^e (sum of a^j over the residues a with
     chi(a) = zeta^e), an integer vector over the power basis.  Each B_i is
     kept as an integer vector over one positive denominator in lowest
-    terms, the form of ``CycElement``.
+    terms, the form of ``CycElement``.  The step's binomials are the
+    Pascal row C(j+1, .), built from the previous row.  The sum runs only
+    over the i with B_i != 0 (half of them vanish by parity), listed in
+    ``nonzero``, by Horner's rule in N: each B_i is multiplied by its
+    binomial, and the running sum by the power of N that spans the gap to
+    the next such i.  Those powers are kept as a list, as far as the
+    largest gap.
     """
 
-    __slots__ = ("N", "classes", "nums", "dens", "lcm")
+    __slots__ = ("N", "degree", "classes", "nums", "dens", "lcm", "nonzero", "binom", "npow")
 
     def __init__(self, chi: DirichletCharacter):
         self.N = chi.modulus
@@ -115,36 +141,54 @@ class _SeriesState:
             val = evaluate(chi, a)
             if val is not None:
                 by_value.setdefault(val.nums, []).append(a)
-        # (zeta^e as an integer vector, residues a with chi(a) = zeta^e, a^j for the next j)
+        self.degree = len(next(iter(by_value)))
+        # (zeta^e as the field's own integer vector, residues a with chi(a) = zeta^e, a^j for
+        # the next j).  Nonzero (coordinate, coefficient) pairs would be a copy per character,
+        # about 0.06 MB more peak memory over a perfbench arith-sweep pass.
         self.classes = [(vec, residues, [1] * len(residues)) for vec, residues in by_value.items()]
         self.nums: list[list[int]] = []
         self.dens: list[int] = []
         self.lcm = 1  # of dens
+        self.nonzero: list[int] = []  # the i with B_i != 0
+        self.binom = [1]  # C(j, .) for the next j
+        self.npow = [1]  # N^0, N^1, ... up to the largest gap
 
     def extend(self, k: int) -> None:
-        N = self.N
-        while len(self.nums) <= k:
-            j = len(self.nums)
-            m = [0] * len(self.classes[0][0])
+        N, npow, nums, dens = self.N, self.npow, self.nums, self.dens
+        while len(nums) <= k:
+            j = len(nums)
+            row = self.binom
+            self.binom = row = [1] + list(map(operator.add, row, row[1:])) + [1]  # C(j+1, .)
+            # The largest power this step reads; it bounds every later gap between nonzero B_i.
+            e = j + 1 - (self.nonzero[-1] if self.nonzero else 0)
+            while len(npow) <= e:
+                npow.append(npow[-1] * N)
+            m = [0] * self.degree
             for vec, residues, pows in self.classes:
                 s = sum(pows)
                 for t, c in enumerate(vec):
                     if c:
                         m[t] += c * s
-                for i, a in enumerate(residues):
-                    pows[i] *= a
+                pows[:] = map(operator.mul, pows, residues)
             L = self.lcm
-            acc = [(j + 1) * L * x for x in m]
-            for i in range(j):
-                coef = math.comb(j + 1, i) * N ** (j - i + 1) * (L // self.dens[i])
-                for t, x in enumerate(self.nums[i]):
-                    if x:
-                        acc[t] -= coef * x
+            # After i, S = sum of C(j+1, i') N^(i-i') L B_i' over the nonzero i' <= i.
+            S, prev = [0] * self.degree, 0
+            for i in self.nonzero:
+                c, f, prev = row[i] * (L // dens[i]), npow[i - prev], i
+                for t, x in enumerate(nums[i]):
+                    S[t] = S[t] * f + c * x
+            f = npow[j + 1 - prev]
+            acc = [(j + 1) * L * x - f * s for x, s in zip(m, S)]
             den = N * (j + 1) * L
             g = math.gcd(den, *acc)
-            self.nums.append([x // g for x in acc])
-            self.dens.append(den // g)
-            self.lcm = L * self.dens[-1] // math.gcd(L, self.dens[-1])
+            if g != 1:
+                acc = [x // g for x in acc]
+                den //= g
+            nums.append(acc)
+            dens.append(den)
+            if any(acc):
+                self.nonzero.append(j)
+            self.lcm = L * den // math.gcd(L, den)
 
 
 # Growing series state per primitive character.  Both pipelines keep at most
@@ -175,10 +219,12 @@ class _PolysumState:
 
     with P_i(e) the sum of a^i over the residues a with chi(a) = zeta^e.
     ``sums[e]`` holds P_0, P_1, ... of class e; it is grown only as far as
-    the largest k asked for.
+    the largest k asked for.  The c_j are integer numerators over one
+    denominator (``_bernoulli_poly_coeffs``), the powers of N are kept in
+    ``npow``, and the zero c_j (odd j >= 3) are skipped.
     """
 
-    __slots__ = ("N", "degree", "terms", "residues", "pows", "sums")
+    __slots__ = ("N", "degree", "terms", "residues", "pows", "sums", "npow")
 
     def __init__(self, chi: DirichletCharacter):
         self.N = chi.modulus
@@ -193,6 +239,7 @@ class _PolysumState:
         self.residues = list(classes.values())
         self.pows = [[1] * len(r) for r in self.residues]  # a^i for the next i
         self.sums: list[list[int]] = [[] for _ in self.terms]
+        self.npow = [1]  # N^0, N^1, ...
 
     def value(self, k: int) -> tuple[list[int], int]:
         """Integer vector and denominator of B_{k,chi}."""
@@ -200,16 +247,19 @@ class _PolysumState:
             for P, pows in zip(self.sums, self.pows):
                 P.append(sum(pows))
             self.pows = [list(map(operator.mul, p, r)) for p, r in zip(self.pows, self.residues)]
-        N = self.N
-        cs = _bernoulli_poly_coeffs(k)
-        den = math.lcm(*(c.denominator for c in cs))
-        scaled = [c.numerator * (den // c.denominator) * N**j for j, c in enumerate(cs)]
+        npow = self.npow
+        while len(npow) <= k:
+            npow.append(npow[-1] * self.N)
+        cs, den = _bernoulli_poly_coeffs(k)
+        # c_j N^j, and the index k - j of its power sum, for the c_j != 0
+        scaled = [c * npow[j] for j, c in enumerate(cs) if c]
+        index = [k - j for j, c in enumerate(cs) if c]
         nums = [0] * self.degree
         for terms, P in zip(self.terms, self.sums):
-            s = sum(map(operator.mul, scaled, P[k::-1]))  # sum_j c_j N^j P_{k-j}
+            s = sum(map(operator.mul, scaled, map(P.__getitem__, index)))  # sum_j c_j N^j P_{k-j}
             for t, x in terms:
                 nums[t] += x * s
-        return nums, N * den
+        return nums, self.N * den
 
 
 # Power-sum state of the oracle per primitive character.

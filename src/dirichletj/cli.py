@@ -42,9 +42,19 @@ MAX_DEGREES = 50_000
 # with d + 1 prime (von Staudt's primes).  Cold calls on a 2-core VM: below the cap
 # at most 0.8 s of CPU, for degree 49795199; 99459359 takes 4.1 s, 735134399 24 s.
 MAX_ABS_DEGREE = 50_000_000
+# B_(k,chi) costs about W^3 big-integer steps up to weight W.  Cold `bern --modulus 5
+# --index 1` on a 2-core VM: weight 600 takes 0.3-0.4 s of CPU and 17 MB, 1000 1.5-2 s
+# and 18 MB, 1500 9.3 s and 21 MB, 2000 23 s and 25 MB.  Larger fields cost more at the
+# same weight: 29:5 at weight 999 takes 9-12 s.
+MAX_WEIGHT = 1_000
 
 # (payload, text view, exit code), as returned by every cmd_* subcommand.
 Output = tuple[dict, Callable[[], str], int]
+
+
+def _check_weight(flag: str, weight: int) -> None:
+    if weight > MAX_WEIGHT:
+        raise InputError(f"weight too large: {flag} {weight} is above {MAX_WEIGHT}")
 
 
 class RunReport(Record):
@@ -364,6 +374,7 @@ def cmd_chars(args) -> Output:
 
 
 def cmd_bern(args) -> Output:
+    _check_weight("--weight", args.weight)
     chi = character_from_index(args.modulus, args.index)
     k = args.weight
     b = bernoulli.gbn(chi, k)
@@ -461,6 +472,7 @@ def cmd_eisenstein(args) -> Output:
         raise InputError(f"coefficient range too large: --nmax {args.nmax} is above {MAX_NMAX}")
     if args.show_coeffs < 0:
         raise InputError(f"empty coefficient range: --show-coeffs {args.show_coeffs} is negative")
+    _check_weight("--weight", args.weight)
     chi = character_from_index(args.modulus, args.index)
     result = eisenstein.congruence_check(chi, args.weight, args.nmax)
     coeffs = result["coefficients"][: min(args.nmax, args.show_coeffs) + 1]
@@ -484,6 +496,7 @@ def cmd_eisenstein(args) -> Output:
 
 
 def cmd_dedekind(args) -> Output:
+    _check_weight("--weight", args.weight)
     spec = dedekind.AbelianFieldSpec(args.modulus, tuple(args.subgroup or []))
     value = dedekind.zeta_special_value(spec, 1 - args.weight)
     payload = {
@@ -525,6 +538,7 @@ def cmd_verify(args) -> Output:
         raise InputError(f"empty range: --max {given['--max']} is below 1")
     if given.get("--max-weight", 0) < 0:
         raise InputError(f"empty weight range: --max-weight {given['--max-weight']} is negative")
+    _check_weight("--max-weight", given.get("--max-weight", 0))
     primes = given.get("--primes")
     if primes is not None and (not primes or any(N <= 2 or len(factorize(N)) != 1 for N in primes)):
         raise InputError(f"--primes takes prime powers above 2, got {primes}")

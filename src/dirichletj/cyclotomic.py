@@ -170,10 +170,17 @@ class CycElement:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, num: int, den: int) -> "CycElement":
+        """self * num/den for den != 0, with the sign of den moved into the numerators."""
+        if den < 0:
+            num, den = -num, -den
+        return CycElement(self.field, [x * num for x in self.nums], self.den * den)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycElement(self.field, [x * q.numerator for x in self.nums], self.den * q.denominator)
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
         other = self._coerce(other)
         d = self.field.degree
         bs = [(j, b) for j, b in enumerate(other.nums) if b]
@@ -210,7 +217,9 @@ class CycElement:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / Fraction(other))
+            if isinstance(other, int):
+                return self._scale(1, other)
+            return self._scale(other.denominator, other.numerator)
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
@@ -262,13 +271,14 @@ def render_cyc(a: CycElement) -> str:
     for j, x in enumerate(a.nums):
         if x == 0:
             continue
-        c = Fraction(x, a.den)
+        g = math.gcd(x, a.den)
+        c = str(x // g) if g == a.den else f"{x // g}/{a.den // g}"
         if j == 0:
-            terms.append(str(c))
+            terms.append(c)
         elif j == 1:
-            terms.append(f"{c}*z" if c != 1 else "z")
+            terms.append(f"{c}*z" if c != "1" else "z")
         else:
-            terms.append(f"{c}*z^{j}" if c != 1 else f"z^{j}")
+            terms.append(f"{c}*z^{j}" if c != "1" else f"z^{j}")
     if not terms:
         return "0"
     return " + ".join(terms).replace("+ -", "- ")

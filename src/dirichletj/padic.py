@@ -21,6 +21,7 @@ eigen / fixed-point spectral sequences for pure prime-power conductors.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from .characters import InputError
@@ -36,10 +37,12 @@ from .exactalg import (
 )
 
 
+@lru_cache(maxsize=128)
 def teichmuller(p: int, a: int, M: int) -> int:
     """The unique (p-1)-st root of unity congruent to a mod p, as a residue mod p^M.
 
     Computed by iterating the p-th power map to its fixed point mod p^M.
+    Cached: ``quotient_oracle`` asks for the same lift at every (a, t).
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")

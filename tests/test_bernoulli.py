@@ -27,7 +27,7 @@ from dirichletj.characters import (
     parity,
     tame_order,
 )
-from dirichletj.cyclotomic import denominator_ideal, galois_apply, get_field, quotient_group
+from dirichletj.cyclotomic import denominator_ideal, galois_apply, get_field, quotient_group, render_cyc
 from dirichletj.exactalg import AbelianGroupExpr, _vp, factorize, smallest_primitive_root
 
 from exponent_tuples import char_pow
@@ -67,6 +67,17 @@ class TestOrdinary:
             acc = sum(Fraction(math.comb(k + 1, j)) * bernoulli_number(j) for j in range(k + 1))
             assert acc == k + 1
 
+    def test_one_table_per_power_of_two(self):
+        # Every k of a pass up to 100 reads one of three tables (32, 64, 128), not one per k.
+        bernoulli._bernoulli_list.cache_clear()
+        bernoulli._bernoulli_poly_coeffs.cache_clear()
+        for k in range(101):
+            bernoulli_number(k)
+            bernoulli._bernoulli_poly_coeffs(k)
+        info = bernoulli._bernoulli_list.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+        assert len(bernoulli._bernoulli_poly_coeffs(100)[0]) == 101
+
     def test_tangent_table_matches_recurrence(self):
         # The table comes from tangent numbers; the oracle solves the defining recurrence.
         expected = bernoulli_by_recurrence(60)
@@ -78,11 +89,12 @@ class TestOrdinary:
 
 
 def bernoulli_polynomial(k, x):
-    """B_k(x) by Horner steps over the coefficients the polynomial-sum pipeline reads."""
+    """B_k(x) by Horner steps over the numerators the polynomial-sum pipeline reads, over their denominator."""
+    nums, den = bernoulli._bernoulli_poly_coeffs(k)
     acc = Fraction(0)
-    for c in bernoulli._bernoulli_poly_coeffs(k):
+    for c in nums:
         acc = acc * x + c
-    return acc
+    return acc / den
 
 
 class TestBernoulliPolynomial:
@@ -187,6 +199,19 @@ class TestGrowingSeries:
         gbn(chi, 1)
         assert len(bernoulli._SERIES_CACHE[chi].nums) == 4
 
+    def test_series_keeps_its_pascal_row_powers_of_n_and_nonzero_indices(self):
+        _clear_gbn_caches()
+        chi = character_from_index(7, 1)
+        gbn(chi, 9)
+        state = bernoulli._SERIES_CACHE[chi]
+        assert state.binom == [math.comb(10, i) for i in range(11)]
+        # chi is odd, so the nonzero B_i sit two apart: the Horner steps read N^2, and step j
+        # ends with N^(j+1-i) for the last nonzero i < j, at most N^3.
+        assert state.npow == [1, 7, 49, 343]
+        # B_i vanishes exactly when (-1)^i != chi(-1), and the step sums over the others only.
+        assert state.nonzero == [i for i in range(10) if any(state.nums[i])]
+        assert state.nonzero == [i for i in range(10) if (-1) ** i == parity(chi)]
+
     def test_oracle_grows_only_to_requested_k(self):
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
@@ -246,6 +271,25 @@ class TestGrowingSeries:
         assert gbn(chi, 4) == honest(chi, 4)
         with pytest.raises(AssertionError):
             gbn(chi, 5)
+
+
+# sha256 of render_cyc(gbn(chi, k)), from the code before the Pascal-row series and the
+# integer polynomial coefficients.  The three characters are odd, so k = 60 renders "0";
+# k = 61 pins a nonzero value of the same fields.
+PINNED_RENDER_SHA256 = {
+    (5, 1, 151): "b80c6924f4d7c2cb959d7dd71fa808068a8b560d3bbd278f16ac047700b9ddca",
+    (25, 1, 60): "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    (29, 5, 60): "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    (25, 1, 61): "4f4a1ea4a4658596948d9d1f74940840dc3f4fc1b42de2c3d5d95ff4cd2e2509",
+    (29, 5, 61): "94a59c26072d4d78cbf0c81ef7ccf3c553067854fd519985707eca2ffb164434",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_RENDER_SHA256))
+def test_rendered_value_at_large_weight_is_pinned(key):
+    N, idx, k = key
+    rendered = render_cyc(gbn(character_from_index(N, idx), k))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == PINNED_RENDER_SHA256[key]
 
 
 def _bernoulli_polynomials(k_max):

@@ -247,6 +247,10 @@ class TestBadArguments:
         ("eisenstein --modulus 12 --index 3 --weight 2", "the conductor must be 1 or a prime power, got 12"),
         ("eisenstein --modulus 5 --index 2 --weight 2 --nmax 100001", "coefficient range too large: --nmax 100001 is above 100000"),
         ("chars list --modulus 50001", "character table too large: --modulus 50001 is above 50000"),
+        ("bern --modulus 5 --index 1 --weight 1001", "weight too large: --weight 1001 is above 1000"),
+        ("eisenstein --modulus 5 --index 1 --weight 1001", "weight too large: --weight 1001 is above 1000"),
+        ("dedekind --modulus 5 --weight 1001", "weight too large: --weight 1001 is above 1000"),
+        ("verify gbn-theorem --max-weight 1001", "weight too large: --max-weight 1001 is above 1000"),
         ("homotopy j --from -25000 --to 25000", "degree range too large: --from -25000 --to 25000 spans 50001 degrees, above 50000"),
         ("homotopy j --from 99999999999 --to 99999999999", "degree too large: --from 99999999999 --to 99999999999 leaves -50000000..50000000"),
         ("homotopy chi --modulus 5 --index 2 --from -50000001 --to -50000000", "degree too large: --from -50000001 --to -50000000 leaves -50000000..50000000"),
@@ -301,6 +305,18 @@ class TestRanges:
         code, out, _ = run_cli(capsys, *argv, "--json")
         payload = json.loads(out)
         assert code == 0 and len(payload.get("characters", payload.get("table"))) == rows
+
+    @pytest.mark.parametrize("argv", [
+        "bern --modulus 5 --index 1 --weight {}", "eisenstein --modulus 5 --index 1 --weight {} --nmax 5",
+        "dedekind --modulus 5 --weight {}", "verify gbn-theorem --max-weight {}",
+    ])
+    def test_the_weight_cap_admits_its_own_value(self, capsys, monkeypatch, argv):
+        # A cap of 7 stands for MAX_WEIGHT, whose own value takes about a second of CPU.
+        monkeypatch.setattr(cli, "MAX_WEIGHT", 7)
+        code, out, _ = run_cli(capsys, *argv.format(7).split(), "--json")
+        assert code == 0 and json.loads(out)["schema"] == 1
+        code, out, err = run_cli(capsys, *argv.format(8).split(), "--json")
+        assert (code, out) == (2, "") and "weight too large" in err and "is above 7" in err
 
 
 class TestVerify:

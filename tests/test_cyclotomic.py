@@ -37,6 +37,24 @@ from ideal_oracle import (
 PRIMES_50 = [p for p in range(2, 51) if is_prime(p)]
 
 
+def _render_by_fractions(a):
+    """The renderer as it was written with one Fraction per coordinate, kept as the reference."""
+    terms = []
+    for j, x in enumerate(a.nums):
+        if x == 0:
+            continue
+        c = Fraction(x, a.den)
+        if j == 0:
+            terms.append(str(c))
+        elif j == 1:
+            terms.append(f"{c}*z" if c != 1 else "z")
+        else:
+            terms.append(f"{c}*z^{j}" if c != 1 else f"z^{j}")
+    if not terms:
+        return "0"
+    return " + ".join(terms).replace("+ -", "- ")
+
+
 class TestCyclotomicPoly:
     def test_n1(self):
         assert cyclotomic_poly(1) == (-1, 1)
@@ -97,6 +115,36 @@ class TestFieldArithmetic:
         assert render_cyc(f.from_rational(Fraction(4, 5))) == "4/5"
         assert render_cyc(f.zero()) == "0"
         assert render_cyc(f.one() + f.zeta_power(1) * 2) == "1 + 2*z"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.data())
+    def test_times_and_over_a_rational_scalar(self, n, data):
+        # The scalar path works on (nums, den) with the sign moved into the numerators; the
+        # reference rebuilds the element from its Fraction coordinates.
+        f = get_field(n)
+        coords = data.draw(st.lists(st.fractions(-500, 500, max_denominator=60), min_size=f.degree, max_size=f.degree))
+        a = f.element(coords)
+        q = data.draw(st.one_of(st.integers(-1000, 1000), st.fractions(max_denominator=1000)).filter(bool))
+        times, over = a * q, a / q
+        assert times == f.element([c * q for c in coords]) == q * a
+        assert over == f.element([c / q for c in coords])
+        assert times.den > 0 and over.den > 0
+        assert math.gcd(times.den, *times.nums) == math.gcd(over.den, *over.nums) == 1
+
+    def test_division_by_a_zero_scalar(self):
+        a = get_field(5).zeta_power(1)
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                a / zero
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.data())
+    def test_render_matches_the_fraction_renderer(self, n, data):
+        f = get_field(n)
+        nums = data.draw(st.lists(st.sampled_from([0, 1, -1]) | st.integers(-10**30, 10**30),
+                                  min_size=f.degree, max_size=f.degree))
+        a = CycElement(f, nums, data.draw(st.sampled_from([1, 2]) | st.integers(1, 10**20)))
+        assert render_cyc(a) == _render_by_fractions(a)
 
 
 class TestInverse:

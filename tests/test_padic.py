@@ -49,6 +49,18 @@ class TestTeichmuller:
         with pytest.raises(ValueError):
             teichmuller(5, 10, 4)
 
+    def test_oracle_lifts_once_per_grid(self):
+        # The lift of g mod p depends on p and the precision only, not on (a, t): one
+        # computation serves the 84 oracle calls of the (5, 3) grid.
+        teichmuller.cache_clear()
+        calls = 0
+        for a in range(4):
+            for t in range(-10, 11):
+                quotient_oracle(5, 3, a, t)
+                calls += 1
+        info = teichmuller.cache_info()
+        assert (info.misses, info.hits) == (1, calls - 1)
+
 
 class TestTopologicalGenerator:
     def test_p3(self):

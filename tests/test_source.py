@@ -238,13 +238,13 @@ def test_caches_are_empty_after_a_cold_import():
     assert not {name: n for name, n in sizes.items() if n}, sizes
 
 
-def test_every_lru_cache_is_bounded_but_the_bernoulli_table():
-    # An unbounded cache grows for the life of the process.  _bernoulli_list, keyed by the
-    # largest index asked for, is the one exception until a single growing table replaces it.
+def test_every_lru_cache_is_bounded():
+    # An unbounded cache grows for the life of the process.
     lru = {name: cache["maxsize"] for name, cache in _cold_caches().items() if "maxsize" in cache}
-    assert {"bernoulli._gbn_primitive", "cyclotomic.get_field", "homotopy._assembly_summands"} <= set(lru), sorted(lru)
+    assert {"bernoulli._gbn_primitive", "bernoulli._bernoulli_list", "bernoulli._bernoulli_poly_coeffs",
+            "cyclotomic.get_field", "homotopy._assembly_summands"} <= set(lru), sorted(lru)
     unbounded = sorted(name for name, maxsize in lru.items() if maxsize is None)
-    assert unbounded == ["bernoulli._bernoulli_list"], unbounded
+    assert not unbounded, unbounded
 
 
 def test_cli_import_loads_every_module_but_not_dataclasses_or_inspect():
