@@ -16,17 +16,18 @@ ways and cross-asserted on every (chi, k):
 * generating function: k! times the t^k coefficient of
   ``sum_a chi(a) t e^{at} / (e^{Nt} - 1)``.  Each primitive character's
   quotient series is grown once, one coefficient per k, and reused
-  across k (``_SERIES_CACHE``); it is extended only as far as the largest
-  k asked for, in integer arithmetic over the power basis of
-  Q(zeta_ord(chi)), and its integer vector and denominator become the
-  ``CycElement`` as they are.  Each step takes its binomials from a
-  Pascal row grown from the previous step's, its powers of N from a kept
-  list, and sums only over the earlier B_i that are nonzero;
+  across k (the ``lru_cache`` ``_series_state``); it is extended only as
+  far as the largest k asked for, in integer arithmetic over the power
+  basis of Q(zeta_ord(chi)), and its integer vector and denominator
+  become the ``CycElement`` as they are.  Each step takes its binomials
+  from a Pascal row grown from the previous step's, its powers of N from
+  a kept list, and sums only over the earlier B_i that are nonzero;
 * Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``.  Each
   primitive character keeps, per class of equal chi(a), the integer power
-  sums of its residues (``_POLYSUM_CACHE``), grown only as far as the
-  largest k asked for; B_{k,chi} is read off them and the nonzero
-  coefficients of B_k(x), kept as integer numerators over one denominator.
+  sums of its residues (the ``lru_cache`` ``_polysum_state``), grown only
+  as far as the largest k asked for; B_{k,chi} is read off them and the
+  nonzero coefficients of B_k(x), kept as integer numerators over one
+  denominator.
 
 Both sum over the classes of residues a with equal chi(a), use the
 primitive representative of chi (the defining sum runs over the
@@ -191,20 +192,16 @@ class _SeriesState:
             self.lcm = L * den // math.gcd(L, den)
 
 
-# Growing series state per primitive character.  Both pipelines keep at most
-# _STATES characters and drop the oldest first: a perfbench pass over every
-# arith-sweep candidate holds 105, `verify all` 73.
-_STATES = 512
-_SERIES_CACHE: dict[DirichletCharacter, _SeriesState] = {}
+# Growing series state per primitive character, the least recently used dropped
+# first: a perfbench pass over every arith-sweep candidate holds 105, `verify all` 73.
+@lru_cache(maxsize=512)
+def _series_state(chi: DirichletCharacter) -> _SeriesState:
+    return _SeriesState(chi)
 
 
 def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
     """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t) over Q(zeta_ord)."""
-    state = _SERIES_CACHE.get(chi)
-    if state is None:
-        if len(_SERIES_CACHE) >= _STATES:
-            del _SERIES_CACHE[next(iter(_SERIES_CACHE))]
-        state = _SERIES_CACHE[chi] = _SeriesState(chi)
+    state = _series_state(chi)
     state.extend(k)
     return CycElement(get_field(chi.order()), state.nums[k], state.dens[k])
 
@@ -262,18 +259,15 @@ class _PolysumState:
         return nums, self.N * den
 
 
-# Power-sum state of the oracle per primitive character.
-_POLYSUM_CACHE: dict[DirichletCharacter, _PolysumState] = {}
+# Power-sum state of the oracle per primitive character, bounded as the series is.
+@lru_cache(maxsize=512)
+def _polysum_state(chi: DirichletCharacter) -> _PolysumState:
+    return _PolysumState(chi)
 
 
 def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
     """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N)."""
-    state = _POLYSUM_CACHE.get(chi)
-    if state is None:
-        if len(_POLYSUM_CACHE) >= _STATES:
-            del _POLYSUM_CACHE[next(iter(_POLYSUM_CACHE))]
-        state = _POLYSUM_CACHE[chi] = _PolysumState(chi)
-    nums, den = state.value(k)
+    nums, den = _polysum_state(chi).value(k)
     return CycElement(get_field(chi.order()), nums, den)
 
 

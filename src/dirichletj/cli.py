@@ -622,10 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The spec keywords ``_plain_namespace`` reads; a spec with any other goes to argparse.
-_PLAIN_KEYWORDS = frozenset({"type", "required", "default", "dest", "choices", "help", "action"})
-
-
 def _plain_namespace(argv: list[str]) -> Optional[argparse.Namespace]:
     """What ``build_parser().parse_args(argv)`` returns, read straight off ``COMMANDS``; None when unsure.
 
@@ -635,9 +631,9 @@ def _plain_namespace(argv: list[str]) -> Optional[argparse.Namespace]:
     left to argparse, which alone prints help and errors: ``-h``, ``--``,
     an abbreviation, ``--opt=value``, a token starting with ``-`` that is
     neither an option of the subcommand nor ``-<ASCII digits>``, a missing
-    or extra token, a value its type or choices reject, and a spec with a
-    keyword outside ``_PLAIN_KEYWORDS``, a str default or an action other
-    than store_true.
+    or extra token, and a value its type or choices reject.  It reads the
+    specs as ``tests/test_cli.py`` requires them to be: one flag each, only
+    the keywords read here, no str default and no action but store_true.
     """
     values, dest, commands, i = {}, "command", COMMANDS, 0
     while isinstance(commands, dict):
@@ -645,17 +641,10 @@ def _plain_namespace(argv: list[str]) -> Optional[argparse.Namespace]:
             return None
         name = values[dest] = argv[i]
         _, commands, specs = commands[name]
-        if isinstance(commands, dict) and specs:
-            return None
         dest, i = f"{name}_command", i + 1
     values["fn"] = commands
     options, positionals, required = {}, [], set()
-    for flags, kwargs in specs + [_JSON]:
-        # argparse would pass a str default through the spec's type, as it does a token.
-        if (len(flags) != 1 or not kwargs.keys() <= _PLAIN_KEYWORDS or isinstance(kwargs.get("default"), str)
-                or kwargs.get("action", "store_true") != "store_true"):
-            return None
-        flag = flags[0]
+    for (flag,), kwargs in specs + [_JSON]:
         if flag.startswith("-"):
             dest = kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
             options[flag] = dest, kwargs

@@ -292,15 +292,10 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
     Each summand is the p-adic character data of the twist chi^b over the
     coset representatives b of the p-adic splitting of Q(zeta_ord(chi)).
     For odd p and conductor p^v the tame exponents sweep exactly
-    {a : ker omega^a = ker chi restricted to (Z/p)^x}.  The summands do not
-    depend on a degree, so they are computed once per (chi, p) and every
-    call returns a fresh list.
+    {a : ker omega^a = ker chi restricted to (Z/p)^x}.  Each call builds
+    a fresh list; the callers that read it per character cache what they
+    read (``_assembly_summands``, ``_duality_setup``).
     """
-    return list(_decompose_p(chi, p))
-
-
-@lru_cache(maxsize=1024)
-def _decompose_p(chi: DirichletCharacter, p: int) -> tuple[PAdicCharacterData, ...]:
     if not is_primitive(chi):
         raise ValueError("chi must be primitive")
     if not is_prime(p):
@@ -317,8 +312,8 @@ def _decompose_p(chi: DirichletCharacter, p: int) -> tuple[PAdicCharacterData, .
         payload = PrimeToPPart(modulus=N // p**v, wild_image_exp=e, image_is_p_power=(e >= 1 and m == p**e))
     a0 = tame_exponent(chi, p)
     if p == 2:
-        return tuple(PAdicCharacterData(p=2, v=v, tame=a0, prime_to_p=payload) for _ in reps)
-    return tuple(PAdicCharacterData(p=p, v=v, tame=(b * a0) % (p - 1), prime_to_p=payload) for b in reps)
+        return [PAdicCharacterData(p=2, v=v, tame=a0, prime_to_p=payload) for _ in reps]
+    return [PAdicCharacterData(p=p, v=v, tame=(b * a0) % (p - 1), prime_to_p=payload) for b in reps]
 
 
 _Summands = tuple[PAdicCharacterData, ...]
@@ -330,7 +325,7 @@ def _assembly_summands(chi: DirichletCharacter) -> tuple[_Summands, tuple[tuple[
     nonzero, over the primes dividing its conductor or its order, as
     (every-degree summands, eigen-piece index).
 
-    Each summand of ``_decompose_p`` falls in one of three kinds:
+    Each summand of ``decompose_p`` falls in one of three kinds:
 
     * contractible: the prime-to-p image is not a p-power, so ``pi_DK1``
       is zero in every degree; dropped;
@@ -347,7 +342,7 @@ def _assembly_summands(chi: DirichletCharacter) -> tuple[_Summands, tuple[tuple[
     every_degree, index = [], []
     for p in sorted(set(factorize(chi.modulus)) | set(factorize(chi.order()))):
         eigen: dict[int, list[PAdicCharacterData]] = {}
-        for s in _decompose_p(chi, p):
+        for s in decompose_p(chi, p):
             part = s.prime_to_p
             if part is not None and not part.image_is_p_power:
                 continue
@@ -643,17 +638,22 @@ def _diff_is_z2_only(a: AbelianGroupExpr, b: AbelianGroupExpr) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _duality_setup(chi: DirichletCharacter) -> tuple[int, int, DirichletCharacter, tuple[int, ...]]:
-    """(p, v, chi^{-1}, loc) for chi of conductor p^v: what each of its duality rows reads.
+def _duality_setup(chi: DirichletCharacter) -> tuple[int, int, DirichletCharacter, tuple[int, ...], _Summands]:
+    """(p, v, chi^{-1}, loc, summands) for chi of conductor p^v: what each of its duality rows reads.
 
-    ``loc`` holds ell(chi) for odd p when ell(chi) > 1, and is empty otherwise.
+    ``loc`` holds ell(chi) for odd p when ell(chi) > 1, ``summands`` one
+    2-adic summand of chi and one of chi^{-1} for p = 2 (a character's
+    2-adic summands are all equal); each is empty otherwise.
     """
     fac = factorize(conductor(chi))
     if len(fac) != 1:
         raise ValueError("conductor must be a prime power")
     (p, v), = fac.items()
-    ell = 1 if p == 2 else chmod.ell_of_chi(chi)
-    return p, v, char_inv(chi), () if ell == 1 else (ell,)
+    chi_inv = char_inv(chi)
+    if p == 2:
+        return p, v, chi_inv, (), (decompose_p(chi, 2)[0], decompose_p(chi_inv, 2)[0])
+    ell = chmod.ell_of_chi(chi)
+    return p, v, chi_inv, () if ell == 1 else (ell,), ()
 
 
 def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[int]) -> list[dict]:
@@ -664,7 +664,7 @@ def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[i
     tables of chi^{-1} and even characters with the primed (exotic
     Moore-model) tables.
     """
-    p, v_actual, chi_inv, loc = _duality_setup(chi)
+    p, v_actual, chi_inv, loc, summands = _duality_setup(chi)
     if v_actual != v:
         raise ValueError(f"conductor is {p}^{v_actual}, not {p}^{v}")
     rows = []
@@ -674,8 +674,7 @@ def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[i
             rhs = pi_jn_chi(chi_inv, -2 - t, loc)
             rows.append({"t": t, "lhs": lhs.render(), "rhs": rhs.render(), "ok": lhs == rhs})
         return rows
-    data = decompose_p(chi, 2)[0]
-    data_inv = decompose_p(chi_inv, 2)[0]
+    data, data_inv = summands
     even = parity(chi) == 1
     for t in t_range:
         lhs = pi_DK1(data, t)

@@ -93,11 +93,10 @@ def _resultant_mod(phi: tuple[int, ...], u: list[int], pm: int) -> int:
     """Res(Phi, u) mod pm, up to sign, for monic ``phi`` and u = u0 + u1 x (ascending).
 
     With c = -u0 and w = u1 this is sum_j phi_j c^j w^(d-j), evaluated by
-    Horner; a constant u (w = 0) gives c^d.  It equals the determinant of
-    multiplication by u on Z[x]/(Phi) up to sign, from Phi and u alone.
+    Horner.  It equals the determinant of multiplication by u on Z[x]/(Phi)
+    up to sign, from Phi and u alone.
     """
-    c = -u[0]
-    w = u[1] if len(u) > 1 else 0
+    c, w = -u[0], u[1]
     acc, wpow = 0, 1
     for coeff in reversed(phi):
         acc = (acc * c + coeff * wpow) % pm
@@ -111,11 +110,11 @@ def _times_u_rows(phi: tuple[int, ...], u: list[int]) -> list[dict[int, int]]:
     Row j < d - 1 is u0 x^j + u1 x^(j+1).  The last row is
     u0 x^(d-1) - u1 (Phi - x^d): column d - 1 and the columns of the
     nonzero coefficients of Phi below x^d, at most p entries for
-    Phi_(p^(v-1)).  The d x d matrix has about 2d + p nonzeros, and zero
-    entries (u1 = 0) are left for the elimination to drop.
+    Phi_(p^(v-1)).  The d x d matrix has about 2d + p nonzeros; a zero
+    entry is left for the elimination to drop.
     """
     d = len(phi) - 1
-    u0, u1 = u[0], u[1] if len(u) > 1 else 0
+    u0, u1 = u
     rows = [{j: u0, j + 1: u1} for j in range(d - 1)]
     last = {j: -u1 * c for j, c in enumerate(phi[:-1]) if c}
     last[d - 1] = last.get(d - 1, 0) + u0
@@ -183,9 +182,6 @@ def quotient_oracle_2(v: int, t: int, M: int = 15) -> AbelianGroupExpr:
     def u_at(precision: int) -> list[int]:
         pm = 2**precision
         gt = pow(5, t, pm) if t >= 0 else pow(pow(5, -1, pm), -t, pm)
-        if len(phi) == 2:
-            # Phi_2 = x + 1, so zeta reduces to -1 in the power basis.
-            return [(-1 - gt) % pm]
         return [(-gt) % pm, 1]
 
     return _stable_quotient(phi, u_at, 2, M)

@@ -166,8 +166,8 @@ class TestGBN:
 
 def _clear_gbn_caches():
     bernoulli._gbn_primitive.cache_clear()
-    bernoulli._SERIES_CACHE.clear()
-    bernoulli._POLYSUM_CACHE.clear()
+    bernoulli._series_state.cache_clear()
+    bernoulli._polysum_state.cache_clear()
 
 
 class TestGrowingSeries:
@@ -195,15 +195,15 @@ class TestGrowingSeries:
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
         gbn(chi, 3)
-        assert len(bernoulli._SERIES_CACHE[chi].nums) == 4
+        assert len(bernoulli._series_state(chi).nums) == 4
         gbn(chi, 1)
-        assert len(bernoulli._SERIES_CACHE[chi].nums) == 4
+        assert len(bernoulli._series_state(chi).nums) == 4
 
     def test_series_keeps_its_pascal_row_powers_of_n_and_nonzero_indices(self):
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
         gbn(chi, 9)
-        state = bernoulli._SERIES_CACHE[chi]
+        state = bernoulli._series_state(chi)
         assert state.binom == [math.comb(10, i) for i in range(11)]
         # chi is odd, so the nonzero B_i sit two apart: the Horner steps read N^2, and step j
         # ends with N^(j+1-i) for the last nonzero i < j, at most N^3.
@@ -216,20 +216,22 @@ class TestGrowingSeries:
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
         gbn(chi, 3)
-        assert {len(P) for P in bernoulli._POLYSUM_CACHE[chi].sums} == {4}
+        assert {len(P) for P in bernoulli._polysum_state(chi).sums} == {4}
         gbn(chi, 1)
-        assert {len(P) for P in bernoulli._POLYSUM_CACHE[chi].sums} == {4}
+        assert {len(P) for P in bernoulli._polysum_state(chi).sums} == {4}
 
-    def test_state_caches_keep_the_newest_characters(self, monkeypatch):
-        monkeypatch.setattr(bernoulli, "_STATES", 3)
+    def test_state_caches_are_bounded_and_regrow(self):
+        states = (bernoulli._series_state, bernoulli._polysum_state)
+        assert [cache.cache_info().maxsize for cache in states] == [512, 512]
         _clear_gbn_caches()
         chars = [chi for chi, _ in self.GRID[:5]]
         expected = [gbn(chi, 4) for chi in chars]
-        assert list(bernoulli._SERIES_CACHE) == list(bernoulli._POLYSUM_CACHE) == chars[2:]
-        bernoulli._gbn_primitive.cache_clear()
-        # The evicted first character is grown again from k = 0, and the two pipelines still agree.
-        assert [gbn(chi, 4) for chi in chars] == expected
-        assert len(bernoulli._SERIES_CACHE) == len(bernoulli._POLYSUM_CACHE) == 3
+        for cache in states:
+            cache.cache_clear()
+            bernoulli._gbn_primitive.cache_clear()
+            # The cleared pipeline grows its states again from k = 0, and the two pipelines still agree.
+            assert [gbn(chi, 4) for chi in chars] == expected
+            assert [c.cache_info().currsize for c in states] == [5, 5]
         _clear_gbn_caches()
 
     def test_each_pipeline_evaluates_chi_once_per_residue(self, monkeypatch):

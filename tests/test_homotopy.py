@@ -254,10 +254,6 @@ class TestDecompose:
         second.clear()
         assert decompose_p(chi, 5) == want
 
-    def test_memo_is_bounded(self):
-        maxsize = homotopy._decompose_p.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
-
 
 def _digest(lines):
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -150,19 +150,19 @@ class TestQuotientOracle:
     def test_exponents_below_M_summing_to_M_escalate(self, snf_precisions):
         # u = 3 on Z[x]/(Phi_3): both exponents are 1 < M = 2, but Res = 9 vanishes mod 3^2;
         # at M = 7 its valuation is 2, and the one elimination runs mod 3^3.
-        got = padic._stable_quotient(cyclotomic_poly(3), lambda precision: [3], 3, 2)
+        got = padic._stable_quotient(cyclotomic_poly(3), lambda precision: [3, 0], 3, 2)
         assert got == AbelianGroupExpr.cyclic(3) + AbelianGroupExpr.cyclic(3)
         assert snf_precisions == [3]
 
     def test_capped_exponent_fails_the_sum_check(self, monkeypatch):
         # u = 9 on Z[x]/(Phi_3) is Z/9 + Z/9 with v_3(Res) = 4; an elimination
         # run mod 3 instead caps both exponents at 1, and they sum to 2.
-        quotient = padic._stable_quotient(cyclotomic_poly(3), lambda precision: [9], 3, 15)
+        quotient = padic._stable_quotient(cyclotomic_poly(3), lambda precision: [9, 0], 3, 15)
         assert quotient == AbelianGroupExpr.cyclic(9).times(2)
         snf = padic.padic_invariant_exponents
         monkeypatch.setattr(padic, "padic_invariant_exponents", lambda rows, p, M: snf(rows, p, 1))
         with pytest.raises(AssertionError, match="Res"):
-            padic._stable_quotient(cyclotomic_poly(3), lambda precision: [9], 3, 15)
+            padic._stable_quotient(cyclotomic_poly(3), lambda precision: [9, 0], 3, 15)
 
     def test_pinned_oracle_digest(self):
         # Every quotient on a fixed grid, rendered and hashed: the precision
