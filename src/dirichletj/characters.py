@@ -30,14 +30,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cyclotomic import CycElement, get_field
-from .exactalg import Record, _crt_lift, _multiplicative_order, _vp, euler_phi, factorize, is_prime, smallest_primitive_root
-
-
-class InputError(ValueError):
-    """An argument outside the domain of a public function: a modulus, index or weight.
-
-    The command line exits 2 on it, and 1 on any other error.
-    """
+from .exactalg import (InputError, Record, _crt_lift, _multiplicative_order, _vp, euler_phi, factorize, is_prime,
+                       smallest_primitive_root)
 
 
 class UnitGroupStructure(Record):
@@ -90,24 +84,14 @@ def get_structure(N: int) -> UnitGroupStructure:
 @lru_cache(maxsize=128)
 def _dlog_table(N: int) -> dict[int, tuple[int, ...]]:
     """Exponent tuples of every unit mod N over the canonical generators."""
-    st = get_structure(N)
-    table: dict[int, tuple[int, ...]] = {1 % N: tuple([0] * len(st.generators))}
-    if N == 1:
-        return {0: ()}
-    frontier = {1 % N: tuple([0] * len(st.generators))}
-    # BFS over the generator action covers the whole group, of order phi(N).
-    phi = st.phi()
-    while len(table) < phi:
-        new: dict[int, tuple[int, ...]] = {}
-        for a, exps in frontier.items():
-            for i, (_, _, g, order) in enumerate(st.generators):
-                b = (a * g) % N
-                if b not in table:
-                    e = list(exps)
-                    e[i] = (e[i] + 1) % order
-                    table[b] = tuple(e)
-                    new[b] = tuple(e)
-        frontier = new
+    # (Z/N)^x is the direct product of the generators' cyclic groups: the table over the
+    # first i generators times every power of the next one is the table over i + 1.
+    table: dict[int, tuple[int, ...]] = {1 % N: ()}
+    for _, _, g, order in get_structure(N).generators:
+        powers = [1]
+        for _ in range(order - 1):
+            powers.append(powers[-1] * g % N)
+        table = {a * x % N: exps + (e,) for a, exps in table.items() for e, x in enumerate(powers)}
     return table
 
 

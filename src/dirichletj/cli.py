@@ -686,12 +686,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _plain_namespace(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+    # Python's limit on int <-> str digits (absent before 3.10.7) still refuses a huge
+    # number in argv with exit 2, but not an output like E_k's coefficients at weight 999;
+    # an in-process caller gets its own limit back.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         payload, text, code = args.fn(args)
     except (ValueError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, InputError) else 1
-    print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True) if args.json else text())
+        code = 2 if isinstance(exc, InputError) else 1
+    else:
+        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True) if args.json else text())
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -5,8 +5,9 @@ them.  It holds the integer helpers (trial-division factorization, the
 odd primes p with (p - 1) | m, p-adic valuations, multiplicative orders,
 primitive roots), the Hermite normal form of a lattice, the one
 elimination over Z/p^M that every quotient is read off, the
-multiplication by x modulo a monic polynomial, ``Record``, the base of
-the package's value types, and ``AbelianGroupExpr``, the value type of
+multiplication by x modulo a monic polynomial, ``InputError``, the
+error of an argument out of range, ``Record``, the base of the
+package's value types, and ``AbelianGroupExpr``, the value type of
 every quotient group and every homotopy table.
 
 The HNF takes a matrix as a list of integer rows, and the elimination
@@ -331,6 +332,13 @@ def times_x_rows(phi: Sequence[int], vec: Sequence[int], count: int | None = Non
 
 # ---------------------------------------------------------------------------
 # Value types and abelian group expressions
+
+
+class InputError(ValueError):
+    """An argument outside the domain of a public function: a modulus, index, weight or field.
+
+    The command line exits 2 on it, and 1 on any other error.
+    """
 
 
 class Record:

@@ -8,12 +8,13 @@ sparse rows, two entries each but the last, which holds Phi's nonzero
 coefficients, so the elimination costs its nonzeros, not d^2.  A matrix
 over Z_p with elementary divisors p^(e_i) has Smith form
 diag(p^min(e_i, M)) mod p^M, so one elimination at precision M is exact
-once every exponent is below M.  The resultant
-Res(Phi, u), the determinant up to sign, is computed from Phi and u alone
-mod p^M, with M starting at 15 and escalating by 5 while it vanishes.
-Its valuation r = v_p(Res) is the sum of the exponents, so one
-elimination mod p^(r+1) is exact, and its exponents must sum to r;
-correctness never depends on a guessed bound.
+once every exponent is below M.  The resultant Res(Phi, u), the
+determinant up to sign, is computed from Phi and u alone mod p^15.  Its
+valuation r = v_p(Res) is the sum of the exponents, so one elimination
+mod p^(r+1) is exact, and its exponents must sum to r.  Every accepted
+input has r <= 1: Res(Phi_(p^m), w x - c) is w^d Phi_(p^m)(c/w) up to
+sign, w a unit, and Phi_(p^m)(x) has valuation 1 at x = 1 mod p and 0
+elsewhere.  A resultant that vanishes mod p^15 raises ``ArithmeticError``.
 
 ``e2_page`` dispatches the closed-form E2 entries of the homotopy
 eigen / fixed-point spectral sequences for pure prime-power conductors.
@@ -41,7 +42,9 @@ from .exactalg import (
 def teichmuller(p: int, a: int, M: int) -> int:
     """The unique (p-1)-st root of unity congruent to a mod p, as a residue mod p^M.
 
-    Computed by iterating the p-th power map to its fixed point mod p^M.
+    a^(p^(M-1)) is that root: (Z/p^M)^x is mu_(p-1) x (1 + pZ)/(1 + p^M Z),
+    and the power p^(M-1) kills the second factor, of order p^(M-1), and is
+    the identity on the first, since p = 1 mod p - 1.
     Cached: ``quotient_oracle`` asks for the same lift at every (a, t).
     """
     if not is_prime(p) or p == 2:
@@ -49,14 +52,9 @@ def teichmuller(p: int, a: int, M: int) -> int:
     if a % p == 0:
         raise ValueError("a must be prime to p")
     modulus = p**M
-    x = a % modulus
-    for _ in range(M + 1):
-        y = pow(x, p, modulus)
-        if y == x:
-            break
-        x = y
+    x = pow(a, p ** (M - 1), modulus)
     if pow(x, p - 1, modulus) != 1:
-        raise AssertionError(f"Teichmuller iteration for {a} mod {p}^{M} did not reach a (p-1)-st root of unity")
+        raise AssertionError(f"Teichmuller lift of {a} mod {p}^{M} is not a (p-1)-st root of unity")
     return x
 
 
@@ -83,10 +81,6 @@ def topological_generator(p: int) -> int:
         del _TOPGEN_CACHE[next(iter(_TOPGEN_CACHE))]
     _TOPGEN_CACHE[p] = g
     return g
-
-
-class PrecisionError(ArithmeticError):
-    """Res(Phi, u) vanished mod p^M at every precision tried; retry with a larger M."""
 
 
 def _resultant_mod(phi: tuple[int, ...], u: list[int], pm: int) -> int:
@@ -122,37 +116,33 @@ def _times_u_rows(phi: tuple[int, ...], u: list[int]) -> list[dict[int, int]]:
     return rows
 
 
-def _stable_quotient(phi: tuple[int, ...], u_at, p: int, M: int) -> AbelianGroupExpr:
+# The precision of the resultant; every accepted oracle input has v_p(Res) <= 1.
+_PRECISION = 15
+
+
+def _stable_quotient(phi: tuple[int, ...], u: list[int], p: int) -> AbelianGroupExpr:
     """Z_p[x]/(Phi, u) from one Smith elimination at the precision the resultant fixes.
 
-    ``u_at(precision)`` gives u mod p^precision.  Where Res(Phi, u) is
-    nonzero mod p^M, its valuation r is v_p(Res), the exponents sum to r,
-    so one elimination mod p^(r+1) of the sparse rows of u
-    (``_times_u_rows``) caps none of them and is exact; a sum other than r
-    raises AssertionError.  Where it vanishes, the precision escalates by 5
-    with no elimination run.
+    ``u`` is u mod p^15 (``_PRECISION``).  Its resultant's valuation
+    r = v_p(Res) is the sum of the exponents, so one elimination mod
+    p^(r+1) of the sparse rows of u (``_times_u_rows``) caps none of them
+    and is exact; a sum other than r raises AssertionError.  A resultant
+    that vanishes mod p^15 raises ArithmeticError.
     """
-    precision = M
-    for _ in range(8):
-        u = u_at(precision)
-        res = _resultant_mod(phi, u, p**precision)
-        if res:
-            r = _vp(res, p)
-            exps = padic_invariant_exponents(_times_u_rows(phi, u), p, r + 1)
-            if sum(exps) != r:
-                raise AssertionError(f"Smith exponents {exps} do not sum to v_{p}(Res) = {r}")
-            return AbelianGroupExpr.from_invariants([p**e for e in exps])
-        precision += 5
-    raise PrecisionError(f"quotient did not stabilize up to precision {precision}; retry with larger M")
+    res = _resultant_mod(phi, u, p**_PRECISION)
+    if not res:
+        raise ArithmeticError(f"Res(Phi, u) vanishes mod {p}^{_PRECISION}")
+    r = _vp(res, p)
+    exps = padic_invariant_exponents(_times_u_rows(phi, u), p, r + 1)
+    if sum(exps) != r:
+        raise AssertionError(f"Smith exponents {exps} do not sum to v_{p}(Res) = {r}")
+    return AbelianGroupExpr.from_invariants([p**e for e in exps])
 
 
-def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15) -> AbelianGroupExpr:
+def quotient_oracle(p: int, v: int, a: int, t: int) -> AbelianGroupExpr:
     """Z_p[zeta_{p^(v-1)}] / (omega^a(g) zeta - g^t) by Smith normal form.
 
-    p odd, v >= 2, 0 <= a <= p-2.  g is the fixed topological generator;
-    g^t for negative t goes through the modular inverse.  M is the
-    precision of the resultant, which escalates while Res(Phi, u) vanishes
-    mod p^M; the one Smith elimination runs mod p^(v_p(Res)+1).
+    p odd, v >= 2, 0 <= a <= p-2.  g is the fixed topological generator.
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
@@ -160,31 +150,19 @@ def quotient_oracle(p: int, v: int, a: int, t: int, M: int = 15) -> AbelianGroup
         raise ValueError("v must be at least 2")
     if not 0 <= a <= p - 2:
         raise ValueError("tame exponent out of range")
-    phi = cyclotomic_poly(p ** (v - 1))
+    pm = p**_PRECISION
     g = topological_generator(p)
-
-    def u_at(precision: int) -> list[int]:
-        pm = p**precision
-        w = pow(teichmuller(p, g % p, precision), a, pm)
-        gt = pow(g, t, pm) if t >= 0 else pow(pow(g, -1, pm), -t, pm)
-        # u = w*x - g^t in the power basis.
-        return [(-gt) % pm, w]
-
-    return _stable_quotient(phi, u_at, p, M)
+    # u = w*x - g^t in the power basis.
+    u = [-pow(g, t, pm) % pm, pow(teichmuller(p, g % p, _PRECISION), a, pm)]
+    return _stable_quotient(cyclotomic_poly(p ** (v - 1)), u, p)
 
 
-def quotient_oracle_2(v: int, t: int, M: int = 15) -> AbelianGroupExpr:
+def quotient_oracle_2(v: int, t: int) -> AbelianGroupExpr:
     """Z_2[zeta_{2^(v-2)}] / (zeta - 5^t) by Smith normal form, v >= 3."""
     if v < 3:
         raise ValueError("v must be at least 3")
-    phi = cyclotomic_poly(2 ** (v - 2))
-
-    def u_at(precision: int) -> list[int]:
-        pm = 2**precision
-        gt = pow(5, t, pm) if t >= 0 else pow(pow(5, -1, pm), -t, pm)
-        return [(-gt) % pm, 1]
-
-    return _stable_quotient(phi, u_at, 2, M)
+    pm = 2**_PRECISION
+    return _stable_quotient(cyclotomic_poly(2 ** (v - 2)), [-pow(5, t, pm) % pm, 1], 2)
 
 
 # ---------------------------------------------------------------------------

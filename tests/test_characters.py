@@ -396,8 +396,8 @@ def test_primitive_counts_are_multiplicative():
 
 
 def test_cold_dlog_table_takes_phi_from_the_structure(monkeypatch):
-    # The BFS for the prime 997 runs 996 rounds; its stopping size phi(997) is read off the
-    # unit-group structure, so euler_phi runs only inside get_structure, not once per round.
+    # The table for the prime 997 is the 996 powers of its one generator, whose order is read
+    # off the unit-group structure, so euler_phi runs only inside get_structure, not once per power.
     calls = []
 
     def counted(n):

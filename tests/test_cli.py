@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -257,6 +258,10 @@ class TestBadArguments:
         ("verify gbn-theorem --primes 15", "--primes takes prime powers above 2, got [15]"),
         ("verify gbn-theorem --primes 6", "--primes takes prime powers above 2, got [6]"),
         ("verify gbn-theorem --primes ,", "--primes takes prime powers above 2, got []"),
+        ("bern --modulus 100003 --index 1 --weight 2", "field too large: Q(zeta_100002) has degree 28560, above 200"),
+        ("eisenstein --modulus 479 --index 2 --weight 2", "field too large: Q(zeta_239) has degree 238, above 200"),
+        ("dedekind --modulus 479 --weight 2", "field too large: Q(zeta_478) has degree 238, above 200"),
+        ("verify gbn-theorem --primes 1009", "field too large: Q(zeta_1008) has degree 288, above 200"),
     ])
     def test_domain_check_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
@@ -451,6 +456,24 @@ class TestEisensteinCmd:
         coefficients = json.loads(out)["coefficients"]
         assert code == 0 and len(calls) == 1
         assert len(coefficients) == shown and coefficients[:2] == ["1", "4"][:shown]
+
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before 3.10.7")
+    def test_coefficients_past_the_int_digit_limit(self, capsys):
+        # At weight 901 the coefficient of q holds integers of more than 4300 digits, Python's
+        # default limit on int <-> str.  main lifts the limit for its call only, after argv is
+        # parsed, so an argument of that many digits still exits 2.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "eisenstein", "--modulus", "5", "--index", "1", "--weight", "901",
+                                 "--nmax", "1", "--json")
+        assert (code, err) == (0, "")
+        assert max(map(len, re.findall(r"\d+", json.loads(out)["coefficients"][1]))) > 4300
+        assert sys.get_int_max_str_digits() == limit
+        try:
+            code = main(["eisenstein", "--modulus", "5", "--index", "1", "--weight", "9" * 4301, "--nmax", "1"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2 and sys.get_int_max_str_digits() == limit
 
 
 class TestDedekindCmd:

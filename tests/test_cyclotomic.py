@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirichletj import characters, cyclotomic
 from dirichletj.cyclotomic import (
     CycElement,
     cyclotomic_factor_count,
@@ -19,7 +20,8 @@ from dirichletj.cyclotomic import (
     quotient_group,
     render_cyc,
 )
-from dirichletj.exactalg import AbelianGroupExpr, euler_phi, is_prime, padic_invariant_exponents, times_x_rows
+from dirichletj.exactalg import (AbelianGroupExpr, InputError, euler_phi, is_prime, padic_invariant_exponents,
+                                 times_x_rows)
 
 from ideal_oracle import (
     IdealLattice,
@@ -105,6 +107,19 @@ class TestFieldArithmetic:
     def test_field_mismatch_rejected(self):
         with pytest.raises(ValueError):
             get_field(4).one() + get_field(5).one()
+
+    def test_a_field_above_the_degree_cap_is_an_input_error(self, monkeypatch):
+        # A cap of 4 stands for MAX_FIELD_DEGREE; only a cache miss builds a field, so the
+        # cache starts and ends empty.
+        assert characters.InputError is InputError
+        monkeypatch.setattr(cyclotomic, "MAX_FIELD_DEGREE", 4)
+        get_field.cache_clear()
+        try:
+            assert get_field(5).degree == get_field(12).degree == 4
+            with pytest.raises(InputError, match=r"field too large: Q\(zeta_7\) has degree 6, above 4"):
+                get_field(7)
+        finally:
+            get_field.cache_clear()
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):

@@ -127,9 +127,6 @@ class TestQuotientOracle:
     def test_spec_example(self):
         assert quotient_oracle(3, 2, 1, 3) == AbelianGroupExpr.cyclic(3)
 
-    def test_precision_independence(self):
-        assert quotient_oracle(5, 2, 2, 2, M=15) == quotient_oracle(5, 2, 2, 2, M=25)
-
     def test_one_elimination_per_exact_quotient(self, snf_precisions):
         # One elimination, mod p^(v_p(Res) + 1): v_p(Res) is 1 on the Z/p stripe and 0 off it.
         for p, v in ((3, 2), (5, 3)):
@@ -141,28 +138,21 @@ class TestQuotientOracle:
         assert quotient_oracle_2(3, 1) == AbelianGroupExpr.cyclic(2)
         assert snf_precisions == [2]
 
-    def test_low_precision_escalates(self, snf_precisions):
-        # Z/3: the resultant vanishes mod 3 at M = 1, so no elimination runs there;
-        # at M = 6 it has valuation 1, and the one elimination runs mod 3^2.
-        assert quotient_oracle(3, 2, 1, 3, M=1) == AbelianGroupExpr.cyclic(3)
-        assert snf_precisions == [2]
-
-    def test_exponents_below_M_summing_to_M_escalate(self, snf_precisions):
-        # u = 3 on Z[x]/(Phi_3): both exponents are 1 < M = 2, but Res = 9 vanishes mod 3^2;
-        # at M = 7 its valuation is 2, and the one elimination runs mod 3^3.
-        got = padic._stable_quotient(cyclotomic_poly(3), lambda precision: [3, 0], 3, 2)
-        assert got == AbelianGroupExpr.cyclic(3) + AbelianGroupExpr.cyclic(3)
-        assert snf_precisions == [3]
-
     def test_capped_exponent_fails_the_sum_check(self, monkeypatch):
         # u = 9 on Z[x]/(Phi_3) is Z/9 + Z/9 with v_3(Res) = 4; an elimination
         # run mod 3 instead caps both exponents at 1, and they sum to 2.
-        quotient = padic._stable_quotient(cyclotomic_poly(3), lambda precision: [9, 0], 3, 15)
+        quotient = padic._stable_quotient(cyclotomic_poly(3), [9, 0], 3)
         assert quotient == AbelianGroupExpr.cyclic(9).times(2)
         snf = padic.padic_invariant_exponents
         monkeypatch.setattr(padic, "padic_invariant_exponents", lambda rows, p, M: snf(rows, p, 1))
         with pytest.raises(AssertionError, match="Res"):
-            padic._stable_quotient(cyclotomic_poly(3), lambda precision: [9, 0], 3, 15)
+            padic._stable_quotient(cyclotomic_poly(3), [9, 0], 3)
+
+    def test_resultant_vanishing_at_the_fixed_precision_raises(self, snf_precisions):
+        # u = 3^15 on Z[x]/(Phi_3): Res = 3^30 is 0 mod 3^15, so no elimination runs.
+        with pytest.raises(ArithmeticError, match="vanishes"):
+            padic._stable_quotient(cyclotomic_poly(3), [3**15, 0], 3)
+        assert snf_precisions == []
 
     def test_pinned_oracle_digest(self):
         # Every quotient on a fixed grid, rendered and hashed: the precision
@@ -195,6 +185,35 @@ class TestQuotientOracle2:
         for v in (3, 4):
             for t in range(-5, 6):
                 assert quotient_oracle_2(v, t) == AbelianGroupExpr.cyclic(2)
+
+
+def _phi_prime_power_mod(p, m, x, modulus):
+    """Phi_(p^m)(x) = sum_(j < p) x^(j p^(m-1)) mod ``modulus``, m >= 1."""
+    step = pow(x, p ** (m - 1), modulus)
+    return sum(pow(step, j, modulus) for j in range(p)) % modulus
+
+
+def test_every_oracle_resultant_has_valuation_at_most_one():
+    # Res(Phi_(p^m), w x - c) is w^d Phi_(p^m)(c/w) up to sign, w a unit, so the oracle's fixed
+    # precision 15 is never reached when v_p(Phi_(p^m)(x)) <= 1, with x = g^t omega(g)^(-a)
+    # (x = 5^t at p = 2).  It is 1 exactly when x = 1 mod p.  Plain integers mod p^2; the
+    # Teichmuller lift mod p^2 is found by search.
+    for p in (3, 5, 7, 11, 13):
+        g = topological_generator(p)
+        omega = next(y for y in range(g % p, p * p, p) if pow(y, p - 1, p * p) == 1)
+        for m in range(1, 8):
+            if p**m > 2000:
+                break
+            for a in range(p - 1):
+                for t in range(-60, 61):
+                    x = pow(g, t, p * p) * pow(omega, -a, p * p) % (p * p)
+                    value = _phi_prime_power_mod(p, m, x, p * p)
+                    valuation = 0 if value % p else 1 if value else 2
+                    assert valuation == (1 if x % p == 1 else 0), (p, m, a, t)
+    for m in range(1, 6):
+        for t in range(-60, 61):
+            value = _phi_prime_power_mod(2, m, pow(5, t, 4), 4)
+            assert value == 2, (m, t)
 
 
 class TestE2Page:

@@ -87,6 +87,25 @@ def test_padic_resultant_check_shares_no_code_with_the_elimination():
     assert not named & {"padic_invariant_exponents", "times_x_rows", "_times_u_rows"}, sorted(named)
 
 
+def test_padic_oracle_runs_at_one_precision():
+    # Every accepted input has v_p(Res) <= 1, so the oracle has no precision to escalate or pass:
+    # _stable_quotient computes the resultant once with no loop statement, and no oracle function
+    # takes a precision.
+    tree = ast.parse((SRC / "padic.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    stable = functions["_stable_quotient"]
+    loops = [node.lineno for node in ast.walk(stable) if isinstance(node, (ast.For, ast.While))]
+    assert not loops, f"loop statements in _stable_quotient at lines {loops}"
+    resultants = [node for node in ast.walk(stable) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "_resultant_mod"]
+    assert len(resultants) == 1
+    params = {name: [arg.arg for arg in functions[name].args.args]
+              for name in ("_stable_quotient", "quotient_oracle", "quotient_oracle_2")}
+    assert params == {"_stable_quotient": ["phi", "u", "p"], "quotient_oracle": ["p", "v", "a", "t"],
+                      "quotient_oracle_2": ["v", "t"]}, params
+    assert "PrecisionError" not in {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
 def test_padic_builds_no_dense_multiplication_matrix():
     # The oracle's matrices are built as sparse rows; the d^2 dense builder stays out of padic.
     tree = ast.parse((SRC / "padic.py").read_text())
