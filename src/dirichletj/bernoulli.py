@@ -5,10 +5,11 @@ Sign convention: ordinary Bernoulli numbers come from
 common B_1 = -1/2 convention and is used consistently everywhere,
 including the Bernoulli-polynomial oracle (B_k here equals B_k(1) of
 the classical Bernoulli polynomial).  The table of ordinary B_k comes
-from the integer tangent-number recurrence, with one ``Fraction`` per
-entry built at the end; it shares no code with the generalized series
-below.  Tables are built at sizes rounded up to a power of two (at least
-32) and sliced, so one table serves every k of a pass.
+from the integer tangent-number recurrence as reduced (numerator,
+denominator) pairs, and ``bernoulli_number`` returns B_k in Q(zeta_1) = Q;
+it shares no code with the generalized series below.  Tables are built at
+sizes rounded up to a power of two (at least 32) and sliced, so one table
+serves every k of a pass.
 
 Generalized Bernoulli numbers B_{k,chi} are computed two independent
 ways and cross-asserted on every (chi, k):
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
 from .characters import (
@@ -63,7 +63,7 @@ from .exactalg import (
 
 
 @lru_cache(maxsize=16)
-def _bernoulli_list(k_max: int) -> tuple[Fraction, ...]:
+def _bernoulli_list(k_max: int) -> tuple[tuple[int, int], ...]:
     # Tangent numbers T_1..T_H by the integer recurrence of Knuth and
     # Buckholtz (1967); then B_2h = (-1)^(h-1) 2h T_h / (4^h (4^h - 1)).
     h_max = k_max // 2
@@ -73,14 +73,16 @@ def _bernoulli_list(k_max: int) -> tuple[Fraction, ...]:
     for k in range(2, h_max + 1):
         for j in range(k, h_max + 1):
             tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
-    out = [Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (k_max - 1)
+    out = [(1, 1), (1, 2)] + [(0, 1)] * (k_max - 1)
     for h in range(1, h_max + 1):
-        out[2 * h] = Fraction((-1) ** (h - 1) * 2 * h * tangent[h], 4**h * (4**h - 1))
+        num, den = (-1) ** (h - 1) * 2 * h * tangent[h], 4**h * (4**h - 1)
+        g = math.gcd(num, den)
+        out[2 * h] = (num // g, den // g)
     return tuple(out[: k_max + 1])
 
 
-def _bernoulli_table(k: int) -> tuple[Fraction, ...]:
-    """B_0, ..., B_k, sliced from the table of the next power of two (at least 32).
+def _bernoulli_table(k: int) -> tuple[tuple[int, int], ...]:
+    """B_0, ..., B_k as pairs, sliced from the table of the next power of two (at least 32).
 
     Rounding the size up lets one table serve every k of a pass, where a
     table per k would rebuild the tangent numbers each time.
@@ -88,11 +90,12 @@ def _bernoulli_table(k: int) -> tuple[Fraction, ...]:
     return _bernoulli_list(max(32, 1 << k.bit_length()))[: k + 1]
 
 
-def bernoulli_number(k: int) -> Fraction:
-    """B_k with B_1 = +1/2; zero for odd k >= 3."""
+def bernoulli_number(k: int) -> CycElement:
+    """B_k with B_1 = +1/2, as an element of Q(zeta_1) = Q; zero for odd k >= 3."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _bernoulli_table(k)[k]
+    num, den = _bernoulli_table(k)[k]
+    return CycElement(get_field(1), [num], den)
 
 
 @lru_cache(maxsize=64)
@@ -103,10 +106,10 @@ def _bernoulli_poly_coeffs(k: int) -> tuple[tuple[int, ...], int]:
     convention (B_1^- = -1/2) enters.
     """
     bs = _bernoulli_table(k)
-    den = math.lcm(*(b.denominator for b in bs))
+    den = math.lcm(*(d for _, d in bs))
     nums, binom = [], 1
-    for j, b in enumerate(bs):
-        nums.append(binom * (-1 if j == 1 else 1) * b.numerator * (den // b.denominator))
+    for j, (n, d) in enumerate(bs):
+        nums.append(binom * (-1 if j == 1 else 1) * n * (den // d))
         binom = binom * (k - j) // (j + 1)
     return tuple(nums), den
 
@@ -299,7 +302,7 @@ def l_value(chi: DirichletCharacter, s: int) -> CycElement:
     k = 1 - s
     if k < 1:
         raise InputError("special values only at s = 1 - k with k >= 1")
-    return gbn(chi, k) * Fraction(-1, k)
+    return gbn(chi, k) / -k
 
 
 def d2k(k: int) -> int:
@@ -353,14 +356,14 @@ def verify_von_staudt(k_max: int) -> list[dict]:
     for k in range(1, k_max + 1):
         b = bernoulli_number(2 * k)
         expected = 2 * math.prod(staudt_odd_primes(2 * k))
-        denom_ok = b.denominator == expected
-        primes_b = set(factorize(b.denominator))
-        primes_b4k = set(factorize((b / (4 * k)).denominator))
+        denom_ok = b.den == expected
+        primes_b = set(factorize(b.den))
+        primes_b4k = set(factorize((b / (4 * k)).den))
         prime_ok = primes_b == primes_b4k
         rows.append(
             {
                 "k": k,
-                "denominator": b.denominator,
+                "denominator": b.den,
                 "expected": expected,
                 "von_staudt_ok": denom_ok,
                 "prime_support_ok": prime_ok,
@@ -411,9 +414,8 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     (p, v), = fac.items()
     if p == 2:
         if v == 2:
-            diff = b_over_k - Fraction(k, 2)
             row["case"] = "mod4"
-            row["ok"] = diff.is_integral()
+            row["ok"] = ((2 * b_over_k - k) / 2).is_integral()
         else:
             row["case"] = "2-power"
             row["ok"] = b_over_k.is_integral()

@@ -504,7 +504,7 @@ def cmd_dedekind(args) -> Output:
         "subgroup": sorted(spec.subgroup()),
         "totally_real": dedekind.is_totally_real(spec),
         "weight": args.weight,
-        "zeta(1-k)": str(value),
+        "zeta(1-k)": render_cyc(value),
         "characters": len(dedekind.field_characters(spec)),
     }
     row = None
@@ -515,7 +515,7 @@ def cmd_dedekind(args) -> Output:
         out = (
             f"K inside Q(zeta_{args.modulus}), H = {payload['subgroup']}\n"
             f"  totally real: {payload['totally_real']}\n"
-            f"  zeta_K(1-{args.weight}) = {value}"
+            f"  zeta_K(1-{args.weight}) = {payload['zeta(1-k)']}"
         )
         if row is not None:
             out += (

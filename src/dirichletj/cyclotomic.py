@@ -24,7 +24,6 @@ F_p[z]/(Phi_n), read off the one elimination mod p of ``exactalg``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -87,13 +86,12 @@ class CyclotomicField:
             raise AssertionError(f"deg Phi_{n} = {d} differs from phi({n}) = {euler_phi(n)}")
         self._zeta_pow = [tuple(row) for row in times_x_rows(self.phi_n, [1], max(n, 2 * d - 1))]
 
-    def element(self, coeffs: Sequence[Fraction | int]) -> "CycElement":
-        """The element with the given rational coordinates over the power basis."""
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != self.degree:
+    def element(self, coeffs: Sequence) -> "CycElement":
+        """The element with the given coordinates over the power basis, scalars as in ``from_rational``."""
+        if len(coeffs) != self.degree:
             raise ValueError("coefficient vector has wrong length")
-        den = math.lcm(*(c.denominator for c in cs))
-        return CycElement(self, [c.numerator * (den // c.denominator) for c in cs], den)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return CycElement(self, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def zero(self) -> "CycElement":
         return CycElement(self, [0] * self.degree)
@@ -101,8 +99,8 @@ class CyclotomicField:
     def one(self) -> "CycElement":
         return self.from_rational(1)
 
-    def from_rational(self, q: Fraction | int) -> "CycElement":
-        q = Fraction(q)
+    def from_rational(self, q) -> "CycElement":
+        """The scalar q: any rational with integer ``numerator`` and ``denominator``, ``int`` and ``bool`` too."""
         return CycElement(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
 
     def zeta_power(self, j: int) -> "CycElement":
@@ -156,10 +154,10 @@ class CycElement:
         self.nums = nums
         self.den = den
 
-    # -- ring structure -----------------------------------------------------
+    # -- ring structure: an operand that is not a CycElement is a scalar of from_rational --
 
     def _coerce(self, other) -> "CycElement":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycElement):
             return self.field.from_rational(other)
         if self.field.n != other.field.n:
             raise ValueError("field mismatch: Q(zeta_%d) vs Q(zeta_%d)" % (self.field.n, other.field.n))
@@ -188,9 +186,7 @@ class CycElement:
         return CycElement(self.field, [x * num for x in self.nums], self.den * den)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scale(other, 1)
-        if isinstance(other, Fraction):
+        if not isinstance(other, CycElement):
             return self._scale(other.numerator, other.denominator)
         other = self._coerce(other)
         d = self.field.degree
@@ -225,11 +221,9 @@ class CycElement:
         return CycElement(self.field, [sign * self.den * x for x in conjugates.nums], abs(norm))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
+        if not isinstance(other, CycElement):
+            if not other.numerator:
                 raise ZeroDivisionError("division by zero")
-            if isinstance(other, int):
-                return self._scale(1, other)
             return self._scale(other.denominator, other.numerator)
         return self * self._coerce(other).inverse()
 
@@ -237,11 +231,11 @@ class CycElement:
         return self.inverse() * other
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and Fraction(self.nums[0], self.den) == other
+        if not isinstance(other, CycElement):
+            den = getattr(other, "denominator", None)
+            return den is not None and self.is_rational() and self.nums[0] * den == other.numerator * self.den
         return (
-            isinstance(other, CycElement)
-            and self.field.n == other.field.n
+            self.field.n == other.field.n
             and self.den == other.den
             and self.nums == other.nums
         )
@@ -257,10 +251,11 @@ class CycElement:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> "CycElement":
+        """This rational element in Q(zeta_1) = Q, which ``render_cyc`` prints as p/q (p if q = 1)."""
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return Fraction(self.nums[0], self.den)
+        return CycElement(get_field(1), self.nums[:1], self.den)
 
     def is_integral(self) -> bool:
         return self.den == 1

@@ -18,11 +18,10 @@ any N > 2).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .bernoulli import l_value
 from .characters import DirichletCharacter, InputError, enumerate_characters, _value_exponent, unit_subgroup
-from .cyclotomic import get_field
+from .cyclotomic import CycElement, get_field, render_cyc
 from .exactalg import AbelianGroupExpr, Record, factorize
 from .homotopy import invert_primes, pi_JK
 
@@ -56,8 +55,8 @@ def is_totally_real(spec: AbelianFieldSpec) -> bool:
     return (spec.modulus - 1) in spec.subgroup()
 
 
-def zeta_special_value(spec: AbelianFieldSpec, s: int) -> Fraction:
-    """zeta_K(s) at s = 1 - k as the exact product of L-values.
+def zeta_special_value(spec: AbelianFieldSpec, s: int) -> CycElement:
+    """zeta_K(s) at s = 1 - k as the exact product of L-values, an element of Q(zeta_1) = Q.
 
     Each factor is computed over its own minimal cyclotomic field and
     embedded into Q(zeta_lcm); the product must come out rational (the
@@ -99,7 +98,7 @@ def verify_jk(spec: AbelianFieldSpec, t: int) -> dict:
     zeta = zeta_special_value(spec, 1 - 2 * t)
     if zeta == 0:
         raise AssertionError("zeta_K(1-2t) vanished for a totally real field")
-    denominator = zeta.denominator
+    denominator = zeta.den
     adjusted = denominator
     if hsize % 2 == 1:
         # K = Q: the homotopy side is Z/D_{2t} with D_{2t} = 2 * denominator.
@@ -111,7 +110,7 @@ def verify_jk(spec: AbelianFieldSpec, t: int) -> dict:
         "modulus": N,
         "subgroup": sorted(H),
         "t": t,
-        "zeta_value": str(zeta),
+        "zeta_value": render_cyc(zeta),
         "denominator": denominator,
         "arithmetic_side": arithmetic.render(),
         "homotopy_side": homotopy.render(),

@@ -33,7 +33,6 @@ of weight 12 is the classical example).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .bernoulli import denom_ideal, gbn
 from .characters import DirichletCharacter, InputError, conductor, evaluate, is_primitive, parity
@@ -82,7 +81,7 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
         raise InputError("parity mismatch: B_{k,chi} = 0, series not normalizable")
     field = get_field(chi.order())
     b = gbn(chi, k)
-    factor = field.from_rational(Fraction(-2 * k)) * b.inverse()
+    factor = field.from_rational(-2 * k) * b.inverse()
     columns = list(zip(*times_x_rows(field.phi_n, factor.nums)))
     return [field.one()] + [
         CycElement(field, [sum(map(int.__mul__, row, col)) for col in columns], factor.den)

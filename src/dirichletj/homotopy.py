@@ -582,14 +582,14 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
     N must be 1 or a prime power.  The value is assembled from the tame
     eigen-pieces at the level prime (over the characters of the tame
     quotient trivial on H) plus the untwisted K(1)-local contributions at
-    primes not dividing |H|.  Degrees 0 and -1 mix free and divisible
-    parts across the fracture square and are not represented; the
-    comparison degrees of the Dedekind theorem are 4t - 1.
+    primes not dividing |H|.  Degrees 0, -1 and -2 mix free and divisible
+    parts across the fracture square (for K = Q, pi_-2 is Q/Z) and are not
+    represented; the comparison degrees of the Dedekind theorem are 4t - 1.
     """
     if N < 1:
         raise InputError("N must be positive")
-    if i in (0, -1):
-        raise InputError("degrees 0 and -1 are not represented by the local assembly")
+    if i in (0, -1, -2):
+        raise InputError("degrees 0, -1 and -2 are not represented by the local assembly")
     if N == 2:
         N = 1
     fac = factorize(N) if N > 1 else {}

@@ -234,6 +234,7 @@ class TestBadArguments:
         ("homotopy jk --modulus 0 --from 1 --to 3", "N must be positive"),
         ("homotopy jk --modulus 9 --subgroup 3", "3 is not a unit mod 9"),
         ("homotopy jk --modulus 9 --subgroup 0", "0 is not a unit mod 9"),
+        ("homotopy jk --modulus 1 --from -2 --to -2", "degrees 0, -1 and -2 are not represented by the local assembly"),
         ("homotopy chi --modulus 5 --index 2 --invert 4", "4 is not prime"),
         ("e2 --prime 4", "p must be prime"),
         ("e2 --prime 5 --tame 9", "tame exponent out of range"),
@@ -486,6 +487,28 @@ class TestDedekindCmd:
         payload = json.loads(out)
         assert payload["zeta(1-k)"] == "1/30"
         assert payload["verify_jk"]["ok"] is True
+
+    # zeta_K(1-k) in the text form of a rational: p/q in lowest terms, or p when q = 1.
+    @pytest.mark.parametrize("argv, value", [
+        ("--modulus 1 --weight 2", "-1/12"),
+        ("--modulus 1 --weight 12", "691/32760"),
+        ("--modulus 4 --weight 2", "0"),
+        ("--modulus 5 --subgroup 4 --weight 2", "1/30"),
+        ("--modulus 7 --subgroup 6 --weight 2", "-1/21"),
+        ("--modulus 3 --weight 1", "-1/6"),
+    ])
+    def test_printed_zeta_value(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, "dedekind", *argv.split(), "--json")
+        assert (code, err, json.loads(out)["zeta(1-k)"]) == (0, "", value)
+        code, out, err = run_cli(capsys, "dedekind", *argv.split())
+        weight = argv.split()[-1]
+        assert (code, err, out.splitlines()[-1]) == (0, "", f"  zeta_K(1-{weight}) = {value}")
+
+    def test_verify_jk_zeta_value(self, capsys):
+        code, out, _ = run_cli(capsys, "dedekind", "--modulus", "5", "--subgroup", "4", "--weight", "2",
+                               "--verify-t", "2", "--json")
+        row = json.loads(out)["verify_jk"]
+        assert (code, row["zeta_value"], row["denominator"], row["ok"]) == (0, "1/60", 60, True)
 
 
 # sha256 of the text stdout, one call per subcommand (and per homotopy target

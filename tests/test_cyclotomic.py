@@ -148,9 +148,25 @@ class TestFieldArithmetic:
 
     def test_division_by_a_zero_scalar(self):
         a = get_field(5).zeta_power(1)
-        for zero in (0, Fraction(0)):
+        for zero in (0, False, Fraction(0)):
             with pytest.raises(ZeroDivisionError):
                 a / zero
+
+    @pytest.mark.parametrize("q", [3, -2, 0, True, False, Fraction(-5, 6), Fraction(7)])
+    def test_a_scalar_acts_as_its_from_rational_element(self, q):
+        # An operand that is not a CycElement is read through its integer numerator and
+        # denominator, on either side of +, -, *, / and ==.
+        f = get_field(5)
+        a = f.zeta_power(2) * Fraction(3, 4) - 1
+        e = f.from_rational(q)
+        assert (a + q, q + a, a - q, q - a, a * q, q * a) == (a + e, e + a, a - e, e - a, a * e, e * a)
+        if q:
+            assert (a / q, q / a) == (a / e, e / a)
+        assert (e == q, q == e, e + 1 == q, q == e + 1, a == q, q == a) == (True, True, False, False, False, False)
+
+    def test_equality_with_a_non_number_is_false(self):
+        a = get_field(1).from_rational(Fraction(1, 2))
+        assert [a == other for other in (None, "1/2", [1, 2])] == [False, False, False]
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.data())

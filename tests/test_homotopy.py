@@ -364,8 +364,10 @@ class TestPiJK:
         assert pi_JK(5, (4,), 2, invert_G=True).is_zero()
 
     def test_degenerate_degrees_rejected(self):
-        with pytest.raises(ValueError):
-            pi_JK(5, (4,), 0)
+        # -2 too: for K = Q it holds the divisible Q/Z of pi_J, which the assembly leaves out.
+        for i in (0, -1, -2):
+            with pytest.raises(InputError, match="degrees 0, -1 and -2 are not represented"):
+                pi_JK(5, (4,), i)
 
     def test_non_prime_power_rejected(self):
         with pytest.raises(ValueError):

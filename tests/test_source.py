@@ -52,17 +52,22 @@ def test_only_exactalg_reads_group_atoms():
     assert not found, f"AbelianGroupExpr.atoms read outside exactalg: {found}"
 
 
-def test_exactalg_does_not_import_fractions():
-    # exactalg is integer-only; rational arithmetic must not grow back into it.
-    tree = ast.parse((SRC / "exactalg.py").read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-    assert "fractions" not in imported
-
+def test_no_module_imports_fractions_or_names_fraction():
+    # A rational has one form: integer pairs inside a module, a CycElement of Q(zeta_1) at the API.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [node.id if isinstance(node, ast.Name) else node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "fractions" or name == "Fraction"]
+    assert not found, found
 
 
 def test_bernoulli_pipelines_share_no_code():
@@ -275,14 +280,15 @@ def test_every_cache_but_one_is_an_lru_cache():
     assert dicts == ["padic._TOPGEN_CACHE"], dicts
 
 
-def test_cli_import_loads_every_module_but_not_dataclasses_or_inspect():
-    # A CLI call is one cold process, and these two modules took longer to import than a
-    # typical call's work.  Every package module still loads at import: none is deferred
-    # into the call.  -S keeps site hooks from importing either module on their own.
+def test_cli_import_loads_every_module_but_not_dataclasses_inspect_or_fractions():
+    # A CLI call is one cold process, and dataclasses and inspect took longer to import than
+    # a typical call's work; fractions, with decimal and numbers, cost about 3 ms of CPU.
+    # Every package module still loads at import: none is deferred into the call.  -S keeps
+    # site hooks from importing any of them on their own.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     code = "import json, sys, dirichletj.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = set(json.loads(subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                                            env=env, check=True).stdout))
     package = {f"dirichletj.{path.stem}" for path in SRC.glob("*.py")} - {"dirichletj.__init__"}
     assert len(package) == 9 and package <= loaded, sorted(package - loaded)
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "numbers"} & loaded
