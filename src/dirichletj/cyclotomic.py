@@ -24,6 +24,7 @@ F_p[z]/(Phi_n), read off the one elimination mod p of ``exactalg``.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -132,12 +133,20 @@ def get_field(n: int) -> CyclotomicField:
     return CyclotomicField(n)
 
 
+def _scalar(q) -> tuple[int, int] | None:
+    """(numerator, denominator) of a rational scalar: anything with integer ``numerator`` and ``denominator``."""
+    num, den = getattr(q, "numerator", None), getattr(q, "denominator", None)
+    return (num, den) if isinstance(num, int) and isinstance(den, int) else None
+
+
 class CycElement:
     """Element of Q(zeta_n) as integer coordinates ``nums`` over one denominator ``den``.
 
     ``den`` must be positive; the constructor divides out
     ``gcd(den, *nums)``, so zero is ``(0, ..., 0)/1`` and equality is
-    syntactic.
+    syntactic.  An operand of + - * / that is neither a CycElement nor a
+    scalar of ``_scalar`` gets ``NotImplemented``, so Python raises
+    ``TypeError``.
     """
 
     __slots__ = ("field", "nums", "den")
@@ -156,15 +165,17 @@ class CycElement:
 
     # -- ring structure: an operand that is not a CycElement is a scalar of from_rational --
 
-    def _coerce(self, other) -> "CycElement":
+    def _coerce(self, other):
         if not isinstance(other, CycElement):
-            return self.field.from_rational(other)
+            return NotImplemented if _scalar(other) is None else self.field.from_rational(other)
         if self.field.n != other.field.n:
             raise ValueError("field mismatch: Q(zeta_%d) vs Q(zeta_%d)" % (self.field.n, other.field.n))
         return other
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         a, b = self.den, other.den
         return CycElement(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
@@ -174,10 +185,11 @@ class CycElement:
         return CycElement(self.field, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def _scale(self, num: int, den: int) -> "CycElement":
         """self * num/den for den != 0, with the sign of den moved into the numerators."""
@@ -187,7 +199,8 @@ class CycElement:
 
     def __mul__(self, other):
         if not isinstance(other, CycElement):
-            return self._scale(other.numerator, other.denominator)
+            q = _scalar(other)
+            return NotImplemented if q is None else self._scale(*q)
         other = self._coerce(other)
         d = self.field.degree
         bs = [(j, b) for j, b in enumerate(other.nums) if b]
@@ -222,18 +235,21 @@ class CycElement:
 
     def __truediv__(self, other):
         if not isinstance(other, CycElement):
-            if not other.numerator:
+            q = _scalar(other)
+            if q is None:
+                return NotImplemented
+            if not q[0]:
                 raise ZeroDivisionError("division by zero")
-            return self._scale(other.denominator, other.numerator)
+            return self._scale(q[1], q[0])
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return NotImplemented if _scalar(other) is None else self.inverse() * other
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycElement):
-            den = getattr(other, "denominator", None)
-            return den is not None and self.is_rational() and self.nums[0] * den == other.numerator * self.den
+            q = _scalar(other)
+            return q is not None and self.is_rational() and self.nums[0] * q[1] == q[0] * self.den
         return (
             self.field.n == other.field.n
             and self.den == other.den
@@ -241,7 +257,17 @@ class CycElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.n, self.nums, self.den))
+        """A rational element hashes as Python hashes the equal int or Fraction, which it equals."""
+        if not self.is_rational():
+            return hash((self.field.n, self.nums, self.den))
+        num, den = self.nums[0], self.den
+        if den == 1:
+            return hash(num)
+        # Python's numeric hash: |num| / den mod the prime modulus, inf when den is 0 there.
+        modulus = sys.hash_info.modulus
+        h = hash(hash(abs(num)) * pow(den, -1, modulus)) if den % modulus else sys.hash_info.inf
+        h = h if num >= 0 else -h
+        return -2 if h == -1 else h
 
     # -- structure queries --------------------------------------------------
 

@@ -16,6 +16,15 @@ input has r <= 1: Res(Phi_(p^m), w x - c) is w^d Phi_(p^m)(c/w) up to
 sign, w a unit, and Phi_(p^m)(x) has valuation 1 at x = 1 mod p and 0
 elsewhere.  A resultant that vanishes mod p^15 raises ``ArithmeticError``.
 
+Each distinct elimination, with its exponent check, runs once:
+``_smith_quotient`` is an ``lru_cache(maxsize=1024)`` keyed on
+(Phi, u0 mod p^(r+1), u1 mod p^(r+1), p, r).  The key is exact, since
+the elimination reads each entry mod p^(r+1) and every entry is an
+integer combination of u0 and u1.  Over a t-sweep, u mod p takes at
+most p - 1 values where r = 0, and where r = 1, u mod p^2 repeats with
+period p(p-1) in t.  An ``lru_cache`` stores no exception, so an input
+whose check fails raises on every call.
+
 ``e2_page`` dispatches the closed-form E2 entries of the homotopy
 eigen / fixed-point spectral sequences for pure prime-power conductors.
 """
@@ -98,7 +107,7 @@ def _resultant_mod(phi: tuple[int, ...], u: list[int], pm: int) -> int:
     return acc
 
 
-def _times_u_rows(phi: tuple[int, ...], u: list[int]) -> list[dict[int, int]]:
+def _times_u_rows(phi: tuple[int, ...], u0: int, u1: int) -> list[dict[int, int]]:
     """Rows x^j * u modulo the monic ``phi`` for j < deg Phi, as {column: value}, for u = u0 + u1 x.
 
     Row j < d - 1 is u0 x^j + u1 x^(j+1).  The last row is
@@ -108,7 +117,6 @@ def _times_u_rows(phi: tuple[int, ...], u: list[int]) -> list[dict[int, int]]:
     entry is left for the elimination to drop.
     """
     d = len(phi) - 1
-    u0, u1 = u
     rows = [{j: u0, j + 1: u1} for j in range(d - 1)]
     last = {j: -u1 * c for j, c in enumerate(phi[:-1]) if c}
     last[d - 1] = last.get(d - 1, 0) + u0
@@ -120,23 +128,34 @@ def _times_u_rows(phi: tuple[int, ...], u: list[int]) -> list[dict[int, int]]:
 _PRECISION = 15
 
 
+@lru_cache(maxsize=1024)
+def _smith_quotient(phi: tuple[int, ...], u0: int, u1: int, p: int, r: int) -> AbelianGroupExpr:
+    """Z_p[x]/(Phi, u0 + u1 x) from one Smith elimination mod p^(r+1), given r = v_p(Res).
+
+    The exponents must sum to r, or AssertionError.  Cached on exactly what
+    the elimination reads, with u0 and u1 taken mod p^(r+1).
+    """
+    exps = padic_invariant_exponents(_times_u_rows(phi, u0, u1), p, r + 1)
+    if sum(exps) != r:
+        raise AssertionError(f"Smith exponents {exps} do not sum to v_{p}(Res) = {r}")
+    return AbelianGroupExpr.from_invariants([p**e for e in exps])
+
+
 def _stable_quotient(phi: tuple[int, ...], u: list[int], p: int) -> AbelianGroupExpr:
     """Z_p[x]/(Phi, u) from one Smith elimination at the precision the resultant fixes.
 
     ``u`` is u mod p^15 (``_PRECISION``).  Its resultant's valuation
     r = v_p(Res) is the sum of the exponents, so one elimination mod
-    p^(r+1) of the sparse rows of u (``_times_u_rows``) caps none of them
-    and is exact; a sum other than r raises AssertionError.  A resultant
-    that vanishes mod p^15 raises ArithmeticError.
+    p^(r+1) of the sparse rows of u mod p^(r+1) (``_smith_quotient``) caps
+    none of them and is exact; a sum other than r raises AssertionError.
+    A resultant that vanishes mod p^15 raises ArithmeticError.
     """
     res = _resultant_mod(phi, u, p**_PRECISION)
     if not res:
         raise ArithmeticError(f"Res(Phi, u) vanishes mod {p}^{_PRECISION}")
     r = _vp(res, p)
-    exps = padic_invariant_exponents(_times_u_rows(phi, u), p, r + 1)
-    if sum(exps) != r:
-        raise AssertionError(f"Smith exponents {exps} do not sum to v_{p}(Res) = {r}")
-    return AbelianGroupExpr.from_invariants([p**e for e in exps])
+    pr = p ** (r + 1)
+    return _smith_quotient(phi, u[0] % pr, u[1] % pr, p, r)
 
 
 def quotient_oracle(p: int, v: int, a: int, t: int) -> AbelianGroupExpr:

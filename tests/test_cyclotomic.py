@@ -1,7 +1,9 @@
 """Cyclotomic field arithmetic, denominator ideals, and p-adic splitting."""
 
 import math
+import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -167,6 +169,27 @@ class TestFieldArithmetic:
     def test_equality_with_a_non_number_is_false(self):
         a = get_field(1).from_rational(Fraction(1, 2))
         assert [a == other for other in (None, "1/2", [1, 2])] == [False, False, False]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("q", [3, -3, 0, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(5, sys.hash_info.modulus),
+                                   Fraction(-7, 3 * sys.hash_info.modulus), Fraction(-1, sys.hash_info.modulus - 1)])
+    def test_a_rational_element_hashes_as_the_rational_it_equals(self, n, q):
+        # Equal objects hash equal, so an element and its rational are one key of a set or dict;
+        # a denominator divisible by the hash modulus takes Python's inf branch.
+        e = get_field(n).from_rational(q)
+        assert e == q and hash(e) == hash(q)
+        assert len({e, q}) == 1 and q in {e} and e in {q}
+
+    @pytest.mark.parametrize("other", [0.5, 1j, "1", None, [1], object()])
+    def test_an_unsupported_operand_is_a_type_error(self, other):
+        # +, -, * and / return NotImplemented for an operand with no integer numerator and
+        # denominator, on either side, so Python raises TypeError.
+        a = get_field(5).one()
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for left, right in ((a, other), (other, a)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+        assert (a == other, a != other) == (False, True)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.data())

@@ -84,6 +84,15 @@ class TestTopologicalGenerator:
         assert padic._TOPGEN_CACHE == {7: 3, 3: 2}
 
 
+@pytest.fixture(autouse=True)
+def cold_smith_quotient():
+    """Every test starts and leaves the elimination cache empty, so a spy or a lying
+    elimination patched in by a test sees a fresh elimination of each input."""
+    padic._smith_quotient.cache_clear()
+    yield
+    padic._smith_quotient.cache_clear()
+
+
 @pytest.fixture
 def snf_precisions(monkeypatch):
     """The precision of every Smith elimination the oracle runs, in order."""
@@ -129,8 +138,10 @@ class TestQuotientOracle:
 
     def test_one_elimination_per_exact_quotient(self, snf_precisions):
         # One elimination, mod p^(v_p(Res) + 1): v_p(Res) is 1 on the Z/p stripe and 0 off it.
+        # The cache is cleared for each t, since t = -3 and t = 3 share an input at (3, 2).
         for p, v in ((3, 2), (5, 3)):
             for t in range(-3, 4):
+                padic._smith_quotient.cache_clear()
                 snf_precisions.clear()
                 quotient_oracle(p, v, 1, t)
                 assert snf_precisions == [2 if (t - 1) % (p - 1) == 0 else 1]
@@ -143,6 +154,7 @@ class TestQuotientOracle:
         # run mod 3 instead caps both exponents at 1, and they sum to 2.
         quotient = padic._stable_quotient(cyclotomic_poly(3), [9, 0], 3)
         assert quotient == AbelianGroupExpr.cyclic(9).times(2)
+        padic._smith_quotient.cache_clear()
         snf = padic.padic_invariant_exponents
         monkeypatch.setattr(padic, "padic_invariant_exponents", lambda rows, p, M: snf(rows, p, 1))
         with pytest.raises(AssertionError, match="Res"):
@@ -167,6 +179,17 @@ class TestQuotientOracle:
         monkeypatch.setattr(padic, "padic_invariant_exponents", lambda rows, p, M: snf(rows, p, M)[:-1])
         with pytest.raises(AssertionError, match="Res"):
             quotient_oracle(3, 2, 1, 3)
+
+    def test_a_failed_check_raises_on_every_call(self, monkeypatch):
+        # lru_cache stores no exception: the same lying elimination runs and fails again.
+        snf = padic.padic_invariant_exponents
+        calls = []
+        monkeypatch.setattr(padic, "padic_invariant_exponents", lambda rows, p, M: calls.append(M) or snf(rows, p, M)[:-1])
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="Res"):
+                quotient_oracle(3, 2, 1, 3)
+        assert calls == [2, 2]
+        assert padic._smith_quotient.cache_info().currsize == 0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -325,15 +348,27 @@ def _random_matrix(rng, r, p, M, scale=1):
     return [[scale * rng.randrange(p**M) for _ in range(r)] for _ in range(r)]
 
 
-def _oracle_matrix(p, v, a, t):
-    """The matrix the oracle eliminates for (p, v, a, t) at its default precision 15, with r = v_p(Res)."""
+def _oracle_input(p, v, a, t):
+    """Phi, u = w*x - g^t mod p^15 and r = v_p(Res) for quotient_oracle(p, v, a, t), and for
+    quotient_oracle_2(v, t) at p = 2, where u = x - 5^t and ``a`` is unused."""
     pm = p**15
-    g = topological_generator(p)
-    phi = cyclotomic_poly(p ** (v - 1))
-    u = [-pow(g, t, pm) % pm, pow(teichmuller(p, g % p, 15), a, pm)]
+    if p == 2:
+        phi, u = cyclotomic_poly(2 ** (v - 2)), [-pow(5, t, pm) % pm, 1]
+    else:
+        g = topological_generator(p)
+        phi, u = cyclotomic_poly(p ** (v - 1)), [-pow(g, t, pm) % pm, pow(teichmuller(p, g % p, 15), a, pm)]
     res = padic._resultant_mod(phi, u, pm)
     assert res, (p, v, a, t)
-    r = next(e for e in range(15) if res % p ** (e + 1))
+    return phi, u, next(e for e in range(15) if res % p ** (e + 1))
+
+
+def _oracle(p, v, a, t):
+    return quotient_oracle_2(v, t) if p == 2 else quotient_oracle(p, v, a, t)
+
+
+def _oracle_matrix(p, v, a, t):
+    """The multiplication matrix of the oracle's u mod p^15 for (p, v, a, t), with r = v_p(Res)."""
+    phi, u, r = _oracle_input(p, v, a, t)
     return times_x_rows(phi, u), r
 
 
@@ -431,26 +466,80 @@ def test_elimination_reduces_negative_and_large_entries_and_skips_empty_rows(p):
         _assert_matches_naive(rows, p, M)
 
 
+def _assert_rows_are_the_multiplication_matrix(p, v, a, t, snf_rows):
+    """A cold oracle call eliminates the sparse rows of u mod p^(r+1), which densified are
+    times_x_rows of that u, entry for entry.  Over Phi_2 = x + 1, zeta is -1."""
+    padic._smith_quotient.cache_clear()
+    snf_rows.clear()
+    _oracle(p, v, a, t)
+    phi, u, r = _oracle_input(p, v, a, t)
+    u0, u1 = (x % p ** (r + 1) for x in u)
+    expected = times_x_rows(phi, [u0 - u1] if len(phi) == 2 else [u0, u1])
+    assert [_dense(rows) for rows in snf_rows] == [expected], (p, v, a, t)
+
+
 @pytest.mark.parametrize("p, v", [(p, v) for p in (3, 5, 7) for v in (2, 3)] + [(11, 3)])
 def test_oracle_rows_are_the_multiplication_matrix(p, v, snf_rows):
-    # The oracle's sparse rows of w*x - g^t, densified, are times_x_rows of it, on the
-    # benchmark's p-adic grid (every tame a, t in [-10, 10]) and at (11, 3).
+    # On the benchmark's p-adic grid (every tame a, t in [-10, 10]) and at (11, 3).
     for a in range(p - 1):
         for t in range(-10, 11):
-            snf_rows.clear()
-            quotient_oracle(p, v, a, t)
-            expected, _ = _oracle_matrix(p, v, a, t)
-            assert [_dense(rows) for rows in snf_rows] == [expected], (a, t)
+            _assert_rows_are_the_multiplication_matrix(p, v, a, t, snf_rows)
 
 
 @pytest.mark.parametrize("v", [3, 4, 5])
 def test_oracle_2_rows_are_the_multiplication_matrix(v, snf_rows):
-    # zeta - 5^t on Z_2[zeta_(2^(v-2))] at precision 15; over Phi_2 = x + 1, zeta is -1.
-    pm = 2**15
-    phi = cyclotomic_poly(2 ** (v - 2))
     for t in range(-10, 11):
-        snf_rows.clear()
-        quotient_oracle_2(v, t)
-        gt = pow(5, t, pm)
-        u = [(-1 - gt) % pm] if len(phi) == 2 else [-gt % pm, 1]
-        assert [_dense(rows) for rows in snf_rows] == [times_x_rows(phi, u)], t
+        _assert_rows_are_the_multiplication_matrix(2, v, 0, t, snf_rows)
+
+
+# ---------------------------------------------------------------------------
+# the elimination cache
+
+
+# Every odd p <= 13 at v = 2, 3 with every tame a, and p = 2 at v = 3..6, for |t| <= 30.
+_CACHE_GRID = [(p, v, a) for p in (3, 5, 7, 11, 13) for v in (2, 3) for a in range(p - 1)] + \
+    [(2, v, 0) for v in range(3, 7)]
+
+
+def _closed_form(p, v, a, t):
+    if p == 2:
+        return AbelianGroupExpr.cyclic(2)
+    return e2_page(PAdicCharacterData(p=p, v=v, tame=a), 1, 2 * t)
+
+
+def test_cached_sweep_equals_the_closed_form_and_a_cold_oracle():
+    # The sweep runs on one warm cache; each cold answer is taken with the cache cleared.
+    calls = [(p, v, a, t) for p, v, a in _CACHE_GRID for t in range(-30, 31)]
+    cached = [_oracle(*call) for call in calls]
+    assert padic._smith_quotient.cache_info().hits > len(calls) // 2
+    for call, got in zip(calls, cached):
+        padic._smith_quotient.cache_clear()
+        assert got == _closed_form(*call) == _oracle(*call), call
+
+
+def _distinct_inputs(p, ts):
+    """The distinct (u0 mod p^(r+1), u1 mod p^(r+1), r) of a t-sweep over every tame a, from
+    plain integers: r is 1 exactly on the Z/p stripe (always at p = 2), and the Teichmuller
+    lift of g mod p^2 is found by search."""
+    if p == 2:
+        return {(-pow(5, t, 4) % 4, 1, 1) for t in ts}
+    g = topological_generator(p)
+    omega = next(y for y in range(g % p, p * p, p) if pow(y, p - 1, p * p) == 1)
+    keys = set()
+    for a in range(p - 1):
+        for t in ts:
+            r = 1 if (t - a) % (p - 1) == 0 else 0
+            pr = p ** (r + 1)
+            keys.add((-pow(g, t, pr) % pr, pow(omega, a, pr), r))
+    return keys
+
+
+@pytest.mark.parametrize("p, v", [(3, 2), (5, 3), (7, 2), (13, 2), (2, 3), (2, 5)])
+def test_a_sweep_eliminates_each_distinct_input_once(p, v, snf_precisions):
+    ts = range(-30, 31)
+    for a in range(1 if p == 2 else p - 1):
+        for t in ts:
+            _oracle(p, v, a, t)
+    keys = _distinct_inputs(p, ts)
+    assert sorted(snf_precisions) == sorted(r + 1 for _, _, r in keys)
+    assert padic._smith_quotient.cache_info().currsize == len(keys)

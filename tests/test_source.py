@@ -92,6 +92,19 @@ def test_padic_resultant_check_shares_no_code_with_the_elimination():
     assert not named & {"padic_invariant_exponents", "times_x_rows", "_times_u_rows"}, sorted(named)
 
 
+def test_only_the_cached_elimination_names_the_elimination_and_its_rows():
+    # _smith_quotient is cached on exactly what the elimination reads; an elimination or row
+    # builder named anywhere else in padic would run outside the cache and its key.
+    tree = ast.parse((SRC / "padic.py").read_text())
+    found = {}
+    for top in tree.body:
+        named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(top)
+                 if isinstance(node, (ast.Name, ast.Attribute))} & {"padic_invariant_exponents", "_times_u_rows"}
+        if named:
+            found[getattr(top, "name", type(top).__name__)] = sorted(named)
+    assert found == {"_smith_quotient": ["_times_u_rows", "padic_invariant_exponents"]}, found
+
+
 def test_padic_oracle_runs_at_one_precision():
     # Every accepted input has v_p(Res) <= 1, so the oracle has no precision to escalate or pass:
     # _stable_quotient computes the resultant once with no loop statement, and no oracle function
@@ -267,7 +280,7 @@ def test_every_lru_cache_is_bounded():
     # An unbounded cache grows for the life of the process.
     lru = {name: cache["maxsize"] for name, cache in _cold_caches().items() if "maxsize" in cache}
     assert {"bernoulli._gbn_primitive", "bernoulli._bernoulli_list", "bernoulli._bernoulli_poly_coeffs",
-            "cyclotomic.get_field", "homotopy._assembly_summands"} <= set(lru), sorted(lru)
+            "cyclotomic.get_field", "homotopy._assembly_summands", "padic._smith_quotient"} <= set(lru), sorted(lru)
     unbounded = sorted(name for name, maxsize in lru.items() if maxsize is None)
     assert not unbounded, unbounded
 
