@@ -91,8 +91,9 @@ class CyclotomicField:
         """The element with the given coordinates over the power basis, scalars as in ``from_rational``."""
         if len(coeffs) != self.degree:
             raise ValueError("coefficient vector has wrong length")
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return CycElement(self, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        rationals = [get_field(1).from_rational(c) for c in coeffs]
+        den = math.lcm(*(q.den for q in rationals))
+        return CycElement(self, [q.nums[0] * (den // q.den) for q in rationals], den)
 
     def zero(self) -> "CycElement":
         return CycElement(self, [0] * self.degree)
@@ -101,8 +102,11 @@ class CyclotomicField:
         return self.from_rational(1)
 
     def from_rational(self, q) -> "CycElement":
-        """The scalar q: any rational with integer ``numerator`` and ``denominator``, ``int`` and ``bool`` too."""
-        return CycElement(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
+        """The scalar q: any rational with integer ``numerator`` and ``denominator``; TypeError otherwise."""
+        pair = _scalar(q)
+        if pair is None:
+            raise TypeError(f"not a rational scalar: {q!r}")
+        return CycElement(self, [pair[0]] + [0] * (self.degree - 1), pair[1])
 
     def zeta_power(self, j: int) -> "CycElement":
         """The basis-reduced coefficient vector of zeta^j."""
@@ -146,7 +150,8 @@ class CycElement:
     ``gcd(den, *nums)``, so zero is ``(0, ..., 0)/1`` and equality is
     syntactic.  An operand of + - * / that is neither a CycElement nor a
     scalar of ``_scalar`` gets ``NotImplemented``, so Python raises
-    ``TypeError``.
+    ``TypeError``; a float or Decimal is not a scalar there, but ``==``
+    compares a finite one exactly, as ``Fraction`` does (NaN and inf equal nothing).
     """
 
     __slots__ = ("field", "nums", "den")
@@ -248,8 +253,11 @@ class CycElement:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycElement):
-            q = _scalar(other)
-            return q is not None and self.is_rational() and self.nums[0] * q[1] == q[0] * self.den
+            try:
+                q = _scalar(other) or other.as_integer_ratio()
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                return False
+            return self.is_rational() and self.nums[0] * q[1] == q[0] * self.den
         return (
             self.field.n == other.field.n
             and self.den == other.den
@@ -277,21 +285,8 @@ class CycElement:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> "CycElement":
-        """This rational element in Q(zeta_1) = Q, which ``render_cyc`` prints as p/q (p if q = 1)."""
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return CycElement(get_field(1), self.nums[:1], self.den)
-
     def is_integral(self) -> bool:
         return self.den == 1
-
-    def embed(self, target: CyclotomicField) -> "CycElement":
-        """Coerce into Q(zeta_m) for n | m via zeta_n -> zeta_m^(m/n)."""
-        n, m = self.field.n, target.n
-        if m % n:
-            raise ValueError("no canonical embedding: %d does not divide %d" % (n, m))
-        return _substitute(self, target, m // n)
 
     def __repr__(self) -> str:
         return f"CycElement(n={self.field.n}, {render_cyc(self)!r})"
@@ -335,19 +330,15 @@ def _norm_and_conjugates(a: CycElement) -> tuple[int, CycElement]:
 
 def galois_apply(a: CycElement, sigma: int) -> CycElement:
     """The automorphism zeta -> zeta^sigma for sigma coprime to n."""
-    if math.gcd(sigma, a.field.n) != 1:
+    field = a.field
+    if math.gcd(sigma, field.n) != 1:
         raise ValueError("sigma must be coprime to n")
-    return _substitute(a, a.field, sigma)
-
-
-def _substitute(a: CycElement, target: CyclotomicField, step: int) -> CycElement:
-    """a with z replaced by z^step of ``target``, summed over a's integer coordinates."""
-    out = [0] * target.degree
+    out = [0] * field.degree
     for j, x in enumerate(a.nums):
         if x:
-            for t, y in enumerate(target._zeta_pow[j * step % target.n]):
+            for t, y in enumerate(field._zeta_pow[j * sigma % field.n]):
                 out[t] += x * y
-    return CycElement(target, out, a.den)
+    return CycElement(field, out, a.den)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 An abelian field K is specified by a cyclotomic level N and generators of
 H = Gal(Q(zeta_N)/K) inside (Z/N)^x.  Special values are exact products
 of Dirichlet L-values over the characters trivial on H (each reduced to
-its primitive representative), with rationality asserted rather than
-assumed.
+its primitive representative): one L-value per Galois orbit, whose norm is
+the orbit's product, and the orbits must cover those characters exactly.
 
 ``verify_jk`` compares the denominator of zeta_K(1-2t) against
 pi_{4t-1}(J(K)[1/|H|]) as finite groups away from |H|.  For K = Q the
@@ -21,7 +21,7 @@ import math
 
 from .bernoulli import l_value
 from .characters import DirichletCharacter, InputError, enumerate_characters, _value_exponent, unit_subgroup
-from .cyclotomic import CycElement, get_field, render_cyc
+from .cyclotomic import CycElement, _norm_and_conjugates, get_field, render_cyc
 from .exactalg import AbelianGroupExpr, Record, factorize
 from .homotopy import invert_primes, pi_JK
 
@@ -56,27 +56,30 @@ def is_totally_real(spec: AbelianFieldSpec) -> bool:
 
 
 def zeta_special_value(spec: AbelianFieldSpec, s: int) -> CycElement:
-    """zeta_K(s) at s = 1 - k as the exact product of L-values, an element of Q(zeta_1) = Q.
+    """zeta_K(s) at s = 1 - k as a product of norms of L-values, an element of Q(zeta_1) = Q.
 
-    Each factor is computed over its own minimal cyclotomic field and
-    embedded into Q(zeta_lcm); the product must come out rational (the
-    character set is Galois-stable), which is asserted.
+    L(s, chi^j) = sigma_j(L(s, chi)), so a Galois orbit {chi^j : gcd(j, n = ord chi) = 1},
+    whose exponents are j*e mod o, contributes N(L) = N(A)/den^phi(n) for L = A/den of its
+    first character.  AssertionError unless the orbits cover the characters exactly.
     """
     k = 1 - s
     if k < 1:
         raise InputError("special values only at s = 1 - k with k >= 1")
     chis = field_characters(spec)
-    big = 1
+    covered = set()
+    num = den = 1
     for chi in chis:
+        if chi.exponents in covered:
+            continue
         n = chi.order()
-        big = big * n // math.gcd(big, n)
-    field = get_field(big)
-    prod = field.one()
-    for chi in chis:
-        prod = prod * l_value(chi, s).embed(field)
-    if not prod.is_rational():
-        raise AssertionError("zeta special value came out irrational; Galois-stability bug")
-    return prod.rational_value()
+        covered.update(tuple(j * e % o for e, o in zip(chi.exponents, chi.structure.orders))
+                       for j in range(1, n + 1) if math.gcd(j, n) == 1)
+        value = l_value(chi, s)
+        num *= _norm_and_conjugates(value)[0]
+        den *= value.den ** value.field.degree
+    if covered != {chi.exponents for chi in chis}:
+        raise AssertionError("the characters trivial on H are not a union of Galois orbits")
+    return CycElement(get_field(1), [num], den)
 
 
 def verify_jk(spec: AbelianFieldSpec, t: int) -> dict:

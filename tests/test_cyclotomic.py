@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,31 @@ class TestFieldArithmetic:
                 with pytest.raises(TypeError):
                     op(left, right)
         assert (a == other, a != other) == (False, True)
+
+    @pytest.mark.parametrize("q", [0.5, "1"])
+    def test_a_non_rational_scalar_builds_no_element(self, q):
+        # from_rational and element read their scalars as the operators do, so a float or a
+        # string is a TypeError there too.
+        with pytest.raises(TypeError):
+            get_field(1).from_rational(q)
+        with pytest.raises(TypeError):
+            get_field(5).element([q, 0, 0, 0])
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_a_float_or_decimal_compares_exactly(self, n):
+        # == reads a finite float or Decimal through as_integer_ratio, as Fraction does, so
+        # equality stays transitive through Fraction; arithmetic with either is still refused.
+        half = get_field(n).from_rational(Fraction(1, 2))
+        for x in (0.5, Decimal("0.5")):
+            assert x == Fraction(1, 2) and (half == x, x == half, half != x) == (True, True, False)
+            assert hash(half) == hash(x)
+            with pytest.raises(TypeError):
+                half + x
+        third = get_field(n).from_rational(Fraction(1, 3))
+        assert third != 1 / 3 and Fraction(1, 3) != 1 / 3
+        assert get_field(n).zero() == -0.0 and get_field(n).zeta_power(1) != 0.0
+        for x in (math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity")):
+            assert not half == x and half != x
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.data())

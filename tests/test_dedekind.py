@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from dirichletj.bernoulli import bernoulli_number
+from dirichletj import dedekind
+from dirichletj.bernoulli import bernoulli_number, l_value
 from dirichletj.characters import char_inv
 from dirichletj.dedekind import (
     AbelianFieldSpec,
@@ -87,6 +88,27 @@ class TestZetaValues:
     def test_real_cyclotomic_7(self):
         spec = AbelianFieldSpec(7, (6,))
         assert zeta_special_value(spec, -1) == Fraction(-1, 21)
+
+
+class TestGaloisOrbits:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_l_value_per_orbit(self, monkeypatch, k):
+        # (Z/31)^x is cyclic of order 30: one orbit of characters per divisor of 30.
+        calls = []
+        monkeypatch.setattr(dedekind, "l_value", lambda chi, s: calls.append(chi) or l_value(chi, s))
+        zeta_special_value(AbelianFieldSpec(31, ()), 1 - k)
+        assert sorted(chi.order() for chi in calls) == [1, 2, 3, 5, 6, 10, 15, 30]
+
+    def test_a_set_that_is_not_galois_stable_is_refused(self, monkeypatch):
+        # The characters of Q(zeta_7)^+ are 1, chi and chi^2 with chi of order 3; without
+        # chi^2 the orbit of chi is not covered.
+        spec = AbelianFieldSpec(7, (6,))
+        chis = field_characters(spec)
+        chi = next(c for c in chis if c.order() == 3)
+        assert char_mul(chi, chi) in chis
+        monkeypatch.setattr(dedekind, "field_characters", lambda _: [c for c in chis if c != char_mul(chi, chi)])
+        with pytest.raises(AssertionError, match="Galois orbits"):
+            zeta_special_value(spec, -1)
 
 
 class TestVerifyJK:

@@ -15,7 +15,7 @@ import pytest
 
 import dirichletj.cyclotomic as cyc
 from dirichletj.bernoulli import denom_ideal, gbn, l_value
-from dirichletj.characters import character_from_index, enumerate_characters
+from dirichletj.characters import _value_exponent, character_from_index, enumerate_characters, unit_subgroup
 from dirichletj.cyclotomic import (
     CycElement,
     denominator_ideal,
@@ -25,6 +25,7 @@ from dirichletj.cyclotomic import (
     quotient_group,
     render_cyc,
 )
+from dirichletj.dedekind import AbelianFieldSpec, zeta_special_value
 from dirichletj.eisenstein import eisenstein_coeffs
 
 from ideal_oracle import IdealLattice, principal
@@ -173,7 +174,7 @@ class TestAgainstFractionReference:
             assert _value(got) == _ref_inverse(_value(b), b.field.n)
 
     @pytest.mark.parametrize("n", FIELDS)
-    def test_galois_and_embed(self, n):
+    def test_galois(self, n):
         f = get_field(n)
         rng = random.Random(100 + n)
         for _ in range(10):
@@ -184,10 +185,6 @@ class TestAgainstFractionReference:
                     got = galois_apply(a, sigma)
                     _assert_normalized(got)
                     assert _value(got) == _ref_substitute(ca, sigma, n)
-            for m in (n, 2 * n, 3 * n):
-                got = a.embed(get_field(m))
-                _assert_normalized(got)
-                assert _value(got) == _ref_substitute(ca, m // n, m)
 
     @pytest.mark.parametrize("n", FIELDS)
     def test_invariants(self, n):
@@ -212,7 +209,33 @@ class TestAgainstFractionReference:
                 CycElement(f, [1] * f.degree, den)
         half = f.from_rational(Fraction(-4, 8))
         assert half.den == 2 and half.nums[0] == -1
-        assert half.rational_value() == Fraction(-1, 2) and half == Fraction(-1, 2)
+        assert half == Fraction(-1, 2)
+
+
+# -- zeta_K(1-k) against the product over every character -------------------
+
+
+def test_zeta_value_is_the_product_over_every_character():
+    # The reference multiplies all [(Z/N)^x : H] L-values, each moved into Q(zeta_m) by this
+    # file's substitution, with m the exponent of (Z/N)^x; zeta_special_value takes one norm
+    # per Galois orbit instead.  A zero factor makes the product zero.
+    for N in range(1, 33):
+        chis = enumerate_characters(N)
+        m = math.lcm(*(chi.order() for chi in chis))
+        subgroups = {frozenset(unit_subgroup(N, [u])): u for u in range(1, N + 1) if math.gcd(u, N) == 1}
+        for k in range(1, 5):
+            values = {chi: l_value(chi, 1 - k) for chi in chis}
+            factors = {chi: _ref_substitute(_value(v), m // v.field.n, m)
+                       for chi, v in values.items() if not v.is_zero()}
+            for u in subgroups.values():
+                on_h = [chi for chi in chis if _value_exponent(chi, u) == 0]
+                prod = _reduce([Fraction(0)], m)
+                if all(chi in factors for chi in on_h):
+                    prod = _reduce([Fraction(1)], m)
+                    for chi in on_h:
+                        prod = _ref_mul(prod, factors[chi], m)
+                assert not any(prod[1:]), (N, u, k)
+                assert zeta_special_value(AbelianFieldSpec(N, (u,)), 1 - k) == prod[0], (N, u, k)
 
 
 # -- one HNF per printed basis ----------------------------------------------
