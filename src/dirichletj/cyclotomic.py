@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exactalg import (
     AbelianGroupExpr,
@@ -86,14 +86,6 @@ class CyclotomicField:
         if d != euler_phi(n):
             raise AssertionError(f"deg Phi_{n} = {d} differs from phi({n}) = {euler_phi(n)}")
         self._zeta_pow = [tuple(row) for row in times_x_rows(self.phi_n, [1], max(n, 2 * d - 1))]
-
-    def element(self, coeffs: Sequence) -> "CycElement":
-        """The element with the given coordinates over the power basis, scalars as in ``from_rational``."""
-        if len(coeffs) != self.degree:
-            raise ValueError("coefficient vector has wrong length")
-        rationals = [get_field(1).from_rational(c) for c in coeffs]
-        den = math.lcm(*(q.den for q in rationals))
-        return CycElement(self, [q.nums[0] * (den // q.den) for q in rationals], den)
 
     def zero(self) -> "CycElement":
         return CycElement(self, [0] * self.degree)

@@ -5,10 +5,12 @@ spheres, and their Dirichlet-twisted versions are all finite direct sums
 drawn from a short list of atoms (Z, Z_p, Q/Z, Z/p^e), held as
 ``exactalg.AbelianGroupExpr``.
 
-Twisted groups are computed two independent ways:
+Twisted groups are computed two independent ways, each writing a table
+once: at p = 2 a primed table is the unprimed one four degrees down, and
+an odd table of conductor 2^v, v >= 3, the even one two degrees up.
 
-* the direct case tables (prime-power conductor and mixed-conductor
-  cases, including the suspended wedge shapes);
+* the direct case tables: prime-power conductors, and one suspended
+  wedge that serves the ell-part at conductor p and mixed conductors;
 * assembly from the p-adic decomposition: one summand per Galois coset
   of the splitting of Z[chi] at p, each evaluated through the per-prime
   tables in the degrees where it can be nonzero.
@@ -210,7 +212,10 @@ def _tame_eigen_2(w: int, eps: int, i: int) -> AbelianGroupExpr:
 
 
 def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
-    """Homotopy of the Dirichlet K(1)-local sphere attached to one p-adic summand."""
+    """Homotopy of the Dirichlet K(1)-local sphere attached to one p-adic summand.
+
+    At a pure conductor 2^v, v >= 3, the odd table (tame 1) is the even one two
+    degrees up; both are periodic in i mod 8, so one period checks it."""
     p, v, a = data.p, data.v, data.tame
     A = AbelianGroupExpr
     if data.prime_to_p is not None:
@@ -220,26 +225,18 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
         n = part.wild_image_exp
         if n < 1:
             raise ValueError("p-power image must be nontrivial")
-        if p == 2:
-            w = max(2, v - n)
-            return _tame_eigen_2(w, a, i - 1).times(2)
-        w = max(1, v - n)
-        return _tame_eigen_odd(p, w, a, i - 1).times(p)
+        w = max(2 if p == 2 else 1, v - n)
+        return (_tame_eigen_2(w, a, i - 1) if p == 2 else _tame_eigen_odd(p, w, a, i - 1)).times(p)
     # Pure p-power conductor.
     if v == 0:
         return pi_K1(p, i)
     if p == 2:
         if v == 2:
             return _tame_eigen_2(2, 1, i)
-        if a == 0:
-            if i % 8 in (0, 2, 3, 7):
-                return A.cyclic(2)
-            if i % 8 == 1:
-                return A.cyclic(2) + A.cyclic(2)
-            return A.zero()
-        if i % 8 in (1, 2, 4, 5):
+        i -= 2 * a
+        if i % 8 in (0, 2, 3, 7):
             return A.cyclic(2)
-        if i % 8 == 3:
+        if i % 8 == 1:
             return A.cyclic(2) + A.cyclic(2)
         return A.zero()
     if v == 1:
@@ -254,32 +251,14 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
 
 
 def pi_DK1_primed(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
-    """The alternate-Moore-model tables at p = 2 (exotic-twisted side)."""
+    """The alternate-Moore-model tables at p = 2 (exotic-twisted side), for pure
+    conductors 2^v with v >= 2: the unprimed tables four degrees down,
+    pi_DK1(data, i - 4).  Both are periodic in i mod 8; one period checks it."""
     if data.p != 2 or data.prime_to_p is not None:
         raise ValueError("primed tables exist only for pure 2-power conductors")
-    A = AbelianGroupExpr
-    v = data.v
-    if v == 2:
-        if i % 4 == 1:
-            return A.cyclic(4)
-        if i % 8 in (0, 6):
-            return A.cyclic(2)
-        if i % 8 == 7:
-            return A.cyclic(2) + A.cyclic(2)
-        return A.zero()
-    if v >= 3:
-        if data.tame == 0:
-            if i % 8 in (3, 4, 6, 7):
-                return A.cyclic(2)
-            if i % 8 == 5:
-                return A.cyclic(2) + A.cyclic(2)
-            return A.zero()
-        if i % 8 in (0, 1, 5, 6):
-            return A.cyclic(2)
-        if i % 8 == 7:
-            return A.cyclic(2) + A.cyclic(2)
-        return A.zero()
-    raise ValueError("no primed table for this conductor")
+    if data.v < 2:
+        raise ValueError("no primed table for this conductor")
+    return pi_DK1(data, i - 4)
 
 
 # ---------------------------------------------------------------------------
@@ -408,92 +387,55 @@ def _direct_data(chi: DirichletCharacter) -> tuple[bool, Optional[int], int, int
     return mixed, p, fac.get(p, 0), n, chi.order(), ell, parity(chi), tame_order
 
 
-def _direct_case1(p: int, n: int, ell: Optional[int], i: int) -> AbelianGroupExpr:
-    """Conductor p > 2, chi of order n (a power of ell, or None): the three printed tables, by image type."""
+def _direct_wedge(q: int, w: int, tame_order: int, i: int) -> AbelianGroupExpr:
+    """One of the q summands of the once-suspended wedge at the prime q, with offset w.
+    At odd q: Z_q in degrees 0 and 1 at tame order 1, and Z/q^(v_q(k) + w) in
+    degree 2k when ker omega^k = ker chi.  At q = 2: the printed even (tame order
+    1) or odd table, topped by Z/2^(v_2(i/4) + w + 1) at i = 0 mod 4 or Z/2^w at
+    i = 2 mod 4."""
     A = AbelianGroupExpr
+    if q == 2:
+        if tame_order == 1:
+            if i in (0, 1):
+                return (A.padic(2) + A.cyclic(2)) if i == 1 else A.padic(2)
+            if i % 8 == 2:
+                return A.cyclic(2) + A.cyclic(2)
+            if i % 8 in (1, 3):
+                return A.cyclic(2)
+            if i % 4 == 0:
+                return A.cyclic(2 ** (_vp(i // 4, 2) + w + 1))
+            return A.zero()
+        if i % 8 in (3, 5):
+            return A.cyclic(2)
+        if i % 8 == 4:
+            return A.cyclic(2) + A.cyclic(2)
+        return A.cyclic(2**w) if i % 4 == 2 else A.zero()
+    if tame_order == 1 and i in (0, 1):
+        return A.padic(q)
+    if i % 2 == 0 and i != 0 and chmod.kernel_order_match(i // 2, q, tame_order):
+        return A.cyclic(q ** (_vp(i // 2, q) + w))
+    return A.zero()
 
-    def p_part(i: int) -> AbelianGroupExpr:
-        if i % 2 != 0:
-            k = (i + 1) // 2
-            if k != 0 and chmod.kernel_order_match(k, p, n):
-                return A.cyclic(p ** (_vp(k, p) + 1))
-        return A.zero()
 
-    if ell is None:
-        return p_part(i)
-    injective = n == p - 1
-    if ell != 2:
-        out = A.zero()
-        if i == 0:
-            out = out + A.padic(ell, ell)
-        if i == 1:
-            out = out + A.padic(ell, ell)
-            if injective:
-                out = out + A.cyclic(p)
-        if i % 2 != 0 and i != 1:
-            out = out + p_part(i)
-        if i % 2 == 0 and i != 0:
-            k = i // 2
-            if k % (ell - 1) == 0:
-                out = out + A.cyclic(ell ** (_vp(k, ell) + 1)).times(ell)
-        return out
-    # ell = 2 (Fermat-type): the 2-adic wedge contributes at every degree.
-    out = A.zero()
-    if i == 0:
-        out = out + A.padic(2, 2)
-    elif i == 1:
-        out = out + (A.padic(2) + A.cyclic(2)).times(2)
-        if injective:
-            out = out + A.cyclic(p)
-    elif i % 8 == 2:
-        out = out + (A.cyclic(2) + A.cyclic(2)).times(2)
-    elif i % 4 == 0 and i != 0:
-        out = out + A.cyclic(2 ** (_vp(i // 4, 2) + 3)).times(2)
-    if i % 2 != 0 and i != 1:
-        if i % 8 in (1, 3):
-            out = out + A.cyclic(2).times(2)
-        out = out + p_part(i)
-    return out
+def _direct_case1(p: int, n: int, ell: Optional[int], i: int) -> AbelianGroupExpr:
+    """Conductor p > 2, chi of order n: the p-part Z/p^(v_p(k) + 1) in each degree
+    2k - 1 with ker omega^k = ker chi (degree 1 when n = p - 1), plus, when n is a
+    power of the prime ell, ell copies of the wedge with tame order 1 and offset 2
+    at ell = 2, 1 at odd ell."""
+    k = (i + 1) // 2
+    out = AbelianGroupExpr.zero()
+    if i % 2 != 0 and k != 0 and chmod.kernel_order_match(k, p, n):
+        out = AbelianGroupExpr.cyclic(p ** (_vp(k, p) + 1))
+    return out if ell is None else out + _direct_wedge(ell, 2 if ell == 2 else 1, 1, i).times(ell)
 
 
 def _direct_case5(p: Optional[int], v: int, n: int, tame_order: int, i: int) -> AbelianGroupExpr:
-    """Conductor with several prime factors: contractible unless one prime
-    carries a p-power prime-to-p image; then the printed suspended tables."""
-    A = AbelianGroupExpr
+    """Conductor with several prime factors: contractible unless one prime p
+    carries a p-power prime-to-p image p^n; then p copies of the wedge at p,
+    with offset max(2, v - n) at p = 2 and max(1, v - n) at odd p."""
     if p is None:
-        return A.zero()
-    if p == 2:
-        if tame_order == 1:  # chi is even on the tame part at 2
-            if i == 0:
-                return A.padic(2, 2)
-            if i == 1:
-                return (A.padic(2) + A.cyclic(2)).times(2)
-            if i % 8 == 2:
-                return (A.cyclic(2) + A.cyclic(2)).times(2)
-            if i % 8 in (1, 3):
-                return A.cyclic(2).times(2)
-            if i % 4 == 0 and i != 0:
-                k = i // 4
-                exp = _vp(k, 2) + (3 if n >= v - 2 else v - n + 1)
-                return A.cyclic(2**exp).times(2)
-            return A.zero()
-        if i % 8 in (3, 5):
-            return A.cyclic(2).times(2)
-        if i % 8 == 4:
-            return (A.cyclic(2) + A.cyclic(2)).times(2)
-        if i % 4 == 2:
-            exp = 2 if n >= v - 2 else v - n
-            return A.cyclic(2**exp).times(2)
-        return A.zero()
-    if tame_order == 1:
-        if i in (0, 1):
-            return A.padic(p, p)
-    if i % 2 == 0 and i != 0:
-        k = i // 2
-        if chmod.kernel_order_match(k, p, tame_order):
-            exp = _vp(k, p) + (1 if n >= v - 1 else v - n)
-            return A.cyclic(p**exp).times(p)
-    return A.zero()
+        return AbelianGroupExpr.zero()
+    return _direct_wedge(p, max(2 if p == 2 else 1, v - n), tame_order, i).times(p)
 
 
 def _pi_jnchi_direct(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
@@ -510,16 +452,12 @@ def _pi_jnchi_direct(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
             if i % 8 == 3:
                 return A.cyclic(2) + A.cyclic(2)
             return A.zero()
-        # N = 2^v > 4.
-        if chi_parity == 1:
-            if i % 8 in (0, 2, 3, 7):
-                return A.cyclic(2)
-            if i % 8 == 1:
-                return A.cyclic(2) + A.cyclic(2)
-            return A.zero()
-        if i % 8 in (1, 2, 4, 5):
+        # N = 2^v > 4; the odd table is the even one two degrees up.
+        if chi_parity == -1:
+            i -= 2
+        if i % 8 in (0, 2, 3, 7):
             return A.cyclic(2)
-        if i % 8 == 3:
+        if i % 8 == 1:
             return A.cyclic(2) + A.cyclic(2)
         return A.zero()
     if v == 1:
@@ -662,7 +600,8 @@ def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[i
     For odd conductor primes both sides are the ell(chi)-localized
     Dirichlet tables.  At p = 2, odd characters pair with the unprimed
     tables of chi^{-1} and even characters with the primed (exotic
-    Moore-model) tables.
+    Moore-model) tables, which are the unprimed ones four degrees down:
+    an even chi pairs pi_t with pi_(-6-t) of chi^{-1}'s unprimed table.
     """
     p, v_actual, chi_inv, loc, summands = _duality_setup(chi)
     if v_actual != v:

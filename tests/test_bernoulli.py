@@ -27,7 +27,7 @@ from dirichletj.characters import (
     parity,
     tame_order,
 )
-from dirichletj.cyclotomic import denominator_ideal, galois_apply, get_field, quotient_group, render_cyc
+from dirichletj.cyclotomic import CycElement, denominator_ideal, galois_apply, get_field, quotient_group, render_cyc
 from dirichletj.exactalg import AbelianGroupExpr, _vp, factorize, smallest_primitive_root
 
 from exponent_tuples import char_pow
@@ -578,7 +578,7 @@ class TestCarlitz:
             scale = Fraction(1, p) if v == 1 else k / (field.one() - evaluate(chi, 1 + p))
 
             def drawn():
-                return field.element([rng.randint(-p, p) for _ in range(field.degree)])
+                return CycElement(field, [rng.randint(-p, p) for _ in range(field.degree)])
 
             delta = rng.choice([lambda: field.zeta_power(rng.randrange(field.degree)), lambda: drawn() * p**e,
                                 lambda: drawn() * y_e, drawn, lambda: field.zeta_power(1) / p])()

@@ -216,6 +216,26 @@ class TestDirichletK1:
         with pytest.raises(ValueError):
             pi_DK1_primed(PAdicCharacterData(p=3, v=1, tame=1), 1)
 
+    @pytest.mark.parametrize("table, v, tame, row", [
+        (pi_DK1_primed, 2, 1, ["Z/2", "Z/4", "0", "0", "0", "Z/4", "Z/2", "Z/2 + Z/2"]),
+        (pi_DK1_primed, 3, 0, ["0", "0", "0", "Z/2", "Z/2", "Z/2 + Z/2", "Z/2", "Z/2"]),
+        (pi_DK1_primed, 3, 1, ["Z/2", "Z/2", "0", "0", "0", "Z/2", "Z/2", "Z/2 + Z/2"]),
+        (pi_DK1, 3, 0, ["Z/2", "Z/2 + Z/2", "Z/2", "Z/2", "0", "0", "0", "Z/2"]),
+        (pi_DK1, 3, 1, ["0", "Z/2", "Z/2", "Z/2 + Z/2", "Z/2", "Z/2", "0", "0"]),
+    ])
+    def test_one_period_of_the_2_power_tables(self, table, v, tame, row):
+        # The rows of the hand-written tables that the shifts by 4 (primed) and by 2 (odd)
+        # replaced, i = 0..7; the tables are periodic mod 8, so one period pins every degree.
+        data = PAdicCharacterData(p=2, v=v, tame=tame)
+        for m in (-3, 0, 2):
+            assert [table(data, 8 * m + r).render() for r in range(8)] == row
+
+    def test_primed_rejects_a_trivial_2_part(self):
+        # pi_DK1 reads v = 0 as the K(1)-local sphere, whose Z_2 sits four degrees down from
+        # degree 3; there is no primed table at v = 0 to shift.
+        with pytest.raises(ValueError, match="no primed table"):
+            pi_DK1_primed(PAdicCharacterData(p=2, v=0, tame=0), 3)
+
 
 class TestDecompose:
     def test_quad5_at5(self):

@@ -151,12 +151,23 @@ def test_homotopy_assembly_shares_no_code_with_the_direct_tables():
     # and its per-character plan may not name the direct route.
     tree = ast.parse((SRC / "homotopy.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    direct = {"_pi_jnchi_direct", "_direct_data", "_direct_case1", "_direct_case5", "_qualifying_prime",
-              "kernel_order_match", "tame_order"}
+    direct = {"_pi_jnchi_direct", "_direct_data", "_direct_case1", "_direct_case5", "_direct_wedge",
+              "_qualifying_prime", "kernel_order_match", "tame_order"}
     for name in ("_pi_jnchi_assembly", "_assembly_summands"):
         named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(functions[name])
                  if isinstance(node, (ast.Name, ast.Attribute))}
         assert not named & direct, f"{name} names {sorted(named & direct)}"
+
+
+def test_homotopy_direct_tables_share_no_code_with_the_assembly():
+    # The reverse direction: the direct route writes its own tables and reads none of the
+    # per-prime tables or the p-adic plan that the assembly sums.
+    names = _names_by_function(SRC / "homotopy.py")
+    assembly = {"pi_DK1", "pi_DK1_primed", "_tame_eigen_odd", "_tame_eigen_2", "pi_K1",
+                "decompose_p", "_assembly_summands", "_pi_jnchi_assembly"}
+    for name in ("_pi_jnchi_direct", "_direct_data", "_direct_case1", "_direct_case5", "_qualifying_prime",
+                 "_direct_wedge"):
+        assert not names[name] & assembly, f"{name} names {sorted(names[name] & assembly)}"
 
 
 def test_eisenstein_shares_no_code_with_the_membership_route():

@@ -13,7 +13,8 @@ import pytest
 
 from dirichletj.bernoulli import denom_ideal
 from dirichletj.characters import char_inv, enumerate_characters, is_primitive, parity
-from dirichletj.cyclotomic import cyclotomic_factor_count, denominator_ideal, denominator_invariants, get_field
+from dirichletj.cyclotomic import (CycElement, cyclotomic_factor_count, denominator_ideal, denominator_invariants,
+                                   get_field)
 from dirichletj.exactalg import _vp, euler_phi, factorize, is_prime, times_x_rows
 
 from ideal_oracle import denominator_lattice, smith_diagonal
@@ -93,7 +94,7 @@ def _drawn_values(rng, count):
     out = []
     while len(out) < count:
         f = get_field(rng.choice([3, 4, 5, 7, 8, 9, 12]))
-        a = f.element([rng.randint(-3, 3) for _ in range(f.degree)])
+        a = CycElement(f, [rng.randint(-3, 3) for _ in range(f.degree)])
         for _ in range(rng.randint(0, 6)):
             a = a * (f.zeta_power(1) - rng.randint(-3, 3))
         if a.is_zero():
