@@ -1,6 +1,7 @@
 """Group expressions and the homotopy tables of the twisted J-spectra."""
 
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -299,6 +300,19 @@ class TestPinnedOutputs:
                  for p, v in pairs for chi in primitive_chars(p**v)
                  for row in check_duality_dirichlet(chi, v, range(-20, 21))]
         assert _digest(lines) == (2952, "71af56413a9647c3f79d2a4641516de8918b0e574e2486cbd93cca2a2ab2057e")
+
+    def test_jk_on_cyclic_subgroups_up_to_32(self):
+        # N = 1 or a prime power <= 32, H trivial or generated by one unit, both invert_G settings.
+        levels = [1] + [N for N in range(2, 33) if len(factorize(N)) == 1]
+        lines = [f"{N}:{gens}:{i}:{inv}:{pi_JK(N, gens, i, inv).render()}"
+                 for N in levels for gens in [[]] + [[u] for u in range(N) if math.gcd(u, N) == 1]
+                 for i in range(-13, 25) if i not in (0, -1, -2) for inv in (False, True)]
+        assert _digest(lines) == (17010, "28606999f968961916c77c3a2ed7c71fec6a605e244dc56dee51dada564894a0")
+
+    def test_jn_duality_rows_up_to_64(self):
+        lines = [f"{N}:{row['t']}:{row['lhs']}|{row['rhs']}|{row['ok']}|{row.get('note')}"
+                 for N in range(1, 65) for row in check_duality_JN(N, range(-40, 41))]
+        assert _digest(lines) == (5184, "f7a004ad013f7c2e0f83dfda8fa4d227aa692cccc58a516ba4000c268a09f6e6")
 
 
 class TestPiJNChi:
