@@ -87,7 +87,11 @@ def verify_jk(spec: AbelianFieldSpec, t: int) -> dict:
 
     Both sides are normalized as finite groups prime to |H|.  When |H|
     is odd (K = Q) the arithmetic side's 2-part is doubled, matching the
-    classical B_{2t}/(4t) normalization of the image of J.
+    classical B_{2t}/(4t) normalization of the image of J.  The arithmetic
+    side is the reduced denominator of zeta_K(1-2t): a prime that cancels
+    against the numerator drops out of it, so the comparison fails at
+    N = 27, H = <8> for t = 3 (0 vs Z/7) and t = 6, where pi_JK carries a 7
+    that the reduced denominator lacks.
     """
     N = spec.modulus
     if N > 1 and len(factorize(N)) != 1:

@@ -485,17 +485,6 @@ class AbelianGroupExpr(Record):
     def is_zero(self) -> bool:
         return not self.atoms
 
-    def is_finite(self) -> bool:
-        return all(a[0] == "C" for a in self.atoms)
-
-    def order(self) -> int:
-        if not self.is_finite():
-            raise ValueError("group is not finite")
-        out = 1
-        for _, p, e in self.atoms:
-            out *= p**e
-        return out
-
     def render(self) -> str:
         if not self.atoms:
             return "0"

@@ -37,7 +37,7 @@ from .characters import (
     unit_subgroup,
 )
 from .cyclotomic import padic_splitting
-from .exactalg import AbelianGroupExpr, _vp, factorize, is_prime, staudt_odd_primes
+from .exactalg import AbelianGroupExpr, _vp, euler_phi, factorize, is_prime, staudt_odd_primes
 from .padic import PAdicCharacterData, PrimeToPPart
 
 
@@ -341,27 +341,19 @@ def _assembly_summands(chi: DirichletCharacter) -> tuple[_Summands, tuple[tuple[
 def _qualifying_prime(chi: DirichletCharacter) -> Optional[tuple[int, int]]:
     """The prime p with |image(chi')| = p^n (n >= 1), if one exists, with n.
 
-    chi' is the prime-to-p local product; at most one prime qualifies.
+    chi' is the prime-to-p local product; at most one prime qualifies.  The
+    image of chi' has order dividing ord(chi), so only the primes of ord(chi)
+    are scanned.
     """
-    N = chi.modulus
-    candidates = set(factorize(N))
-    n_ord = chi.order()
-    ord_fac = factorize(n_ord)
-    if len(ord_fac) == 1:
-        candidates.add(next(iter(ord_fac)))
     found = []
-    for p in sorted(candidates):
+    for p in factorize(chi.order()):
         m = prime_to_p_part(chi, p).order()
-        if m == 1:
-            continue
-        fac = factorize(m)
-        if len(fac) == 1 and next(iter(fac)) == p:
-            found.append((p, fac[p]))
-    if not found:
-        return None
-    if len(found) != 1:
+        n = _vp(m, p)
+        if n and m == p**n:
+            found.append((p, n))
+    if len(found) > 1:
         raise AssertionError(f"primes {found} all carry a p-power prime-to-p image; at most one can")
-    return found[0]
+    return found[0] if found else None
 
 
 @lru_cache(maxsize=1024)
@@ -517,12 +509,15 @@ def pi_jn_chi(chi: DirichletCharacter, i: int, loc: Iterable[int] = ()) -> Abeli
 def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) -> AbelianGroupExpr:
     """pi_i of J(K) for K the fixed field of H = <subgroup_gens> inside Q(zeta_N).
 
-    N must be 1 or a prime power.  The value is assembled from the tame
-    eigen-pieces at the level prime (over the characters of the tame
-    quotient trivial on H) plus the untwisted K(1)-local contributions at
-    primes not dividing |H|.  Degrees 0, -1 and -2 mix free and divisible
-    parts across the fracture square (for K = Q, pi_-2 is Q/Z) and are not
-    represented; the comparison degrees of the Dedekind theorem are 4t - 1.
+    N must be 1 or a prime power p^v.  The value is the sum of the tame
+    eigen-pieces omega^a at p that are trivial on H, plus the untwisted
+    K(1)-local contributions at primes not dividing |H|.  With q = p (q = 4
+    at p = 2) and m the order of H's image in (Z/q)^x, omega^a is trivial on
+    H exactly when m divides a, so the pieces taken are the multiples of m
+    in [0, |(Z/q)^x|); at p = 2 the odd piece is taken only when every
+    h = 1 mod 4.  Degrees 0, -1 and -2 mix free and divisible parts across
+    the fracture square (for K = Q, pi_-2 is Q/Z) and are not represented;
+    the comparison degrees of the Dedekind theorem are 4t - 1.
     """
     if N < 1:
         raise InputError("N must be positive")
@@ -534,45 +529,21 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
     if len(fac) > 1:
         raise InputError("N must be 1 or a prime power in this release")
     H = unit_subgroup(N, subgroup_gens)
-    hsize = len(H)
     out = AbelianGroupExpr.zero()
     level_p = None
     if fac:
         (level_p, v), = fac.items()
-        if level_p == 2:
-            tame_trivial = all(h % 4 == 1 for h in H)
-            for eps in (0, 1):
-                if eps == 1 and not tame_trivial:
-                    continue
-                out = out + _tame_eigen_2(max(v, 2), eps, i)
-        else:
-            dlogs = chmod._dlog_table(level_p)
-            for a in range(level_p - 1):
-                ok = True
-                for h in H:
-                    e = dlogs[h % level_p][0]
-                    if (a * e) % (level_p - 1):
-                        ok = False
-                        break
-                if ok:
-                    out = out + _tame_eigen_odd(level_p, v, a, i)
+        q = 4 if level_p == 2 else level_p
+        for a in range(0, euler_phi(q), len({h % q for h in H})):
+            out = out + (_tame_eigen_2(v, a, i) if level_p == 2 else _tame_eigen_odd(level_p, v, a, i))
     for ell in [2] + (staudt_odd_primes(abs(i + 1) // 2) if i % 2 else []):
-        if ell == level_p or hsize % ell == 0:
-            continue
-        out = out + pi_K1(ell, i)
-    if invert_G:
-        out = invert_primes(out, set(factorize(hsize)))
-    return out
+        if ell != level_p and len(H) % ell:
+            out = out + pi_K1(ell, i)
+    return invert_primes(out, factorize(len(H))) if invert_G else out
 
 
 # ---------------------------------------------------------------------------
 # Duality checkers
-
-
-def _diff_is_z2_only(a: AbelianGroupExpr, b: AbelianGroupExpr) -> bool:
-    """Whether a and b agree up to Z/2 summands (both directions)."""
-    z2 = AbelianGroupExpr.cyclic(2)
-    return a.without(z2) == b.without(z2)
 
 
 @lru_cache(maxsize=1024)
@@ -626,33 +597,23 @@ def check_duality_JN(N: int, t_range: Iterable[int]) -> list[dict]:
     """Profinite duality pi_t(J(N)) vs pi_(-2-t)(J(N)).
 
     Strict for 4 | N; for odd N the match is required only up to Z/2
-    summands.  Degrees 0 and -2 pair the free and divisible parts by an
-    explicit convention (Z at 0 against Q/Z at -2) and are flagged.
+    summands, and a row that matches only so is noted ``z2-slack``.  Degrees
+    0 and -2 pair the free and divisible parts by an explicit convention (Z
+    at 0 against Q/Z at -2) and are noted ``degenerate-convention``.
     """
-    strict = N % 4 == 0
+    slack = AbelianGroupExpr.zero() if N % 4 == 0 else AbelianGroupExpr.cyclic(2)
     rows = []
     for t in t_range:
-        lhs = pi_JN(N, t)
-        rhs = pi_JN(N, -2 - t)
+        lhs, rhs = pi_JN(N, t), pi_JN(N, -2 - t)
+        row = {"t": t, "lhs": lhs.render(), "rhs": rhs.render()}
         if t in (0, -2):
-            finite = lhs.finite_part() + rhs.finite_part()
             free_side, div_side = (lhs, rhs) if t == 0 else (rhs, lhs)
-            pairing_ok = free_side.free_rank() == 1 and div_side.q_mod_z_count() == 1
-            if not strict:
-                finite = finite.without(AbelianGroupExpr.cyclic(2))
-            ok = pairing_ok and finite.is_zero()
-            rows.append(
-                {"t": t, "lhs": lhs.render(), "rhs": rhs.render(), "ok": ok, "note": "degenerate-convention"}
-            )
-            continue
-        if strict:
-            ok = lhs == rhs
-            note = None
+            finite = (lhs.finite_part() + rhs.finite_part()).without(slack)
+            row["ok"] = free_side.free_rank() == 1 and div_side.q_mod_z_count() == 1 and finite.is_zero()
+            row["note"] = "degenerate-convention"
         else:
-            ok = _diff_is_z2_only(lhs, rhs)
-            note = None if lhs == rhs else ("z2-slack" if ok else None)
-        row = {"t": t, "lhs": lhs.render(), "rhs": rhs.render(), "ok": ok}
-        if note:
-            row["note"] = note
+            row["ok"] = lhs.without(slack) == rhs.without(slack)
+            if row["ok"] and lhs != rhs:
+                row["note"] = "z2-slack"
         rows.append(row)
     return rows

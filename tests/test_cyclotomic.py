@@ -348,7 +348,8 @@ class TestDenominatorIdeal:
     def test_quotient_order_power(self):
         for n, m in ((4, 3), (5, 2), (3, 4)):
             f = get_field(n)
-            assert quotient_group(f.from_rational(Fraction(1, m))).order() == m ** f.degree
+            # O/mO is (Z/m)^degree, of order m^degree.
+            assert quotient_group(f.from_rational(Fraction(1, m))) == AbelianGroupExpr.cyclic(m).times(f.degree)
 
     def test_zero_gives_full_ring(self):
         # D(0) = {y : 0*y integral} is the whole ring.
@@ -443,7 +444,7 @@ class TestIdealArithmetic:
         lam = principal(f, f.one() - f.zeta_power(1))
         assert quotient(lam) == AbelianGroupExpr.cyclic(3)
         sq = ideal_power(lam, 2)
-        assert quotient(sq).order() == 9
+        assert quotient(sq) == AbelianGroupExpr.cyclic(3).times(2)  # lambda^2 = (3), so O/(3) = (Z/3)^2 of order 9
         assert ideal_sum(lam, sq) == lam
 
     def test_quotient_of_full_ring_trivial(self):

@@ -43,12 +43,12 @@ class TestGroupExpr:
             g = A.cyclic(m)
             # re-normalizing (direct sum with zero) changes nothing
             assert g + A.zero() == g
-            # CRT: total order preserved, atoms are prime powers
-            assert g.order() == m
+            # CRT: atoms are the prime powers of m, and every prime of m is present
+            fac = factorize(m)
             for kind, p, e in g.atoms:
                 assert kind == "C"
-                fac = factorize(m)
                 assert fac[p] == e
+            assert math.prod(p**e for _, p, e in g.atoms) == m
 
     def test_cyclic_is_shared_and_matches_the_smith_diagonal_route(self):
         # cyclic(m) is memoized; a repeat call returns the same group, and every group

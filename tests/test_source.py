@@ -52,6 +52,22 @@ def test_only_exactalg_reads_group_atoms():
     assert not found, f"AbelianGroupExpr.atoms read outside exactalg: {found}"
 
 
+def test_only_characters_names_the_unit_group_layout():
+    # The generators of (Z/N)^x and the discrete logs over them are private to characters;
+    # other modules ask a character for its tame exponent, tame order or prime-to-p part.
+    layout = {"_dlog_table", "get_structure", "generators"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "characters":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) \
+                        else node.name
+                    if name in layout:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, f"unit-group layout named outside characters: {found}"
+
+
 def test_no_module_imports_fractions_or_names_fraction():
     # A rational has one form: integer pairs inside a module, a CycElement of Q(zeta_1) at the API.
     found = []
