@@ -518,6 +518,11 @@ TEXT_VIEWS = [
     ("chars list --modulus 12", "9c4fd8aeae855a4a3fc64dbb73f2b00809be1c2077c91be558e576fbec6a841f"),
     ("bern --modulus 5 --index 2 --weight 2", "488640b27392593b338e4992a537511e4cc05b2c189c666db046e0d0ba2f7168"),
     ("homotopy j --from -4 --to 9", "e260885e9d9e9e36b3a5c1b83214a6234a86135c910f71ac28e03eb5c36f0b77"),
+    ("homotopy jn --level 12 --from -8 --to 24", "4be46a9c8a46c5ae3286ecbd1c29b8f7e3fcc04f2d17a5d880880bd345aca6b8"),
+    ("homotopy k1 --prime 5 --from -8 --to 24", "3caa504fe3413e709ead7c39e2c4631175e19e472be18e8b7e0cf53536b41dee"),
+    ("homotopy k1pv --prime 3 --level-exp 2 --from -8 --to 24",
+     "258cbad9c2b26c4850915ecb55b7d8e11be371ba750bed914e54465162f3e032"),
+    ("homotopy exotic --from -8 --to 24", "a936ab6940cbd3cee207a25f7a6878f5ca3b4b5f5a4a4da4b932affb3e415de9"),
     ("homotopy chi --modulus 48 --index 3 --from -8 --to 24",
      "658b17870426d9fc9c5f9715d26198b7f5a807cd10bf369d0df3bd5bd54a4088"),
     ("homotopy jk --modulus 5 --subgroup 4 --from 1 --to 8 --invert-order",
