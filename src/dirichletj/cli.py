@@ -35,8 +35,10 @@ SCHEMA = 1
 MAX_NMAX = 100_000
 # Caps at about the cost of --nmax 100000 (2 s of CPU, 75 MB): `chars list` of the
 # prime 49999 takes 2.2 s and 73 MB, and a 50000-degree `homotopy` table from
-# degree 1 up to 1.9 s and 33 MB.
-MAX_CHARS_MODULUS = 50_000
+# degree 1 up to 1.9 s and 33 MB.  MAX_MODULUS bounds every modulus, level and prime
+# the CLI reads, as each is factored by trial division, in every degree for a table,
+# or sets the size of a table of residues; MAX_DEGREES also bounds an `e2` table's cells.
+MAX_MODULUS = 50_000
 MAX_DEGREES = 50_000
 # One degree i costs one trial-division primality test per divisor d of (i + 1)/2
 # with d + 1 prime (von Staudt's primes).  Cold calls on a 2-core VM: below the cap
@@ -52,9 +54,10 @@ MAX_WEIGHT = 1_000
 Output = tuple[dict, Callable[[], str], int]
 
 
-def _check_weight(flag: str, weight: int) -> None:
-    if weight > MAX_WEIGHT:
-        raise InputError(f"weight too large: {flag} {weight} is above {MAX_WEIGHT}")
+def _check_cap(what: str, flag: str, value: int, cap: int, size: Optional[int] = None) -> None:
+    """Refuse ``flag value`` when the size it gives, ``size`` (else ``value``), is above ``cap``."""
+    if (value if size is None else size) > cap:
+        raise InputError(f"{what} too large: {flag} {value} is above {cap}")
 
 
 class RunReport(Record):
@@ -353,8 +356,7 @@ def suite_dedekind_jk(
 
 
 def cmd_chars(args) -> Output:
-    if args.modulus > MAX_CHARS_MODULUS:
-        raise InputError(f"character table too large: --modulus {args.modulus} is above {MAX_CHARS_MODULUS}")
+    _check_cap("character table", "--modulus", args.modulus, MAX_MODULUS)
     rows = [characters.display(chi) for chi in enumerate_characters(args.modulus)]
 
     def text() -> str:
@@ -374,7 +376,8 @@ def cmd_chars(args) -> Output:
 
 
 def cmd_bern(args) -> Output:
-    _check_weight("--weight", args.weight)
+    _check_cap("weight", "--weight", args.weight, MAX_WEIGHT)
+    _check_cap("modulus", "--modulus", args.modulus, MAX_MODULUS)
     chi = character_from_index(args.modulus, args.index)
     k = args.weight
     b = bernoulli.gbn(chi, k)
@@ -407,7 +410,7 @@ def cmd_bern(args) -> Output:
 
 
 def cmd_homotopy(args) -> Output:
-    lo, hi = args.degree_from, args.degree_to
+    lo, hi, target = args.degree_from, args.degree_to, args.homotopy_command
     if lo > hi:
         raise InputError(f"empty degree range: --from {lo} is above --to {hi}")
     if hi - lo + 1 > MAX_DEGREES:
@@ -415,28 +418,34 @@ def cmd_homotopy(args) -> Output:
                          f"above {MAX_DEGREES}")
     if max(-lo, hi) > MAX_ABS_DEGREE:
         raise InputError(f"degree too large: --from {lo} --to {hi} leaves -{MAX_ABS_DEGREE}..{MAX_ABS_DEGREE}")
-    if args.target == "j":
+    if target == "j":
         fn, title = homotopy.pi_J, "pi_i(J)"
-    elif args.target == "jn":
+    elif target == "jn":
+        _check_cap("level", "--level", args.level, MAX_MODULUS)
         fn, title = lambda i: homotopy.pi_JN(args.level, i), f"pi_i(J({args.level}))"
-    elif args.target == "k1":
+    elif target == "k1":
+        _check_cap("prime", "--prime", args.prime, MAX_MODULUS)
         fn, title = lambda i: homotopy.pi_K1(args.prime, i), f"pi_i(S_K(1), p={args.prime})"
-    elif args.target == "k1pv":
-        fn = lambda i: homotopy.pi_K1_pv(args.prime, args.level_exp, i)
-        title = f"pi_i(S_K(1)({args.prime}^{args.level_exp}))"
-    elif args.target == "exotic":
+    elif target == "k1pv":
+        p, v = args.prime, args.level_exp
+        _check_cap("prime", "--prime", p, MAX_MODULUS)
+        # p^min(v, 16) is above the cap exactly when p^v is, as 2^16 > MAX_MODULUS.
+        _check_cap("level p^v", f"--prime {p} --level-exp", v, MAX_MODULUS, p ** min(v, 16) if p > 1 and v > 0 else 1)
+        fn, title = lambda i: homotopy.pi_K1_pv(p, v, i), f"pi_i(S_K(1)({p}^{v}))"
+    elif target == "exotic":
         fn, title = homotopy.pi_exotic, "pi_i(exotic K(1)-local sphere, p=2)"
-    elif args.target == "chi":
-        chi = character_from_index(args.modulus, args.index)
+    elif target == "chi":
+        _check_cap("modulus", "--modulus", args.modulus, MAX_MODULUS)
         loc = set(args.invert or [])
+        _check_cap("prime", "--invert", max(loc, default=0), MAX_MODULUS)
+        chi = character_from_index(args.modulus, args.index)
         fn = lambda i: homotopy.pi_jn_chi(chi, i, loc)
         title = f"pi_i(J({args.modulus})^(chi {args.modulus}:{args.index}))" + (f"[1/{sorted(loc)}]" if loc else "")
-    elif args.target == "jk":
+    else:  # jk
+        _check_cap("modulus", "--modulus", args.modulus, MAX_MODULUS)
         gens = tuple(args.subgroup or [])
         fn = lambda i: homotopy.pi_JK(args.modulus, gens, i, invert_G=args.invert_order)
         title = f"pi_i(J(K)), N={args.modulus}, H=<{','.join(map(str, gens))}>"
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError
     table = {str(i): fn(i).render() for i in range(lo, hi + 1)}
     return {"table": table, "title": title}, lambda: "\n".join(
         [title] + [f"  {i:>4}  {s}" for i, s in table.items()]
@@ -448,6 +457,11 @@ def cmd_e2(args) -> Output:
         raise InputError(f"empty t range: --tmin {args.tmin} is above --tmax {args.tmax}")
     if args.smax < 0:
         raise InputError(f"empty s range: --smax {args.smax} is negative")
+    cells = (args.smax + 1) * (args.tmax - args.tmin + 1)
+    if cells > MAX_DEGREES:
+        raise InputError(f"E2 table too large: --smax {args.smax} --tmin {args.tmin} --tmax {args.tmax} gives "
+                         f"{cells} cells, above {MAX_DEGREES}")
+    _check_cap("prime", "--prime", args.prime, MAX_MODULUS)
     data = PAdicCharacterData(p=args.prime, v=args.level_exp, tame=args.tame)
     ts = [t for t in range(args.tmin, args.tmax + 1) if args.prime == 2 or t % 2 == 0]
     pages = {(s, t): e2_page(data, s, t) for s in range(args.smax + 1) for t in ts}
@@ -468,11 +482,11 @@ def cmd_e2(args) -> Output:
 def cmd_eisenstein(args) -> Output:
     if args.nmax < 1:
         raise InputError(f"empty coefficient range: --nmax {args.nmax} is below 1")
-    if args.nmax > MAX_NMAX:
-        raise InputError(f"coefficient range too large: --nmax {args.nmax} is above {MAX_NMAX}")
+    _check_cap("coefficient range", "--nmax", args.nmax, MAX_NMAX)
     if args.show_coeffs < 0:
         raise InputError(f"empty coefficient range: --show-coeffs {args.show_coeffs} is negative")
-    _check_weight("--weight", args.weight)
+    _check_cap("weight", "--weight", args.weight, MAX_WEIGHT)
+    _check_cap("modulus", "--modulus", args.modulus, MAX_MODULUS)
     chi = character_from_index(args.modulus, args.index)
     result = eisenstein.congruence_check(chi, args.weight, args.nmax)
     coeffs = result["coefficients"][: min(args.nmax, args.show_coeffs) + 1]
@@ -496,7 +510,8 @@ def cmd_eisenstein(args) -> Output:
 
 
 def cmd_dedekind(args) -> Output:
-    _check_weight("--weight", args.weight)
+    _check_cap("weight", "--weight", args.weight, MAX_WEIGHT)
+    _check_cap("modulus", "--modulus", args.modulus, MAX_MODULUS)
     spec = dedekind.AbelianFieldSpec(args.modulus, tuple(args.subgroup or []))
     value = dedekind.zeta_special_value(spec, 1 - args.weight)
     payload = {
@@ -538,8 +553,9 @@ def cmd_verify(args) -> Output:
         raise InputError(f"empty range: --max {given['--max']} is below 1")
     if given.get("--max-weight", 0) < 0:
         raise InputError(f"empty weight range: --max-weight {given['--max-weight']} is negative")
-    _check_weight("--max-weight", given.get("--max-weight", 0))
+    _check_cap("weight", "--max-weight", given.get("--max-weight", 0), MAX_WEIGHT)
     primes = given.get("--primes")
+    _check_cap("modulus", "--primes", max(primes or [0]), MAX_MODULUS)
     if primes is not None and (not primes or any(N <= 2 or len(factorize(N)) != 1 for N in primes)):
         raise InputError(f"--primes takes prime powers above 2, got {primes}")
     reports = []
@@ -568,22 +584,25 @@ def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 _JSON = _arg("--json", action="store_true")
 _MODULUS = _arg("--modulus", type=int, required=True)
 _CHARACTER_WEIGHT = [_MODULUS, _arg("--index", type=int, required=True), _arg("--weight", type=int, required=True)]
+_SPAN = [_arg("--from", dest="degree_from", type=int, default=-4), _arg("--to", dest="degree_to", type=int, default=12)]
+_PRIME, _TABLE_MODULUS = _arg("--prime", type=int, default=3), _arg("--modulus", type=int, default=4)
 
 # Every subcommand, once: name -> (help, handler or nested commands, argument specs).
 # A handler's subparser also takes _JSON; nested commands parse into the dest "<name>_command".
 COMMANDS: dict[str, tuple] = {
     "chars": ("enumerate Dirichlet characters", {"list": (None, cmd_chars, [_MODULUS])}, []),
     "bern": ("generalized Bernoulli numbers and L-values", cmd_bern, _CHARACTER_WEIGHT),
-    "homotopy": ("homotopy-group tables", cmd_homotopy, [
-        _arg("target", choices=["j", "jn", "k1", "k1pv", "exotic", "chi", "jk"]),
-        _arg("--from", dest="degree_from", type=int, default=-4), _arg("--to", dest="degree_to", type=int, default=12),
-        _arg("--level", type=int, default=1), _arg("--prime", type=int, default=3),
-        _arg("--level-exp", type=int, default=1), _arg("--modulus", type=int, default=4),
-        _arg("--index", type=int, default=1),
-        _arg("--invert", type=_int_list, default=None, help="comma-separated primes to invert"),
-        _arg("--subgroup", type=_int_list, default=None, help="comma-separated unit generators"),
-        _arg("--invert-order", action="store_true"),
-    ]),
+    "homotopy": ("homotopy-group tables", {
+        "j": ("J, the KU-local sphere", cmd_homotopy, _SPAN),
+        "jn": ("J(N), the J-spectrum of level N", cmd_homotopy, _SPAN + [_arg("--level", type=int, default=1)]),
+        "k1": ("S_K(1), the K(1)-local sphere at p", cmd_homotopy, _SPAN + [_PRIME]),
+        "k1pv": ("S_K(1)(p^v), of level p^v", cmd_homotopy, _SPAN + [_PRIME, _arg("--level-exp", type=int, default=1)]),
+        "exotic": ("the exotic K(1)-local sphere at p = 2", cmd_homotopy, _SPAN),
+        "chi": ("J(N)^chi", cmd_homotopy, _SPAN + [_TABLE_MODULUS, _arg("--index", type=int, default=1),
+            _arg("--invert", type=_int_list, help="comma-separated primes to invert")]),
+        "jk": ("J(K)", cmd_homotopy, _SPAN + [_TABLE_MODULUS, _arg("--invert-order", action="store_true"),
+            _arg("--subgroup", type=_int_list, help="comma-separated unit generators")]),
+    }, []),
     "e2": ("E2 pages of the eigen spectral sequences", cmd_e2, [
         _arg("--prime", type=int, required=True), _arg("--level-exp", type=int, default=1),
         _arg("--tame", type=int, default=0), _arg("--smax", type=int, default=2),

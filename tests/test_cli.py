@@ -191,6 +191,19 @@ class TestHomotopy:
         code, out, err = run_cli(capsys, "homotopy", target, "--prime", "4", *extra, "--from", "0", "--to", "5")
         assert code == 2 and out == "" and "prime" in err
 
+    # Each target takes only the options its table reads: argparse refuses the others,
+    # which the one parser of every target used to accept and ignore.
+    @pytest.mark.parametrize("argv, option", [
+        ("j --invert 2", "--invert"), ("jn --modulus 12", "--modulus"), ("k1 --level 2", "--level"),
+        ("k1pv --index 1", "--index"), ("exotic --prime 3", "--prime"), ("chi --subgroup 4", "--subgroup"),
+        ("jk --index 1 --from 1 --to 3", "--index"),
+    ])
+    def test_an_option_the_target_does_not_read_exits_2(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["homotopy", *argv.split()])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "") and option in captured.err
+
     def test_jk(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -259,7 +272,24 @@ class TestBadArguments:
         ("verify gbn-theorem --primes 15", "--primes takes prime powers above 2, got [15]"),
         ("verify gbn-theorem --primes 6", "--primes takes prime powers above 2, got [6]"),
         ("verify gbn-theorem --primes ,", "--primes takes prime powers above 2, got []"),
-        ("bern --modulus 100003 --index 1 --weight 2", "field too large: Q(zeta_100002) has degree 28560, above 200"),
+        ("bern --modulus 50001 --index 1 --weight 2", "modulus too large: --modulus 50001 is above 50000"),
+        ("eisenstein --modulus 50001 --index 1 --weight 2", "modulus too large: --modulus 50001 is above 50000"),
+        ("dedekind --modulus 50001", "modulus too large: --modulus 50001 is above 50000"),
+        ("homotopy chi --modulus 50001", "modulus too large: --modulus 50001 is above 50000"),
+        ("homotopy jk --modulus 50001 --from 1", "modulus too large: --modulus 50001 is above 50000"),
+        ("homotopy jn --level 50001", "level too large: --level 50001 is above 50000"),
+        ("homotopy k1 --prime 50021", "prime too large: --prime 50021 is above 50000"),
+        ("homotopy k1pv --prime 50021", "prime too large: --prime 50021 is above 50000"),
+        ("e2 --prime 50021", "prime too large: --prime 50021 is above 50000"),
+        ("homotopy chi --modulus 5 --index 1 --invert 3,50021", "prime too large: --invert 50021 is above 50000"),
+        ("homotopy k1pv --prime 3 --level-exp 10", "level p^v too large: --prime 3 --level-exp 10 is above 50000"),
+        ("homotopy k1pv --prime 2 --level-exp 16", "level p^v too large: --prime 2 --level-exp 16 is above 50000"),
+        ("verify gbn-theorem --primes 3,50021", "modulus too large: --primes 50021 is above 50000"),
+        ("e2 --prime 3 --tmin -1000000 --tmax 1000000",
+         "E2 table too large: --smax 2 --tmin -1000000 --tmax 1000000 gives 6000003 cells, above 50000"),
+        ("e2 --prime 3 --smax 49 --tmin -500 --tmax 500",
+         "E2 table too large: --smax 49 --tmin -500 --tmax 500 gives 50050 cells, above 50000"),
+        ("bern --modulus 49999 --index 1 --weight 2", "field too large: Q(zeta_49998) has degree 15360, above 200"),
         ("eisenstein --modulus 479 --index 2 --weight 2", "field too large: Q(zeta_239) has degree 238, above 200"),
         ("dedekind --modulus 479 --weight 2", "field too large: Q(zeta_478) has degree 238, above 200"),
         ("verify gbn-theorem --primes 1009", "field too large: Q(zeta_1008) has degree 288, above 200"),
@@ -301,8 +331,31 @@ class TestRanges:
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == 0 and json.loads(out)["schema"] == 1
 
+    # Each size cap refuses a value far above it before any work; without the caps these
+    # calls ran for seconds (trial division in each degree, 2^v digits) or held hundreds of MB.
+    @pytest.mark.parametrize("argv", [
+        "bern --modulus 1000003 --index 500001 --weight 2", "homotopy k1 --prime 1000000000000000003",
+        "e2 --prime 1000000000000000003", "homotopy jn --level 1000000000000000003",
+        "homotopy chi --modulus 5 --index 1 --invert 1000000000000000003",
+        "homotopy k1pv --prime 3 --level-exp 100000 --from 1 --to 1", "homotopy k1pv --prime 2 --level-exp 10000000000",
+        "e2 --prime 3 --tmin -1000000 --tmax 1000000", "e2 --prime 3 --smax 3000000",
+        "verify gbn-theorem --primes 1000000000000000003",
+    ])
+    def test_a_size_cap_refuses_at_once(self, capsys, argv):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, *argv.split())
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (2, "") and err.startswith("error: ") and "too large" in err
+
     @pytest.mark.parametrize("argv, rows", [
         (["chars", "list", "--modulus", "50000"], 20000),
+        (["homotopy", "jn", "--level", "50000", "--from", "1", "--to", "3"], 3),
+        (["homotopy", "k1", "--prime", "49999", "--from", "1", "--to", "3"], 3),
+        (["homotopy", "k1pv", "--prime", "3", "--level-exp", "9", "--from", "1", "--to", "3"], 3),
+        (["homotopy", "k1pv", "--prime", "49999", "--from", "1", "--to", "3"], 3),
+        (["homotopy", "chi", "--modulus", "5", "--index", "1", "--invert", "49999", "--from", "1", "--to", "3"], 3),
+        (["homotopy", "chi", "--modulus", "49999", "--index", "1", "--from", "1", "--to", "3"], 3),
+        (["homotopy", "jk", "--modulus", "49999", "--subgroup", "2", "--from", "1", "--to", "3"], 3),
         (["homotopy", "exotic", "--from", "-24999", "--to", "25000"], 50000),
         (["homotopy", "j", "--from", "49999999", "--to", "50000000"], 2),
         (["homotopy", "j", "--from", "-50000000", "--to", "-49999999"], 2),
@@ -311,6 +364,16 @@ class TestRanges:
         code, out, _ = run_cli(capsys, *argv, "--json")
         payload = json.loads(out)
         assert code == 0 and len(payload.get("characters", payload.get("table"))) == rows
+
+    def test_the_e2_caps_admit_their_own_values(self, capsys):
+        code, out, _ = run_cli(capsys, "e2", "--prime", "49999", "--tmin", "0", "--tmax", "0", "--json")
+        assert code == 0 and json.loads(out)["prime"] == 49999
+        # 50 rows of s times 1000 columns of t is the cap; one more column is refused.
+        argv = "e2 --prime 2 --level-exp 3 --smax 49 --tmin -499 --tmax {} --json"
+        code, out, _ = run_cli(capsys, *argv.format(500).split())
+        assert code == 0 and len(json.loads(out)["entries"]) == 750
+        code, out, err = run_cli(capsys, *argv.format(501).split())
+        assert (code, out) == (2, "") and "E2 table too large" in err
 
     @pytest.mark.parametrize("argv", [
         "bern --modulus 5 --index 1 --weight {}", "eisenstein --modulus 5 --index 1 --weight {} --nmax 5",
@@ -548,15 +611,17 @@ def test_text_view_and_json_line(capsys, argv, digest):
     assert json.loads(out)["schema"] == 1
 
 
-# sha256 of the --help stdout of the root parser and of each subcommand at a
-# width of 80 columns (Python 3.11 argparse layout); the verify choices come
-# from the suite registry.
+# sha256 of the --help stdout of the root parser, of each subcommand and of two
+# homotopy targets at a width of 80 columns (Python 3.11 argparse layout); the
+# verify choices come from the suite registry.
 HELP_VIEWS = [
     ("", "9f28e3d014eecb039dbf9839656235a71b400aef399d6102d1fdc583a20aa197"),
     ("chars", "4c1da5f3c7118a55fb049a2dd7aa2b39b98ed8afc4e1ba3d2dff5a23d9425e70"),
     ("chars list", "bc1d2543da8c70d2e71b5d68421bb1f4e619a4d7f7baa012af05b237ca7b861b"),
     ("bern", "64ddf41576eab0f615d973aef715d503199f6d933b1014dbd2fe1110a859001f"),
-    ("homotopy", "9a4e0a5f4c48b0b82f04a5f67a8ccd8ce48f516b374410cc31f40abdeae4dffe"),
+    ("homotopy", "a082e319910fcd14e9988ece2dd9c52aff0a29f1a63869410852aafe55a7a52a"),
+    ("homotopy chi", "775eb7f2520598a581db8a2c5006c2f6e3f0822e039c1daa61dcc67b603912f7"),
+    ("homotopy jk", "991d885c7ff2ecd33001e5bbec12099e594f42a2d2cdb5ac753b9b56abed89cd"),
     ("e2", "093b4ec9dbfcb931d20d8f0813be7480c0574ab74617b0faae685ff12f3afa38"),
     ("eisenstein", "6f38074deaba685381aef72872738bd0857c6e4efdfeb936748c6647dc31801b"),
     ("dedekind", "69192dbfaa0ccce9929eea2af2649b386c12214312e070c818f93fc0824f250a"),
@@ -606,6 +671,7 @@ def test_argparse_error_view(capsys, monkeypatch, argv, digest):
     # A fully spelled call is read straight off COMMANDS: no parser at all.
     (["bern", "--modulus", "5", "--index", "2", "--weight", "2", "--json"], []),
     (["chars", "list", "--modulus", "4", "--json"], []),
+    (["homotopy", "chi", "--modulus", "5", "--index", "1", "--invert", "2", "--json"], []),
 ])
 def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch, argv, added):
     names = []
@@ -620,7 +686,8 @@ def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch, argv, added
     assert names == added
     names.clear()
     cli.build_parser()
-    assert names == ["chars", "list", "bern", "homotopy", "e2", "eisenstein", "dedekind", "verify"]
+    assert names == ["chars", "list", "bern", "homotopy", "j", "jn", "k1", "k1pv", "exotic", "chi", "jk", "e2",
+                     "eisenstein", "dedekind", "verify"]
 
 
 def _readme_examples():
@@ -674,6 +741,7 @@ def test_every_spec_uses_only_keywords_the_plain_parse_reads():
     "chars --json list --modulus 4", "bern --mod 5 --index 2 --weight 2", "chars list --modulus=4",
     "homotopy --from 1", "bern --modulus 5 --index 2", "e2 --prime", "homotopy j k1", "homotopy jj",
     "e2 --prime x", "e2 --prime -x", "e2 --prime -\u0663", "e2 --prime -1.5", "homotopy jk --subgroup -1,2",
+    "homotopy j --invert 2",
 ])
 def test_plain_parse_leaves_other_spellings_to_argparse(argv):
     assert cli._plain_namespace(argv.split(" ")) is None
