@@ -294,6 +294,19 @@ def test_rendered_value_at_large_weight_is_pinned(key):
     assert hashlib.sha256(rendered.encode()).hexdigest() == PINNED_RENDER_SHA256[key]
 
 
+def test_rendered_values_on_the_small_grid_are_pinned():
+    # Every character mod N <= 30 (imprimitive ones, both parities, the trivial character at
+    # k = 1) at k <= 24, then the quartic and quadratic characters mod 5 on both sides of
+    # k = 200 and 29:5 at k = 199, where half the values are zero by parity.
+    cases = [(chi, k) for N in range(1, 31) for chi in enumerate_characters(N) for k in range(25)]
+    cases += [(character_from_index(N, idx), k) for N, idx, k in
+              [(5, 1, 200), (5, 1, 201), (5, 2, 200), (5, 2, 201), (29, 5, 199)]]
+    lines = [f"{chi.modulus}:{chi.index()}:{k}:{render_cyc(gbn(chi, k))}" for chi, k in cases]
+    assert len(lines) == 6955
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c059a745436f10a130c694ddb75619b3f8044f2a7443b3e80bd69d0aa3c838ee"
+
+
 def _bernoulli_polynomials(k_max):
     """Ascending coefficients of B_0(x), ..., B_k_max(x) from B_0 = 1,
     B_k' = k B_(k-1) and, for k >= 1, zero integral over [0, 1]."""
