@@ -22,17 +22,24 @@ ways and cross-asserted on every (chi, k):
   basis of Q(zeta_ord(chi)), and its integer vector and denominator
   become the ``CycElement`` as they are.  Each step takes its binomials
   from a Pascal row grown from the previous step's, its powers of N from
-  a kept list, and sums only over the earlier B_i that are nonzero;
+  a kept list, and sums only over the earlier B_i that are nonzero.  The
+  B_j that parity makes 0 (chi(-1) != (-1)^j, save B_1 = +1/2 of the
+  trivial character; Washington, Introduction to Cyclotomic Fields, ch. 4)
+  are taken from the theorem: their steps only advance the Pascal row and
+  the powers of the residues, and such a k is answered 0 without growing
+  the series;
 * Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``.  Each
   primitive character keeps, per class of equal chi(a), the integer power
   sums of its residues (the ``lru_cache`` ``_polysum_state``), grown only
   as far as the largest k asked for; B_{k,chi} is read off them and the
   nonzero coefficients of B_k(x), kept as integer numerators over one
-  denominator.
+  denominator.  It computes every value, the parity zeros included, so
+  the cross-check tests the parity theorem on each of them.
 
 Both sum over the classes of residues a with equal chi(a), use the
 primitive representative of chi (the defining sum runs over the
-conductor) and share nothing beyond ``evaluate``.
+conductor) and share only the character's values (``evaluate``) and its
+parity, which only the series reads.
 """
 
 from __future__ import annotations
@@ -129,14 +136,19 @@ class _SeriesState:
     kept as an integer vector over one positive denominator in lowest
     terms, the form of ``CycElement``.  The step's binomials are the
     Pascal row C(j+1, .), built from the previous row.  The sum runs only
-    over the i with B_i != 0 (half of them vanish by parity), listed in
-    ``nonzero``, by Horner's rule in N: each B_i is multiplied by its
-    binomial, and the running sum by the power of N that spans the gap to
-    the next such i.  Those powers are kept as a list, as far as the
-    largest gap.
+    over the i with B_i != 0, listed in ``nonzero``, by Horner's rule in N:
+    each B_i is multiplied by its binomial, and the running sum by the
+    power of N that spans the gap to the next such i.  Those powers are
+    kept as a list, as far as the largest gap.
+
+    Half the B_j vanish by parity (``vanishes``), read once from
+    ``characters.parity`` into ``zero_parity``.  Their step computes no
+    m_j and no sum: it advances the Pascal row and the powers a^j, and
+    keeps B_j as the zero vector over 1.  The polynomial-sum oracle
+    computes those zeros, so the theorem is checked wherever it is used.
     """
 
-    __slots__ = ("N", "degree", "classes", "nums", "dens", "lcm", "nonzero", "binom", "npow")
+    __slots__ = ("N", "degree", "classes", "nums", "dens", "lcm", "nonzero", "binom", "npow", "zero_parity")
 
     def __init__(self, chi: DirichletCharacter):
         self.N = chi.modulus
@@ -156,6 +168,11 @@ class _SeriesState:
         self.nonzero: list[int] = []  # the i with B_i != 0
         self.binom = [1]  # C(j, .) for the next j
         self.npow = [1]  # N^0, N^1, ... up to the largest gap
+        self.zero_parity = (1 + parity(chi)) // 2  # j % 2 of the B_j that parity makes 0
+
+    def vanishes(self, j: int) -> bool:
+        """B_j = 0 by parity: chi(-1) != (-1)^j, save B_1 = +1/2 of the trivial character."""
+        return j % 2 == self.zero_parity and (j > 1 or self.N > 1)
 
     def extend(self, k: int) -> None:
         N, npow, nums, dens = self.N, self.npow, self.nums, self.dens
@@ -163,6 +180,12 @@ class _SeriesState:
             j = len(nums)
             row = self.binom
             self.binom = row = [1] + list(map(operator.add, row, row[1:])) + [1]  # C(j+1, .)
+            if self.vanishes(j):
+                for _, residues, pows in self.classes:
+                    pows[:] = map(operator.mul, pows, residues)
+                nums.append([0] * self.degree)
+                dens.append(1)
+                continue
             # The largest power this step reads; it bounds every later gap between nonzero B_i.
             e = j + 1 - (self.nonzero[-1] if self.nonzero else 0)
             while len(npow) <= e:
@@ -205,6 +228,8 @@ def _series_state(chi: DirichletCharacter) -> _SeriesState:
 def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
     """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t) over Q(zeta_ord)."""
     state = _series_state(chi)
+    if state.vanishes(k):
+        return get_field(chi.order()).zero()
     state.extend(k)
     return CycElement(get_field(chi.order()), state.nums[k], state.dens[k])
 

@@ -45,9 +45,9 @@ MAX_DEGREES = 50_000
 # at most 0.8 s of CPU, for degree 49795199; 99459359 takes 4.1 s, 735134399 24 s.
 MAX_ABS_DEGREE = 50_000_000
 # B_(k,chi) costs about W^3 big-integer steps up to weight W.  Cold `bern --modulus 5
-# --index 1` on a 2-core VM: weight 600 takes 0.3-0.4 s of CPU and 17 MB, 1000 1.5-2 s
-# and 18 MB, 1500 9.3 s and 21 MB, 2000 23 s and 25 MB.  Larger fields cost more at the
-# same weight: 29:5 at weight 999 takes 9-12 s.
+# --index 1` (odd, so only odd weights cost) in-process on a 2-core VM: weight 601 takes
+# 0.2 s of CPU and 20 MB, 999 0.6 s and 21 MB, 1499 3.3 s and 24 MB, 1999 9.6 s and 27 MB.
+# Larger fields cost more at the same weight: 29:5 at weight 999 takes 4-6 s.
 MAX_WEIGHT = 1_000
 
 # (payload, text view, exit code), as returned by every cmd_* subcommand.
@@ -511,6 +511,8 @@ def cmd_eisenstein(args) -> Output:
 
 def cmd_dedekind(args) -> Output:
     _check_cap("weight", "--weight", args.weight, MAX_WEIGHT)
+    if args.verify_t is not None:  # it computes zeta_K(1 - 2t), a weight of 2t
+        _check_cap("weight 2t", "--verify-t", args.verify_t, MAX_WEIGHT, 2 * args.verify_t)
     _check_cap("modulus", "--modulus", args.modulus, MAX_MODULUS)
     spec = dedekind.AbelianFieldSpec(args.modulus, tuple(args.subgroup or []))
     value = dedekind.zeta_special_value(spec, 1 - args.weight)

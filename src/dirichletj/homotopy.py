@@ -506,6 +506,25 @@ def pi_jn_chi(chi: DirichletCharacter, i: int, loc: Iterable[int] = ()) -> Abeli
 # J-spectra of abelian fields
 
 
+@lru_cache(maxsize=1024)
+def _jk_setup(N: int, gens: tuple[int, ...]) -> tuple[Optional[int], int, range, int, tuple[int, ...]]:
+    """(p, v, pieces, |H|, the primes of |H|) for H = <gens> in (Z/N)^x: what each degree of ``pi_JK`` reads.
+
+    N = p^v, or N = 1 with p = None and no pieces; ``pieces`` are the tame
+    eigen-pieces omega^a at p that are trivial on H.
+    """
+    fac = factorize(N) if N > 1 else {}
+    if len(fac) > 1:
+        raise InputError("N must be 1 or a prime power in this release")
+    H = unit_subgroup(N, gens)
+    primes = tuple(factorize(len(H)))
+    if not fac:
+        return None, 0, range(0), len(H), primes
+    (p, v), = fac.items()
+    q = 4 if p == 2 else p
+    return p, v, range(0, euler_phi(q), len({h % q for h in H})), len(H), primes
+
+
 def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) -> AbelianGroupExpr:
     """pi_i of J(K) for K the fixed field of H = <subgroup_gens> inside Q(zeta_N).
 
@@ -523,23 +542,14 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
         raise InputError("N must be positive")
     if i in (0, -1, -2):
         raise InputError("degrees 0, -1 and -2 are not represented by the local assembly")
-    if N == 2:
-        N = 1
-    fac = factorize(N) if N > 1 else {}
-    if len(fac) > 1:
-        raise InputError("N must be 1 or a prime power in this release")
-    H = unit_subgroup(N, subgroup_gens)
+    level_p, v, pieces, order, order_primes = _jk_setup(1 if N == 2 else N, tuple(subgroup_gens))
     out = AbelianGroupExpr.zero()
-    level_p = None
-    if fac:
-        (level_p, v), = fac.items()
-        q = 4 if level_p == 2 else level_p
-        for a in range(0, euler_phi(q), len({h % q for h in H})):
-            out = out + (_tame_eigen_2(v, a, i) if level_p == 2 else _tame_eigen_odd(level_p, v, a, i))
+    for a in pieces:
+        out = out + (_tame_eigen_2(v, a, i) if level_p == 2 else _tame_eigen_odd(level_p, v, a, i))
     for ell in [2] + (staudt_odd_primes(abs(i + 1) // 2) if i % 2 else []):
-        if ell != level_p and len(H) % ell:
+        if ell != level_p and order % ell:
             out = out + pi_K1(ell, i)
-    return invert_primes(out, factorize(len(H))) if invert_G else out
+    return invert_primes(out, order_primes) if invert_G else out
 
 
 # ---------------------------------------------------------------------------

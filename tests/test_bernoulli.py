@@ -275,6 +275,46 @@ class TestGrowingSeries:
             gbn(chi, 5)
 
 
+class TestParityZeros:
+    """The series takes the B_(k,chi) that parity makes 0 from the theorem; the oracle computes them."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _clear_gbn_caches()
+        yield
+        _clear_gbn_caches()  # no state built under a patched parity outlives the test
+
+    def test_series_does_not_grow_at_a_parity_zero(self):
+        chi = character_from_index(5, 1)  # odd, so B_40 = 0
+        assert gbn(chi, 40).is_zero()
+        assert bernoulli._series_state(chi).nums == []
+        assert {len(P) for P in bernoulli._polysum_state(chi).sums} == {41}
+
+    @pytest.mark.parametrize("N, idx", [(1, 0), (5, 1), (5, 2), (8, 3)])
+    def test_series_steps_over_parity_zeros(self, N, idx):
+        chi = character_from_index(N, idx)
+        for k in range(14):
+            gbn(chi, k)
+        state = bernoulli._series_state(chi)
+        grown = range(len(state.nums))
+        assert len(grown) == (13 if parity(chi) == 1 else 14)  # up to the last nonzero B_k, k <= 13
+        zeros = [j for j in grown if (-1) ** j != parity(chi) and (j > 1 or N > 1)]
+        assert [j for j in grown if state.vanishes(j)] == zeros
+        # Each such step holds the zero vector over 1 and stays out of the Horner sums; B_0 is
+        # the one other zero, computed, of every nontrivial chi.
+        assert [(state.nums[j], state.dens[j]) for j in zeros] == [([0] * state.degree, 1)] * len(zeros)
+        assert state.nonzero == [j for j in grown if j not in zeros and (j > 0 or N == 1)]
+
+    @pytest.mark.parametrize("N, idx", [(1, 0), (5, 1), (5, 2), (8, 3), (7, 1)])
+    def test_wrong_parity_is_caught_by_the_oracle(self, monkeypatch, N, idx):
+        honest = bernoulli.parity
+        monkeypatch.setattr(bernoulli, "parity", lambda chi: -honest(chi))
+        chi = character_from_index(N, idx)
+        with pytest.raises(AssertionError, match="pipelines disagree"):
+            for k in range(4):
+                gbn(chi, k)
+
+
 # sha256 of render_cyc(gbn(chi, k)), from the code before the Pascal-row series and the
 # integer polynomial coefficients.  The three characters are odd, so k = 60 renders "0";
 # k = 61 pins a nonzero value of the same fields.

@@ -265,6 +265,7 @@ class TestBadArguments:
         ("bern --modulus 5 --index 1 --weight 1001", "weight too large: --weight 1001 is above 1000"),
         ("eisenstein --modulus 5 --index 1 --weight 1001", "weight too large: --weight 1001 is above 1000"),
         ("dedekind --modulus 5 --weight 1001", "weight too large: --weight 1001 is above 1000"),
+        ("dedekind --modulus 5 --subgroup 4 --verify-t 501", "weight 2t too large: --verify-t 501 is above 1000"),
         ("verify gbn-theorem --max-weight 1001", "weight too large: --max-weight 1001 is above 1000"),
         ("homotopy j --from -25000 --to 25000", "degree range too large: --from -25000 --to 25000 spans 50001 degrees, above 50000"),
         ("homotopy j --from 99999999999 --to 99999999999", "degree too large: --from 99999999999 --to 99999999999 leaves -50000000..50000000"),
@@ -386,6 +387,20 @@ class TestRanges:
         assert code == 0 and json.loads(out)["schema"] == 1
         code, out, err = run_cli(capsys, *argv.format(8).split(), "--json")
         assert (code, out) == (2, "") and "weight too large" in err and "is above 7" in err
+
+
+    def test_verify_t_is_refused_before_any_arithmetic(self, capsys, monkeypatch):
+        # --verify-t t computes zeta_K(1 - 2t), a weight of 2t; 1000 would run for minutes.
+        start = time.process_time()
+        code, out, err = run_cli(capsys, *"dedekind --modulus 5 --subgroup 4 --verify-t 501".split())
+        assert time.process_time() - start < 0.25
+        assert (code, out) == (2, "") and "weight 2t too large" in err
+        # A cap of 8 stands for MAX_WEIGHT: t = 4 reaches it, t = 5 is refused.
+        monkeypatch.setattr(cli, "MAX_WEIGHT", 8)
+        code, out, _ = run_cli(capsys, *"dedekind --modulus 5 --subgroup 4 --verify-t 4 --json".split())
+        assert code == 0 and json.loads(out)["verify_jk"]["ok"]
+        code, out, err = run_cli(capsys, *"dedekind --modulus 5 --subgroup 4 --verify-t 5 --json".split())
+        assert (code, out, err) == (2, "", "error: weight 2t too large: --verify-t 5 is above 8\n")
 
 
 class TestVerify:

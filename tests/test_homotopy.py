@@ -407,6 +407,17 @@ class TestPiJK:
         with pytest.raises(ValueError):
             pi_JK(12, (11,), 3)
 
+    def test_subgroup_is_built_once_per_table(self, monkeypatch):
+        # H, its image mod q and the primes of |H| are kept per (N, gens), so a degree costs the
+        # same whatever |H| is; the cache is bounded like every other of the package.
+        honest, built = homotopy.unit_subgroup, []
+        monkeypatch.setattr(homotopy, "unit_subgroup", lambda N, gens: built.append(N) or honest(N, gens))
+        homotopy._jk_setup.cache_clear()
+        assert homotopy._jk_setup.cache_info().maxsize == 1024
+        tables = [[pi_JK(32, gens, i, True).render() for i in range(1, 40)] for gens in ((3,), [3], (5,))]
+        assert built == [32, 32] and tables[0] == tables[1]
+        homotopy._jk_setup.cache_clear()
+
 
 class TestDuality:
     def test_dirichlet_odd_example(self):
