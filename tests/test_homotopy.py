@@ -314,6 +314,19 @@ class TestPinnedOutputs:
                  for N in range(1, 65) for row in check_duality_JN(N, range(-40, 41))]
         assert _digest(lines) == (5184, "f7a004ad013f7c2e0f83dfda8fa4d227aa692cccc58a516ba4000c268a09f6e6")
 
+    def test_duality_rows_on_prime_power_conductors(self):
+        # Conductors 2^v (v <= 7), 3^v (v <= 4), 5^v (v <= 3) and 7^v (v <= 2), t in [-40, 40].
+        pairs = [(2, v) for v in range(2, 8)] + [(3, v) for v in range(1, 5)] + \
+                [(5, v) for v in range(1, 4)] + [(7, v) for v in (1, 2)]
+        lines = [f"{p}:{v}:{chi.index()}:{row['t']}:{row['lhs']}|{row['rhs']}|{row['ok']}"
+                 for p, v in pairs for chi in primitive_chars(p**v)
+                 for row in check_duality_dirichlet(chi, v, range(-40, 41))]
+        assert _digest(lines) == (20736, "8278a15342c08894a174b131ba92539c2632c8f9adefbe6e020656ed4cd3a344")
+
+    def test_j_up_to_degree_2000(self):
+        lines = [f"{i}:{pi_J(i).render()}" for i in range(-2000, 2001)]
+        assert _digest(lines) == (4001, "5249d5550de8037f9e4b506d8517df0f77bb9b2e05af855f048aec59700c8fda")
+
 
 class TestPiJNChi:
     def test_conductor4(self):
