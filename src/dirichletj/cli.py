@@ -419,7 +419,7 @@ def cmd_homotopy(args) -> Output:
     if max(-lo, hi) > MAX_ABS_DEGREE:
         raise InputError(f"degree too large: --from {lo} --to {hi} leaves -{MAX_ABS_DEGREE}..{MAX_ABS_DEGREE}")
     if target == "j":
-        fn, title = homotopy.pi_J, "pi_i(J)"
+        fn, title = lambda i: homotopy.pi_JN(1, i), "pi_i(J)"
     elif target == "jn":
         _check_cap("level", "--level", args.level, MAX_MODULUS)
         fn, title = lambda i: homotopy.pi_JN(args.level, i), f"pi_i(J({args.level}))"
@@ -626,7 +626,7 @@ COMMANDS: dict[str, tuple] = {
 def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, run, specs) in commands.items():
-        command = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        command = sub.add_parser(name, allow_abbrev=False, **({} if help_text is None else {"help": help_text}))
         for flags, kwargs in specs:
             command.add_argument(*flags, **kwargs)
         if isinstance(run, dict):
@@ -638,7 +638,7 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict) ->
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser with every subcommand."""
-    parser = argparse.ArgumentParser(prog="dirichletj", description=__doc__)
+    parser = argparse.ArgumentParser(prog="dirichletj", description=__doc__, allow_abbrev=False)
     _add_commands(parser, "command", COMMANDS)
     return parser
 
@@ -650,11 +650,12 @@ def _plain_namespace(argv: list[str]) -> Optional[argparse.Namespace]:
     in full as a token of its own (``--modulus 5``; a repeated option keeps
     its last value) and gives the positionals in order.  Anything else is
     left to argparse, which alone prints help and errors: ``-h``, ``--``,
-    an abbreviation, ``--opt=value``, a token starting with ``-`` that is
-    neither an option of the subcommand nor ``-<ASCII digits>``, a missing
-    or extra token, and a value its type or choices reject.  It reads the
-    specs as ``tests/test_cli.py`` requires them to be: one flag each, only
-    the keywords read here, no str default and no action but store_true.
+    ``--opt=value``, a token starting with ``-`` that is neither an option
+    of the subcommand nor ``-<ASCII digits>`` (an abbreviated option is
+    refused), a missing or extra token, and a value its type or choices
+    reject.  It reads the specs as ``tests/test_cli.py`` requires them to
+    be: one flag each, only the keywords read here, no str default and no
+    action but store_true.
     """
     values, dest, commands, i = {}, "command", COMMANDS, 0
     while isinstance(commands, dict):

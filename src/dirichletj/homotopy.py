@@ -1,13 +1,13 @@
 """The closed-form homotopy-group tables and their localizations.
 
-Homotopy groups of the J-spectrum, its level variants, the K(1)-local
+Homotopy groups of the J-spectra J(N) (J itself is J(1)), the K(1)-local
 spheres, and their Dirichlet-twisted versions are all finite direct sums
 drawn from a short list of atoms (Z, Z_p, Q/Z, Z/p^e), held as
 ``exactalg.AbelianGroupExpr``.
 
 Twisted groups are computed two independent ways, each writing a table
-once: at p = 2 a primed table is the unprimed one four degrees down, and
-an odd table of conductor 2^v, v >= 3, the even one two degrees up.
+once (an odd table of conductor 2^v, v >= 3, is the even one two degrees
+up):
 
 * the direct case tables: prime-power conductors, and one suspended
   wedge that serves the ell-part at conductor p and mixed conductors;
@@ -15,7 +15,9 @@ an odd table of conductor 2^v, v >= 3, the even one two degrees up.
   of the splitting of Z[chi] at p, each evaluated through the per-prime
   tables in the degrees where it can be nonzero.
 
-``pi_jn_chi`` runs both and raises if they ever disagree.
+``pi_jn_chi`` runs both and raises if they ever disagree.  Both sides of
+each duality row of ``check_duality_dirichlet`` are read through it; a
+primed 2-adic table is the unprimed one four degrees down.
 """
 
 from __future__ import annotations
@@ -58,23 +60,6 @@ def invert_primes(g: AbelianGroupExpr, primes: Iterable[int]) -> AbelianGroupExp
 # Untwisted tables
 
 
-def pi_J(i: int) -> AbelianGroupExpr:
-    """Homotopy of the KU-local sphere (the J-spectrum)."""
-    A = AbelianGroupExpr
-    if i == 0:
-        return A.free(1) + A.cyclic(2)
-    if i == -2:
-        return A.q_mod_z()
-    if i % 4 == 3 and i != -1:  # i = 4k - 1, k != 0
-        k = (i + 1) // 4
-        return A.cyclic(d2k(abs(k)))
-    if i % 8 == 1:
-        return A.cyclic(2) + A.cyclic(2)
-    if i % 8 in (0, 2) and i != 0:
-        return A.cyclic(2)
-    return A.zero()
-
-
 def d2k_level(k: int, N: int) -> int:
     """D_{2k,N} = N D_{2k} / (2 Pi) for 4 | N, N D_{2k} / Pi for odd N."""
     if k == 0:
@@ -94,34 +79,27 @@ def d2k_level(k: int, N: int) -> int:
 
 
 def pi_JN(N: int, i: int) -> AbelianGroupExpr:
-    """Homotopy of the level-N J-spectrum; J(N) = J(2N) reduces even N = 2 mod 4."""
+    """Homotopy of the level-N J-spectrum; J(N) = J(2N) reduces even N = 2 mod 4, and J(1) is J."""
     if N < 1:
         raise InputError("N must be positive")
     if N % 4 == 2:
         N //= 2
     A = AbelianGroupExpr
+    if i == -2:
+        return A.q_mod_z()
+    if i % 4 == 3 and i != -1:  # i = 4k - 1, k != 0
+        return A.cyclic(d2k_level((i + 1) // 4, N))
     if N % 4 == 0:
         if i == 0:
             return A.free(1)
-        if i == -2:
-            return A.q_mod_z()
-        if i % 4 == 3 and i != -1:
-            return A.cyclic(d2k_level((i + 1) // 4, N))
-        if i % 4 == 1:
-            return A.cyclic(N)
-        return A.zero()
-    # N odd (including N = 1, which reproduces pi_J).
+        return A.cyclic(N) if i % 4 == 1 else A.zero()
     if i == 0:
         return A.free(1) + A.cyclic(2)
-    if i == -2:
-        return A.q_mod_z()
-    if i % 4 == 3 and i != -1:
-        return A.cyclic(d2k_level((i + 1) // 4, N))
     if i % 8 == 1:
         return A.cyclic(N) + A.cyclic(2) + A.cyclic(2)
     if i % 8 == 5:
         return A.cyclic(N)
-    if i % 8 in (0, 2) and i != 0:
+    if i % 8 in (0, 2):
         return A.cyclic(2)
     return A.zero()
 
@@ -250,17 +228,6 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
     return A.zero()
 
 
-def pi_DK1_primed(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
-    """The alternate-Moore-model tables at p = 2 (exotic-twisted side), for pure
-    conductors 2^v with v >= 2: the unprimed tables four degrees down,
-    pi_DK1(data, i - 4).  Both are periodic in i mod 8; one period checks it."""
-    if data.p != 2 or data.prime_to_p is not None:
-        raise ValueError("primed tables exist only for pure 2-power conductors")
-    if data.v < 2:
-        raise ValueError("no primed table for this conductor")
-    return pi_DK1(data, i - 4)
-
-
 # ---------------------------------------------------------------------------
 # p-adic decomposition of a global character
 
@@ -272,8 +239,8 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
     coset representatives b of the p-adic splitting of Q(zeta_ord(chi)).
     For odd p and conductor p^v the tame exponents sweep exactly
     {a : ker omega^a = ker chi restricted to (Z/p)^x}.  Each call builds
-    a fresh list; the callers that read it per character cache what they
-    read (``_assembly_summands``, ``_duality_setup``).
+    a fresh list; ``_assembly_summands``, its one reader in this module,
+    caches what it reads per character.
     """
     if not is_primitive(chi):
         raise ValueError("chi must be primitive")
@@ -288,7 +255,7 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
     if N > p**v:
         m = prime_to_p_part(chi, p).order()
         e = _vp(m, p)
-        payload = PrimeToPPart(modulus=N // p**v, wild_image_exp=e, image_is_p_power=(e >= 1 and m == p**e))
+        payload = PrimeToPPart(wild_image_exp=e, image_is_p_power=(e >= 1 and m == p**e))
     a0 = tame_exponent(chi, p)
     if p == 2:
         return [PAdicCharacterData(p=2, v=v, tame=a0, prime_to_p=payload) for _ in reps]
@@ -557,48 +524,37 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
 
 
 @lru_cache(maxsize=1024)
-def _duality_setup(chi: DirichletCharacter) -> tuple[int, int, DirichletCharacter, tuple[int, ...], _Summands]:
-    """(p, v, chi^{-1}, loc, summands) for chi of conductor p^v: what each of its duality rows reads.
+def _duality_setup(chi: DirichletCharacter) -> tuple[int, int, DirichletCharacter, tuple[int, ...], int]:
+    """(p, v, chi^{-1}, loc, shift) for chi of conductor p^v: what each of its duality rows reads.
 
-    ``loc`` holds ell(chi) for odd p when ell(chi) > 1, ``summands`` one
-    2-adic summand of chi and one of chi^{-1} for p = 2 (a character's
-    2-adic summands are all equal); each is empty otherwise.
+    ``loc`` holds ell(chi) when ell(chi) > 1 (never at p = 2, where the
+    order of chi is a power of 2) and is empty otherwise.
     """
     fac = factorize(conductor(chi))
     if len(fac) != 1:
         raise ValueError("conductor must be a prime power")
     (p, v), = fac.items()
-    chi_inv = char_inv(chi)
-    if p == 2:
-        return p, v, chi_inv, (), (decompose_p(chi, 2)[0], decompose_p(chi_inv, 2)[0])
     ell = chmod.ell_of_chi(chi)
-    return p, v, chi_inv, () if ell == 1 else (ell,), ()
+    shift = -6 if p == 2 and parity(chi) == 1 else -2
+    return p, v, char_inv(chi), () if ell == 1 else (ell,), shift
 
 
 def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[int]) -> list[dict]:
-    """Brown-Comenetz symmetry pi_t(chi side) = pi_(-2-t)(chi^{-1} side).
+    """Brown-Comenetz symmetry pi_t(chi side) = pi_(shift-t)(chi^{-1} side).
 
-    For odd conductor primes both sides are the ell(chi)-localized
-    Dirichlet tables.  At p = 2, odd characters pair with the unprimed
-    tables of chi^{-1} and even characters with the primed (exotic
-    Moore-model) tables, which are the unprimed ones four degrees down:
-    an even chi pairs pi_t with pi_(-6-t) of chi^{-1}'s unprimed table.
+    Both sides are ``pi_jn_chi`` tables localized at ell(chi) when
+    ell(chi) > 1, so each row also passes its direct-vs-assembly check.
+    The shift is -2, except for an even chi of conductor 2^v: it pairs
+    with the primed (exotic Moore-model) table of chi^{-1}, which is the
+    unprimed one four degrees down, so its shift is -6.
     """
-    p, v_actual, chi_inv, loc, summands = _duality_setup(chi)
+    p, v_actual, chi_inv, loc, shift = _duality_setup(chi)
     if v_actual != v:
         raise ValueError(f"conductor is {p}^{v_actual}, not {p}^{v}")
     rows = []
-    if p != 2:
-        for t in t_range:
-            lhs = pi_jn_chi(chi, t, loc)
-            rhs = pi_jn_chi(chi_inv, -2 - t, loc)
-            rows.append({"t": t, "lhs": lhs.render(), "rhs": rhs.render(), "ok": lhs == rhs})
-        return rows
-    data, data_inv = summands
-    even = parity(chi) == 1
     for t in t_range:
-        lhs = pi_DK1(data, t)
-        rhs = pi_DK1_primed(data_inv, -2 - t) if even else pi_DK1(data_inv, -2 - t)
+        lhs = pi_jn_chi(chi, t, loc)
+        rhs = pi_jn_chi(chi_inv, shift - t, loc)
         rows.append({"t": t, "lhs": lhs.render(), "rhs": rhs.render(), "ok": lhs == rhs})
     return rows
 

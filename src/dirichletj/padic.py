@@ -191,11 +191,11 @@ def quotient_oracle_2(v: int, t: int) -> AbelianGroupExpr:
 class PrimeToPPart(Record):
     """Invariants of the prime-to-p factor chi' of a p-adic character."""
 
-    # modulus is N' > 1, and wild_image_exp is v_p(|image chi'|).
-    __slots__ = _fields = ("modulus", "wild_image_exp", "image_is_p_power")
+    # wild_image_exp is v_p(|image chi'|).
+    __slots__ = _fields = ("wild_image_exp", "image_is_p_power")
 
-    def __init__(self, modulus: int, wild_image_exp: int, image_is_p_power: bool):
-        self._set(modulus, wild_image_exp, image_is_p_power)
+    def __init__(self, wild_image_exp: int, image_is_p_power: bool):
+        self._set(wild_image_exp, image_is_p_power)
 
 
 class PAdicCharacterData(Record):

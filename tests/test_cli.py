@@ -299,6 +299,18 @@ class TestBadArguments:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    # An option is spelled in full: argparse would expand a prefix to the one longer option
+    # it names, so `--level 2` of k1pv would print the level-9 table of `--level-exp 2`.
+    @pytest.mark.parametrize("argv", [
+        "homotopy k1pv --level 2 --from 1 --to 1",
+        "homotopy jk --modulus 5 --subgroup 4 --from 3 --to 3 --invert",
+        "bern --mod 5 --index 1 --weight 2",
+    ])
+    def test_an_abbreviated_option_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert (exc.value.code, capsys.readouterr().out) == (2, "")
+
 
 class TestRanges:
     @pytest.mark.parametrize("argv, option", [

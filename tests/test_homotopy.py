@@ -16,8 +16,6 @@ from dirichletj.homotopy import (
     decompose_p,
     invert_primes,
     pi_DK1,
-    pi_DK1_primed,
-    pi_J,
     pi_JK,
     pi_JN,
     pi_K1,
@@ -33,6 +31,11 @@ A = AbelianGroupExpr
 
 def primitive_chars(N):
     return [c for c in enumerate_characters(N) if is_primitive(c) and not c.is_trivial()]
+
+
+def _primed(data, i):
+    # The primed (exotic Moore-model) 2-adic table: the unprimed one four degrees down.
+    return pi_DK1(data, i - 4)
 
 
 class TestGroupExpr:
@@ -111,24 +114,21 @@ class TestGroupExpr:
 
 class TestUntwistedTables:
     def test_pi_j_spec_rows(self):
-        assert pi_J(0) == A.free(1) + A.cyclic(2)
-        assert pi_J(3) == A.cyclic(24)
-        assert pi_J(-2) == A.q_mod_z()
-        assert pi_J(7) == A.cyclic(240)
-        assert pi_J(1) == A.cyclic(2) + A.cyclic(2)
-        assert pi_J(2) == A.cyclic(2)
-        assert pi_J(-1).is_zero() and pi_J(4).is_zero()
-        assert pi_J(-5) == A.cyclic(24)  # Z/D_{|2k|} at negative degrees
+        # J is the level-1 J-spectrum.
+        assert pi_JN(1, 0) == A.free(1) + A.cyclic(2)
+        assert pi_JN(1, 3) == A.cyclic(24)
+        assert pi_JN(1, -2) == A.q_mod_z()
+        assert pi_JN(1, 7) == A.cyclic(240)
+        assert pi_JN(1, 1) == A.cyclic(2) + A.cyclic(2)
+        assert pi_JN(1, 2) == A.cyclic(2)
+        assert pi_JN(1, -1).is_zero() and pi_JN(1, 4).is_zero()
+        assert pi_JN(1, -5) == A.cyclic(24)  # Z/D_{|2k|} at negative degrees
 
     def test_pi_jn_spec_rows(self):
         assert pi_JN(4, 3) == A.cyclic(24)  # D_{2,4} = 4*24/(2*2)
         assert pi_JN(12, 1) == A.cyclic(12)
         assert pi_JN(4, 1) == A.cyclic(4)
         assert pi_JN(4, 0) == A.free(1)
-
-    def test_pi_jn_level1_is_pi_j(self):
-        for i in range(-12, 30):
-            assert pi_JN(1, i) == pi_J(i)
 
     def test_pi_jn_even_reduction(self):
         for i in range(-8, 20):
@@ -184,7 +184,7 @@ class TestDirichletK1:
         assert pi_DK1(data, 3) == A.cyclic(2) + A.cyclic(2)
 
     def test_contractible_non_p_power_image(self):
-        data = PAdicCharacterData(p=3, v=1, tame=1, prime_to_p=PrimeToPPart(11, 0, False))
+        data = PAdicCharacterData(p=3, v=1, tame=1, prime_to_p=PrimeToPPart(0, False))
         for i in range(-8, 16):
             assert pi_DK1(data, i).is_zero()
 
@@ -202,25 +202,21 @@ class TestDirichletK1:
 
     def test_primed_tables(self):
         d4 = PAdicCharacterData(p=2, v=2, tame=1)
-        assert pi_DK1_primed(d4, 1) == A.cyclic(4)
+        assert _primed(d4, 1) == A.cyclic(4)
         d8even = PAdicCharacterData(p=2, v=3, tame=0)
-        assert pi_DK1_primed(d8even, 5) == A.cyclic(2) + A.cyclic(2)
+        assert _primed(d8even, 5) == A.cyclic(2) + A.cyclic(2)
         # Agreement with the unprimed tables in degrees 2k-1 of matching parity.
         for v, eps in ((2, 1), (3, 0), (3, 1), (4, 0)):
             data = PAdicCharacterData(p=2, v=v, tame=eps)
             for k in range(-10, 11):
                 if (-1) ** k != (1 if eps == 0 else -1):
                     continue
-                assert pi_DK1(data, 2 * k - 1) == pi_DK1_primed(data, 2 * k - 1)
-
-    def test_primed_rejects_odd_primes(self):
-        with pytest.raises(ValueError):
-            pi_DK1_primed(PAdicCharacterData(p=3, v=1, tame=1), 1)
+                assert pi_DK1(data, 2 * k - 1) == _primed(data, 2 * k - 1)
 
     @pytest.mark.parametrize("table, v, tame, row", [
-        (pi_DK1_primed, 2, 1, ["Z/2", "Z/4", "0", "0", "0", "Z/4", "Z/2", "Z/2 + Z/2"]),
-        (pi_DK1_primed, 3, 0, ["0", "0", "0", "Z/2", "Z/2", "Z/2 + Z/2", "Z/2", "Z/2"]),
-        (pi_DK1_primed, 3, 1, ["Z/2", "Z/2", "0", "0", "0", "Z/2", "Z/2", "Z/2 + Z/2"]),
+        (_primed, 2, 1, ["Z/2", "Z/4", "0", "0", "0", "Z/4", "Z/2", "Z/2 + Z/2"]),
+        (_primed, 3, 0, ["0", "0", "0", "Z/2", "Z/2", "Z/2 + Z/2", "Z/2", "Z/2"]),
+        (_primed, 3, 1, ["Z/2", "Z/2", "0", "0", "0", "Z/2", "Z/2", "Z/2 + Z/2"]),
         (pi_DK1, 3, 0, ["Z/2", "Z/2 + Z/2", "Z/2", "Z/2", "0", "0", "0", "Z/2"]),
         (pi_DK1, 3, 1, ["0", "Z/2", "Z/2", "Z/2 + Z/2", "Z/2", "Z/2", "0", "0"]),
     ])
@@ -230,12 +226,6 @@ class TestDirichletK1:
         data = PAdicCharacterData(p=2, v=v, tame=tame)
         for m in (-3, 0, 2):
             assert [table(data, 8 * m + r).render() for r in range(8)] == row
-
-    def test_primed_rejects_a_trivial_2_part(self):
-        # pi_DK1 reads v = 0 as the K(1)-local sphere, whose Z_2 sits four degrees down from
-        # degree 3; there is no primed table at v = 0 to shift.
-        with pytest.raises(ValueError, match="no primed table"):
-            pi_DK1_primed(PAdicCharacterData(p=2, v=0, tame=0), 3)
 
 
 class TestDecompose:
@@ -258,7 +248,7 @@ class TestDecompose:
     def test_quad5_at2(self):
         chi = enumerate_characters(5)[2]
         (s,) = decompose_p(chi, 2)
-        assert s.v == 0 and s.prime_to_p == PrimeToPPart(5, 1, True)
+        assert s.v == 0 and s.prime_to_p == PrimeToPPart(1, True)
 
     def test_imprimitive_rejected(self):
         with pytest.raises(ValueError):
@@ -324,7 +314,8 @@ class TestPinnedOutputs:
         assert _digest(lines) == (20736, "8278a15342c08894a174b131ba92539c2632c8f9adefbe6e020656ed4cd3a344")
 
     def test_j_up_to_degree_2000(self):
-        lines = [f"{i}:{pi_J(i).render()}" for i in range(-2000, 2001)]
+        # J is J(1); the digest is the one the hand-written J table gave before it was dropped.
+        lines = [f"{i}:{pi_JN(1, i).render()}" for i in range(-2000, 2001)]
         assert _digest(lines) == (4001, "5249d5550de8037f9e4b506d8517df0f77bb9b2e05af855f048aec59700c8fda")
 
 
@@ -403,7 +394,7 @@ class TestPiJK:
         # H = (Z/5)^x: J(5)^(hH) agrees with J after inverting |H| = 4.
         for i in [j for j in range(-9, 20) if j not in (0, -1, -2)]:
             lhs = pi_JK(5, (2,), i, invert_G=True)
-            rhs = invert_primes(pi_J(i), {2})
+            rhs = invert_primes(pi_JN(1, i), {2})
             assert lhs == rhs
 
     def test_sqrt5(self):
@@ -411,7 +402,7 @@ class TestPiJK:
         assert pi_JK(5, (4,), 2, invert_G=True).is_zero()
 
     def test_degenerate_degrees_rejected(self):
-        # -2 too: for K = Q it holds the divisible Q/Z of pi_J, which the assembly leaves out.
+        # -2 too: for K = Q it holds the divisible Q/Z of pi_*(J), which the assembly leaves out.
         for i in (0, -1, -2):
             with pytest.raises(InputError, match="degrees 0, -1 and -2 are not represented"):
                 pi_JK(5, (4,), i)
@@ -463,6 +454,14 @@ class TestDuality:
     def test_jn_degenerate_flagged(self):
         rows = check_duality_JN(4, [0, -2])
         assert all(r["ok"] and r.get("note") == "degenerate-convention" for r in rows)
+
+    def test_every_2_adic_row_passes_the_two_path_check(self, monkeypatch):
+        # The duality rows read pi_jn_chi at p = 2 as at odd p, so a direct table that
+        # disagrees with the assembly stops the row.
+        monkeypatch.setattr(homotopy, "_pi_jnchi_direct", lambda chi, i: A.cyclic(3))
+        chi = [c for c in primitive_chars(8) if parity(c) == 1][0]
+        with pytest.raises(AssertionError, match="direct table and assembly disagree"):
+            check_duality_dirichlet(chi, 3, [1])
 
     def test_wrong_v_rejected(self):
         chi = enumerate_characters(5)[2]

@@ -122,7 +122,7 @@ def expected_decomposition(chi: DirichletCharacter, p: int) -> list[PAdicCharact
     if N > p**v:
         m = restrict_by_evaluation(chi, N // p**v).order()
         e = valuation(m, p)
-        payload = PrimeToPPart(modulus=N // p**v, wild_image_exp=e, image_is_p_power=e >= 1 and m == p**e)
+        payload = PrimeToPPart(wild_image_exp=e, image_is_p_power=e >= 1 and m == p**e)
     if v == 0:
         a0 = 0
     elif p == 2:

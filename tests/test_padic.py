@@ -294,7 +294,7 @@ class TestE2Page:
     def test_mixed_conductor_rejected(self):
         from dirichletj.padic import PrimeToPPart
 
-        data = PAdicCharacterData(p=5, v=1, tame=1, prime_to_p=PrimeToPPart(3, 0, False))
+        data = PAdicCharacterData(p=5, v=1, tame=1, prime_to_p=PrimeToPPart(0, False))
         with pytest.raises(ValueError):
             e2_page(data, 1, 0)
 

@@ -181,11 +181,20 @@ def test_homotopy_direct_tables_share_no_code_with_the_assembly():
     # The reverse direction: the direct route writes its own tables and reads none of the
     # per-prime tables or the p-adic plan that the assembly sums.
     names = _names_by_function(SRC / "homotopy.py")
-    assembly = {"pi_DK1", "pi_DK1_primed", "_tame_eigen_odd", "_tame_eigen_2", "pi_K1",
+    assembly = {"pi_DK1", "_tame_eigen_odd", "_tame_eigen_2", "pi_K1",
                 "decompose_p", "_assembly_summands", "_pi_jnchi_assembly"}
     for name in ("_pi_jnchi_direct", "_direct_data", "_direct_case1", "_direct_case5", "_qualifying_prime",
                  "_direct_wedge"):
         assert not names[name] & assembly, f"{name} names {sorted(names[name] & assembly)}"
+
+
+def test_duality_rows_read_only_the_checked_tables():
+    # Every duality row, at p = 2 too, reads both sides through pi_jn_chi and so passes its
+    # direct-vs-assembly check; none reads the p-adic summands around it.
+    names = _names_by_function(SRC / "homotopy.py")
+    summands = {"pi_DK1", "decompose_p"}
+    for name in ("check_duality_dirichlet", "_duality_setup"):
+        assert not names[name] & summands, f"{name} names {sorted(names[name] & summands)}"
 
 
 def test_eisenstein_shares_no_code_with_the_membership_route():
