@@ -314,7 +314,7 @@ class TestPinnedOutputs:
         assert _digest(lines) == (20736, "8278a15342c08894a174b131ba92539c2632c8f9adefbe6e020656ed4cd3a344")
 
     def test_j_up_to_degree_2000(self):
-        # J is J(1); the digest is the one the hand-written J table gave before it was dropped.
+        # J is the level-1 J-spectrum.
         lines = [f"{i}:{pi_JN(1, i).render()}" for i in range(-2000, 2001)]
         assert _digest(lines) == (4001, "5249d5550de8037f9e4b506d8517df0f77bb9b2e05af855f048aec59700c8fda")
 
