@@ -24,7 +24,7 @@ from dirichletj.homotopy import (
     pi_jn_chi,
     pi_jn_chi_paths,
 )
-from dirichletj.padic import PAdicCharacterData, PrimeToPPart
+from dirichletj.padic import PAdicCharacterData, PrimeToPPart, quotient_oracle, quotient_oracle_2
 
 A = AbelianGroupExpr
 
@@ -317,6 +317,22 @@ class TestPinnedOutputs:
         # J is the level-1 J-spectrum.
         lines = [f"{i}:{pi_JN(1, i).render()}" for i in range(-2000, 2001)]
         assert _digest(lines) == (4001, "5249d5550de8037f9e4b506d8517df0f77bb9b2e05af855f048aec59700c8fda")
+
+    def test_oracle_quotients(self):
+        # Every tame exponent a at p in {3, 5, 7, 11}, v in {2, 3}, t in [-30, 30].
+        lines = [f"{p}:{v}:{a}:{t}:{quotient_oracle(p, v, a, t).render()}"
+                 for p in (3, 5, 7, 11) for v in (2, 3) for a in range(p - 1) for t in range(-30, 31)]
+        assert _digest(lines) == (2684, "a3db6c2c011ade6bbdd2d166bbb47291123332513144deff04741da671a2b36a")
+
+    def test_2_adic_oracle_quotients(self):
+        lines = [f"{v}:{t}:{quotient_oracle_2(v, t).render()}" for v in (3, 4, 5, 6) for t in range(-30, 31)]
+        assert _digest(lines) == (244, "c8531f9d0875238abaf391e4fabac57eee1ec3ba0232cbca07f8fc52cd7c1057")
+
+    def test_decompositions_up_to_conductor_100(self):
+        # Every prime dividing the conductor or the order of each primitive nontrivial chi.
+        lines = [f"{N}:{chi.index()}:{p}:{decompose_p(chi, p)!r}" for N in range(3, 101) for chi in primitive_chars(N)
+                 for p in sorted(set(factorize(N)) | set(factorize(chi.order())))]
+        assert _digest(lines) == (5253, "43fbd504fa29c27a5ca55f4f498a567c5c3c59317044dce7effeb7923e8aec84")
 
 
 class TestPiJNChi:
