@@ -16,9 +16,10 @@ conductor is read off the exponent tuple, one prime at a time (see
 ``conductor``), without evaluating the character.  The generators of
 (Z/N)^x are those of each (Z/p^v)^x CRT-lifted, in prime order, so the
 local factor chi_p is the slice of the exponent tuple at p, the
-prime-to-p part chi' is the rest of it, and the tame order and
-Teichmuller exponent at p are read off the first exponent at p; nothing
-outside this module needs the generator layout.  Character
+prime-to-p part chi' is the rest of it (its order is read off that
+rest), the tame order and Teichmuller exponent at p are read off the
+first exponent at p, and the parity off the first exponent at each
+prime; nothing outside this module needs the generator layout.  Character
 ``N:i`` on the CLI refers to index ``i`` in the deterministic
 mixed-radix enumeration below (index 0 is the trivial character).
 """
@@ -201,14 +202,18 @@ def evaluate(chi: DirichletCharacter, a: int) -> CycElement | None:
 
 
 def parity(chi: DirichletCharacter) -> int:
-    """chi(-1), guaranteed +-1."""
-    t = _value_exponent(chi, chi.modulus - 1 if chi.modulus > 1 else 0)
-    n = chi.order()
-    if t == 0:
-        return 1
-    if 2 * t != n:
-        raise AssertionError(f"chi(-1) = zeta_{n}^{t} is not a square root of 1")
-    return -1
+    """chi(-1), +-1, read off the exponent tuple without evaluating the character.
+
+    At each prime, -1 is g^(o/2) on the first generator g, of order o (the
+    generator is -1 itself at 2^v, and 3 = -1 at v = 2), and 1 on the
+    generator 5, so chi(-1) is -1 raised to the sum of the first exponents
+    at each prime.
+    """
+    first, prev = 0, None
+    for (p, *_), e in zip(chi.structure.generators, chi.exponents):
+        if p != prev:
+            first, prev = first + e, p
+    return -1 if first % 2 else 1
 
 
 def conductor(chi: DirichletCharacter) -> int:
@@ -266,13 +271,15 @@ def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
     return out
 
 
-def prime_to_p_part(chi: DirichletCharacter, p: int) -> DirichletCharacter:
-    """chi' = prod_{q != p} chi_q, a character mod N / p^(v_p(N)); chi itself when p does not divide N.
+def prime_to_p_order(chi: DirichletCharacter, p: int) -> int:
+    """The order of chi' = prod_{q != p} chi_q, the character mod N / p^(v_p(N)) chi induces.
 
-    Its exponents are those of chi on the generators at the primes q != p.
+    chi' takes the values zeta_(o_i)^(e_i) on the generators at the primes
+    q != p, so its order is the lcm of o_i / gcd(e_i, o_i) over them; it is
+    the order of chi when p does not divide N.
     """
-    exps = tuple(e for (q, *_), e in zip(chi.structure.generators, chi.exponents) if q != p)
-    return DirichletCharacter(get_structure(chi.modulus // p ** _vp(chi.modulus, p)), exps)
+    return math.lcm(*(o // math.gcd(e, o) for (q, *_, o), e in zip(chi.structure.generators, chi.exponents)
+                      if q != p))
 
 
 def ell_of_chi(chi: DirichletCharacter) -> int:

@@ -446,7 +446,7 @@ class AbelianGroupExpr(Record):
             return self
         if not self.atoms:
             return other
-        return AbelianGroupExpr(_norm(list(self.atoms) + list(other.atoms)))
+        return AbelianGroupExpr(_norm(self.atoms + other.atoms))
 
     def away_from(self, primes: Iterable[int]) -> "AbelianGroupExpr":
         """Localization away from ``primes``.
@@ -467,7 +467,7 @@ class AbelianGroupExpr(Record):
     def times(self, copies: int) -> "AbelianGroupExpr":
         if copies == 1 or not self.atoms:
             return self
-        return AbelianGroupExpr(_norm(list(self.atoms) * copies))
+        return AbelianGroupExpr(_norm(self.atoms * copies))
 
     def without(self, part: "AbelianGroupExpr") -> "AbelianGroupExpr":
         """The sum of the atoms that are not atoms of ``part``: every copy of each is dropped."""
@@ -486,20 +486,7 @@ class AbelianGroupExpr(Record):
         return not self.atoms
 
     def render(self) -> str:
-        if not self.atoms:
-            return "0"
-        parts: list[str] = []
-        i = 0
-        atoms = self.atoms
-        while i < len(atoms):
-            a = atoms[i]
-            j = i
-            while j < len(atoms) and atoms[j] == a:
-                j += 1
-            count = j - i
-            parts.extend(_render_atom(a, count))
-            i = j
-        return " + ".join(parts)
+        return _render(self.atoms)
 
     def __repr__(self) -> str:
         return f"AbelianGroupExpr({self.render()!r})"
@@ -523,8 +510,34 @@ def _atom_key(a: tuple) -> tuple:
     return _KIND_RANK[a[0]], a[1:]
 
 
-def _norm(atoms: list[tuple]) -> tuple[tuple, ...]:
+def _norm(atoms: Sequence[tuple]) -> tuple[tuple, ...]:
+    # Cyclic atoms ("C", p, e) sort as their keys do, and "C" is the least kind name, so when
+    # the largest atom is cyclic, every atom is and the plain sort is the normal form.
+    out = sorted(atoms)
+    if not out or out[-1][0] == "C":
+        return tuple(out)
     return tuple(sorted(atoms, key=_atom_key))
+
+
+@lru_cache(maxsize=1024)
+def _render(atoms: tuple[tuple, ...]) -> str:
+    """The rendering of a normalized atom tuple: equal atoms are runs, each counted once.
+
+    Cached: the tables return a few small groups over and over, and a duality
+    row renders both routes' values on each side.
+    """
+    if not atoms:
+        return "0"
+    parts: list[str] = []
+    i = 0
+    while i < len(atoms):
+        a = atoms[i]
+        j = i
+        while j < len(atoms) and atoms[j] == a:
+            j += 1
+        parts.extend(_render_atom(a, j - i))
+        i = j
+    return " + ".join(parts)
 
 
 def _render_atom(a: tuple, count: int) -> list[str]:

@@ -34,7 +34,7 @@ from .characters import (
     conductor,
     is_primitive,
     parity,
-    prime_to_p_part,
+    prime_to_p_order,
     tame_exponent,
     unit_subgroup,
 )
@@ -238,9 +238,11 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
     Each summand is the p-adic character data of the twist chi^b over the
     coset representatives b of the p-adic splitting of Q(zeta_ord(chi)).
     For odd p and conductor p^v the tame exponents sweep exactly
-    {a : ker omega^a = ker chi restricted to (Z/p)^x}.  Each call builds
-    a fresh list; ``_assembly_summands``, its one reader in this module,
-    caches what it reads per character.
+    {a : ker omega^a = ker chi restricted to (Z/p)^x}.  The order of chi'
+    is read off chi's exponent tuple (``prime_to_p_order``), and summands
+    with the same tame value are one shared record: at p = 2 every summand
+    is.  Each call builds a fresh list; ``_assembly_summands``, its one
+    reader in this module, caches what it reads per character.
     """
     if not is_primitive(chi):
         raise ValueError("chi must be primitive")
@@ -253,13 +255,13 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
     reps = padic_splitting(chi.order(), p)
     payload: Optional[PrimeToPPart] = None
     if N > p**v:
-        m = prime_to_p_part(chi, p).order()
+        m = prime_to_p_order(chi, p)
         e = _vp(m, p)
         payload = PrimeToPPart(wild_image_exp=e, image_is_p_power=(e >= 1 and m == p**e))
     a0 = tame_exponent(chi, p)
-    if p == 2:
-        return [PAdicCharacterData(p=2, v=v, tame=a0, prime_to_p=payload) for _ in reps]
-    return [PAdicCharacterData(p=p, v=v, tame=(b * a0) % (p - 1), prime_to_p=payload) for b in reps]
+    tames = [a0] * len(reps) if p == 2 else [b * a0 % (p - 1) for b in reps]
+    records = {a: PAdicCharacterData(p=p, v=v, tame=a, prime_to_p=payload) for a in set(tames)}
+    return [records[a] for a in tames]
 
 
 _Summands = tuple[PAdicCharacterData, ...]
@@ -314,7 +316,7 @@ def _qualifying_prime(chi: DirichletCharacter) -> Optional[tuple[int, int]]:
     """
     found = []
     for p in factorize(chi.order()):
-        m = prime_to_p_part(chi, p).order()
+        m = prime_to_p_order(chi, p)
         n = _vp(m, p)
         if n and m == p**n:
             found.append((p, n))

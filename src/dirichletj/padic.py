@@ -9,12 +9,15 @@ coefficients, so the elimination costs its nonzeros, not d^2.  A matrix
 over Z_p with elementary divisors p^(e_i) has Smith form
 diag(p^min(e_i, M)) mod p^M, so one elimination at precision M is exact
 once every exponent is below M.  The resultant Res(Phi, u), the
-determinant up to sign, is computed from Phi and u alone mod p^15.  Its
-valuation r = v_p(Res) is the sum of the exponents, so one elimination
-mod p^(r+1) is exact, and its exponents must sum to r.  Every accepted
-input has r <= 1: Res(Phi_(p^m), w x - c) is w^d Phi_(p^m)(c/w) up to
-sign, w a unit, and Phi_(p^m)(x) has valuation 1 at x = 1 mod p and 0
-elsewhere.  A resultant that vanishes mod p^15 raises ``ArithmeticError``.
+determinant up to sign, is computed from Phi and u alone mod p^15, on
+every call, by Horner over Phi's nonzero coefficients: p terms for
+Phi_(p^m), whose only nonzero coefficients are the p ones at the
+multiples of p^(m-1).  Its valuation r = v_p(Res) is the sum of the
+exponents, so one elimination mod p^(r+1) is exact, and its exponents
+must sum to r.  Every accepted input has r <= 1: Res(Phi_(p^m), w x - c)
+is w^d Phi_(p^m)(c/w) up to sign, w a unit, and Phi_(p^m)(x) has
+valuation 1 at x = 1 mod p and 0 elsewhere.  A resultant that vanishes
+mod p^15 raises ``ArithmeticError``.
 
 Each distinct elimination, with its exponent check, runs once:
 ``_smith_quotient`` is an ``lru_cache(maxsize=1024)`` keyed on
@@ -92,19 +95,35 @@ def topological_generator(p: int) -> int:
     return g
 
 
+@lru_cache(maxsize=128)
+def _nonzero_terms(phi: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The (j, phi_j) with phi_j != 0, from the top: p of them for Phi_(p^m)."""
+    return tuple((j, c) for j, c in reversed(tuple(enumerate(phi))) if c)
+
+
 def _resultant_mod(phi: tuple[int, ...], u: list[int], pm: int) -> int:
     """Res(Phi, u) mod pm, up to sign, for monic ``phi`` and u = u0 + u1 x (ascending).
 
     With c = -u0 and w = u1 this is sum_j phi_j c^j w^(d-j), evaluated by
-    Horner.  It equals the determinant of multiplication by u on Z[x]/(Phi)
-    up to sign, from Phi and u alone.
+    Horner over the nonzero phi_j only, from the top: a step from j to the
+    next j' < j multiplies by c^(j - j') and adds phi_j' w^(d - j'), and
+    c^gap and w^gap are taken once per distinct gap.  For Phi_(p^m) that
+    is p terms, all one gap p^(m-1) apart.  It equals the determinant of
+    multiplication by u on Z[x]/(Phi) up to sign, from Phi and u alone.
     """
     c, w = -u[0], u[1]
-    acc, wpow = 0, 1
-    for coeff in reversed(phi):
-        acc = (acc * c + coeff * wpow) % pm
-        wpow = wpow * w % pm
-    return acc
+    terms = _nonzero_terms(phi)
+    (top, acc), wpow = terms[0], 1
+    powers: dict[int, tuple[int, int]] = {}
+    for j, coeff in terms[1:]:
+        gap = top - j
+        if gap not in powers:
+            powers[gap] = pow(c, gap, pm), pow(w, gap, pm)
+        cg, wg = powers[gap]
+        wpow = wpow * wg % pm
+        acc = (acc * cg + coeff * wpow) % pm
+        top = j
+    return acc * pow(c, top, pm) % pm
 
 
 def _times_u_rows(phi: tuple[int, ...], u0: int, u1: int) -> list[dict[int, int]]:

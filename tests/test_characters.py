@@ -175,6 +175,17 @@ class TestParity:
     def test_quadratic_mod5(self):
         assert parity(quad5()) == 1
 
+    def test_parity_is_the_value_at_minus_one(self):
+        # parity reads the exponent tuple; the reference evaluates chi(N - 1) through the discrete logs.
+        checked = 0
+        for N in range(1, 301):
+            for chi in enumerate_characters(N):
+                one = get_field(chi.order()).one()
+                value = evaluate(chi, N - 1)
+                assert value == (one if parity(chi) == 1 else -one), (N, chi.index())
+                checked += 1
+        assert checked == 27_398
+
 
 class TestGroupStructure:
     def test_inverse(self):

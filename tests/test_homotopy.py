@@ -6,8 +6,9 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dirichletj import homotopy
+from dirichletj import exactalg, homotopy
 from dirichletj.characters import InputError, char_inv, enumerate_characters, is_primitive, parity
 from dirichletj.exactalg import AbelianGroupExpr, factorize
 from dirichletj.homotopy import (
@@ -27,6 +28,30 @@ from dirichletj.homotopy import (
 from dirichletj.padic import PAdicCharacterData, PrimeToPPart, quotient_oracle, quotient_oracle_2
 
 A = AbelianGroupExpr
+
+_PRIMES = st.sampled_from([2, 3, 5, 7, 11])
+_CYCLIC_ATOMS = st.tuples(st.just("C"), _PRIMES, st.integers(1, 6))
+_ATOMS = st.one_of(_CYCLIC_ATOMS, st.just(("Z",)), st.tuples(st.just("Zp"), _PRIMES),
+                   st.tuples(st.just("QZ"), st.lists(_PRIMES, max_size=3, unique=True).map(lambda ps: tuple(sorted(ps)))))
+
+
+def _reference_render(atoms):
+    """Each run of equal atoms in order, counted: Z^k and Z_p^k once, Q/Z and Z/p^e once per copy."""
+    runs = []
+    for a in atoms:
+        if runs and runs[-1][0] == a:
+            runs[-1][1] += 1
+        else:
+            runs.append([a, 1])
+    parts = []
+    for a, k in runs:
+        if a[0] in ("Z", "Zp"):
+            base = "Z" if a[0] == "Z" else f"Z_{a[1]}"
+            parts.append(base if k == 1 else f"{base}^{k}")
+        else:
+            one = f"Z/{a[1] ** a[2]}" if a[0] == "C" else "Q/Z" + (f"[1/{math.prod(a[1])}]" if a[1] else "")
+            parts += [one] * k
+    return " + ".join(parts) or "0"
 
 
 def primitive_chars(N):
@@ -87,6 +112,15 @@ class TestGroupExpr:
             g = A.direct_sum(A((a,)) for a in rng.sample(atoms, len(atoms)))
             assert g.atoms == expected and g.render() == rendered
         assert (A((atoms[0],)) + A(tuple(atoms[1:]))).atoms == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.lists(_CYCLIC_ATOMS, max_size=8), st.lists(_ATOMS, max_size=8)))
+    def test_normal_form_and_rendering_match_the_keyed_sort_and_a_reference(self, atoms):
+        # The keyless sort of an all-cyclic list and the cached rendering are fast paths of the keyed sort
+        # and of the run-length rendering.
+        normal = tuple(sorted(atoms, key=exactalg._atom_key))
+        assert exactalg._norm(atoms) == normal
+        assert A.direct_sum(A((a,)) for a in atoms).render() == _reference_render(normal)
 
     def test_invert_primes(self):
         assert invert_primes(A.cyclic(24), {2}) == A.cyclic(3)

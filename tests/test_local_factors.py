@@ -4,7 +4,7 @@ local generators and each local character is rebuilt from those values.
 
 The reference reads nothing of the layout of the exponent tuple; it only
 evaluates chi, so it shares no code with the slicing it checks, that of
-``prime_to_p_part`` and of the test helper ``factor_local``.
+``prime_to_p_order`` and of the test helper ``factor_local``.
 """
 
 import itertools
@@ -19,7 +19,7 @@ from dirichletj.characters import (
     enumerate_characters,
     get_structure,
     is_primitive,
-    prime_to_p_part,
+    prime_to_p_order,
     tame_order,
     unit_subgroup,
 )
@@ -97,9 +97,9 @@ def test_factor_local_and_prime_to_p_part_match_evaluation():
         assert sorted(local) == sorted(fac)
         for p, v in fac.items():
             assert local[p] == restrict_by_evaluation(chi, p**v)
-            assert prime_to_p_part(chi, p) == restrict_by_evaluation(chi, N // p**v)
+            assert prime_to_p_order(chi, p) == restrict_by_evaluation(chi, N // p**v).order()
             checked += 1
-        assert prime_to_p_part(chi, 7 if N % 7 else 13 if N % 13 else 17) == chi
+        assert prime_to_p_order(chi, 7 if N % 7 else 13 if N % 13 else 17) == chi.order()
     assert checked > 50_000
 
 

@@ -180,6 +180,14 @@ class TestQuotientOracle:
         with pytest.raises(AssertionError, match="Res"):
             quotient_oracle(3, 2, 1, 3)
 
+    def test_an_inflated_resultant_fails_the_sum_check(self, monkeypatch):
+        # The resultant fixes r = v_p(Res); one that reads p times too large asks the exponents to sum
+        # to one more than they do.
+        honest = padic._resultant_mod
+        monkeypatch.setattr(padic, "_resultant_mod", lambda phi, u, pm: honest(phi, u, pm) * 7 % pm)
+        with pytest.raises(AssertionError, match="Res"):
+            quotient_oracle(7, 3, 1, 5)
+
     def test_a_failed_check_raises_on_every_call(self, monkeypatch):
         # lru_cache stores no exception: the same lying elimination runs and fails again.
         snf = padic.padic_invariant_exponents
@@ -214,6 +222,32 @@ def _phi_prime_power_mod(p, m, x, modulus):
     """Phi_(p^m)(x) = sum_(j < p) x^(j p^(m-1)) mod ``modulus``, m >= 1."""
     step = pow(x, p ** (m - 1), modulus)
     return sum(pow(step, j, modulus) for j in range(p)) % modulus
+
+
+def _dense_resultant(phi, u, pm):
+    """sum_j phi_j c^j w^(d-j) mod pm for c = -u0, w = u1, by Horner over every coefficient of phi."""
+    c, w = -u[0], u[1]
+    acc, wpow = 0, 1
+    for coeff in reversed(phi):
+        acc = (acc * c + coeff * wpow) % pm
+        wpow = wpow * w % pm
+    return acc
+
+
+def test_sparse_resultant_equals_dense_horner():
+    # The resultant walks only Phi's nonzero coefficients; every Phi_n, n <= 130, checks it against
+    # the dense walk at random u mod p^15.
+    rng = random.Random(130)
+    checked = 0
+    for p in (2, 3, 5, 7, 11):
+        pm = p**15
+        for n in range(1, 131):
+            phi = cyclotomic_poly(n)
+            for _ in range(6):
+                u = [rng.randrange(pm), rng.randrange(pm)]
+                assert padic._resultant_mod(phi, u, pm) == _dense_resultant(phi, u, pm), (p, n, u)
+                checked += 1
+    assert checked == 3900
 
 
 def test_every_oracle_resultant_has_valuation_at_most_one():

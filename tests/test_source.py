@@ -110,6 +110,26 @@ def test_padic_resultant_check_shares_no_code_with_the_elimination():
     assert not named & {"padic_invariant_exponents", "times_x_rows", "_times_u_rows"}, sorted(named)
 
 
+def test_padic_resultant_and_its_helpers_name_no_elimination():
+    # The resultant and every padic function it calls, followed through their calls, may name
+    # neither the elimination, its row builder nor the cached quotient whose sum they check.
+    tree = ast.parse((SRC / "padic.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    reached, frontier = set(), ["_resultant_mod"]
+    while frontier:
+        name = frontier.pop()
+        reached.add(name)
+        frontier += sorted((names(functions[name]) & set(functions)) - reached)
+    assert reached == {"_resultant_mod", "_nonzero_terms"}, sorted(reached)
+    named = set().union(*(names(functions[name]) for name in reached))
+    assert not named & {"padic_invariant_exponents", "_times_u_rows", "_smith_quotient"}, sorted(named)
+
+
 def test_only_the_cached_elimination_names_the_elimination_and_its_rows():
     # _smith_quotient is cached on exactly what the elimination reads; an elimination or row
     # builder named anywhere else in padic would run outside the cache and its key.
@@ -321,6 +341,11 @@ def test_every_lru_cache_is_bounded():
             "cyclotomic.get_field", "homotopy._assembly_summands", "padic._smith_quotient"} <= set(lru), sorted(lru)
     unbounded = sorted(name for name, maxsize in lru.items() if maxsize is None)
     assert not unbounded, unbounded
+
+
+def test_group_renderings_and_phi_terms_sit_in_bounded_lru_caches():
+    lru = {name: cache["maxsize"] for name, cache in _cold_caches().items() if "maxsize" in cache}
+    assert lru.get("exactalg._render") and lru.get("padic._nonzero_terms"), sorted(lru)
 
 
 def test_every_cache_but_one_is_an_lru_cache():
