@@ -31,8 +31,8 @@ A = AbelianGroupExpr
 
 _PRIMES = st.sampled_from([2, 3, 5, 7, 11])
 _CYCLIC_ATOMS = st.tuples(st.just("C"), _PRIMES, st.integers(1, 6))
-_ATOMS = st.one_of(_CYCLIC_ATOMS, st.just(("Z",)), st.tuples(st.just("Zp"), _PRIMES),
-                   st.tuples(st.just("QZ"), st.lists(_PRIMES, max_size=3, unique=True).map(lambda ps: tuple(sorted(ps)))))
+_INVERTED = st.lists(_PRIMES, max_size=3, unique=True).map(lambda ps: tuple(sorted(ps)))
+_ATOMS = st.one_of(_CYCLIC_ATOMS, st.just(("Z",)), st.tuples(st.just("Zp"), _PRIMES), st.tuples(st.just("QZ"), _INVERTED))
 
 
 def _reference_render(atoms):
