@@ -317,6 +317,17 @@ class TestPinnedOutputs:
                     lines.append(f"{N}:{chi.index()}:{i}:{direct.render()}|{assembled.render()}")
         assert _digest(lines) == (43092, "a6fd278f5e465deb91c8dabfe612977b9072c0a66d2358488c3ffa7e6e74c6fd")
 
+    def test_paths_on_larger_prime_and_4q_conductors(self):
+        # Prime conductors 67..131 (ell-wedges up to ell = 53, at p = 107), then conductors 4q.
+        levels = [p for p in range(67, 132) if exactalg.is_prime(p)] + [4 * q for q in (17, 19, 23, 29, 31)]
+        lines = []
+        for N in levels:
+            for chi in primitive_chars(N):
+                for i in range(-20, 41):
+                    direct, assembled = pi_jn_chi_paths(chi, i)
+                    lines.append(f"{N}:{chi.index()}:{i}:{direct.render()}|{assembled.render()}")
+        assert _digest(lines) == (87291, "c1c07e36ceb7c16a40b16636370a4cf78bf4a699b6f92cc8956ebadab1740db8")
+
     def test_duality_rows_on_the_verify_grid(self):
         # The grid of `verify duality-dirichlet`: p in {3, 5, 7} with v <= 2, 2^v with v = 2..4, t in [-20, 20].
         pairs = [(p, v) for p in (3, 5, 7) for v in (1, 2)] + [(2, v) for v in (2, 3, 4)]
