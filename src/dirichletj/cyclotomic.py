@@ -396,12 +396,14 @@ def denominator_ideal(a: CycElement) -> list[list[int]]:
 # p-adic splitting data (unramified part of Q_p(zeta_n)/Q_p)
 
 
+@lru_cache(maxsize=1024)
 def padic_splitting(n: int, p: int) -> tuple[int, ...]:
     """Galois-twist exponents for the p-adic decomposition of Z[zeta_n].
 
     With n = p^v * n' and p prime to n', one representative per coset of
     (Z/n')^x modulo the cyclic subgroup generated by p: one per simple
     factor of Z[zeta_n] (x) Z_p, so there are phi(n')/ord_{n'}(p) of them.
+    Cached: ``decompose_p`` asks for it once per character and prime.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")

@@ -9,8 +9,9 @@ Twisted groups are computed two independent ways, each writing a table
 once (an odd table of conductor 2^v, v >= 3, is the even one two degrees
 up):
 
-* the direct case tables: prime-power conductors, and one suspended
-  wedge that serves the ell-part at conductor p and mixed conductors;
+* the direct tables: one cached plan per character of suspended wedges
+  (the p-part and ell-part at conductor p, conductor 4, and mixed
+  conductors), plus two stripes (2^v with v >= 3, p^v with v >= 2);
 * assembly from the p-adic decomposition: one summand per Galois coset
   of the splitting of Z[chi] at p, each evaluated through the per-prime
   tables in the degrees where it can be nonzero.
@@ -22,6 +23,7 @@ primed 2-adic table is the unprimed one four degrees down.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -326,37 +328,49 @@ def _qualifying_prime(chi: DirichletCharacter) -> Optional[tuple[int, int]]:
 
 
 @lru_cache(maxsize=1024)
-def _direct_data(chi: DirichletCharacter) -> tuple[bool, Optional[int], int, int, int, Optional[int], int, int]:
-    """What the direct tables read off a primitive nontrivial chi; none of it depends on the degree.
+def _direct_plan(chi: DirichletCharacter) -> tuple[tuple[tuple[int, ...], ...], Optional[tuple[int, int]]]:
+    """(wedges, stripe): what the direct tables read off a primitive nontrivial chi, independent of the degree.
 
-    The tuple is (mixed, p, v, n, order, ell, parity, tame order).  For a
-    conductor with several primes ``mixed`` is true and p is the one prime
-    carrying a p-power prime-to-p image p^n (None when no prime does);
-    otherwise p is the conductor's prime and n is 0.  v = v_p(conductor),
-    ell is the prime whose power the order is (None when there is none),
-    and the tame order is that of chi on the tame part of (Z/p^v)^x.
+    Each wedge (q, w, tame order, shift, copies) adds that many copies of
+    ``_direct_wedge(q, w, tame order, i + shift)`` in degree i.  Conductor
+    p > 2 has the p-part (p, 1, ord chi, 1, 1) and, when ord chi is a power
+    of the prime ell, (ell, 2 if ell = 2 else 1, 1, 0, ell); conductor 4 is
+    (2, 2, 2, 1, 1); a conductor with several primes has none, or
+    (p, max(2 if p = 2 else 1, v_p(N) - n), tame order, 0, p) at the one
+    prime p carrying a p-power prime-to-p image p^n.  The other prime powers
+    p^v read the stripe (p, tame order at p): Z/p in each degree 2k - 1 with
+    ker omega^k = ker chi at odd p, and a period-8 table at 2^v, v >= 3.
     """
     fac = factorize(chi.modulus)
-    order_fac = factorize(chi.order())
-    mixed = len(fac) > 1
-    if mixed:
-        p, n = _qualifying_prime(chi) or (None, 0)
-    else:
-        (p,), n = fac, 0
-    ell = next(iter(order_fac)) if len(order_fac) == 1 else None
-    tame_order = 1 if p is None else chmod.tame_order(chi, p)
-    return mixed, p, fac.get(p, 0), n, chi.order(), ell, parity(chi), tame_order
+    if len(fac) > 1:
+        found = _qualifying_prime(chi)
+        if found is None:
+            return (), None
+        p, n = found
+        return ((p, max(2 if p == 2 else 1, fac.get(p, 0) - n), chmod.tame_order(chi, p), 0, p),), None
+    (p, v), = fac.items()
+    if p == 2 and v == 2:
+        return ((2, 2, 2, 1, 1),), None
+    if v > 1:
+        return (), (p, chmod.tame_order(chi, p))
+    order = chi.order()
+    ells = factorize(order)
+    p_part = (p, 1, order, 1, 1)
+    if len(ells) > 1:
+        return (p_part,), None
+    (ell,) = ells
+    return (p_part, (ell, 2 if ell == 2 else 1, 1, 0, ell)), None
 
 
-def _direct_wedge(q: int, w: int, tame_order: int, i: int) -> AbelianGroupExpr:
-    """One of the q summands of the once-suspended wedge at the prime q, with offset w.
-    At odd q: Z_q in degrees 0 and 1 at tame order 1, and Z/q^(v_q(k) + w) in
-    degree 2k when ker omega^k = ker chi.  At q = 2: the printed even (tame order
-    1) or odd table, topped by Z/2^(v_2(i/4) + w + 1) at i = 0 mod 4 or Z/2^w at
-    i = 2 mod 4."""
+def _direct_wedge(q: int, w: int, t: int, i: int) -> AbelianGroupExpr:
+    """One of the q summands of the once-suspended wedge at the prime q, with offset w and tame order t.
+    At odd q: Z_q in degrees 0 and 1 at t = 1, and Z/q^(v_q(k) + w) in degree 2k
+    when ker omega^k = ker chi, i.e. gcd(k, q - 1) t = q - 1.  At q = 2: the
+    printed even (t = 1) or odd table, topped by Z/2^(v_2(i/4) + w + 1) at
+    i = 0 mod 4 or Z/2^w at i = 2 mod 4."""
     A = AbelianGroupExpr
     if q == 2:
-        if tame_order == 1:
+        if t == 1:
             if i in (0, 1):
                 return (A.padic(2) + A.cyclic(2)) if i == 1 else A.padic(2)
             if i % 8 == 2:
@@ -371,63 +385,31 @@ def _direct_wedge(q: int, w: int, tame_order: int, i: int) -> AbelianGroupExpr:
         if i % 8 == 4:
             return A.cyclic(2) + A.cyclic(2)
         return A.cyclic(2**w) if i % 4 == 2 else A.zero()
-    if tame_order == 1 and i in (0, 1):
+    if t == 1 and i in (0, 1):
         return A.padic(q)
-    if i % 2 == 0 and i != 0 and chmod.kernel_order_match(i // 2, q, tame_order):
+    if i % 2 == 0 and i != 0 and math.gcd(i // 2, q - 1) * t == q - 1:
         return A.cyclic(q ** (_vp(i // 2, q) + w))
     return A.zero()
 
 
-def _direct_case1(p: int, n: int, ell: Optional[int], i: int) -> AbelianGroupExpr:
-    """Conductor p > 2, chi of order n: the p-part Z/p^(v_p(k) + 1) in each degree
-    2k - 1 with ker omega^k = ker chi (degree 1 when n = p - 1), plus, when n is a
-    power of the prime ell, ell copies of the wedge with tame order 1 and offset 2
-    at ell = 2, 1 at odd ell."""
-    k = (i + 1) // 2
-    out = AbelianGroupExpr.zero()
-    if i % 2 != 0 and k != 0 and chmod.kernel_order_match(k, p, n):
-        out = AbelianGroupExpr.cyclic(p ** (_vp(k, p) + 1))
-    return out if ell is None else out + _direct_wedge(ell, 2 if ell == 2 else 1, 1, i).times(ell)
-
-
-def _direct_case5(p: Optional[int], v: int, n: int, tame_order: int, i: int) -> AbelianGroupExpr:
-    """Conductor with several prime factors: contractible unless one prime p
-    carries a p-power prime-to-p image p^n; then p copies of the wedge at p,
-    with offset max(2, v - n) at p = 2 and max(1, v - n) at odd p."""
-    if p is None:
-        return AbelianGroupExpr.zero()
-    return _direct_wedge(p, max(2 if p == 2 else 1, v - n), tame_order, i).times(p)
-
-
 def _pi_jnchi_direct(chi: DirichletCharacter, i: int) -> AbelianGroupExpr:
     A = AbelianGroupExpr
-    mixed, p, v, n, order, ell, chi_parity, tame_order = _direct_data(chi)
-    if mixed:
-        return _direct_case5(p, v, n, tame_order, i)
+    wedges, stripe = _direct_plan(chi)
+    out = A.zero()
+    for q, w, t, shift, copies in wedges:
+        out = out + _direct_wedge(q, w, t, i + shift).times(copies)
+    if stripe is None:
+        return out
+    p, t = stripe
     if p == 2:
-        if v == 2:
-            if i % 4 == 1:
-                return A.cyclic(4)
-            if i % 8 in (2, 4):
-                return A.cyclic(2)
-            if i % 8 == 3:
-                return A.cyclic(2) + A.cyclic(2)
-            return A.zero()
-        # N = 2^v > 4; the odd table is the even one two degrees up.
-        if chi_parity == -1:
-            i -= 2
+        i -= 2 * (t - 1)  # an odd chi (tame order 2) reads the even table two degrees up
         if i % 8 in (0, 2, 3, 7):
             return A.cyclic(2)
         if i % 8 == 1:
             return A.cyclic(2) + A.cyclic(2)
         return A.zero()
-    if v == 1:
-        return _direct_case1(p, order, ell, i)
-    # N = p^v, v > 1, p > 2.
-    if i % 2 != 0:
-        k = (i + 1) // 2
-        if chmod.kernel_order_match(k, p, tame_order):
-            return A.cyclic(p)
+    if i % 2 and math.gcd((i + 1) // 2, p - 1) * t == p - 1:
+        return A.cyclic(p)
     return A.zero()
 
 
@@ -479,10 +461,11 @@ def pi_jn_chi(chi: DirichletCharacter, i: int, loc: Iterable[int] = ()) -> Abeli
 def _jk_setup(N: int, gens: tuple[int, ...]) -> tuple[Optional[int], int, range, int, tuple[int, ...]]:
     """(p, v, pieces, |H|, the primes of |H|) for H = <gens> in (Z/N)^x: what each degree of ``pi_JK`` reads.
 
-    N = p^v, or N = 1 with p = None and no pieces; ``pieces`` are the tame
-    eigen-pieces omega^a at p that are trivial on H.
+    N = p^v, or N = 1 or 2 with p = None and no pieces (J(2) is J(1)), H
+    still built at N so that each generator is checked to be a unit mod N;
+    ``pieces`` are the tame eigen-pieces omega^a at p that are trivial on H.
     """
-    fac = factorize(N) if N > 1 else {}
+    fac = factorize(N) if N > 2 else {}
     if len(fac) > 1:
         raise InputError("N must be 1 or a prime power in this release")
     H = unit_subgroup(N, gens)
@@ -511,7 +494,7 @@ def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) 
         raise InputError("N must be positive")
     if i in (0, -1, -2):
         raise InputError("degrees 0, -1 and -2 are not represented by the local assembly")
-    level_p, v, pieces, order, order_primes = _jk_setup(1 if N == 2 else N, tuple(subgroup_gens))
+    level_p, v, pieces, order, order_primes = _jk_setup(N, tuple(subgroup_gens))
     out = AbelianGroupExpr.zero()
     for a in pieces:
         out = out + (_tame_eigen_2(v, a, i) if level_p == 2 else _tame_eigen_odd(level_p, v, a, i))

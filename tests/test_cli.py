@@ -299,6 +299,13 @@ class TestBadArguments:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    # J(2) is J(1), but H is built at N = 2, so each generator must still be a unit mod 2.
+    @pytest.mark.parametrize("command, g", [("homotopy jk", 2), ("homotopy jk", 4), ("dedekind", 2)])
+    def test_non_unit_mod_2_exits_2(self, capsys, command, g):
+        degrees = " --from 3 --to 3" if command == "homotopy jk" else ""
+        code, out, err = run_cli(capsys, *f"{command} --modulus 2 --subgroup {g}{degrees}".split())
+        assert (code, out, err) == (2, "", f"error: {g} is not a unit mod 2\n")
+
     # An option is spelled in full: argparse would expand a prefix to the one longer option
     # it names, so `--level 2` of k1pv would print the level-9 table of `--level-exp 2`.
     @pytest.mark.parametrize("argv", [

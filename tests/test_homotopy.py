@@ -386,6 +386,14 @@ class TestPiJNChi:
         assert pi_jn_chi(chi, 5) == A.cyclic(4)
         assert pi_jn_chi(chi, 1) == A.cyclic(4)
 
+    @pytest.mark.parametrize("modulus", [4, 7])
+    def test_conductor_4_and_p_read_the_wedge(self, monkeypatch, modulus):
+        # Conductor 4 and the p-part at conductor p (7:1 has order 6) are suspended wedges:
+        # a wrong wedge must show up as a disagreement with the assembly.
+        monkeypatch.setattr(homotopy, "_direct_wedge", lambda q, w, t, i: A.cyclic(3))
+        with pytest.raises(AssertionError, match="direct table and assembly disagree"):
+            pi_jn_chi(enumerate_characters(modulus)[1], 1)
+
     def test_quad5_inverted(self):
         chi = enumerate_characters(5)[2]
         assert pi_jn_chi(chi, 3, {2}) == A.cyclic(5)

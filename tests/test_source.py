@@ -189,7 +189,7 @@ def test_homotopy_assembly_shares_no_code_with_the_direct_tables():
     # and its per-character plan may not name the direct route.
     tree = ast.parse((SRC / "homotopy.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    direct = {"_pi_jnchi_direct", "_direct_data", "_direct_case1", "_direct_case5", "_direct_wedge",
+    direct = {"_pi_jnchi_direct", "_direct_plan", "_direct_wedge",
               "_qualifying_prime", "kernel_order_match", "tame_order"}
     for name in ("_pi_jnchi_assembly", "_assembly_summands"):
         named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(functions[name])
@@ -203,9 +203,17 @@ def test_homotopy_direct_tables_share_no_code_with_the_assembly():
     names = _names_by_function(SRC / "homotopy.py")
     assembly = {"pi_DK1", "_tame_eigen_odd", "_tame_eigen_2", "pi_K1",
                 "decompose_p", "_assembly_summands", "_pi_jnchi_assembly"}
-    for name in ("_pi_jnchi_direct", "_direct_data", "_direct_case1", "_direct_case5", "_qualifying_prime",
-                 "_direct_wedge"):
+    for name in ("_pi_jnchi_direct", "_direct_plan", "_qualifying_prime", "_direct_wedge"):
         assert not names[name] & assembly, f"{name} names {sorted(names[name] & assembly)}"
+
+
+def test_homotopy_direct_tables_read_the_character_once_per_plan():
+    # Everything that does not depend on the degree is read once by the cached _direct_plan;
+    # each degree of the direct route runs no primality test, factorization or character read.
+    names = _names_by_function(SRC / "homotopy.py")
+    per_character = {"is_prime", "factorize", "kernel_order_match", "tame_order", "parity", "_qualifying_prime"}
+    for name in ("_pi_jnchi_direct", "_direct_wedge"):
+        assert not names[name] & per_character, f"{name} names {sorted(names[name] & per_character)}"
 
 
 def test_duality_rows_read_only_the_checked_tables():
@@ -329,7 +337,7 @@ def test_caches_are_empty_after_a_cold_import():
     # Every call of the CLI starts cold; a cache filled at import would hide that cost.
     sizes = {name: cache["size"] for name, cache in _cold_caches().items()}
     assert {"characters.get_structure", "characters.character_from_index", "homotopy._duality_setup",
-            "homotopy._direct_data", "bernoulli._series_state", "bernoulli._polysum_state",
+            "homotopy._direct_plan", "bernoulli._series_state", "bernoulli._polysum_state",
             "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
     assert not {name: n for name, n in sizes.items() if n}, sizes
 
