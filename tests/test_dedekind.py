@@ -1,12 +1,17 @@
 """Dedekind zeta special values and the J(K) comparison."""
 
+import hashlib
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from dirichletj import dedekind
 from dirichletj.bernoulli import bernoulli_number, l_value
-from dirichletj.characters import char_inv
+from dirichletj.characters import char_inv, unit_subgroup
+from dirichletj.cli import main
+from dirichletj.exactalg import factorize
 from dirichletj.dedekind import (
     AbelianFieldSpec,
     field_characters,
@@ -138,3 +143,44 @@ class TestVerifyJK:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             verify_jk(AbelianFieldSpec(12, (11,)), 1)
+
+
+def _at_own_conductor(N, H):
+    """Whether no proper divisor M of N has every unit = 1 mod M inside H."""
+    units = [u for u in range(N) if math.gcd(u, N) == 1]
+    return all(any(u % M == 1 % M and u not in H for u in units) for M in range(1, N) if N % M == 0)
+
+
+class TestPinnedOutputs:
+    """The printed Dedekind values and J(K) rows, hashed, as the CLI prints them."""
+
+    def test_dedekind_json_up_to_40(self, capsys):
+        # Every N <= 40 with H trivial or generated by one unit, at weights 1-3.
+        lines = []
+        for N in range(1, 41):
+            for gens in [[]] + [[str(u)] for u in range(N) if math.gcd(u, N) == 1]:
+                for k in (1, 2, 3):
+                    assert main(["dedekind", "--modulus", str(N), *(["--subgroup", *gens] if gens else []),
+                                 "--weight", str(k), "--json"]) == 0
+                    lines.append(capsys.readouterr().out)
+        assert len(lines) == 1590
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "f766e755fa2e30c482de6584e56b59399bde2f7e42c7d1a64c8ca2e27b701391")
+
+    def test_verify_jk_rows_of_totally_real_fields_at_their_conductor(self, capsys):
+        # N = 1 and the prime powers <= 49, H trivial or generated by one unit, -1 in H,
+        # and no proper divisor of N a level of the same field; t <= 3.
+        lines = []
+        for N in [1] + [N for N in range(2, 50) if len(factorize(N)) == 1]:
+            for gens in [()] + [(u,) for u in range(N) if math.gcd(u, N) == 1]:
+                H = unit_subgroup(N, gens)
+                if not (N <= 2 or N - 1 in H) or not _at_own_conductor(N, H):
+                    continue
+                for t in (1, 2, 3):
+                    code = main(["dedekind", "--modulus", str(N), *(["--subgroup", str(*gens)] if gens else []),
+                                 "--verify-t", str(t), "--json"])
+                    row = json.loads(capsys.readouterr().out)["verify_jk"]
+                    lines.append(f"{code}:{json.dumps(row, sort_keys=True)}")
+        assert len(lines) == 276
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "026e109e894504a954ee23df6322afe310ef2cffcfa59137f607d69291cb4f31")
