@@ -361,6 +361,48 @@ def unit_subgroup(N: int, gens: Sequence[int]) -> set[int]:
     return H
 
 
+class AbelianField(Record):
+    """An abelian field K as its conductor f and H_f = Gal(Q(zeta_f)/K), sorted residues mod f ((0,) at f = 1)."""
+
+    __slots__ = ("conductor", "subgroup", "_hash")
+    _fields = ("conductor", "subgroup")
+
+    def __init__(self, conductor: int, subgroup: tuple[int, ...]):
+        self._set(conductor, subgroup, hash((conductor, subgroup)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def is_totally_real(self) -> bool:
+        return self.conductor - 1 in self.subgroup  # complex conjugation, the residue 0 at f = 1, lies in H_f
+
+    def galois_group(self, N: int) -> list[int]:
+        """Gal(Q(zeta_N)/K) for a multiple N of f: the units mod N that reduce into H_f."""
+        H = set(self.subgroup)
+        return [u for u in range(N) if math.gcd(u, N) == 1 and u % self.conductor in H]
+
+
+@lru_cache(maxsize=1024)
+def abelian_field(N: int, gens: tuple[int, ...]) -> AbelianField:
+    """The fixed field of H = <gens> inside Q(zeta_N), equal for every presentation; H is built once, at N.
+
+    f is the least M | N for which H holds the kernel of (Z/N)^x -> (Z/M)^x, its phi(N) / phi(M) units = 1 mod M.
+    """
+    if N < 1:
+        raise InputError("N must be positive")
+    H = unit_subgroup(N, gens)
+    f = next(M for M in range(1, N + 1)
+             if N % M == 0 and sum(h % M == 1 % M for h in H) * euler_phi(M) == euler_phi(N))
+    return AbelianField(f, tuple(sorted({h % f for h in H})))
+
+
+@lru_cache(maxsize=128)
+def field_characters(field: AbelianField) -> tuple[DirichletCharacter, ...]:
+    """K's character group X: the [(Z/f)^x : H_f] characters mod f trivial on H_f, whose conductors have lcm f."""
+    return tuple(chi for chi in enumerate_characters(field.conductor)
+                 if all(_value_exponent(chi, h) == 0 for h in field.subgroup))
+
+
 def display(chi: DirichletCharacter) -> dict:
     """JSON-friendly descriptor used by the CLI."""
     cond = conductor(chi)

@@ -341,14 +341,11 @@ def suite_dedekind_jk(
     ts: Iterable[int] = (1, 2, 3),
 ) -> None:
     for N, gens in cases:
-        spec = dedekind.AbelianFieldSpec(N, tuple(gens))
+        field = characters.abelian_field(N, tuple(gens))
         for t in ts:
-            row = dedekind.verify_jk(spec, t)
-            report.check(
-                (N, t),
-                row["ok"],
-                {"zeta": row["zeta_value"], "arithmetic": row["arithmetic_side"], "homotopy": row["homotopy_side"]},
-            )
+            row = dedekind.verify_jk(field, t)
+            report.check((N, t), row["ok"], {"zeta": row["zeta_value"], "arithmetic": row["arithmetic_side"],
+                                             "homotopy": row["homotopy_side"]})
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +441,8 @@ def cmd_homotopy(args) -> Output:
     else:  # jk
         _check_cap("modulus", "--modulus", args.modulus, MAX_MODULUS)
         gens = tuple(args.subgroup or [])
-        fn = lambda i: homotopy.pi_JK(args.modulus, gens, i, invert_G=args.invert_order)
+        field = characters.abelian_field(args.modulus, gens)
+        fn = lambda i: homotopy.pi_JK(field, i, invert_G=args.invert_order)
         title = f"pi_i(J(K)), N={args.modulus}, H=<{','.join(map(str, gens))}>"
     table = {str(i): fn(i).render() for i in range(lo, hi + 1)}
     return {"table": table, "title": title}, lambda: "\n".join(
@@ -514,19 +512,19 @@ def cmd_dedekind(args) -> Output:
     if args.verify_t is not None:  # it computes zeta_K(1 - 2t), a weight of 2t
         _check_cap("weight 2t", "--verify-t", args.verify_t, MAX_WEIGHT, 2 * args.verify_t)
     _check_cap("modulus", "--modulus", args.modulus, MAX_MODULUS)
-    spec = dedekind.AbelianFieldSpec(args.modulus, tuple(args.subgroup or []))
-    value = dedekind.zeta_special_value(spec, 1 - args.weight)
+    field = characters.abelian_field(args.modulus, tuple(args.subgroup or []))
+    value = dedekind.zeta_special_value(field, 1 - args.weight)
     payload = {
         "modulus": args.modulus,
-        "subgroup": sorted(spec.subgroup()),
-        "totally_real": dedekind.is_totally_real(spec),
+        "subgroup": field.galois_group(args.modulus),
+        "totally_real": field.is_totally_real(),
         "weight": args.weight,
         "zeta(1-k)": render_cyc(value),
-        "characters": len(dedekind.field_characters(spec)),
+        "characters": len(characters.field_characters(field)),
     }
     row = None
     if args.verify_t is not None:
-        row = payload["verify_jk"] = dedekind.verify_jk(spec, args.verify_t)
+        row = payload["verify_jk"] = dedekind.verify_jk(field, args.verify_t)
 
     def text() -> str:
         out = (

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import characters as chmod
 from .bernoulli import d2k
 from .characters import (
+    AbelianField,
     DirichletCharacter,
     InputError,
     char_inv,
@@ -38,7 +39,6 @@ from .characters import (
     parity,
     prime_to_p_order,
     tame_exponent,
-    unit_subgroup,
 )
 from .cyclotomic import padic_splitting
 from .exactalg import AbelianGroupExpr, _vp, euler_phi, factorize, is_prime, staudt_odd_primes
@@ -458,43 +458,38 @@ def pi_jn_chi(chi: DirichletCharacter, i: int, loc: Iterable[int] = ()) -> Abeli
 
 
 @lru_cache(maxsize=1024)
-def _jk_setup(N: int, gens: tuple[int, ...]) -> tuple[Optional[int], int, range, int, tuple[int, ...]]:
-    """(p, v, pieces, |H|, the primes of |H|) for H = <gens> in (Z/N)^x: what each degree of ``pi_JK`` reads.
+def _jk_setup(field: AbelianField) -> tuple[Optional[int], int, range, int, tuple[int, ...]]:
+    """(p, v, pieces, |H_f|, the primes of |H_f|) for K of conductor f = p^v: what each degree of ``pi_JK`` reads.
 
-    N = p^v, or N = 1 or 2 with p = None and no pieces (J(2) is J(1)), H
-    still built at N so that each generator is checked to be a unit mod N;
-    ``pieces`` are the tame eigen-pieces omega^a at p that are trivial on H.
-    """
-    fac = factorize(N) if N > 2 else {}
+    ``pieces`` are the tame eigen-pieces omega^a at p trivial on H_f; f = 1 has p = None and none."""
+    fac = factorize(field.conductor)
     if len(fac) > 1:
         raise InputError("N must be 1 or a prime power in this release")
-    H = unit_subgroup(N, gens)
-    primes = tuple(factorize(len(H)))
-    if not fac:
-        return None, 0, range(0), len(H), primes
-    (p, v), = fac.items()
+    H = field.subgroup
+    (p, v), = fac.items() or [(None, 0)]
     q = 4 if p == 2 else p
-    return p, v, range(0, euler_phi(q), len({h % q for h in H})), len(H), primes
+    pieces = range(0, euler_phi(q), len({h % q for h in H})) if p else range(0)
+    return p, v, pieces, len(H), tuple(factorize(len(H)))
 
 
-def pi_JK(N: int, subgroup_gens: Sequence[int], i: int, invert_G: bool = False) -> AbelianGroupExpr:
-    """pi_i of J(K) for K the fixed field of H = <subgroup_gens> inside Q(zeta_N).
+def pi_JK(field: AbelianField, i: int, invert_G: bool = False) -> AbelianGroupExpr:
+    """pi_i of J(K) for the abelian field K, read at its conductor f = 1 or p^v and H_f = Gal(Q(zeta_f)/K).
 
-    N must be 1 or a prime power p^v.  The value is the sum of the tame
-    eigen-pieces omega^a at p that are trivial on H, plus the untwisted
-    K(1)-local contributions at primes not dividing |H|.  With q = p (q = 4
-    at p = 2) and m the order of H's image in (Z/q)^x, omega^a is trivial on
-    H exactly when m divides a, so the pieces taken are the multiples of m
-    in [0, |(Z/q)^x|); at p = 2 the odd piece is taken only when every
-    h = 1 mod 4.  Degrees 0, -1 and -2 mix free and divisible parts across
-    the fracture square (for K = Q, pi_-2 is Q/Z) and are not represented;
-    the comparison degrees of the Dedekind theorem are 4t - 1.
+    The value is the sum of the tame eigen-pieces omega^a at p that are
+    trivial on H_f, plus the untwisted K(1)-local contributions at primes
+    not dividing |H_f|.  With q = p (q = 4 at p = 2) and m the order of
+    H_f's image in (Z/q)^x, omega^a is trivial on H_f exactly when m
+    divides a, so the pieces taken are the multiples of m in [0, |(Z/q)^x|);
+    at p = 2 the odd piece is taken only when every h = 1 mod 4.  Without
+    ``invert_G`` the K(1)-local part at each prime not dividing f but |H_f|
+    is left out: (7, <2>) gives Z/8 at i = 3, while w_2(K) = 24.  Degrees
+    0, -1 and -2 mix free and divisible parts across the fracture square
+    (for K = Q, pi_-2 is Q/Z) and are not represented; the comparison
+    degrees of the Dedekind theorem are 4t - 1.
     """
-    if N < 1:
-        raise InputError("N must be positive")
     if i in (0, -1, -2):
         raise InputError("degrees 0, -1 and -2 are not represented by the local assembly")
-    level_p, v, pieces, order, order_primes = _jk_setup(N, tuple(subgroup_gens))
+    level_p, v, pieces, order, order_primes = _jk_setup(field)
     out = AbelianGroupExpr.zero()
     for a in pieces:
         out = out + (_tame_eigen_2(v, a, i) if level_p == 2 else _tame_eigen_odd(level_p, v, a, i))

@@ -9,6 +9,8 @@ import pytest
 from dirichletj import characters
 from dirichletj.characters import (
     InputError,
+    _value_exponent,
+    abelian_field,
     char_inv,
     character_from_index,
     conductor,
@@ -155,6 +157,20 @@ class TestConductor:
                 assert prim.modulus == conductor(chi)
                 assert is_primitive(prim)
                 assert prim.order() == chi.order()
+
+    def test_field_conductor_is_the_lcm_of_its_character_conductors(self):
+        # A second route to f: list the characters mod N trivial on H by brute force over the
+        # powers of the generator, and take the lcm of their conductors (Washington, ch. 3).
+        cases = 0
+        for N in range(1, 65):
+            chis = enumerate_characters(N)
+            units = [u for u in range(N) if math.gcd(u, N) == 1]
+            for gens in [()] + [(u,) for u in units]:
+                H = {pow(gens[0], k, N) for k in range(N)} if gens else {1 % N}
+                X = [chi for chi in chis if all(_value_exponent(chi, h) == 0 for h in H)]
+                assert math.lcm(*map(conductor, X)) == abelian_field(N, gens).conductor, (N, gens)
+                cases += 1
+        assert cases == 1324
 
     def test_conductor_of_product_divides_lcm(self):
         for N in (8, 12, 15):

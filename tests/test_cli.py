@@ -213,6 +213,20 @@ class TestHomotopy:
         assert code == 0
         assert "Z/3 + Z/5" in out
 
+    # Each field prints one table, whichever level presents it; the title keeps the presentation.
+    @pytest.mark.parametrize("presentations, value", [
+        (["--modulus 1", "--modulus 9 --subgroup 2", "--modulus 8 --subgroup 3,5"], "Z/8 + Z/3"),
+        (["--modulus 4", "--modulus 8 --subgroup 5"], "Z/2 + Z/2 + Z/8 + Z/3"),
+        (["--modulus 3", "--modulus 12 --subgroup 7"], "Z/8 + Z/3"),
+    ])
+    def test_jk_prints_one_table_per_field(self, capsys, presentations, value):
+        tables = []
+        for argv in presentations:
+            code, out, err = run_cli(capsys, "homotopy", "jk", *argv.split(), "--from", "1", "--to", "24", "--json")
+            assert (code, err) == (0, "")
+            tables.append(json.loads(out)["table"])
+        assert all(table == tables[0] for table in tables) and tables[0]["3"] == value
+
 
 class TestE2:
     def test_chart(self, capsys):

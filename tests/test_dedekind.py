@@ -7,92 +7,127 @@ from fractions import Fraction
 
 import pytest
 
-from dirichletj import dedekind
+from dirichletj import characters, dedekind
 from dirichletj.bernoulli import bernoulli_number, l_value
-from dirichletj.characters import char_inv, unit_subgroup
+from dirichletj.characters import AbelianField, InputError, abelian_field, char_inv, field_characters, unit_subgroup
 from dirichletj.cli import main
+from dirichletj.dedekind import verify_jk, zeta_special_value
 from dirichletj.exactalg import factorize
-from dirichletj.dedekind import (
-    AbelianFieldSpec,
-    field_characters,
-    is_totally_real,
-    verify_jk,
-    zeta_special_value,
-)
 
 from exponent_tuples import char_mul
 
 
 class TestFieldCharacters:
     def test_full_subgroup_gives_trivial(self):
-        spec = AbelianFieldSpec(5, (2,))
-        chis = field_characters(spec)
+        field = abelian_field(5, (2,))
+        chis = field_characters(field)
         assert len(chis) == 1 and chis[0].is_trivial()
 
     def test_index_two(self):
-        spec = AbelianFieldSpec(5, (4,))
-        chis = field_characters(spec)
+        field = abelian_field(5, (4,))
+        chis = field_characters(field)
         assert len(chis) == 2
         assert sorted(c.order() for c in chis) == [1, 2]
 
     def test_trivial_subgroup(self):
-        spec = AbelianFieldSpec(5, ())
-        assert len(field_characters(spec)) == 4
+        field = abelian_field(5, ())
+        assert len(field_characters(field)) == 4
 
     def test_closed_under_inverse_and_product(self):
-        spec = AbelianFieldSpec(7, (6,))
-        chis = set(field_characters(spec))
+        field = abelian_field(7, (6,))
+        chis = set(field_characters(field))
         for a in chis:
             assert char_inv(a) in chis
             for b in chis:
                 assert char_mul(a, b) in chis
 
 
+class TestFieldValue:
+    def test_presentations_of_one_field_are_one_value(self):
+        assert abelian_field(1, ()) == abelian_field(2, ()) == abelian_field(9, (2,)) == abelian_field(8, (3, 5)) \
+            == AbelianField(1, (0,))
+        assert abelian_field(4, ()) == abelian_field(8, (5,)) == AbelianField(4, (1,))
+        assert abelian_field(12, (7,)) == abelian_field(3, ()) == AbelianField(3, (1,))
+        assert abelian_field(25, (4,)) == abelian_field(5, (4,)) == AbelianField(5, (1, 4))
+        assert abelian_field(8, (7,)) == AbelianField(8, (1, 7)) != abelian_field(8, (3,))
+        assert len({abelian_field(9, (2,)), abelian_field(5, (2,)), abelian_field(1, ())}) == 1
+
+    def test_galois_group_at_a_level_is_the_preimage_of_h_f(self):
+        assert abelian_field(9, (2,)).galois_group(9) == [1, 2, 4, 5, 7, 8]
+        assert abelian_field(1, ()).galois_group(1) == [0] and abelian_field(2, ()).galois_group(2) == [1]
+        assert abelian_field(25, (4,)).galois_group(25) == sorted(unit_subgroup(25, (4,)))
+        assert abelian_field(12, (7,)).galois_group(12) == [1, 7]
+
+    def test_non_units_and_levels_below_1_are_refused(self):
+        with pytest.raises(InputError, match="^4 is not a unit mod 8$"):
+            abelian_field(8, (3, 4))
+        with pytest.raises(InputError, match="^N must be positive$"):
+            abelian_field(0, ())
+
+    def test_one_cold_call_builds_h_once_and_x_once(self, capsys, monkeypatch):
+        # Built per call site, H took eight builds and X three for this call.
+        honest, built = characters.unit_subgroup, []
+        monkeypatch.setattr(characters, "unit_subgroup", lambda N, gens: built.append((N, gens)) or honest(N, gens))
+        caches = (characters.abelian_field, characters.field_characters)
+        for cache in caches:
+            cache.cache_clear()
+        assert main(["dedekind", "--modulus", "5", "--subgroup", "4", "--weight", "2", "--verify-t", "1"]) == 0
+        assert "-> ok" in capsys.readouterr().out
+        assert built == [(5, (4,))] and characters.field_characters.cache_info().misses == 1
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_homotopy_jk_never_builds_x(self, capsys):
+        characters.field_characters.cache_clear()
+        assert main(["homotopy", "jk", "--modulus", "13", "--subgroup", "3", "--from", "1", "--to", "4"]) == 0
+        capsys.readouterr()
+        assert characters.field_characters.cache_info().misses == 0
+
+
 class TestTotallyReal:
     def test_sqrt5(self):
-        assert is_totally_real(AbelianFieldSpec(5, (4,)))
+        assert abelian_field(5, (4,)).is_totally_real()
 
     def test_trivial_subgroup_not(self):
-        assert not is_totally_real(AbelianFieldSpec(5, ()))
+        assert not abelian_field(5, ()).is_totally_real()
 
     def test_q(self):
-        assert is_totally_real(AbelianFieldSpec(1, ()))
+        assert abelian_field(1, ()).is_totally_real()
 
 
 class TestZetaValues:
     def test_q_matches_bernoulli(self):
-        spec = AbelianFieldSpec(1, ())
+        field = abelian_field(1, ())
         for t in range(1, 11):
             expected = -bernoulli_number(2 * t) / (2 * t)
-            assert zeta_special_value(spec, 1 - 2 * t) == expected
+            assert zeta_special_value(field, 1 - 2 * t) == expected
 
     def test_q_through_larger_level(self):
-        # K = Q realized inside Q(zeta_5): primitive representative rules
-        # remove the Euler-factor distortion.
-        spec = AbelianFieldSpec(5, (2,))
-        assert zeta_special_value(spec, -1) == Fraction(-1, 12)
+        # K = Q presented inside Q(zeta_5) is read at its conductor 1: no Euler factor at 5.
+        field = abelian_field(5, (2,))
+        assert zeta_special_value(field, -1) == Fraction(-1, 12)
 
     def test_sqrt5(self):
-        spec = AbelianFieldSpec(5, (4,))
-        assert zeta_special_value(spec, -1) == Fraction(1, 30)
-        assert zeta_special_value(spec, -3) == Fraction(1, 60)
+        field = abelian_field(5, (4,))
+        assert zeta_special_value(field, -1) == Fraction(1, 30)
+        assert zeta_special_value(field, -3) == Fraction(1, 60)
 
     def test_gaussian_field_vanishes(self):
-        spec = AbelianFieldSpec(4, ())
-        assert zeta_special_value(spec, -1) == 0
+        field = abelian_field(4, ())
+        assert zeta_special_value(field, -1) == 0
 
     def test_vanishing_for_non_totally_real(self):
         for N in range(3, 13):
             if N % 4 == 2:
                 continue
-            spec = AbelianFieldSpec(N, ())
-            if is_totally_real(spec):
+            field = abelian_field(N, ())
+            if field.is_totally_real():
                 continue
-            assert zeta_special_value(spec, -1) == 0
+            assert zeta_special_value(field, -1) == 0
 
     def test_real_cyclotomic_7(self):
-        spec = AbelianFieldSpec(7, (6,))
-        assert zeta_special_value(spec, -1) == Fraction(-1, 21)
+        field = abelian_field(7, (6,))
+        assert zeta_special_value(field, -1) == Fraction(-1, 21)
 
 
 class TestGaloisOrbits:
@@ -101,48 +136,48 @@ class TestGaloisOrbits:
         # (Z/31)^x is cyclic of order 30: one orbit of characters per divisor of 30.
         calls = []
         monkeypatch.setattr(dedekind, "l_value", lambda chi, s: calls.append(chi) or l_value(chi, s))
-        zeta_special_value(AbelianFieldSpec(31, ()), 1 - k)
+        zeta_special_value(abelian_field(31, ()), 1 - k)
         assert sorted(chi.order() for chi in calls) == [1, 2, 3, 5, 6, 10, 15, 30]
 
     def test_a_set_that_is_not_galois_stable_is_refused(self, monkeypatch):
         # The characters of Q(zeta_7)^+ are 1, chi and chi^2 with chi of order 3; without
         # chi^2 the orbit of chi is not covered.
-        spec = AbelianFieldSpec(7, (6,))
-        chis = field_characters(spec)
+        field = abelian_field(7, (6,))
+        chis = field_characters(field)
         chi = next(c for c in chis if c.order() == 3)
         assert char_mul(chi, chi) in chis
         monkeypatch.setattr(dedekind, "field_characters", lambda _: [c for c in chis if c != char_mul(chi, chi)])
         with pytest.raises(AssertionError, match="Galois orbits"):
-            zeta_special_value(spec, -1)
+            zeta_special_value(field, -1)
 
 
 class TestVerifyJK:
     def test_sqrt5(self):
-        row = verify_jk(AbelianFieldSpec(5, (4,)), 1)
+        row = verify_jk(abelian_field(5, (4,)), 1)
         assert row["ok"]
         assert row["zeta_value"] == "1/30"
         assert row["arithmetic_side"] == "Z/3 + Z/5"
 
     def test_q_reduces_to_image_of_j(self):
         for t in (1, 2, 3):
-            row = verify_jk(AbelianFieldSpec(1, ()), t)
+            row = verify_jk(abelian_field(1, ()), t)
             assert row["ok"]
 
     def test_real_cyclotomic7(self):
         for t in (1, 2, 3):
-            assert verify_jk(AbelianFieldSpec(7, (6,)), t)["ok"]
+            assert verify_jk(abelian_field(7, (6,)), t)["ok"]
 
     def test_sqrt2(self):
         for t in (1, 2, 3):
-            assert verify_jk(AbelianFieldSpec(8, (7,)), t)["ok"]
+            assert verify_jk(abelian_field(8, (7,)), t)["ok"]
 
     def test_not_totally_real_rejected(self):
         with pytest.raises(ValueError):
-            verify_jk(AbelianFieldSpec(5, ()), 1)
+            verify_jk(abelian_field(5, ()), 1)
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
-            verify_jk(AbelianFieldSpec(12, (11,)), 1)
+            verify_jk(abelian_field(12, (11,)), 1)
 
 
 def _at_own_conductor(N, H):

@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletj import exactalg, homotopy
-from dirichletj.characters import InputError, char_inv, enumerate_characters, is_primitive, parity
+from dirichletj import characters, exactalg, homotopy
+from dirichletj.characters import (InputError, abelian_field, char_inv, enumerate_characters, is_primitive, parity,
+                                   unit_subgroup)
 from dirichletj.exactalg import AbelianGroupExpr, factorize
 from dirichletj.homotopy import (
     check_duality_JN,
@@ -338,11 +339,18 @@ class TestPinnedOutputs:
 
     def test_jk_on_cyclic_subgroups_up_to_32(self):
         # N = 1 or a prime power <= 32, H trivial or generated by one unit, both invert_G settings.
+        # Each presentation is read at its conductor f: the 8960 rows of the 128 presentations
+        # with f = N hash as they did when every presentation was read at N.
         levels = [1] + [N for N in range(2, 33) if len(factorize(N)) == 1]
-        lines = [f"{N}:{gens}:{i}:{inv}:{pi_JK(N, gens, i, inv).render()}"
-                 for N in levels for gens in [[]] + [[u] for u in range(N) if math.gcd(u, N) == 1]
-                 for i in range(-13, 25) if i not in (0, -1, -2) for inv in (False, True)]
-        assert _digest(lines) == (17010, "28606999f968961916c77c3a2ed7c71fec6a605e244dc56dee51dada564894a0")
+        presentations = [(N, gens) for N in levels for gens in [()] + [(u,) for u in range(N) if math.gcd(u, N) == 1]]
+
+        def lines(subset):
+            return [f"{N}:{list(gens)}:{i}:{inv}:{pi_JK(abelian_field(N, gens), i, inv).render()}"
+                    for N, gens in subset for i in range(-13, 25) if i not in (0, -1, -2) for inv in (False, True)]
+
+        assert _digest(lines(presentations)) == (17010, "8f51c3203831d471f230e2bd4353d3dffcd7474b15c2bcc3a745f811c74de2a6")
+        at_conductor = [(N, gens) for N, gens in presentations if abelian_field(N, gens).conductor == N]
+        assert _digest(lines(at_conductor)) == (8960, "8e46e6ae1c8801481ee934931075c9287e0aafd19f00a50e421c5341108c12c4")
 
     def test_jn_duality_rows_up_to_64(self):
         lines = [f"{N}:{row['t']}:{row['lhs']}|{row['rhs']}|{row['ok']}|{row.get('note')}"
@@ -458,37 +466,74 @@ class TestPiJNChi:
                     pi_jn_chi_paths(chi, 3)
 
 
+def _field_key(N, gens):
+    """(f, H_f) by brute force: the least M | N with every unit = 1 mod M in H, and H mod f."""
+    H = unit_subgroup(N, gens)
+    units = [u for u in range(N) if math.gcd(u, N) == 1]
+    f = min(M for M in range(1, N + 1) if N % M == 0 and all(u in H for u in units if u % M == 1 % M))
+    return f, frozenset(h % f for h in H)
+
+
 class TestPiJK:
-    def test_full_subgroup_recovers_localized_j(self):
-        # H = (Z/5)^x: J(5)^(hH) agrees with J after inverting |H| = 4.
+    def test_full_subgroup_is_j(self):
+        # H = (Z/5)^x: K = Q, so J(K) is J itself, with or without inverting |H_f| = 1.
+        field = abelian_field(5, (2,))
         for i in [j for j in range(-9, 20) if j not in (0, -1, -2)]:
-            lhs = pi_JK(5, (2,), i, invert_G=True)
-            rhs = invert_primes(pi_JN(1, i), {2})
-            assert lhs == rhs
+            assert pi_JK(field, i) == pi_JK(field, i, invert_G=True) == pi_JN(1, i)
 
     def test_sqrt5(self):
-        assert pi_JK(5, (4,), 3, invert_G=True) == A.cyclic(15)
-        assert pi_JK(5, (4,), 2, invert_G=True).is_zero()
+        assert pi_JK(abelian_field(5, (4,)), 3, invert_G=True) == A.cyclic(15)
+        assert pi_JK(abelian_field(5, (4,)), 2, invert_G=True).is_zero()
 
     def test_degenerate_degrees_rejected(self):
         # -2 too: for K = Q it holds the divisible Q/Z of pi_*(J), which the assembly leaves out.
         for i in (0, -1, -2):
             with pytest.raises(InputError, match="degrees 0, -1 and -2 are not represented"):
-                pi_JK(5, (4,), i)
+                pi_JK(abelian_field(5, (4,)), i)
 
-    def test_non_prime_power_rejected(self):
-        with pytest.raises(ValueError):
-            pi_JK(12, (11,), 3)
+    def test_non_prime_power_conductor_rejected(self):
+        # (12, <7>) is Q(sqrt -3), of conductor 3; (12, <11>) is Q(sqrt 3), of conductor 12.
+        assert [pi_JK(abelian_field(12, (7,)), i).render() for i in range(1, 25)] == \
+            [pi_JK(abelian_field(3, ()), i).render() for i in range(1, 25)]
+        with pytest.raises(InputError, match="^N must be 1 or a prime power in this release$"):
+            pi_JK(abelian_field(12, (11,)), 3)
 
-    def test_subgroup_is_built_once_per_table(self, monkeypatch):
-        # H, its image mod q and the primes of |H| are kept per (N, gens), so a degree costs the
-        # same whatever |H| is; the cache is bounded like every other of the package.
-        honest, built = homotopy.unit_subgroup, []
-        monkeypatch.setattr(homotopy, "unit_subgroup", lambda N, gens: built.append(N) or honest(N, gens))
+    def test_one_table_per_field(self):
+        # N = 1 and the prime powers <= 49, H trivial or generated by one unit, grouped by
+        # (f, H_f) computed by brute force: every presentation of one field prints one table.
+        # Read at N instead, 14 of the 85 fields printed two or more.
+        levels = [1] + [N for N in range(2, 50) if len(factorize(N)) == 1]
+        tables, count = {}, 0
+        for N in levels:
+            for gens in [()] + [(u,) for u in range(N) if math.gcd(u, N) == 1]:
+                field = abelian_field(N, gens)
+                table = [pi_JK(field, i, inv).render() for i in range(1, 25) for inv in (False, True)]
+                tables.setdefault(_field_key(N, gens), set()).add(tuple(table))
+                count += 1
+        assert (count, len(tables)) == (454, 85)
+        assert all(len(group) == 1 for group in tables.values())
+
+    def test_item_literals_of_one_field(self):
+        # K = Q at i = 3 from three presentations, Q(i) from two.
+        q = [abelian_field(1, ()), abelian_field(9, (2,)), abelian_field(8, (3, 5))]
+        assert {pi_JK(field, 3).render() for field in q} == {"Z/8 + Z/3"}
+        gaussian = [abelian_field(4, ()), abelian_field(8, (5,))]
+        assert len({tuple(pi_JK(field, i).render() for i in range(1, 25)) for field in gaussian}) == 1
+        assert pi_JK(gaussian[1], 3).render() == "Z/2 + Z/2 + Z/8 + Z/3"
+
+    def test_subgroup_is_built_once_per_field(self, monkeypatch):
+        # H is built once per presentation and the per-field data once per field, so a degree
+        # costs the same whatever |H| is; (64, <3>) is (32, <3>) at its conductor 32.
+        honest, built = characters.unit_subgroup, []
+        monkeypatch.setattr(characters, "unit_subgroup", lambda N, gens: built.append(N) or honest(N, gens))
+        characters.abelian_field.cache_clear()
         homotopy._jk_setup.cache_clear()
         assert homotopy._jk_setup.cache_info().maxsize == 1024
-        tables = [[pi_JK(32, gens, i, True).render() for i in range(1, 40)] for gens in ((3,), [3], (5,))]
-        assert built == [32, 32] and tables[0] == tables[1]
+        presentations = ((32, (3,)), (32, (3,)), (64, (3,)), (32, (5,)))
+        tables = [[pi_JK(abelian_field(N, gens), i, True).render() for i in range(1, 40)] for N, gens in presentations]
+        assert built == [32, 64, 32] and tables[0] == tables[1] == tables[2] != tables[3]
+        assert homotopy._jk_setup.cache_info().misses == 2
+        characters.abelian_field.cache_clear()
         homotopy._jk_setup.cache_clear()
 
 

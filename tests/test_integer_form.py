@@ -15,7 +15,7 @@ import pytest
 
 import dirichletj.cyclotomic as cyc
 from dirichletj.bernoulli import denom_ideal, gbn, l_value
-from dirichletj.characters import _value_exponent, character_from_index, enumerate_characters, unit_subgroup
+from dirichletj.characters import _value_exponent, abelian_field, character_from_index, enumerate_characters, unit_subgroup
 from dirichletj.cyclotomic import (
     CycElement,
     denominator_ideal,
@@ -25,7 +25,7 @@ from dirichletj.cyclotomic import (
     quotient_group,
     render_cyc,
 )
-from dirichletj.dedekind import AbelianFieldSpec, zeta_special_value
+from dirichletj.dedekind import zeta_special_value
 from dirichletj.eisenstein import eisenstein_coeffs
 
 from ideal_oracle import IdealLattice, principal
@@ -241,7 +241,7 @@ def test_zeta_value_is_the_product_over_every_character():
                     for chi in on_h:
                         prod = _ref_mul(prod, factors[chi], m)
                 assert not any(prod[1:]), (N, u, k)
-                assert zeta_special_value(AbelianFieldSpec(N, (u,)), 1 - k) == prod[0], (N, u, k)
+                assert zeta_special_value(abelian_field(N, (u,)), 1 - k) == prod[0], (N, u, k)
 
 
 # -- one HNF per printed basis ----------------------------------------------

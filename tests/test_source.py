@@ -68,6 +68,18 @@ def test_only_characters_names_the_unit_group_layout():
     assert not found, f"unit-group layout named outside characters: {found}"
 
 
+def test_fields_are_built_only_in_characters():
+    # homotopy and dedekind read one AbelianField: neither builds H or lists characters itself.
+    found = []
+    for stem in ("homotopy", "dedekind"):
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text())):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) \
+                else node.name if isinstance(node, ast.alias) else None
+            if name in ("unit_subgroup", "enumerate_characters"):
+                found.append(f"{stem}.py:{node.lineno}: {name}")
+    assert not found, found
+
+
 def test_no_module_imports_fractions_or_names_fraction():
     # A rational has one form: integer pairs inside a module, a CycElement of Q(zeta_1) at the API.
     found = []
@@ -336,7 +348,8 @@ def _cold_caches() -> dict[str, dict]:
 def test_caches_are_empty_after_a_cold_import():
     # Every call of the CLI starts cold; a cache filled at import would hide that cost.
     sizes = {name: cache["size"] for name, cache in _cold_caches().items()}
-    assert {"characters.get_structure", "characters.character_from_index", "homotopy._duality_setup",
+    assert {"characters.get_structure", "characters.character_from_index", "characters.abelian_field",
+            "characters.field_characters", "homotopy._jk_setup", "homotopy._duality_setup",
             "homotopy._direct_plan", "bernoulli._series_state", "bernoulli._polysum_state",
             "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
     assert not {name: n for name, n in sizes.items() if n}, sizes

@@ -9,9 +9,8 @@ import pickle
 
 import pytest
 
-from dirichletj.characters import DirichletCharacter, UnitGroupStructure, enumerate_characters, get_structure
+from dirichletj.characters import AbelianField, DirichletCharacter, UnitGroupStructure, enumerate_characters, get_structure
 from dirichletj.cli import RunReport
-from dirichletj.dedekind import AbelianFieldSpec
 from dirichletj.exactalg import AbelianGroupExpr
 from dirichletj.padic import PAdicCharacterData, PrimeToPPart
 
@@ -28,7 +27,7 @@ def _samples() -> list:
         PrimeToPPart(1, False),
         PAdicCharacterData(5, 2, 3, PrimeToPPart(1, False)),
         PAdicCharacterData(p=2, v=0, tame=0),
-        AbelianFieldSpec(13, (3,)),
+        AbelianField(13, (1, 3, 9)),
     ]
 
 
@@ -57,9 +56,9 @@ def test_hash_and_equality_follow_the_fields(x):
 
 def test_different_classes_never_compare_equal():
     st = get_structure(5)
-    spec = AbelianFieldSpec(st.modulus, st.generators)  # the same field tuple in another class
-    assert _fields(spec) == _fields(st)
-    assert spec != st and st != spec
+    field = AbelianField(st.modulus, st.generators)  # the same field tuple in another class
+    assert _fields(field) == _fields(st) and hash(field) == hash(st)
+    assert field != st and st != field
     assert st != (st.modulus, st.generators)
     assert AbelianGroupExpr.cyclic(2) != AbelianGroupExpr.cyclic(2).atoms
     assert PrimeToPPart(1, False) != (1, False)
@@ -87,7 +86,7 @@ def test_reprs_are_the_dataclass_reprs():
         "PrimeToPPart(wild_image_exp=1, image_is_p_power=False)",
         "PAdicCharacterData(p=5, v=2, tame=3, prime_to_p=PrimeToPPart(wild_image_exp=1, image_is_p_power=False))",
         "PAdicCharacterData(p=2, v=0, tame=0, prime_to_p=None)",
-        "AbelianFieldSpec(modulus=13, subgroup_gens=(3,))",
+        "AbelianField(conductor=13, subgroup=(1, 3, 9))",
     ]
     report = RunReport("demo", {"a": 1}, _start=1.5)
     assert repr(report) == (
