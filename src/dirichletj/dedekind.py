@@ -61,8 +61,8 @@ def verify_jk(field: AbelianField, t: int) -> dict:
     classical B_{2t}/(4t) normalization of the image of J.  The arithmetic
     side is the reduced denominator of zeta_K(1-2t): a prime that cancels
     against the numerator drops out of it, so the comparison fails at
-    f = 27, H_f = <8> for t = 3 (0 vs Z/7) and t = 6, where pi_JK carries a
-    7 that the reduced denominator lacks.  The row names K by f and H_f.
+    f = 9, H_f = <8> for t = 3 (Z/27 vs Z/27 + Z/7) and t = 6, where pi_JK
+    carries a 7 that the reduced denominator lacks.  The row names K by f and H_f.
     """
     f = field.conductor
     if len(factorize(f)) > 1:
