@@ -1,5 +1,6 @@
 """Twisted divisor sums, Eisenstein coefficients, congruence checks."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from dirichletj.characters import (
     is_primitive,
     parity,
 )
+from dirichletj.cli import main
 from dirichletj.cyclotomic import CycElement, get_field
 from dirichletj.eisenstein import congruence_check, eisenstein_coeffs
 
@@ -74,12 +76,16 @@ class TestSigma:
                     assert table[a * b] == table[a] * table[b]
 
     def test_matches_divisor_sum_written_here(self):
-        for N in range(1, 25):
+        # n_max = 120 up to N = 24, and n_max < N from N = 29 to 60, where the sieve reaches
+        # only some of the residues of each class of equal chi(d).
+        cases = [(N, (120,)) for N in range(1, 25)] + [(N, (1, 7, N - 1)) for N in range(29, 61)]
+        for N, n_maxes in cases:
             for chi in enumerate_characters(N):
                 m = chi.index() % 4
-                table = sieve_sums(chi, m, 120)
-                for n in range(1, 121):
-                    assert table[n] == divisor_sum_written_here(chi, m, n), (N, chi.index(), m, n)
+                expected = [divisor_sum_written_here(chi, m, n) for n in range(max(n_maxes) + 1)]
+                for n_max in n_maxes:
+                    table = sieve_sums(chi, m, n_max)
+                    assert table[1:] == expected[1:n_max + 1], (N, chi.index(), m, n_max)
 
     # The largest series a cold `eisenstein` call builds: n_max = 2000, a
     # character of order 4 (field degree 2) and one of field degree 4.
@@ -90,6 +96,25 @@ class TestSigma:
         assert len(table) == 2001 and table[0] == get_field(order).zero()
         for n in random.Random(14).sample(range(1, 2001), 50):
             assert table[n] == divisor_sum_written_here(chi, 10, n), n
+
+
+class TestPinnedOutputs:
+    def test_eisenstein_json_up_to_conductor_30(self, capsys):
+        # Every primitive chi of conductor 1 or 3..30, each weight <= 6 of chi's parity, and
+        # n_max in {1, 7, 40}, with every coefficient shown; the exit code and stdout, hashed.
+        lines = []
+        for N in [1] + list(range(3, 31)):
+            for chi in enumerate_characters(N):
+                if not is_primitive(chi):
+                    continue
+                for k in range(1 if parity(chi) < 0 else 2, 7, 2):
+                    for n_max in ("1", "7", "40"):
+                        code = main(["eisenstein", "--modulus", str(N), "--index", str(chi.index()),
+                                     "--weight", str(k), "--nmax", n_max, "--show-coeffs", n_max, "--json"])
+                        lines.append(f"{code}:{capsys.readouterr().out}")
+        assert len(lines) == 1512
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "9138068d20a369ee983fd4e08e4a6ca59bc891bcd309ad4526b57c7b28ba4492")
 
 
 class TestCoefficients:
