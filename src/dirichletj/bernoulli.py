@@ -38,8 +38,9 @@ ways and cross-asserted on every (chi, k):
 
 Both sum over the classes of residues a with equal chi(a), use the
 primitive representative of chi (the defining sum runs over the
-conductor) and share only the character's values (``evaluate``) and its
-parity, which only the series reads.
+conductor) and share only the character's table of values
+(``value_classes``, read once per state) and its parity, which only the
+series reads.  Neither evaluates chi residue by residue.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ from .characters import (
     DirichletCharacter,
     InputError,
     _value_exponent,
-    evaluate,
     is_primitive,
     kernel_order_match,
     parity,
     primitivize,
+    value_classes,
 )
 from .cyclotomic import CycElement, get_field
 from .exactalg import (
@@ -152,16 +153,11 @@ class _SeriesState:
 
     def __init__(self, chi: DirichletCharacter):
         self.N = chi.modulus
-        by_value: dict[tuple, list[int]] = {}
-        for a in range(1, self.N + 1):
-            val = evaluate(chi, a)
-            if val is not None:
-                by_value.setdefault(val.nums, []).append(a)
-        self.degree = len(next(iter(by_value)))
         # (zeta^e as the field's own integer vector, residues a with chi(a) = zeta^e, a^j for
         # the next j).  Nonzero (coordinate, coefficient) pairs would be a copy per character,
         # about 0.06 MB more peak memory over a perfbench arith-sweep pass.
-        self.classes = [(vec, residues, [1] * len(residues)) for vec, residues in by_value.items()]
+        self.classes = [(vec, residues, [1] * len(residues)) for vec, residues in value_classes(chi)]
+        self.degree = len(self.classes[0][0])
         self.nums: list[list[int]] = []
         self.dens: list[int] = []
         self.lcm = 1  # of dens
@@ -253,15 +249,10 @@ class _PolysumState:
 
     def __init__(self, chi: DirichletCharacter):
         self.N = chi.modulus
-        classes: dict[tuple, list[int]] = {}
-        for a in range(1, self.N + 1):
-            val = evaluate(chi, a)
-            if val is not None:
-                classes.setdefault(val.nums, []).append(a)
-        self.degree = len(next(iter(classes)))
+        vecs, self.residues = zip(*value_classes(chi))
+        self.degree = len(vecs[0])
         # zeta^e of each class as its nonzero (coordinate, coefficient) pairs
-        self.terms = [[(t, x) for t, x in enumerate(vec) if x] for vec in classes]
-        self.residues = list(classes.values())
+        self.terms = [[(t, x) for t, x in enumerate(vec) if x] for vec in vecs]
         self.pows = [[1] * len(r) for r in self.residues]  # a^i for the next i
         self.sums: list[list[int]] = [[] for _ in self.terms]
         self.npow = [1]  # N^0, N^1, ...
@@ -462,10 +453,7 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
         row["ok"] = x.is_integral() and sum(xj * pow(root, j, pe) for j, xj in enumerate(x.nums)) % pe == 0
         return row
     field = get_field(n)
-    chi_1p = evaluate(chi, 1 + p)
-    if chi_1p is None:
-        raise AssertionError(f"chi = {chi.modulus}:{chi.index()} vanishes at the unit {1 + p}")
-    x = (field.one() - chi_1p) * b_over_k - 1
+    x = (field.one() - field.zeta_power(_value_exponent(chi, 1 + p))) * b_over_k - 1
     row["case"] = "p^v-congruence"
     row["ok"] = x.is_integral()
     if row["ok"]:

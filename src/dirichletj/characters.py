@@ -11,7 +11,8 @@ decomposition of the unit group:
 Values land in Q(zeta_n) with n the order of the character, the minimal
 field; coercion into larger cyclotomic fields is explicit.  Each character
 computes its order and the weights e_i * n / o_i once, so a value is one
-dot product mod n with the discrete-log tuple of the argument.  The
+dot product mod n with the discrete-log tuple of the argument, and
+``value_classes`` groups all units by value in one pass.  The
 conductor is read off the exponent tuple, one prime at a time (see
 ``conductor``), without evaluating the character.  The generators of
 (Z/N)^x are those of each (Z/p^v)^x CRT-lifted, in prime order, so the
@@ -26,7 +27,9 @@ mixed-radix enumeration below (index 0 is the trivial character).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -49,10 +52,7 @@ class UnitGroupStructure(Record):
         return self._hash
 
     def phi(self) -> int:
-        out = 1
-        for o in self.orders:
-            out *= o
-        return out
+        return math.prod(self.orders)
 
 
 @lru_cache(maxsize=128)
@@ -73,7 +73,7 @@ def get_structure(N: int) -> UnitGroupStructure:
             phi = euler_phi(q)
             locals_ = [(smallest_primitive_root(q, phi), phi)]
         for g, order in locals_:
-            if _multiplicative_order(g, q) != order:
+            if p == 2 and _multiplicative_order(g, q) != order:  # smallest_primitive_root walked the odd ones
                 raise AssertionError(f"generator {g} mod {q} does not have order {order}")
             gens.append((p, v, _crt_lift(g, q, N), order))
     structure = UnitGroupStructure(modulus=N, generators=tuple(gens))
@@ -84,7 +84,7 @@ def get_structure(N: int) -> UnitGroupStructure:
 
 @lru_cache(maxsize=128)
 def _dlog_table(N: int) -> dict[int, tuple[int, ...]]:
-    """Exponent tuples of every unit mod N over the canonical generators."""
+    """Exponent tuples of every unit mod N over the canonical generators; the key 0 is the unit 1 at N = 1."""
     # (Z/N)^x is the direct product of the generators' cyclic groups: the table over the
     # first i generators times every power of the next one is the table over i + 1.
     table: dict[int, tuple[int, ...]] = {1 % N: ()}
@@ -93,6 +93,8 @@ def _dlog_table(N: int) -> dict[int, tuple[int, ...]]:
         for _ in range(order - 1):
             powers.append(powers[-1] * g % N)
         table = {a * x % N: exps + (e,) for a, exps in table.items() for e, x in enumerate(powers)}
+    if len(table) != get_structure(N).phi():  # so a residue missing from the table is a non-unit
+        raise AssertionError(f"the generators of (Z/{N})^x reach {len(table)} units, not phi({N})")
     return table
 
 
@@ -185,20 +187,26 @@ def character_from_index(N: int, index: int) -> DirichletCharacter:
 
 def _value_exponent(chi: DirichletCharacter, a: int) -> int | None:
     """t with chi(a) = zeta_n^t (n = order of chi), or None on non-units."""
-    N = chi.modulus
-    if N == 1:
-        return 0
-    if math.gcd(a, N) != 1:
-        return None
-    return sum(w * d for w, d in zip(chi._weights, _dlog_table(N)[a % N])) % chi._order
+    exps = _dlog_table(chi.modulus).get(a % chi.modulus)
+    return None if exps is None else sum(map(operator.mul, chi._weights, exps)) % chi._order
 
 
 def evaluate(chi: DirichletCharacter, a: int) -> CycElement | None:
     """chi(a) as a CycElement of Q(zeta_ord(chi)); None marks chi(a) = 0."""
     t = _value_exponent(chi, a)
-    if t is None:
-        return None
-    return get_field(chi.order()).zeta_power(t)
+    return None if t is None else get_field(chi.order()).zeta_power(t)
+
+
+def value_classes(chi: DirichletCharacter) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The units 1 <= a <= N grouped by chi(a), in no fixed order: (chi(a)'s vector over Q(zeta_ord chi), residues).
+
+    One pass over the discrete-log table: one dot product per unit and one field element per class.
+    """
+    n, weights = chi._order, chi._weights
+    by_exponent: dict[int, list[int]] = {}
+    for a, exps in _dlog_table(chi.modulus).items():
+        by_exponent.setdefault(sum(map(operator.mul, weights, exps)) % n, []).append(a or 1)
+    return [(get_field(n).zeta_power(t).nums, residues) for t, residues in by_exponent.items()]
 
 
 def parity(chi: DirichletCharacter) -> int:
@@ -252,14 +260,12 @@ def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
     if M == chi.modulus:
         return chi
     st = get_structure(M)
-    N = chi.modulus
     exps = []
     for _, _, g, order in st.generators:
-        # Lift g mod M to a unit mod N congruent to g (exists since M | N).
+        # The first lift b of g mod M that is a unit mod N (one exists since M | N): chi(b) = zeta_n^t.
         b = g
-        while math.gcd(b, N) != 1:
+        while (t := _value_exponent(chi, b)) is None:
             b += M
-        t = _value_exponent(chi, b)
         n = chi.order()
         # chi(b) = zeta_n^t must be an order-dividing-`order` root: exponent on g.
         if (t * order) % n:
@@ -398,9 +404,16 @@ def abelian_field(N: int, gens: tuple[int, ...]) -> AbelianField:
 
 @lru_cache(maxsize=128)
 def field_characters(field: AbelianField) -> tuple[DirichletCharacter, ...]:
-    """K's character group X: the [(Z/f)^x : H_f] characters mod f trivial on H_f, whose conductors have lcm f."""
-    return tuple(chi for chi in enumerate_characters(field.conductor)
-                 if all(_value_exponent(chi, h) == 0 for h in field.subgroup))
+    """K's character group X: the [(Z/f)^x : H_f] characters mod f trivial on H_f, whose conductors have lcm f.
+
+    chi(h) = zeta_L^(sum_i e_i d_i L / o_i) for the discrete logs d of h and L the lcm of the orders
+    o_i: each exponent tuple is tested on H_f in index order, and only the kept ones become characters.
+    """
+    st, table = get_structure(field.conductor), _dlog_table(field.conductor)
+    L = math.lcm(*st.orders)
+    logs = [tuple(d * (L // o) for d, o in zip(table[h], st.orders)) for h in field.subgroup]
+    return tuple(DirichletCharacter(st, exps) for exps in itertools.product(*map(range, st.orders))
+                 if all(sum(map(operator.mul, exps, row)) % L == 0 for row in logs))
 
 
 def display(chi: DirichletCharacter) -> dict:

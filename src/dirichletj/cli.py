@@ -34,7 +34,7 @@ SCHEMA = 1
 # The divisor sieve of an Eisenstein series holds every sum up to --nmax at once.
 MAX_NMAX = 100_000
 # Caps at about the cost of --nmax 100000 (2 s of CPU, 75 MB): `chars list` of the
-# prime 49999 takes 2.2 s and 73 MB, and a 50000-degree `homotopy` table from
+# prime 49999 takes 0.7-0.8 s and 55 MB cold, and a 50000-degree `homotopy` table from
 # degree 1 up to 1.9 s and 33 MB.  MAX_MODULUS bounds every modulus, level and prime
 # the CLI reads, as each is factored by trial division, in every degree for a table,
 # or sets the size of a table of residues; MAX_DEGREES also bounds an `e2` table's cells.

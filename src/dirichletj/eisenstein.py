@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 
 from .bernoulli import denom_ideal, gbn
-from .characters import DirichletCharacter, InputError, conductor, evaluate, is_primitive, parity
+from .characters import DirichletCharacter, InputError, conductor, is_primitive, parity, value_classes
 from .cyclotomic import CycElement, denominator_invariants, get_field
 from .exactalg import _vp, factorize, times_x_rows
 
@@ -43,27 +43,25 @@ from .exactalg import _vp, factorize, times_x_rows
 def _sigma_rows(chi: DirichletCharacter, m: int, n_max: int) -> list[list[int]]:
     """The integer vectors of sigma_{m,chi}(n) over the power basis, for 0 <= n <= n_max.
 
-    One divisor sieve: each d <= n_max adds chi(d) d^m to the vector of
-    every multiple of d, with chi(d) read from one table of
-    ``evaluate(chi, a)`` for a < min(modulus, n_max + 1).  Row 0 is zero
-    (the sieve adds nothing to it).
+    One divisor sieve: each unit d <= n_max adds chi(d) d^m to the vector
+    of every multiple of d, the d stepping by the modulus from each residue
+    of each class of ``value_classes``, so chi is evaluated nowhere here.
+    Row 0 is zero (the sieve adds nothing to it).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    values = [evaluate(chi, a) for a in range(min(chi.modulus, n_max + 1))]
     acc = [[0] * get_field(chi.order()).degree for _ in range(n_max + 1)]
-    for d in range(1, n_max + 1):
-        val = values[d % chi.modulus]
-        if val is None:
-            continue
-        w = d**m
-        terms = [(t, x * w) for t, x in enumerate(val.nums) if x]
-        for n in range(d, n_max + 1, d):
-            row = acc[n]
-            for t, y in terms:
-                row[t] += y
+    for vec, residues in value_classes(chi):
+        for a in residues:
+            for d in range(a, n_max + 1, chi.modulus):
+                w = d**m
+                scaled = [(t, x * w) for t, x in enumerate(vec) if x]
+                for n in range(d, n_max + 1, d):
+                    row = acc[n]
+                    for t, y in scaled:
+                        row[t] += y
     return acc
 
 

@@ -234,29 +234,35 @@ class TestGrowingSeries:
             assert [c.cache_info().currsize for c in states] == [5, 5]
         _clear_gbn_caches()
 
-    def test_each_pipeline_evaluates_chi_once_per_residue(self, monkeypatch):
+    def test_each_pipeline_reads_the_value_classes_once_per_character(self, monkeypatch):
         from dirichletj import characters
 
         chi = character_from_index(13, 1)
-        honest = characters.evaluate
-        calls = []
+        honest_classes, honest_evaluate = characters.value_classes, characters.evaluate
+        reads, evaluated = [], []
 
-        def counting(chi_, a):
-            calls.append(a)
-            return honest(chi_, a)
+        def reading(chi_):
+            reads.append(chi_)
+            return honest_classes(chi_)
 
-        monkeypatch.setattr(characters, "evaluate", counting)
-        monkeypatch.setattr(bernoulli, "evaluate", counting)
+        def evaluating(chi_, a):
+            evaluated.append(a)
+            return honest_evaluate(chi_, a)
+
+        monkeypatch.setattr(bernoulli, "value_classes", reading)
+        monkeypatch.setattr(characters, "evaluate", evaluating)
+        # The classes hold each unit 1 <= a <= 13 once.
+        assert sorted(a for _, residues in honest_classes(chi) for a in residues) == list(range(1, 13))
         _clear_gbn_caches()
         for k in range(13):
             gbn(chi, k)
-        assert len(calls) == 2 * 13
+        assert reads == [chi, chi] and evaluated == []
         for pipeline in (bernoulli._gbn_series, bernoulli._gbn_polysum):
             _clear_gbn_caches()
-            calls.clear()
+            reads.clear()
             for k in range(13):
                 pipeline(chi, k)
-            assert sorted(calls) == list(range(1, 14))
+            assert reads == [chi] and evaluated == []
 
     def test_perturbed_oracle_raises_on_grown_character(self, monkeypatch):
         chi = character_from_index(7, 1)

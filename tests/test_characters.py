@@ -23,9 +23,11 @@ from dirichletj.characters import (
     parity,
     primitivize,
     tame_order,
+    value_classes,
 )
 from dirichletj.cyclotomic import get_field
-from dirichletj.exactalg import euler_phi
+from dirichletj import exactalg
+from dirichletj.exactalg import _multiplicative_order, euler_phi
 
 from exponent_tuples import char_mul, char_pow, factor_local
 
@@ -136,6 +138,19 @@ class TestEvaluation:
                     assert acc == field.from_rational(euler_phi(N))
                 else:
                     assert acc.is_zero()
+
+
+def test_value_classes_match_evaluate():
+    # The classes are disjoint, cover the units in [1, N], and each vector is chi's value on its class.
+    for N in range(1, 61):
+        units = [a for a in range(1, N + 1) if math.gcd(a, N) == 1]
+        for chi in enumerate_characters(N):
+            classes = value_classes(chi)
+            residues = [a for _, r in classes for a in r]
+            assert sorted(residues) == units, (N, chi.index())
+            assert len({vec for vec, _ in classes}) == len(classes)
+            for vec, r in classes:
+                assert all(evaluate(chi, a).nums == vec for a in r), (N, chi.index(), vec)
 
 
 class TestConductor:
@@ -439,3 +454,21 @@ def test_cold_dlog_table_takes_phi_from_the_structure(monkeypatch):
     (_, _, g, order), = get_structure(997).generators
     assert order == len(table) == 996
     assert all(pow(g, e, 997) == a for a, (e,) in table.items())
+
+
+def test_structure_walks_each_generator_once(monkeypatch):
+    # smallest_primitive_root walks the order of each odd prime's root; get_structure walks only
+    # the fixed generators at 2: -1 and 5 mod 8 here, and the roots mod 9 and 5.
+    walks = []
+
+    def counted(a, modulus):
+        walks.append((a, modulus))
+        return _multiplicative_order(a, modulus)
+
+    monkeypatch.setattr(characters, "_multiplicative_order", counted)
+    monkeypatch.setattr(exactalg, "_multiplicative_order", counted)
+    characters.get_structure.cache_clear()
+    structure = get_structure(360)
+    assert sorted(walks) == [(2, 5), (2, 9), (5, 8), (7, 8)]
+    assert structure.orders == (2, 2, 6, 4)
+    characters.get_structure.cache_clear()

@@ -9,8 +9,10 @@ import pytest
 
 from dirichletj import characters, dedekind
 from dirichletj.bernoulli import bernoulli_number, l_value
-from dirichletj.characters import AbelianField, abelian_field, char_inv, field_characters, unit_subgroup
+from dirichletj.characters import (AbelianField, abelian_field, char_inv, enumerate_characters, evaluate,
+                                   field_characters, unit_subgroup)
 from dirichletj.cli import main
+from dirichletj.cyclotomic import get_field
 from dirichletj.dedekind import verify_jk, zeta_special_value
 from dirichletj.exactalg import factorize
 
@@ -32,6 +34,16 @@ class TestFieldCharacters:
     def test_trivial_subgroup(self):
         field = abelian_field(5, ())
         assert len(field_characters(field)) == 4
+
+    def test_x_is_every_character_trivial_on_h_f_in_index_order(self):
+        # The brute-force route: evaluate every character mod f on every element of H_f.
+        fields = {abelian_field(N, gens) for N in range(1, 65)
+                  for gens in [()] + [(u,) for u in range(N) if math.gcd(u, N) == 1]}
+        assert len(fields) == 256
+        for field in fields:
+            expected = tuple(chi for chi in enumerate_characters(field.conductor)
+                             if all(evaluate(chi, h) == get_field(chi.order()).one() for h in field.subgroup))
+            assert field_characters(field) == expected, field
 
     def test_closed_under_inverse_and_product(self):
         field = abelian_field(7, (6,))

@@ -113,6 +113,17 @@ def test_bernoulli_pipelines_share_no_code():
         assert not named & other, f"{name} names {sorted(named & other)}"
 
 
+def test_pipelines_and_sieve_read_the_value_classes_and_evaluate_nothing():
+    # Only characters evaluates chi residue by residue; both B_(k,chi) pipelines and the
+    # Eisenstein sieve read its one table of values.
+    for module, name in (("bernoulli", "_SeriesState"), ("bernoulli", "_PolysumState"), ("eisenstein", "_sigma_rows")):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        node = next(node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+        named = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        assert "value_classes" in named and not named & {"evaluate", "_value_exponent"}, (name, sorted(named))
+
+
 def test_padic_resultant_check_shares_no_code_with_the_elimination():
     # The resultant checks the Smith elimination; it may not name the elimination or a row builder.
     tree = ast.parse((SRC / "padic.py").read_text())
