@@ -262,7 +262,7 @@ def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
     st = get_structure(M)
     exps = []
     for _, _, g, order in st.generators:
-        # The first lift b of g mod M that is a unit mod N (one exists since M | N): chi(b) = zeta_n^t.
+        # The first lift b of g mod M that is a unit mod N (one exists since M | N), and chi(b) = zeta_n^t.
         b = g
         while (t := _value_exponent(chi, b)) is None:
             b += M

@@ -118,7 +118,8 @@ def test_pipelines_and_sieve_read_the_value_classes_and_evaluate_nothing():
     # Eisenstein sieve read its one table of values.
     for module, name in (("bernoulli", "_SeriesState"), ("bernoulli", "_PolysumState"), ("eisenstein", "_sigma_rows")):
         tree = ast.parse((SRC / f"{module}.py").read_text())
-        node = next(node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+        node = next(node for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
         named = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
                  if isinstance(n, (ast.Name, ast.Attribute))}
         assert "value_classes" in named and not named & {"evaluate", "_value_exponent"}, (name, sorted(named))
