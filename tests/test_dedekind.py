@@ -208,6 +208,13 @@ class TestPinnedOutputs:
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
             "f766e755fa2e30c482de6584e56b59399bde2f7e42c7d1a64c8ca2e27b701391")
 
+    def test_dedekind_json_at_the_largest_modulus(self, capsys):
+        # The call with the largest tables of chi's values: 49999 is prime, so every nontrivial
+        # character of the field is primitive there, and its table holds 49998 units.
+        assert main(["dedekind", "--modulus", "49999", "--subgroup", "2", "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "02198250db104041c792991126b0866beac22d928583a6edc57a99afbfb3d92d")
+
     def test_verify_jk_rows_of_totally_real_fields_at_their_conductor(self, capsys):
         # N = 1 and the prime powers <= 49, H trivial or generated by one unit, -1 in H,
         # and no proper divisor of N a level of the same field; t <= 3.
