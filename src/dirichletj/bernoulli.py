@@ -17,7 +17,7 @@ ways and cross-asserted on every (chi, k):
 * generating function: k! times the t^k coefficient of
   ``sum_a chi(a) t e^{at} / (e^{Nt} - 1)``.  Each primitive character's
   quotient series is grown once, one coefficient per k, and reused
-  across k (the ``lru_cache`` ``_series_state``); it is extended only as
+  across k (``_SeriesState``); it is extended only as
   far as the largest k asked for, in integer arithmetic over the power
   basis of Q(zeta_ord(chi)), and its integer vector and denominator
   become the ``CycElement`` as they are.  Each step takes its binomials
@@ -30,7 +30,7 @@ ways and cross-asserted on every (chi, k):
   the series;
 * Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``.  Each
   primitive character keeps, per class of equal chi(a), the integer power
-  sums of its residues (the ``lru_cache`` ``_polysum_state``), grown only
+  sums of its residues (``_PolysumState``), grown only
   as far as the largest k asked for; B_{k,chi} is read off them and the
   nonzero coefficients of B_k(x), kept as integer numerators over one
   denominator.  It computes every value, the parity zeros included, so
@@ -38,9 +38,11 @@ ways and cross-asserted on every (chi, k):
 
 Both sum over the classes of residues a with equal chi(a), use the
 primitive representative of chi (the defining sum runs over the
-conductor) and share only the character's table of values
-(``value_classes``, read once per state) and its parity, which only the
-series reads.  Neither evaluates chi residue by residue.
+conductor) and share only the character's table of values and its
+parity, which only the series reads.  One ``lru_cache``, ``_states``,
+holds both states of a character, built from one read of the table
+(``value_classes``) that neither changes.  Neither evaluates chi residue
+by residue.
 """
 
 from __future__ import annotations
@@ -151,12 +153,12 @@ class _SeriesState:
 
     __slots__ = ("N", "degree", "classes", "nums", "dens", "lcm", "nonzero", "binom", "npow", "zero_parity")
 
-    def __init__(self, chi: DirichletCharacter):
+    def __init__(self, chi: DirichletCharacter, classes: list[tuple[tuple[int, ...], list[int]]]):
         self.N = chi.modulus
         # (zeta^e as the field's own integer vector, residues a with chi(a) = zeta^e, a^j for
         # the next j).  Nonzero (coordinate, coefficient) pairs would be a copy per character,
         # about 0.06 MB more peak memory over a perfbench arith-sweep pass.
-        self.classes = [(vec, residues, [1] * len(residues)) for vec, residues in value_classes(chi)]
+        self.classes = [(vec, residues, [1] * len(residues)) for vec, residues in classes]
         self.degree = len(self.classes[0][0])
         self.nums: list[list[int]] = []
         self.dens: list[int] = []
@@ -214,22 +216,6 @@ class _SeriesState:
             self.lcm = L * den // math.gcd(L, den)
 
 
-# Growing series state per primitive character, the least recently used dropped
-# first: a perfbench pass over every arith-sweep candidate holds 105, `verify all` 73.
-@lru_cache(maxsize=512)
-def _series_state(chi: DirichletCharacter) -> _SeriesState:
-    return _SeriesState(chi)
-
-
-def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
-    """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t) over Q(zeta_ord)."""
-    state = _series_state(chi)
-    if state.vanishes(k):
-        return get_field(chi.order()).zero()
-    state.extend(k)
-    return CycElement(get_field(chi.order()), state.nums[k], state.dens[k])
-
-
 class _PolysumState:
     """Per-class power sums of one primitive chi, for the Bernoulli-polynomial oracle.
 
@@ -247,9 +233,9 @@ class _PolysumState:
 
     __slots__ = ("N", "degree", "terms", "residues", "pows", "sums", "npow")
 
-    def __init__(self, chi: DirichletCharacter):
+    def __init__(self, chi: DirichletCharacter, classes: list[tuple[tuple[int, ...], list[int]]]):
         self.N = chi.modulus
-        vecs, self.residues = zip(*value_classes(chi))
+        vecs, self.residues = zip(*classes)
         self.degree = len(vecs[0])
         # zeta^e of each class as its nonzero (coordinate, coefficient) pairs
         self.terms = [[(t, x) for t, x in enumerate(vec) if x] for vec in vecs]
@@ -278,15 +264,26 @@ class _PolysumState:
         return nums, self.N * den
 
 
-# Power-sum state of the oracle per primitive character, bounded as the series is.
+# Both growing states per primitive character, the least recently used dropped first:
+# a perfbench pass over every arith-sweep candidate holds 105, `verify all` 73.
 @lru_cache(maxsize=512)
-def _polysum_state(chi: DirichletCharacter) -> _PolysumState:
-    return _PolysumState(chi)
+def _states(chi: DirichletCharacter) -> tuple[_SeriesState, _PolysumState]:
+    classes = value_classes(chi)
+    return _SeriesState(chi, classes), _PolysumState(chi, classes)
+
+
+def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
+    """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t) over Q(zeta_ord)."""
+    state = _states(chi)[0]
+    if state.vanishes(k):
+        return get_field(chi.order()).zero()
+    state.extend(k)
+    return CycElement(get_field(chi.order()), state.nums[k], state.dens[k])
 
 
 def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
     """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N)."""
-    nums, den = _polysum_state(chi).value(k)
+    nums, den = _states(chi)[1].value(k)
     return CycElement(get_field(chi.order()), nums, den)
 
 

@@ -90,12 +90,13 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
 def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
     """Check c_n against the denominator ideal for 1 <= n <= n_max.
 
-    Returns a report with per-n rows and the ``coefficients`` c_0..c_n_max.
-    ``mandatory_ok`` is membership in the conductor-primary part of the
-    ideal (all primes of the index for conductor 1): the denominator of
-    c_n is prime to that part of the index.  ``full_ok`` is membership in
-    the whole ideal, which is integrality of c_n; it is reported only
-    (failures are findings).
+    Returns a report with the ``coefficients`` c_0..c_n_max and two counts
+    of the n that fail a test.  ``mandatory_failures`` counts the c_n
+    outside the conductor-primary part of the ideal (all primes of the
+    index for conductor 1): those whose denominator shares a prime with
+    that part of the index.  ``full_findings`` counts the c_n outside the
+    whole ideal, the non-integral ones; they are reported only (failures
+    are findings).
     """
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
@@ -110,19 +111,15 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
         p, = primes
         primary = p ** _vp(idx, p)
     coeffs = eisenstein_coeffs(chi, k, n_max)
-    rows = [
-        {"n": n, "mandatory_ok": math.gcd(c.den, primary) == 1, "full_ok": c.den == 1}
-        for n, c in enumerate(coeffs[1:], 1)
-    ]
-    mandatory_failures = sum(not row["mandatory_ok"] for row in rows)
+    # c_0 = 1 has denominator 1, so it counts in neither sum.
+    mandatory_failures = sum(math.gcd(c.den, primary) != 1 for c in coeffs)
     return {
         "modulus": chi.modulus,
         "index": chi.index(),
         "k": k,
         "ideal_index": idx,
-        "rows": rows,
         "coefficients": coeffs,
         "mandatory_failures": mandatory_failures,
-        "full_findings": sum(not row["full_ok"] for row in rows),
+        "full_findings": sum(c.den != 1 for c in coeffs),
         "ok": mandatory_failures == 0,
     }

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +26,7 @@ from dirichletj.characters import (
     is_primitive,
     kernel_order_match,
     parity,
+    primitivize,
     tame_order,
 )
 from dirichletj.cyclotomic import CycElement, denominator_ideal, galois_apply, get_field, quotient_group, render_cyc
@@ -166,8 +168,7 @@ class TestGBN:
 
 def _clear_gbn_caches():
     bernoulli._gbn_primitive.cache_clear()
-    bernoulli._series_state.cache_clear()
-    bernoulli._polysum_state.cache_clear()
+    bernoulli._states.cache_clear()
 
 
 class TestGrowingSeries:
@@ -195,15 +196,15 @@ class TestGrowingSeries:
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
         gbn(chi, 3)
-        assert len(bernoulli._series_state(chi).nums) == 4
+        assert len(bernoulli._states(chi)[0].nums) == 4
         gbn(chi, 1)
-        assert len(bernoulli._series_state(chi).nums) == 4
+        assert len(bernoulli._states(chi)[0].nums) == 4
 
     def test_series_keeps_its_pascal_row_powers_of_n_and_nonzero_indices(self):
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
         gbn(chi, 9)
-        state = bernoulli._series_state(chi)
+        state = bernoulli._states(chi)[0]
         assert state.binom == [math.comb(10, i) for i in range(11)]
         # chi is odd, so the nonzero B_i sit two apart: the Horner steps read N^2, and step j
         # ends with N^(j+1-i) for the last nonzero i < j, at most N^3.
@@ -216,28 +217,27 @@ class TestGrowingSeries:
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
         gbn(chi, 3)
-        assert {len(P) for P in bernoulli._polysum_state(chi).sums} == {4}
+        assert {len(P) for P in bernoulli._states(chi)[1].sums} == {4}
         gbn(chi, 1)
-        assert {len(P) for P in bernoulli._polysum_state(chi).sums} == {4}
+        assert {len(P) for P in bernoulli._states(chi)[1].sums} == {4}
 
-    def test_state_caches_are_bounded_and_regrow(self):
-        states = (bernoulli._series_state, bernoulli._polysum_state)
-        assert [cache.cache_info().maxsize for cache in states] == [512, 512]
+    def test_state_cache_is_bounded_and_regrows(self):
+        assert bernoulli._states.cache_info().maxsize == 512
         _clear_gbn_caches()
         chars = [chi for chi, _ in self.GRID[:5]]
         expected = [gbn(chi, 4) for chi in chars]
-        for cache in states:
-            cache.cache_clear()
-            bernoulli._gbn_primitive.cache_clear()
-            # The cleared pipeline grows its states again from k = 0, and the two pipelines still agree.
-            assert [gbn(chi, 4) for chi in chars] == expected
-            assert [c.cache_info().currsize for c in states] == [5, 5]
+        bernoulli._states.cache_clear()
+        bernoulli._gbn_primitive.cache_clear()
+        # Both pipelines grow their states again from k = 0, and they still agree.
+        assert [gbn(chi, 4) for chi in chars] == expected
+        assert bernoulli._states.cache_info().currsize == 5
         _clear_gbn_caches()
 
-    def test_each_pipeline_reads_the_value_classes_once_per_character(self, monkeypatch):
+    def test_each_character_reads_the_value_classes_once_for_both_pipelines(self, monkeypatch):
         from dirichletj import characters
 
-        chi = character_from_index(13, 1)
+        chi, other = character_from_index(13, 1), character_from_index(13, 2)
+        lift = next(c for c in enumerate_characters(26) if primitivize(c) == chi)
         honest_classes, honest_evaluate = characters.value_classes, characters.evaluate
         reads, evaluated = [], []
 
@@ -256,13 +256,31 @@ class TestGrowingSeries:
         _clear_gbn_caches()
         for k in range(13):
             gbn(chi, k)
-        assert reads == [chi, chi] and evaluated == []
+            gbn(lift, k)
+            gbn(other, k)
+        assert reads == [chi, other] and evaluated == []
         for pipeline in (bernoulli._gbn_series, bernoulli._gbn_polysum):
             _clear_gbn_caches()
             reads.clear()
             for k in range(13):
                 pipeline(chi, k)
             assert reads == [chi] and evaluated == []
+
+    def test_growing_both_states_leaves_the_shared_classes_as_read(self, monkeypatch):
+        chi = character_from_index(13, 2)  # even, so the series grows to B_20 != 0
+        honest, read = bernoulli.value_classes, []
+        monkeypatch.setattr(bernoulli, "value_classes", lambda chi_: read.append(honest(chi_)) or read[-1])
+        _clear_gbn_caches()
+        for k in range(21):
+            gbn(chi, k)
+        [classes] = read
+        series, polysum = bernoulli._states(chi)
+        assert len(series.nums) == 21 and {len(P) for P in polysum.sums} == {21}
+        # Both states hold the residue lists of the one read, and neither changed them.
+        residues = [r for _, r in classes]
+        assert all(map(operator.is_, [r for _, r, _ in series.classes], residues))
+        assert all(map(operator.is_, polysum.residues, residues))
+        assert classes == honest(chi)
 
     def test_perturbed_oracle_raises_on_grown_character(self, monkeypatch):
         chi = character_from_index(7, 1)
@@ -293,15 +311,15 @@ class TestParityZeros:
     def test_series_does_not_grow_at_a_parity_zero(self):
         chi = character_from_index(5, 1)  # odd, so B_40 = 0
         assert gbn(chi, 40).is_zero()
-        assert bernoulli._series_state(chi).nums == []
-        assert {len(P) for P in bernoulli._polysum_state(chi).sums} == {41}
+        assert bernoulli._states(chi)[0].nums == []
+        assert {len(P) for P in bernoulli._states(chi)[1].sums} == {41}
 
     @pytest.mark.parametrize("N, idx", [(1, 0), (5, 1), (5, 2), (8, 3)])
     def test_series_steps_over_parity_zeros(self, N, idx):
         chi = character_from_index(N, idx)
         for k in range(14):
             gbn(chi, k)
-        state = bernoulli._series_state(chi)
+        state = bernoulli._states(chi)[0]
         grown = range(len(state.nums))
         assert len(grown) == (13 if parity(chi) == 1 else 14)  # up to the last nonzero B_k, k <= 13
         zeros = [j for j in grown if (-1) ** j != parity(chi) and (j > 1 or N > 1)]

@@ -240,6 +240,17 @@ def rows_by_ideal_membership(ideal, N, coeffs):
     return rows
 
 
+def verdicts(result, N):
+    """(mandatory_ok, full_ok) for c_1, c_2, ..., read off the denominators of the report's coefficients.
+
+    The mandatory test reads the part of the report's ideal index at the
+    conductor's prime (the whole index for conductor 1).
+    """
+    idx = result["ideal_index"]
+    primary = idx if N == 1 else math.gcd(idx, N ** idx.bit_length())
+    return [(math.gcd(c.den, primary) == 1, c.den == 1) for c in result["coefficients"][1:]]
+
+
 def _congruence_grid():
     """(chi, k, n_max): small prime-power conductors, conductor 1 to weight 20, and 37 to k = 40."""
     for N, k_max, n_max in [(1, 20, 30), (3, 8, 20), (4, 8, 20), (5, 8, 20), (7, 6, 20), (8, 6, 10),
@@ -255,10 +266,12 @@ def test_denominator_tests_agree_with_ideal_membership():
     checked_at_37, failing_at_37 = 0, 0
     for chi, k, n_max in _congruence_grid():
         result = congruence_check(chi, k, n_max)
-        got = [(row["mandatory_ok"], row["full_ok"]) for row in result["rows"]]
+        assert len(result["coefficients"]) == n_max + 1
         expected = rows_by_ideal_membership(denominator_lattice(denom_ideal(chi, k)), chi.modulus,
                                             result["coefficients"])
-        assert got == expected, (chi.modulus, chi.index(), k)
+        assert verdicts(result, chi.modulus) == expected, (chi.modulus, chi.index(), k)
+        assert result["mandatory_failures"] == sum(not ok for ok, _ in expected)
+        assert result["full_findings"] == sum(not ok for _, ok in expected)
         if chi.modulus == 37:
             checked_at_37 += 1
             failing_at_37 += not result["ok"]
@@ -282,9 +295,10 @@ def test_mandatory_test_reads_only_the_conductor_part_of_the_index(monkeypatch):
     monkeypatch.setattr(eisenstein, "denom_ideal", lambda chi, k: x / 25)
     scaled_result = congruence_check(odd4(), 5, 20)
     assert scaled_result["ideal_index"] == 5 * result["ideal_index"] == 20
-    mandatory = [row["mandatory_ok"] for row in scaled_result["rows"]]
-    assert mandatory == [row["mandatory_ok"] for row in result["rows"]] == [True] * 20
+    mandatory = [ok for ok, _ in verdicts(scaled_result, 4)]
+    assert mandatory == [ok for ok, _ in verdicts(result, 4)] == [True] * 20
     assert mandatory == [ok for ok, _ in rows_by_ideal_membership(scaled, 4, scaled_result["coefficients"])]
+    assert scaled_result["mandatory_failures"] == result["mandatory_failures"] == 0
 
 
 def test_ideal_index_is_the_product_of_all_invariants(monkeypatch):
@@ -298,4 +312,7 @@ def test_ideal_index_is_the_product_of_all_invariants(monkeypatch):
     monkeypatch.setattr(eisenstein, "denom_ideal", lambda chi, k: x / 3)
     scaled_result = congruence_check(chi, 1, 20)
     assert scaled_result["ideal_index"] == scaled.index() == 9 * result["ideal_index"] == 90
-    assert [row["mandatory_ok"] for row in scaled_result["rows"]] == [row["mandatory_ok"] for row in result["rows"]]
+    mandatory = [ok for ok, _ in verdicts(scaled_result, 5)]
+    assert mandatory == [ok for ok, _ in verdicts(result, 5)]
+    assert mandatory == [ok for ok, _ in rows_by_ideal_membership(scaled, 5, scaled_result["coefficients"])]
+    assert scaled_result["mandatory_failures"] == result["mandatory_failures"] == mandatory.count(False)

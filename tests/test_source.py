@@ -104,8 +104,8 @@ def test_bernoulli_pipelines_share_no_code():
     # computes them, so it names neither.
     tree = ast.parse((SRC / "bernoulli.py").read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    series = {"_gbn_series", "_SeriesState", "_series_state", "parity", "zero_parity", "vanishes"}
-    polysum = {"_gbn_polysum", "_PolysumState", "_polysum_state"}
+    series = {"_gbn_series", "_SeriesState", "parity", "zero_parity", "vanishes"}
+    polysum = {"_gbn_polysum", "_PolysumState"}
     checks = [("_gbn_series", polysum), ("_SeriesState", polysum), ("_gbn_polysum", series), ("_PolysumState", series)]
     for name, other in checks:
         named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(defs[name])
@@ -114,15 +114,23 @@ def test_bernoulli_pipelines_share_no_code():
 
 
 def test_pipelines_and_sieve_read_the_value_classes_and_evaluate_nothing():
-    # Only characters evaluates chi residue by residue; both B_(k,chi) pipelines and the
-    # Eisenstein sieve read its one table of values.
-    for module, name in (("bernoulli", "_SeriesState"), ("bernoulli", "_PolysumState"), ("eisenstein", "_sigma_rows")):
+    # Only characters evaluates chi residue by residue.  The Eisenstein sieve reads its one
+    # table of values, and so does the one cache of both B_(k,chi) states, which hands the
+    # table to each state and runs no step of either pipeline.
+    def named(module, name):
         tree = ast.parse((SRC / f"{module}.py").read_text())
         node = next(node for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
-        named = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                 if isinstance(n, (ast.Name, ast.Attribute))}
-        assert "value_classes" in named and not named & {"evaluate", "_value_exponent"}, (name, sorted(named))
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    states = named("bernoulli", "_states")
+    assert {"value_classes", "_SeriesState", "_PolysumState"} <= states, sorted(states)
+    assert not states & {"extend", "value", "vanishes"}, sorted(states)
+    for module, name in (("bernoulli", "_SeriesState"), ("bernoulli", "_PolysumState"), ("eisenstein", "_sigma_rows")):
+        names = named(module, name)
+        assert not names & {"evaluate", "_value_exponent"}, (name, sorted(names))
+    assert "value_classes" in named("eisenstein", "_sigma_rows")
 
 
 def test_padic_resultant_check_shares_no_code_with_the_elimination():
@@ -362,8 +370,7 @@ def test_caches_are_empty_after_a_cold_import():
     sizes = {name: cache["size"] for name, cache in _cold_caches().items()}
     assert {"characters.get_structure", "characters.character_from_index", "characters.abelian_field",
             "characters.field_characters", "homotopy._jk_setup", "homotopy._duality_setup",
-            "homotopy._direct_plan", "bernoulli._series_state", "bernoulli._polysum_state",
-            "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
+            "homotopy._direct_plan", "bernoulli._states", "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
     assert not {name: n for name, n in sizes.items() if n}, sizes
 
 
