@@ -33,9 +33,10 @@ from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle
 SCHEMA = 1
 # The divisor sieve of an Eisenstein series holds every sum up to --nmax at once.
 MAX_NMAX = 100_000
-# Caps at about the cost of --nmax 100000 (2 s of CPU, 75 MB): `chars list` of the
-# prime 49999 takes 0.7-0.8 s and 55 MB cold, and a 50000-degree `homotopy` table from
-# degree 1 up to 1.9 s and 33 MB.  MAX_MODULUS bounds every modulus, level and prime
+# Caps at about the cost of --nmax 100000, cold: `eisenstein --modulus 5 --index 1 --weight 1`
+# takes 0.5-0.6 s of CPU and 36 MB, `--modulus 29 --index 1` (order 28) 2.2-2.5 s and 51 MB;
+# `chars list` of the prime 49999 0.5-0.6 s and 55 MB, and a 50000-degree `homotopy` table
+# from degree 1 up to 1.9 s and 33 MB.  MAX_MODULUS bounds every modulus, level and prime
 # the CLI reads, as each is factored by trial division, in every degree for a table,
 # or sets the size of a table of residues; MAX_DEGREES also bounds an `e2` table's cells.
 MAX_MODULUS = 50_000
