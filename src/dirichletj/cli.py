@@ -34,8 +34,8 @@ SCHEMA = 1
 # The divisor sieve of an Eisenstein series holds every sum up to --nmax at once.
 MAX_NMAX = 100_000
 # Caps at about the cost of --nmax 100000, cold: `eisenstein --modulus 5 --index 1 --weight 1`
-# takes 0.5-0.6 s of CPU and 36 MB, `--modulus 29 --index 1` (order 28) 2.2-2.5 s and 51 MB;
-# `chars list` of the prime 49999 0.5-0.6 s and 55 MB, and a 50000-degree `homotopy` table
+# takes 0.5-1.2 s of CPU and 36 MB, `--modulus 29 --index 1` (order 28) 2.2-4.5 s and 51 MB;
+# `chars list` of the prime 49999 0.5-1.0 s and 55 MB, and a 50000-degree `homotopy` table
 # from degree 1 up to 1.9 s and 33 MB.  MAX_MODULUS bounds every modulus, level and prime
 # the CLI reads, as each is factored by trial division, in every degree for a table,
 # or sets the size of a table of residues; MAX_DEGREES also bounds an `e2` table's cells.
