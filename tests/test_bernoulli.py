@@ -371,6 +371,16 @@ def test_rendered_values_on_the_small_grid_are_pinned():
     assert digest == "c059a745436f10a130c694ddb75619b3f8044f2a7443b3e80bd69d0aa3c838ee"
 
 
+def test_rendered_values_of_one_and_four_residues_per_class_are_pinned():
+    # 61:1 has order 60, so each value class holds one residue (k = 33, 35 and 39 are the
+    # degree-16 calls of perfbench's cli-cold); 105:31 has order 12, four residues per class.
+    cases = [(character_from_index(61, 1), k) for k in (33, 35, 39)]
+    cases += [(character_from_index(105, 31), k) for k in range(25)]
+    lines = [f"{chi.modulus}:{chi.index()}:{k}:{render_cyc(gbn(chi, k))}" for chi, k in cases]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f9c276bc113777e379a057aceddad8c7f4b4eb966f42668de7d497acbae04a76"
+
+
 def _bernoulli_polynomials(k_max):
     """Ascending coefficients of B_0(x), ..., B_k_max(x) from B_0 = 1,
     B_k' = k B_(k-1) and, for k >= 1, zero integral over [0, 1]."""

@@ -116,6 +116,15 @@ class TestPinnedOutputs:
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
             "9138068d20a369ee983fd4e08e4a6ca59bc891bcd309ad4526b57c7b28ba4492")
 
+    def test_eisenstein_json_at_nmax_20000(self, capsys):
+        # The quartic character mod 5 at weight 1, every coefficient up to q^20000 shown.
+        code = main(["eisenstein", "--modulus", "5", "--index", "1", "--weight", "1", "--nmax", "20000",
+                     "--show-coeffs", "20000", "--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fc3e6298db37ecb7e17ac4c071a94e299564280ba58615915c779918e4e887cb")
+
 
 class TestCoefficients:
     def test_classical_weight4(self):
