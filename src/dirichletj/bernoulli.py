@@ -29,8 +29,8 @@ ways and cross-asserted on every (chi, k):
   the powers of the residues, and such a k is answered 0 without growing
   the series;
 * Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``.  Each
-  primitive character keeps, per class of equal chi(a), the integer power
-  sums of its residues (``_PolysumState``), grown only
+  primitive character keeps, for each i and each class of equal chi(a),
+  the integer power sum of its residues (``_PolysumState``), grown only
   as far as the largest k asked for; B_{k,chi} is read off them and the
   nonzero coefficients of B_k(x), kept as integer numerators over one
   denominator.  It computes every value, the parity zeros included, so
@@ -41,12 +41,19 @@ primitive representative of chi (the defining sum runs over the
 conductor) and share only the character's table of values and its
 parity, which only the series reads.  One ``lru_cache``, ``_states``,
 holds both states of a character, built from one read of the table
-(``value_classes``) that neither changes.  Neither evaluates chi residue
-by residue.
+(``value_classes``), a flat ``ValueTable`` that both hold and neither
+changes or copies.  Each state keeps one flat list of the powers a^j of
+the units, in the table's order, and steps it with one ``map``; the
+class sums are differences of its prefix sums at the class bounds (the
+powers themselves when each class holds one unit), and a vector over
+the power basis is one dot product of per-class sums with each column
+of the table.  Neither loops over classes or units in Python to grow,
+and neither evaluates chi residue by residue.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import lru_cache
@@ -54,10 +61,12 @@ from functools import lru_cache
 from .characters import (
     DirichletCharacter,
     InputError,
+    ValueTable,
     _value_exponent,
     is_primitive,
     kernel_order_match,
     parity,
+    primitive_root,
     primitivize,
     value_classes,
 )
@@ -66,7 +75,6 @@ from .exactalg import (
     _vp,
     factorize,
     padic_invariant_exponents,
-    smallest_primitive_root,
     staudt_odd_primes,
     times_x_rows,
 )
@@ -135,9 +143,15 @@ class _SeriesState:
         N (j+1) B_j = (j+1) m_j - sum_{i<j} C(j+1, i) N^(j-i+1) B_i,
 
     with m_j = j! n_j = sum_e zeta^e (sum of a^j over the residues a with
-    chi(a) = zeta^e), an integer vector over the power basis.  Each B_i is
-    kept as an integer vector over one positive denominator in lowest
-    terms, the form of ``CycElement``.  The step's binomials are the
+    chi(a) = zeta^e), an integer vector over the power basis.  The state
+    holds chi's ``ValueTable`` as read and one flat list ``pows`` of the a^j,
+    unit by unit in the table's order.  A step takes the class sums as
+    differences of the prefix sums of ``pows`` at the class bounds (``pows``
+    itself when each class holds one unit), m_j as one dot product of those
+    sums with each column of the table, and the next ``pows`` as one
+    ``map``; no Python loop runs over classes or units.
+    Each B_i is kept as an integer vector over one positive denominator in
+    lowest terms, the form of ``CycElement``.  The step's binomials are the
     Pascal row C(j+1, .), built from the previous row.  The sum runs only
     over the i with B_i != 0, listed in ``nonzero``, by Horner's rule in N:
     each B_i is multiplied by its binomial, and the running sum by the
@@ -151,15 +165,13 @@ class _SeriesState:
     computes those zeros, so the theorem is checked wherever it is used.
     """
 
-    __slots__ = ("N", "degree", "classes", "nums", "dens", "lcm", "nonzero", "binom", "npow", "zero_parity")
+    __slots__ = ("N", "degree", "table", "pows", "nums", "dens", "lcm", "nonzero", "binom", "npow", "zero_parity")
 
-    def __init__(self, chi: DirichletCharacter, classes: list[tuple[tuple[int, ...], list[int]]]):
+    def __init__(self, chi: DirichletCharacter, table: ValueTable):
         self.N = chi.modulus
-        # (zeta^e as the field's own integer vector, residues a with chi(a) = zeta^e, a^j for
-        # the next j).  Nonzero (coordinate, coefficient) pairs would be a copy per character,
-        # about 0.06 MB more peak memory over a perfbench arith-sweep pass.
-        self.classes = [(vec, residues, [1] * len(residues)) for vec, residues in classes]
-        self.degree = len(self.classes[0][0])
+        self.table = table  # read, never changed or copied: the oracle holds the same table
+        self.pows = [1] * len(table.units)  # a^j for the next j
+        self.degree = len(table.columns)
         self.nums: list[list[int]] = []
         self.dens: list[int] = []
         self.lcm = 1  # of dens
@@ -174,13 +186,14 @@ class _SeriesState:
 
     def extend(self, k: int) -> None:
         N, npow, nums, dens = self.N, self.npow, self.nums, self.dens
+        units, bounds, columns = self.table.units, self.table.bounds, self.table.columns
         while len(nums) <= k:
             j = len(nums)
             row = self.binom
             self.binom = row = [1] + list(map(operator.add, row, row[1:])) + [1]  # C(j+1, .)
+            pows = self.pows
+            self.pows = list(map(operator.mul, pows, units))
             if self.vanishes(j):
-                for _, residues, pows in self.classes:
-                    pows[:] = map(operator.mul, pows, residues)
                 nums.append([0] * self.degree)
                 dens.append(1)
                 continue
@@ -188,13 +201,15 @@ class _SeriesState:
             e = j + 1 - (self.nonzero[-1] if self.nonzero else 0)
             while len(npow) <= e:
                 npow.append(npow[-1] * N)
-            m = [0] * self.degree
-            for vec, residues, pows in self.classes:
-                s = sum(pows)
-                for t, c in enumerate(vec):
-                    if c:
-                        m[t] += c * s
-                pows[:] = map(operator.mul, pows, residues)
+            # Each class's sum of a^j is the prefix sum at its end less the one at its start;
+            # when every class holds one unit, the powers are the sums.
+            if len(bounds) > len(units):
+                sums = pows
+            else:
+                prefix = list(itertools.accumulate(pows, initial=0))
+                sums = list(map(operator.sub, map(prefix.__getitem__, itertools.islice(bounds, 1, None)),
+                                map(prefix.__getitem__, bounds)))
+            m = [sum(map(operator.mul, column, sums)) for column in columns]
             L = self.lcm
             # After i, S = sum of C(j+1, i') N^(i-i') L B_i' over the nonzero i' <= i.
             S, prev = [0] * self.degree, 0
@@ -225,51 +240,57 @@ class _PolysumState:
         N B_{k,chi} = sum_e zeta^e sum_j c_j N^j P_{k-j}(e),
 
     with P_i(e) the sum of a^i over the residues a with chi(a) = zeta^e.
-    ``sums[e]`` holds P_0, P_1, ... of class e; it is grown only as far as
-    the largest k asked for.  The c_j are integer numerators over one
-    denominator (``_bernoulli_poly_coeffs``), the powers of N are kept in
-    ``npow``, and the zero c_j (odd j >= 3) are skipped.
+    The state holds chi's ``ValueTable`` as read and one flat list ``pows``
+    of the a^i.  ``sums[i]`` lists P_i of every class, taken as differences
+    of the prefix sums of ``pows`` at the class bounds (``pows`` itself when
+    each class holds one unit), and the next ``pows`` is one ``map``;
+    ``sums`` is grown only as far as the largest k asked for, with no
+    Python loop over classes or units.  A value combines the
+    P_(k-j) of each class with the c_j N^j, then takes one dot product of
+    those per-class sums with each column of the table.  The c_j are
+    integer numerators over one denominator (``_bernoulli_poly_coeffs``),
+    the powers of N are kept in ``npow``, and the zero c_j (odd j >= 3)
+    are skipped.
     """
 
-    __slots__ = ("N", "degree", "terms", "residues", "pows", "sums", "npow")
+    __slots__ = ("N", "table", "pows", "sums", "npow")
 
-    def __init__(self, chi: DirichletCharacter, classes: list[tuple[tuple[int, ...], list[int]]]):
+    def __init__(self, chi: DirichletCharacter, table: ValueTable):
         self.N = chi.modulus
-        vecs, self.residues = zip(*classes)
-        self.degree = len(vecs[0])
-        # zeta^e of each class as its nonzero (coordinate, coefficient) pairs
-        self.terms = [[(t, x) for t, x in enumerate(vec) if x] for vec in vecs]
-        self.pows = [[1] * len(r) for r in self.residues]  # a^i for the next i
-        self.sums: list[list[int]] = [[] for _ in self.terms]
+        self.table = table  # read, never changed or copied: the series holds the same table
+        self.pows = [1] * len(table.units)  # a^i for the next i
+        self.sums: list[list[int]] = []  # P_0, P_1, ... of every class
         self.npow = [1]  # N^0, N^1, ...
 
     def value(self, k: int) -> tuple[list[int], int]:
         """Integer vector and denominator of B_{k,chi}."""
-        while len(self.sums[0]) <= k:
-            for P, pows in zip(self.sums, self.pows):
-                P.append(sum(pows))
-            self.pows = [list(map(operator.mul, p, r)) for p, r in zip(self.pows, self.residues)]
+        units, bounds = self.table.units, self.table.bounds
+        sums = self.sums
+        while len(sums) <= k:
+            if len(bounds) > len(units):  # one unit per class
+                sums.append(self.pows)
+            else:
+                prefix = list(itertools.accumulate(self.pows, initial=0))
+                sums.append(list(map(operator.sub, map(prefix.__getitem__, itertools.islice(bounds, 1, None)),
+                                     map(prefix.__getitem__, bounds))))
+            self.pows = list(map(operator.mul, self.pows, units))
         npow = self.npow
         while len(npow) <= k:
             npow.append(npow[-1] * self.N)
         cs, den = _bernoulli_poly_coeffs(k)
-        # c_j N^j, and the index k - j of its power sum, for the c_j != 0
-        scaled = [c * npow[j] for j, c in enumerate(cs) if c]
-        index = [k - j for j, c in enumerate(cs) if c]
-        nums = [0] * self.degree
-        for terms, P in zip(self.terms, self.sums):
-            s = sum(map(operator.mul, scaled, map(P.__getitem__, index)))  # sum_j c_j N^j P_{k-j}
-            for t, x in terms:
-                nums[t] += x * s
-        return nums, self.N * den
+        # c_j N^j, and the power sums P_(k-j) of every class, for the c_j != 0
+        scaled = list(map(operator.mul, itertools.compress(cs, cs), itertools.compress(npow, cs)))
+        rows = itertools.compress(sums[k::-1], cs)
+        combined = [sum(map(operator.mul, scaled, P)) for P in zip(*rows)]  # sum_j c_j N^j P_{k-j}, per class
+        return [sum(map(operator.mul, column, combined)) for column in self.table.columns], self.N * den
 
 
 # Both growing states per primitive character, the least recently used dropped first:
 # a perfbench pass over every arith-sweep candidate holds 105, `verify all` 73.
 @lru_cache(maxsize=512)
 def _states(chi: DirichletCharacter) -> tuple[_SeriesState, _PolysumState]:
-    classes = value_classes(chi)
-    return _SeriesState(chi, classes), _PolysumState(chi, classes)
+    table = value_classes(chi)
+    return _SeriesState(chi, table), _PolysumState(chi, table)
 
 
 def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
@@ -438,7 +459,7 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
         row["case"] = f"p^{v}-unit"
         row["ok"] = b_over_k.is_integral()
         return row
-    g = smallest_primitive_root(p, p - 1)
+    g = primitive_root(p)
     c = _value_exponent(chi, g)
     if v == 1:
         e = _vp(k, p) + 1

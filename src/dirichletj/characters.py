@@ -12,7 +12,8 @@ Values land in Q(zeta_n) with n the order of the character, the minimal
 field; coercion into larger cyclotomic fields is explicit.  Each character
 computes its order and the weights e_i * n / o_i once, so a value is one
 dot product mod n with the discrete-log tuple of the argument, and
-``value_classes`` groups all units by value in one pass.  The
+``value_classes`` groups all units by value in one pass, into one flat
+read-only ``ValueTable``.  The
 conductor is read off the exponent tuple, one prime at a time (see
 ``conductor``), without evaluating the character.  The generators of
 (Z/N)^x are those of each (Z/p^v)^x CRT-lifted, in prime order, so the
@@ -197,8 +198,24 @@ def evaluate(chi: DirichletCharacter, a: int) -> CycElement | None:
     return None if t is None else get_field(chi.order()).zeta_power(t)
 
 
-def value_classes(chi: DirichletCharacter) -> list[tuple[tuple[int, ...], list[int]]]:
-    """The units 1 <= a <= N grouped by chi(a), in no fixed order: (chi(a)'s vector over Q(zeta_ord chi), residues).
+class ValueTable(Record):
+    """chi's values on the units 1 <= a <= N, one read-only table that every reader shares.
+
+    ``units`` lists the units class by class, a class holding the a of equal chi(a):
+    class c is ``units[bounds[c]:bounds[c + 1]]``.  chi's value zeta^e on class c has
+    coordinate ``columns[t][c]`` at zeta^t of the power basis, so a column is one
+    coordinate of every class's value.
+    """
+
+    __slots__ = ("units", "bounds", "columns")
+    _fields = ("units", "bounds", "columns")
+
+    def __init__(self, units: tuple[int, ...], bounds: tuple[int, ...], columns: tuple[tuple[int, ...], ...]):
+        self._set(units, bounds, columns)
+
+
+def value_classes(chi: DirichletCharacter) -> ValueTable:
+    """The units 1 <= a <= N grouped by chi(a), the classes in no fixed order, as one ``ValueTable``.
 
     One pass over the discrete-log table: one dot product per unit and one field element per class.
     """
@@ -206,7 +223,10 @@ def value_classes(chi: DirichletCharacter) -> list[tuple[tuple[int, ...], list[i
     by_exponent: dict[int, list[int]] = {}
     for a, exps in _dlog_table(chi.modulus).items():
         by_exponent.setdefault(sum(map(operator.mul, weights, exps)) % n, []).append(a or 1)
-    return [(get_field(n).zeta_power(t).nums, residues) for t, residues in by_exponent.items()]
+    field = get_field(n)
+    return ValueTable(tuple(itertools.chain.from_iterable(by_exponent.values())),
+                      tuple(itertools.accumulate(map(len, by_exponent.values()), initial=0)),
+                      tuple(zip(*(field.zeta_power(t).nums for t in by_exponent))))
 
 
 def parity(chi: DirichletCharacter) -> int:
@@ -323,6 +343,11 @@ def kernel_order_match(k: int, p: int, chi_tame_order: int) -> bool:
     if (p - 1) % chi_tame_order:
         raise ValueError("tame order must divide p - 1")
     return math.gcd(k, p - 1) == (p - 1) // chi_tame_order
+
+
+def primitive_root(p: int) -> int:
+    """The smallest primitive root mod an odd prime p, the generator of (Z/p)^x, read off the cached structure."""
+    return get_structure(p).generators[0][2]
 
 
 def tame_exponent(chi: DirichletCharacter, p: int) -> int:

@@ -32,7 +32,9 @@ of weight 12 is the classical example).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 from .bernoulli import denom_ideal, gbn
 from .characters import DirichletCharacter, InputError, conductor, is_primitive, parity, value_classes
@@ -40,29 +42,29 @@ from .cyclotomic import CycElement, denominator_invariants, get_field
 from .exactalg import _vp, factorize, times_x_rows
 
 
-def _sigma_rows(chi: DirichletCharacter, m: int, n_max: int) -> list[list[int]]:
+def _sigma_rows(chi: DirichletCharacter, m: int, n_max: int) -> list[tuple[int, ...]]:
     """The integer vectors of sigma_{m,chi}(n) over the power basis, for 0 <= n <= n_max.
 
-    One divisor sieve: each unit d <= n_max adds chi(d) d^m to the vector
-    of every multiple of d, the d stepping by the modulus from each residue
-    of each class of ``value_classes``, so chi is evaluated nowhere here.
-    Row 0 is zero (the sieve adds nothing to it).
+    One divisor sieve over chi's ``ValueTable``, with one list per coordinate:
+    each unit d <= n_max, stepping by the modulus from each unit of each
+    class, adds chi(d) d^m to every multiple of d, one slice assignment
+    per (d, coordinate where chi(d) is nonzero).  chi is evaluated nowhere
+    here.  Row 0 is zero (the sieve adds nothing to it).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    acc = [[0] * get_field(chi.order()).degree for _ in range(n_max + 1)]
-    for vec, residues in value_classes(chi):
-        for a in residues:
+    table = value_classes(chi)
+    cols = [[0] * (n_max + 1) for _ in table.columns]
+    for c, (lo, hi) in enumerate(zip(table.bounds, table.bounds[1:])):
+        terms = [(col, column[c]) for col, column in zip(cols, table.columns) if column[c]]
+        for a in table.units[lo:hi]:
             for d in range(a, n_max + 1, chi.modulus):
                 w = d**m
-                scaled = [(t, x * w) for t, x in enumerate(vec) if x]
-                for n in range(d, n_max + 1, d):
-                    row = acc[n]
-                    for t, y in scaled:
-                        row[t] += y
-    return acc
+                for col, x in terms:
+                    col[d::d] = map(operator.add, col[d::d], itertools.repeat(x * w))
+    return list(zip(*cols))
 
 
 def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycElement]:

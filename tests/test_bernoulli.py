@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -217,9 +216,9 @@ class TestGrowingSeries:
         _clear_gbn_caches()
         chi = character_from_index(7, 1)
         gbn(chi, 3)
-        assert {len(P) for P in bernoulli._states(chi)[1].sums} == {4}
+        assert len(bernoulli._states(chi)[1].sums) == 4
         gbn(chi, 1)
-        assert {len(P) for P in bernoulli._states(chi)[1].sums} == {4}
+        assert len(bernoulli._states(chi)[1].sums) == 4
 
     def test_state_cache_is_bounded_and_regrows(self):
         assert bernoulli._states.cache_info().maxsize == 512
@@ -251,8 +250,8 @@ class TestGrowingSeries:
 
         monkeypatch.setattr(bernoulli, "value_classes", reading)
         monkeypatch.setattr(characters, "evaluate", evaluating)
-        # The classes hold each unit 1 <= a <= 13 once.
-        assert sorted(a for _, residues in honest_classes(chi) for a in residues) == list(range(1, 13))
+        # The table holds each unit 1 <= a <= 13 once.
+        assert sorted(honest_classes(chi).units) == list(range(1, 13))
         _clear_gbn_caches()
         for k in range(13):
             gbn(chi, k)
@@ -273,14 +272,31 @@ class TestGrowingSeries:
         _clear_gbn_caches()
         for k in range(21):
             gbn(chi, k)
-        [classes] = read
+        [table] = read
         series, polysum = bernoulli._states(chi)
-        assert len(series.nums) == 21 and {len(P) for P in polysum.sums} == {21}
-        # Both states hold the residue lists of the one read, and neither changed them.
-        residues = [r for _, r in classes]
-        assert all(map(operator.is_, [r for _, r, _ in series.classes], residues))
-        assert all(map(operator.is_, polysum.residues, residues))
-        assert classes == honest(chi)
+        assert len(series.nums) == 21 and len(polysum.sums) == 21
+        # Both states hold the one table of the one read, and neither changed it.
+        assert series.table is table and polysum.table is table
+        assert table == honest(chi)
+
+    def test_growing_both_states_copies_no_part_of_the_table(self):
+        chi = character_from_index(13, 2)  # order 6: six classes of two units
+        _clear_gbn_caches()
+        for k in range(21):
+            gbn(chi, k)
+        series, polysum = bernoulli._states(chi)
+        table = series.table
+        bounds = table.bounds
+        parts = [table.units, bounds, *table.columns]
+        parts += [table.units[lo:hi] for lo, hi in zip(bounds, bounds[1:])]  # the old per-class residue lists
+        for state in (series, polysum):
+            # Every list or tuple the state holds besides the table, and every one inside those.
+            held = [getattr(state, name) for name in state.__slots__ if name != "table"]
+            held = [x for x in held if isinstance(x, (list, tuple))]
+            held += [y for x in held for y in x if isinstance(y, (list, tuple))]
+            assert not [x for x in held for part in parts if x is part or list(x) == list(part)], type(state)
+            # The one flat list of powers is a^21 of each unit, in the table's order.
+            assert state.pows == [a**21 for a in table.units]
 
     def test_perturbed_oracle_raises_on_grown_character(self, monkeypatch):
         chi = character_from_index(7, 1)
@@ -312,7 +328,7 @@ class TestParityZeros:
         chi = character_from_index(5, 1)  # odd, so B_40 = 0
         assert gbn(chi, 40).is_zero()
         assert bernoulli._states(chi)[0].nums == []
-        assert {len(P) for P in bernoulli._states(chi)[1].sums} == {41}
+        assert len(bernoulli._states(chi)[1].sums) == 41
 
     @pytest.mark.parametrize("N, idx", [(1, 0), (5, 1), (5, 2), (8, 3)])
     def test_series_steps_over_parity_zeros(self, N, idx):
@@ -679,3 +695,19 @@ class TestCarlitz:
     def test_parity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             verify_carlitz(quad5(), 1)
+
+    def test_sweep_walks_no_primitive_root_once_the_structure_is_cached(self, monkeypatch):
+        from dirichletj import characters, exactalg
+
+        cases = [(chi, k) for N in (9, 25, 27) for chi in enumerate_characters(N)
+                 if is_primitive(chi) for k in range(1, 9) if (-1) ** k == parity(chi)]
+        expected = [verify_carlitz(chi, k) for chi, k in cases]
+        assert {row["case"] for row in expected} >= {"p^v-congruence"}
+        walks = []
+        honest = exactalg.smallest_primitive_root
+        for module in (exactalg, characters, bernoulli):  # every module that has imported the name
+            monkeypatch.setattr(module, "smallest_primitive_root", lambda *args: walks.append(args) or honest(*args),
+                                raising=False)
+        assert [verify_carlitz(chi, k) for chi, k in cases] == expected
+        assert walks == []
+

@@ -141,16 +141,19 @@ class TestEvaluation:
 
 
 def test_value_classes_match_evaluate():
-    # The classes are disjoint, cover the units in [1, N], and each vector is chi's value on its class.
+    # The classes are disjoint, cover the units in [1, N], and each column entry is a coordinate
+    # of chi's value on its class.
     for N in range(1, 61):
         units = [a for a in range(1, N + 1) if math.gcd(a, N) == 1]
         for chi in enumerate_characters(N):
-            classes = value_classes(chi)
-            residues = [a for _, r in classes for a in r]
-            assert sorted(residues) == units, (N, chi.index())
-            assert len({vec for vec, _ in classes}) == len(classes)
-            for vec, r in classes:
-                assert all(evaluate(chi, a).nums == vec for a in r), (N, chi.index(), vec)
+            table = value_classes(chi)
+            assert sorted(table.units) == units, (N, chi.index())
+            assert table.bounds[0] == 0 and table.bounds[-1] == len(units)
+            assert len(table.columns) == get_field(chi.order()).degree
+            vecs = list(zip(*table.columns))
+            assert len(vecs) == len(table.bounds) - 1 == len(set(vecs)), (N, chi.index())
+            for vec, lo, hi in zip(vecs, table.bounds, table.bounds[1:]):
+                assert lo < hi and all(evaluate(chi, a).nums == vec for a in table.units[lo:hi]), (N, chi.index())
 
 
 class TestConductor:
