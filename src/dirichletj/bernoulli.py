@@ -43,12 +43,12 @@ parity, which only the series reads.  One ``lru_cache``, ``_states``,
 holds both states of a character, built from one read of the table
 (``value_classes``), a flat ``ValueTable`` that both hold and neither
 changes or copies.  Each state keeps one flat list of the powers a^j of
-the units, in the table's order, and steps it with one ``map``; the
-class sums are differences of its prefix sums at the class bounds (the
-powers themselves when each class holds one unit), and a vector over
-the power basis is one dot product of per-class sums with each column
-of the table.  Neither loops over classes or units in Python to grow,
-and neither evaluates chi residue by residue.
+the units, in the table's order, and steps it with one ``map`` when the
+next j is asked for; the class sums are sums of its slices at the class
+bounds (the powers themselves when each class holds one unit), and a
+vector over the power basis is one dot product of per-class sums with
+each column of the table.  Neither loops over classes or units in Python
+to grow, and neither evaluates chi residue by residue.
 """
 
 from __future__ import annotations
@@ -145,18 +145,18 @@ class _SeriesState:
     with m_j = j! n_j = sum_e zeta^e (sum of a^j over the residues a with
     chi(a) = zeta^e), an integer vector over the power basis.  The state
     holds chi's ``ValueTable`` as read and one flat list ``pows`` of the a^j,
-    unit by unit in the table's order.  A step takes the class sums as
-    differences of the prefix sums of ``pows`` at the class bounds (``pows``
-    itself when each class holds one unit), m_j as one dot product of those
-    sums with each column of the table, and the next ``pows`` as one
-    ``map``; no Python loop runs over classes or units.
-    Each B_i is kept as an integer vector over one positive denominator in
-    lowest terms, the form of ``CycElement``.  The step's binomials are the
-    Pascal row C(j+1, .), built from the previous row.  The sum runs only
-    over the i with B_i != 0, listed in ``nonzero``, by Horner's rule in N:
-    each B_i is multiplied by its binomial, and the running sum by the
-    power of N that spans the gap to the next such i.  Those powers are
-    kept as a list, as far as the largest gap.
+    unit by unit in the table's order.  A step takes ``pows`` from the last
+    step's by one ``map``, the class sums as sums of its slices at the class
+    bounds (``pows`` itself when each class holds one unit), and m_j as one
+    dot product of those sums with each column of the table; no Python loop
+    runs over classes or units.  Each B_i is kept as an integer vector over
+    one positive denominator in lowest terms, the form of ``CycElement``.
+    The step's binomials are the Pascal row C(j+1, .), built from the
+    previous row.  The sum runs only over the i with B_i != 0, listed in
+    ``nonzero``, by Horner's rule in N: each B_i is multiplied by its
+    binomial, and the running sum by the power of N that spans the gap to
+    the next such i.  Those powers are kept as a list, as far as the
+    largest gap.
 
     Half the B_j vanish by parity (``vanishes``), read once from
     ``characters.parity`` into ``zero_parity``.  Their step computes no
@@ -170,7 +170,7 @@ class _SeriesState:
     def __init__(self, chi: DirichletCharacter, table: ValueTable):
         self.N = chi.modulus
         self.table = table  # read, never changed or copied: the oracle holds the same table
-        self.pows = [1] * len(table.units)  # a^j for the next j
+        self.pows = [1] * len(table.units)  # a^j of the last step, a^0 before the first
         self.degree = len(table.columns)
         self.nums: list[list[int]] = []
         self.dens: list[int] = []
@@ -191,8 +191,9 @@ class _SeriesState:
             j = len(nums)
             row = self.binom
             self.binom = row = [1] + list(map(operator.add, row, row[1:])) + [1]  # C(j+1, .)
+            if j:
+                self.pows = list(map(operator.mul, self.pows, units))
             pows = self.pows
-            self.pows = list(map(operator.mul, pows, units))
             if self.vanishes(j):
                 nums.append([0] * self.degree)
                 dens.append(1)
@@ -201,14 +202,13 @@ class _SeriesState:
             e = j + 1 - (self.nonzero[-1] if self.nonzero else 0)
             while len(npow) <= e:
                 npow.append(npow[-1] * N)
-            # Each class's sum of a^j is the prefix sum at its end less the one at its start;
-            # when every class holds one unit, the powers are the sums.
+            # Each class's sum of a^j is the sum of its slice of the powers, or its one power
+            # when every class holds one unit.
             if len(bounds) > len(units):
                 sums = pows
             else:
-                prefix = list(itertools.accumulate(pows, initial=0))
-                sums = list(map(operator.sub, map(prefix.__getitem__, itertools.islice(bounds, 1, None)),
-                                map(prefix.__getitem__, bounds)))
+                slices = map(slice, bounds, itertools.islice(bounds, 1, None))
+                sums = list(map(sum, map(pows.__getitem__, slices)))
             m = [sum(map(operator.mul, column, sums)) for column in columns]
             L = self.lcm
             # After i, S = sum of C(j+1, i') N^(i-i') L B_i' over the nonzero i' <= i.
@@ -241,16 +241,16 @@ class _PolysumState:
 
     with P_i(e) the sum of a^i over the residues a with chi(a) = zeta^e.
     The state holds chi's ``ValueTable`` as read and one flat list ``pows``
-    of the a^i.  ``sums[i]`` lists P_i of every class, taken as differences
-    of the prefix sums of ``pows`` at the class bounds (``pows`` itself when
-    each class holds one unit), and the next ``pows`` is one ``map``;
-    ``sums`` is grown only as far as the largest k asked for, with no
-    Python loop over classes or units.  A value combines the
-    P_(k-j) of each class with the c_j N^j, then takes one dot product of
-    those per-class sums with each column of the table.  The c_j are
-    integer numerators over one denominator (``_bernoulli_poly_coeffs``),
-    the powers of N are kept in ``npow``, and the zero c_j (odd j >= 3)
-    are skipped.
+    of the a^i.  ``sums[i]`` lists P_i of every class, the sums of the
+    slices of ``pows`` at the class bounds (``pows`` itself when each class
+    holds one unit), and each next ``pows`` is one ``map``; ``sums`` is
+    grown only as far as the largest k asked for, with no Python loop over
+    classes or units.  A value combines the P_(k-j) of each class with the
+    c_j N^j only when it is asked for, then takes one dot product of those
+    per-class sums with each column of the table.  The c_j are integer
+    numerators over one denominator (``_bernoulli_poly_coeffs``), the
+    powers of N are kept in ``npow``, and the zero c_j (odd j >= 3) are
+    skipped.
     """
 
     __slots__ = ("N", "table", "pows", "sums", "npow")
@@ -258,7 +258,7 @@ class _PolysumState:
     def __init__(self, chi: DirichletCharacter, table: ValueTable):
         self.N = chi.modulus
         self.table = table  # read, never changed or copied: the series holds the same table
-        self.pows = [1] * len(table.units)  # a^i for the next i
+        self.pows = [1] * len(table.units)  # a^i of the last i in sums, a^0 before the first
         self.sums: list[list[int]] = []  # P_0, P_1, ... of every class
         self.npow = [1]  # N^0, N^1, ...
 
@@ -267,13 +267,13 @@ class _PolysumState:
         units, bounds = self.table.units, self.table.bounds
         sums = self.sums
         while len(sums) <= k:
+            if sums:
+                self.pows = list(map(operator.mul, self.pows, units))
             if len(bounds) > len(units):  # one unit per class
                 sums.append(self.pows)
             else:
-                prefix = list(itertools.accumulate(self.pows, initial=0))
-                sums.append(list(map(operator.sub, map(prefix.__getitem__, itertools.islice(bounds, 1, None)),
-                                     map(prefix.__getitem__, bounds))))
-            self.pows = list(map(operator.mul, self.pows, units))
+                slices = map(slice, bounds, itertools.islice(bounds, 1, None))
+                sums.append(list(map(sum, map(self.pows.__getitem__, slices))))
         npow = self.npow
         while len(npow) <= k:
             npow.append(npow[-1] * self.N)

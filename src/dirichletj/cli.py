@@ -33,9 +33,9 @@ from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle
 SCHEMA = 1
 # The divisor sieve of an Eisenstein series holds every sum up to --nmax at once.
 MAX_NMAX = 100_000
-# Caps at about the cost of --nmax 100000, cold: `eisenstein --modulus 5 --index 1 --weight 1`
-# takes 0.5-1.2 s of CPU and 36 MB, `--modulus 29 --index 1` (order 28) 2.2-4.5 s and 51 MB;
-# `chars list` of the prime 49999 0.5-1.0 s and 55 MB, and a 50000-degree `homotopy` table
+# Caps at about the cost of --nmax 100000, cold on a 2-core VM: `eisenstein --modulus 5 --index 1
+# --weight 1` takes 0.4-0.7 s of CPU and 35 MB, `--modulus 29 --index 1` (order 28) 2.1-3.2 s and
+# 51 MB; `chars list` of the prime 49999 0.5-1.0 s and 55 MB, and a 50000-degree `homotopy` table
 # from degree 1 up to 1.9 s and 33 MB.  MAX_MODULUS bounds every modulus, level and prime
 # the CLI reads, as each is factored by trial division, in every degree for a table,
 # or sets the size of a table of residues; MAX_DEGREES also bounds an `e2` table's cells.
@@ -46,9 +46,10 @@ MAX_DEGREES = 50_000
 # at most 0.8 s of CPU, for degree 49795199; 99459359 takes 4.1 s, 735134399 24 s.
 MAX_ABS_DEGREE = 50_000_000
 # B_(k,chi) costs about W^3 big-integer steps up to weight W.  Cold `bern --modulus 5
-# --index 1` (odd, so only odd weights cost) in-process on a 2-core VM: weight 601 takes
-# 0.2 s of CPU and 20 MB, 999 0.6 s and 21 MB, 1499 3.3 s and 24 MB, 1999 9.6 s and 27 MB.
-# Larger fields cost more at the same weight: 29:5 at weight 999 takes 4-6 s.
+# --index 1` (odd, so only odd weights cost) on a 2-core VM: weight 601 takes 0.25-0.35 s
+# of CPU and 16 MB, 999 0.7-1.2 s and 17 MB, and the value alone, in a fresh process,
+# 4.0 s and 19 MB at 1499, 9.8 s and 23 MB at 1999.  Larger fields cost more at the same
+# weight: 29:5 at weight 999 takes 4.0-6.4 s and 28 MB.
 MAX_WEIGHT = 1_000
 
 # (payload, text view, exit code), as returned by every cmd_* subcommand.

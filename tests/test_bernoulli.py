@@ -295,8 +295,8 @@ class TestGrowingSeries:
             held = [x for x in held if isinstance(x, (list, tuple))]
             held += [y for x in held for y in x if isinstance(y, (list, tuple))]
             assert not [x for x in held for part in parts if x is part or list(x) == list(part)], type(state)
-            # The one flat list of powers is a^21 of each unit, in the table's order.
-            assert state.pows == [a**21 for a in table.units]
+            # The one flat list of powers is a^20 of each unit, in the table's order.
+            assert state.pows == [a**20 for a in table.units]
 
     def test_perturbed_oracle_raises_on_grown_character(self, monkeypatch):
         chi = character_from_index(7, 1)
