@@ -710,4 +710,3 @@ class TestCarlitz:
                                 raising=False)
         assert [verify_carlitz(chi, k) for chi, k in cases] == expected
         assert walks == []
-
