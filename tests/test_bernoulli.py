@@ -1,6 +1,7 @@
 """Bernoulli numbers, L-values, denominator ideals, congruence theorems."""
 
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -623,6 +624,23 @@ def _carlitz_oracle_grid(large_k_max=4):
                 for k in range(1, k_max + 1):
                     if (-1) ** k == parity(chi):
                         yield chi, k
+
+
+def _carlitz_pin_cases():
+    """Primitive (chi, k) of the odd prime-power conductors 9, 25, 27, 49, 81, 121 and 125 at
+    each k <= 20 of chi's parity."""
+    return [(chi, k) for N in (9, 25, 27, 49, 81, 121, 125) for chi in enumerate_characters(N)
+            if is_primitive(chi) for k in range(1, 21) if (-1) ** k == parity(chi)]
+
+
+def test_carlitz_rows_on_the_prime_power_grid_are_pinned():
+    # sha256 of the verify_carlitz rows, from the code that decided the p^v congruence by
+    # comparing two ranks mod p of the rows of multiplication by 1 - chi(g) g^k.
+    rows = [verify_carlitz(chi, k) for chi, k in _carlitz_pin_cases()]
+    assert len(rows) == 2840
+    assert Counter(row["case"] for row in rows) == {"p^v-congruence": 2124, "p^2-unit": 516, "p^3-unit": 200}
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "6739b3b1c3c093a958fbbded68ecf61e5da3883426ca22a64506312d42559387"
 
 
 class TestCarlitz:
