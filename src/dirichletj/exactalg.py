@@ -5,10 +5,11 @@ them.  It holds the integer helpers (trial-division factorization, the
 odd primes p with (p - 1) | m, p-adic valuations, multiplicative orders,
 primitive roots), the Hermite normal form of a lattice, the one
 elimination over Z/p^M that every quotient is read off, the
-multiplication by x modulo a monic polynomial, ``InputError``, the
-error of an argument out of range, ``Record``, the base of the
-package's value types, and ``AbelianGroupExpr``, the value type of
-every quotient group and every homotopy table.
+multiplication by x modulo a monic polynomial, division and gcd over
+F_p[x], ``InputError``, the error of an argument out of range,
+``Record``, the base of the package's value types, and
+``AbelianGroupExpr``, the value type of every quotient group and every
+homotopy table.
 
 The HNF takes a matrix as a list of integer rows, and the elimination
 takes it as a list of sparse rows, each a {column: value} dict; neither
@@ -28,8 +29,12 @@ Conventions fixed here and used throughout:
   block left.
 * ``times_x_rows`` is the one dense multiplication by x modulo a monic
   polynomial: the power basis of Q(zeta_n), the denominator quotients and
-  the Carlitz check read their multiplication matrices off it.  The
-  p-adic quotients build their sparse matrices of w*x - g^t in ``padic``.
+  the Eisenstein coefficients read their multiplication matrices off it.
+  The p-adic quotients build their sparse matrices of w*x - g^t in
+  ``padic``.
+* ``poly_rem_mod_p`` and ``poly_gcd_mod_p`` divide and take the monic gcd
+  over F_p[x], on ascending coefficient lists: the Carlitz check reads
+  Z[zeta_n]/(p, y) as F_p[x]/(gcd(Phi_n, y) mod p).
 """
 
 from __future__ import annotations
@@ -328,6 +333,42 @@ def times_x_rows(phi: Sequence[int], vec: Sequence[int], count: int | None = Non
             row = [x - lead * c for x, c in zip(row, phi)]
         rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Division and gcd over F_p[x]
+
+
+def _mod_p(a: Sequence[int], p: int) -> list[int]:
+    """a mod p, ascending, without zero leading coefficients ([] is 0)."""
+    r = [x % p for x in a]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def poly_rem_mod_p(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    """The remainder of a by m over F_p, for m nonzero mod p; ascending, as ``_mod_p``."""
+    r, m = _mod_p(a, p), _mod_p(m, p)
+    d = len(m) - 1
+    inv = pow(m[-1], -1, p)
+    while len(r) > d:
+        q = r.pop() * inv % p
+        s = len(r) - d
+        for j in range(d):
+            r[s + j] = (r[s + j] - q * m[j]) % p
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def poly_gcd_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """The monic gcd of a and b over F_p, ascending; [] when both are 0 mod p."""
+    a, b = _mod_p(a, p), _mod_p(b, p)
+    while b:
+        a, b = b, poly_rem_mod_p(a, b, p)
+    inv = pow(a[-1], -1, p) if a else 0
+    return [x * inv % p for x in a]
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,21 @@ from dirichletj.bernoulli import (
     verify_von_staudt,
 )
 from dirichletj.characters import (
+    InputError,
+    _value_exponent,
     character_from_index,
     enumerate_characters,
     evaluate,
     is_primitive,
     kernel_order_match,
     parity,
+    primitive_root,
     primitivize,
     tame_order,
 )
 from dirichletj.cyclotomic import CycElement, denominator_ideal, galois_apply, get_field, quotient_group, render_cyc
-from dirichletj.exactalg import AbelianGroupExpr, _vp, factorize, smallest_primitive_root
+from dirichletj.exactalg import (AbelianGroupExpr, _vp, factorize, padic_invariant_exponents, poly_gcd_mod_p,
+                                 smallest_primitive_root, times_x_rows)
 
 from exponent_tuples import char_pow
 from ideal_oracle import carlitz_by_ideals, carlitz_p_ideal
@@ -713,6 +717,44 @@ class TestCarlitz:
     def test_parity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             verify_carlitz(quad5(), 1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_trivial_character_is_sent_to_von_staudt(self, k):
+        with pytest.raises(InputError, match="conductor 1.*verify_von_staudt"):
+            verify_carlitz(character_from_index(1, 0), k)
+
+    def test_gcd_degree_is_the_corank_of_multiplication_mod_p(self):
+        # The rank route the gcd replaced, kept as its oracle: Z[zeta_n]/(p, y) has dimension
+        # phi(n) - rank_p(multiplication by y) over F_p, and F_p[x]/(h) has dimension deg h.
+        reached = set()
+        for chi, k in _carlitz_pin_cases():
+            (p,) = factorize(chi.modulus)
+            if kernel_order_match(k, p, tame_order(chi, p)):
+                g = primitive_root(p)
+                reached.add((chi.order(), _value_exponent(chi, g), pow(g, k, p), p))
+        degrees = Counter()
+        for n, c, gk, p in sorted(reached):
+            field = get_field(n)
+            u = [int(j == 0) - gk * z for j, z in enumerate(field.zeta_power(c).nums)]
+            rank = padic_invariant_exponents([dict(enumerate(r)) for r in times_x_rows(field.phi_n, u)], p, 1).count(0)
+            h = poly_gcd_mod_p(field.phi_n, u, p)
+            assert len(h) - 1 == field.degree - rank, (n, c, gk, p)
+            degrees[len(h) - 1] += 1
+        # Here g generates (Z/p^v)^x, so chi(g) = zeta^c with c a unit mod n.  Then y mod p is separable
+        # and meets Phi_n mod p in the one root r of order n/p^(v_p(n)) with r^c = g^(-k), so every
+        # proper ideal reached has degree 1.
+        assert (len(reached), degrees) == (596, {1: 596})
+
+    def test_a_proper_ideal_whose_gcd_is_one_raises(self, monkeypatch, capsys):
+        from dirichletj import cli
+
+        chi, k = next((chi, k) for chi, k in _carlitz_pin_cases()
+                      if chi.modulus == 25 and verify_carlitz(chi, k)["case"] == "p^2-unit")
+        monkeypatch.setattr(bernoulli, "kernel_order_match", lambda *args: True)
+        with pytest.raises(AssertionError, match="kernel_order_match.*gcd over F_5"):
+            verify_carlitz(chi, k)
+        assert cli.main(["verify", "carlitz", "--max", "4"]) == 1
+        assert "kernel_order_match" in capsys.readouterr().err
 
     def test_sweep_walks_no_primitive_root_once_the_structure_is_cached(self, monkeypatch):
         from dirichletj import characters, exactalg

@@ -10,9 +10,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from dirichletj.exactalg import hermite_normal_form, times_x_rows
+from dirichletj.exactalg import hermite_normal_form, poly_gcd_mod_p, poly_rem_mod_p, times_x_rows
 
 
 def bareiss_det(rows):
@@ -185,3 +185,70 @@ class TestTimesXRows:
     def test_default_count_is_the_degree(self):
         # Phi_4 = x^2 + 1: multiplication by 1 + 2x.
         assert times_x_rows((1, 0, 1), [1, 2]) == [[1, 2], [-2, 1]]
+
+
+def trimmed_mod_p(a, p):
+    """a mod p, ascending, without zero leading coefficients."""
+    r = [x % p for x in a]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def product(a, b):
+    """The product of two ascending integer polynomials."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def divides_mod_p(m, a, p):
+    """Whether the ascending m, nonzero mod p, divides a over F_p, by long division."""
+    m, r = trimmed_mod_p(m, p), trimmed_mod_p(a, p)
+    inv = pow(m[-1], -1, p)
+    while len(r) >= len(m):
+        shift, q = len(r) - len(m), r[-1] * inv
+        r = trimmed_mod_p([x - q * m[j - shift] if j >= shift else x for j, x in enumerate(r)], p)
+    return not r
+
+
+primes = st.sampled_from([2, 3, 5, 7, 101])
+polys = st.lists(st.integers(-30, 30), max_size=7)
+
+
+class TestPolynomialsModP:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(primes, polys, polys, st.data())
+    def test_remainder_is_the_r_of_a_equals_qm_plus_r(self, p, q, m, data):
+        # Draw m, q and r with deg r < deg m; the remainder of a = q*m + r is r mod p.
+        m = trimmed_mod_p(m, p)
+        assume(m)
+        r = data.draw(st.lists(st.integers(-30, 30), max_size=len(m) - 1))
+        a = [x + y for x, y in itertools.zip_longest(product(q, m), r, fillvalue=0)]
+        assert poly_rem_mod_p(a, m, p) == trimmed_mod_p(r, p)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(primes, polys, polys)
+    def test_gcd_is_monic_and_divides_both(self, p, a, b):
+        g = poly_gcd_mod_p(a, b, p)
+        if not trimmed_mod_p(a, p) and not trimmed_mod_p(b, p):
+            assert g == []
+        else:
+            assert g[-1] == 1 and all(0 <= x < p for x in g)
+            assert divides_mod_p(g, a, p) and divides_mod_p(g, b, p)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(primes, polys, polys, st.lists(st.integers(-30, 30), max_size=4))
+    def test_gcd_of_multiples_of_a_monic_c_is_c_times_the_gcd(self, p, a, b, low):
+        c = low + [1]
+        expected = trimmed_mod_p(product(poly_gcd_mod_p(a, b, p), c), p)
+        assert poly_gcd_mod_p(product(a, c), product(b, c), p) == expected
+
+    def test_examples(self):
+        # Phi_4 = x^2 + 1 = (x - 2)(x - 3) mod 5, and 1 - 2x vanishes at x = 3.
+        assert poly_gcd_mod_p([1, 0, 1], [1, -2], 5) == [2, 1]
+        assert poly_rem_mod_p([1, 2, 3, 4], [0, 1], 5) == [1]
+        assert poly_rem_mod_p([5, 10], [1, 1], 5) == []
+        assert poly_gcd_mod_p([7], [0, 0, 14], 7) == []

@@ -282,6 +282,21 @@ def _names_by_function(path: Path) -> dict[str, set[str]]:
             for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
 
 
+def test_carlitz_check_decides_the_p_power_congruence_by_one_gcd():
+    # The p^v congruence is one gcd and one division over F_p[x]; the rank route it replaced lives
+    # on only as a test oracle, and neither the check nor its helpers reach into the B_(k,chi) pipelines.
+    check = _names_by_function(SRC / "bernoulli.py")["verify_carlitz"]
+    assert {"poly_gcd_mod_p", "poly_rem_mod_p"} <= check
+    assert not check & {"padic_invariant_exponents", "times_x_rows"}, sorted(check)
+    helpers = _names_by_function(SRC / "exactalg.py")
+    pipelines = {"_states", "_SeriesState", "_PolysumState", "value_classes"}
+    for named in (check, helpers["poly_gcd_mod_p"], helpers["poly_rem_mod_p"]):
+        assert not named & pipelines, sorted(named & pipelines)
+    imported = {alias.name for node in ast.walk(ast.parse((SRC / "bernoulli.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"padic_invariant_exponents", "times_x_rows"}, sorted(imported)
+
+
 def test_quotients_and_indices_compute_no_lattice():
     # Every quotient and index is read off local elementary divisors; tests/test_sympy_oracles.py
     # compares them with the Smith form of the HNF basis.
