@@ -283,8 +283,9 @@ def _names_by_function(path: Path) -> dict[str, set[str]]:
 
 
 def test_carlitz_check_decides_the_p_power_congruence_by_one_gcd():
-    # The p^v congruence is one gcd and one division over F_p[x]; the rank route it replaced lives
-    # on only as a test oracle, and neither the check nor its helpers reach into the B_(k,chi) pipelines.
+    # The p^v congruence is one gcd and one division over F_p[x]; the rank of multiplication mod p is
+    # its oracle in tests/test_bernoulli.py, and neither the check nor its helpers reach into the
+    # B_(k,chi) pipelines.
     check = _names_by_function(SRC / "bernoulli.py")["verify_carlitz"]
     assert {"poly_gcd_mod_p", "poly_rem_mod_p"} <= check
     assert not check & {"padic_invariant_exponents", "times_x_rows"}, sorted(check)
