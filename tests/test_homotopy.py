@@ -329,6 +329,16 @@ class TestPinnedOutputs:
                     lines.append(f"{N}:{chi.index()}:{i}:{direct.render()}|{assembled.render()}")
         assert _digest(lines) == (87291, "c1c07e36ceb7c16a40b16636370a4cf78bf4a699b6f92cc8956ebadab1740db8")
 
+    def test_direct_plans_and_ell_up_to_conductor_199(self):
+        # The repr of every direct plan, and ell(chi) where the conductor is a prime power.
+        lines = []
+        for N in range(3, 200):
+            prime_power = len(factorize(N)) == 1
+            for chi in primitive_chars(N):
+                ell = f":{characters.ell_of_chi(chi)}" if prime_power else ""
+                lines.append(f"{N}:{chi.index()}:{homotopy._direct_plan(chi)!r}{ell}")
+        assert _digest(lines) == (7484, "bbe0a6c32af2f527fa3007ed91c3c5aae9f87332df79e666c8a72540478f3db6")
+
     def test_duality_rows_on_the_verify_grid(self):
         # The grid of `verify duality-dirichlet`: p in {3, 5, 7} with v <= 2, 2^v with v = 2..4, t in [-20, 20].
         pairs = [(p, v) for p in (3, 5, 7) for v in (1, 2)] + [(2, v) for v in (2, 3, 4)]
