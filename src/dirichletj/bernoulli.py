@@ -437,9 +437,9 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     if chi.modulus == 1:
         raise InputError("conductor 1: Carlitz's theorems take chi != 1; verify_von_staudt checks B_k of chi = 1")
     if k < 1:
-        raise ValueError("k must be positive")
+        raise InputError("k must be positive")
     if (-1) ** k != parity(chi):
-        raise ValueError("parity mismatch: B_{k,chi} = 0, nothing to verify")
+        raise InputError("parity mismatch: B_{k,chi} = 0, nothing to verify")
     N = chi.modulus
     b_over_k = gbn(chi, k) / k
     fac = factorize(N)

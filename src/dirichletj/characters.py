@@ -308,28 +308,36 @@ def prime_to_p_order(chi: DirichletCharacter, p: int) -> int:
                       if q != p))
 
 
-def ell_of_chi(chi: DirichletCharacter) -> int:
-    """The auxiliary prime ell(chi): ell when |image(chi)| is a power of a
-    prime ell different from the conductor prime, else 1.
+def qualifying_prime(chi: DirichletCharacter) -> tuple[int, int] | None:
+    """(ell, n) for the prime ell whose prime-to-ell part chi' has an image of order ell^n, n >= 1; None if none.
 
-    The conductor must be a prime power p^v (or 1).  When the image size
-    is a power of p itself we return 1: inverting p would trivialize the
-    denominator comparison, so only ell != p qualifies.
+    chi' takes the values zeta_m^(w_i) on the generators at the primes other
+    than ell, for m = ord(chi) and chi's weights w_i, so its image has order
+    m / gcd(m, those w_i), a divisor of m: only the primes of m are scanned,
+    and at most one of them qualifies.
     """
-    N = conductor(chi)
-    if N == 1:
-        return 1
-    fac = factorize(N)
-    if len(fac) != 1:
+    m, found = chi._order, []
+    for ell in factorize(m):
+        image = m // math.gcd(m, *(w for (q, *_), w in zip(chi.structure.generators, chi._weights) if q != ell))
+        n = _vp(image, ell)
+        if n and image == ell**n:
+            found.append((ell, n))
+    if len(found) > 1:
+        raise AssertionError(f"primes {found} all carry a p-power prime-to-p image; at most one can")
+    return found[0] if found else None
+
+
+def ell_of_chi(chi: DirichletCharacter) -> int:
+    """The auxiliary prime ell(chi) of a character of conductor 1 or p^v: the prime of ``qualifying_prime``, else 1.
+
+    At conductor p^v that is the ell != p with |image(chi)| = ell^n: the
+    prime-to-p part is trivial, so p never qualifies, as inverting p would
+    trivialize the denominator comparison.
+    """
+    if len(factorize(conductor(chi))) > 1:
         raise ValueError("conductor is not a prime power")
-    p = next(iter(fac))
-    n = chi.order()
-    nfac = factorize(n)
-    if len(nfac) == 1:
-        ell = next(iter(nfac))
-        if ell != p:
-            return ell
-    return 1
+    found = qualifying_prime(chi)
+    return 1 if found is None else found[0]
 
 
 def kernel_order_match(k: int, p: int, chi_tame_order: int) -> bool:

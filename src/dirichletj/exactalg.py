@@ -50,7 +50,9 @@ from typing import Iterable, Sequence
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk scale)."""
+    """Prime factorization of n >= 1 by trial division (desk scale); {} at n = 1."""
+    if n < 1:
+        raise InputError(f"only n >= 1 has a prime factorization, got {n}")
     out: dict[int, int] = {}
     m = n
     p = 2

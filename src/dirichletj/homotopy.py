@@ -10,8 +10,8 @@ once (an odd table of conductor 2^v, v >= 3, is the even one two degrees
 up):
 
 * the direct tables: one cached plan per character of suspended wedges
-  (the p-part and ell-part at conductor p, conductor 4, and mixed
-  conductors), plus two stripes (2^v with v >= 3, p^v with v >= 2);
+  (the local wedge at conductor p or 4, and the wedge at the character's
+  qualifying prime), plus two stripes (2^v with v >= 3, p^v with v >= 2);
 * assembly from the p-adic decomposition: one summand per Galois coset
   of the splitting of Z[chi] at p, each evaluated through the per-prime
   tables in the degrees where it can be nonzero.
@@ -27,7 +27,6 @@ import math
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from . import characters as chmod
 from .bernoulli import d2k
 from .characters import (
     AbelianField,
@@ -38,7 +37,9 @@ from .characters import (
     is_primitive,
     parity,
     prime_to_p_order,
+    qualifying_prime,
     tame_exponent,
+    tame_order,
 )
 from .cyclotomic import padic_splitting
 from .exactalg import AbelianGroupExpr, _vp, euler_phi, factorize, is_prime, staudt_odd_primes
@@ -309,57 +310,33 @@ def _assembly_summands(chi: DirichletCharacter) -> tuple[_Summands, tuple[tuple[
 # Dirichlet J-spectra: direct tables and assembly
 
 
-def _qualifying_prime(chi: DirichletCharacter) -> Optional[tuple[int, int]]:
-    """The prime p with |image(chi')| = p^n (n >= 1), if one exists, with n.
-
-    chi' is the prime-to-p local product; at most one prime qualifies.  The
-    image of chi' has order dividing ord(chi), so only the primes of ord(chi)
-    are scanned.
-    """
-    found = []
-    for p in factorize(chi.order()):
-        m = prime_to_p_order(chi, p)
-        n = _vp(m, p)
-        if n and m == p**n:
-            found.append((p, n))
-    if len(found) > 1:
-        raise AssertionError(f"primes {found} all carry a p-power prime-to-p image; at most one can")
-    return found[0] if found else None
-
-
 @lru_cache(maxsize=1024)
 def _direct_plan(chi: DirichletCharacter) -> tuple[tuple[tuple[int, ...], ...], Optional[tuple[int, int]]]:
     """(wedges, stripe): what the direct tables read off a primitive nontrivial chi, independent of the degree.
 
     Each wedge (q, w, tame order, shift, copies) adds that many copies of
-    ``_direct_wedge(q, w, tame order, i + shift)`` in degree i.  Conductor
-    p > 2 has the p-part (p, 1, ord chi, 1, 1) and, when ord chi is a power
-    of the prime ell, (ell, 2 if ell = 2 else 1, 1, 0, ell); conductor 4 is
-    (2, 2, 2, 1, 1); a conductor with several primes has none, or
-    (p, max(2 if p = 2 else 1, v_p(N) - n), tame order, 0, p) at the one
-    prime p carrying a p-power prime-to-p image p^n.  The other prime powers
-    p^v read the stripe (p, tame order at p): Z/p in each degree 2k - 1 with
+    ``_direct_wedge(q, w, tame order, i + shift)`` in degree i.  One rule
+    holds at every conductor N: N = p or 4 has the local wedge
+    (p, 2 if p = 2 else 1, ord chi, 1, 1), and wherever chi has a qualifying
+    prime ell, its prime-to-ell part of image ell^n (``qualifying_prime``),
+    there is the wedge (ell, max(2 if ell = 2 else 1, v_ell(N) - n), tame
+    order at ell, 0, ell).  At N = p that is ell's part: v_ell(N) = 0 and
+    the tame order at ell is 1.  The other prime powers p^v read the stripe
+    (p, tame order at p) instead: Z/p in each degree 2k - 1 with
     ker omega^k = ker chi at odd p, and a period-8 table at 2^v, v >= 3.
     """
-    fac = factorize(chi.modulus)
-    if len(fac) > 1:
-        found = _qualifying_prime(chi)
-        if found is None:
-            return (), None
-        p, n = found
-        return ((p, max(2 if p == 2 else 1, fac.get(p, 0) - n), chmod.tame_order(chi, p), 0, p),), None
-    (p, v), = fac.items()
-    if p == 2 and v == 2:
-        return ((2, 2, 2, 1, 1),), None
-    if v > 1:
-        return (), (p, chmod.tame_order(chi, p))
-    order = chi.order()
-    ells = factorize(order)
-    p_part = (p, 1, order, 1, 1)
-    if len(ells) > 1:
-        return (p_part,), None
-    (ell,) = ells
-    return (p_part, (ell, 2 if ell == 2 else 1, 1, 0, ell)), None
+    N, fac = chi.modulus, factorize(chi.modulus)
+    wedges = []
+    if len(fac) == 1:
+        (p,) = fac
+        if N not in (p, 4):
+            return (), (p, tame_order(chi, p))
+        wedges.append((p, 2 if p == 2 else 1, chi.order(), 1, 1))
+    found = qualifying_prime(chi)
+    if found is not None:
+        ell, n = found
+        wedges.append((ell, max(2 if ell == 2 else 1, fac.get(ell, 0) - n), tame_order(chi, ell), 0, ell))
+    return tuple(wedges), None
 
 
 def _direct_wedge(q: int, w: int, t: int, i: int) -> AbelianGroupExpr:
@@ -507,16 +484,16 @@ def pi_JK(field: AbelianField, i: int, invert_G: bool = False) -> AbelianGroupEx
 def _duality_setup(chi: DirichletCharacter) -> tuple[int, int, DirichletCharacter, tuple[int, ...], int]:
     """(p, v, chi^{-1}, loc, shift) for chi of conductor p^v: what each of its duality rows reads.
 
-    ``loc`` holds ell(chi) when ell(chi) > 1 (never at p = 2, where the
-    order of chi is a power of 2) and is empty otherwise.
+    ``loc`` holds ell(chi), chi's qualifying prime, when it has one (never
+    at p = 2, where the order of chi is a power of 2) and is empty otherwise.
     """
     fac = factorize(conductor(chi))
     if len(fac) != 1:
         raise ValueError("conductor must be a prime power")
     (p, v), = fac.items()
-    ell = chmod.ell_of_chi(chi)
+    found = qualifying_prime(chi)
     shift = -6 if p == 2 and parity(chi) == 1 else -2
-    return p, v, char_inv(chi), () if ell == 1 else (ell,), shift
+    return p, v, char_inv(chi), () if found is None else (found[0],), shift
 
 
 def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[int]) -> list[dict]:

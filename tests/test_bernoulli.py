@@ -715,8 +715,12 @@ class TestCarlitz:
         assert min(verdicts.values()) > 50, verdicts
 
     def test_parity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"^parity mismatch: B_\{k,chi\} = 0, nothing to verify$"):
             verify_carlitz(quad5(), 1)
+
+    def test_nonpositive_weight_rejected(self):
+        with pytest.raises(InputError, match="^k must be positive$"):
+            verify_carlitz(quad5(), 0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_trivial_character_is_sent_to_von_staudt(self, k):

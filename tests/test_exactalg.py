@@ -12,7 +12,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dirichletj.exactalg import hermite_normal_form, poly_gcd_mod_p, poly_rem_mod_p, times_x_rows
+from dirichletj.exactalg import (InputError, euler_phi, factorize, hermite_normal_form, poly_gcd_mod_p, poly_rem_mod_p,
+                                 times_x_rows)
 
 
 def bareiss_det(rows):
@@ -252,3 +253,13 @@ class TestPolynomialsModP:
         assert poly_rem_mod_p([1, 2, 3, 4], [0, 1], 5) == [1]
         assert poly_rem_mod_p([5, 10], [1, 1], 5) == []
         assert poly_gcd_mod_p([7], [0, 0, 14], 7) == []
+
+
+@pytest.mark.parametrize("n", [0, -1, -6])
+def test_factorize_refuses_n_below_one(n):
+    # euler_phi reads the factorization, so it refuses n < 1 too, where a product over {} would read 1.
+    with pytest.raises(InputError, match=f"got {n}$"):
+        factorize(n)
+    with pytest.raises(InputError):
+        euler_phi(n)
+    assert factorize(1) == {} and factorize(12) == {2: 2, 3: 1}

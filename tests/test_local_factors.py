@@ -9,6 +9,7 @@ evaluates chi, so it shares no code with the slicing it checks, that of
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -16,10 +17,12 @@ import pytest
 from dirichletj.characters import (
     DirichletCharacter,
     _value_exponent,
+    ell_of_chi,
     enumerate_characters,
     get_structure,
     is_primitive,
     prime_to_p_order,
+    qualifying_prime,
     tame_order,
     unit_subgroup,
 )
@@ -113,6 +116,35 @@ def test_tame_order_matches_evaluation():
             t = tame_value_exponent(chi, p)
             assert tame_order(chi, p) == n // math.gcd(t, n)
         assert tame_order(chi, 293 if chi.modulus % 293 else 283) == 1
+
+
+@lru_cache(maxsize=None)
+def prime_divisors(n: int) -> tuple[int, ...]:
+    return tuple(q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, math.isqrt(q) + 1)))
+
+
+def test_qualifying_prime_matches_evaluation():
+    # For each prime ell of ord(chi), the prime-to-ell part is chi restricted by evaluation to
+    # the units that are 1 mod ell^(v_ell(N)); at most one has an image of order ell^n, n >= 1.
+    kinds = Counter()
+    for chi in characters_up_to_300():
+        if not is_primitive(chi):
+            continue
+        N, found = chi.modulus, []
+        for ell in prime_divisors(chi.order()):
+            m = restrict_by_evaluation(chi, N // ell ** valuation(N, ell)).order()
+            n = valuation(m, ell)
+            if n and m == ell**n:
+                found.append((ell, n))
+        assert len(found) <= 1, (N, chi.index(), found)
+        assert qualifying_prime(chi) == (found[0] if found else None), (N, chi.index())
+        prime_power = len(prime_divisors(N)) <= 1
+        if prime_power:
+            assert ell_of_chi(chi) == (found[0][0] if found else 1), (N, chi.index())
+        kinds[prime_power, bool(found), bool(found) and N % found[0][0] == 0] += 1
+    # Both kinds of conductor, with and without a qualifying prime, and ell | N at mixed ones.
+    assert {(True, False, False), (True, True, False), (False, False, False),
+            (False, True, False), (False, True, True)} <= set(kinds), kinds
 
 
 def expected_decomposition(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:

@@ -222,7 +222,7 @@ def test_homotopy_assembly_shares_no_code_with_the_direct_tables():
     tree = ast.parse((SRC / "homotopy.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     direct = {"_pi_jnchi_direct", "_direct_plan", "_direct_wedge",
-              "_qualifying_prime", "kernel_order_match", "tame_order"}
+              "qualifying_prime", "kernel_order_match", "tame_order"}
     for name in ("_pi_jnchi_assembly", "_assembly_summands"):
         named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(functions[name])
                  if isinstance(node, (ast.Name, ast.Attribute))}
@@ -231,11 +231,13 @@ def test_homotopy_assembly_shares_no_code_with_the_direct_tables():
 
 def test_homotopy_direct_tables_share_no_code_with_the_assembly():
     # The reverse direction: the direct route writes its own tables and reads none of the
-    # per-prime tables or the p-adic plan that the assembly sums.
+    # per-prime tables or the p-adic plan that the assembly sums, nor the prime-to-p order
+    # that decompose_p reads.
     names = _names_by_function(SRC / "homotopy.py")
+    names["qualifying_prime"] = _names_by_function(SRC / "characters.py")["qualifying_prime"]
     assembly = {"pi_DK1", "_tame_eigen_odd", "_tame_eigen_2", "pi_K1",
-                "decompose_p", "_assembly_summands", "_pi_jnchi_assembly"}
-    for name in ("_pi_jnchi_direct", "_direct_plan", "_qualifying_prime", "_direct_wedge"):
+                "decompose_p", "_assembly_summands", "_pi_jnchi_assembly", "prime_to_p_order"}
+    for name in ("_pi_jnchi_direct", "_direct_plan", "qualifying_prime", "_direct_wedge"):
         assert not names[name] & assembly, f"{name} names {sorted(names[name] & assembly)}"
 
 
@@ -243,7 +245,7 @@ def test_homotopy_direct_tables_read_the_character_once_per_plan():
     # Everything that does not depend on the degree is read once by the cached _direct_plan;
     # each degree of the direct route runs no primality test, factorization or character read.
     names = _names_by_function(SRC / "homotopy.py")
-    per_character = {"is_prime", "factorize", "kernel_order_match", "tame_order", "parity", "_qualifying_prime"}
+    per_character = {"is_prime", "factorize", "kernel_order_match", "tame_order", "parity", "qualifying_prime"}
     for name in ("_pi_jnchi_direct", "_direct_wedge"):
         assert not names[name] & per_character, f"{name} names {sorted(names[name] & per_character)}"
 
