@@ -318,7 +318,7 @@ def qualifying_prime(chi: DirichletCharacter) -> tuple[int, int] | None:
     """
     m, found = chi._order, []
     for ell in factorize(m):
-        image = m // math.gcd(m, *(w for (q, *_), w in zip(chi.structure.generators, chi._weights) if q != ell))
+        image = m // math.gcd(m, *[w for g, w in zip(chi.structure.generators, chi._weights) if g[0] != ell])
         n = _vp(image, ell)
         if n and image == ell**n:
             found.append((ell, n))
