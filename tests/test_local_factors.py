@@ -3,8 +3,9 @@ checked against the evaluation algorithm: chi is evaluated on CRT lifts of
 local generators and each local character is rebuilt from those values.
 
 The reference reads nothing of the layout of the exponent tuple; it only
-evaluates chi, so it shares no code with the slicing it checks, that of
-``prime_to_p_order`` and of the test helper ``factor_local``.
+evaluates chi, so it shares no code with what it checks: the slicing of
+``prime_to_p_order`` and of the test helper ``factor_local``, and the
+weights that ``qualifying_prime`` reads.
 """
 
 import itertools
