@@ -33,8 +33,8 @@ from dirichletj.characters import (
     tame_order,
 )
 from dirichletj.cyclotomic import CycElement, denominator_ideal, galois_apply, get_field, quotient_group, render_cyc
-from dirichletj.exactalg import (AbelianGroupExpr, _vp, factorize, padic_invariant_exponents, poly_gcd_mod_p,
-                                 smallest_primitive_root, times_x_rows)
+from dirichletj.exactalg import (AbelianGroupExpr, _vp, factorize, is_prime, padic_invariant_exponents,
+                                 poly_gcd_mod_p, smallest_primitive_root, times_x_rows)
 
 from exponent_tuples import char_pow
 from ideal_oracle import carlitz_by_ideals, carlitz_p_ideal
@@ -645,6 +645,18 @@ def test_carlitz_rows_on_the_prime_power_grid_are_pinned():
     assert Counter(row["case"] for row in rows) == {"p^v-congruence": 2124, "p^2-unit": 516, "p^3-unit": 200}
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "6739b3b1c3c093a958fbbded68ecf61e5da3883426ca22a64506312d42559387"
+
+
+def test_carlitz_rows_at_prime_conductors_are_pinned():
+    # sha256 of the verify_carlitz rows of every primitive chi of prime conductor 3 to 43 at each
+    # k <= 24 of chi's parity, from the code that lifted g to its Teichmuller root inline.  These
+    # are the rows the lift mod p^e decides: 49 of them read it mod p^2 and one mod p^3.
+    rows = [verify_carlitz(chi, k) for N in range(3, 44) if is_prime(N) for chi in enumerate_characters(N)
+            if is_primitive(chi) for k in range(1, 25) if (-1) ** k == parity(chi)]
+    assert Counter(row["case"] for row in rows) == {"p-congruence": 1617, "p^1-unit": 1419}
+    assert Counter(row.get("modulus_power") for row in rows) == {None: 1419, 1: 1567, 2: 49, 3: 1}
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "307b2aa0486692c94e19d1ca93fd210d9f9dc96d3e384542026708b20f102480"
 
 
 class TestCarlitz:
