@@ -77,6 +77,7 @@ from .exactalg import (
     poly_gcd_mod_p,
     poly_rem_mod_p,
     staudt_odd_primes,
+    teichmuller,
 )
 
 
@@ -339,22 +340,6 @@ def l_value(chi: DirichletCharacter, s: int) -> CycElement:
     return gbn(chi, k) / -k
 
 
-def d2k(k: int) -> int:
-    """Denominator of B_{2k}/(4k) in lowest terms (the image-of-J order), in closed form.
-
-    It is 2^(2 + v_2(2k)) times p^(1 + v_p(2k)) over the odd primes p with
-    (p - 1) | 2k, and no other prime divides it: von Staudt-Clausen, and
-    B_{2k}/2k is p-integral when (p - 1) does not divide 2k (Adams, "On the
-    groups J(X) IV", 1966).  No Bernoulli number is computed.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    out = 2 ** (2 + _vp(2 * k, 2))
-    for p in staudt_odd_primes(2 * k):
-        out *= p ** (1 + _vp(2 * k, p))
-    return out
-
-
 def denom_ideal(chi: DirichletCharacter, k: int) -> CycElement:
     """B_{k,chi}/(2k), the element that stands for its denominator ideal D of Z[chi].
 
@@ -467,7 +452,7 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     if v == 1:
         e = _vp(k, p) + 1
         pe = p**e
-        root = pow(pow(g, p ** (e - 1), pe), -k * pow(c, -1, n) % (p - 1), pe)
+        root = pow(teichmuller(p, g, e), -k * pow(c, -1, n) % (p - 1), pe)
         x = gbn(chi, k) * p - (p - 1)
         row["case"] = "p-congruence"
         row["modulus_power"] = e
@@ -483,14 +468,3 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     row["case"] = "p^v-congruence"
     row["ok"] = x.is_integral() and not any(poly_rem_mod_p(x.nums, h, p))
     return row
-
-
-__all__ = [
-    "bernoulli_number",
-    "gbn",
-    "l_value",
-    "d2k",
-    "denom_ideal",
-    "verify_von_staudt",
-    "verify_carlitz",
-]

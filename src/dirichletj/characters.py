@@ -374,11 +374,12 @@ def tame_exponent(chi: DirichletCharacter, p: int) -> int:
 
 
 def tame_order(chi: DirichletCharacter, p: int) -> int:
-    """Order of chi restricted to the prime-to-p (tame) part of (Z/p^v)^x:
-    (p - 1) / gcd(a, p - 1) for odd p, and 1 or 2 at p = 2, for the tame
-    exponent a."""
+    """Order of chi on the tame part of (Z/p^v)^x, t / gcd(e, t) for t = p - 1 (2 at p = 2) and e the
+    first exponent at p (0 when there is none), read off e itself: ``tame_exponent`` is the p-adic
+    assembly's read, and the direct tables read this one."""
     tame = 2 if p == 2 else p - 1
-    return tame // math.gcd(tame_exponent(chi, p), tame)
+    e = next((e for (q, *_), e in zip(chi.structure.generators, chi.exponents) if q == p), 0)
+    return tame // math.gcd(e, tame)
 
 
 def unit_subgroup(N: int, gens: Sequence[int]) -> set[int]:

@@ -130,6 +130,12 @@ def _primitive_characters(N: int) -> list[DirichletCharacter]:
     return [chi for chi in enumerate_characters(N) if characters.is_primitive(chi) and not chi.is_trivial()]
 
 
+def _matching_weights(chi: DirichletCharacter, weights: Iterable[int]) -> Iterable[int]:
+    """The k of ``weights`` with (-1)^k = chi(-1), in order: where B_{k,chi} is not 0 by parity."""
+    sign = characters.parity(chi)
+    return (k for k in weights if (-1) ** k == sign)
+
+
 # The suites in ``verify all`` order, and the verify options each reads, as
 # option -> keyword of its suite_* function; a suite not listed reads none.
 SUITES: dict[str, Callable[..., RunReport]] = {}
@@ -178,10 +184,7 @@ def suite_carlitz(
 ) -> None:
     for N in conductors:
         for chi in _primitive_characters(N):
-            sign = characters.parity(chi)
-            for k in range(1, max_k + 1):
-                if (-1) ** k != sign:
-                    continue
+            for k in _matching_weights(chi, range(1, max_k + 1)):
                 row = bernoulli.verify_carlitz(chi, k)
                 report.check((N, chi.index(), k), row["ok"], {"case_kind": row["case"]})
 
@@ -206,14 +209,11 @@ def suite_gbn_theorem(
     for extra2, group in ((False, moduli), (True, moduli_invert2)):
         for N in group:
             for chi in _primitive_characters(N):
-                sign = characters.parity(chi)
                 ell = characters.ell_of_chi(chi)
                 inverted = set() if ell == 1 else {ell}
                 if extra2:
                     inverted.add(2)
-                for k in range(-max_weight, max_weight + 1):
-                    if k == 0 or (-1) ** k != sign:
-                        continue
+                for k in _matching_weights(chi, (*range(-max_weight, 0), *range(1, max_weight + 1))):
                     ideal = bernoulli.denom_ideal(char_inv(chi), abs(k))
                     arithmetic = homotopy.invert_primes(quotient_group(ideal), inverted)
                     topological = homotopy.pi_jn_chi(chi, 2 * k - 1, inverted)
@@ -323,10 +323,7 @@ def suite_eisenstein(
             chis = _primitive_characters(N)
             weights = range(1, max_k + 1)
         for chi in chis:
-            sign = characters.parity(chi)
-            for k in weights:
-                if (-1) ** k != sign:
-                    continue
+            for k in _matching_weights(chi, weights):
                 result = eisenstein.congruence_check(chi, k, n_max)
                 if result["mandatory_failures"]:
                     report.record((N, chi.index(), k), "fail", {"mandatory_failures": result["mandatory_failures"]})

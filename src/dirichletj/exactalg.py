@@ -2,14 +2,16 @@
 
 Every other module of the package imports this one and it imports none of
 them.  It holds the integer helpers (trial-division factorization, the
-odd primes p with (p - 1) | m, p-adic valuations, multiplicative orders,
-primitive roots), the Hermite normal form of a lattice, the one
-elimination over Z/p^M that every quotient is read off, the
-multiplication by x modulo a monic polynomial, division and gcd over
-F_p[x], ``InputError``, the error of an argument out of range,
-``Record``, the base of the package's value types, and
-``AbelianGroupExpr``, the value type of every quotient group and every
-homotopy table.
+odd primes p with (p - 1) | m and the image-of-J order D_2k built from
+them, p-adic valuations, multiplicative orders, primitive roots, and
+the Teichmuller lift of a unit mod p to a (p-1)-st root of unity mod
+p^M, which the Carlitz check and the p-adic oracle both read), the
+Hermite normal form of a lattice, the one elimination over Z/p^M that
+every quotient is read off, the multiplication by x modulo a monic
+polynomial, division and gcd over F_p[x], ``InputError``, the error of
+an argument out of range, ``Record``, the base of the package's value
+types, and ``AbelianGroupExpr``, the value type of every quotient group
+and every homotopy table.
 
 The HNF takes a matrix as a list of integer rows, and the elimination
 takes it as a list of sparse rows, each a {column: value} dict; neither
@@ -100,6 +102,22 @@ def staudt_odd_primes(m: int) -> list[int]:
     return sorted(d + 1 for d in divisors if d > 1 and is_prime(d + 1))
 
 
+def d2k(k: int) -> int:
+    """Denominator of B_{2k}/(4k) in lowest terms (the image-of-J order), in closed form.
+
+    It is 2^(2 + v_2(2k)) times p^(1 + v_p(2k)) over the odd primes p with
+    (p - 1) | 2k, and no other prime divides it: von Staudt-Clausen, and
+    B_{2k}/2k is p-integral when (p - 1) does not divide 2k (Adams, "On the
+    groups J(X) IV", 1966).  No Bernoulli number is computed.
+    """
+    if k < 1:
+        raise InputError("k must be positive")
+    out = 2 ** (2 + _vp(2 * k, 2))
+    for p in staudt_odd_primes(2 * k):
+        out *= p ** (1 + _vp(2 * k, p))
+    return out
+
+
 def _vp(k: int, p: int) -> int:
     """The p-adic valuation of a nonzero integer k."""
     if k == 0:
@@ -135,6 +153,26 @@ def smallest_primitive_root(q: int, phi: int) -> int:
                 raise AssertionError(f"{g} is not a primitive root mod {q}")
             return g
     raise ValueError(f"no primitive root mod {q}")
+
+
+@lru_cache(maxsize=128)
+def teichmuller(p: int, a: int, M: int) -> int:
+    """The unique (p-1)-st root of unity congruent to a mod p, as a residue mod p^M.
+
+    a^(p^(M-1)) is that root: (Z/p^M)^x is mu_(p-1) x (1 + pZ)/(1 + p^M Z),
+    and the power p^(M-1) kills the second factor, of order p^(M-1), and is
+    the identity on the first, since p = 1 mod p - 1.
+    Cached: the p-adic oracle asks for the same lift at every (a, t).
+    """
+    if not is_prime(p) or p == 2:
+        raise InputError("p must be an odd prime")
+    if a % p == 0:
+        raise InputError("a must be prime to p")
+    modulus = p**M
+    x = pow(a, p ** (M - 1), modulus)
+    if pow(x, p - 1, modulus) != 1:
+        raise AssertionError(f"Teichmuller lift of {a} mod {p}^{M} is not a (p-1)-st root of unity")
+    return x
 
 
 def _crt_lift(residue: int, modulus: int, full_modulus: int) -> int:

@@ -16,9 +16,12 @@ up):
   of the splitting of Z[chi] at p, each evaluated through the per-prime
   tables in the degrees where it can be nonzero.
 
-``pi_jn_chi`` runs both and raises if they ever disagree.  Both sides of
-each duality row of ``check_duality_dirichlet`` are read through it; a
-primed 2-adic table is the unprimed one four degrees down.
+``pi_jn_chi`` runs both and raises if they ever disagree.  They read no
+``characters`` helper in common: the direct tables read the tame order
+and the qualifying prime, the assembly the tame exponent and the
+prime-to-p order.  Both sides of each duality row of
+``check_duality_dirichlet`` are read through it; a primed 2-adic table
+is the unprimed one four degrees down.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import math
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .bernoulli import d2k
 from .characters import (
     AbelianField,
     DirichletCharacter,
@@ -42,7 +44,7 @@ from .characters import (
     tame_order,
 )
 from .cyclotomic import padic_splitting
-from .exactalg import AbelianGroupExpr, _vp, euler_phi, factorize, is_prime, staudt_odd_primes
+from .exactalg import AbelianGroupExpr, _vp, d2k, euler_phi, factorize, is_prime, staudt_odd_primes
 from .padic import PAdicCharacterData, PrimeToPPart
 
 

@@ -1,4 +1,4 @@
-"""Teichmuller residues mod p^M and the Smith-normal-form cohomology oracle.
+"""The Smith-normal-form cohomology oracle over Z_p, and the closed-form E2 pages.
 
 The oracle computes finite quotients like Z_p[zeta_{p^(v-1)}] / (w(g) zeta - g^t)
 directly as Smith normal forms of multiplication matrices over Z/p^M
@@ -37,37 +37,18 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .characters import InputError
 from .cyclotomic import cyclotomic_poly
 from .exactalg import (
     AbelianGroupExpr,
+    InputError,
     Record,
     _vp,
     euler_phi,
     is_prime,
     padic_invariant_exponents,
     smallest_primitive_root,
+    teichmuller,
 )
-
-
-@lru_cache(maxsize=128)
-def teichmuller(p: int, a: int, M: int) -> int:
-    """The unique (p-1)-st root of unity congruent to a mod p, as a residue mod p^M.
-
-    a^(p^(M-1)) is that root: (Z/p^M)^x is mu_(p-1) x (1 + pZ)/(1 + p^M Z),
-    and the power p^(M-1) kills the second factor, of order p^(M-1), and is
-    the identity on the first, since p = 1 mod p - 1.
-    Cached: ``quotient_oracle`` asks for the same lift at every (a, t).
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    if a % p == 0:
-        raise ValueError("a must be prime to p")
-    modulus = p**M
-    x = pow(a, p ** (M - 1), modulus)
-    if pow(x, p - 1, modulus) != 1:
-        raise AssertionError(f"Teichmuller lift of {a} mod {p}^{M} is not a (p-1)-st root of unity")
-    return x
 
 
 # At most _TOPGENS primes, the oldest dropped first; a homotopy-sweep pass and
@@ -183,11 +164,11 @@ def quotient_oracle(p: int, v: int, a: int, t: int) -> AbelianGroupExpr:
     p odd, v >= 2, 0 <= a <= p-2.  g is the fixed topological generator.
     """
     if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+        raise InputError("p must be an odd prime")
     if v < 2:
-        raise ValueError("v must be at least 2")
+        raise InputError("v must be at least 2")
     if not 0 <= a <= p - 2:
-        raise ValueError("tame exponent out of range")
+        raise InputError("tame exponent out of range")
     pm = p**_PRECISION
     g = topological_generator(p)
     # u = w*x - g^t in the power basis.
@@ -198,7 +179,7 @@ def quotient_oracle(p: int, v: int, a: int, t: int) -> AbelianGroupExpr:
 def quotient_oracle_2(v: int, t: int) -> AbelianGroupExpr:
     """Z_2[zeta_{2^(v-2)}] / (zeta - 5^t) by Smith normal form, v >= 3."""
     if v < 3:
-        raise ValueError("v must be at least 3")
+        raise InputError("v must be at least 3")
     pm = 2**_PRECISION
     return _stable_quotient(cyclotomic_poly(2 ** (v - 2)), [-pow(5, t, pm) % pm, 1], 2)
 

@@ -12,7 +12,6 @@ import pytest
 from dirichletj import bernoulli
 from dirichletj.bernoulli import (
     bernoulli_number,
-    d2k,
     denom_ideal,
     gbn,
     l_value,
@@ -33,7 +32,7 @@ from dirichletj.characters import (
     tame_order,
 )
 from dirichletj.cyclotomic import CycElement, denominator_ideal, galois_apply, get_field, quotient_group, render_cyc
-from dirichletj.exactalg import (AbelianGroupExpr, _vp, factorize, is_prime, padic_invariant_exponents,
+from dirichletj.exactalg import (AbelianGroupExpr, _vp, d2k, factorize, is_prime, padic_invariant_exponents,
                                  poly_gcd_mod_p, smallest_primitive_root, times_x_rows)
 
 from exponent_tuples import char_pow

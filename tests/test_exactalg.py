@@ -12,8 +12,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dirichletj.exactalg import (InputError, euler_phi, factorize, hermite_normal_form, poly_gcd_mod_p, poly_rem_mod_p,
-                                 times_x_rows)
+from dirichletj.exactalg import (InputError, d2k, euler_phi, factorize, hermite_normal_form, poly_gcd_mod_p,
+                                 poly_rem_mod_p, teichmuller, times_x_rows)
 
 
 def bareiss_det(rows):
@@ -263,3 +263,13 @@ def test_factorize_refuses_n_below_one(n):
     with pytest.raises(InputError):
         euler_phi(n)
     assert factorize(1) == {} and factorize(12) == {2: 2, 3: 1}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: teichmuller(4, 1, 2), "p must be an odd prime"),
+    (lambda: teichmuller(5, 10, 2), "a must be prime to p"),
+    (lambda: d2k(0), "k must be positive"),
+])
+def test_integer_helpers_refuse_arguments_out_of_range_with_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()

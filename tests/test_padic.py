@@ -8,7 +8,7 @@ import pytest
 
 from dirichletj import padic
 from dirichletj.cyclotomic import cyclotomic_poly
-from dirichletj.exactalg import AbelianGroupExpr, padic_invariant_exponents, times_x_rows
+from dirichletj.exactalg import AbelianGroupExpr, InputError, padic_invariant_exponents, times_x_rows
 from dirichletj.padic import (
     PAdicCharacterData,
     e2_page,
@@ -205,8 +205,21 @@ class TestQuotientOracle:
         with pytest.raises(ValueError):
             quotient_oracle(5, 1, 0, 1)
 
+    @pytest.mark.parametrize("args, message", [
+        ((3, 1, 0, 1), "v must be at least 2"),
+        ((4, 2, 0, 1), "p must be an odd prime"),
+        ((5, 2, 4, 1), "tame exponent out of range"),
+    ])
+    def test_arguments_out_of_range_raise_input_error(self, args, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            quotient_oracle(*args)
+
 
 class TestQuotientOracle2:
+    def test_v_below_three_raises_input_error(self):
+        with pytest.raises(InputError, match="^v must be at least 3$"):
+            quotient_oracle_2(2, 1)
+
     def test_spec_examples(self):
         assert quotient_oracle_2(3, 1) == AbelianGroupExpr.cyclic(2)
         assert quotient_oracle_2(4, 0) == AbelianGroupExpr.cyclic(2)

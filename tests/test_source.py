@@ -229,16 +229,33 @@ def test_homotopy_assembly_shares_no_code_with_the_direct_tables():
         assert not named & direct, f"{name} names {sorted(named & direct)}"
 
 
+def _reached(root: str) -> set[tuple[str, str]]:
+    """The (module, function) pairs a homotopy function reaches: the homotopy functions it names,
+    followed through the ones they name, and every characters helper any of them names, followed
+    through the helpers it names."""
+    functions = {module: _names_by_function(SRC / f"{module}.py") for module in ("homotopy", "characters")}
+    reached, frontier = set(), [("homotopy", root)]
+    while frontier:
+        item = frontier.pop()
+        if item in reached:
+            continue
+        reached.add(item)
+        named = functions[item[0]][item[1]]
+        followed = ("homotopy", "characters") if item[0] == "homotopy" else ("characters",)
+        frontier += [(module, name) for module in followed for name in sorted(named & functions[module].keys())]
+    return reached
+
+
 def test_homotopy_direct_tables_share_no_code_with_the_assembly():
-    # The reverse direction: the direct route writes its own tables and reads none of the
-    # per-prime tables or the p-adic plan that the assembly sums, nor the prime-to-p order
-    # that decompose_p reads.
-    names = _names_by_function(SRC / "homotopy.py")
-    names["qualifying_prime"] = _names_by_function(SRC / "characters.py")["qualifying_prime"]
-    assembly = {"pi_DK1", "_tame_eigen_odd", "_tame_eigen_2", "pi_K1",
-                "decompose_p", "_assembly_summands", "_pi_jnchi_assembly", "prime_to_p_order"}
-    for name in ("_pi_jnchi_direct", "_direct_plan", "qualifying_prime", "_direct_wedge"):
-        assert not names[name] & assembly, f"{name} names {sorted(names[name] & assembly)}"
+    # The reverse direction, followed through every call: the direct route writes its own tables
+    # and reads none of the per-prime tables or the p-adic plan that the assembly sums, and no
+    # characters helper is read by both routes, so a wrong tame exponent, tame order or prime-to-p
+    # order cannot reach both tables alike and pass the comparison.
+    direct, assembly = _reached("_pi_jnchi_direct"), _reached("_pi_jnchi_assembly")
+    assert {("homotopy", "_direct_plan"), ("characters", "qualifying_prime"), ("characters", "tame_order")} <= direct
+    assert {("homotopy", "pi_DK1"), ("homotopy", "decompose_p"), ("characters", "tame_exponent"),
+            ("characters", "prime_to_p_order")} <= assembly
+    assert not direct & assembly, sorted(direct & assembly)
 
 
 def test_homotopy_direct_tables_read_the_character_once_per_plan():
@@ -248,6 +265,20 @@ def test_homotopy_direct_tables_read_the_character_once_per_plan():
     per_character = {"is_prime", "factorize", "kernel_order_match", "tame_order", "parity", "qualifying_prime"}
     for name in ("_pi_jnchi_direct", "_direct_wedge"):
         assert not names[name] & per_character, f"{name} names {sorted(names[name] & per_character)}"
+
+
+def test_the_homotopy_and_l_value_sides_import_nothing_from_each_other():
+    # gbn-theorem and dedekind-jk check pi_* of the J-spectra against the L-values; an import
+    # between the two sides would let one route of that comparison read the other's code.  Only
+    # the modules that compare them import both.
+    sides = ({"padic", "homotopy"}, {"bernoulli", "eisenstein"})
+    imports = {path.stem: {target for node in ast.walk(ast.parse(path.read_text())) for target in _package_imports(node)}
+               for path in SRC.glob("*.py")}
+    crossing = [f"{name} imports {target}" for ours, theirs in (sides, sides[::-1])
+                for name in sorted(ours) for target in sorted(imports[name] & theirs)]
+    assert not crossing, crossing
+    both = sorted(name for name, targets in imports.items() if all(targets & side for side in sides))
+    assert both == ["cli", "dedekind"], both
 
 
 def test_duality_rows_read_only_the_checked_tables():
