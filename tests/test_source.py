@@ -242,7 +242,7 @@ def _reached(root: str) -> set[tuple[str, str]]:
         reached.add(item)
         named = functions[item[0]][item[1]]
         followed = ("homotopy", "characters") if item[0] == "homotopy" else ("characters",)
-        frontier += [(module, name) for module in followed for name in sorted(named & functions[module].keys())]
+        frontier += [(module, name) for module in followed for name in named & functions[module].keys()]
     return reached
 
 
@@ -272,8 +272,8 @@ def test_the_homotopy_and_l_value_sides_import_nothing_from_each_other():
     # between the two sides would let one route of that comparison read the other's code.  Only
     # the modules that compare them import both.
     sides = ({"padic", "homotopy"}, {"bernoulli", "eisenstein"})
-    imports = {path.stem: {target for node in ast.walk(ast.parse(path.read_text())) for target in _package_imports(node)}
-               for path in SRC.glob("*.py")}
+    imports = {path.stem: {target for node in ast.walk(ast.parse(path.read_text()))
+                           for target in _package_imports(node)} for path in SRC.glob("*.py")}
     crossing = [f"{name} imports {target}" for ours, theirs in (sides, sides[::-1])
                 for name in sorted(ours) for target in sorted(imports[name] & theirs)]
     assert not crossing, crossing
