@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic, denominator ideals, and p-adic splitting."""
 
+import hashlib
 import math
 import operator
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirichletj import characters, cyclotomic
+from dirichletj.bernoulli import denom_ideal
 from dirichletj.cyclotomic import (
     CycElement,
     cyclotomic_factor_count,
@@ -411,6 +413,20 @@ class TestDenominatorIdeal:
                                  for _ in range(f.degree)])
                 assert quotient_group(a) == quotient(denominator_lattice(a)), a
                 assert denominator_ideal(a) == denominator_lattice(a).basis, a
+
+
+def test_denominator_invariants_are_pinned():
+    # sha256 of Z[chi]/D(B_{k,chi}/2k) for every primitive chi of conductor 3 to 69 with
+    # phi(ord chi) <= 24 at each k <= 16, plus 101:1 and 83:1 (degree 40) at k = 3, from the code
+    # that read every prime of the denominator off an elimination mod p^v.
+    cases = [(N, chi.index(), k) for N in range(3, 70) for chi in characters.enumerate_characters(N)
+             if characters.is_primitive(chi) and euler_phi(chi.order()) <= 24 for k in range(1, 17)]
+    cases += [(101, 1, 3), (83, 1, 3)]
+    rows = [(N, index, k, denominator_invariants(denom_ideal(characters.character_from_index(N, index), k)))
+            for N, index, k in cases]
+    assert len(rows) == 13346 and sum(row[3][-1] > 1 for row in rows) == 2742
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "447dd911a35068e9a4e964c47dccf7c59bb76f4ca9fee77f54a19411f99aea56"
 
 
 def _prime_divisors(n):
