@@ -9,16 +9,18 @@ the norm, so no rational polynomial arithmetic is needed.
 
 The denominator ideal D(a) = {x in Z[zeta_n] : x*a in Z[zeta_n]} of a
 field element ``a`` = A/c is kept as ``a`` itself.  Its quotient is read
-off the local elementary divisors of multiplication by A, one elimination
-mod p^v per p^v exactly dividing c (``denominator_invariants``).  Only
-``denominator_ideal``, for the basis diagonal that ``bern`` prints,
-computes the lattice: the kernel of v -> v*A mod c, read off one HNF
-modulo c and checked closed under multiplication by ``z``.
+off the local elementary divisors of multiplication by A at each p^v
+exactly dividing c (``denominator_invariants``): at v = 1 off
+gcd(Phi_n, A) mod p, as F_p[x] is a principal ideal domain, and at
+v >= 2 off an elimination mod p^v.  Only ``denominator_ideal``, for the
+basis diagonal that ``bern`` prints, computes the lattice: the kernel of
+v -> v*A mod c, read off one HNF modulo c and checked closed under
+multiplication by ``z``.
 
 ``padic_splitting`` counts the simple factors of Z[zeta_n] (x) Z_p as the
 cosets of <p> in (Z/n')^x.  ``cyclotomic_factor_count`` checks that count
 with no coset in sight: Berlekamp's kernel of Frobenius - 1 on
-F_p[z]/(Phi_n), read off the one elimination mod p of ``exactalg``.
+F_p[z]/(Phi_n), read off the elimination mod p of ``exactalg``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .exactalg import (
     hermite_normal_form,
     is_prime,
     padic_invariant_exponents,
+    poly_gcd_mod_p,
     times_x_rows,
 )
 
@@ -50,7 +53,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     proper divisors d of n, so every step stays in the integers.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     num = [-1] + [0] * (n - 1) + [1]  # t^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -150,7 +153,7 @@ class CycElement:
 
     def __init__(self, field: CyclotomicField, nums: Iterable[int], den: int = 1):
         if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
+            raise InputError(f"denominator must be positive, got {den}")
         nums = tuple(nums)
         g = math.gcd(den, *nums)
         if g != 1:
@@ -166,7 +169,7 @@ class CycElement:
         if not isinstance(other, CycElement):
             return NotImplemented if _scalar(other) is None else self.field.from_rational(other)
         if self.field.n != other.field.n:
-            raise ValueError("field mismatch: Q(zeta_%d) vs Q(zeta_%d)" % (self.field.n, other.field.n))
+            raise InputError("field mismatch: Q(zeta_%d) vs Q(zeta_%d)" % (self.field.n, other.field.n))
         return other
 
     def __add__(self, other):
@@ -324,7 +327,7 @@ def galois_apply(a: CycElement, sigma: int) -> CycElement:
     """The automorphism zeta -> zeta^sigma for sigma coprime to n."""
     field = a.field
     if math.gcd(sigma, field.n) != 1:
-        raise ValueError("sigma must be coprime to n")
+        raise InputError("sigma must be coprime to n")
     out = [0] * field.degree
     for j, x in enumerate(a.nums):
         if x:
@@ -344,16 +347,27 @@ def denominator_invariants(a: CycElement) -> list[int]:
     a = A/c in lowest terms it is the kernel of y -> y*A mod c, so at each
     p^v exactly dividing c its quotient has the exponents v - min(e_i, v),
     where p^(e_i) are the elementary divisors over Z_p of the matrix of
-    multiplication by A.  One elimination mod p^v returns exactly
-    min(e_i, v), so it is never run at a higher precision.  An integral
-    ``a``, zero included, has the full ring as D(a).
+    multiplication by A.
+
+    At a p with v = 1 the quotient is (Z/p)^(d - deg h) for h = gcd(Phi_n,
+    A) mod p, where A is nonzero mod p because ``a`` is in lowest terms:
+    F_p[x] is a principal ideal domain, so the kernel of multiplication by
+    A on F_p[x]/(Phi_n) is (Phi_n/h)/(Phi_n), isomorphic to F_p[x]/(h).
+    Z/p^v[x] is not one for v >= 2, so there one elimination mod p^v
+    returns exactly min(e_i, v); the rows of A are built only then.  An
+    integral ``a``, zero included, has the full ring as D(a).
     """
     d = [1] * a.field.degree
     if a.den == 1:
         return d
-    rows = [dict(enumerate(row)) for row in times_x_rows(a.field.phi_n, a.nums)]
+    rows = None
     for p, v in factorize(a.den).items():
-        exps = padic_invariant_exponents(rows, p, v)
+        if v == 1:
+            deg_h = len(poly_gcd_mod_p(a.field.phi_n, a.nums, p)) - 1
+            exps = [0] * (len(d) - deg_h) + [1] * deg_h
+        else:
+            rows = rows or [dict(enumerate(row)) for row in times_x_rows(a.field.phi_n, a.nums)]
+            exps = padic_invariant_exponents(rows, p, v)
         d = [x * p ** (v - e) for x, e in zip(d, reversed(exps))]
     return d
 
@@ -372,7 +386,7 @@ def denominator_ideal(a: CycElement) -> list[list[int]]:
     pairs (v*A + c*y, v + c*z), so the vectors (0, v) among them, the
     trailing block of their HNF modulo c, are that kernel.  An integral
     ``a``, zero included, gives the identity.  Each basis row times z must
-    reduce to zero against the basis, or ``ValueError`` is raised.
+    reduce to zero against the basis, or ``AssertionError`` is raised.
     """
     field = a.field
     d = field.degree
@@ -386,7 +400,7 @@ def denominator_ideal(a: CycElement) -> list[list[int]]:
         for i, h in enumerate(basis):
             q, r = divmod(x[i], h[i])
             if r:
-                raise ValueError("lattice is not closed under multiplication by zeta")
+                raise AssertionError("lattice is not closed under multiplication by zeta")
             if q:
                 x = [s - q * t for s, t in zip(x, h)]
     return basis
@@ -406,7 +420,7 @@ def padic_splitting(n: int, p: int) -> tuple[int, ...]:
     Cached: ``decompose_p`` asks for it once per character and prime.
     """
     if not is_prime(p):
-        raise ValueError("p must be prime")
+        raise InputError("p must be prime")
     n_prime = n // p ** _vp(n, p)
     m = _multiplicative_order(p, n_prime)
     seen: set[int] = set()
@@ -433,7 +447,7 @@ def cyclotomic_factor_count(n: int, p: int) -> int:
     of ``padic_splitting``, with which it shares no code.
     """
     if not is_prime(p) or n % p == 0:
-        raise ValueError(f"need a prime p not dividing n, got n = {n}, p = {p}")
+        raise InputError(f"need a prime p not dividing n, got n = {n}, p = {p}")
     field = get_field(n)
     rows = [{i: x - (i == j) for i, x in enumerate(field.zeta_power(p * j).nums)} for j in range(field.degree)]
     return padic_invariant_exponents(rows, p, 1).count(1)

@@ -6,12 +6,12 @@ odd primes p with (p - 1) | m and the image-of-J order D_2k built from
 them, p-adic valuations, multiplicative orders, primitive roots, and
 the Teichmuller lift of a unit mod p to a (p-1)-st root of unity mod
 p^M, which the Carlitz check and the p-adic oracle both read), the
-Hermite normal form of a lattice, the one elimination over Z/p^M that
-every quotient is read off, the multiplication by x modulo a monic
-polynomial, division and gcd over F_p[x], ``InputError``, the error of
-an argument out of range, ``Record``, the base of the package's value
-types, and ``AbelianGroupExpr``, the value type of every quotient group
-and every homotopy table.
+Hermite normal form of a lattice, the elimination over Z/p^M, the
+multiplication by x modulo a monic polynomial, division and gcd over
+F_p[x], ``InputError``, the error of an argument out of range,
+``Record``, the base of the package's value types, and
+``AbelianGroupExpr``, the value type of every quotient group and every
+homotopy table.
 
 The HNF takes a matrix as a list of integer rows, and the elimination
 takes it as a list of sparse rows, each a {column: value} dict; neither
@@ -24,11 +24,11 @@ Conventions fixed here and used throughout:
   exponent: ``h`` is the basis of span(rows of ``m``) + D*Z^n, in
   upper-triangular echelon form, pivots positive, and every entry above a
   pivot reduced into ``[0, pivot)``.  Lattices are row spans.
-* ``padic_invariant_exponents`` is the one elimination over Z/p^M: the
-  local elementary divisors of a square matrix, which the denominator
-  quotients of ``cyclotomic`` and the p-adic quotients of ``padic`` are
-  read off.  A step costs the nonzeros it touches, not the square of the
-  block left.
+* ``padic_invariant_exponents`` is the elimination over Z/p^M: the
+  local elementary divisors of a square matrix, which the p-adic
+  quotients of ``padic`` and the denominator quotients of ``cyclotomic``
+  at a p^v with v >= 2 are read off.  A step costs the nonzeros it
+  touches, not the square of the block left.
 * ``times_x_rows`` is the one dense multiplication by x modulo a monic
   polynomial: the power basis of Q(zeta_n), the denominator quotients and
   the Eisenstein coefficients read their multiplication matrices off it.
@@ -36,7 +36,9 @@ Conventions fixed here and used throughout:
   ``padic``.
 * ``poly_rem_mod_p`` and ``poly_gcd_mod_p`` divide and take the monic gcd
   over F_p[x], on ascending coefficient lists: the Carlitz check reads
-  Z[zeta_n]/(p, y) as F_p[x]/(gcd(Phi_n, y) mod p).
+  Z[zeta_n]/(p, y) as F_p[x]/(gcd(Phi_n, y) mod p), and the denominator
+  quotient of A/c at a p exactly dividing c is (Z/p)^(d - deg h) for
+  h = gcd(Phi_n, A) mod p.
 """
 
 from __future__ import annotations

@@ -4,12 +4,13 @@ import hashlib
 import math
 import operator
 import random
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dirichletj import characters, cyclotomic
 from dirichletj.bernoulli import denom_ideal
@@ -25,8 +26,8 @@ from dirichletj.cyclotomic import (
     quotient_group,
     render_cyc,
 )
-from dirichletj.exactalg import (AbelianGroupExpr, InputError, euler_phi, is_prime, padic_invariant_exponents,
-                                 times_x_rows)
+from dirichletj.exactalg import (AbelianGroupExpr, InputError, euler_phi, factorize, is_prime,
+                                 padic_invariant_exponents, times_x_rows)
 
 from ideal_oracle import (
     IdealLattice,
@@ -42,6 +43,7 @@ from ideal_oracle import (
 
 
 PRIMES_50 = [p for p in range(2, 51) if is_prime(p)]
+DEGREE_24 = [n for n in range(1, 91) if euler_phi(n) <= 24]
 
 
 def _element(field, coords):
@@ -404,6 +406,51 @@ class TestDenominatorIdeal:
         assert denominator_invariants(a) == expected == [12, 12, 72, 72]
         assert quotient_group(a) == quotient(denominator_lattice(a))
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(DEGREE_24), st.data())
+    def test_a_prime_exactly_dividing_c_counts_the_units_of_an_elimination_mod_p(self, n, data):
+        # The route that read every p exactly dividing c off an elimination mod p: each pivot that is
+        # not a unit mod p leaves one factor p out of Z[zeta_n]/D(A/p).  p | n is drawn too, where
+        # Phi_n is not squarefree mod p.  For p prime to n the period sum_i z^(p^i) is in F_p at each
+        # root of Phi_n mod p, so A with factors (period - m) for some m shares a factor with Phi_n.
+        f = get_field(n)
+        p = data.draw(st.sampled_from(sorted(set(factorize(n)) | {2, 3, 5, 7})))
+        n_prime, powers = n, [1]
+        while n_prime % p == 0:
+            n_prime //= p
+        while powers[-1] * p % n_prime != 1 % n_prime:
+            powers.append(powers[-1] * p % n_prime)
+        period = sum((f.zeta_power(e) for e in powers), f.zero())
+        a = CycElement(f, data.draw(st.lists(st.integers(-2, 2), min_size=f.degree, max_size=f.degree)))
+        for m in data.draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p - 1)):
+            a = a * (period - m)
+        assume(any(x % p for x in a.nums))
+        rows = [dict(enumerate(row)) for row in times_x_rows(f.phi_n, a.nums)]
+        r = f.degree - padic_invariant_exponents(rows, p, 1).count(1)
+        assert denominator_invariants(CycElement(f, a.nums, p)) == [1] * (f.degree - r) + [p] * r
+
+    def test_c_with_primes_to_the_first_and_higher_powers_takes_both_routes(self):
+        # c = 2^3 * 3^2 * 5, and A shares the factor x^2 + 3x + 4 of Phi_12 mod 5: the 5 is read off
+        # a gcd, the 8 and the 9 off eliminations, and all three agree with eliminations of fresh rows.
+        f = get_field(12)
+        a = CycElement(f, [119, 23, 161, 20], 360)
+        expected = [1] * f.degree
+        for p, v in ((2, 3), (3, 2), (5, 1)):
+            fresh = [dict(enumerate(row)) for row in times_x_rows(f.phi_n, a.nums)]
+            expected = [x * p ** (v - e) for x, e in zip(expected, reversed(padic_invariant_exponents(fresh, p, v)))]
+        assert denominator_invariants(a) == expected == [12, 12, 360, 360]
+        assert quotient_group(a) == quotient(denominator_lattice(a))
+
+    @pytest.mark.parametrize("c, eliminations", [(5, 0), (30, 0), (8, 1), (360, 2)])
+    def test_only_a_prime_to_a_higher_power_runs_an_elimination(self, monkeypatch, c, eliminations):
+        calls = []
+        monkeypatch.setattr(cyclotomic, "padic_invariant_exponents",
+                            lambda rows, p, v: calls.append((p, v)) or padic_invariant_exponents(rows, p, v))
+        a = CycElement(get_field(12), [119, 23, 161, 20], c)
+        assert a.den == c
+        assert quotient_group(a) == quotient(denominator_lattice(a))
+        assert len(calls) == eliminations and all(v > 1 for _, v in calls)
+
     def test_invariants_match_the_oracle_lattice(self):
         rng = random.Random(25)
         for n in (1, 3, 4, 5, 7, 8, 9, 12):
@@ -413,6 +460,19 @@ class TestDenominatorIdeal:
                                  for _ in range(f.degree)])
                 assert quotient_group(a) == quotient(denominator_lattice(a)), a
                 assert denominator_ideal(a) == denominator_lattice(a).basis, a
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cyclotomic_poly(0), "n must be positive"),
+    (lambda: CycElement(get_field(4), [1, 0], 0), "denominator must be positive, got 0"),
+    (lambda: get_field(4).one() + get_field(5).one(), "field mismatch: Q(zeta_4) vs Q(zeta_5)"),
+    (lambda: galois_apply(get_field(6).one(), 2), "sigma must be coprime to n"),
+    (lambda: padic_splitting(12, 4), "p must be prime"),
+    (lambda: cyclotomic_factor_count(12, 3), "need a prime p not dividing n, got n = 12, p = 3"),
+])
+def test_arguments_out_of_range_raise_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_denominator_invariants_are_pinned():

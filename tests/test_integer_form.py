@@ -297,7 +297,8 @@ class TestClosureCheck:
         real = cyc.hermite_normal_form
         monkeypatch.setattr(cyc, "hermite_normal_form",
                             lambda m, modulus: real(m, modulus)[:2] + [[0, 0] + row for row in block])
-        with pytest.raises(ValueError, match="not closed"):
+        # A denominator lattice that is no ideal is a broken invariant, not an argument out of range.
+        with pytest.raises(AssertionError, match="not closed"):
             denominator_ideal(get_field(n).from_rational(Fraction(1, den)))
 
 

@@ -341,6 +341,17 @@ def test_quotients_and_indices_compute_no_lattice():
         assert not named & lattice, f"{name} names {sorted(named & lattice)}"
 
 
+def test_denominator_invariants_read_a_prime_to_the_first_power_off_one_gcd():
+    # p || c is read off gcd(Phi_n, A) mod p and p^v, v >= 2, off the elimination mod p^v.  cmd_bern
+    # checks their index against the HNF pivots of denominator_ideal, which reaches neither.
+    cyclotomic, exactalg = _names_by_function(SRC / "cyclotomic.py"), _names_by_function(SRC / "exactalg.py")
+    local = {"denominator_invariants", "poly_gcd_mod_p", "poly_rem_mod_p", "padic_invariant_exponents"}
+    assert {"poly_gcd_mod_p", "padic_invariant_exponents"} <= cyclotomic["denominator_invariants"]
+    for named in (cyclotomic["denominator_ideal"], exactalg["hermite_normal_form"]):
+        assert not named & local, sorted(named & local)
+    assert {"denominator_ideal", "denominator_invariants"} <= _names_by_function(SRC / "cli.py")["cmd_bern"]
+
+
 def test_only_bern_reaches_the_hnf():
     # hermite_normal_form is called by denominator_ideal alone, and denominator_ideal by cmd_bern alone.
     callers = {name: {f"{path.stem}.{fn}" for path in sorted(SRC.glob("*.py"))
