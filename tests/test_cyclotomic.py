@@ -429,20 +429,10 @@ class TestDenominatorIdeal:
         r = f.degree - padic_invariant_exponents(rows, p, 1).count(1)
         assert denominator_invariants(CycElement(f, a.nums, p)) == [1] * (f.degree - r) + [p] * r
 
-    def test_c_with_primes_to_the_first_and_higher_powers_takes_both_routes(self):
-        # c = 2^3 * 3^2 * 5, and A shares the factor x^2 + 3x + 4 of Phi_12 mod 5: the 5 is read off
-        # a gcd, the 8 and the 9 off eliminations, and all three agree with eliminations of fresh rows.
-        f = get_field(12)
-        a = CycElement(f, [119, 23, 161, 20], 360)
-        expected = [1] * f.degree
-        for p, v in ((2, 3), (3, 2), (5, 1)):
-            fresh = [dict(enumerate(row)) for row in times_x_rows(f.phi_n, a.nums)]
-            expected = [x * p ** (v - e) for x, e in zip(expected, reversed(padic_invariant_exponents(fresh, p, v)))]
-        assert denominator_invariants(a) == expected == [12, 12, 360, 360]
-        assert quotient_group(a) == quotient(denominator_lattice(a))
-
     @pytest.mark.parametrize("c, eliminations", [(5, 0), (30, 0), (8, 1), (360, 2)])
     def test_only_a_prime_to_a_higher_power_runs_an_elimination(self, monkeypatch, c, eliminations):
+        # A shares the factor x^2 + 3x + 4 of Phi_12 mod 5, so at c = 2^3 * 3^2 * 5 the 5 is read off
+        # a gcd of degree 2 and the 8 and the 9 off eliminations.
         calls = []
         monkeypatch.setattr(cyclotomic, "padic_invariant_exponents",
                             lambda rows, p, v: calls.append((p, v)) or padic_invariant_exponents(rows, p, v))
