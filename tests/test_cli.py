@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletj import cli, cyclotomic, eisenstein, exactalg
+from dirichletj import cli, cyclotomic, eisenstein, exactalg, homotopy
 from dirichletj.bernoulli import gbn
 from dirichletj.characters import character_from_index
 from dirichletj.cli import RunReport, main
@@ -519,6 +519,37 @@ class TestVerify:
             '{"reports": [{"failed": 0, "findings": 0, "first_counterexample": null, "params": '
             '{"max_modulus": 16, "max_weight": 12, "moduli": [3, 5], "moduli_invert2": [9, 25, 27]}, '
             '"passed": 1472, "run": 1472, "schema": 1, "suite": "gbn-theorem"}], "schema": 1}\n'
+        )
+
+    def test_verify_all_text_view_digest(self, capsys):
+        # The text view of `verify all`, byte for byte once each suite's wall time is masked.
+        code, out, err = run_cli(capsys, "verify", "all")
+        assert (code, err) == (0, "")
+        masked = re.sub(r"\(\d+\.\d\ds\)", "(N.NNs)", out)
+        assert masked.count("(N.NNs)") == 9
+        assert hashlib.sha256(masked.encode()).hexdigest() == \
+            "fb729d9dbc37cc303ff697ad44ec1c1bf1baf55cf841e91d331e90bb1aaf7b7d"
+
+    def test_gbn_theorem_report_of_an_injected_fault(self, monkeypatch):
+        # pi_jn_chi doubled in three (modulus, degree) cells: three cases of part B fail, and the
+        # least of them, chi = 5:2 at k = 2, is the first counterexample.
+        real = homotopy.pi_jn_chi
+
+        def doubled(chi, i, loc=()):
+            group = real(chi, i, loc)
+            return group + group if (chi.modulus, i) in {(5, 3), (7, 1), (5, -1)} else group
+
+        monkeypatch.setattr(homotopy, "pi_jn_chi", doubled)
+        report = cli.SUITES["gbn-theorem"](max_modulus=3, max_weight=4, moduli=(5, 7), moduli_invert2=())
+        counterexample = {"arithmetic": "Z/5", "case": [1, 5, 2, 2], "homotopy": "Z/5 + Z/5"}
+        assert report.to_json() == {
+            "schema": 1, "suite": "gbn-theorem",
+            "params": {"max_modulus": 3, "max_weight": 4, "moduli": (5, 7), "moduli_invert2": ()},
+            "run": 52, "passed": 49, "failed": 3, "findings": 0, "first_counterexample": counterexample,
+        }
+        assert re.sub(r"\(\d+\.\d\ds\)", "(N.NNs)", report.text()) == (
+            "FAIL gbn-theorem: 49/52 passed, 3 failed, 0 findings (N.NNs)\n"
+            '  first counterexample: {"arithmetic": "Z/5", "case": [1, 5, 2, 2], "homotopy": "Z/5 + Z/5"}'
         )
 
 
