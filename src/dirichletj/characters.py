@@ -108,14 +108,14 @@ class DirichletCharacter(Record):
     def __init__(self, structure: UnitGroupStructure, exponents: tuple[int, ...]):
         orders = structure.orders
         if len(exponents) != len(orders):
-            raise ValueError("exponent tuple has wrong length")
+            raise InputError("exponent tuple has wrong length")
         # chi(g_i) = zeta_{o_i}^{e_i} = zeta_n^{e_i * n / o_i}, with n the lcm of
         # the value orders o_i / gcd(e_i, o_i) seen so far; when n grows by a
         # factor f, the weights before it grow by f.
         n, weights = 1, []
         for e, o in zip(exponents, orders):
             if not 0 <= e < o:
-                raise ValueError("exponents must be reduced modulo generator orders")
+                raise InputError("exponents must be reduced modulo generator orders")
             m = o // math.gcd(e, o)
             if n % m:
                 f = m // math.gcd(n, m)
@@ -335,7 +335,7 @@ def ell_of_chi(chi: DirichletCharacter) -> int:
     trivialize the denominator comparison.
     """
     if len(factorize(conductor(chi))) > 1:
-        raise ValueError("conductor is not a prime power")
+        raise InputError("conductor is not a prime power")
     found = qualifying_prime(chi)
     return 1 if found is None else found[0]
 
@@ -347,9 +347,9 @@ def kernel_order_match(k: int, p: int, chi_tame_order: int) -> bool:
     comparison reduces to gcd(k, p-1) == (p-1)/ord(chi).
     """
     if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+        raise InputError("p must be an odd prime")
     if (p - 1) % chi_tame_order:
-        raise ValueError("tame order must divide p - 1")
+        raise InputError("tame order must divide p - 1")
     return math.gcd(k, p - 1) == (p - 1) // chi_tame_order
 
 

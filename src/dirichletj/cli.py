@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import bernoulli, characters, dedekind, eisenstein, homotopy
 from .characters import DirichletCharacter, InputError, character_from_index, char_inv, enumerate_characters
@@ -63,41 +63,14 @@ def _check_cap(what: str, flag: str, value: int, cap: int, size: Optional[int] =
 
 
 class RunReport(Record):
-    """Aggregated result of one verification sweep; unlike the other records, filled in as it runs."""
+    """The result of one verification suite: its params, case counts, least failing case and wall time."""
 
     __slots__ = _fields = ("suite", "params", "run", "passed", "failed", "findings", "first_counterexample",
-                           "wall_time", "_failures", "_start")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+                           "wall_time")
 
     def __init__(self, suite: str, params: dict, run: int = 0, passed: int = 0, failed: int = 0, findings: int = 0,
-                 first_counterexample: Optional[dict] = None, wall_time: float = 0.0,
-                 _failures: Optional[list] = None, _start: Optional[float] = None):
-        self._set(suite, params, run, passed, failed, findings, first_counterexample, wall_time,
-                  [] if _failures is None else _failures, time.perf_counter() if _start is None else _start)
-
-    def record(self, case_params: tuple, status: str, payload: Optional[dict] = None) -> None:
-        self.run += 1
-        if status == "pass":
-            self.passed += 1
-        elif status == "finding":
-            self.findings += 1
-        else:
-            self.failed += 1
-            self._failures.append((case_params, payload or {}))
-
-    def check(self, case_params: tuple, ok: bool, payload: Optional[dict] = None) -> None:
-        self.record(case_params, "pass" if ok else "fail", payload)
-
-    def finalize(self) -> "RunReport":
-        """Stop the clock started at construction and pick the first counterexample."""
-        self.wall_time = time.perf_counter() - self._start
-        if self.passed + self.failed + self.findings != self.run:
-            raise AssertionError(f"{self.suite}: pass, fail and finding counts do not add up to {self.run}")
-        if self._failures:
-            self._failures.sort(key=lambda item: item[0])
-            params, payload = self._failures[0]
-            self.first_counterexample = {"case": list(params), **payload}
-        return self
+                 first_counterexample: Optional[dict] = None, wall_time: float = 0.0):
+        self._set(suite, params, run, passed, failed, findings, first_counterexample, wall_time)
 
     def to_json(self) -> dict:
         return {
@@ -136,6 +109,11 @@ def _matching_weights(chi: DirichletCharacter, weights: Iterable[int]) -> Iterab
     return (k for k in weights if (-1) ** k == sign)
 
 
+# Each suite_* is a generator of rows, one per case: (case, outcome) or (case, outcome, payload),
+# where the case is a tuple, the outcome True (pass), False (fail) or "finding", and the payload
+# a dict.  It threads no report: the @suite decorator alone counts its rows into a RunReport.
+Rows = Iterator[tuple]
+
 # The suites in ``verify all`` order, and the verify options each reads, as
 # option -> keyword of its suite_* function; a suite not listed reads none.
 SUITES: dict[str, Callable[..., RunReport]] = {}
@@ -143,26 +121,35 @@ SUITE_OPTIONS: dict[str, dict[str, str]] = {}
 
 
 def suite(name: str, options: Optional[dict[str, str]] = None) -> Callable:
-    """Register ``sweep(report, **params)`` as the verify suite ``name``.
+    """Register the generator ``sweep(**params)`` of a suite's rows as the verify suite ``name``.
 
     The registered suite takes the sweep's keywords, binds their defaults,
-    runs the sweep into ``RunReport(name, params)`` with every keyword as a
-    param and returns the finalized report.  ``options`` maps the verify
-    options the suite reads to its keywords.
+    draws the rows and returns their ``RunReport(name, params)``, with every
+    keyword as a param in declaration order: the counts of each outcome, the
+    least failing case with its payload as the first counterexample, and
+    the wall time of the draw.  ``options`` maps the verify options the
+    suite reads to its keywords.
     """
 
-    def register(sweep: Callable[..., None]) -> Callable[..., RunReport]:
-        # The keywords after ``report`` in declaration order, and their defaults.
+    def register(sweep: Callable[..., Rows]) -> Callable[..., RunReport]:
+        # The keywords in declaration order, and their defaults.
         code = sweep.__code__
-        keywords = code.co_varnames[1 : code.co_argcount]
+        keywords = code.co_varnames[: code.co_argcount]
         defaults = dict(zip(reversed(keywords), reversed(sweep.__defaults__ or ())))
 
         @functools.wraps(sweep)
         def run(**kwargs) -> RunReport:
             kwargs = {**defaults, **kwargs}
-            report = RunReport(name, {key: kwargs[key] for key in keywords if key in kwargs})
-            sweep(report, **kwargs)  # an unknown or missing keyword raises TypeError here
-            return report.finalize()
+            params = {key: kwargs[key] for key in keywords if key in kwargs}
+            tally, least = {True: 0, False: 0, "finding": 0}, None
+            start = time.perf_counter()
+            for case, outcome, *payload in sweep(**kwargs):  # an unknown or missing keyword raises TypeError here
+                tally[outcome] += 1
+                if not outcome and (least is None or case < least[0]):
+                    least = case, dict(*payload)
+            first = None if least is None else {"case": list(least[0]), **least[1]}
+            return RunReport(name, params, sum(tally.values()), tally[True], tally[False], tally["finding"], first,
+                             time.perf_counter() - start)
 
         SUITES[name] = run
         if options:
@@ -173,39 +160,37 @@ def suite(name: str, options: Optional[dict[str, str]] = None) -> Callable:
 
 
 @suite("von-staudt", {"--max": "max_k"})
-def suite_von_staudt(report: RunReport, max_k: int = 30) -> None:
+def suite_von_staudt(max_k: int = 30) -> Rows:
     for row in bernoulli.verify_von_staudt(max_k):
-        report.check((row["k"],), row["ok"], {"denominator": row["denominator"], "expected": row["expected"]})
+        yield (row["k"],), row["ok"], {"denominator": row["denominator"], "expected": row["expected"]}
 
 
 @suite("carlitz", {"--max": "max_k"})
-def suite_carlitz(
-    report: RunReport, conductors: Iterable[int] = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27), max_k: int = 20
-) -> None:
+def suite_carlitz(conductors: Iterable[int] = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27), max_k: int = 20) -> Rows:
     for N in conductors:
         for chi in _primitive_characters(N):
             for k in _matching_weights(chi, range(1, max_k + 1)):
                 row = bernoulli.verify_carlitz(chi, k)
-                report.check((N, chi.index(), k), row["ok"], {"case_kind": row["case"]})
+                yield (N, chi.index(), k), row["ok"], {"case_kind": row["case"]}
 
 
 @suite("gbn-theorem", {"--max-weight": "max_weight", "--primes": "moduli"})
 def suite_gbn_theorem(
-    report: RunReport,
     max_modulus: int = 16,
     max_weight: int = 12,
     moduli: Iterable[int] = (3, 4, 5, 7, 11, 13),
     moduli_invert2: Iterable[int] = (9, 25, 27),
-) -> None:
+) -> Rows:
     """Dual-pipeline B_{k,chi} equality plus the denominator/homotopy comparison."""
     for N in range(1, max_modulus + 1):
         for chi in enumerate_characters(N):
             for k in range(0, max_weight + 1):
                 try:
                     bernoulli.gbn(chi, k)  # asserts both pipelines agree
-                    report.record((0, N, chi.index(), k), "pass")
                 except AssertionError as exc:
-                    report.record((0, N, chi.index(), k), "fail", {"error": str(exc)})
+                    yield (0, N, chi.index(), k), False, {"error": str(exc)}
+                else:
+                    yield (0, N, chi.index(), k), True
     for extra2, group in ((False, moduli), (True, moduli_invert2)):
         for N in group:
             for chi in _primitive_characters(N):
@@ -213,59 +198,55 @@ def suite_gbn_theorem(
                 inverted = set() if ell == 1 else {ell}
                 if extra2:
                     inverted.add(2)
-                for k in _matching_weights(chi, (*range(-max_weight, 0), *range(1, max_weight + 1))):
-                    ideal = bernoulli.denom_ideal(char_inv(chi), abs(k))
-                    arithmetic = homotopy.invert_primes(quotient_group(ideal), inverted)
-                    topological = homotopy.pi_jn_chi(chi, 2 * k - 1, inverted)
-                    report.check(
-                        (1, N, chi.index(), k),
-                        arithmetic == topological,
-                        {"arithmetic": arithmetic.render(), "homotopy": topological.render()},
-                    )
+                # k and -k have the same parity and the same arithmetic side, Z[chi]/D(B_(|k|,chi^-1)/2|k|).
+                for k in _matching_weights(chi, range(1, max_weight + 1)):
+                    arithmetic = homotopy.invert_primes(quotient_group(bernoulli.denom_ideal(char_inv(chi), k)),
+                                                        inverted)
+                    for signed in (-k, k):
+                        topological = homotopy.pi_jn_chi(chi, 2 * signed - 1, inverted)
+                        yield ((1, N, chi.index(), signed), arithmetic == topological,
+                               {"arithmetic": arithmetic.render(), "homotopy": topological.render()})
 
 
 @suite("duality-dirichlet")
 def suite_duality_dirichlet(
-    report: RunReport,
     odd_primes: Iterable[int] = (3, 5, 7),
     odd_vs: Iterable[int] = (1, 2),
     two_vs: Iterable[int] = (2, 3, 4),
     t_min: int = -20,
     t_max: int = 20,
-) -> None:
+) -> Rows:
     pairs = [(p, v) for p in odd_primes for v in odd_vs] + [(2, v) for v in two_vs]
     for p, v in pairs:
         for chi in _primitive_characters(p**v):
             for row in homotopy.check_duality_dirichlet(chi, v, range(t_min, t_max + 1)):
-                report.check((p, v, chi.index(), row["t"]), row["ok"], {"lhs": row["lhs"], "rhs": row["rhs"]})
+                yield (p, v, chi.index(), row["t"]), row["ok"], {"lhs": row["lhs"], "rhs": row["rhs"]}
 
 
 @suite("duality-jn")
 def suite_duality_jn(
-    report: RunReport,
     strict_levels: Iterable[int] = (4, 8, 12),
     lax_levels: Iterable[int] = (1, 3, 5),
     t_min: int = -10,
     t_max: int = 10,
-) -> None:
+) -> Rows:
     for N in list(strict_levels) + list(lax_levels):
         for row in homotopy.check_duality_JN(N, range(t_min, t_max + 1)):
             payload = {"lhs": row["lhs"], "rhs": row["rhs"]}
             if "note" in row:
                 payload["note"] = row["note"]
-            report.check((N, row["t"]), row["ok"], payload)
+            yield (N, row["t"]), row["ok"], payload
 
 
 @suite("e2-oracle")
 def suite_e2_oracle(
-    report: RunReport,
     primes: Iterable[int] = (3, 5, 7),
     v_range: Iterable[int] = (2, 3),
     t_min: int = -10,
     t_max: int = 10,
     max_nprime: int = 30,
     max_split_p: int = 13,
-) -> None:
+) -> Rows:
     """SNF oracle vs closed forms, plus the cyclotomic splitting counts."""
     for p in primes:
         for v in v_range:
@@ -275,46 +256,39 @@ def suite_e2_oracle(
                     got = quotient_oracle(p, v, a, t)
                     expected = AbelianGroupExpr.cyclic(p) if (t - a) % (p - 1) == 0 else AbelianGroupExpr.zero()
                     page = e2_page(data, 1, 2 * t)
-                    report.check(
-                        (0, p, v, a, t),
-                        got == expected and page == got,
-                        {"oracle": got.render(), "closed_form": expected.render(), "e2": page.render()},
-                    )
+                    yield ((0, p, v, a, t), got == expected and page == got,
+                           {"oracle": got.render(), "closed_form": expected.render(), "e2": page.render()})
     for v in (3, 4):
         for t in range(-5, 6):
             got = quotient_oracle_2(v, t)
-            report.check((1, 2, v, 0, t), got == AbelianGroupExpr.cyclic(2), {"oracle": got.render()})
+            yield (1, 2, v, 0, t), got == AbelianGroupExpr.cyclic(2), {"oracle": got.render()}
     for n_prime in range(1, max_nprime + 1):
         for p in range(2, max_split_p + 1):
             if not is_prime(p) or n_prime % p == 0:
                 continue
             counted = len(padic_splitting(n_prime, p))
             factors = cyclotomic_factor_count(n_prime, p)
-            report.check((2, p, 0, 0, n_prime), counted == factors, {"splitting": counted, "factor_count": factors})
+            yield (2, p, 0, 0, n_prime), counted == factors, {"splitting": counted, "factor_count": factors}
 
 
 @suite("consistency")
-def suite_consistency(report: RunReport, max_conductor: int = 27, i_min: int = -8, i_max: int = 24) -> None:
+def suite_consistency(max_conductor: int = 27, i_min: int = -8, i_max: int = 24) -> Rows:
     """Direct tables vs p-completion assembly for every primitive character."""
     for N in range(3, max_conductor + 1):
         for chi in _primitive_characters(N):
             for i in range(i_min, i_max + 1):
                 direct, assembled = homotopy.pi_jn_chi_paths(chi, i)
-                report.check(
-                    (N, chi.index(), i),
-                    direct == assembled,
-                    {"direct": direct.render(), "assembled": assembled.render()},
-                )
+                yield ((N, chi.index(), i), direct == assembled,
+                       {"direct": direct.render(), "assembled": assembled.render()})
 
 
 @suite("eisenstein")
 def suite_eisenstein(
-    report: RunReport,
     conductors: Iterable[int] = (1, 3, 4, 5, 7),
     max_k: int = 9,
     max_classical_weight: int = 20,
     n_max: int = 200,
-) -> None:
+) -> Rows:
     for N in conductors:
         if N == 1:
             chis = [character_from_index(1, 0)]
@@ -326,25 +300,24 @@ def suite_eisenstein(
             for k in _matching_weights(chi, weights):
                 result = eisenstein.congruence_check(chi, k, n_max)
                 if result["mandatory_failures"]:
-                    report.record((N, chi.index(), k), "fail", {"mandatory_failures": result["mandatory_failures"]})
+                    yield (N, chi.index(), k), False, {"mandatory_failures": result["mandatory_failures"]}
                 elif result["full_findings"]:
-                    report.record((N, chi.index(), k), "finding", {"full_findings": result["full_findings"]})
+                    yield (N, chi.index(), k), "finding", {"full_findings": result["full_findings"]}
                 else:
-                    report.record((N, chi.index(), k), "pass")
+                    yield (N, chi.index(), k), True
 
 
 @suite("dedekind-jk")
 def suite_dedekind_jk(
-    report: RunReport,
     cases: Iterable[tuple[int, tuple[int, ...]]] = ((5, (4,)), (7, (6,)), (8, (7,)), (1, ())),
     ts: Iterable[int] = (1, 2, 3),
-) -> None:
+) -> Rows:
     for N, gens in cases:
         field = characters.abelian_field(N, tuple(gens))
         for t in ts:
             row = dedekind.verify_jk(field, t)
-            report.check((N, t), row["ok"], {"zeta": row["zeta_value"], "arithmetic": row["arithmetic_side"],
-                                             "homotopy": row["homotopy_side"]})
+            yield (N, t), row["ok"], {"zeta": row["zeta_value"], "arithmetic": row["arithmetic_side"],
+                                      "homotopy": row["homotopy_side"]}
 
 
 # ---------------------------------------------------------------------------

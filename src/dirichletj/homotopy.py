@@ -68,9 +68,9 @@ def invert_primes(g: AbelianGroupExpr, primes: Iterable[int]) -> AbelianGroupExp
 def d2k_level(k: int, N: int) -> int:
     """D_{2k,N} = N D_{2k} / (2 Pi) for 4 | N, N D_{2k} / Pi for odd N."""
     if k == 0:
-        raise ValueError("k must be nonzero")
+        raise InputError("k must be nonzero")
     if N % 2 == 0 and N % 4 != 0:
-        raise ValueError("N = 2 mod 4 must be reduced first")
+        raise InputError("N = 2 mod 4 must be reduced first")
     d = d2k(abs(k))
     pi = 1
     for p in factorize(N):
@@ -207,7 +207,7 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
             return A.zero()
         n = part.wild_image_exp
         if n < 1:
-            raise ValueError("p-power image must be nontrivial")
+            raise InputError("p-power image must be nontrivial")
         w = max(2 if p == 2 else 1, v - n)
         return (_tame_eigen_2(w, a, i - 1) if p == 2 else _tame_eigen_odd(p, w, a, i - 1)).times(p)
     # Pure p-power conductor.
@@ -224,7 +224,7 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
         return A.zero()
     if v == 1:
         if a == 0:
-            raise ValueError("conductor-p characters have nontrivial tame part")
+            raise InputError("conductor-p characters have nontrivial tame part")
         return _tame_eigen_odd(p, 1, a, i)
     if i % 2 != 0:
         k = (i + 1) // 2
@@ -250,13 +250,13 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
     reader in this module, caches what it reads per character.
     """
     if not is_primitive(chi):
-        raise ValueError("chi must be primitive")
+        raise InputError("chi must be primitive")
     if not is_prime(p):
-        raise ValueError("p must be prime")
+        raise InputError("p must be prime")
     N = chi.modulus
     v = _vp(N, p)
     if p == 2 and v == 1:
-        raise ValueError("primitive characters never have conductor exponent 1 at 2")
+        raise AssertionError("primitive characters never have conductor exponent 1 at 2")
     reps = padic_splitting(chi.order(), p)
     payload: Optional[PrimeToPPart] = None
     if N > p**v:
@@ -491,7 +491,7 @@ def _duality_setup(chi: DirichletCharacter) -> tuple[int, int, DirichletCharacte
     """
     fac = factorize(conductor(chi))
     if len(fac) != 1:
-        raise ValueError("conductor must be a prime power")
+        raise InputError("conductor must be a prime power")
     (p, v), = fac.items()
     found = qualifying_prime(chi)
     shift = -6 if p == 2 and parity(chi) == 1 else -2
@@ -509,7 +509,7 @@ def check_duality_dirichlet(chi: DirichletCharacter, v: int, t_range: Iterable[i
     """
     p, v_actual, chi_inv, loc, shift = _duality_setup(chi)
     if v_actual != v:
-        raise ValueError(f"conductor is {p}^{v_actual}, not {p}^{v}")
+        raise InputError(f"conductor is {p}^{v_actual}, not {p}^{v}")
     rows = []
     for t in t_range:
         lhs = pi_jn_chi(chi, t, loc)

@@ -68,7 +68,7 @@ def topological_generator(p: int) -> int:
     if p in _TOPGEN_CACHE:
         return _TOPGEN_CACHE[p]
     if not is_prime(p):
-        raise ValueError("p must be prime")
+        raise InputError("p must be prime")
     g = smallest_primitive_root(p * p, euler_phi(p * p))
     if len(_TOPGEN_CACHE) >= _TOPGENS:
         del _TOPGEN_CACHE[next(iter(_TOPGEN_CACHE))]
@@ -209,7 +209,7 @@ class PAdicCharacterData(Record):
     with v = 1 and tame 0 is accepted although no primitive character has
     it: ``e2_page`` reads it as the untwisted page, which ``dirichletj e2
     --prime 5 --level-exp 1 --tame 0`` prints with exit 0, while
-    ``homotopy.pi_DK1`` raises ``ValueError`` for it.
+    ``homotopy.pi_DK1`` raises ``InputError`` for it.
     """
 
     __slots__ = _fields = ("p", "v", "tame", "prime_to_p")
@@ -243,14 +243,14 @@ def e2_page(chi_data: PAdicCharacterData, s: int, t: int) -> AbelianGroupExpr:
     as tabulated.
     """
     if chi_data.prime_to_p is not None:
-        raise ValueError("e2_page requires a pure p-power conductor")
+        raise InputError("e2_page requires a pure p-power conductor")
     p, v, a = chi_data.p, chi_data.v, chi_data.tame
     zero = AbelianGroupExpr.zero()
     if s < 0:
         return zero
     if p != 2:
         if t % 2:
-            raise ValueError("pages are concentrated in even internal degree for odd p")
+            raise InputError("pages are concentrated in even internal degree for odd p")
         k = t // 2
         if v <= 1:
             # Tame part omega^a; a = 0 is the untwisted K(1)-local page.

@@ -300,7 +300,7 @@ class TestEll:
 
     def test_composite_conductor_rejected(self):
         chi = [c for c in enumerate_characters(12) if is_primitive(c)][0]
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^conductor is not a prime power$"):
             ell_of_chi(chi)
 
 
@@ -309,6 +309,15 @@ class TestKernelMatch:
         assert kernel_order_match(2, 5, 2) is True
         assert kernel_order_match(2, 5, 4) is False
         assert kernel_order_match(0, 5, 1) is True
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, 2, 1), "p must be an odd prime"),
+        ((1, 9, 2), "p must be an odd prime"),
+        ((1, 7, 4), "tame order must divide p - 1"),
+    ])
+    def test_arguments_out_of_range_raise_input_error(self, args, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            kernel_order_match(*args)
 
     def test_against_explicit_kernels(self):
         # Enumerate kernels in (Z/p)^x directly.

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -494,7 +495,7 @@ class TestVerify:
         def fake(name):
             def run(**kwargs):
                 calls[name] = kwargs
-                return RunReport(name, {}).finalize()
+                return RunReport(name, {})
             return run
 
         monkeypatch.setattr(cli, "SUITES", {name: fake(name) for name in cli.SUITES})
@@ -554,26 +555,72 @@ class TestVerify:
 
 
 class TestRunReport:
-    def test_counts_invariant(self):
-        report = RunReport("demo", {})
-        report.record((2,), "pass")
-        report.record((1,), "fail", {"lhs": "Z/2", "rhs": "0"})
-        report.record((3,), "finding")
-        report.record((0, ), "fail", {"lhs": "Z/4", "rhs": "0"})
-        report.finalize()
-        assert report.run == 4
+    """The report the @suite decorator counts off the rows of a suite."""
+
+    @pytest.fixture
+    def suite_demo(self, monkeypatch):
+        monkeypatch.setattr(cli, "SUITES", {})
+        monkeypatch.setattr(cli, "SUITE_OPTIONS", {})
+
+        @cli.suite("demo")
+        def suite_demo(rows=()):
+            yield from rows
+
+        return suite_demo
+
+    def test_counts_add_up_and_the_least_failing_case_wins(self, suite_demo):
+        report = suite_demo(rows=[
+            ((2,), True),
+            ((1,), False, {"lhs": "Z/2", "rhs": "0"}),
+            ((3,), "finding", {"full_findings": 1}),
+            ((0, 5), False, {"lhs": "Z/4", "rhs": "0"}),
+            ((0, 7), False),
+        ])
+        assert (report.run, report.passed, report.failed, report.findings) == (5, 1, 3, 1)
         assert report.passed + report.failed + report.findings == report.run
-        # smallest lexicographic failing tuple wins
-        assert report.first_counterexample["case"] == [0]
+        # The smallest failing case tuple wins, with its payload.
+        assert report.first_counterexample == {"case": [0, 5], "lhs": "Z/4", "rhs": "0"}
 
-    def test_json_excludes_wall_time(self):
-        report = RunReport("demo", {}).finalize()
-        assert "wall_time" not in report.to_json()
+    def test_a_failing_case_without_a_payload_is_reported_alone(self, suite_demo):
+        report = suite_demo(rows=[((1,), True), ((2,), False)])
+        assert report.first_counterexample == {"case": [2]}
+        assert report.text().startswith("FAIL demo: 1/2 passed, 1 failed, 0 findings (")
 
-    def test_finalize_stops_the_clock_started_at_construction(self):
-        report = RunReport("demo", {})
-        sum(range(100_000))
-        assert report.finalize().wall_time > 0
+    def test_a_finding_is_counted_and_fails_nothing(self, suite_demo):
+        report = suite_demo(rows=[((1,), "finding", {"full_findings": 2}), ((2,), True)])
+        assert (report.run, report.passed, report.failed, report.findings) == (2, 1, 0, 1)
+        assert report.first_counterexample is None
+        assert report.text().startswith("PASS demo: 1/2 passed, 0 failed, 1 findings (")
+
+    def test_an_outcome_outside_the_three_is_refused(self, suite_demo):
+        with pytest.raises(KeyError):
+            suite_demo(rows=[((1,), "pass")])
+
+    def test_json_excludes_wall_time(self, suite_demo):
+        report = suite_demo()
+        assert report.run == 0 and "wall_time" not in report.to_json()
+
+    def test_the_wall_time_is_the_draw_of_the_rows(self, suite_demo):
+        def rows():
+            sum(range(100_000))
+            yield (1,), True
+
+        assert suite_demo(rows=rows()).wall_time > 0
+
+    @pytest.mark.parametrize("name, params", [
+        ("von-staudt", {"max_k": 12}),
+        ("gbn-theorem", {"max_modulus": 3, "max_weight": 4, "moduli": (5, 7), "moduli_invert2": ()}),
+        ("eisenstein", {"conductors": (1, 4, 5), "max_k": 5, "max_classical_weight": 12, "n_max": 50}),
+    ])
+    def test_the_rows_a_suite_yields_are_what_its_report_counts(self, name, params):
+        rows = list(cli.SUITES[name].__wrapped__(**params))
+        report = cli.SUITES[name](**params)
+        outcomes = Counter(outcome for _, outcome, *_ in rows)
+        assert len({case for case, *_ in rows}) == len(rows) > 0
+        assert set(outcomes) <= {True, False, "finding"}
+        assert (report.run, report.passed, report.failed, report.findings) == \
+            (len(rows), outcomes[True], outcomes[False], outcomes["finding"])
+        assert report.findings == (4 if name == "eisenstein" else 0) and report.failed == 0
 
 
 class TestEisensteinCmd:
@@ -791,7 +838,7 @@ def test_plain_call_builds_no_parser(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     # `verify all` is in the README; what it parses to matters here, not its run.
-    fakes = {name: lambda name=name, **_: RunReport(name, {}).finalize() for name in cli.SUITES}
+    fakes = {name: lambda name=name, **_: RunReport(name, {}) for name in cli.SUITES}
     monkeypatch.setattr(cli, "SUITES", fakes)
     code, _, err = run_cli(capsys, *argv)
     assert (code, err, built) == (0, "", [])
@@ -935,10 +982,10 @@ class TestSuiteRegistry:
         seen = []
 
         @cli.suite("demo")
-        def suite_demo(report, levels=(1, 2), t_max: int = 3):
+        def suite_demo(levels=(1, 2), t_max: int = 3):
             seen.append((levels, t_max))
             for level in levels:
-                report.check((level,), level <= t_max)
+                yield (level,), level <= t_max
 
         report = suite_demo(t_max=1)
         assert seen == [((1, 2), 1)]
@@ -959,9 +1006,10 @@ class TestSuiteRegistry:
         ran = []
 
         @cli.suite("demo")
-        def suite_demo(report, moduli, t_max=3, levels=(1,)):
+        def suite_demo(moduli, t_max=3, levels=(1,)):
             case = [moduli]  # a local variable, not a keyword of the suite
             ran.append(case)
+            yield from ()
 
         with pytest.raises(TypeError, match="moduli"):
             suite_demo(t_max=1)
@@ -985,7 +1033,7 @@ class TestSuiteRegistry:
     def test_options_are_registered_with_the_suite(self, monkeypatch):
         monkeypatch.setattr(cli, "SUITES", {})
         monkeypatch.setattr(cli, "SUITE_OPTIONS", {})
-        cli.suite("demo", {"--max": "t_max"})(lambda report, t_max=3: None)
+        cli.suite("demo", {"--max": "t_max"})(lambda t_max=3: iter(()))
         assert cli.SUITE_OPTIONS == {"demo": {"--max": "t_max"}}
 
 

@@ -286,8 +286,15 @@ class TestDecompose:
         assert s.v == 0 and s.prime_to_p == PrimeToPPart(1, True)
 
     def test_imprimitive_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^chi must be primitive$"):
             decompose_p(enumerate_characters(8)[2], 2)  # conductor 4 lift
+
+    def test_conductor_exponent_one_at_2_is_a_broken_invariant(self, monkeypatch):
+        # Past the primitivity check no conductor has 2 exactly once; a check that let
+        # the lift of 3:1 to modulus 6 through would be a fault of the library.
+        monkeypatch.setattr(homotopy, "is_primitive", lambda chi: True)
+        with pytest.raises(AssertionError, match="^primitive characters never have conductor exponent 1 at 2$"):
+            decompose_p(enumerate_characters(6)[1], 2)
 
     def test_returned_list_is_the_callers_own(self):
         chi = enumerate_characters(5)[1]
@@ -579,5 +586,18 @@ class TestDuality:
 
     def test_wrong_v_rejected(self):
         chi = enumerate_characters(5)[2]
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"^conductor is 5\^1, not 5\^2$"):
             check_duality_dirichlet(chi, 2, [1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: homotopy.d2k_level(0, 5), "k must be nonzero"),
+    (lambda: homotopy.d2k_level(1, 6), "N = 2 mod 4 must be reduced first"),
+    (lambda: pi_DK1(PAdicCharacterData(5, 1, 1, PrimeToPPart(0, True)), 3), "p-power image must be nontrivial"),
+    (lambda: pi_DK1(PAdicCharacterData(5, 1, 0), 3), "conductor-p characters have nontrivial tame part"),
+    (lambda: decompose_p(enumerate_characters(5)[2], 4), "p must be prime"),
+    (lambda: check_duality_dirichlet(enumerate_characters(12)[3], 1, [1]), "conductor must be a prime power"),
+])
+def test_arguments_out_of_range_raise_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()

@@ -77,6 +77,10 @@ class TestTopologicalGenerator:
     def test_p2(self):
         assert topological_generator(2) == 5
 
+    def test_a_non_prime_raises_input_error(self):
+        with pytest.raises(InputError, match="^p must be prime$"):
+            topological_generator(9)
+
     def test_cache_keeps_the_newest_primes(self, monkeypatch):
         monkeypatch.setattr(padic, "_TOPGENS", 2)
         monkeypatch.setattr(padic, "_TOPGEN_CACHE", {})
@@ -328,7 +332,7 @@ class TestE2Page:
                     assert nonzero <= 2
 
     def test_odd_degree_rejected_for_odd_p(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^pages are concentrated in even internal degree for odd p$"):
             e2_page(PAdicCharacterData(p=5, v=1, tame=1), 1, 3)
 
     def test_conductor4_table(self):
@@ -342,7 +346,7 @@ class TestE2Page:
         from dirichletj.padic import PrimeToPPart
 
         data = PAdicCharacterData(p=5, v=1, tame=1, prime_to_p=PrimeToPPart(0, False))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^e2_page requires a pure p-power conductor$"):
             e2_page(data, 1, 0)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from dirichletj.characters import AbelianField, DirichletCharacter, UnitGroupStructure, enumerate_characters, get_structure
 from dirichletj.cli import RunReport
-from dirichletj.exactalg import AbelianGroupExpr
+from dirichletj.exactalg import AbelianGroupExpr, InputError
 from dirichletj.padic import PAdicCharacterData, PrimeToPPart
 
 
@@ -88,10 +88,10 @@ def test_reprs_are_the_dataclass_reprs():
         "PAdicCharacterData(p=2, v=0, tame=0, prime_to_p=None)",
         "AbelianField(conductor=13, subgroup=(1, 3, 9))",
     ]
-    report = RunReport("demo", {"a": 1}, _start=1.5)
+    report = RunReport("demo", {"a": 1}, 3, 1, 1, 1, {"case": [2], "lhs": "Z/2"}, 1.5)
     assert repr(report) == (
-        "RunReport(suite='demo', params={'a': 1}, run=0, passed=0, failed=0, findings=0, "
-        "first_counterexample=None, wall_time=0.0, _failures=[], _start=1.5)"
+        "RunReport(suite='demo', params={'a': 1}, run=3, passed=1, failed=1, findings=1, "
+        "first_counterexample={'case': [2], 'lhs': 'Z/2'}, wall_time=1.5)"
     )
 
 
@@ -110,9 +110,9 @@ def test_pickle_and_copy_round_trip(x, roundtrip):
 
 def test_constructors_keep_their_validation():
     st = get_structure(40)
-    with pytest.raises(ValueError, match="exponent tuple has wrong length"):
+    with pytest.raises(InputError, match="exponent tuple has wrong length"):
         DirichletCharacter(st, (0, 0))
-    with pytest.raises(ValueError, match="reduced modulo generator orders"):
+    with pytest.raises(InputError, match="reduced modulo generator orders"):
         DirichletCharacter(structure=st, exponents=(0, 0, 4))
     with pytest.raises(ValueError, match="tame exponent out of range"):
         PAdicCharacterData(5, 1, 4)
@@ -121,12 +121,15 @@ def test_constructors_keep_their_validation():
     assert AbelianGroupExpr() is not AbelianGroupExpr.zero() and AbelianGroupExpr() == AbelianGroupExpr.zero()
 
 
-def test_run_report_is_mutable_and_unhashable():
-    report = RunReport("demo", {})
-    report.run = 3
-    assert report.run == 3 and report._failures == [] and report._start > 0
-    assert RunReport("demo", {}, _start=1.0) == RunReport("demo", {}, _start=1.0)
-    assert RunReport("demo", {}) != RunReport("other", {})
+def test_run_report_is_immutable_and_unhashable():
+    # A value of its eight fields; its params dict keeps it out of sets and dict keys.
+    report = RunReport("demo", {"a": 1}, 2, 1, 1)
+    with pytest.raises(AttributeError):
+        report.run = 3
+    with pytest.raises(AttributeError):
+        del report.failed
+    assert report.run == 2 and report == RunReport("demo", {"a": 1}, 2, 1, 1)
+    assert report != RunReport("demo", {"a": 1}, 2, 2, 0) and RunReport("demo", {}) != RunReport("other", {})
     with pytest.raises(TypeError):
         hash(report)
-    assert RunReport("demo", {})._failures is not RunReport("demo", {})._failures
+    assert pickle.loads(pickle.dumps(report)) == report and RunReport._fields == RunReport.__slots__
