@@ -111,7 +111,7 @@ def _matching_weights(chi: DirichletCharacter, weights: Iterable[int]) -> Iterab
 
 # Each suite_* is a generator of rows, one per case: (case, outcome) or (case, outcome, payload),
 # where the case is a tuple, the outcome True (pass), False (fail) or "finding", and the payload
-# a dict.  It threads no report: the @suite decorator alone counts its rows into a RunReport.
+# a dict.  The @suite decorator alone counts the rows into a RunReport.
 Rows = Iterator[tuple]
 
 # The suites in ``verify all`` order, and the verify options each reads, as
