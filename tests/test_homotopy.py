@@ -374,6 +374,12 @@ class TestPinnedOutputs:
                  for N in range(1, 65) for row in check_duality_JN(N, range(-40, 41))]
         assert _digest(lines) == (5184, "f7a004ad013f7c2e0f83dfda8fa4d227aa692cccc58a516ba4000c268a09f6e6")
 
+    def test_jn_duality_rows_up_to_129(self):
+        # Every level N <= 129 with N != 2 mod 4, t in [-60, 60]: the degenerate rows t = 0 and -2 included.
+        lines = [f"{N}:{row['t']}:{row['lhs']}|{row['rhs']}|{row['ok']}|{row.get('note')}"
+                 for N in range(1, 130) if N % 4 != 2 for row in check_duality_JN(N, range(-60, 61))]
+        assert _digest(lines) == (11737, "602cdc750f0f6b5c6bb319141da7e3cdf5dbc082315c216946ddf7b655a57b55")
+
     def test_duality_rows_on_prime_power_conductors(self):
         # Conductors 2^v (v <= 7), 3^v (v <= 4), 5^v (v <= 3) and 7^v (v <= 2), t in [-40, 40].
         pairs = [(2, v) for v in range(2, 8)] + [(3, v) for v in range(1, 5)] + \
@@ -403,6 +409,34 @@ class TestPinnedOutputs:
         lines = [f"{N}:{chi.index()}:{p}:{decompose_p(chi, p)!r}" for N in range(3, 101) for chi in primitive_chars(N)
                  for p in sorted(set(factorize(N)) | set(factorize(chi.order())))]
         assert _digest(lines) == (5253, "43fbd504fa29c27a5ca55f4f498a567c5c3c59317044dce7effeb7923e8aec84")
+
+    def test_p_completed_values_and_assembly_plans_up_to_conductor_100(self):
+        # At every prime dividing the conductor or the order of each primitive nontrivial chi, the
+        # sum of pi_DK1 over the p-completed summands in each degree; and per chi, the summands
+        # the assembly reads, as (p, v, tame).  Each summand's table is evaluated once.
+        degrees = range(-20, 61)
+        tables = {}
+
+        def table(s):
+            if s not in tables:
+                tables[s] = [pi_DK1(s, i) for i in degrees]
+            return tables[s]
+
+        def triples(group):
+            return [(s.p, s.v, s.tame) for s in group]
+
+        values, plans = [], []
+        for N in range(3, 101):
+            for chi in primitive_chars(N):
+                for p in sorted(set(factorize(N)) | set(factorize(chi.order()))):
+                    columns = zip(*map(table, decompose_p(chi, p)))
+                    row = [A.direct_sum(column).render() for column in columns] or ["0"] * len(degrees)
+                    values.append(f"{N}:{chi.index()}:{p}:{'|'.join(row)}")
+                every_degree, index = homotopy._assembly_summands(chi)
+                eigen = [(p, {a: triples(group) for a, group in pieces.items()}) for p, pieces in index]
+                plans.append(f"{N}:{chi.index()}:{triples(every_degree)}:{eigen}")
+        assert _digest(values) == (5253, "f738a548597c58a1e20f5a0238a14ecd65294e589ab9ba1311b1452bf0409fb0")
+        assert _digest(plans) == (1815, "d342c1a8ffecedee1d0ca7e60155590bcbc2621533c6bd68ce0f33cb4be60c16")
 
 
 class TestPiJNChi:
