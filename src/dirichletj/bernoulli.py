@@ -112,7 +112,7 @@ def _bernoulli_table(k: int) -> tuple[tuple[int, int], ...]:
 def bernoulli_number(k: int) -> CycElement:
     """B_k with B_1 = +1/2, as an element of Q(zeta_1) = Q; zero for odd k >= 3."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InputError("k must be nonnegative")
     num, den = _bernoulli_table(k)[k]
     return CycElement(get_field(1), [num], den)
 

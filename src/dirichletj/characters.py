@@ -348,13 +348,15 @@ def kernel_order_match(k: int, p: int, chi_tame_order: int) -> bool:
     """
     if not is_prime(p) or p == 2:
         raise InputError("p must be an odd prime")
-    if (p - 1) % chi_tame_order:
+    if chi_tame_order < 1 or (p - 1) % chi_tame_order:
         raise InputError("tame order must divide p - 1")
     return math.gcd(k, p - 1) == (p - 1) // chi_tame_order
 
 
 def primitive_root(p: int) -> int:
     """The smallest primitive root mod an odd prime p, the generator of (Z/p)^x, read off the cached structure."""
+    if not is_prime(p) or p == 2:
+        raise InputError("p must be an odd prime")
     return get_structure(p).generators[0][2]
 
 
@@ -384,6 +386,8 @@ def tame_order(chi: DirichletCharacter, p: int) -> int:
 
 def unit_subgroup(N: int, gens: Sequence[int]) -> set[int]:
     """The subgroup of (Z/N)^x generated by gens, as residues mod N ({0} for N = 1)."""
+    if N < 1:
+        raise InputError("N must be positive")
     if N == 1:
         return {0}
     for g in gens:

@@ -11,6 +11,12 @@ exactly when no case failed (findings do not fail a suite: they mark
 reported-only checks, like the full-ideal Eisenstein congruence).  Any
 subcommand exits 2 on a bad argument (rejected by argparse, or by a
 library check that raises ``InputError``) and 1 on any other error.
+
+Each ``suite_*`` is a generator of rows, one per case: ``(case, outcome)``
+or ``(case, outcome, payload)``, where the case is a tuple, the outcome
+``True`` (pass), ``False`` (fail) or ``"finding"``, and the payload a
+dict.  The ``@suite`` decorator alone counts the rows into an immutable
+``RunReport``.
 """
 
 from __future__ import annotations
@@ -109,10 +115,7 @@ def _matching_weights(chi: DirichletCharacter, weights: Iterable[int]) -> Iterab
     return (k for k in weights if (-1) ** k == sign)
 
 
-# Each suite_* is a generator of rows, one per case: (case, outcome) or (case, outcome, payload),
-# where the case is a tuple, the outcome True (pass), False (fail) or "finding", and the payload
-# a dict.  The @suite decorator alone counts the rows into a RunReport.
-Rows = Iterator[tuple]
+Rows = Iterator[tuple]  # what a suite_* yields; see the module docstring
 
 # The suites in ``verify all`` order, and the verify options each reads, as
 # option -> keyword of its suite_* function; a suite not listed reads none.
@@ -606,9 +609,17 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: dict) ->
             command.set_defaults(fn=run)
 
 
+DESCRIPTION = """Exact arithmetic of Dirichlet characters and their J-spectra: generalized
+Bernoulli numbers and their denominator ideals, Eisenstein series, Dedekind
+zeta values, the homotopy groups of the J-spectra, and suites that verify
+each by a second route. With --json a subcommand prints one JSON line, the
+same bytes for the same arguments. Exit codes: 0 on success, 1 on a failed
+computation or verification, 2 on a bad argument."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser with every subcommand."""
-    parser = argparse.ArgumentParser(prog="dirichletj", description=__doc__, allow_abbrev=False)
+    parser = argparse.ArgumentParser(prog="dirichletj", description=DESCRIPTION, allow_abbrev=False)
     _add_commands(parser, "command", COMMANDS)
     return parser
 

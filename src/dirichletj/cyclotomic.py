@@ -421,6 +421,8 @@ def padic_splitting(n: int, p: int) -> tuple[int, ...]:
     """
     if not is_prime(p):
         raise InputError("p must be prime")
+    if n < 1:
+        raise InputError("n must be positive")
     n_prime = n // p ** _vp(n, p)
     m = _multiplicative_order(p, n_prime)
     seen: set[int] = set()

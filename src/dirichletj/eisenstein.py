@@ -51,10 +51,6 @@ def _sigma_rows(chi: DirichletCharacter, m: int, n_max: int) -> list[tuple[int, 
     per (d, coordinate where chi(d) is nonzero).  chi is evaluated nowhere
     here.  Row 0 is zero (the sieve adds nothing to it).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     table = value_classes(chi)
     cols = [[0] * (n_max + 1) for _ in table.columns]
     for c, (lo, hi) in enumerate(zip(table.bounds, table.bounds[1:])):
@@ -77,6 +73,8 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     """
     if k < 1:
         raise InputError("k must be positive")
+    if n_max < 0:
+        raise InputError("n_max must be nonnegative")
     if (-1) ** k != parity(chi):
         raise InputError("parity mismatch: B_{k,chi} = 0, series not normalizable")
     field = get_field(chi.order())

@@ -97,7 +97,7 @@ def staudt_odd_primes(m: int) -> list[int]:
     sphere has nonzero homotopy in degree 2t - 1.
     """
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InputError("m must be positive")
     divisors = [1]
     for q, e in factorize(m).items():
         divisors = [d * q**j for d in divisors for j in range(e + 1)]
@@ -123,7 +123,7 @@ def d2k(k: int) -> int:
 def _vp(k: int, p: int) -> int:
     """The p-adic valuation of a nonzero integer k."""
     if k == 0:
-        raise ValueError("valuation of zero")
+        raise AssertionError("valuation of zero")
     v, k = 0, abs(k)
     while k % p == 0:
         k //= p
@@ -135,7 +135,7 @@ def _multiplicative_order(a: int, modulus: int) -> int:
     if modulus == 1:
         return 1
     if math.gcd(a, modulus) != 1:
-        raise ValueError("element not a unit")
+        raise AssertionError("element not a unit")
     order = 1
     x = a % modulus
     while x != 1:
@@ -145,7 +145,9 @@ def _multiplicative_order(a: int, modulus: int) -> int:
 
 
 def smallest_primitive_root(q: int, phi: int) -> int:
-    """Smallest positive primitive root mod q = p^v, p odd; verified."""
+    """Smallest positive primitive root mod q = p^v, p odd, given phi = phi(q); verified."""
+    if q < 3 or q % 2 == 0 or len(factorize(q)) != 1 or phi != euler_phi(q):
+        raise InputError(f"q must be a power of an odd prime and phi = phi(q), got q = {q}, phi = {phi}")
     prime_divs = list(factorize(phi))
     for g in range(2, q):
         if math.gcd(g, q) != 1:
@@ -154,7 +156,7 @@ def smallest_primitive_root(q: int, phi: int) -> int:
             if _multiplicative_order(g, q) != phi:
                 raise AssertionError(f"{g} is not a primitive root mod {q}")
             return g
-    raise ValueError(f"no primitive root mod {q}")
+    raise AssertionError(f"no primitive root mod {q}")
 
 
 @lru_cache(maxsize=128)
@@ -170,6 +172,8 @@ def teichmuller(p: int, a: int, M: int) -> int:
         raise InputError("p must be an odd prime")
     if a % p == 0:
         raise InputError("a must be prime to p")
+    if M < 1:
+        raise InputError("M must be positive")
     modulus = p**M
     x = pow(a, p ** (M - 1), modulus)
     if pow(x, p - 1, modulus) != 1:
@@ -190,13 +194,6 @@ def _crt_lift(residue: int, modulus: int, full_modulus: int) -> int:
 
 # ---------------------------------------------------------------------------
 # The Hermite normal form and the elimination over Z/p^M
-
-
-def _width(m: Sequence[Sequence[int]]) -> int:
-    cols = len(m[0]) if m else 0
-    if any(len(row) != cols for row in m):
-        raise ValueError("inconsistent row lengths")
-    return cols
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -227,8 +224,10 @@ def hermite_normal_form(m: Sequence[Sequence[int]], modulus: int) -> list[list[i
     working rows.
     """
     if modulus <= 0:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    cols = _width(m)
+        raise InputError(f"modulus must be positive, got {modulus}")
+    cols = len(m[0]) if m else 0
+    if any(len(row) != cols for row in m):
+        raise InputError("inconsistent row lengths")
     D = modulus
     work = [[x % D for x in row] for row in m]
     basis: list[list[int]] = []
@@ -556,15 +555,6 @@ class AbelianGroupExpr(Record):
         """The sum of the atoms that are not atoms of ``part``: every copy of each is dropped."""
         return AbelianGroupExpr(tuple(a for a in self.atoms if a not in part.atoms))
 
-    def finite_part(self) -> "AbelianGroupExpr":
-        return AbelianGroupExpr(tuple(a for a in self.atoms if a[0] == "C"))
-
-    def free_rank(self) -> int:
-        return self.atoms.count(("Z",))
-
-    def q_mod_z_count(self) -> int:
-        return sum(a[0] == "QZ" for a in self.atoms)
-
     def is_zero(self) -> bool:
         return not self.atoms
 
@@ -584,7 +574,7 @@ _ZERO = AbelianGroupExpr(())
 def _cyclic(m: int) -> AbelianGroupExpr:
     """Z/m, shared: the tables ask for a handful of small orders over and over."""
     if m < 1:
-        raise ValueError("cyclic order must be positive")
+        raise InputError("cyclic order must be positive")
     return AbelianGroupExpr(_norm([("C", p, e) for p, e in sorted(factorize(m).items())]))
 
 

@@ -45,7 +45,7 @@ from .characters import (
 )
 from .cyclotomic import padic_splitting
 from .exactalg import AbelianGroupExpr, _vp, d2k, euler_phi, factorize, is_prime, staudt_odd_primes
-from .padic import PAdicCharacterData, PrimeToPPart
+from .padic import PAdicCharacterData
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +202,7 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
     p, v, a = data.p, data.v, data.tame
     A = AbelianGroupExpr
     if data.prime_to_p is not None:
-        part = data.prime_to_p
-        if not part.image_is_p_power:
-            return A.zero()
-        n = part.wild_image_exp
-        if n < 1:
-            raise InputError("p-power image must be nontrivial")
-        w = max(2 if p == 2 else 1, v - n)
+        w = max(2 if p == 2 else 1, v - data.prime_to_p)
         return (_tame_eigen_2(w, a, i - 1) if p == 2 else _tame_eigen_odd(p, w, a, i - 1)).times(p)
     # Pure p-power conductor.
     if v == 0:
@@ -238,16 +232,18 @@ def pi_DK1(data: PAdicCharacterData, i: int) -> AbelianGroupExpr:
 
 
 def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
-    """Summands of the p-completion, one per Galois coset of Z[chi] at p.
+    """Summands of the p-completion, one per Galois coset of Z[chi] at p; none if every one is contractible.
 
     Each summand is the p-adic character data of the twist chi^b over the
     coset representatives b of the p-adic splitting of Q(zeta_ord(chi)).
     For odd p and conductor p^v the tame exponents sweep exactly
-    {a : ker omega^a = ker chi restricted to (Z/p)^x}.  The order of chi'
-    is read off chi's exponent tuple (``prime_to_p_order``), and summands
-    with the same tame value are one shared record: at p = 2 every summand
-    is.  Each call builds a fresh list; ``_assembly_summands``, its one
-    reader in this module, caches what it reads per character.
+    {a : ker omega^a = ker chi restricted to (Z/p)^x}.  The order m of chi'
+    is read off chi's exponent tuple (``prime_to_p_order``).  Unless m is a
+    nontrivial p-power p^n, every summand is zero in every degree and the
+    list is empty; otherwise each summand records n.  Summands with the
+    same tame value are one shared record: at p = 2 every summand is.
+    Each call builds a fresh list; ``_assembly_summands``, its one reader
+    in this module, caches what it reads per character.
     """
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
@@ -257,15 +253,16 @@ def decompose_p(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
     v = _vp(N, p)
     if p == 2 and v == 1:
         raise AssertionError("primitive characters never have conductor exponent 1 at 2")
-    reps = padic_splitting(chi.order(), p)
-    payload: Optional[PrimeToPPart] = None
+    n = None
     if N > p**v:
         m = prime_to_p_order(chi, p)
-        e = _vp(m, p)
-        payload = PrimeToPPart(wild_image_exp=e, image_is_p_power=(e >= 1 and m == p**e))
+        n = _vp(m, p)
+        if m != p**n:  # |image chi'| has a prime other than p: every summand is contractible
+            return []
+    reps = padic_splitting(chi.order(), p)
     a0 = tame_exponent(chi, p)
     tames = [a0] * len(reps) if p == 2 else [b * a0 % (p - 1) for b in reps]
-    records = {a: PAdicCharacterData(p=p, v=v, tame=a, prime_to_p=payload) for a in set(tames)}
+    records = {a: PAdicCharacterData(p=p, v=v, tame=a, prime_to_p=n) for a in set(tames)}
     return [records[a] for a in tames]
 
 
@@ -278,10 +275,9 @@ def _assembly_summands(chi: DirichletCharacter) -> tuple[_Summands, tuple[tuple[
     nonzero, over the primes dividing its conductor or its order, as
     (every-degree summands, eigen-piece index).
 
-    Each summand of ``decompose_p`` falls in one of three kinds:
+    ``decompose_p`` builds no contractible summand, and each one it builds
+    falls in one of two kinds:
 
-    * contractible: the prime-to-p image is not a p-power, so ``pi_DK1``
-      is zero in every degree; dropped;
     * a pure odd-p eigen-piece: conductor p^v, tame exponent a, with
       a != 0 or v >= 2.  It is the omega^a eigen-piece (``_tame_eigen_odd``
       at v = 1, the Z/p stripe at v >= 2), nonzero only in degrees 2k - 1
@@ -296,10 +292,7 @@ def _assembly_summands(chi: DirichletCharacter) -> tuple[_Summands, tuple[tuple[
     for p in sorted(set(factorize(chi.modulus)) | set(factorize(chi.order()))):
         eigen: dict[int, list[PAdicCharacterData]] = {}
         for s in decompose_p(chi, p):
-            part = s.prime_to_p
-            if part is not None and not part.image_is_p_power:
-                continue
-            if p != 2 and part is None and (s.tame or s.v >= 2):
+            if p != 2 and s.prime_to_p is None and (s.tame or s.v >= 2):
                 eigen.setdefault(s.tame, []).append(s)
             else:
                 every_degree.append(s)
@@ -410,8 +403,8 @@ def pi_jn_chi_paths(chi: DirichletCharacter, i: int) -> tuple[AbelianGroupExpr, 
     that can be nonzero in degree i: the every-degree summands, and at odd
     i = 2k - 1 the pure odd-p eigen-pieces indexed under k mod (p - 1).  A
     pure odd-p summand is an omega^a eigen-piece, zero outside the degrees
-    2k - 1 with k = a (mod p - 1), and a contractible summand is zero in
-    every degree, so the sum equals the one over all summands.
+    2k - 1 with k = a (mod p - 1), so the sum equals the one over all
+    summands of ``decompose_p``.
     """
     assembled = _pi_jnchi_assembly(chi, i)  # first: its plan rejects an imprimitive or trivial chi
     return _pi_jnchi_direct(chi, i), assembled
@@ -523,21 +516,23 @@ def check_duality_JN(N: int, t_range: Iterable[int]) -> list[dict]:
 
     Strict for 4 | N; for odd N the match is required only up to Z/2
     summands, and a row that matches only so is noted ``z2-slack``.  Degrees
-    0 and -2 pair the free and divisible parts by an explicit convention (Z
-    at 0 against Q/Z at -2) and are noted ``degenerate-convention``.
+    0 and -2 pair the free and divisible parts by an explicit convention: up
+    to the same slack, (lhs, rhs) is (Z, Q/Z) at t = 0 and (Q/Z, Z) at
+    t = -2.  Those rows are noted ``degenerate-convention``.
     """
-    slack = AbelianGroupExpr.zero() if N % 4 == 0 else AbelianGroupExpr.cyclic(2)
+    A = AbelianGroupExpr
+    slack = A.zero() if N % 4 == 0 else A.cyclic(2)
+    degenerate = {0: (A.free(1), A.q_mod_z()), -2: (A.q_mod_z(), A.free(1))}
     rows = []
     for t in t_range:
         lhs, rhs = pi_JN(N, t), pi_JN(N, -2 - t)
         row = {"t": t, "lhs": lhs.render(), "rhs": rhs.render()}
-        if t in (0, -2):
-            free_side, div_side = (lhs, rhs) if t == 0 else (rhs, lhs)
-            finite = (lhs.finite_part() + rhs.finite_part()).without(slack)
-            row["ok"] = free_side.free_rank() == 1 and div_side.q_mod_z_count() == 1 and finite.is_zero()
+        bare = lhs.without(slack), rhs.without(slack)
+        if t in degenerate:
+            row["ok"] = bare == degenerate[t]
             row["note"] = "degenerate-convention"
         else:
-            row["ok"] = lhs.without(slack) == rhs.without(slack)
+            row["ok"] = bare[0] == bare[1]
             if row["ok"] and lhs != rhs:
                 row["note"] = "z2-slack"
         rows.append(row)

@@ -188,24 +188,16 @@ def quotient_oracle_2(v: int, t: int) -> AbelianGroupExpr:
 # p-adic character data and closed-form E2 pages
 
 
-class PrimeToPPart(Record):
-    """Invariants of the prime-to-p factor chi' of a p-adic character."""
-
-    # wild_image_exp is v_p(|image chi'|).
-    __slots__ = _fields = ("wild_image_exp", "image_is_p_power")
-
-    def __init__(self, wild_image_exp: int, image_is_p_power: bool):
-        self._set(wild_image_exp, image_is_p_power)
-
-
 class PAdicCharacterData(Record):
     """Everything the closed-form homotopy tables consume at one prime.
 
     ``tame`` is the Teichmuller exponent a in [0, p-2] for odd p, and the
-    parity bit (1 = odd) for p = 2.  ``prime_to_p`` is present exactly
-    when the conductor has a part N' > 1 prime to p.  Data no primitive
-    character has is rejected: a nonzero tame datum at v = 0, and tame 0
-    at p = 2, v = 2, where the one character of conductor 4 is odd.  Odd p
+    parity bit (1 = odd) for p = 2.  ``prime_to_p`` is None at a pure
+    p-power conductor, and otherwise the n >= 1 with |image chi'| = p^n for
+    chi' the factor of chi prime to p (any other summand is contractible,
+    and ``homotopy.decompose_p`` builds none).  Data no primitive character
+    has is rejected: n < 1, a nonzero tame datum at v = 0, and tame 0 at
+    p = 2, v = 2, where the one character of conductor 4 is odd.  Odd p
     with v = 1 and tame 0 is accepted although no primitive character has
     it: ``e2_page`` reads it as the untwisted page, which ``dirichletj e2
     --prime 5 --level-exp 1 --tame 0`` prints with exit 0, while
@@ -214,7 +206,7 @@ class PAdicCharacterData(Record):
 
     __slots__ = _fields = ("p", "v", "tame", "prime_to_p")
 
-    def __init__(self, p: int, v: int, tame: int, prime_to_p: Optional[PrimeToPPart] = None):
+    def __init__(self, p: int, v: int, tame: int, prime_to_p: Optional[int] = None):
         if not is_prime(p):
             raise InputError("p must be prime")
         if v < 0:
@@ -231,6 +223,8 @@ class PAdicCharacterData(Record):
                 raise InputError("tame exponent out of range")
         if v == 0 and tame:
             raise InputError("a trivial p-part (v = 0) must have tame datum 0")
+        if prime_to_p is not None and prime_to_p < 1:
+            raise InputError("p-power image must be nontrivial")
         self._set(p, v, tame, prime_to_p)
 
 

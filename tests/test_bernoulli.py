@@ -63,6 +63,10 @@ class TestOrdinary:
         assert bernoulli_number(2) == Fraction(1, 6)
         assert bernoulli_number(4) == Fraction(-1, 30)
 
+    def test_a_negative_index_raises_input_error(self):
+        with pytest.raises(InputError, match="^k must be nonnegative$"):
+            bernoulli_number(-1)
+
     def test_odd_vanishing(self):
         for k in range(3, 31, 2):
             assert bernoulli_number(k) == 0

@@ -304,6 +304,16 @@ class TestEll:
             ell_of_chi(chi)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: characters.primitive_root(1), "p must be an odd prime"),
+    (lambda: characters.primitive_root(2), "p must be an odd prime"),
+    (lambda: characters.unit_subgroup(0, (1,)), "N must be positive"),
+])
+def test_unit_group_helpers_refuse_arguments_out_of_range(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 class TestKernelMatch:
     def test_spec_examples(self):
         assert kernel_order_match(2, 5, 2) is True
@@ -314,6 +324,7 @@ class TestKernelMatch:
         ((1, 2, 1), "p must be an odd prime"),
         ((1, 9, 2), "p must be an odd prime"),
         ((1, 7, 4), "tame order must divide p - 1"),
+        ((1, 5, 0), "tame order must divide p - 1"),
     ])
     def test_arguments_out_of_range_raise_input_error(self, args, message):
         with pytest.raises(InputError, match=f"^{message}$"):

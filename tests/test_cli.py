@@ -741,7 +741,7 @@ def test_text_view_and_json_line(capsys, argv, digest):
 # homotopy targets at a width of 80 columns (Python 3.11 argparse layout); the
 # verify choices come from the suite registry.
 HELP_VIEWS = [
-    ("", "9f28e3d014eecb039dbf9839656235a71b400aef399d6102d1fdc583a20aa197"),
+    ("", "3400db7cad043d0ad04d1dfae92f89a17894f6ff60878255d27560172e9ceae7"),
     ("chars", "4c1da5f3c7118a55fb049a2dd7aa2b39b98ed8afc4e1ba3d2dff5a23d9425e70"),
     ("chars list", "bc1d2543da8c70d2e71b5d68421bb1f4e619a4d7f7baa012af05b237ca7b861b"),
     ("bern", "64ddf41576eab0f615d973aef715d503199f6d933b1014dbd2fe1110a859001f"),

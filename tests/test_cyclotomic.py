@@ -458,6 +458,8 @@ class TestDenominatorIdeal:
     (lambda: get_field(4).one() + get_field(5).one(), "field mismatch: Q(zeta_4) vs Q(zeta_5)"),
     (lambda: galois_apply(get_field(6).one(), 2), "sigma must be coprime to n"),
     (lambda: padic_splitting(12, 4), "p must be prime"),
+    (lambda: padic_splitting(-3, 2), "n must be positive"),
+    (lambda: padic_splitting(0, 3), "n must be positive"),
     (lambda: cyclotomic_factor_count(12, 3), "need a prime p not dividing n, got n = 12, p = 3"),
 ])
 def test_arguments_out_of_range_raise_input_error(call, message):

@@ -142,6 +142,10 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             eisenstein_coeffs(odd4(), 2, 5)
 
+    def test_negative_n_max_raises_input_error(self):
+        with pytest.raises(InputError, match="^n_max must be nonnegative$"):
+            eisenstein_coeffs(odd4(), 1, -1)
+
     def test_quad5_weight2_factor(self):
         # -4 / B_{2,chi} = -4/(4/5) = -5, so c_n = -5 sigma_{1,chi}(n).
         coeffs = eisenstein_coeffs(quad5(), 2, 4)

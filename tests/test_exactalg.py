@@ -12,8 +12,9 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dirichletj.exactalg import (InputError, d2k, euler_phi, factorize, hermite_normal_form, poly_gcd_mod_p,
-                                 poly_rem_mod_p, teichmuller, times_x_rows)
+from dirichletj.exactalg import (AbelianGroupExpr, InputError, _multiplicative_order, _vp, d2k, euler_phi, factorize,
+                                 hermite_normal_form, poly_gcd_mod_p, poly_rem_mod_p, smallest_primitive_root,
+                                 staudt_odd_primes, teichmuller, times_x_rows)
 
 
 def bareiss_det(rows):
@@ -269,7 +270,24 @@ def test_factorize_refuses_n_below_one(n):
     (lambda: teichmuller(4, 1, 2), "p must be an odd prime"),
     (lambda: teichmuller(5, 10, 2), "a must be prime to p"),
     (lambda: d2k(0), "k must be positive"),
+    (lambda: teichmuller(3, 1, 0), "M must be positive"),
+    (lambda: staudt_odd_primes(0), "m must be positive"),
+    (lambda: smallest_primitive_root(8, 4), r"q must be a power of an odd prime and phi = phi\(q\), got q = 8, phi = 4"),
+    (lambda: smallest_primitive_root(15, 8), r"q must be a power of an odd prime and phi = phi\(q\), got q = 15, phi = 8"),
+    (lambda: smallest_primitive_root(9, 5), r"q must be a power of an odd prime and phi = phi\(q\), got q = 9, phi = 5"),
+    (lambda: hermite_normal_form([[1]], 0), "modulus must be positive, got 0"),
+    (lambda: hermite_normal_form([[1, 2], [3]], 5), "inconsistent row lengths"),
+    (lambda: AbelianGroupExpr.cyclic(0), "cyclic order must be positive"),
 ])
 def test_integer_helpers_refuse_arguments_out_of_range_with_input_error(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         call()
+
+
+def test_private_helpers_raise_assertion_error_on_a_broken_invariant():
+    # Their callers pass a nonzero integer and a unit; anything else is a fault of the library.
+    with pytest.raises(AssertionError, match="^valuation of zero$"):
+        _vp(0, 3)
+    with pytest.raises(AssertionError, match="^element not a unit$"):
+        _multiplicative_order(2, 4)
+    assert smallest_primitive_root(3, 2) == 2 and smallest_primitive_root(25, 20) == 2

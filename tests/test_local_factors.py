@@ -30,7 +30,7 @@ from dirichletj.characters import (
 from dirichletj.cyclotomic import padic_splitting
 from dirichletj.exactalg import factorize
 from dirichletj.homotopy import decompose_p
-from dirichletj.padic import PAdicCharacterData, PrimeToPPart
+from dirichletj.padic import PAdicCharacterData
 
 from exponent_tuples import factor_local
 
@@ -149,13 +149,15 @@ def test_qualifying_prime_matches_evaluation():
 
 
 def expected_decomposition(chi: DirichletCharacter, p: int) -> list[PAdicCharacterData]:
+    """One summand per Galois coset, with the n >= 1 of |image chi'| = p^n; none unless that image is a nontrivial p-power."""
     N, n = chi.modulus, chi.order()
     v = valuation(N, p)
-    payload = None
+    wild = None
     if N > p**v:
         m = restrict_by_evaluation(chi, N // p**v).order()
-        e = valuation(m, p)
-        payload = PrimeToPPart(wild_image_exp=e, image_is_p_power=e >= 1 and m == p**e)
+        wild = valuation(m, p)
+        if not (wild >= 1 and m == p**wild):
+            return []
     if v == 0:
         a0 = 0
     elif p == 2:
@@ -166,7 +168,7 @@ def expected_decomposition(chi: DirichletCharacter, p: int) -> list[PAdicCharact
         assert t * (p - 1) % n == 0
         a0 = t * (p - 1) // n % (p - 1)
     return [
-        PAdicCharacterData(p=p, v=v, tame=a0 if p == 2 else b * a0 % (p - 1), prime_to_p=payload)
+        PAdicCharacterData(p=p, v=v, tame=a0 if p == 2 else b * a0 % (p - 1), prime_to_p=wild)
         for b in padic_splitting(n, p)
     ]
 

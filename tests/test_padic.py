@@ -343,11 +343,17 @@ class TestE2Page:
         assert e2_page(data, 0, 2).is_zero()
 
     def test_mixed_conductor_rejected(self):
-        from dirichletj.padic import PrimeToPPart
-
-        data = PAdicCharacterData(p=5, v=1, tame=1, prime_to_p=PrimeToPPart(0, False))
+        data = PAdicCharacterData(p=5, v=1, tame=1, prime_to_p=1)
         with pytest.raises(InputError, match="^e2_page requires a pure p-power conductor$"):
             e2_page(data, 1, 0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_trivial_p_power_image_is_refused(n):
+    # The prime-to-p part is the n >= 1 with |image chi'| = p^n; no summand has another.
+    with pytest.raises(InputError, match="^p-power image must be nontrivial$"):
+        PAdicCharacterData(5, 1, 1, n)
+    assert PAdicCharacterData(5, 1, 1, 2).prime_to_p == 2
 
 
 # ---------------------------------------------------------------------------

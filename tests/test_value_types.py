@@ -12,7 +12,7 @@ import pytest
 from dirichletj.characters import AbelianField, DirichletCharacter, UnitGroupStructure, enumerate_characters, get_structure
 from dirichletj.cli import RunReport
 from dirichletj.exactalg import AbelianGroupExpr, InputError
-from dirichletj.padic import PAdicCharacterData, PrimeToPPart
+from dirichletj.padic import PAdicCharacterData
 
 
 def _samples() -> list:
@@ -24,8 +24,7 @@ def _samples() -> list:
         enumerate_characters(1)[0],
         AbelianGroupExpr.zero(),
         AbelianGroupExpr.cyclic(12) + AbelianGroupExpr.free(2) + AbelianGroupExpr.q_mod_z().away_from([2, 3]),
-        PrimeToPPart(1, False),
-        PAdicCharacterData(5, 2, 3, PrimeToPPart(1, False)),
+        PAdicCharacterData(5, 2, 3, 1),
         PAdicCharacterData(p=2, v=0, tame=0),
         AbelianField(13, (1, 3, 9)),
     ]
@@ -61,7 +60,7 @@ def test_different_classes_never_compare_equal():
     assert field != st and st != field
     assert st != (st.modulus, st.generators)
     assert AbelianGroupExpr.cyclic(2) != AbelianGroupExpr.cyclic(2).atoms
-    assert PrimeToPPart(1, False) != (1, False)
+    assert PAdicCharacterData(5, 2, 3, 1) != (5, 2, 3, 1)
 
 
 @pytest.mark.parametrize("x", _samples(), ids=repr)
@@ -83,8 +82,7 @@ def test_reprs_are_the_dataclass_reprs():
         "DirichletCharacter(1:0)",
         "AbelianGroupExpr('0')",
         "AbelianGroupExpr('Z^2 + Q/Z[1/6] + Z/4 + Z/3')",
-        "PrimeToPPart(wild_image_exp=1, image_is_p_power=False)",
-        "PAdicCharacterData(p=5, v=2, tame=3, prime_to_p=PrimeToPPart(wild_image_exp=1, image_is_p_power=False))",
+        "PAdicCharacterData(p=5, v=2, tame=3, prime_to_p=1)",
         "PAdicCharacterData(p=2, v=0, tame=0, prime_to_p=None)",
         "AbelianField(conductor=13, subgroup=(1, 3, 9))",
     ]
