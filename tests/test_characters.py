@@ -1,6 +1,7 @@
 """Dirichlet character enumeration, evaluation, and structure."""
 
 import copy
+import hashlib
 import math
 import pickle
 
@@ -495,3 +496,11 @@ def test_structure_walks_each_generator_once(monkeypatch):
     assert sorted(walks) == [(2, 5), (2, 9), (5, 8), (7, 8)]
     assert structure.orders == (2, 2, 6, 4)
     characters.get_structure.cache_clear()
+
+
+def test_generators_up_to_2000_are_pinned():
+    # sha256 of the CRT-lifted generators of (Z/N)^x for every N <= 2000, one line "N:generators" each,
+    # from the code in which smallest_primitive_root took phi(q) from its caller.
+    lines = [f"{N}:{get_structure(N).generators}" for N in range(1, 2001)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "4a8f6e1fbb244fe01c0ec7d4430ee4c7252117c881ebcb777aa51601d94a6205"

@@ -622,6 +622,14 @@ class TestRunReport:
             (len(rows), outcomes[True], outcomes[False], outcomes["finding"])
         assert report.findings == (4 if name == "eisenstein" else 0) and report.failed == 0
 
+    def test_von_staudt_rows_to_300_are_pinned(self):
+        # sha256 of the rows of suite_von_staudt(max_k=300) as JSON, from the code in which the suite
+        # repacked the dicts of bernoulli.verify_von_staudt.
+        rows = list(cli.suite_von_staudt.__wrapped__(max_k=300))
+        assert len(rows) == 300 and all(outcome is True for _, outcome, _ in rows)
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+            "982fc5064160e2ae8e214149f46a852eff74ac5641a1728b2baadf511a48eff6"
+
 
 class TestEisensteinCmd:
     def test_ok_case(self, capsys):

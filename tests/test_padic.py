@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import json
 import random
 
 import pytest
@@ -86,6 +87,16 @@ class TestTopologicalGenerator:
         monkeypatch.setattr(padic, "_TOPGEN_CACHE", {})
         assert [topological_generator(p) for p in (3, 5, 7, 3)] == [2, 2, 3, 2]
         assert padic._TOPGEN_CACHE == {7: 3, 3: 2}
+
+    def test_generators_below_2000_are_pinned(self, monkeypatch):
+        # sha256 of {p: topological_generator(p)} as JSON for the 302 odd primes p < 2000, from the
+        # code in which smallest_primitive_root took phi(p^2) from its caller.  Each root is
+        # verified by walking its phi(p^2) powers, so this takes tens of seconds.
+        monkeypatch.setattr(padic, "_TOPGEN_CACHE", {})
+        generators = {p: topological_generator(p) for p in range(3, 2000, 2) if all(p % d for d in range(3, p, 2))}
+        assert len(generators) == 302
+        assert hashlib.sha256(json.dumps(generators).encode()).hexdigest() == \
+            "474f2f2e0515400499b21e2f3615245db66bf196e1ccac81de0e2e161bb67e6f"
 
 
 @pytest.fixture(autouse=True)
