@@ -76,7 +76,6 @@ from .exactalg import (
     factorize,
     poly_gcd_mod_p,
     poly_rem_mod_p,
-    staudt_odd_primes,
     teichmuller,
 )
 
@@ -364,34 +363,6 @@ def denom_ideal(chi: DirichletCharacter, k: int) -> CycElement:
 # Classical congruence checks
 
 
-def verify_von_staudt(k_max: int) -> list[dict]:
-    """Clausen-von Staudt sweep for B_{2k}, 1 <= k <= k_max.
-
-    Checks (1) denominator of B_{2k} equals the product of all primes p
-    with (p-1) | 2k, and (2) the primes dividing the denominator of
-    B_{2k}/(4k) are exactly those dividing the denominator of B_{2k}.
-    """
-    rows = []
-    for k in range(1, k_max + 1):
-        b = bernoulli_number(2 * k)
-        expected = 2 * math.prod(staudt_odd_primes(2 * k))
-        denom_ok = b.den == expected
-        primes_b = set(factorize(b.den))
-        primes_b4k = set(factorize((b / (4 * k)).den))
-        prime_ok = primes_b == primes_b4k
-        rows.append(
-            {
-                "k": k,
-                "denominator": b.den,
-                "expected": expected,
-                "von_staudt_ok": denom_ok,
-                "prime_support_ok": prime_ok,
-                "ok": denom_ok and prime_ok,
-            }
-        )
-    return rows
-
-
 def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     """Carlitz's integrality and congruence theorems for B_{k,chi}/k.
 
@@ -420,7 +391,7 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
     if chi.modulus == 1:
-        raise InputError("conductor 1: Carlitz's theorems take chi != 1; verify_von_staudt checks B_k of chi = 1")
+        raise InputError("conductor 1: Carlitz's theorems take chi != 1; the von-staudt suite checks B_k of chi = 1")
     if k < 1:
         raise InputError("k must be positive")
     if (-1) ** k != parity(chi):

@@ -34,7 +34,7 @@ import operator
 from functools import lru_cache
 from typing import Sequence
 
-from .cyclotomic import CycElement, get_field
+from .cyclotomic import get_field
 from .exactalg import (InputError, Record, _crt_lift, _multiplicative_order, _vp, euler_phi, factorize, is_prime,
                        smallest_primitive_root)
 
@@ -71,8 +71,7 @@ def get_structure(N: int) -> UnitGroupStructure:
             else:
                 locals_ = [(q - 1, 2), (5, 2 ** (v - 2))]
         else:
-            phi = euler_phi(q)
-            locals_ = [(smallest_primitive_root(q, phi), phi)]
+            locals_ = [(smallest_primitive_root(q), euler_phi(q))]
         for g, order in locals_:
             if p == 2 and _multiplicative_order(g, q) != order:  # smallest_primitive_root walked the odd ones
                 raise AssertionError(f"generator {g} mod {q} does not have order {order}")
@@ -192,12 +191,6 @@ def _value_exponent(chi: DirichletCharacter, a: int) -> int | None:
     return None if exps is None else sum(map(operator.mul, chi._weights, exps)) % chi._order
 
 
-def evaluate(chi: DirichletCharacter, a: int) -> CycElement | None:
-    """chi(a) as a CycElement of Q(zeta_ord(chi)); None marks chi(a) = 0."""
-    t = _value_exponent(chi, a)
-    return None if t is None else get_field(chi.order()).zeta_power(t)
-
-
 class ValueTable(Record):
     """chi's values on the units 1 <= a <= N, one read-only table that every reader shares.
 
@@ -304,6 +297,8 @@ def prime_to_p_order(chi: DirichletCharacter, p: int) -> int:
     q != p, so its order is the lcm of o_i / gcd(e_i, o_i) over them; it is
     the order of chi when p does not divide N.
     """
+    if not is_prime(p):
+        raise InputError("p must be prime")
     return math.lcm(*(o // math.gcd(e, o) for (q, *_, o), e in zip(chi.structure.generators, chi.exponents)
                       if q != p))
 
@@ -369,6 +364,8 @@ def tame_exponent(chi: DirichletCharacter, p: int) -> int:
     it is the generator that is 3 mod 4 (-1, or 3 at v = 2), so a is 1
     exactly when chi is odd on it, the rule ``conductor`` uses.
     """
+    if not is_prime(p):
+        raise InputError("p must be prime")
     for (q, *_), e in zip(chi.structure.generators, chi.exponents):
         if q == p:
             return e % (2 if p == 2 else p - 1)
@@ -379,6 +376,8 @@ def tame_order(chi: DirichletCharacter, p: int) -> int:
     """Order of chi on the tame part of (Z/p^v)^x, t / gcd(e, t) for t = p - 1 (2 at p = 2) and e the
     first exponent at p (0 when there is none), read off e itself: ``tame_exponent`` is the p-adic
     assembly's read, and the direct tables read this one."""
+    if not is_prime(p):
+        raise InputError("p must be prime")
     tame = 2 if p == 2 else p - 1
     e = next((e for (q, *_), e in zip(chi.structure.generators, chi.exponents) if q == p), 0)
     return tame // math.gcd(e, tame)
@@ -426,7 +425,6 @@ class AbelianField(Record):
         return [u for u in range(N) if math.gcd(u, N) == 1 and u % self.conductor in H]
 
 
-@lru_cache(maxsize=1024)
 def abelian_field(N: int, gens: tuple[int, ...]) -> AbelianField:
     """The fixed field of H = <gens> inside Q(zeta_N), equal for every presentation; H is built once, at N.
 

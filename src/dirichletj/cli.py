@@ -33,7 +33,7 @@ from . import bernoulli, characters, dedekind, eisenstein, homotopy
 from .characters import DirichletCharacter, InputError, character_from_index, char_inv, enumerate_characters
 from .cyclotomic import (cyclotomic_factor_count, denominator_ideal, denominator_invariants, padic_splitting,
                          quotient_group, render_cyc)
-from .exactalg import AbelianGroupExpr, Record, factorize, is_prime
+from .exactalg import AbelianGroupExpr, Record, factorize, is_prime, staudt_odd_primes
 from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle_2
 
 SCHEMA = 1
@@ -164,8 +164,13 @@ def suite(name: str, options: Optional[dict[str, str]] = None) -> Callable:
 
 @suite("von-staudt", {"--max": "max_k"})
 def suite_von_staudt(max_k: int = 30) -> Rows:
-    for row in bernoulli.verify_von_staudt(max_k):
-        yield (row["k"],), row["ok"], {"denominator": row["denominator"], "expected": row["expected"]}
+    """Clausen-von Staudt for B_{2k}, 1 <= k <= max_k: its denominator is the product of the primes p with
+    (p - 1) | 2k, and the primes dividing the denominator of B_{2k}/(4k) are those same primes."""
+    for k in range(1, max_k + 1):
+        b = bernoulli.bernoulli_number(2 * k)
+        expected = 2 * math.prod(staudt_odd_primes(2 * k))
+        ok = b.den == expected and set(factorize(b.den)) == set(factorize((b / (4 * k)).den))
+        yield (k,), ok, {"denominator": b.den, "expected": expected}
 
 
 @suite("carlitz", {"--max": "max_k"})

@@ -114,9 +114,6 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
     # c_0 = 1 has denominator 1, so it counts in neither sum.
     mandatory_failures = sum(math.gcd(c.den, primary) != 1 for c in coeffs)
     return {
-        "modulus": chi.modulus,
-        "index": chi.index(),
-        "k": k,
         "ideal_index": idx,
         "coefficients": coeffs,
         "mandatory_failures": mandatory_failures,

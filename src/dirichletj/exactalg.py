@@ -144,10 +144,11 @@ def _multiplicative_order(a: int, modulus: int) -> int:
     return order
 
 
-def smallest_primitive_root(q: int, phi: int) -> int:
-    """Smallest positive primitive root mod q = p^v, p odd, given phi = phi(q); verified."""
-    if q < 3 or q % 2 == 0 or len(factorize(q)) != 1 or phi != euler_phi(q):
-        raise InputError(f"q must be a power of an odd prime and phi = phi(q), got q = {q}, phi = {phi}")
+def smallest_primitive_root(q: int) -> int:
+    """Smallest positive primitive root mod q = p^v, p odd; verified."""
+    if q < 3 or q % 2 == 0 or len(factorize(q)) != 1:
+        raise InputError(f"q must be a power of an odd prime, got q = {q}")
+    phi = euler_phi(q)
     prime_divs = list(factorize(phi))
     for g in range(2, q):
         if math.gcd(g, q) != 1:

@@ -43,7 +43,6 @@ from .exactalg import (
     InputError,
     Record,
     _vp,
-    euler_phi,
     is_prime,
     padic_invariant_exponents,
     smallest_primitive_root,
@@ -69,7 +68,7 @@ def topological_generator(p: int) -> int:
         return _TOPGEN_CACHE[p]
     if not is_prime(p):
         raise InputError("p must be prime")
-    g = smallest_primitive_root(p * p, euler_phi(p * p))
+    g = smallest_primitive_root(p * p)
     if len(_TOPGEN_CACHE) >= _TOPGENS:
         del _TOPGEN_CACHE[next(iter(_TOPGEN_CACHE))]
     _TOPGEN_CACHE[p] = g

@@ -17,7 +17,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from dirichletj.characters import evaluate
 from dirichletj.cyclotomic import CycElement, _norm_and_conjugates, get_field
 from dirichletj.exactalg import (
     AbelianGroupExpr,
@@ -27,6 +26,8 @@ from dirichletj.exactalg import (
     smallest_primitive_root,
     times_x_rows,
 )
+
+from exponent_tuples import evaluate
 
 
 class IdealLattice:
@@ -198,7 +199,7 @@ def carlitz_p_ideal(chi, k: int) -> IdealLattice:
     """The ideal (p, 1 - chi(g) g^k) of Z[chi] for conductor p^v, p odd, g the smallest primitive root mod p."""
     (p, _v), = factorize(chi.modulus).items()
     field = get_field(chi.order())
-    g = smallest_primitive_root(p, p - 1)
+    g = smallest_primitive_root(p)
     return from_generators(field, [field.from_rational(p), field.one() - evaluate(chi, g) * g**k])
 
 

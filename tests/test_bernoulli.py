@@ -9,21 +9,19 @@ from fractions import Fraction
 
 import pytest
 
-from dirichletj import bernoulli
+from dirichletj import bernoulli, cli
 from dirichletj.bernoulli import (
     bernoulli_number,
     denom_ideal,
     gbn,
     l_value,
     verify_carlitz,
-    verify_von_staudt,
 )
 from dirichletj.characters import (
     InputError,
     _value_exponent,
     character_from_index,
     enumerate_characters,
-    evaluate,
     is_primitive,
     kernel_order_match,
     parity,
@@ -35,7 +33,7 @@ from dirichletj.cyclotomic import CycElement, denominator_ideal, galois_apply, g
 from dirichletj.exactalg import (AbelianGroupExpr, _vp, d2k, factorize, is_prime, padic_invariant_exponents,
                                  poly_gcd_mod_p, smallest_primitive_root, times_x_rows)
 
-from exponent_tuples import char_pow
+from exponent_tuples import char_pow, evaluate
 from ideal_oracle import carlitz_by_ideals, carlitz_p_ideal
 
 
@@ -245,7 +243,7 @@ class TestGrowingSeries:
 
         chi, other = character_from_index(13, 1), character_from_index(13, 2)
         lift = next(c for c in enumerate_characters(26) if primitivize(c) == chi)
-        honest_classes, honest_evaluate = characters.value_classes, characters.evaluate
+        honest_classes, honest_value = characters.value_classes, bernoulli._value_exponent
         reads, evaluated = [], []
 
         def reading(chi_):
@@ -254,10 +252,10 @@ class TestGrowingSeries:
 
         def evaluating(chi_, a):
             evaluated.append(a)
-            return honest_evaluate(chi_, a)
+            return honest_value(chi_, a)
 
         monkeypatch.setattr(bernoulli, "value_classes", reading)
-        monkeypatch.setattr(characters, "evaluate", evaluating)
+        monkeypatch.setattr(bernoulli, "_value_exponent", evaluating)
         # The table holds each unit 1 <= a <= 13 once.
         assert sorted(honest_classes(chi).units) == list(range(1, 13))
         _clear_gbn_caches()
@@ -610,15 +608,15 @@ def test_denominator_ideals_match_pinned():
 
 class TestVonStaudt:
     def test_k1(self):
-        rows = verify_von_staudt(1)
-        assert rows[0]["denominator"] == 6 and rows[0]["ok"]
+        (case, ok, payload), = cli.suite_von_staudt.__wrapped__(max_k=1)
+        assert case == (1,) and ok is True and payload == {"denominator": 6, "expected": 6}
 
     def test_k6(self):
-        rows = verify_von_staudt(6)
-        assert rows[5]["denominator"] == 2730 and rows[5]["ok"]
+        rows = list(cli.suite_von_staudt.__wrapped__(max_k=6))
+        assert rows[5] == ((6,), True, {"denominator": 2730, "expected": 2730})
 
     def test_sweep(self):
-        assert all(r["ok"] for r in verify_von_staudt(30))
+        assert all(ok is True for _, ok, _ in cli.suite_von_staudt.__wrapped__(max_k=30))
 
 
 def _carlitz_oracle_grid(large_k_max=4):
@@ -713,7 +711,7 @@ class TestCarlitz:
                 continue
             field = get_field(chi.order())
             e = _vp(k, p) + 1 if v == 1 else 1
-            g = smallest_primitive_root(p, p - 1)
+            g = smallest_primitive_root(p)
             y_e = math.prod([field.one() - evaluate(chi, g) * g**k] * e, start=field.one())
             scale = Fraction(1, p) if v == 1 else k / (field.one() - evaluate(chi, 1 + p))
 
@@ -739,7 +737,7 @@ class TestCarlitz:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_trivial_character_is_sent_to_von_staudt(self, k):
-        with pytest.raises(InputError, match="conductor 1.*verify_von_staudt"):
+        with pytest.raises(InputError, match="conductor 1.*the von-staudt suite"):
             verify_carlitz(character_from_index(1, 0), k)
 
     def test_gcd_degree_is_the_corank_of_multiplication_mod_p(self):
@@ -765,8 +763,6 @@ class TestCarlitz:
         assert (len(reached), degrees) == (596, {1: 596})
 
     def test_a_proper_ideal_whose_gcd_is_one_raises(self, monkeypatch, capsys):
-        from dirichletj import cli
-
         chi, k = next((chi, k) for chi, k in _carlitz_pin_cases()
                       if chi.modulus == 25 and verify_carlitz(chi, k)["case"] == "p^2-unit")
         monkeypatch.setattr(bernoulli, "kernel_order_match", lambda *args: True)

@@ -17,7 +17,6 @@ from dirichletj.characters import (
     conductor,
     ell_of_chi,
     enumerate_characters,
-    evaluate,
     get_structure,
     is_primitive,
     kernel_order_match,
@@ -30,7 +29,7 @@ from dirichletj.cyclotomic import get_field
 from dirichletj import exactalg
 from dirichletj.exactalg import _multiplicative_order, euler_phi
 
-from exponent_tuples import char_mul, char_pow, factor_local
+from exponent_tuples import char_mul, char_pow, evaluate, factor_local
 
 
 def quad5():
@@ -211,7 +210,7 @@ class TestParity:
         assert parity(quad5()) == 1
 
     def test_parity_is_the_value_at_minus_one(self):
-        # parity reads the exponent tuple; the reference evaluates chi(N - 1) through the discrete logs.
+        # parity reads the exponent tuple; the reference evaluates chi(N - 1) from the generators' powers.
         checked = 0
         for N in range(1, 301):
             for chi in enumerate_characters(N):

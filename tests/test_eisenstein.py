@@ -13,7 +13,6 @@ from dirichletj.characters import (
     InputError,
     character_from_index,
     enumerate_characters,
-    evaluate,
     is_primitive,
     parity,
 )
@@ -21,6 +20,7 @@ from dirichletj.cli import main
 from dirichletj.cyclotomic import CycElement, get_field
 from dirichletj.eisenstein import congruence_check, eisenstein_coeffs
 
+from exponent_tuples import evaluate
 from ideal_oracle import denominator_lattice, ideal_product, ideal_sum, principal
 
 

@@ -558,18 +558,18 @@ class TestPiJK:
         assert all(len(group) == 1 for group in tables.values())
 
     def test_subgroup_is_built_once_per_table(self, monkeypatch):
-        # H is built once per presentation and the per-field data once per field, so a degree
-        # costs the same whatever |H| is; (64, <3>) is (32, <3>) at its conductor 32.
+        # H is built once per call of abelian_field, one per presentation here, and the per-field
+        # data once per field, so a degree costs the same whatever |H| is; (64, <3>) is (32, <3>)
+        # at its conductor 32.
         honest, built = characters.unit_subgroup, []
         monkeypatch.setattr(characters, "unit_subgroup", lambda N, gens: built.append(N) or honest(N, gens))
-        characters.abelian_field.cache_clear()
         homotopy._jk_setup.cache_clear()
         assert homotopy._jk_setup.cache_info().maxsize == 1024
         presentations = ((32, (3,)), (32, (3,)), (64, (3,)), (32, (5,)))
-        tables = [[pi_JK(abelian_field(N, gens), i, True).render() for i in range(1, 40)] for N, gens in presentations]
-        assert built == [32, 64, 32] and tables[0] == tables[1] == tables[2] != tables[3]
+        fields = [abelian_field(N, gens) for N, gens in presentations]
+        tables = [[pi_JK(field, i, True).render() for i in range(1, 40)] for field in fields]
+        assert built == [32, 32, 64, 32] and tables[0] == tables[1] == tables[2] != tables[3]
         assert homotopy._jk_setup.cache_info().misses == 2
-        characters.abelian_field.cache_clear()
         homotopy._jk_setup.cache_clear()
 
 

@@ -428,9 +428,9 @@ def _cold_caches() -> dict[str, dict]:
 def test_caches_are_empty_after_a_cold_import():
     # Every call of the CLI starts cold; a cache filled at import would hide that cost.
     sizes = {name: cache["size"] for name, cache in _cold_caches().items()}
-    assert {"characters.get_structure", "characters.character_from_index", "characters.abelian_field",
-            "characters.field_characters", "homotopy._jk_setup", "homotopy._duality_setup",
-            "homotopy._direct_plan", "bernoulli._states", "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
+    assert {"characters.get_structure", "characters.character_from_index", "characters.field_characters",
+            "homotopy._jk_setup", "homotopy._duality_setup", "homotopy._direct_plan", "bernoulli._states",
+            "padic._TOPGEN_CACHE"} <= set(sizes), sorted(sizes)
     assert not {name: n for name, n in sizes.items() if n}, sizes
 
 
@@ -468,3 +468,53 @@ def test_cli_import_loads_every_module_but_not_dataclasses_inspect_or_fractions(
     package = {f"dirichletj.{path.stem}" for path in SRC.glob("*.py")} - {"dirichletj.__init__"}
     assert len(package) == 9 and package <= loaded, sorted(package - loaded)
     assert not {"dataclasses", "inspect", "fractions", "decimal", "numbers"} & loaded
+
+
+def _unreached_defs() -> list[str]:
+    """The src functions and methods, as module.name or module.Class.name, that nothing reaches by name.
+
+    The roots are ``cli.main``, every ``@suite`` function and every name in module-level code
+    (tables, class bodies and decorators).  A def is reached when a reached def names it, as a
+    name or as an attribute; a reached class reaches its dunder methods.  Imports name nothing.
+    """
+    def named(nodes) -> set[str]:
+        return {n.id if isinstance(n, ast.Name) else n.attr for node in nodes for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    defs: dict[str, tuple[str, set[str]]] = {}  # key -> (bare name, the names its body uses)
+    top_names, reached = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                top_names |= named([top])
+                continue
+            key = f"{path.stem}.{top.name}"
+            top_names |= named(top.decorator_list)
+            if isinstance(top, ast.FunctionDef):
+                defs[key] = top.name, named(top.body + [top.args])
+                suites = [d for d in top.decorator_list if isinstance(d, ast.Call) and named([d.func]) == {"suite"}]
+                if suites or key == "cli.main":
+                    reached.add(key)
+                continue
+            defs[key] = top.name, set()
+            top_names |= named(top.bases)
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    defs[f"{key}.{node.name}"] = node.name, named(node.body + [node.args])
+                    top_names |= named(node.decorator_list)
+                else:
+                    top_names |= named([node])
+    while True:
+        names = top_names.union(*(defs[key][1] for key in reached))
+        grown = reached | {key for key, (name, _) in defs.items() if name in names} | {
+            key for key, (name, _) in defs.items()
+            if name.startswith("__") and name.endswith("__") and key.rpartition(".")[0] in reached}
+        if grown == reached:
+            return sorted(defs.keys() - reached)
+        reached = grown
+
+
+def test_every_src_def_is_reached_from_the_cli_or_a_suite():
+    # src holds no code that only tests read: every function and method, public or private, is
+    # reached by name from cli.main, a registered suite or module-level code.
+    assert _unreached_defs() == []
