@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from dirichletj import cli, cyclotomic, eisenstein, exactalg, homotopy
 from dirichletj.bernoulli import gbn
-from dirichletj.characters import character_from_index
+from dirichletj.characters import character_from_index, enumerate_characters, is_primitive, parity
 from dirichletj.cli import RunReport, main
 from dirichletj.cyclotomic import CycElement, denominator_ideal, denominator_invariants
 
@@ -654,6 +654,23 @@ class TestEisensteinCmd:
         coefficients = json.loads(out)["coefficients"]
         assert code == 0 and len(calls) == 1
         assert len(coefficients) == shown and coefficients[:2] == ["1", "4"][:shown]
+
+    def test_every_coefficient_to_120_is_pinned(self, capsys):
+        # sha256 of the --json output and exit code of every primitive chi of conductor 1, 3, 4, 5, 7, 8, 9, 11
+        # and 13 at each weight k <= 8 of its parity, every coefficient to q^120 shown, and of 37:1 at
+        # weight 1, which exits 1; from the code in which congruence_check held every coefficient.
+        calls = [(N, chi.index(), k) for N in (1, 3, 4, 5, 7, 8, 9, 11, 13) for chi in enumerate_characters(N)
+                 if is_primitive(chi) for k in range(1, 9) if (-1) ** k == parity(chi)] + [(37, 1, 1)]
+        digest = hashlib.sha256()
+        codes = Counter()
+        for N, index, k in calls:
+            code, out, err = run_cli(capsys, "eisenstein", "--modulus", str(N), "--index", str(index),
+                                     "--weight", str(k), "--nmax", "120", "--show-coeffs", "120", "--json")
+            assert err == "" and len(json.loads(out)["coefficients"]) == 121
+            codes[code] += 1
+            digest.update(f"{N}:{index} k={k} exit {code}\n{out}".encode())
+        assert len(calls) == 149 and codes == {0: 148, 1: 1}
+        assert digest.hexdigest() == "e63c5082450b63cd3acf0f6598ac40b4606c0371b00ba43539eff400eac4edfc"
 
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before 3.10.7")
