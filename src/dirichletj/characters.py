@@ -73,7 +73,7 @@ def get_structure(N: int) -> UnitGroupStructure:
         else:
             locals_ = [(smallest_primitive_root(q), euler_phi(q))]
         for g, order in locals_:
-            if p == 2 and _multiplicative_order(g, q) != order:  # smallest_primitive_root walked the odd ones
+            if p == 2 and _multiplicative_order(g, q) != order:  # smallest_primitive_root verified the odd ones
                 raise AssertionError(f"generator {g} mod {q} does not have order {order}")
             gens.append((p, v, _crt_lift(g, q, N), order))
     structure = UnitGroupStructure(modulus=N, generators=tuple(gens))

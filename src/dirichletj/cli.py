@@ -37,11 +37,12 @@ from .exactalg import AbelianGroupExpr, Record, factorize, is_prime, staudt_odd_
 from .padic import PAdicCharacterData, e2_page, quotient_oracle, quotient_oracle_2
 
 SCHEMA = 1
-# The divisor sieve of an Eisenstein series holds every sum up to --nmax at once.
+# The divisor sieve of an Eisenstein series holds every sum up to --nmax at once; the
+# coefficients are read off it one at a time, and only the printed ones are kept.
 MAX_NMAX = 100_000
 # Caps at about the cost of --nmax 100000, cold on a 2-core VM: `eisenstein --modulus 5 --index 1
-# --weight 1` takes 0.4-0.7 s of CPU and 35 MB, `--modulus 29 --index 1` (order 28) 2.1-3.2 s and
-# 51 MB; `chars list` of the prime 49999 0.5-1.0 s and 55 MB, and a 50000-degree `homotopy` table
+# --weight 1` takes 0.3-0.4 s of CPU and 18 MB, `--modulus 29 --index 1` (order 28) 1.9-2.0 s and
+# 25 MB; `chars list` of the prime 49999 0.5-1.0 s and 55 MB, and a 50000-degree `homotopy` table
 # from degree 1 up to 1.9 s and 33 MB.  MAX_MODULUS bounds every modulus, level and prime
 # the CLI reads, as each is factored by trial division, in every degree for a table,
 # or sets the size of a table of residues; MAX_DEGREES also bounds an `e2` table's cells.
@@ -306,7 +307,7 @@ def suite_eisenstein(
             weights = range(1, max_k + 1)
         for chi in chis:
             for k in _matching_weights(chi, weights):
-                result = eisenstein.congruence_check(chi, k, n_max)
+                result = eisenstein.congruence_check(chi, k, n_max, 0)
                 if result["mandatory_failures"]:
                     yield (N, chi.index(), k), False, {"mandatory_failures": result["mandatory_failures"]}
                 elif result["full_findings"]:
@@ -466,8 +467,7 @@ def cmd_eisenstein(args) -> Output:
     _check_cap("weight", "--weight", args.weight, MAX_WEIGHT)
     _check_cap("modulus", "--modulus", args.modulus, MAX_MODULUS)
     chi = character_from_index(args.modulus, args.index)
-    result = eisenstein.congruence_check(chi, args.weight, args.nmax)
-    coeffs = result["coefficients"][: min(args.nmax, args.show_coeffs) + 1]
+    result = eisenstein.congruence_check(chi, args.weight, args.nmax, min(args.nmax, args.show_coeffs) + 1)
     payload = {
         "character": characters.display(chi),
         "weight": args.weight,
@@ -476,7 +476,7 @@ def cmd_eisenstein(args) -> Output:
         "mandatory_failures": result["mandatory_failures"],
         "full_findings": result["full_findings"],
         "ok": result["ok"],
-        "coefficients": [render_cyc(c) for c in coeffs],
+        "coefficients": [render_cyc(c) for c in result["coefficients"]],
     }
     return payload, lambda: (
         f"E_(k,chi), chi = {args.modulus}:{args.index}, k = {args.weight}, n <= {args.nmax}\n"

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from typing import Iterator
 
 from .bernoulli import denom_ideal, gbn
 from .characters import DirichletCharacter, InputError, conductor, is_primitive, parity, value_classes
@@ -42,14 +43,16 @@ from .cyclotomic import CycElement, denominator_invariants, get_field
 from .exactalg import _vp, factorize, times_x_rows
 
 
-def _sigma_rows(chi: DirichletCharacter, m: int, n_max: int) -> list[tuple[int, ...]]:
-    """The integer vectors of sigma_{m,chi}(n) over the power basis, for 0 <= n <= n_max.
+def _sigma_rows(chi: DirichletCharacter, m: int, n_max: int) -> list[list[int]]:
+    """The columns of sigma_{m,chi}(n) over the power basis, for 0 <= n <= n_max.
 
-    One divisor sieve over chi's ``ValueTable``, with one list per coordinate:
-    each unit d <= n_max, stepping by the modulus from each unit of each
-    class, adds chi(d) d^m to every multiple of d, one slice assignment
-    per (d, coordinate where chi(d) is nonzero).  chi is evaluated nowhere
-    here.  Row 0 is zero (the sieve adds nothing to it).
+    Column t holds the coefficient of zeta^t of every sum, so the vector of
+    sigma_{m,chi}(n) is entry n of each column, and no row is built here.
+    One divisor sieve over chi's ``ValueTable``: each unit d <= n_max,
+    stepping by the modulus from each unit of each class, adds chi(d) d^m
+    to every multiple of d, one slice assignment per (d, coordinate where
+    chi(d) is nonzero).  chi is evaluated nowhere here.  Entry 0 is zero
+    (the sieve adds nothing to it).
     """
     table = value_classes(chi)
     cols = [[0] * (n_max + 1) for _ in table.columns]
@@ -60,16 +63,18 @@ def _sigma_rows(chi: DirichletCharacter, m: int, n_max: int) -> list[tuple[int, 
                 w = d**m
                 for col, x in terms:
                     col[d::d] = map(operator.add, col[d::d], itertools.repeat(x * w))
-    return list(zip(*cols))
+    return cols
 
 
-def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycElement]:
-    """Coefficients c_0 = 1, c_n = -(2k/B_{k,chi}) sigma_{k-1,chi}(n).
+def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> Iterator[CycElement]:
+    """An iterator over c_0 = 1, c_n = -(2k/B_{k,chi}) sigma_{k-1,chi}(n), for n <= n_max.
 
     Requires (-1)^k = chi(-1); otherwise B_{k,chi} = 0 and normalization
-    is undefined.  Each c_n is the sieve's integer vector times the one
-    matrix of multiplication by the normalizing factor's numerator, over
-    its denominator; the vectors are read straight off the sieve.
+    is undefined.  The arguments are checked, and the one sieve run, when
+    this is called; each c_n is built only when the iterator reaches it,
+    as the sieve's integer vector of n times the one matrix of
+    multiplication by the normalizing factor's numerator, over its
+    denominator.
     """
     if k < 1:
         raise InputError("k must be positive")
@@ -81,23 +86,26 @@ def eisenstein_coeffs(chi: DirichletCharacter, k: int, n_max: int) -> list[CycEl
     b = gbn(chi, k)
     factor = field.from_rational(-2 * k) * b.inverse()
     columns = list(zip(*times_x_rows(field.phi_n, factor.nums)))
-    return [field.one()] + [
-        CycElement(field, [sum(map(int.__mul__, row, col)) for col in columns], factor.den)
-        for row in _sigma_rows(chi, k - 1, n_max)[1:]
-    ]
+    rows = itertools.islice(zip(*_sigma_rows(chi, k - 1, n_max)), 1, None)
+    return itertools.chain([field.one()], (
+        CycElement(field, [sum(map(int.__mul__, row, col)) for col in columns], factor.den) for row in rows))
 
 
-def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
-    """Check c_n against the denominator ideal for 1 <= n <= n_max.
+def congruence_check(chi: DirichletCharacter, k: int, n_max: int, keep: int) -> dict:
+    """Check c_n against the denominator ideal for 1 <= n <= n_max, in one pass over the series.
 
-    Returns a report with the ``coefficients`` c_0..c_n_max and two counts
-    of the n that fail a test.  ``mandatory_failures`` counts the c_n
+    Returns a report with the first ``keep`` coefficients c_0, c_1, ...
+    (all n_max + 1 of them if ``keep`` is larger) and two counts of the n
+    that fail a test, taken over every n <= n_max; no other coefficient
+    is held once it is counted.  ``mandatory_failures`` counts the c_n
     outside the conductor-primary part of the ideal (all primes of the
     index for conductor 1): those whose denominator shares a prime with
     that part of the index.  ``full_findings`` counts the c_n outside the
     whole ideal, the non-integral ones; they are reported only (failures
     are findings).
     """
+    if keep < 0:
+        raise InputError("keep must be nonnegative")
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
     N = conductor(chi)
@@ -111,12 +119,16 @@ def congruence_check(chi: DirichletCharacter, k: int, n_max: int) -> dict:
         p, = primes
         primary = p ** _vp(idx, p)
     coeffs = eisenstein_coeffs(chi, k, n_max)
+    kept = list(itertools.islice(coeffs, keep))
     # c_0 = 1 has denominator 1, so it counts in neither sum.
-    mandatory_failures = sum(math.gcd(c.den, primary) != 1 for c in coeffs)
+    mandatory_failures = full_findings = 0
+    for c in itertools.chain(kept, coeffs):
+        mandatory_failures += math.gcd(c.den, primary) != 1
+        full_findings += c.den != 1
     return {
         "ideal_index": idx,
-        "coefficients": coeffs,
+        "coefficients": kept,
         "mandatory_failures": mandatory_failures,
-        "full_findings": sum(c.den != 1 for c in coeffs),
+        "full_findings": full_findings,
         "ok": mandatory_failures == 0,
     }

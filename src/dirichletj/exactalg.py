@@ -145,16 +145,23 @@ def _multiplicative_order(a: int, modulus: int) -> int:
 
 
 def smallest_primitive_root(q: int) -> int:
-    """Smallest positive primitive root mod q = p^v, p odd; verified."""
-    if q < 3 or q % 2 == 0 or len(factorize(q)) != 1:
+    """Smallest positive primitive root mod q = p^v, p odd; verified.
+
+    The root the power test finds is verified by walking its order mod p,
+    O(p) steps where a walk mod q takes O(q): g generates (Z/p^v)^x
+    exactly when it has order p - 1 mod p and, for v >= 2,
+    g^(p-1) != 1 mod p^2.
+    """
+    if q < 3 or q % 2 == 0 or len(primes := factorize(q)) != 1:
         raise InputError(f"q must be a power of an odd prime, got q = {q}")
+    (p, v), = primes.items()
     phi = euler_phi(q)
     prime_divs = list(factorize(phi))
     for g in range(2, q):
         if math.gcd(g, q) != 1:
             continue
         if all(pow(g, phi // r, q) != 1 for r in prime_divs):
-            if _multiplicative_order(g, q) != phi:
+            if _multiplicative_order(g, p) != p - 1 or (v > 1 and pow(g, p - 1, p * p) == 1):
                 raise AssertionError(f"{g} is not a primitive root mod {q}")
             return g
     raise AssertionError(f"no primitive root mod {q}")

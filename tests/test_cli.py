@@ -655,6 +655,19 @@ class TestEisensteinCmd:
         assert code == 0 and len(calls) == 1
         assert len(coefficients) == shown and coefficients[:2] == ["1", "4"][:shown]
 
+    def test_the_cli_and_the_suite_keep_only_the_coefficients_they_print(self, capsys, monkeypatch):
+        keeps = []
+        original = eisenstein.congruence_check
+        monkeypatch.setattr(eisenstein, "congruence_check",
+                            lambda chi, k, n_max, keep: keeps.append((n_max, keep)) or original(chi, k, n_max, keep))
+        for nmax, show in (("30", "8"), ("3", "8"), ("30", "0")):
+            run_cli(capsys, "eisenstein", "--modulus", "4", "--index", "1", "--weight", "1",
+                    "--nmax", nmax, "--show-coeffs", show, "--json")
+        assert keeps == [(30, 9), (3, 4), (30, 1)]
+        keeps.clear()
+        rows = list(cli.suite_eisenstein.__wrapped__(conductors=(1, 4), max_k=3, max_classical_weight=4, n_max=20))
+        assert len(rows) == len(keeps) == 4 and set(keeps) == {(20, 0)}
+
     def test_every_coefficient_to_120_is_pinned(self, capsys):
         # sha256 of the --json output and exit code of every primitive chi of conductor 1, 3, 4, 5, 7, 8, 9, 11
         # and 13 at each weight k <= 8 of its parity, every coefficient to q^120 shown, and of 37:1 at

@@ -1,8 +1,10 @@
 """Twisted divisor sums, Eisenstein coefficients, congruence checks."""
 
 import hashlib
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -47,9 +49,9 @@ def divisor_sum_written_here(chi, m, n):
 
 
 def sieve_sums(chi, m, n_max):
-    """sigma_{m,chi}(n) for 0 <= n <= n_max as ``eisenstein_coeffs`` reads them off its divisor sieve."""
+    """sigma_{m,chi}(n) for 0 <= n <= n_max as ``eisenstein_coeffs`` reads them off its divisor sieve's columns."""
     field = get_field(chi.order())
-    return [CycElement(field, row) for row in eisenstein._sigma_rows(chi, m, n_max)]
+    return [CycElement(field, row) for row in zip(*eisenstein._sigma_rows(chi, m, n_max))]
 
 
 class TestSigma:
@@ -128,14 +130,14 @@ class TestPinnedOutputs:
 
 class TestCoefficients:
     def test_classical_weight4(self):
-        coeffs = eisenstein_coeffs(trivial(), 4, 3)
+        coeffs = list(eisenstein_coeffs(trivial(), 4, 3))
         # -8/B_4 = -8/(-1/30) = 240.
         assert coeffs[0] == get_field(1).one()
         assert coeffs[1] == get_field(1).from_rational(240)
         assert coeffs[2] == get_field(1).from_rational(240 * 9)
 
     def test_odd4_weight1(self):
-        coeffs = eisenstein_coeffs(odd4(), 1, 2)
+        coeffs = list(eisenstein_coeffs(odd4(), 1, 2))
         assert coeffs[1] == get_field(2).from_rational(4)
 
     def test_parity_mismatch_rejected(self):
@@ -148,7 +150,7 @@ class TestCoefficients:
 
     def test_quad5_weight2_factor(self):
         # -4 / B_{2,chi} = -4/(4/5) = -5, so c_n = -5 sigma_{1,chi}(n).
-        coeffs = eisenstein_coeffs(quad5(), 2, 4)
+        coeffs = list(eisenstein_coeffs(quad5(), 2, 4))
         for n in range(1, 5):
             assert coeffs[n] == divisor_sum_written_here(quad5(), 1, n) * Fraction(-5)
 
@@ -157,7 +159,7 @@ class TestCoefficients:
             b = gbn(chi, k)
             factor = get_field(chi.order()).from_rational(Fraction(-2 * k)) * b.inverse()
             allowed = factor.den
-            for c in eisenstein_coeffs(chi, k, 40)[1:]:
+            for c in itertools.islice(eisenstein_coeffs(chi, k, 40), 1, None):
                 d = c.den
                 # every prime of d divides the normalizing factor's denominator
                 while d > 1:
@@ -168,29 +170,29 @@ class TestCoefficients:
 
 class TestCongruences:
     def test_classical_weight4(self):
-        result = congruence_check(trivial(), 4, 200)
+        result = congruence_check(trivial(), 4, 200, 0)
         assert result["ok"] and result["full_findings"] == 0
         assert result["ideal_index"] == 240
 
     def test_odd4_weight1(self):
-        result = congruence_check(odd4(), 1, 200)
+        result = congruence_check(odd4(), 1, 200, 0)
         assert result["ok"] and result["full_findings"] == 0
         assert result["ideal_index"] == 4
 
     def test_quad5_weight2(self):
-        result = congruence_check(quad5(), 2, 200)
+        result = congruence_check(quad5(), 2, 200, 0)
         assert result["ok"] and result["full_findings"] == 0
         assert result["ideal_index"] == 5
 
     def test_classical_sweep(self):
         for weight in range(2, 21, 2):
-            result = congruence_check(trivial(), weight, 200)
+            result = congruence_check(trivial(), weight, 200, 0)
             assert result["mandatory_failures"] == 0
 
     def test_weight12_has_full_findings(self):
         # The 691 in the numerator of B_12 makes E_12 non-integral, so the
         # full-ideal check reports findings while the mandatory one passes.
-        result = congruence_check(trivial(), 12, 50)
+        result = congruence_check(trivial(), 12, 50, 0)
         assert result["mandatory_failures"] == 0
         assert result["full_findings"] > 0
 
@@ -201,13 +203,53 @@ class TestCongruences:
         if is_primitive(lifted):
             pytest.skip("enumeration order changed")
         with pytest.raises(ValueError):
-            congruence_check(lifted, 1, 5)
+            congruence_check(lifted, 1, 5, 0)
 
     def test_composite_conductor_rejected(self):
         # The mandatory check takes the primary part at the one prime of the conductor.
         chi = character_from_index(12, 3)
         with pytest.raises(InputError, match="the conductor must be 1 or a prime power, got 12"):
-            congruence_check(chi, 2, 5)
+            congruence_check(chi, 2, 5, 0)
+
+    @pytest.mark.parametrize("chi, k", [(trivial(), 12), (quad5(), 2), (character_from_index(5, 1), 1),
+                                        (character_from_index(37, 1), 1)], ids=["1:0", "5:2", "5:1", "37:1"])
+    def test_keep_holds_the_leading_coefficients_and_every_n_is_counted(self, chi, k):
+        series = list(eisenstein_coeffs(chi, k, 30))
+        whole = congruence_check(chi, k, 30, 31)
+        assert whole["coefficients"] == series and len(series) == 31
+        for keep in (0, 1, 9, 30, 31, 40):
+            result = congruence_check(chi, k, 30, keep)
+            assert result["coefficients"] == series[:keep]
+            assert {key: value for key, value in result.items() if key != "coefficients"} == \
+                {key: value for key, value in whole.items() if key != "coefficients"}, keep
+
+    def test_negative_keep_raises_input_error(self):
+        with pytest.raises(InputError, match="^keep must be nonnegative$"):
+            congruence_check(odd4(), 1, 5, -1)
+
+    def test_the_series_is_read_lazily_off_one_sieve(self, monkeypatch):
+        calls = []
+        original = eisenstein._sigma_rows
+        monkeypatch.setattr(eisenstein, "_sigma_rows", lambda chi, m, n_max: calls.append((chi.modulus, m, n_max))
+                            or original(chi, m, n_max))
+        series = eisenstein_coeffs(odd4(), 1, 5)
+        assert iter(series) is series and calls == [(4, 0, 5)]
+        assert len(list(series)) == 6 and next(series, None) is None and calls == [(4, 0, 5)]
+
+    def test_the_check_holds_no_coefficient_it_does_not_keep(self):
+        # The tracemalloc peak of one check of the quartic character mod 5 at weight 1 up to n = 20000, its
+        # ideal and field already built: 3.8 MB when every coefficient was held, 0.65 MB when the check
+        # holds the sieve's two columns and one coefficient at a time.
+        chi = character_from_index(5, 1)
+        congruence_check(chi, 1, 1, 0)
+        tracemalloc.start()
+        try:
+            result = congruence_check(chi, 1, 20000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result["coefficients"] == [] and result["ok"]
+        assert peak < 2_000_000, peak
 
     @pytest.mark.parametrize("chi, k", [(trivial(), 12), (quad5(), 2), (odd4(), 1)], ids=["1:0", "5:2", "4:1"])
     def test_ideal_index_taken_a_bounded_number_of_times(self, monkeypatch, chi, k):
@@ -217,7 +259,7 @@ class TestCongruences:
         counts = []
         for n_max in (10, 400):
             calls.clear()
-            congruence_check(chi, k, n_max)
+            congruence_check(chi, k, n_max, 0)
             counts.append(len(calls))
         assert counts == [1, 1]
 
@@ -278,7 +320,7 @@ def _congruence_grid():
 def test_denominator_tests_agree_with_ideal_membership():
     checked_at_37, failing_at_37 = 0, 0
     for chi, k, n_max in _congruence_grid():
-        result = congruence_check(chi, k, n_max)
+        result = congruence_check(chi, k, n_max, n_max + 1)
         assert len(result["coefficients"]) == n_max + 1
         expected = rows_by_ideal_membership(denominator_lattice(denom_ideal(chi, k)), chi.modulus,
                                             result["coefficients"])
@@ -301,12 +343,12 @@ def test_mandatory_test_reads_only_the_conductor_part_of_the_index(monkeypatch):
     # the ideal is scaled by such a prime: c_n for (odd4, 5) has
     # denominator 5, and D * (5) has the same 2-primary component as D = D(x).  x = -5/4 has a 5 in its
     # numerator, so D * (5) is D(x/25).
-    result = congruence_check(odd4(), 5, 20)
+    result = congruence_check(odd4(), 5, 20, 21)
     x = denom_ideal(odd4(), 5)
     scaled = ideal_product(denominator_lattice(x), principal(get_field(2), 5))
     assert scaled == denominator_lattice(x / 25)
     monkeypatch.setattr(eisenstein, "denom_ideal", lambda chi, k: x / 25)
-    scaled_result = congruence_check(odd4(), 5, 20)
+    scaled_result = congruence_check(odd4(), 5, 20, 21)
     assert scaled_result["ideal_index"] == 5 * result["ideal_index"] == 20
     mandatory = [ok for ok, _ in verdicts(scaled_result, 4)]
     assert mandatory == [ok for ok, _ in verdicts(result, 4)] == [True] * 20
@@ -318,12 +360,12 @@ def test_ideal_index_is_the_product_of_all_invariants(monkeypatch):
     # Every quotient of a prime-power conductor checked so far is cyclic, so the ideal is scaled by 3, inert in
     # Z[i]: D(x) * (3) = D(x/3) has quotient Z/3 + Z/30, whose index is not its largest invariant.
     chi = character_from_index(5, 1)
-    result = congruence_check(chi, 1, 20)
+    result = congruence_check(chi, 1, 20, 21)
     x = denom_ideal(chi, 1)
     scaled = ideal_product(denominator_lattice(x), principal(get_field(4), 3))
     assert scaled == denominator_lattice(x / 3)
     monkeypatch.setattr(eisenstein, "denom_ideal", lambda chi, k: x / 3)
-    scaled_result = congruence_check(chi, 1, 20)
+    scaled_result = congruence_check(chi, 1, 20, 21)
     assert scaled_result["ideal_index"] == scaled.index() == 9 * result["ideal_index"] == 90
     mandatory = [ok for ok, _ in verdicts(scaled_result, 5)]
     assert mandatory == [ok for ok, _ in verdicts(result, 5)]

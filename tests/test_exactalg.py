@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dirichletj import exactalg
 from dirichletj.exactalg import (AbelianGroupExpr, InputError, _multiplicative_order, _vp, d2k, euler_phi, factorize,
                                  hermite_normal_form, poly_gcd_mod_p, poly_rem_mod_p, smallest_primitive_root,
                                  staudt_odd_primes, teichmuller, times_x_rows)
@@ -291,3 +292,16 @@ def test_private_helpers_raise_assertion_error_on_a_broken_invariant():
     with pytest.raises(AssertionError, match="^element not a unit$"):
         _multiplicative_order(2, 4)
     assert smallest_primitive_root(3) == 2 and smallest_primitive_root(25) == 2
+
+
+@pytest.mark.parametrize("q, skipped, wrong", [(7, 2, 2), (40487**2, 40487, 5)])
+def test_a_root_the_power_test_lets_through_fails_the_verification(monkeypatch, q, skipped, wrong):
+    # A power test that skips a prime of phi(q) takes a wrong root.  Mod 7, skipping 2 takes 2, of order 3,
+    # which the walk mod 7 refuses.  5 is the smallest primitive root mod the prime 40487 and 5^40486 = 1
+    # mod 40487^2, so skipping 40487 takes 5 mod 40487^2, which the check mod p^2 refuses.
+    honest = exactalg.factorize
+    monkeypatch.setattr(exactalg, "factorize", lambda n: {r: e for r, e in honest(n).items() if n == q or r != skipped})
+    with pytest.raises(AssertionError, match=f"^{wrong} is not a primitive root mod {q}$"):
+        smallest_primitive_root(q)
+    monkeypatch.undo()
+    assert smallest_primitive_root(q) == {7: 3, 40487**2: 10}[q]

@@ -90,8 +90,8 @@ class TestTopologicalGenerator:
 
     def test_generators_below_2000_are_pinned(self, monkeypatch):
         # sha256 of {p: topological_generator(p)} as JSON for the 302 odd primes p < 2000, from the
-        # code in which smallest_primitive_root took phi(p^2) from its caller.  Each root is
-        # verified by walking its phi(p^2) powers, so this takes tens of seconds.
+        # code in which smallest_primitive_root took phi(p^2) from its caller and verified each root
+        # by walking its phi(p^2) powers.
         monkeypatch.setattr(padic, "_TOPGEN_CACHE", {})
         generators = {p: topological_generator(p) for p in range(3, 2000, 2) if all(p % d for d in range(3, p, 2))}
         assert len(generators) == 302
