@@ -5,7 +5,10 @@ on failure) and enforces the stated runtime budget as a hard assert with
 generous slack removed only where the budget itself is the criterion.
 """
 
+import hashlib
+import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -54,6 +57,24 @@ def test_criterion_3_carlitz():
     _report_line(3, "Carlitz congruences", report, 120)
     assert report.failed == 0
     assert report.wall_time < 120
+
+
+def test_carlitz_on_the_wide_grid_is_pinned():
+    # The wide Carlitz grid: every conductor 3-64 at k <= 20, so the composite, 2-power and mod-4 rows
+    # are pinned beside the odd prime powers.  The sha256 is of the suite's rows as
+    # json.dumps writes them; 1.5 s of CPU on a 2-core VM.
+    start = time.process_time()
+    report = suite_carlitz(conductors=range(3, 65), max_k=20)
+    rows = list(suite_carlitz.__wrapped__(conductors=range(3, 65), max_k=20))
+    elapsed = time.process_time() - start
+    _report_line(3, "Carlitz congruences, conductors 3-64, k <= 20", report, 5)
+    assert (report.run, report.passed, report.failed, report.findings) == (7560, 7560, 0, 0)
+    kinds = Counter("unit" if row["case_kind"].endswith("-unit") else row["case_kind"] for _, _, row in rows)
+    assert kinds == {"composite": 1920, "2-power": 300, "mod4": 10, "p-congruence": 2877,
+                     "p^v-congruence": 484, "unit": 1969}
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "59b91f3288138447d727e7b380130329da1667155989447f07fa57ca7b4a2f9b"
+    assert elapsed < 5
 
 
 def test_criterion_4_denominator_theorem():
