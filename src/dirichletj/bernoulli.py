@@ -372,6 +372,18 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     Z[zeta_n], n = ord chi, g the smallest primitive root mod p;
     N = 4 -> B/k - k/2 integral; N = 2^v > 4 -> integrality.
 
+    B = B_{k,chi} is read once, as its integer vector ``nums`` over the
+    power basis and its denominator ``den``, and every test is decided on
+    integers, with no field arithmetic:
+
+    * integrality (composite, 2-power and unit cases): B/k is integral
+      exactly when den*k divides every coordinate of ``nums``;
+    * N = 4 (Q(zeta_2) = Q): (2B/k - k)/2 = (2 nums[0] - k^2 den)/(2 den k);
+    * v = 1: x = pB - (p - 1) = (p nums - (p - 1) den e_0)/den;
+    * v > 1: x = (1 - chi(1 + p)) B/k - 1 = y/(den k) with
+      y = nums - zeta^s nums - den k e_0, chi(1 + p) = zeta^s, and zeta^s nums
+      read off the rows zeta^(j+s) of the field's power table.
+
     The ideal contains p, so three residue tests decide it, none of which
     builds a lattice (Washington, Introduction to Cyclotomic Fields, ch. 2):
 
@@ -382,11 +394,12 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     * v = 1: n | p - 1, so p splits completely and the proper ideal is one
       degree-1 prime P with Z[zeta]/P^e = Z/p^e.  With chi(g) = zeta^c it
       sends zeta to R, the Teichmuller lift of g^(-k/c) mod p^e, so x lies
-      in P^e exactly when x is integral and x(R) = 0 mod p^e;
+      in P^e exactly when den divides p nums and x(R) = 0 mod p^e;
     * v > 1: Z[zeta]/(p, y) = F_p[x]/(Phi_n, y) = F_p[x]/(h) with
       h = gcd(Phi_n mod p, y mod p), as F_p[x] is a principal ideal domain,
-      so x lies in (p, y) exactly when x is integral and h divides x mod p.
-      The ideal is proper there, so deg h >= 1 checks ``kernel_order_match``.
+      so x lies in (p, y) exactly when den k divides y and h divides
+      y/(den k) mod p.  The ideal is proper there, so deg h >= 1 checks
+      ``kernel_order_match``.
     """
     if not is_primitive(chi):
         raise InputError("chi must be primitive")
@@ -397,26 +410,28 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
     if (-1) ** k != parity(chi):
         raise InputError("parity mismatch: B_{k,chi} = 0, nothing to verify")
     N = chi.modulus
-    b_over_k = gbn(chi, k) / k
+    b = gbn(chi, k)
+    nums, den = b.nums, b.den
+    dk = den * k
     fac = factorize(N)
     row: dict = {"modulus": N, "index": chi.index(), "k": k}
     if len(fac) > 1:
         row["case"] = "composite"
-        row["ok"] = b_over_k.is_integral()
+        row["ok"] = not any(x % dk for x in nums)
         return row
     (p, v), = fac.items()
     if p == 2:
         if v == 2:
             row["case"] = "mod4"
-            row["ok"] = ((2 * b_over_k - k) / 2).is_integral()
+            row["ok"] = (2 * nums[0] - k * k * den) % (2 * dk) == 0
         else:
             row["case"] = "2-power"
-            row["ok"] = b_over_k.is_integral()
+            row["ok"] = not any(x % dk for x in nums)
         return row
     n = chi.order()
     if not kernel_order_match(k, p, n // p ** _vp(n, p)):
         row["case"] = f"p^{v}-unit"
-        row["ok"] = b_over_k.is_integral()
+        row["ok"] = not any(x % dk for x in nums)
         return row
     g = primitive_root(p)
     c = _value_exponent(chi, g)
@@ -424,18 +439,28 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
         e = _vp(k, p) + 1
         pe = p**e
         root = pow(teichmuller(p, g, e), -k * pow(c, -1, n) % (p - 1), pe)
-        x = gbn(chi, k) * p - (p - 1)
+        x = [p * xj for xj in nums]
+        x[0] -= (p - 1) * den
         row["case"] = "p-congruence"
         row["modulus_power"] = e
-        row["ok"] = x.is_integral() and sum(xj * pow(root, j, pe) for j, xj in enumerate(x.nums)) % pe == 0
+        row["ok"] = not any(xj % den for xj in x) and sum(
+            xj // den * pow(root, j, pe) for j, xj in enumerate(x)) % pe == 0
         return row
     field = get_field(n)
+    zeta_pow = field._zeta_pow
     gk = pow(g, k, p)
-    h = poly_gcd_mod_p(field.phi_n, [int(j == 0) - gk * z for j, z in enumerate(field.zeta_power(c).nums)], p)
+    h = poly_gcd_mod_p(field.phi_n, [int(j == 0) - gk * z for j, z in enumerate(zeta_pow[c])], p)
     if len(h) < 2:
         raise AssertionError(f"Carlitz check at {N}:{chi.index()}, k = {k}: kernel_order_match finds the ideal "
                              f"(p, 1 - chi(g) g^k) proper, but its gcd over F_{p}[x] with Phi_{n} is 1")
-    x = (field.one() - field.zeta_power(_value_exponent(chi, 1 + p))) * b_over_k - 1
+    s = _value_exponent(chi, 1 + p)
+    y = list(nums)
+    for j, xj in enumerate(nums):
+        if xj:
+            for t, z in enumerate(zeta_pow[(j + s) % n]):
+                if z:
+                    y[t] -= xj * z
+    y[0] -= dk
     row["case"] = "p^v-congruence"
-    row["ok"] = x.is_integral() and not any(poly_rem_mod_p(x.nums, h, p))
+    row["ok"] = not any(yt % dk for yt in y) and not any(poly_rem_mod_p([yt // dk for yt in y], h, p))
     return row

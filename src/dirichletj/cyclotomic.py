@@ -280,9 +280,6 @@ class CycElement:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def __repr__(self) -> str:
         return f"CycElement(n={self.field.n}, {render_cyc(self)!r})"
 

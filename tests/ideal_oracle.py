@@ -157,7 +157,7 @@ def from_generators(field, gens) -> IdealLattice:
     |N(g)| is.
     """
     gens = [field.from_rational(g) if isinstance(g, (int, Fraction)) else g for g in gens]
-    assert all(g.is_integral() for g in gens), "ideal generators must be integral"
+    assert all(g.den == 1 for g in gens), "ideal generators must be integral"
     rows = [row for g in gens for row in times_x_rows(field.phi_n, g.nums)]
     modulus = math.gcd(*(g.nums[0] for g in gens if g.is_rational()))
     if not modulus:
@@ -213,7 +213,7 @@ def carlitz_by_ideals(chi, k: int, b: CycElement) -> tuple[str, bool]:
     (p, v), = factorize(chi.modulus).items()
     ideal = carlitz_p_ideal(chi, k)
     if ideal.is_full_ring():
-        return f"p^{v}-unit", (b / k).is_integral()
+        return f"p^{v}-unit", (b / k).den == 1
     if v == 1:
         return "p-congruence", ideal_power(ideal, _vp(k, p) + 1).contains(b * p - (p - 1))
     x = (ideal.field.one() - evaluate(chi, 1 + p)) * (b / k) - 1

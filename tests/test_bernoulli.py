@@ -727,6 +727,31 @@ class TestCarlitz:
             verdicts[v > 1, row["ok"]] += 1
         assert min(verdicts.values()) > 50, verdicts
 
+    def test_integrality_tests_agree_with_field_arithmetic_off_the_theorem(self, monkeypatch):
+        # B_{k,chi} is shifted by k/d times a drawn integral element: d = 1 keeps B/k integral, d = 2 or 3
+        # mostly does not.  The verdict is compared with the field arithmetic that decided these cases
+        # before: (B/k).den == 1, and ((2B/k - k)/2).den == 1 at conductor 4.
+        rng = random.Random(53)
+        real_gbn = bernoulli.gbn
+        verdicts = Counter()
+        grid = [(N, k) for N in (8, 12, 15, 16, 20, 21, 24, 28, 32) for k in range(1, 13)]
+        for N, k in (grid + [(4, k) for k in range(1, 160, 2)]) * 3:
+            for chi in enumerate_characters(N):
+                if not is_primitive(chi) or (-1) ** k != parity(chi):
+                    continue
+                field = get_field(chi.order())
+                drawn = CycElement(field, [rng.randint(-3, 3) for _ in range(field.degree)])
+                b = real_gbn(chi, k) + drawn * Fraction(k, rng.choice([1, 1, 2, 3]))
+                monkeypatch.setattr(bernoulli, "gbn", lambda chi, k, b=b: b)
+                row = verify_carlitz(chi, k)
+                if N == 4:
+                    expected = "mod4", ((2 * (b / k) - k) / 2).den == 1
+                else:
+                    expected = "composite" if len(factorize(N)) > 1 else "2-power", (b / k).den == 1
+                assert (row["case"], row["ok"]) == expected, (N, chi.index(), k, b)
+                verdicts[expected] += 1
+        assert len(verdicts) == 6 and min(verdicts.values()) > 50, verdicts
+
     def test_parity_mismatch_rejected(self):
         with pytest.raises(InputError, match=r"^parity mismatch: B_\{k,chi\} = 0, nothing to verify$"):
             verify_carlitz(quad5(), 1)

@@ -308,6 +308,15 @@ def test_carlitz_check_builds_no_ideal_lattice():
                         "is_full_ring", "hermite_normal_form"}, sorted(named)
 
 
+def test_carlitz_check_does_no_field_arithmetic():
+    # Every case is decided on B_(k,chi)'s integer vector over its denominator; no field element is built.
+    tree = ast.parse((SRC / "bernoulli.py").read_text())
+    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_carlitz")
+    named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(check)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not named & {"one", "zeta_power", "from_rational", "is_integral", "CycElement"}, sorted(named)
+
+
 def _names_by_function(path: Path) -> dict[str, set[str]]:
     """The names and attributes each top-level function of a module mentions."""
     return {node.name: {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
