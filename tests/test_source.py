@@ -310,10 +310,7 @@ def test_carlitz_check_builds_no_ideal_lattice():
 
 def test_carlitz_check_does_no_field_arithmetic():
     # Every case is decided on B_(k,chi)'s integer vector over its denominator; no field element is built.
-    tree = ast.parse((SRC / "bernoulli.py").read_text())
-    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_carlitz")
-    named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(check)
-             if isinstance(node, (ast.Name, ast.Attribute))}
+    named = _names_by_function(SRC / "bernoulli.py")["verify_carlitz"]
     assert not named & {"one", "zeta_power", "from_rational", "is_integral", "CycElement"}, sorted(named)
 
 
