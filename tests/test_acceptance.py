@@ -77,6 +77,27 @@ def test_carlitz_on_the_wide_grid_is_pinned():
     assert elapsed < 5
 
 
+def test_gbn_theorem_on_the_wide_grid_is_pinned():
+    # The wide gbn-theorem grid: both B_(k,chi) pipelines on every character of modulus <= 40 at
+    # k <= 16, and the denominator ideal against pi_* J_chi at the odd primes <= 61, at 4, 8, 16
+    # and 32, and with 2 inverted at 9, 25, 27, 49, 81, 121 and 125.  The rows are drawn once and
+    # counted here; the sha256 is of the rows as json.dumps writes them.  About 2 s of CPU on a
+    # 2-core VM.
+    odd_primes = [p for p in range(3, 62) if all(p % d for d in range(2, p))]
+    start = time.process_time()
+    rows = list(suite_gbn_theorem.__wrapped__(max_modulus=40, max_weight=16, moduli=(*odd_primes, 4, 8, 16, 32),
+                                              moduli_invert2=(9, 25, 27, 49, 81, 121, 125)))
+    elapsed = time.process_time() - start
+    outcomes = Counter(outcome for _, outcome, *_ in rows)
+    print(f"ACCEPTANCE 4 [gbn-theorem, wide grid]: {len(rows)} rows, {outcomes[True]} passed, "
+          f"{outcomes['finding']} findings, {elapsed:.2f}s / budget 5s", flush=True)
+    assert (len(rows), outcomes[True], outcomes[False], outcomes["finding"]) == (20554, 20554, 0, 0)
+    assert Counter(case[0] for case, *_ in rows) == {0: 8330, 1: 12224}
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "3bf19d2ad7187c710ca75f7c18f544980e6054d37636a7f42c4e4abbe0a7faa8"
+    assert elapsed < 5
+
+
 def test_criterion_4_denominator_theorem():
     report = suite_gbn_theorem(
         max_modulus=0, max_weight=12, moduli=(3, 4, 5, 7, 11, 13), moduli_invert2=(9, 25, 27)
