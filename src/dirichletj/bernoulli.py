@@ -19,8 +19,8 @@ ways and cross-asserted on every (chi, k):
   quotient series is grown once, one coefficient per k, and reused
   across k (``_SeriesState``); it is extended only as
   far as the largest k asked for, in integer arithmetic over the power
-  basis of Q(zeta_ord(chi)), and its integer vector and denominator
-  become the ``CycElement`` as they are.  Each step takes its binomials
+  basis of Q(zeta_ord(chi)), and gives B_{k,chi} as an integer vector
+  over a positive denominator in lowest terms.  Each step takes its binomials
   from a Pascal row grown from the previous step's, its powers of N from
   a kept list, and sums only over the earlier B_i that are nonzero.  The
   B_j that parity makes 0 (chi(-1) != (-1)^j, save B_1 = +1/2 of the
@@ -33,8 +33,14 @@ ways and cross-asserted on every (chi, k):
   the integer power sum of its residues (``_PolysumState``), grown only
   as far as the largest k asked for; B_{k,chi} is read off them and the
   nonzero coefficients of B_k(x), kept as integer numerators over one
-  denominator.  It computes every value, the parity zeros included, so
-  the cross-check tests the parity theorem on each of them.
+  denominator; the pair it gives is the vector over N times that
+  denominator, as summed.  It computes every value, the parity zeros
+  included, so the cross-check tests the parity theorem on each of them.
+
+The cross-check compares the two integer pairs by cross-multiplication,
+x * pden == y * den on every coordinate, and only then builds the one
+``CycElement`` a value is returned as, from the series pair: one field
+element per value, and none to compare.
 
 Both sum over the classes of residues a with equal chi(a), use the
 primitive representative of chi (the defining sum runs over the
@@ -63,7 +69,6 @@ from .characters import (
     InputError,
     ValueTable,
     _value_exponent,
-    is_primitive,
     kernel_order_match,
     parity,
     primitive_root,
@@ -293,31 +298,35 @@ def _states(chi: DirichletCharacter) -> tuple[_SeriesState, _PolysumState]:
     return _SeriesState(chi, table), _PolysumState(chi, table)
 
 
-def _gbn_series(chi: DirichletCharacter, k: int) -> CycElement:
-    """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t) over Q(zeta_ord)."""
+def _gbn_series(chi: DirichletCharacter, k: int) -> tuple[list[int], int]:
+    """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t): an integer vector over a positive denominator, in lowest terms."""
     state = _states(chi)[0]
     if state.vanishes(k):
-        return get_field(chi.order()).zero()
+        return [0] * state.degree, 1
     state.extend(k)
-    return CycElement(get_field(chi.order()), state.nums[k], state.dens[k])
+    return state.nums[k], state.dens[k]
 
 
-def _gbn_polysum(chi: DirichletCharacter, k: int) -> CycElement:
-    """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N)."""
-    nums, den = _states(chi)[1].value(k)
-    return CycElement(get_field(chi.order()), nums, den)
+def _gbn_polysum(chi: DirichletCharacter, k: int) -> tuple[list[int], int]:
+    """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N), as summed over N times the coefficients' denominator."""
+    return _states(chi)[1].value(k)
 
 
 @lru_cache(maxsize=4096)
 def _gbn_primitive(chi: DirichletCharacter, k: int) -> CycElement:
-    by_series = _gbn_series(chi, k)
-    by_polysum = _gbn_polysum(chi, k)
-    if by_series != by_polysum:
+    """B_{k,chi} of a primitive chi by both pipelines, their pairs compared by cross-multiplication.
+
+    x/den = y/pden on every coordinate exactly when x*pden = y*den, as both
+    denominators are positive; the one element built is the series pair's.
+    """
+    nums, den = _gbn_series(chi, k)
+    pnums, pden = _gbn_polysum(chi, k)
+    if len(nums) != len(pnums) or [x * pden for x in nums] != [y * den for y in pnums]:
         raise AssertionError(
             f"generating-function and polynomial-sum pipelines disagree for "
             f"chi = {chi.modulus}:{chi.index()}, k = {k}"
         )
-    return by_series
+    return CycElement(get_field(chi.order()), nums, den)
 
 
 def gbn(chi: DirichletCharacter, k: int) -> CycElement:
@@ -345,9 +354,10 @@ def denom_ideal(chi: DirichletCharacter, k: int) -> CycElement:
     D = {y : y B_{k,chi}/2k integral}; ``cyclotomic.denominator_invariants``
     gives Z[chi]/D.  Returns the field's zero, so that D is the full ring, when
     (-1)^k != chi(-1): the paper's convention for the vanishing case.  That
-    includes B_{1,chi_0} = 1/2, which is not divided by 2k.
+    includes B_{1,chi_0} = 1/2, which is not divided by 2k.  chi is primitive
+    when its cached primitive form, which ``gbn`` reads too, has its modulus.
     """
-    if not is_primitive(chi):
+    if primitivize(chi).modulus != chi.modulus:
         raise InputError("chi must be primitive")
     if k < 1:
         raise InputError("k must be positive")
@@ -361,6 +371,14 @@ def denom_ideal(chi: DirichletCharacter, k: int) -> CycElement:
 
 # ---------------------------------------------------------------------------
 # Classical congruence checks
+
+
+# h of every (n, c, g^k mod p, p) a Carlitz row reaches: 596 over the pinned prime-power grid.
+@lru_cache(maxsize=1024)
+def _carlitz_gcd(n: int, c: int, gk: int, p: int) -> tuple[int, ...]:
+    """h = gcd(Phi_n, 1 - zeta^c gk) over F_p, monic and ascending: what (p, 1 - chi(g) g^k) reduces to."""
+    field = get_field(n)
+    return tuple(poly_gcd_mod_p(field.phi_n, [int(j == 0) - gk * z for j, z in enumerate(field._zeta_pow[c])], p))
 
 
 def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
@@ -399,9 +417,14 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
       h = gcd(Phi_n mod p, y mod p), as F_p[x] is a principal ideal domain,
       so x lies in (p, y) exactly when den k divides y and h divides
       y/(den k) mod p.  The ideal is proper there, so deg h >= 1 checks
-      ``kernel_order_match``.
+      ``kernel_order_match``.  h depends on nothing but (n, c, g^k mod p, p),
+      with chi(g) = zeta^c, so ``_carlitz_gcd`` takes it once per such key
+      and keeps it; the check and its assertion run on every row.
+
+    chi is primitive when its cached primitive form, which ``gbn`` reads
+    too, has its modulus; no conductor is computed for the test.
     """
-    if not is_primitive(chi):
+    if primitivize(chi).modulus != chi.modulus:
         raise InputError("chi must be primitive")
     if chi.modulus == 1:
         raise InputError("conductor 1: Carlitz's theorems take chi != 1; the von-staudt suite checks B_k of chi = 1")
@@ -446,14 +469,12 @@ def verify_carlitz(chi: DirichletCharacter, k: int) -> dict:
         row["ok"] = not any(xj % den for xj in x) and sum(
             xj // den * pow(root, j, pe) for j, xj in enumerate(x)) % pe == 0
         return row
-    field = get_field(n)
-    zeta_pow = field._zeta_pow
-    gk = pow(g, k, p)
-    h = poly_gcd_mod_p(field.phi_n, [int(j == 0) - gk * z for j, z in enumerate(zeta_pow[c])], p)
+    h = _carlitz_gcd(n, c, pow(g, k, p), p)
     if len(h) < 2:
         raise AssertionError(f"Carlitz check at {N}:{chi.index()}, k = {k}: kernel_order_match finds the ideal "
                              f"(p, 1 - chi(g) g^k) proper, but its gcd over F_{p}[x] with Phi_{n} is 1")
     s = _value_exponent(chi, 1 + p)
+    zeta_pow = get_field(n)._zeta_pow
     y = list(nums)
     for j, xj in enumerate(nums):
         if xj:

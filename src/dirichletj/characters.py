@@ -210,16 +210,16 @@ class ValueTable(Record):
 def value_classes(chi: DirichletCharacter) -> ValueTable:
     """The units 1 <= a <= N grouped by chi(a), the classes in no fixed order, as one ``ValueTable``.
 
-    One pass over the discrete-log table: one dot product per unit and one field element per class.
+    One pass over the discrete-log table: one dot product per unit, and each class's row zeta^e
+    read off the field's power table.
     """
     n, weights = chi._order, chi._weights
     by_exponent: dict[int, list[int]] = {}
     for a, exps in _dlog_table(chi.modulus).items():
         by_exponent.setdefault(sum(map(operator.mul, weights, exps)) % n, []).append(a or 1)
-    field = get_field(n)
     return ValueTable(tuple(itertools.chain.from_iterable(by_exponent.values())),
                       tuple(itertools.accumulate(map(len, by_exponent.values()), initial=0)),
-                      tuple(zip(*(field.zeta_power(t).nums for t in by_exponent))))
+                      tuple(zip(*map(get_field(n)._zeta_pow.__getitem__, by_exponent))))
 
 
 def parity(chi: DirichletCharacter) -> int:

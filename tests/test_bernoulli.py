@@ -174,6 +174,7 @@ class TestGBN:
 def _clear_gbn_caches():
     bernoulli._gbn_primitive.cache_clear()
     bernoulli._states.cache_clear()
+    bernoulli._carlitz_gcd.cache_clear()
 
 
 class TestGrowingSeries:
@@ -312,13 +313,49 @@ class TestGrowingSeries:
         honest = bernoulli._gbn_polysum
 
         def perturbed(chi_, k):
-            value = honest(chi_, k)
-            return value + Fraction(1, 7) if k == 5 else value
+            nums, den = honest(chi_, k)
+            return ([nums[0] * 7 + den, *(x * 7 for x in nums[1:])], den * 7) if k == 5 else (nums, den)  # + 1/7
 
         monkeypatch.setattr(bernoulli, "_gbn_polysum", perturbed)
-        assert gbn(chi, 4) == honest(chi, 4)
+        assert gbn(chi, 4) == CycElement(get_field(chi.order()), *honest(chi, 4))
         with pytest.raises(AssertionError):
             gbn(chi, 5)
+
+
+class TestIntegerCrossCheck:
+    """A B_(k,chi) miss compares the two pipelines' integer pairs and builds one field element, the series'."""
+
+    def test_one_field_element_per_miss(self, monkeypatch):
+        built, honest = [], CycElement.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            honest(self, *args)
+
+        _clear_gbn_caches()
+        monkeypatch.setattr(CycElement, "__init__", counting)
+        for N in range(1, 17):
+            for chi in enumerate_characters(N):
+                for k in range(13):
+                    gbn(chi, k)
+        misses = bernoulli._gbn_primitive.cache_info().misses
+        assert misses == 585 and len(built) == misses
+
+    # 13:1 is odd, of order 12, so B_3 is nonzero and has four coordinates.
+    @pytest.mark.parametrize("pipeline, bend", [
+        ("_gbn_series", lambda nums, den: ([nums[0] + den, *nums[1:]], den)),  # the value plus 1
+        ("_gbn_polysum", lambda nums, den: (nums, 2 * den)),  # only the denominator doubled
+        ("_gbn_polysum", lambda nums, den: ([nums[0], nums[1] + 1, *nums[2:]], den)),  # a non-leading coordinate
+        ("_gbn_polysum", lambda nums, den: ([*nums, 0], den)),  # one coordinate too many
+    ])
+    def test_a_bent_pair_raises(self, monkeypatch, pipeline, bend):
+        honest = getattr(bernoulli, pipeline)
+        _clear_gbn_caches()
+        monkeypatch.setattr(bernoulli, pipeline, lambda chi_, k_: bend(*honest(chi_, k_)))
+        with pytest.raises(AssertionError, match=r"^generating-function and polynomial-sum pipelines disagree "
+                                                 r"for chi = 13:1, k = 3$"):
+            gbn(character_from_index(13, 1), 3)
+        _clear_gbn_caches()
 
 
 class TestParityZeros:
@@ -661,6 +698,14 @@ def test_carlitz_rows_at_prime_conductors_are_pinned():
 
 
 class TestCarlitz:
+    @pytest.fixture(autouse=True)
+    def cold_gcd_memo(self):
+        # Each test starts and leaves the memo of Carlitz gcds empty, so a patched gbn or
+        # kernel_order_match meets fresh gcds and leaves none behind.
+        bernoulli._carlitz_gcd.cache_clear()
+        yield
+        bernoulli._carlitz_gcd.cache_clear()
+
     def test_mod4_k3(self):
         row = verify_carlitz(odd4(), 3)
         assert row["ok"] and row["case"] == "mod4"
@@ -786,6 +831,27 @@ class TestCarlitz:
         # and meets Phi_n mod p in the one root r of order n/p^(v_p(n)) with r^c = g^(-k), so every
         # proper ideal reached has degree 1.
         assert (len(reached), degrees) == (596, {1: 596})
+
+    def test_the_gcd_memo_holds_a_fresh_gcd_for_every_key(self):
+        # The keys test_gcd_degree_is_the_corank_of_multiplication_mod_p reaches, each read from the memo
+        # once cold and once warm, against a gcd taken afresh from zeta_power.
+        keys = {(chi.order(), _value_exponent(chi, g), pow(g, k, p), p)
+                for chi, k in _carlitz_pin_cases() for p in factorize(chi.modulus) for g in [primitive_root(p)]
+                if kernel_order_match(k, p, tame_order(chi, p))}
+        cold = {key: bernoulli._carlitz_gcd(*key) for key in sorted(keys)}
+        assert bernoulli._carlitz_gcd.cache_info().currsize == len(keys) == 596
+        for n, c, gk, p in sorted(keys, reverse=True):
+            field = get_field(n)
+            fresh = poly_gcd_mod_p(field.phi_n, [int(j == 0) - gk * z for j, z in enumerate(field.zeta_power(c).nums)], p)
+            assert list(bernoulli._carlitz_gcd(n, c, gk, p)) == list(cold[n, c, gk, p]) == fresh, (n, c, gk, p)
+
+    def test_pinned_rows_are_the_same_with_the_memo_cleared_before_every_row(self):
+        rows = []
+        for chi, k in _carlitz_pin_cases():
+            bernoulli._carlitz_gcd.cache_clear()
+            rows.append(verify_carlitz(chi, k))
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == "6739b3b1c3c093a958fbbded68ecf61e5da3883426ca22a64506312d42559387"
 
     def test_a_proper_ideal_whose_gcd_is_one_raises(self, monkeypatch, capsys):
         chi, k = next((chi, k) for chi, k in _carlitz_pin_cases()

@@ -322,15 +322,17 @@ def _names_by_function(path: Path) -> dict[str, set[str]]:
 
 
 def test_carlitz_check_decides_the_p_power_congruence_by_one_gcd():
-    # The p^v congruence is one gcd and one division over F_p[x]; the rank of multiplication mod p is
-    # its oracle in tests/test_bernoulli.py, and neither the check nor its helpers reach into the
-    # B_(k,chi) pipelines.
-    check = _names_by_function(SRC / "bernoulli.py")["verify_carlitz"]
-    assert {"poly_gcd_mod_p", "poly_rem_mod_p"} <= check
-    assert not check & {"padic_invariant_exponents", "times_x_rows"}, sorted(check)
+    # The p^v congruence is one gcd, kept per (n, c, g^k mod p, p) by the memo _carlitz_gcd, and one division
+    # over F_p[x]; the rank of multiplication mod p is its oracle in tests/test_bernoulli.py, and neither the
+    # check, the memo nor their helpers reach into the B_(k,chi) pipelines.
+    names = _names_by_function(SRC / "bernoulli.py")
+    check, memo = names["verify_carlitz"], names["_carlitz_gcd"]
+    assert {"_carlitz_gcd", "poly_rem_mod_p"} <= check and "poly_gcd_mod_p" not in check
+    assert "poly_gcd_mod_p" in memo
     helpers = _names_by_function(SRC / "exactalg.py")
     pipelines = {"_states", "_SeriesState", "_PolysumState", "value_classes"}
-    for named in (check, helpers["poly_gcd_mod_p"], helpers["poly_rem_mod_p"]):
+    for named in (check, memo, helpers["poly_gcd_mod_p"], helpers["poly_rem_mod_p"]):
+        assert not named & {"padic_invariant_exponents", "times_x_rows"}, sorted(named)
         assert not named & pipelines, sorted(named & pipelines)
     imported = {alias.name for node in ast.walk(ast.parse((SRC / "bernoulli.py").read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
