@@ -29,12 +29,12 @@ ways and cross-asserted on every (chi, k):
   the powers of the residues, and such a k is answered 0 without growing
   the series;
 * Bernoulli-polynomial sum: ``N^(k-1) sum_a chi(a) B_k(a/N)``.  Each
-  primitive character keeps, for each i and each class of equal chi(a),
-  the integer power sum of its residues (``_PolysumState``), grown only
-  as far as the largest k asked for; B_{k,chi} is read off them and the
-  nonzero coefficients of B_k(x), kept as integer numerators over one
-  denominator; the pair it gives is the vector over N times that
-  denominator, as summed.  It computes every value, the parity zeros
+  primitive character keeps, for each i, the power sum S_i = sum_a
+  chi(a) a^i as an integer vector over the power basis
+  (``_PolysumState``), grown only as far as the largest k asked for;
+  B_{k,chi} is read off them and the nonzero coefficients of B_k(x),
+  kept as integer numerators over one denominator; the pair it gives is
+  the vector over N times that denominator, as summed.  It computes every value, the parity zeros
   included, so the cross-check tests the parity theorem on each of them.
 
 The cross-check compares the two integer pairs by cross-multiplication,
@@ -237,22 +237,24 @@ class _SeriesState:
 
 
 class _PolysumState:
-    """Per-class power sums of one primitive chi, for the Bernoulli-polynomial oracle.
+    """Power sums of one primitive chi, for the Bernoulli-polynomial oracle.
 
     Expanding B_k(x) = sum_j c_j x^(k-j) in ``N^(k-1) sum_a chi(a) B_k(a/N)``
     gives
 
-        N B_{k,chi} = sum_e zeta^e sum_j c_j N^j P_{k-j}(e),
+        N B_{k,chi} = sum_j c_j N^j S_{k-j},  S_i = sum_e zeta^e P_i(e),
 
     with P_i(e) the sum of a^i over the residues a with chi(a) = zeta^e.
     The state holds chi's ``ValueTable`` as read and one flat list ``pows``
-    of the a^i.  ``sums[i]`` lists P_i of every class, the sums of the
-    slices of ``pows`` at the class bounds (``pows`` itself when each class
-    holds one unit), and each next ``pows`` is one ``map``; ``sums`` is
-    grown only as far as the largest k asked for, with no Python loop over
-    classes or units.  A value combines the P_(k-j) of each class with the
-    c_j N^j only when it is asked for, then takes one dot product of those
-    per-class sums with each column of the table.  The c_j are integer
+    of the a^i.  ``sums[i]`` is S_i over the power basis: the P_i of every
+    class are the sums of the slices of ``pows`` at the class bounds
+    (``pows`` itself when each class holds one unit), and S_i is one dot
+    product of them with each column of the table.  Each next ``pows`` is
+    one ``map``; ``sums`` is grown only as far as the largest k asked for,
+    with no Python loop over classes or units.  A value combines the
+    S_(k-j) with the c_j N^j only when it is asked for, one coordinate at
+    a time, so it costs the degree times the number of nonzero c_j
+    products, whatever the number of classes.  The c_j are integer
     numerators over one denominator (``_bernoulli_poly_coeffs``), the
     powers of N are kept in ``npow``, and the zero c_j (odd j >= 3) are
     skipped.
@@ -264,30 +266,30 @@ class _PolysumState:
         self.N = chi.modulus
         self.table = table  # read, never changed or copied: the series holds the same table
         self.pows = [1] * len(table.units)  # a^i of the last i in sums, a^0 before the first
-        self.sums: list[list[int]] = []  # P_0, P_1, ... of every class
+        self.sums: list[list[int]] = []  # S_0, S_1, ... over the power basis
         self.npow = [1]  # N^0, N^1, ...
 
     def value(self, k: int) -> tuple[list[int], int]:
         """Integer vector and denominator of B_{k,chi}."""
-        units, bounds = self.table.units, self.table.bounds
+        units, bounds, columns = self.table.units, self.table.bounds, self.table.columns
         sums = self.sums
         while len(sums) <= k:
             if sums:
                 self.pows = list(map(operator.mul, self.pows, units))
             if len(bounds) > len(units):  # one unit per class
-                sums.append(self.pows)
+                per_class = self.pows
             else:
                 slices = map(slice, bounds, itertools.islice(bounds, 1, None))
-                sums.append(list(map(sum, map(self.pows.__getitem__, slices))))
+                per_class = list(map(sum, map(self.pows.__getitem__, slices)))
+            sums.append([sum(map(operator.mul, column, per_class)) for column in columns])
         npow = self.npow
         while len(npow) <= k:
             npow.append(npow[-1] * self.N)
         cs, den = _bernoulli_poly_coeffs(k)
-        # c_j N^j, and the power sums P_(k-j) of every class, for the c_j != 0
+        # c_j N^j, and S_(k-j), for the c_j != 0
         scaled = list(map(operator.mul, itertools.compress(cs, cs), itertools.compress(npow, cs)))
         rows = itertools.compress(sums[k::-1], cs)
-        combined = [sum(map(operator.mul, scaled, P)) for P in zip(*rows)]  # sum_j c_j N^j P_{k-j}, per class
-        return [sum(map(operator.mul, column, combined)) for column in self.table.columns], self.N * den
+        return [sum(map(operator.mul, scaled, coordinate)) for coordinate in zip(*rows)], self.N * den
 
 
 # Both growing states per primitive character, the least recently used dropped first:
