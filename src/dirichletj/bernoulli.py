@@ -34,8 +34,9 @@ ways and cross-asserted on every (chi, k):
   (``_PolysumState``), grown only as far as the largest k asked for;
   B_{k,chi} is read off them and the nonzero coefficients of B_k(x),
   kept as integer numerators over one denominator; the pair it gives is
-  the vector over N times that denominator, as summed.  It computes every value, the parity zeros
-  included, so the cross-check tests the parity theorem on each of them.
+  the vector over N times that denominator, as summed.  It computes every
+  value, the parity zeros included, so the cross-check tests the parity
+  theorem on each of them.
 
 The cross-check compares the two integer pairs by cross-multiplication,
 x * pden == y * den on every coordinate, and only then builds the one
@@ -301,7 +302,10 @@ def _states(chi: DirichletCharacter) -> tuple[_SeriesState, _PolysumState]:
 
 
 def _gbn_series(chi: DirichletCharacter, k: int) -> tuple[list[int], int]:
-    """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t): an integer vector over a positive denominator, in lowest terms."""
+    """k! [t^k] of sum_a chi(a) e^{at} / ((e^{Nt} - 1)/t), as an integer vector over a positive denominator.
+
+    The pair is in lowest terms, the form of ``CycElement``.
+    """
     state = _states(chi)[0]
     if state.vanishes(k):
         return [0] * state.degree, 1
@@ -310,7 +314,10 @@ def _gbn_series(chi: DirichletCharacter, k: int) -> tuple[list[int], int]:
 
 
 def _gbn_polysum(chi: DirichletCharacter, k: int) -> tuple[list[int], int]:
-    """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N), as summed over N times the coefficients' denominator."""
+    """Oracle: N^(k-1) sum_e zeta^e sum_{chi(a) = zeta^e} B_k(a/N), as an integer vector over a positive denominator.
+
+    The pair is as summed, over N times the denominator of B_k(x)'s coefficients.
+    """
     return _states(chi)[1].value(k)
 
 
